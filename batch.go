@@ -29,11 +29,11 @@ type Prepared struct {
 }
 
 // Prepare validates the dataset once and fixes the solver configuration for
-// subsequent Solve/SolveBatch calls. The same Options as Solve apply;
+// subsequent Solve/SolveBatch calls. The same Options as SolveResult apply;
 // WithSkybandPrefilter additionally makes every query run on the cached
 // k-skyband of its rank parameter, and the resilience options
-// (WithQueryTimeout, WithWorkBudget, WithFallback) fix the per-query
-// serving policy every solve runs under.
+// (WithQueryTimeout, WithWorkBudget) fix the per-query serving policy every
+// solve runs under.
 func Prepare(d *Dataset, opts ...Option) (*Prepared, error) {
 	var cfg config
 	for _, o := range opts {
@@ -52,19 +52,17 @@ func Prepare(d *Dataset, opts ...Option) (*Prepared, error) {
 
 // Solve answers one query against the prepared dataset, returning the full
 // Result. Every solve is guarded: a solver panic comes back as a per-call
-// *SolveError rather than crashing the process, the per-query timeout and
-// work budget apply, and a degradable failure re-runs the query on the
-// fallback chain (Result.Degraded then records why). On error the Result
-// still carries the partial Stats and elapsed time of the failed attempts.
+// *SolveError rather than crashing the process, and the per-query timeout
+// and work budget apply. On error the Result still carries the partial
+// Stats and elapsed time of the failed solve.
 func (p *Prepared) Solve(ctx context.Context, q Query) (Result, error) {
 	if p.cfg.anytimeActive() {
 		return p.solveAnytime(ctx, q, nil, "")
 	}
 	cq := q.toCore()
 	start := time.Now()
-	r, st, deg, err := p.pol.Solve(p.cfg.obsContext(ctx), p.prep, cq, -1)
-	res := Result{Stats: st, Elapsed: time.Since(start), Degraded: deg}
-	res.Tier = tierFor(p.cfg, p.dim, deg)
+	r, st, err := p.pol.Solve(p.cfg.obsContext(ctx), p.prep, cq, -1)
+	res := Result{Stats: st, Elapsed: time.Since(start), Tier: tierFor(p.cfg, p.dim)}
 	if reg := p.cfg.metrics; reg != nil {
 		reg.Counter("rrq.solves").Inc()
 		if err != nil {
@@ -79,15 +77,8 @@ func (p *Prepared) Solve(ctx context.Context, q Query) (Result, error) {
 }
 
 // tierFor classifies a non-anytime answer: TierApprox when A-PC produced
-// the region (configured primary, or the fallback that answered a degraded
-// query), TierExact otherwise.
-func tierFor(cfg config, dim int, deg *core.Degradation) SolverTier {
-	if deg != nil {
-		if deg.Solver == (core.APCSolver{}).Name() {
-			return TierApprox
-		}
-		return TierExact
-	}
+// the region, TierExact otherwise.
+func tierFor(cfg config, dim int) SolverTier {
 	if resolvedAlgo(cfg, dim) == APCAlgo {
 		return TierApprox
 	}
@@ -140,8 +131,7 @@ func (p *Prepared) solveAnytime(ctx context.Context, q Query, warm []*geom.Cell,
 // solve, or the per-query error. A failed query never affects its
 // neighbours; its Result still reports the partial Stats and elapsed time.
 // A solver panic surfaces as that query's *SolveError (match with
-// errors.As), and a query answered by the fallback chain carries a non-nil
-// Result.Degraded.
+// errors.As).
 type BatchResult struct {
 	Result
 	Err error
@@ -169,12 +159,11 @@ type BatchReport struct {
 	// Agg sums the Stats counters of the successful queries.
 	Agg Stats
 	// Solved and Failed count the queries that returned a region vs. an
-	// error. Degraded counts the subset of Solved whose region came from
-	// the fallback chain (see WithFallback). Deduped counts the slots
-	// answered by copying an exact duplicate's solve; their copied Stats
-	// still sum into Agg (Agg describes the answers delivered), while the
-	// work actually saved shows in QueryTime, where a deduped slot is zero.
-	Solved, Failed, Degraded, Deduped int
+	// error. Deduped counts the slots answered by copying an exact
+	// duplicate's solve; their copied Stats still sum into Agg (Agg
+	// describes the answers delivered), while the work actually saved shows
+	// in QueryTime, where a deduped slot is zero.
+	Solved, Failed, Deduped int
 	// Phases maps solver phase names (e.g. "phase.ept.insert") to timing
 	// histograms covering exactly this batch. Nil unless WithMetrics was
 	// set at Prepare time.
@@ -248,8 +237,7 @@ func (p *Prepared) SolveBatch(ctx context.Context, queries []Query) *BatchReport
 		br := BatchResult{Err: o.Err, Dedup: o.Dedup}
 		br.Stats = o.Stats
 		br.Elapsed = o.Elapsed
-		br.Degraded = o.Degraded
-		br.Tier = tierFor(p.cfg, p.dim, o.Degraded)
+		br.Tier = tierFor(p.cfg, p.dim)
 		rep.QueryTime += o.Elapsed
 		if o.Dedup {
 			rep.Deduped++
@@ -258,9 +246,6 @@ func (p *Prepared) SolveBatch(ctx context.Context, queries []Query) *BatchReport
 			br.Region = &Region{inner: o.Region, q: cqs[i]}
 			rep.Solved++
 			rep.Agg.Add(o.Stats)
-			if o.Degraded != nil {
-				rep.Degraded++
-			}
 		} else {
 			rep.Failed++
 		}

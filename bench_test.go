@@ -291,7 +291,7 @@ func BenchmarkHarnessQuickFigure(b *testing.B) {
 func BenchmarkDynamicInsert(b *testing.B) {
 	pts, q := benchInstance(b, dataset.Independent, 5000, 3, 5, 0.1)
 	b.Run("incremental", func(b *testing.B) {
-		ix, err := index.Build(pts, 3, index.Options{Kmax: q.K})
+		ix, err := index.Build(pts, 3)
 		if err != nil {
 			b.Fatal(err)
 		}

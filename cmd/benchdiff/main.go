@@ -18,6 +18,11 @@
 // Usage:
 //
 //	benchdiff -baseline results/BENCH_baseline.json -current BENCH_solve.json
+//
+// After an intended change to what the gates measure, regenerate the
+// committed baseline with the same suite CI runs:
+//
+//	go run ./cmd/rrqbench -benchjson results/BENCH_baseline.json -cpus 1,2,4,8
 package main
 
 import (

@@ -10,7 +10,7 @@
 //	rrq -data cars.csv -q 0.45,0.2 -k 10 -eps 0.1
 //	rrq -data cars.csv -q 0.45,0.2 -k 10 -eps 0.1 -algo apc -samples 200
 //	rrq -data cars.csv -queries "0.45,0.2;0.5,0.3" -k 10 -workers 4 -timeout 30s
-//	rrq -data cars.csv -q 0.45,0.2 -k 10 -query-timeout 50ms -budget 100000 -fallback apc
+//	rrq -data cars.csv -q 0.45,0.2 -k 10 -query-timeout 50ms -budget 100000
 package main
 
 import (
@@ -47,11 +47,8 @@ func main() {
 		metrics   = flag.Bool("metrics", false, "print solver metrics (phase timers, work counters) after solving")
 		qTimeout  = flag.Duration("query-timeout", 0, "per-query wall-clock limit, restarted for each query of a batch (0 = none)")
 		budget    = flag.Int64("budget", 0, "per-query work budget in solver work units (0 = none)")
-		fallback  = flag.String("fallback", "", "comma-separated fallback algorithms tried on timeout/budget/numerical failure, e.g. apc,lpcta")
 		indexMode = flag.String("index", "", "build|load: serve queries from a persistent snapshot index instead of per-query preprocessing")
 		indexFile = flag.String("index-file", "", "index file path: written by -index build, read by -index load")
-		kmax      = flag.Int("kmax", 0, "rank ceiling of the index's rank-level tree for -index build (0 = default)")
-		ixCompat  = flag.Bool("index-compat", false, "accept the legacy headerless index file format with -index load")
 	)
 	flag.Parse()
 
@@ -105,15 +102,6 @@ func main() {
 	if *budget > 0 {
 		resOpts = append(resOpts, rrq.WithWorkBudget(*budget))
 	}
-	if *fallback != "" {
-		var chain []rrq.Algorithm
-		for _, s := range strings.Split(*fallback, ",") {
-			a, err := parseAlgo(strings.TrimSpace(s))
-			fatal(err)
-			chain = append(chain, a)
-		}
-		resOpts = append(resOpts, rrq.WithFallback(chain...))
-	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -136,10 +124,7 @@ func main() {
 		if reg != nil {
 			opts = append(opts, rrq.WithMetrics(reg))
 		}
-		if *ixCompat {
-			opts = append(opts, rrq.WithIndexCompat(true))
-		}
-		indexMain(ctx, ds, reg, *indexMode, *indexFile, *qStr, *qsStr, *k, *kmax, *eps, *measureN, *workers, *asJSON, opts)
+		indexMain(ctx, ds, reg, *indexMode, *indexFile, *qStr, *qsStr, *k, *eps, *measureN, *workers, *asJSON, opts)
 		return
 	}
 
@@ -168,15 +153,11 @@ func main() {
 				fmt.Printf("  q%-3d %v  error: %v\n", i, queries[i].Q, res.Err)
 				continue
 			}
-			note := ""
-			if deg := res.Degraded; deg != nil {
-				note = fmt.Sprintf("  [degraded to %s: %v]", deg.Solver, deg.Reason)
-			}
-			fmt.Printf("  q%-3d %v  %d partition(s), %.2f%% of the preference space  (%v)%s\n",
-				i, queries[i].Q, res.Region.NumPartitions(), 100*res.Region.Measure(*measureN), res.Elapsed.Round(time.Microsecond), note)
+			fmt.Printf("  q%-3d %v  %d partition(s), %.2f%% of the preference space  (%v)\n",
+				i, queries[i].Q, res.Region.NumPartitions(), 100*res.Region.Measure(*measureN), res.Elapsed.Round(time.Microsecond))
 		}
-		fmt.Printf("total:   %d solved (%d degraded), %d failed in %v (query time %v)\n",
-			report.Solved, report.Degraded, report.Failed, report.Elapsed.Round(time.Microsecond), report.QueryTime.Round(time.Microsecond))
+		fmt.Printf("total:   %d solved, %d failed in %v (query time %v)\n",
+			report.Solved, report.Failed, report.Elapsed.Round(time.Microsecond), report.QueryTime.Round(time.Microsecond))
 		printMetrics(reg)
 		return
 	}
@@ -220,10 +201,6 @@ func main() {
 	fmt.Printf("dataset: %d products (after preprocessing), %d attributes\n", ds.Len(), ds.Dim())
 	fmt.Printf("query:   q=%v  k=%d  eps=%.3f  algo=%v  solved in %v\n",
 		q, *k, *eps, algo, res.Elapsed.Round(time.Microsecond))
-	if deg := res.Degraded; deg != nil {
-		fmt.Printf("note:    degraded to %s after %s failure of the primary (%v)\n",
-			deg.Solver, deg.Reason, deg.Cause)
-	}
 	if region.IsEmpty() {
 		fmt.Println("result:  no prospective customers — q never scores within ε of the top-k")
 		printMetrics(reg)
@@ -248,16 +225,12 @@ func main() {
 // indexMain implements -index build/load: it constructs or restores a
 // snapshot index, optionally persists it, and serves any requested queries
 // from the current snapshot instead of re-preprocessing per call.
-func indexMain(ctx context.Context, ds *rrq.Dataset, reg *rrq.Registry, mode, file, qStr, qsStr string, k, kmax int, eps float64, measureN, workers int, asJSON bool, opts []rrq.Option) {
+func indexMain(ctx context.Context, ds *rrq.Dataset, reg *rrq.Registry, mode, file, qStr, qsStr string, k int, eps float64, measureN, workers int, asJSON bool, opts []rrq.Option) {
 	var ix *rrq.Index
 	switch mode {
 	case "build":
-		bopts := append([]rrq.Option(nil), opts...)
-		if kmax > 0 {
-			bopts = append(bopts, rrq.WithKmax(kmax))
-		}
 		start := time.Now()
-		built, err := rrq.BuildIndex(ds, bopts...)
+		built, err := rrq.BuildIndex(ds, opts...)
 		fatal(err)
 		ix = built
 		fmt.Printf("index:   built epoch %d over %d products, %d attributes in %v\n",
@@ -303,8 +276,8 @@ func indexMain(ctx context.Context, ds *rrq.Dataset, reg *rrq.Registry, mode, fi
 			fmt.Printf("  q%-3d %v  %d partition(s), %.2f%% of the preference space  (%v)\n",
 				i, queries[i].Q, res.Region.NumPartitions(), 100*res.Region.Measure(measureN), res.Elapsed.Round(time.Microsecond))
 		}
-		fmt.Printf("total:   %d solved (%d degraded), %d failed in %v (query time %v)\n",
-			report.Solved, report.Degraded, report.Failed, report.Elapsed.Round(time.Microsecond), report.QueryTime.Round(time.Microsecond))
+		fmt.Printf("total:   %d solved, %d failed in %v (query time %v)\n",
+			report.Solved, report.Failed, report.Elapsed.Round(time.Microsecond), report.QueryTime.Round(time.Microsecond))
 		printMetrics(reg)
 		return
 	}

@@ -11,6 +11,12 @@
 //	rrqd -real NBA:3000 -policy cap -capacity 8 -queue 64
 //	rrqd -synthetic indep:2000:2:7 -tenant-rate 50000 -tenant-burst 200000
 //	rrqd -synthetic indep:2000:3:1 -wal-dir /var/lib/rrqd -fsync always
+//	rrqd -synthetic indep:5000:4:1 -policy cap -query-timeout 50ms -anytime 20ms
+//
+// With -anytime the server has one rung below an exact answer: a request
+// the cap policy would shed, or whose exact solve runs out of
+// -query-timeout or -budget, is answered on the anytime tier (a sound inner
+// region with an accuracy receipt) instead of 429 or 504.
 //
 // With -wal-dir the server is durable: mutations are written ahead to a
 // checksummed log before they are acknowledged, snapshots fold into
@@ -52,12 +58,10 @@ func main() {
 		real        = flag.String("real", "", "real dataset stand-in spec name:maxN, e.g. NBA:3000")
 		algoStr     = flag.String("algo", "auto", "auto|sweeping|ept|apc|lpcta|brute")
 		samples     = flag.Int("samples", 0, "A-PC sample count (0 = paper default)")
-		kmax        = flag.Int("kmax", 0, "rank ceiling of the index's rank-level tree (0 = default)")
 		cacheN      = flag.Int("cache", 1024, "result cache capacity in entries (0 = no cache)")
 		cacheBnd    = flag.Bool("cache-bounds", false, "serve sound inner/outer bounds from cached neighbors")
 		qTimeout    = flag.Duration("query-timeout", 0, "per-query wall-clock limit (0 = none)")
 		budget      = flag.Int64("budget", 0, "per-query work budget in solver units (0 = none)")
-		fallback    = flag.String("fallback", "", "comma-separated fallback algorithms, e.g. apc")
 		policyStr   = flag.String("policy", "always", `admission policy: "always" (queue) or "cap" (shed)`)
 		capacity    = flag.Int("capacity", 0, "concurrent solve slots (0 = GOMAXPROCS)")
 		queueLen    = flag.Int("queue", 64, "queued requests beyond the slots before the cap policy sheds")
@@ -68,11 +72,10 @@ func main() {
 		fsync      = flag.String("fsync", "always", `WAL fsync policy: "always", "interval" or "never"`)
 		fsyncEvery = flag.Duration("fsync-interval", 100*time.Millisecond, `flush period under -fsync interval`)
 		ckptEvery  = flag.Int("checkpoint-every", 0, "mutations between automatic checkpoints (0 = default 256)")
-		compat     = flag.Bool("index-compat", false, "accept legacy headerless checkpoint/index files")
 		drainT     = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain limit before in-flight requests are force-closed")
 		drainG     = flag.Duration("drain-grace", 0, "after SIGTERM, keep the listener open this long answering 503 so load balancers observe the drain before connections close")
 		solveDelay = flag.Duration("debug-solve-delay", 0, "artificial per-solve delay (shutdown/drain testing only)")
-		anytime    = flag.Duration("anytime", 0, "degrade saturated requests to the anytime tier under this per-solve budget instead of shedding (0 = shed)")
+		anytime    = flag.Duration("anytime", 0, "answer on the anytime tier under this per-solve budget when the cap policy is saturated or an exact solve exceeds -query-timeout or -budget (0 = 429/504 as usual)")
 	)
 	flag.Parse()
 
@@ -89,27 +92,11 @@ func main() {
 	if *samples > 0 {
 		opts = append(opts, rrq.WithSamples(*samples))
 	}
-	if *kmax > 0 {
-		opts = append(opts, rrq.WithKmax(*kmax))
-	}
 	if *qTimeout > 0 {
 		opts = append(opts, rrq.WithQueryTimeout(*qTimeout))
 	}
 	if *budget > 0 {
 		opts = append(opts, rrq.WithWorkBudget(*budget))
-	}
-	if *fallback != "" {
-		var chain []rrq.Algorithm
-		for _, s := range strings.Split(*fallback, ",") {
-			a, err := parseAlgo(strings.TrimSpace(s))
-			fatal(err)
-			chain = append(chain, a)
-		}
-		opts = append(opts, rrq.WithFallback(chain...))
-	}
-
-	if *compat {
-		opts = append(opts, rrq.WithIndexCompat(true))
 	}
 
 	durable := *walDir != ""

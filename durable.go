@@ -36,9 +36,6 @@ type DurableConfig struct {
 	// KeepCheckpoints is how many checkpoint files survive collection
 	// (0 = default 2: current + previous).
 	KeepCheckpoints int
-	// Compat additionally accepts legacy headerless checkpoint files, as
-	// WithIndexCompat does for LoadIndex.
-	Compat bool
 }
 
 // RecoveryInfo summarizes what OpenDurableIndex found and repaired: the
@@ -80,7 +77,7 @@ func OpenDurableIndex(dc DurableConfig, seed func() (*Dataset, error), opts ...O
 		if err != nil {
 			return nil, err
 		}
-		return index.Build(ds.points(), ds.Dim(), index.Options{Kmax: cfg.kmax, TreeNodes: cfg.treeNodes})
+		return index.Build(ds.points(), ds.Dim())
 	}
 	var done func()
 	if cfg.metrics != nil {
@@ -92,7 +89,6 @@ func OpenDurableIndex(dc DurableConfig, seed func() (*Dataset, error), opts ...O
 		SyncInterval:    dc.FsyncInterval,
 		CheckpointEvery: dc.CheckpointEvery,
 		KeepCheckpoints: dc.KeepCheckpoints,
-		Compat:          dc.Compat || cfg.indexCompat,
 		Metrics:         cfg.metrics,
 	}, build)
 	if done != nil {
@@ -154,10 +150,3 @@ func (ix *Index) Close() error {
 	}
 	return ix.dur.Close()
 }
-
-// WithIndexCompat additionally accepts the legacy headerless index file
-// format in LoadIndex and in durable checkpoint loading. The current
-// format carries a magic number, version and checksum; legacy files have
-// none, so a corrupt file can be indistinguishable from a legacy one —
-// keep this off unless migrating files written before the header existed.
-func WithIndexCompat(on bool) Option { return func(c *config) { c.indexCompat = on } }

@@ -15,16 +15,15 @@ import (
 	"time"
 
 	"rrq/internal/cache"
-	"rrq/internal/core"
 	"rrq/internal/geom"
 	"rrq/internal/index"
 	"rrq/internal/vec"
 )
 
 // Index answers reverse regret queries from a persistent, version-stamped
-// snapshot of the dataset. Compared with Solve — which revalidates the
-// dataset, recomputes the k-skyband and reclassifies every hyper-plane per
-// call — an index snapshot holds all three, maintained incrementally across
+// snapshot of the dataset. Compared with SolveResult — which revalidates
+// the dataset, recomputes the k-skyband and reclassifies every hyper-plane
+// per call — an index snapshot holds all three, maintained incrementally across
 // Insert/Delete, and shares the classified plane sets of repeated queries.
 // All methods are safe for concurrent use.
 type Index struct {
@@ -35,33 +34,10 @@ type Index struct {
 	dur   *index.Durable // nil unless opened with OpenDurableIndex
 }
 
-// WithKmax sets the rank ceiling of the index's rank-level tree (default 8).
-// It does not bound Solve's K: queries with larger K are served through the
-// ordinary solvers on the maintained skyband; only rank-tree serving
-// (WithRankTreeServing) is limited to K ≤ kmax.
-func WithKmax(k int) Option { return func(c *config) { c.kmax = k } }
-
-// WithRankTreeNodes bounds the node budget of the index's lazily built
-// rank-level tree (0 = default). A build exceeding the budget marks the
-// tree unavailable for that snapshot; queries fall back to the ordinary
-// solvers.
-func WithRankTreeNodes(n int) Option { return func(c *config) { c.treeNodes = n } }
-
-// WithRankTreeServing routes index queries with K ≤ kmax through the
-// snapshot's rank-level tree (the structure generalized from the PBA+
-// baseline), which answers without touching the dataset at all. The
-// qualified region is the same set of preferences, but its convex
-// decomposition — and therefore its JSON encoding — generally differs from
-// the solver-produced one, which is why tree serving is off by default.
-// Queries with K > kmax, or on snapshots whose tree exceeded its node
-// budget, silently use the ordinary solver path.
-func WithRankTreeServing(on bool) Option { return func(c *config) { c.treeServe = on } }
-
 // BuildIndex validates the dataset once and constructs the first snapshot
-// (epoch 1). The options fix the index shape (WithKmax, WithRankTreeNodes)
-// and the default solving configuration — algorithm, resilience policy and
-// observability — that Solve/SolveBatch inherit; per-call options override
-// the defaults. With WithMetrics, the build maintains "index.builds" and
+// (epoch 1). The options fix the default solving configuration —
+// algorithm, resilience policy, result cache and observability — that
+// Solve/SolveBatch inherit; per-call options override the defaults. With WithMetrics, the build maintains "index.builds" and
 // the "index.epoch" gauge, times "phase.index.build", and every served
 // query's plane-cache traffic shows as "index.planes.hit"/"index.planes.miss".
 func BuildIndex(d *Dataset, opts ...Option) (*Index, error) {
@@ -73,7 +49,7 @@ func BuildIndex(d *Dataset, opts ...Option) (*Index, error) {
 	if cfg.metrics != nil {
 		done = timePhase(cfg.metrics, "phase.index.build")
 	}
-	inner, err := index.Build(d.points(), d.Dim(), index.Options{Kmax: cfg.kmax, TreeNodes: cfg.treeNodes})
+	inner, err := index.Build(d.points(), d.Dim())
 	if done != nil {
 		done()
 	}
@@ -108,9 +84,6 @@ func (ix *Index) Len() int { return ix.inner.Len() }
 // Dim returns the dataset dimension.
 func (ix *Index) Dim() int { return ix.dim }
 
-// Kmax returns the rank ceiling of the index's rank-level tree.
-func (ix *Index) Kmax() int { return ix.inner.Kmax() }
-
 // CacheStats is a point-in-time view of an Index's result cache: occupancy
 // (Entries/Capacity), exact-lookup traffic (Hits/Misses) and answers
 // served as monotonicity bounds (BoundHits).
@@ -121,12 +94,10 @@ type CacheStats = cache.Stats
 // derived structures. It exists so callers (and the rrqd stats endpoint)
 // can inspect an index without wiring a metrics Registry.
 type IndexStats struct {
-	// Version is the current epoch, Points/Dim the dataset shape, Kmax the
-	// rank ceiling of the rank-level tree.
+	// Version is the current epoch, Points/Dim the dataset shape.
 	Version uint64
 	Points  int
 	Dim     int
-	Kmax    int
 	// PlaneHits/PlaneMisses count shared-plane-storage traffic over the
 	// index's lifetime; PlaneSets and SkybandViews are the current
 	// snapshot's memoized plane sets and k-band views.
@@ -134,31 +105,22 @@ type IndexStats struct {
 	PlaneMisses  int64
 	PlaneSets    int
 	SkybandViews int
-	// RankTreeNodes is the current snapshot's rank-tree size; zero until
-	// the lazy build is demanded. RankTreeBuilt distinguishes "not yet
-	// demanded" from "built with this many nodes".
-	RankTreeNodes int
-	RankTreeBuilt bool
 	// Cache is the result cache's statistics, nil without WithResultCache.
 	Cache *CacheStats
 }
 
 // Stats returns a consistent point-in-time view of the index: epoch, point
-// count, plane-cache traffic, rank-tree occupancy and (when configured)
-// result-cache statistics.
+// count, plane-cache traffic and (when configured) result-cache statistics.
 func (ix *Index) Stats() IndexStats {
 	s := ix.inner.Stats()
 	st := IndexStats{
-		Version:       s.Version,
-		Points:        s.Points,
-		Dim:           s.Dim,
-		Kmax:          s.Kmax,
-		PlaneHits:     s.PlaneHits,
-		PlaneMisses:   s.PlaneMisses,
-		PlaneSets:     s.PlaneSets,
-		SkybandViews:  s.SkybandViews,
-		RankTreeNodes: s.RankTreeNodes,
-		RankTreeBuilt: s.RankTreeBuilt,
+		Version:      s.Version,
+		Points:       s.Points,
+		Dim:          s.Dim,
+		PlaneHits:    s.PlaneHits,
+		PlaneMisses:  s.PlaneMisses,
+		PlaneSets:    s.PlaneSets,
+		SkybandViews: s.SkybandViews,
 	}
 	if ix.cache != nil {
 		cs := ix.cache.Stats()
@@ -213,8 +175,8 @@ func (ix *Index) maintain(counter string, op func() (uint64, error)) (uint64, er
 
 // Prepared binds the current snapshot to a solver configuration, reusing
 // the batch serving layer: the result answers Solve and SolveBatch with
-// panic isolation, per-query timeouts/budgets and fallback chains exactly
-// like a Prepare-d dataset, but with the snapshot's maintained prefilter
+// panic isolation and per-query timeouts/budgets exactly like a Prepare-d
+// dataset, but with the snapshot's maintained prefilter
 // and shared plane storage doing the preprocessing. The Prepared is pinned
 // to the snapshot it was created from: later mutations do not affect it.
 func (ix *Index) Prepared(opts ...Option) (*Prepared, error) {
@@ -250,17 +212,11 @@ func (ix *Index) Solve(q Query, opts ...Option) (*Region, error) {
 // with the index's default options merged with the per-call ones. The
 // answer is byte-identical to SolveContext over the same points with
 // WithSkybandPrefilter(true) — the snapshot serves the identical k-skyband
-// in the identical order — unless WithRankTreeServing routes the query
-// through the rank tree.
+// in the identical order.
 func (ix *Index) SolveContext(ctx context.Context, q Query, opts ...Option) (Result, error) {
 	cfg := ix.cfg
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.treeServe && !cfg.anytimeActive() {
-		if res, ok, err := ix.treeSolve(ctx, cfg, q); ok {
-			return res, err
-		}
 	}
 	snap := ix.inner.Snapshot()
 	if cfg.anytimeActive() {
@@ -277,13 +233,11 @@ func (ix *Index) SolveContext(ctx context.Context, q Query, opts ...Option) (Res
 }
 
 // cachedSolve serves q through the result cache, pinned to one snapshot:
-// the version that keys every lookup is the version the fallback solve
-// runs on, so a concurrent mutation can never mix epochs within one query.
+// the version that keys every lookup is the version a miss is solved on, so a concurrent mutation can never mix epochs within one query.
 // Exact hits are byte-identical to a fresh solve (the cache stores the
 // fresh artifact, keyed by serving path); with WithCacheBounds a cached
 // neighbor on the same query point may answer as a sound inner or outer
-// bound. Approximate (A-PC) serving bypasses the cache entirely, and
-// degraded answers are never stored.
+// bound. Approximate (A-PC) serving bypasses the cache entirely.
 func (ix *Index) cachedSolve(ctx context.Context, cfg config, snap *index.Snapshot, q Query) (Result, error) {
 	algo := resolvedAlgo(cfg, ix.dim)
 	cacheable := algo != APCAlgo
@@ -340,7 +294,7 @@ func (ix *Index) cachedSolve(ctx context.Context, cfg config, snap *index.Snapsh
 	if err != nil {
 		return res, err
 	}
-	if cacheable && res.Degraded == nil && res.Region != nil {
+	if cacheable && res.Region != nil {
 		res.Cache = CacheMiss
 		ix.cache.Put(version, algo.String(), cq, res.Region.inner)
 	}
@@ -421,48 +375,6 @@ func (ix *Index) cacheServe(cfg config, counter string, res Result) Result {
 	return res
 }
 
-// treeSolve attempts to serve q from the snapshot rank tree. ok is false
-// when the query is out of the tree's reach (K > kmax) or the snapshot's
-// tree is unavailable (node budget exceeded) — the caller then uses the
-// ordinary solver path. Validation errors and context aborts are returned
-// with ok = true: they would fail the same way on any path.
-func (ix *Index) treeSolve(ctx context.Context, cfg config, q Query) (Result, bool, error) {
-	cq := q.toCore()
-	if err := cq.Validate(ix.dim); err != nil {
-		return Result{}, true, err
-	}
-	if q.K > ix.inner.Kmax() {
-		return Result{}, false, nil
-	}
-	snap := ix.inner.Snapshot()
-	octx := cfg.obsContext(ctx)
-	tree, err := snap.Tree(octx)
-	if err != nil {
-		if ctx.Err() != nil || err == core.ErrDeadline {
-			// The abort belongs to the caller, not the tree: report it.
-			return Result{}, true, err
-		}
-		return Result{}, false, nil // tree over budget: use the solver path
-	}
-	start := time.Now()
-	r, err := tree.QueryContext(octx, cq)
-	elapsed := time.Since(start)
-	if reg := cfg.metrics; reg != nil {
-		reg.Counter("rrq.solves").Inc()
-		if err != nil {
-			reg.Counter("rrq.solve_errors").Inc()
-		}
-	}
-	if err != nil {
-		return Result{Elapsed: elapsed}, true, err
-	}
-	return Result{
-		Region:  &Region{inner: r, q: cq},
-		Stats:   Stats{Pieces: r.NumPieces()},
-		Elapsed: elapsed,
-	}, true, nil
-}
-
 // SolveBatch answers the queries concurrently on one snapshot of the index
 // — every query of the batch sees the same epoch even while mutations run.
 // Batch semantics (worker pool, per-query isolation, report aggregation)
@@ -476,27 +388,21 @@ func (ix *Index) SolveBatch(ctx context.Context, queries []Query, opts ...Option
 }
 
 // Save writes the current snapshot to w in a self-contained binary format:
-// the points, index shape and epoch counter. Derived state (skyband views,
-// plane sets, the rank tree) is recomputed on load rather than serialized,
-// so saved indexes stay valid across cache-layout changes.
+// the points and the epoch counter. Derived state (skyband views, plane
+// sets) is recomputed on load rather than serialized, so saved indexes stay
+// valid across cache-layout changes.
 func (ix *Index) Save(w io.Writer) error { return ix.inner.Save(w) }
 
 // LoadIndex restores an index written by Save and resumes it at the saved
-// epoch. The options configure solving defaults exactly as in BuildIndex;
-// the index shape (kmax, tree budget) comes from the file. Files are
-// validated (magic, format version, checksum) and rejected with a typed
-// error on mismatch; WithIndexCompat additionally accepts the legacy
-// headerless format.
+// epoch. The options configure solving defaults exactly as in BuildIndex.
+// Files are validated (magic, format version, checksum) and rejected with a
+// typed error on mismatch.
 func LoadIndex(r io.Reader, opts ...Option) (*Index, error) {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	load := index.Load
-	if cfg.indexCompat {
-		load = index.LoadCompat
-	}
-	inner, err := load(r)
+	inner, err := index.Load(r)
 	if err != nil {
 		return nil, err
 	}

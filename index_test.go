@@ -79,71 +79,11 @@ func TestIndexMatchesSolve(t *testing.T) {
 	}
 }
 
-// Rank-tree serving may re-partition the region but must not change
-// membership, and must silently fall back for K beyond the tree's ceiling.
-func TestIndexRankTreeServing(t *testing.T) {
-	ds, q := indexTestInstance(t, 3, 900)
-	ix, err := BuildIndex(ds, WithRankTreeServing(true), WithKmax(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Kmax() != 4 {
-		t.Fatalf("Kmax = %d, want 4", ix.Kmax())
-	}
-	plain, err := BuildIndex(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := ix.Solve(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := plain.Solve(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 200; i++ {
-		u := tr.Sample(i)
-		if u == nil {
-			break
-		}
-		if !pr.Contains(u) {
-			t.Fatalf("tree-served sample %v not in solver-served region", u)
-		}
-	}
-	for i := int64(1); i <= 200; i++ {
-		u := pr.Sample(i)
-		if u == nil {
-			break
-		}
-		if !tr.Contains(u) {
-			t.Fatalf("solver-served sample %v not in tree-served region", u)
-		}
-	}
-
-	// K beyond kmax must fall back to the solver path, not fail.
-	big := q
-	big.K = 6
-	fb, err := ix.Solve(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := plain.Solve(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fbJSON, _ := fb.MarshalJSON()
-	wantJSON, _ := want.MarshalJSON()
-	if !bytes.Equal(fbJSON, wantJSON) {
-		t.Fatalf("K>kmax fallback differs from solver path")
-	}
-}
-
 // Save/LoadIndex must round-trip the epoch, the shape and the answers
 // through the public API.
 func TestIndexSaveLoadPublic(t *testing.T) {
 	ds, q := indexTestInstance(t, 3, 321)
-	ix, err := BuildIndex(ds, WithKmax(5))
+	ix, err := BuildIndex(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +98,8 @@ func TestIndexSaveLoadPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Version() != ix.Version() || back.Len() != ix.Len() || back.Dim() != ix.Dim() || back.Kmax() != ix.Kmax() {
-		t.Fatalf("round-trip mismatch: got v=%d len=%d dim=%d kmax=%d", back.Version(), back.Len(), back.Dim(), back.Kmax())
+	if back.Version() != ix.Version() || back.Len() != ix.Len() || back.Dim() != ix.Dim() {
+		t.Fatalf("round-trip mismatch: got v=%d len=%d dim=%d", back.Version(), back.Len(), back.Dim())
 	}
 	a, err := ix.Solve(q)
 	if err != nil {

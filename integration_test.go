@@ -25,13 +25,13 @@ func TestIntegrationRealDatasets(t *testing.T) {
 			market := ds.KSkyband(k)
 			q := Query{Q: ds.RandomQuery(11), K: k, Epsilon: eps}
 
-			exact, err := Solve(market, q, WithAlgorithm(EPTAlgo))
+			exact, err := regionOf(SolveResult(market, q, WithAlgorithm(EPTAlgo)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			// The answer over the full dataset must match the answer over
 			// the skyband.
-			full, err := Solve(ds, q, WithAlgorithm(EPTAlgo))
+			full, err := regionOf(SolveResult(ds, q, WithAlgorithm(EPTAlgo)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,7 +39,7 @@ func TestIntegrationRealDatasets(t *testing.T) {
 				t.Error("skyband preprocessing changed the answer")
 			}
 			// LP-CTA agrees with E-PT.
-			lpcta, err := Solve(market, q, WithAlgorithm(LPCTAAlgo))
+			lpcta, err := regionOf(SolveResult(market, q, WithAlgorithm(LPCTAAlgo)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +47,7 @@ func TestIntegrationRealDatasets(t *testing.T) {
 				t.Error("LP-CTA disagrees with E-PT")
 			}
 			// A-PC is sound: never larger than exact.
-			apc, err := Solve(market, q, WithAlgorithm(APCAlgo), WithSamples(150), WithSeed(1))
+			apc, err := regionOf(SolveResult(market, q, WithAlgorithm(APCAlgo), WithSamples(150), WithSeed(1)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +56,7 @@ func TestIntegrationRealDatasets(t *testing.T) {
 			}
 			// 2-d datasets also go through Sweeping.
 			if ds.Dim() == 2 {
-				sw, err := Solve(market, q, WithAlgorithm(SweepingAlgo))
+				sw, err := regionOf(SolveResult(market, q, WithAlgorithm(SweepingAlgo)))
 				if err != nil {
 					t.Fatal(err)
 				}

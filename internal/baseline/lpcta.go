@@ -203,7 +203,7 @@ func ctaSolve(n *ctaNode, h geom.Hyperplane, cc *ctaCtx, maximize bool) (float64
 	d, st := cc.d, cc.st
 	if ferr := cc.check.Fault(faultinject.LPSolve); ferr != nil {
 		// Injected LP failure: a numerical fault the solver cannot recover
-		// from — typed so SolvePolicy can re-run the query on a fallback.
+		// from — typed so the serving layers can map it (HTTP 500).
 		cc.err = &core.NumericalError{Solver: "LP-CTA", Err: ferr}
 		return 0, false
 	}

@@ -31,10 +31,9 @@ func lpctaInstance(t *testing.T) ([]vec.Vec, core.Query) {
 	return nil, core.Query{}
 }
 
-// An injected LP failure must surface as a typed *NumericalError, and under
-// a SolvePolicy with a fallback the query must degrade with
-// DegradeNumerical instead of failing.
-func TestLPFaultDegradesNumerical(t *testing.T) {
+// An injected LP failure must surface as a typed *NumericalError — the
+// error the server maps to 500; it is no trigger for the anytime rung.
+func TestLPFaultSurfacesNumerical(t *testing.T) {
 	pts, q := lpctaInstance(t)
 	prep, err := core.Prepare(pts, 2, false)
 	if err != nil {
@@ -47,9 +46,7 @@ func TestLPFaultDegradesNumerical(t *testing.T) {
 		Times: 1,
 	})
 	ctx := faultinject.ContextWith(context.Background(), inj)
-
-	// Without a fallback: the typed numerical error surfaces.
-	_, _, err = LPCTASolver{}.Solve(ctx, prep, q)
+	_, _, err = core.SolvePolicy{Solver: LPCTASolver{}}.Solve(ctx, prep, q, -1)
 	var ne *core.NumericalError
 	if !errors.As(err, &ne) {
 		t.Fatalf("err = %v, want *NumericalError", err)
@@ -57,74 +54,39 @@ func TestLPFaultDegradesNumerical(t *testing.T) {
 	if ne.Solver != "LP-CTA" || !errors.Is(ne, lpBoom) {
 		t.Fatalf("NumericalError{Solver:%q Err:%v}", ne.Solver, ne.Err)
 	}
+}
 
-	// With a fallback: the same fault degrades to the exact 2-d solver.
-	inj2 := faultinject.New(&faultinject.Fault{Point: faultinject.LPSolve, Err: lpBoom, Times: 1})
-	reg := obs.NewRegistry()
-	ctx2 := obs.ContextWithRegistry(faultinject.ContextWith(context.Background(), inj2), reg)
-	pol := core.SolvePolicy{Solver: LPCTASolver{}, Fallbacks: []core.Solver{core.SweepingSolver{}}}
-	r, _, deg, err := pol.Solve(ctx2, prep, q, -1)
+// A real (non-injected) budget failure across the cost gap the paper
+// measures: LP-CTA burns an LP per relation check and trips a small budget
+// with a typed *BudgetError, while the linear-time sweep answers the same
+// query within it, exactly.
+func TestBudgetStopsLPCTANotSweeping(t *testing.T) {
+	pts, q := lpctaInstance(t)
+	prep, err := core.Prepare(pts, 2, false)
 	if err != nil {
-		t.Fatalf("err = %v, want degraded success", err)
+		t.Fatal(err)
 	}
-	if r == nil || deg == nil {
-		t.Fatal("want a fallback region and a Degradation record")
+	const budget = 50 // LP-CTA charges 64 per amortized check; Sweeping ~1
+	_, _, err = core.SolvePolicy{Solver: LPCTASolver{}, WorkBudget: budget}.Solve(context.Background(), prep, q, -1)
+	var be *core.BudgetError
+	if !errors.As(err, &be) || be.Limit != budget {
+		t.Fatalf("LP-CTA err = %v, want *BudgetError with limit %d", err, budget)
 	}
-	if deg.Reason != core.DegradeNumerical || deg.Solver != "Sweeping" {
-		t.Fatalf("Degradation{%v, %q}, want {numerical, Sweeping}", deg.Reason, deg.Solver)
+	r, _, err := core.SolvePolicy{Solver: core.SweepingSolver{}, WorkBudget: budget}.Solve(context.Background(), prep, q, -1)
+	if err != nil {
+		t.Fatalf("Sweeping under the same budget: %v", err)
 	}
-	if !errors.As(deg.Cause, &ne) {
-		t.Fatalf("degradation cause %v, want *NumericalError", deg.Cause)
-	}
-	if reg.Counters()["solve.degraded.numerical"] != 1 {
-		t.Errorf("solve.degraded.numerical = %d, want 1", reg.Counters()["solve.degraded.numerical"])
-	}
-
-	// Cross-validate: the degraded answer is the exact answer (Sweeping is
-	// exact in 2-d), so degradation here lost nothing but the cost model.
-	want, werr := core.Sweeping(pts, q)
-	if werr != nil {
-		t.Fatal(werr)
+	want, err := core.Sweeping(pts, q)
+	if err != nil {
+		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		x := rng.Float64()
 		u := vec.Of(x, 1-x)
 		if r.Contains(u) != want.Contains(u) {
-			t.Fatalf("degraded region disagrees with exact at %v", u)
+			t.Fatalf("budgeted Sweeping disagrees with the plain sweep at %v", u)
 		}
-	}
-}
-
-// A real (non-injected) budget degradation across the cost gap the paper
-// measures: LP-CTA burns an LP per relation check and trips a small budget,
-// while the linear-time sweep answers the same query within it.
-func TestBudgetDegradesLPCTAToSweeping(t *testing.T) {
-	pts, q := lpctaInstance(t)
-	prep, err := core.Prepare(pts, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	ctx := obs.ContextWithRegistry(context.Background(), reg)
-	pol := core.SolvePolicy{
-		Solver:     LPCTASolver{},
-		Fallbacks:  []core.Solver{core.SweepingSolver{}},
-		WorkBudget: 50, // LP-CTA charges 64 per amortized check; Sweeping ~1
-	}
-	r, _, deg, err := pol.Solve(ctx, prep, q, -1)
-	if err != nil {
-		t.Fatalf("err = %v, want degraded success", err)
-	}
-	if r == nil || deg == nil {
-		t.Fatal("want a fallback region and a Degradation record")
-	}
-	if deg.Reason != core.DegradeBudget || deg.Solver != "Sweeping" {
-		t.Fatalf("Degradation{%v, %q}, want {budget, Sweeping}", deg.Reason, deg.Solver)
-	}
-	var be *core.BudgetError
-	if !errors.As(deg.Cause, &be) {
-		t.Fatalf("degradation cause %v, want *BudgetError", deg.Cause)
 	}
 }
 

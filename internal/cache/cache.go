@@ -147,10 +147,10 @@ func versionKey(version uint64, rest string) string {
 }
 
 // fullKey is the exact-hit key: version, serving path and canonical query
-// key. The path (solver name, or "tree" for rank-tree serving) is part of
-// the key because different exact solvers return the same region as a set
-// but under different convex decompositions — byte-identical serving
-// requires matching the artifact's producer.
+// key. The path (the solver name) is part of the key because different
+// exact solvers return the same region as a set but under different convex
+// decompositions — byte-identical serving requires matching the artifact's
+// producer.
 func fullKey(version uint64, path string, q core.Query) string {
 	return versionKey(version, path+"\x00"+q.Key())
 }

@@ -117,7 +117,7 @@ func benchBatch(b *testing.B, share bool) {
 			}
 		} else {
 			for j, q := range queries {
-				if _, _, _, err := pol.Solve(context.Background(), prep, q, j); err != nil {
+				if _, _, err := pol.Solve(context.Background(), prep, q, j); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -138,9 +138,13 @@ func APCContext(ctx context.Context, pts []vec.Vec, q Query, opt APCOptions) (*R
 	}
 
 	// Refinement (Algorithm 3 lines 6–12): D⁺_{u1} ⊆ D⁺_{u2} iff
-	// D⁻_{u2} ⊆ D⁻_{u1}. Keep u1 with D⁻_{u1} := D⁻_{u2}; the partition
-	// built from (D⁺_{u1}, D⁻_{u2}) is the union of both samples'
-	// partitions (Lemma 5.9).
+	// D⁻_{u2} ⊆ D⁻_{u1}. Keep u1 and narrow its negative set to
+	// negC_{u1} ∩ negC_{u2}; the partition built from (D⁺_{u1}, negC)
+	// then contains every partition the survivor has absorbed (Lemma 5.9).
+	// Narrowing by intersection rather than overwriting matters once a
+	// survivor absorbs two samples with incomparable D⁻ sets: overwriting
+	// would re-impose the first sample's negative constraints and drop its
+	// partition from the region.
 	alive := make([]bool, len(kept))
 	for i := range alive {
 		alive[i] = true
@@ -155,10 +159,10 @@ func APCContext(ctx context.Context, pts []vec.Vec, q Query, opt APCOptions) (*R
 			}
 			switch {
 			case subsetInt32(kept[j].orig, kept[i].orig): // D⁺_i ⊆ D⁺_j
-				kept[i].negC = kept[j].negC
+				kept[i].negC = intersectInt32(kept[i].negC, kept[j].negC)
 				alive[j] = false
 			case subsetInt32(kept[i].orig, kept[j].orig): // D⁺_j ⊆ D⁺_i
-				kept[j].negC = kept[i].negC
+				kept[j].negC = intersectInt32(kept[j].negC, kept[i].negC)
 				alive[i] = false
 			}
 			if !alive[i] {
@@ -319,4 +323,24 @@ func subsetInt32(a, b []int32) bool {
 		i++
 	}
 	return true
+}
+
+// intersectInt32 returns the elements common to the sorted sets a and b, in
+// a fresh slice (merged negative sets may be shared between samples).
+func intersectInt32(a, b []int32) []int32 {
+	var out []int32
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
 }

@@ -18,9 +18,13 @@ package core
 //     so region(n₁) ⊆ region(n₂). Serving can therefore degrade a query to
 //     a smaller budget without ever "shrinking" a previously served answer.
 //
-// The cost of skipping the Lemma 5.9 merge is a finer decomposition (more,
-// smaller cells for the same coverage), not lost coverage: the Lemma 5.8
-// dedup still skips samples landing in an emitted cell.
+// Skipping the Lemma 5.9 merge costs coverage, not only a finer
+// decomposition. Each anytime cell is exactly the partition of one
+// qualified sample, while a merged A-PC cell leaves the absorbed samples'
+// differing points unconstrained and so also covers partitions no sample
+// hit. On the same seed and pool the uncut anytime region is therefore a
+// subset of A-PC's region, and often a strict one. The Lemma 5.8 dedup
+// still skips samples landing in an emitted cell.
 
 import (
 	"context"

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"rrq/internal/dataset"
+	"rrq/internal/skyband"
 	"rrq/internal/vec"
 )
 
@@ -211,5 +213,90 @@ func TestAnytimeExpiredBudgetCutsImmediately(t *testing.T) {
 	}
 	if acc.SamplesUsed != 0 || !r.Empty() || acc.RhoBound != 1 {
 		t.Fatalf("zero-sample cut must be empty with ρ=1: %+v pieces=%d", acc, r.NumPieces())
+	}
+}
+
+// apcPairCase is one instance of the A-PC vs anytime comparisons: a
+// 1000-point market and a query drawn from its 10-skyband, so most queries
+// have non-empty regions and real Lemma 5.9 merging.
+type apcPairCase struct {
+	pts []vec.Vec
+	q   Query
+	opt APCOptions
+}
+
+func apcPairCases() []apcPairCase {
+	var cases []apcPairCase
+	for d := 3; d <= 5; d++ {
+		pts := dataset.Generate(dataset.Independent, 1000, d, int64(d))
+		band := skyband.Select(pts, skyband.KSkyband(pts, 10))
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 8; i++ {
+			q := Query{Q: dataset.RandQuery(rng, band), K: 3 + rng.Intn(8), Eps: 0.1 + 0.1*rng.Float64()}
+			cases = append(cases, apcPairCase{pts, q, APCOptions{Samples: 150, Seed: int64(i + 1)}})
+		}
+	}
+	return cases
+}
+
+// Every sample A-PC draws and classifies as qualified must lie in the
+// region it returns: the Lemma 5.9 merge only ever widens a survivor's
+// partition to cover what it absorbed, including a survivor that absorbs
+// two samples with incomparable D⁻ sets.
+func TestAPCKeepsQualifiedSamples(t *testing.T) {
+	qualified := 0
+	for ci, c := range apcPairCases() {
+		r, err := APC(c.pts, c.q, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Replay A-PC's own sample stream.
+		rng := rand.New(rand.NewSource(c.opt.Seed))
+		dropped := apcDroppedPlanes(c.pts, c.q)
+		for s := 0; s < c.opt.Samples; s++ {
+			u := vec.RandSimplex(rng, c.q.Q.Dim())
+			if _, ok := apcClassify(c.pts, c.q, dropped, u); !ok {
+				continue
+			}
+			qualified++
+			if !r.Contains(u) {
+				t.Fatalf("case %d (d=%d %v): qualified sample %d at %v is outside the A-PC region", ci, c.q.Q.Dim(), c.q, s, u)
+			}
+		}
+	}
+	if qualified < 500 {
+		t.Fatalf("precondition: only %d qualified samples; pick new seeds", qualified)
+	}
+}
+
+// On the same seed and pool, the uncut anytime region is a subset of
+// A-PC's: each anytime cell is the partition of one qualified sample, and
+// A-PC's region contains every qualified sample's partition. The converse
+// does not hold — merged cells also cover partitions no sample hit.
+func TestAnytimeWithinAPC(t *testing.T) {
+	covered := 0
+	for ci, c := range apcPairCases() {
+		r, err := APC(c.pts, c.q, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _, err := APCAnytime(c.pts, c.q, AnytimeOptions{Samples: c.opt.Samples, Seed: c.opt.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(99 + ci)))
+		for i := 0; i < 1000; i++ {
+			u := vec.RandSimplex(rng, c.q.Q.Dim())
+			if !a.Contains(u) {
+				continue
+			}
+			covered++
+			if !r.Contains(u) {
+				t.Fatalf("case %d (d=%d %v): %v is in the anytime region but not in A-PC's", ci, c.q.Q.Dim(), c.q, u)
+			}
+		}
+	}
+	if covered < 1000 {
+		t.Fatalf("precondition: anytime regions cover only %d probes; pick new seeds", covered)
 	}
 }

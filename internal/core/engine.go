@@ -388,8 +388,7 @@ func (s BruteForceSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*
 // BatchOutcome is one query's result within a batch: the answer, the work
 // counters and wall time, or the per-query error (other queries are
 // unaffected). A recovered panic surfaces as a per-query *SolveError in
-// Err. Degraded is non-nil when the answer came from a fallback solver
-// under a SolvePolicy.
+// Err.
 //
 // Dedup marks a slot whose query was an exact duplicate (equal Query.Key())
 // of an earlier one: the region pointer, stats and error are copies of the
@@ -397,12 +396,11 @@ func (s BruteForceSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*
 // pointer is safe) and Elapsed is zero — no work was performed for the
 // slot.
 type BatchOutcome struct {
-	Region   *Region
-	Stats    Stats
-	Elapsed  time.Duration
-	Err      error
-	Degraded *Degradation
-	Dedup    bool
+	Region  *Region
+	Stats   Stats
+	Elapsed time.Duration
+	Err     error
+	Dedup   bool
 }
 
 // BatchOptions tunes how SolveBatchOptions dispatches a batch.
@@ -422,8 +420,8 @@ type BatchOptions struct {
 }
 
 // SolveBatch answers queries over one shared Prepared with a bounded
-// worker pool — SolveBatchPolicy with a bare policy (no fallbacks, no
-// per-query limits). Panic isolation still applies: a solver panic
+// worker pool — SolveBatchPolicy with a bare policy (no per-query
+// limits). Panic isolation still applies: a solver panic
 // surfaces as that query's *SolveError.
 func SolveBatch(ctx context.Context, s Solver, prep *Prepared, queries []Query, workers int) []BatchOutcome {
 	return SolveBatchPolicy(ctx, SolvePolicy{Solver: s}, prep, queries, workers)
@@ -431,9 +429,8 @@ func SolveBatch(ctx context.Context, s Solver, prep *Prepared, queries []Query, 
 
 // SolveBatchPolicy answers queries over one shared Prepared with a bounded
 // worker pool, each query guarded by the policy: panics are isolated into
-// per-query *SolveError values, per-query timeouts and work budgets are
-// applied per attempt, and degradable failures re-run on the fallback
-// chain (the outcome's Degraded then records why and by whom). Results are
+// per-query *SolveError values, and per-query timeouts and work budgets
+// apply to each query separately. Results are
 // returned in query order regardless of worker count and scheduling;
 // errors are isolated per query. When ctx is canceled mid-batch, queries
 // not yet started report ctx.Err() (e.g. context.Canceled) while in-flight
@@ -518,7 +515,7 @@ func SolveBatchOptions(ctx context.Context, pol SolvePolicy, prep *Prepared, que
 			a.group = view.groupOf[i]
 		}
 		start := time.Now()
-		out[i].Region, out[i].Stats, out[i].Degraded, out[i].Err = pol.Solve(sctx, solvePrep, queries[i], i)
+		out[i].Region, out[i].Stats, out[i].Err = pol.Solve(sctx, solvePrep, queries[i], i)
 		out[i].Elapsed = time.Since(start)
 	}
 	if workers == 1 {

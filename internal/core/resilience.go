@@ -1,14 +1,13 @@
 package core
 
-// Resilient serving: panic isolation, per-query budgets and graceful
-// degradation. SolvePolicy is the serving-layer contract — a primary solver
-// plus an ordered fallback chain, a per-query wall-clock timeout and a
-// work-unit budget — and SolvePolicy.Solve is the guarded entry every
-// batch query runs through: panics become typed *SolveError values,
-// timeouts and budget exhaustion re-run the query on the fallback chain
-// (the paper's own degradation ladder: A-PC is a bounded-error
-// approximation of E-PT, §5.2 vs §5.1), and a degraded answer is marked
-// with a typed reason instead of surfacing an error.
+// Resilient serving: panic isolation and per-query budgets. SolvePolicy is
+// the serving-layer contract — a solver, a per-query wall-clock timeout and
+// a work-unit budget — and SolvePolicy.Solve is the guarded entry every
+// batch query runs through: panics become typed *SolveError values, and
+// timeouts and budget exhaustion surface as typed errors (ErrDeadline,
+// *BudgetError). The one approximate rung below an exact answer is the
+// anytime A-PC tier (apc_anytime.go); the serving layers decide when to
+// take it.
 
 import (
 	"context"
@@ -93,45 +92,9 @@ func meterFrom(ctx context.Context) *workMeter {
 	return m
 }
 
-// DegradeReason classifies why a query was answered by a fallback solver
-// instead of the primary.
-type DegradeReason int
-
-const (
-	// DegradeTimeout: the primary exceeded the per-query timeout.
-	DegradeTimeout DegradeReason = iota + 1
-	// DegradeBudget: the primary exhausted its work budget.
-	DegradeBudget
-	// DegradeNumerical: the primary failed numerically (LP failure,
-	// degenerate geometry) or with another retryable solver error.
-	DegradeNumerical
-)
-
-func (r DegradeReason) String() string {
-	switch r {
-	case DegradeTimeout:
-		return "timeout"
-	case DegradeBudget:
-		return "budget"
-	case DegradeNumerical:
-		return "numerical"
-	default:
-		return fmt.Sprintf("DegradeReason(%d)", int(r))
-	}
-}
-
-// Degradation records that an answer came from the fallback chain: why the
-// primary failed (Reason, Cause) and which solver produced the returned
-// region.
-type Degradation struct {
-	Reason DegradeReason
-	Solver string // name of the fallback solver that answered
-	Cause  error  // the primary solver's failure
-}
-
 // NumericalError is the typed wrapper for a numerical failure inside a
 // solver — an LP that did not reach optimality, or degenerate geometry the
-// solver cannot recover from. It is fallback-eligible under SolvePolicy.
+// solver cannot recover from.
 type NumericalError struct {
 	Solver string
 	Err    error
@@ -143,97 +106,29 @@ func (e *NumericalError) Error() string {
 
 func (e *NumericalError) Unwrap() error { return e.Err }
 
-// SolvePolicy bundles a primary solver with its resilience contract: an
-// ordered fallback chain tried on timeout / budget exhaustion / numerical
-// failure, a per-query wall-clock timeout and a per-attempt work budget
-// (both also applied to each fallback attempt, freshly).
+// SolvePolicy bundles a solver with its resilience contract: a per-query
+// wall-clock timeout and a per-query work budget.
 //
-// Panics are isolated but never retried: a panic suggests an input the
-// solver mishandles, and the serving layer's job is to report it as a
-// typed *SolveError, not to paper over it. Validation errors
-// (*QueryError) and parent-context cancellation are likewise never
-// retried — the fallback would fail identically, or the caller is gone.
+// Panics are isolated, never retried: a panic suggests an input the solver
+// mishandles, and the serving layer's job is to report it as a typed
+// *SolveError, not to paper over it. A timeout or budget failure surfaces
+// as ErrDeadline or *BudgetError; answering such a query approximately is
+// the caller's decision (the anytime tier, see APCAnytimeContext).
 type SolvePolicy struct {
 	Solver       Solver
-	Fallbacks    []Solver
 	QueryTimeout time.Duration // ≤ 0: no per-query timeout
 	WorkBudget   int64         // ≤ 0: no work budget
 }
 
-// degradable reports whether err warrants a fallback attempt, and the
-// reason it maps to.
-func degradable(err error) (DegradeReason, bool) {
-	var qe *QueryError
-	var se *SolveError
-	switch {
-	case err == nil, errors.As(err, &qe), errors.As(err, &se):
-		return 0, false
-	case errors.Is(err, context.Canceled):
-		return 0, false
-	case errors.Is(err, ErrDeadline):
-		return DegradeTimeout, true
-	}
-	var be *BudgetError
-	if errors.As(err, &be) {
-		return DegradeBudget, true
-	}
-	return DegradeNumerical, true
-}
-
-// Solve runs one query under the policy: the primary attempt first, then —
-// on a degradable failure — each fallback in order, every attempt guarded
-// against panics and given a fresh timeout and budget. queryIndex tags
-// panic errors with the query's position in its batch (−1 standalone).
-//
-// Stats accumulate over every attempt (failed ones included), so the
-// work counters — and their trace-event parity — account for everything
-// the query actually cost. On success deg is nil for a primary answer and
-// describes the degradation for a fallback answer. Counters on any
-// metrics registry riding ctx record the failure modes: "solve.panics",
-// "solve.degraded" (plus per-reason "solve.degraded.<reason>") and
-// "solve.fallback_exhausted".
-func (pol SolvePolicy) Solve(ctx context.Context, prep *Prepared, q Query, queryIndex int) (r *Region, st Stats, deg *Degradation, err error) {
-	reg := obs.RegistryFrom(ctx)
-	r, st, err = solveAttempt(ctx, pol, pol.Solver, prep, q, queryIndex, reg)
-	if err == nil {
-		return r, st, nil, nil
-	}
-	reason, ok := degradable(err)
-	if !ok || len(pol.Fallbacks) == 0 || ctx.Err() != nil {
-		return nil, st, nil, err
-	}
-	cause := err
-	for _, fb := range pol.Fallbacks {
-		fr, fst, ferr := solveAttempt(ctx, pol, fb, prep, q, queryIndex, reg)
-		st.Add(fst)
-		if ferr == nil {
-			if reg != nil {
-				reg.Counter("solve.degraded").Inc()
-				reg.Counter("solve.degraded." + reason.String()).Inc()
-			}
-			return fr, st, &Degradation{Reason: reason, Solver: fb.Name(), Cause: cause}, nil
-		}
-		if ctx.Err() != nil {
-			// The caller is gone; stop burning the chain.
-			return nil, st, nil, MapContextErr(ctx.Err())
-		}
-		if _, ok := degradable(ferr); !ok {
-			// A panic or validation error in the fallback is its own news.
-			return nil, st, nil, ferr
-		}
-	}
-	if reg != nil {
-		reg.Counter("solve.fallback_exhausted").Inc()
-	}
-	return nil, st, nil, cause
-}
-
-// solveAttempt runs one guarded attempt of s: a fresh per-query timeout and
+// Solve runs one query under the policy: a fresh per-query timeout and
 // work budget are layered onto ctx, the SolveStart fault point fires, and a
-// panic anywhere under Solve — including the solver's own worker pools,
-// which recover locally and return the panic as an error — is converted to
-// a typed *SolveError.
-func solveAttempt(ctx context.Context, pol SolvePolicy, s Solver, prep *Prepared, q Query, queryIndex int, reg *obs.Registry) (r *Region, st Stats, err error) {
+// panic anywhere under the solver — including its own worker pools, which
+// recover locally and return the panic as an error — is converted to a
+// typed *SolveError. queryIndex tags panic errors with the query's position
+// in its batch (−1 standalone). On error the Stats still account for the
+// work the failed solve did. A metrics registry riding ctx counts recovered
+// panics in "solve.panics".
+func (pol SolvePolicy) Solve(ctx context.Context, prep *Prepared, q Query, queryIndex int) (r *Region, st Stats, err error) {
 	actx := ctx
 	if pol.QueryTimeout > 0 {
 		var cancel context.CancelFunc
@@ -241,6 +136,7 @@ func solveAttempt(ctx context.Context, pol SolvePolicy, s Solver, prep *Prepared
 		defer cancel()
 	}
 	actx = ContextWithWorkBudget(actx, pol.WorkBudget)
+	s := pol.Solver
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = &SolveError{Solver: s.Name(), QueryIndex: queryIndex, Panic: rec, Stack: debug.Stack()}
@@ -255,7 +151,7 @@ func solveAttempt(ctx context.Context, pol SolvePolicy, s Solver, prep *Prepared
 			if se.Solver == "" {
 				se.Solver = s.Name()
 			}
-			if reg != nil {
+			if reg := obs.RegistryFrom(ctx); reg != nil {
 				reg.Counter("solve.panics").Inc()
 			}
 		}
@@ -265,6 +161,5 @@ func solveAttempt(ctx context.Context, pol SolvePolicy, s Solver, prep *Prepared
 			return nil, st, ferr
 		}
 	}
-	r, st, err = s.Solve(actx, prep, q)
-	return r, st, err
+	return s.Solve(actx, prep, q)
 }

@@ -19,8 +19,8 @@ import (
 // panics inside an E-PT split and one exhausts its work budget. The batch
 // must complete with 98 exact results, the panicked query reporting a
 // per-query *SolveError (solver, batch position, stack), the
-// budget-exhausted query a Degraded answer from the A-PC fallback — with
-// the panic and degradation counters visible on the metrics registry.
+// budget-exhausted query its typed *BudgetError — with the panic counter
+// visible on the metrics registry.
 func TestBatchFaultAcceptance(t *testing.T) {
 	pts := dataset.Generate(dataset.Independent, 80, 3, 7)
 	prep, err := Prepare(pts, 3, false)
@@ -61,17 +61,12 @@ func TestBatchFaultAcceptance(t *testing.T) {
 			Point: faultinject.SolveStart,
 			Match: faultinject.MatchPoint(queries[budgetIdx].Q),
 			Err:   &BudgetError{Limit: 1, Spent: 1},
-			Times: 1, // fire on the primary attempt only, not the fallback
 		},
 	)
 	reg := obs.NewRegistry()
 	ctx := obs.ContextWithRegistry(faultinject.ContextWith(context.Background(), inj), reg)
 
-	pol := SolvePolicy{
-		Solver:    EPTSolver{},
-		Fallbacks: []Solver{APCSolver{Opt: APCOptions{Seed: 1}}},
-	}
-	outs := SolveBatchPolicy(ctx, pol, prep, queries, 8)
+	outs := SolveBatchPolicy(ctx, SolvePolicy{Solver: EPTSolver{}}, prep, queries, 8)
 	if len(outs) != len(queries) {
 		t.Fatalf("%d outcomes for %d queries", len(outs), len(queries))
 	}
@@ -90,29 +85,17 @@ func TestBatchFaultAcceptance(t *testing.T) {
 			if se.Panic != "injected split panic" {
 				t.Fatalf("query %d: panic value %v", i, se.Panic)
 			}
-			if o.Region != nil || o.Degraded != nil {
-				t.Fatalf("query %d: panicked query must not carry a region or degradation", i)
+			if o.Region != nil {
+				t.Fatalf("query %d: panicked query must not carry a region", i)
 			}
 		case budgetIdx:
-			if o.Err != nil {
-				t.Fatalf("query %d: err = %v, want degraded success", i, o.Err)
-			}
-			if o.Region == nil || o.Degraded == nil {
-				t.Fatalf("query %d: want a region from the fallback and a Degradation record", i)
-			}
-			if o.Degraded.Reason != DegradeBudget || o.Degraded.Solver != "A-PC" {
-				t.Fatalf("query %d: Degradation{%v, %q}, want {budget, A-PC}", i, o.Degraded.Reason, o.Degraded.Solver)
-			}
 			var be *BudgetError
-			if !errors.As(o.Degraded.Cause, &be) {
-				t.Fatalf("query %d: degradation cause %v, want *BudgetError", i, o.Degraded.Cause)
+			if !errors.As(o.Err, &be) || o.Region != nil {
+				t.Fatalf("query %d: err = %v, want *BudgetError and no region", i, o.Err)
 			}
 		default:
 			if o.Err != nil {
 				t.Fatalf("query %d: unexpected error %v", i, o.Err)
-			}
-			if o.Degraded != nil {
-				t.Fatalf("query %d: unexpected degradation %+v", i, o.Degraded)
 			}
 			if o.Region == nil {
 				t.Fatalf("query %d: nil region", i)
@@ -126,12 +109,6 @@ func TestBatchFaultAcceptance(t *testing.T) {
 	counters := reg.Counters()
 	if counters["solve.panics"] != 1 {
 		t.Errorf("solve.panics = %d, want 1", counters["solve.panics"])
-	}
-	if counters["solve.degraded"] != 1 {
-		t.Errorf("solve.degraded = %d, want 1", counters["solve.degraded"])
-	}
-	if counters["solve.degraded.budget"] != 1 {
-		t.Errorf("solve.degraded.budget = %d, want 1", counters["solve.degraded.budget"])
 	}
 }
 
@@ -158,7 +135,7 @@ func TestWorkBudgetExceeded(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := SolvePolicy{Solver: EPTSolver{}, WorkBudget: 10}
-	_, _, deg, err := pol.Solve(context.Background(), prep, q, -1)
+	_, _, err = pol.Solve(context.Background(), prep, q, -1)
 	var be *BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %v, want *BudgetError", err)
@@ -166,21 +143,21 @@ func TestWorkBudgetExceeded(t *testing.T) {
 	if be.Limit != 10 || be.Spent < be.Limit {
 		t.Fatalf("BudgetError{Limit:%d Spent:%d}", be.Limit, be.Spent)
 	}
-	if deg != nil {
-		t.Fatalf("no fallback configured, yet Degraded = %+v", deg)
-	}
 
 	// The budget is shared across intra-query workers: the parallel solver
 	// must trip it just the same.
 	pol.Solver = EPTSolver{Opt: EPTOptions{Workers: 4}}
-	_, _, _, err = pol.Solve(context.Background(), prep, q, -1)
+	_, _, err = pol.Solve(context.Background(), prep, q, -1)
 	if !errors.As(err, &be) {
 		t.Fatalf("parallel err = %v, want *BudgetError", err)
 	}
 }
 
-// A per-query timeout on a delayed solve must degrade to the fallback with
-// DegradeTimeout, the fallback running under a fresh timeout.
+// The timeout rung of the degradation ladder at the core level: a per-query
+// timeout on a delayed exact solve surfaces ErrDeadline, and the anytime
+// construction then answers the same query with a sound region and an
+// accuracy receipt. The rung runs outside the policy, so the delay that
+// stalled the exact solve does not touch it.
 func TestQueryTimeoutDegradation(t *testing.T) {
 	pts := dataset.Generate(dataset.Independent, 60, 3, 3)
 	prep, err := Prepare(pts, 3, false)
@@ -191,26 +168,28 @@ func TestQueryTimeoutDegradation(t *testing.T) {
 	inj := faultinject.New(&faultinject.Fault{
 		Point: faultinject.SolveStart,
 		Delay: 200 * time.Millisecond,
-		Times: 1, // stall the primary attempt only
 	})
 	ctx := faultinject.ContextWith(context.Background(), inj)
-	pol := SolvePolicy{
-		Solver:       EPTSolver{},
-		Fallbacks:    []Solver{APCSolver{Opt: APCOptions{Seed: 1}}},
-		QueryTimeout: 30 * time.Millisecond,
+	pol := SolvePolicy{Solver: EPTSolver{}, QueryTimeout: 30 * time.Millisecond}
+	if _, _, err := pol.Solve(ctx, prep, q, -1); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("exact err = %v, want ErrDeadline", err)
 	}
-	r, _, deg, err := pol.Solve(ctx, prep, q, -1)
+	r, _, acc, err := APCAnytimeContext(ctx, prep.PointsFor(q.K), q, AnytimeOptions{Seed: 1, Budget: 50 * time.Millisecond})
 	if err != nil {
-		t.Fatalf("err = %v, want degraded success", err)
+		t.Fatalf("anytime rung: %v", err)
 	}
-	if r == nil || deg == nil {
-		t.Fatal("want a fallback region and a Degradation record")
+	if acc.SamplesUsed == 0 || acc.RhoBound <= 0 || acc.RhoBound > 1 {
+		t.Fatalf("anytime receipt %+v", acc)
 	}
-	if deg.Reason != DegradeTimeout || deg.Solver != "A-PC" {
-		t.Fatalf("Degradation{%v, %q}, want {timeout, A-PC}", deg.Reason, deg.Solver)
+	exact, err := EPT(pts, q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(deg.Cause, ErrDeadline) {
-		t.Fatalf("degradation cause %v, want ErrDeadline", deg.Cause)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 2000; i++ {
+		if u := vec.RandSimplex(rng, 3); r.Contains(u) && !exact.Contains(u) {
+			t.Fatalf("anytime region holds %v outside the exact region", u)
+		}
 	}
 }
 
@@ -235,7 +214,7 @@ func TestParallelEPTPanicContained(t *testing.T) {
 	var se *SolveError
 	go func() {
 		defer close(done)
-		_, _, _, err := pol.Solve(ctx, prep, q, 3)
+		_, _, err := pol.Solve(ctx, prep, q, 3)
 		if !errors.As(err, &se) {
 			t.Errorf("err = %v, want *SolveError", err)
 		}
@@ -267,29 +246,6 @@ func TestParallelForPanicIsolation(t *testing.T) {
 	}
 	if se.Panic != "body boom" || len(se.Stack) == 0 {
 		t.Fatalf("SolveError{Panic:%v stack:%dB}", se.Panic, len(se.Stack))
-	}
-}
-
-func TestDegradableClassification(t *testing.T) {
-	cases := []struct {
-		err    error
-		reason DegradeReason
-		ok     bool
-	}{
-		{nil, 0, false},
-		{&QueryError{Field: "k", Msg: "x"}, 0, false},
-		{&SolveError{Solver: "E-PT", Panic: "x"}, 0, false},
-		{context.Canceled, 0, false},
-		{ErrDeadline, DegradeTimeout, true},
-		{&BudgetError{Limit: 1, Spent: 2}, DegradeBudget, true},
-		{&NumericalError{Solver: "LP-CTA", Err: errors.New("lp failed")}, DegradeNumerical, true},
-		{errors.New("anything else"), DegradeNumerical, true},
-	}
-	for _, c := range cases {
-		reason, ok := degradable(c.err)
-		if ok != c.ok || (ok && reason != c.reason) {
-			t.Errorf("degradable(%v) = (%v, %v), want (%v, %v)", c.err, reason, ok, c.reason, c.ok)
-		}
 	}
 }
 

@@ -120,7 +120,7 @@ func checkBatchProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *Batc
 	// Index-served batches with interleaved mutations: the snapshot path
 	// bypasses the batch plane store (its own storage already deduplicates)
 	// but still runs under dedup, clustering and worker arenas.
-	ix, err := index.Build(ins.Pts, d, index.Options{})
+	ix, err := index.Build(ins.Pts, d)
 	if err != nil {
 		rep.fail(Mismatch{Kind: "batch-index-build-error", Problem: prob, Detail: err.Error()})
 		return

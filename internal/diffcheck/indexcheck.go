@@ -66,7 +66,7 @@ func checkIndexProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *Inde
 	q := core.Query{Q: ins.Q, K: ins.K, Eps: ins.Eps}
 	prob := newProblem(ins)
 
-	ix, err := index.Build(ins.Pts, d, index.Options{})
+	ix, err := index.Build(ins.Pts, d)
 	if err != nil {
 		rep.fail(Mismatch{Kind: "index-build-error", Problem: prob, Detail: err.Error()})
 		return

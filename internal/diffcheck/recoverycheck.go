@@ -97,7 +97,7 @@ func checkRecoveryProblem(cfg Config, ins corpus.Instance, ordinal int64, dir st
 	q := core.Query{Q: ins.Q, K: ins.K, Eps: ins.Eps}
 	prob := newProblem(ins)
 
-	ref, err := index.Build(ins.Pts, d, index.Options{})
+	ref, err := index.Build(ins.Pts, d)
 	if err != nil {
 		rep.fail(Mismatch{Kind: "recovery-build-error", Problem: prob, Detail: err.Error()})
 		return
@@ -108,7 +108,7 @@ func checkRecoveryProblem(cfg Config, ins corpus.Instance, ordinal int64, dir st
 	ix, dur, _, err := index.OpenDurable(index.DurableOptions{
 		Dir: dir, Sync: wal.SyncAlways, CheckpointEvery: 1 << 30,
 	}, func() (*index.Index, error) {
-		return index.Build(ins.Pts, d, index.Options{})
+		return index.Build(ins.Pts, d)
 	})
 	if err != nil {
 		rep.fail(Mismatch{Kind: "recovery-open-error", Problem: prob, Detail: err.Error()})

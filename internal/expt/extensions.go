@@ -80,7 +80,7 @@ func ExtDynamic(sc Scale) []*Table {
 			newPts = append(newPts, dataset.RandQuery(rng, pts))
 		}
 
-		ix, err := index.Build(in.pts, 3, index.Options{Kmax: q.K})
+		ix, err := index.Build(in.pts, 3)
 		if err != nil {
 			panic(err)
 		}

@@ -22,8 +22,8 @@ type Point string
 
 // The instrumented fault points of the solver stack.
 const (
-	// SolveStart fires at the start of every solve attempt (primary and
-	// fallback alike), keyed by the query point. Supports Err, Delay and
+	// SolveStart fires at the start of every guarded solve
+	// (core.SolvePolicy.Solve), keyed by the query point. Supports Err, Delay and
 	// Panics.
 	SolveStart Point = "solve-start"
 	// EPTSplit fires immediately before an E-PT leaf split, keyed by the

@@ -44,8 +44,6 @@ type DurableOptions struct {
 	// KeepCheckpoints is how many checkpoint files survive collection
 	// (default 2: current + previous).
 	KeepCheckpoints int
-	// Compat additionally accepts legacy headerless checkpoint files.
-	Compat bool
 	// Metrics receives the wal.* counters plus checkpoint.writes,
 	// checkpoint.errors and the checkpoint.age gauge (seconds since the
 	// last checkpoint, refreshed per mutation).
@@ -213,7 +211,7 @@ func OpenDurable(o DurableOptions, build func() (*Index, error)) (*Index, *Durab
 	var badNames []string
 	for _, name := range names {
 		path := filepath.Join(o.Dir, name)
-		loaded, lerr := LoadFile(path, o.Compat)
+		loaded, lerr := LoadFile(path)
 		if lerr != nil {
 			rec.BadCheckpoints = append(rec.BadCheckpoints, fmt.Sprintf("%s: %v", name, lerr))
 			badNames = append(badNames, name)

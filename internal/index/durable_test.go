@@ -18,7 +18,7 @@ func seedBuilder(t *testing.T) func() (*Index, error) {
 	return func() (*Index, error) {
 		return Build([]vec.Vec{
 			{0.9, 0.2, 0.3}, {0.4, 0.8, 0.1}, {0.2, 0.3, 0.9}, {0.7, 0.7, 0.2}, {0.5, 0.5, 0.5},
-		}, 3, Options{})
+		}, 3)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package index implements the served reverse-regret-query index: an
 // immutable, version-stamped snapshot of a dataset together with the
 // preprocessing every query used to rebuild from scratch — the exact
-// dominator counts that answer any k-skyband prefilter, a deduplicated
-// store of classified plane sets shared across queries, and the rank-level
-// tree generalized from the PBA+ baseline.
+// dominator counts that answer any k-skyband prefilter and a deduplicated
+// store of classified plane sets shared across queries.
 //
 // Mutations follow a copy-on-write epoch discipline: Insert and Delete
 // build the next snapshot beside the current one and publish it with a
@@ -14,8 +13,8 @@
 // the new point against the dataset and a deletion only decrements the
 // counts of the points the removed one dominated — membership in any
 // k-skyband then is one comparison per point. Per-query derived state
-// (plane sets, rank tree) is invalidated lazily: a new epoch simply starts
-// with empty caches and rebuilds entries on first use.
+// (skyband views, plane sets) is invalidated lazily: a new epoch simply
+// starts with empty caches and rebuilds entries on first use.
 //
 // This package absorbs and retires core.Dynamic: where Dynamic re-ran the
 // full arrangement walk after a deletion, an index snapshot re-serves the
@@ -24,7 +23,6 @@
 package index
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -36,35 +34,10 @@ import (
 	"rrq/internal/wal"
 )
 
-// DefaultKmax is the rank ceiling of the snapshot rank tree when Options
-// leaves it zero. Queries with larger k still work — the exact dominator
-// counts answer any k-skyband — they just cannot be served by the tree.
-const DefaultKmax = 8
-
-// Options configures an index build.
-type Options struct {
-	// Kmax is the highest rank the snapshot rank tree supports (default
-	// DefaultKmax). It does not bound Solve's k: the skyband prefilter and
-	// plane storage work for any k.
-	Kmax int
-	// TreeNodes is the rank-tree node budget (0 = the rank-tree default).
-	// The tree is built lazily on first use; a build that exceeds the
-	// budget is remembered as unavailable for the snapshot's lifetime.
-	TreeNodes int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Kmax <= 0 {
-		o.Kmax = DefaultKmax
-	}
-	return o
-}
-
 // Index is the mutable handle over a sequence of immutable snapshots.
 // Readers call Snapshot (or the convenience accessors) and never block;
 // writers are serialized by a mutex and publish each new epoch atomically.
 type Index struct {
-	opts   Options
 	pstats planeStats // plane-cache traffic across every epoch
 
 	mu   sync.Mutex // serializes Insert/Delete
@@ -92,8 +65,6 @@ type Stats struct {
 	// Points is the current dataset size, Dim its dimension.
 	Points int
 	Dim    int
-	// Kmax is the rank ceiling of the snapshot rank trees.
-	Kmax int
 	// PlaneHits / PlaneMisses count shared-plane-storage traffic over the
 	// index's lifetime (across every epoch).
 	PlaneHits, PlaneMisses int64
@@ -101,24 +72,17 @@ type Stats struct {
 	// current snapshot, SkybandViews its memoized k-band views.
 	PlaneSets    int
 	SkybandViews int
-	// RankTreeNodes is the node count of the current snapshot's rank-level
-	// tree; zero when the tree has not been built (it is lazy) or its build
-	// failed. RankTreeBuilt distinguishes "not yet demanded" from "built".
-	RankTreeNodes int
-	RankTreeBuilt bool
 }
 
 // Stats returns the index's current introspection snapshot. It is
 // read-only and safe for concurrent use; derived state is reported as-is,
-// never forced (a lazy rank tree that was never demanded shows zero
-// nodes).
+// never forced.
 func (ix *Index) Stats() Stats {
 	s := ix.snap.Load()
 	st := Stats{
 		Version:     s.version,
 		Points:      len(s.pts),
 		Dim:         s.dim,
-		Kmax:        s.opts.Kmax,
 		PlaneHits:   ix.pstats.hits.Load(),
 		PlaneMisses: ix.pstats.misses.Load(),
 	}
@@ -126,24 +90,17 @@ func (ix *Index) Stats() Stats {
 	st.PlaneSets = len(s.planes)
 	st.SkybandViews = len(s.bands)
 	s.mu.Unlock()
-	s.treeMu.Lock()
-	if s.treeDone && s.treeErr == nil && s.tree != nil {
-		st.RankTreeNodes = s.tree.Nodes
-		st.RankTreeBuilt = true
-	}
-	s.treeMu.Unlock()
 	return st
 }
 
 // Snapshot is one immutable epoch: the validated points, their exact
 // dominator counts, and lazily materialized derived state (per-k skyband
-// views, classified plane sets, the rank tree). All lazily built state is
+// views, classified plane sets). All lazily built state is
 // internally synchronized, so one snapshot serves any number of concurrent
 // queries.
 type Snapshot struct {
 	version uint64
 	dim     int
-	opts    Options
 	pts     []vec.Vec   // immutable
 	dom     []int       // exact dominator count per point; immutable
 	pstats  *planeStats // owning index's lifetime plane-cache counters
@@ -151,11 +108,6 @@ type Snapshot struct {
 	mu     sync.Mutex
 	bands  map[int][]vec.Vec
 	planes map[string]core.PlaneSet
-
-	treeMu   sync.Mutex
-	tree     *RankTree
-	treeErr  error
-	treeDone bool
 }
 
 // maxPlaneCache bounds the per-snapshot plane store; queries beyond it
@@ -164,11 +116,10 @@ const maxPlaneCache = 1024
 
 // Build validates pts and constructs the first epoch. The points are
 // copied; the caller keeps ownership of its slice.
-func Build(pts []vec.Vec, dim int, opts Options) (*Index, error) {
+func Build(pts []vec.Vec, dim int) (*Index, error) {
 	if dim < 2 {
 		return nil, fmt.Errorf("index: dimension %d < 2", dim)
 	}
-	opts = opts.withDefaults()
 	cl := make([]vec.Vec, len(pts))
 	for i, p := range pts {
 		if err := core.CheckPoint(i, p, dim); err != nil {
@@ -176,13 +127,13 @@ func Build(pts []vec.Vec, dim int, opts Options) (*Index, error) {
 		}
 		cl[i] = p.Clone()
 	}
-	ix := &Index{opts: opts}
-	ix.snap.Store(newSnapshot(1, dim, opts, cl, skyband.DominatorCounts(cl), &ix.pstats))
+	ix := &Index{}
+	ix.snap.Store(newSnapshot(1, dim, cl, skyband.DominatorCounts(cl), &ix.pstats))
 	return ix, nil
 }
 
-func newSnapshot(version uint64, dim int, opts Options, pts []vec.Vec, dom []int, pstats *planeStats) *Snapshot {
-	return &Snapshot{version: version, dim: dim, opts: opts, pts: pts, dom: dom, pstats: pstats}
+func newSnapshot(version uint64, dim int, pts []vec.Vec, dom []int, pstats *planeStats) *Snapshot {
+	return &Snapshot{version: version, dim: dim, pts: pts, dom: dom, pstats: pstats}
 }
 
 // Snapshot returns the current epoch. The returned value stays valid (and
@@ -198,9 +149,6 @@ func (ix *Index) Dim() int { return ix.snap.Load().dim }
 
 // Len returns the current dataset size.
 func (ix *Index) Len() int { return len(ix.snap.Load().pts) }
-
-// Kmax returns the rank ceiling of the snapshot rank trees.
-func (ix *Index) Kmax() int { return ix.opts.Kmax }
 
 // Insert validates p and publishes a new epoch containing it. The dominator
 // counts are maintained by delta: one scan of the dataset classifies p and
@@ -226,7 +174,7 @@ func (ix *Index) Insert(p vec.Vec) (uint64, error) {
 			dom[i]++
 		}
 	}
-	next := newSnapshot(old.version+1, old.dim, old.opts, pts, dom, old.pstats)
+	next := newSnapshot(old.version+1, old.dim, pts, dom, old.pstats)
 	if ix.dur != nil {
 		if err := ix.dur.logAppend(wal.Record{Epoch: next.version, Op: wal.OpInsert, Point: pts[n]}); err != nil {
 			return old.version, fmt.Errorf("index: insert not logged, mutation rejected: %w", err)
@@ -264,7 +212,7 @@ func (ix *Index) Delete(i int) (uint64, error) {
 		pts = append(pts, x)
 		dom = append(dom, c)
 	}
-	next := newSnapshot(old.version+1, old.dim, old.opts, pts, dom, old.pstats)
+	next := newSnapshot(old.version+1, old.dim, pts, dom, old.pstats)
 	if ix.dur != nil {
 		if err := ix.dur.logAppend(wal.Record{Epoch: next.version, Op: wal.OpDelete, Index: i}); err != nil {
 			return old.version, fmt.Errorf("index: delete not logged, mutation rejected: %w", err)
@@ -355,28 +303,4 @@ func (s *Snapshot) Prepared(reg *obs.Registry) *core.Prepared {
 		return ps
 	}
 	return core.PrepareIndexed(s.pts, s.dim, s.PointsFor, src)
-}
-
-// Tree returns the snapshot's rank-level tree, building it on first use
-// (over the kmax-skyband, under the configured node budget). A build that
-// exceeds its budget is memoized as unavailable for the snapshot — the
-// caller should serve through the ordinary solvers instead. A build
-// aborted by ctx is not memoized, so a later call may retry.
-func (s *Snapshot) Tree(ctx context.Context) (*RankTree, error) {
-	s.treeMu.Lock()
-	defer s.treeMu.Unlock()
-	if s.treeDone {
-		return s.tree, s.treeErr
-	}
-	if len(s.pts) == 0 {
-		s.treeDone = true
-		s.treeErr = fmt.Errorf("index: empty dataset has no rank tree")
-		return nil, s.treeErr
-	}
-	t, err := BuildRankTree(ctx, s.PointsFor(s.opts.Kmax), s.opts.Kmax, s.opts.TreeNodes, "index.ranktree")
-	if err != nil && (ctx.Err() != nil || err == core.ErrDeadline) {
-		return nil, err // transient: do not memoize a canceled build
-	}
-	s.tree, s.treeErr, s.treeDone = t, err, true
-	return s.tree, s.treeErr
 }

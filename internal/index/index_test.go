@@ -72,7 +72,7 @@ func TestIndexMatchesFreshSolve(t *testing.T) {
 	for _, d := range []int{2, 3, 4} {
 		for trial := 0; trial < 8; trial++ {
 			pts, q := randomInstance(rng, 12, d)
-			ix, err := Build(pts, d, Options{})
+			ix, err := Build(pts, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestIndexMatchesFreshSolve(t *testing.T) {
 func TestIndexInsertOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(2222))
 	pts, q := randomInstance(rng, 10, 3)
-	ix, err := Build(pts, 3, Options{})
+	ix, err := Build(pts, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestIndexInsertOnly(t *testing.T) {
 func TestIndexDominatingInserts(t *testing.T) {
 	pts := []vec.Vec{vec.Of(0.3, 0.3), vec.Of(0.4, 0.2)}
 	q := core.Query{Q: vec.Of(0.5, 0.5), K: 2, Eps: 0.0}
-	ix, err := Build(pts, 2, Options{})
+	ix, err := Build(pts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,13 +186,13 @@ func TestIndexDominatingInserts(t *testing.T) {
 
 func TestIndexErrors(t *testing.T) {
 	pts := []vec.Vec{vec.Of(0.5, 0.5)}
-	if _, err := Build(pts, 1, Options{}); err == nil {
+	if _, err := Build(pts, 1); err == nil {
 		t.Error("dim=1 accepted")
 	}
-	if _, err := Build([]vec.Vec{vec.Of(0.5, -0.5)}, 2, Options{}); err == nil {
+	if _, err := Build([]vec.Vec{vec.Of(0.5, -0.5)}, 2); err == nil {
 		t.Error("non-positive attribute accepted")
 	}
-	ix, err := Build(pts, 2, Options{})
+	ix, err := Build(pts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestIndexDeltaSkybandCorpus(t *testing.T) {
 				if !ok {
 					t.Fatal("corpus decode failed")
 				}
-				ix, err := Build(ins.Pts, dim, Options{})
+				ix, err := Build(ins.Pts, dim)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -298,7 +298,7 @@ func TestIndexDeltaSkybandCorpus(t *testing.T) {
 func TestIndexSnapshotIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3333))
 	pts, q := randomInstance(rng, 14, 3)
-	ix, err := Build(pts, 3, Options{})
+	ix, err := Build(pts, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestIndexSnapshotIsolation(t *testing.T) {
 func TestIndexPlaneCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(4444))
 	pts, q := randomInstance(rng, 12, 3)
-	ix, err := Build(pts, 3, Options{})
+	ix, err := Build(pts, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,73 +405,12 @@ func TestIndexPlaneCache(t *testing.T) {
 	}
 }
 
-// The snapshot rank tree must answer exactly like the direct solvers for
-// k ≤ kmax, and must survive mutations by lazy rebuild on the next epoch.
-func TestIndexRankTreeMatchesSolver(t *testing.T) {
-	rng := rand.New(rand.NewSource(5555))
-	pts, q := randomInstance(rng, 10, 3)
-	q.K = 2
-	ix, err := Build(pts, 3, Options{Kmax: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := append([]vec.Vec(nil), pts...)
-	for op := 0; op < 6; op++ {
-		cur = mutate(t, rng, ix, cur, 3)
-		snap := ix.Snapshot()
-		tree, err := snap.Tree(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		treeRegion, err := tree.QueryContext(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := core.EPTSolver{}.Solve(context.Background(), snap.Prepared(nil), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 200; i++ {
-			u := vec.RandSimplex(rng, 3)
-			count, margin := core.CountBetter(cur, q, u)
-			if margin < boundaryMargin {
-				continue
-			}
-			if treeRegion.Contains(u) != (count < q.K) {
-				t.Fatalf("op=%d: tree membership mismatch at %v (count=%d k=%d)", op, u, count, q.K)
-			}
-			if treeRegion.Contains(u) != want.Contains(u) {
-				t.Fatalf("op=%d: tree disagrees with E-PT at %v", op, u)
-			}
-		}
-		// The tree is memoized per snapshot.
-		again, err := snap.Tree(context.Background())
-		if err != nil || again != tree {
-			t.Fatalf("tree not memoized: %v", err)
-		}
-	}
-	// Over-kmax queries are rejected by the tree but fine for the solvers.
-	snap := ix.Snapshot()
-	tree, err := snap.Tree(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := q
-	big.K = 5
-	if _, err := tree.QueryContext(context.Background(), big); err == nil {
-		t.Fatal("k > kmax accepted by rank tree")
-	}
-	if _, _, err := (core.EPTSolver{}).Solve(context.Background(), snap.Prepared(nil), big); err != nil {
-		t.Fatalf("k > kmax must still solve through the ordinary path: %v", err)
-	}
-}
-
-// Save/Load must preserve the dataset, options, and epoch number, and a
+// Save/Load must preserve the dataset and epoch number, and a
 // loaded index must answer byte-identically.
 func TestIndexSaveLoadRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6666))
 	pts, q := randomInstance(rng, 12, 3)
-	ix, err := Build(pts, 3, Options{Kmax: 4, TreeNodes: 5000})
+	ix, err := Build(pts, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,8 +429,8 @@ func TestIndexSaveLoadRoundtrip(t *testing.T) {
 	if loaded.Version() != ix.Version() {
 		t.Fatalf("version = %d, want %d", loaded.Version(), ix.Version())
 	}
-	if loaded.Dim() != 3 || loaded.Len() != ix.Len() || loaded.Kmax() != 4 {
-		t.Fatalf("shape mismatch after load: dim=%d len=%d kmax=%d", loaded.Dim(), loaded.Len(), loaded.Kmax())
+	if loaded.Dim() != 3 || loaded.Len() != ix.Len() {
+		t.Fatalf("shape mismatch after load: dim=%d len=%d", loaded.Dim(), loaded.Len())
 	}
 	got := solveJSON(t, loaded.Snapshot().Prepared(nil), q)
 	want := solveJSON(t, ix.Snapshot().Prepared(nil), q)

@@ -20,8 +20,7 @@ import (
 const persistFormat = 2
 
 // persistMagic opens every checkpoint file. A stream that does not start
-// with it is either a legacy headerless gob (format 1, readable via
-// LoadCompat) or not an index at all.
+// with it is not an index checkpoint.
 var persistMagic = [8]byte{'R', 'R', 'Q', 'I', 'N', 'D', 'E', 'X'}
 
 // persistHeaderLen is the fixed header: 8-byte magic, uint32 format,
@@ -35,8 +34,7 @@ var persistCRC = crc32.MakeTable(crc32.Castagnoli)
 type PersistReason string
 
 const (
-	// PersistBadMagic: the stream does not start with the index magic (and
-	// compat decoding was not requested or also failed).
+	// PersistBadMagic: the stream does not start with the index magic.
 	PersistBadMagic PersistReason = "bad-magic"
 	// PersistFutureFormat: the header's format number is newer than this
 	// build understands.
@@ -65,16 +63,16 @@ func (e *PersistError) Error() string {
 }
 
 // indexFile is the gob-encoded payload of a persisted index. Only the
-// durable inputs are stored — points, options and the epoch counter;
-// dominator counts and all per-snapshot derived state (skyband views,
-// plane sets, the rank tree) are recomputed on load, which keeps the file
-// format independent of cache internals.
+// durable inputs are stored — points and the epoch counter; dominator
+// counts and all per-snapshot derived state (skyband views, plane sets)
+// are recomputed on load, which keeps the file format independent of cache
+// internals. Files written before the rank tree was retired also carry
+// Kmax and Nodes fields; gob skips fields the struct no longer declares, so
+// they load unchanged under the same format number.
 type indexFile struct {
 	Format  int
 	Version uint64
 	Dim     int
-	Kmax    int
-	Nodes   int
 	Pts     [][]float64
 }
 
@@ -88,8 +86,6 @@ func (ix *Index) Save(w io.Writer) error {
 		Format:  persistFormat,
 		Version: s.version,
 		Dim:     s.dim,
-		Kmax:    s.opts.Kmax,
-		Nodes:   s.opts.TreeNodes,
 		Pts:     make([][]float64, len(s.pts)),
 	}
 	for i, p := range s.pts {
@@ -176,16 +172,7 @@ func syncDir(dir string) {
 // recomputes the dominator counts. Rejections are typed *PersistError
 // values. The restored index resumes at the saved epoch number, so
 // versions stay monotone across a save/load cycle.
-func Load(r io.Reader) (*Index, error) { return load(r, false) }
-
-// LoadCompat is Load with the legacy escape hatch: a stream that does not
-// start with the index magic is decoded as the headerless format-1 gob
-// written before checksummed checkpoints existed. Only reach for it behind
-// an explicit operator flag — a legacy stream has no checksum, so
-// corruption can masquerade as data.
-func LoadCompat(r io.Reader) (*Index, error) { return load(r, true) }
-
-func load(r io.Reader, compat bool) (*Index, error) {
+func Load(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(len(persistMagic))
 	if err != nil {
@@ -193,11 +180,8 @@ func load(r io.Reader, compat bool) (*Index, error) {
 			Detail: fmt.Sprintf("reading magic: %v", err)}
 	}
 	if !bytes.Equal(head, persistMagic[:]) {
-		if compat {
-			return loadLegacy(br)
-		}
 		return nil, &PersistError{Reason: PersistBadMagic,
-			Detail: fmt.Sprintf("not an index checkpoint (got %q; legacy headerless files need the compat flag)", head)}
+			Detail: fmt.Sprintf("not an index checkpoint (got %q)", head)}
 	}
 	var hdr [persistHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -229,25 +213,7 @@ func load(r io.Reader, compat bool) (*Index, error) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&f); err != nil {
 		return nil, &PersistError{Reason: PersistDecode, Detail: err.Error()}
 	}
-	return rebuild(&f)
-}
-
-// loadLegacy decodes the format-1 headerless gob stream.
-func loadLegacy(r io.Reader) (*Index, error) {
-	var f indexFile
-	if err := gob.NewDecoder(r).Decode(&f); err != nil {
-		return nil, &PersistError{Reason: PersistDecode, Detail: "legacy gob: " + err.Error()}
-	}
-	if f.Format != 1 {
-		return nil, &PersistError{Reason: PersistDecode,
-			Detail: fmt.Sprintf("legacy gob claims format %d (want 1)", f.Format)}
-	}
-	return rebuild(&f)
-}
-
-// rebuild revalidates a decoded payload and reconstructs the index at its
-// saved epoch.
-func rebuild(f *indexFile) (*Index, error) {
+	// Revalidate the payload and rebuild the index at its saved epoch.
 	if f.Version < 1 {
 		return nil, &PersistError{Reason: PersistDecode,
 			Detail: fmt.Sprintf("invalid version %d", f.Version)}
@@ -256,7 +222,7 @@ func rebuild(f *indexFile) (*Index, error) {
 	for i, p := range f.Pts {
 		pts[i] = vec.Vec(p)
 	}
-	ix, err := Build(pts, f.Dim, Options{Kmax: f.Kmax, TreeNodes: f.Nodes})
+	ix, err := Build(pts, f.Dim)
 	if err != nil {
 		return nil, &PersistError{Reason: PersistDecode, Detail: err.Error()}
 	}
@@ -266,11 +232,11 @@ func rebuild(f *indexFile) (*Index, error) {
 }
 
 // LoadFile opens and loads one checkpoint file.
-func LoadFile(path string, compat bool) (*Index, error) {
+func LoadFile(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return load(f, compat)
+	return Load(f)
 }

@@ -2,8 +2,10 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,7 +19,7 @@ func buildTestIndex(t *testing.T) *Index {
 	pts := []vec.Vec{
 		{0.9, 0.2, 0.3}, {0.4, 0.8, 0.1}, {0.2, 0.3, 0.9}, {0.7, 0.7, 0.2}, {0.5, 0.5, 0.5},
 	}
-	ix, err := Build(pts, 3, Options{})
+	ix, err := Build(pts, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,35 +92,68 @@ func TestLoadRejectsTruncation(t *testing.T) {
 	}
 }
 
-// TestLoadCompatReadsLegacyGob: the pre-header format (raw gob of
-// indexFile with Format 1) loads only through the compat escape hatch.
-func TestLoadCompatReadsLegacyGob(t *testing.T) {
-	legacy := indexFile{
-		Format:  1,
-		Version: 7,
-		Dim:     3,
-		Kmax:    8,
-		Pts:     [][]float64{{0.9, 0.2, 0.3}, {0.4, 0.8, 0.1}, {0.2, 0.3, 0.9}},
-	}
+// TestLoadRejectsHeaderlessGob: the headerless gob stream written before
+// checksummed checkpoints existed is not an index checkpoint.
+func TestLoadRejectsHeaderlessGob(t *testing.T) {
+	legacy := struct {
+		Format  int
+		Version uint64
+		Dim     int
+		Kmax    int
+		Pts     [][]float64
+	}{1, 7, 3, 8, [][]float64{{0.9, 0.2, 0.3}, {0.4, 0.8, 0.1}, {0.2, 0.3, 0.9}}}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-
-	_, err := Load(bytes.NewReader(raw))
+	_, err := Load(bytes.NewReader(buf.Bytes()))
 	wantPersistError(t, err, PersistBadMagic)
+}
 
-	ix, err := LoadCompat(bytes.NewReader(raw))
+// withHeader frames a payload the way Save does: magic, format, CRC32C and
+// length ahead of the bytes.
+func withHeader(payload []byte) []byte {
+	hdr := make([]byte, persistHeaderLen, persistHeaderLen+len(payload))
+	copy(hdr, persistMagic[:])
+	binary.LittleEndian.PutUint32(hdr[8:], persistFormat)
+	binary.LittleEndian.PutUint32(hdr[12:], crc32.Checksum(payload, persistCRC))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(payload)))
+	return append(hdr, payload...)
+}
+
+// TestLoadReadsCheckpointWithRankTreeFields: checkpoints written while the
+// payload still carried the rank-tree shape (Kmax, Nodes) load unchanged
+// under the same format number — gob skips the retired fields.
+func TestLoadReadsCheckpointWithRankTreeFields(t *testing.T) {
+	old := struct {
+		Format  int
+		Version uint64
+		Dim     int
+		Kmax    int
+		Nodes   int
+		Pts     [][]float64
+	}{persistFormat, 9, 3, 8, 5000, [][]float64{{0.9, 0.2, 0.3}, {0.4, 0.8, 0.1}, {0.2, 0.3, 0.9}, {0.7, 0.7, 0.2}}}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Load(bytes.NewReader(withHeader(payload.Bytes())))
 	if err != nil {
-		t.Fatalf("LoadCompat: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
-	if ix.Version() != 7 || ix.Len() != 3 || ix.Dim() != 3 || ix.Kmax() != 8 {
-		t.Fatalf("legacy load: version %d len %d dim %d kmax %d", ix.Version(), ix.Len(), ix.Dim(), ix.Kmax())
+	if ix.Version() != 9 || ix.Len() != len(old.Pts) || ix.Dim() != 3 {
+		t.Fatalf("loaded version %d len %d dim %d, want 9/%d/3", ix.Version(), ix.Len(), ix.Dim(), len(old.Pts))
 	}
-	// The current format also loads through LoadCompat.
-	if _, err := LoadCompat(bytes.NewReader(saved(t, buildTestIndex(t)))); err != nil {
-		t.Fatalf("LoadCompat on current format: %v", err)
+	for i, p := range ix.Snapshot().Points() {
+		if !p.Equal(vec.Vec(old.Pts[i]), 0) {
+			t.Fatalf("point %d = %v, want %v", i, p, old.Pts[i])
+		}
+	}
+	// The same payload under the current struct re-saves to a checkpoint
+	// the loader reads back at the same version.
+	again, err := Load(bytes.NewReader(saved(t, ix)))
+	if err != nil || again.Version() != 9 || again.Len() != len(old.Pts) {
+		t.Fatalf("re-saved checkpoint: version %v len %v err %v", again.Version(), again.Len(), err)
 	}
 }
 
@@ -129,7 +164,7 @@ func TestSaveFileAtomicAndLoadFile(t *testing.T) {
 	if err := ix.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFile(path, false)
+	loaded, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +182,7 @@ func TestSaveFileAtomicAndLoadFile(t *testing.T) {
 	if len(ents) != 1 {
 		t.Fatalf("directory holds %d entries after overwrite, want 1", len(ents))
 	}
-	if re, err := LoadFile(path, false); err != nil || re.Version() != 2 {
+	if re, err := LoadFile(path); err != nil || re.Version() != 2 {
 		t.Fatalf("reload after overwrite: version %v err %v", re.Version(), err)
 	}
 }
@@ -173,7 +208,7 @@ func TestSaveFileRenameFault(t *testing.T) {
 	if len(ents) != 1 {
 		t.Fatalf("directory holds %d entries after faulted save, want 1", len(ents))
 	}
-	old, err := LoadFile(path, false)
+	old, err := LoadFile(path)
 	if err != nil || old.Version() != 1 {
 		t.Fatalf("previous checkpoint damaged: version %v err %v", old.Version(), err)
 	}

@@ -58,14 +58,20 @@ type Config struct {
 	// a test hook (fault injectors are context-carried) mirroring
 	// http.Server.BaseContext.
 	BaseContext func() context.Context
-	// AnytimeBudget, when positive, turns saturation under the cap policy
-	// into graceful degradation: a request the admission controller would
-	// shed is instead answered on the anytime tier — the progressive A-PC
-	// construction cut at this wall-clock budget — without occupying a
-	// solve slot. The response carries tier "anytime" (X-RRQ-Tier header
-	// and body field) plus the enforced accuracy contract, and the
-	// "server.tier_degraded" counter tracks how often saturation degraded
-	// instead of shedding. Zero keeps the pure shed behavior (429).
+	// AnytimeBudget, when positive, enables the one rung below an exact
+	// answer: the anytime tier, the progressive A-PC construction cut at
+	// this wall-clock budget. Two triggers take it:
+	//   - saturation: a request the cap policy would shed is answered on
+	//     the anytime tier without occupying a solve slot;
+	//   - an exact solve that fails with ErrDeadline (the index's query
+	//     timeout) or *BudgetError (its work budget) is answered again on
+	//     the anytime tier, inside the singleflight leader, so coalesced
+	//     followers share the degraded answer.
+	// The response carries tier "anytime" (X-RRQ-Tier header and body
+	// field), the enforced accuracy contract, and a "degraded" note naming
+	// the trigger ("saturated", "timeout" or "budget") and its cause. The
+	// "server.tier_degraded" counter counts both triggers. Zero keeps the
+	// plain 429 and 504 answers.
 	AnytimeBudget time.Duration
 	// Now is the clock used for tenant metering; nil means time.Now.
 	Now func() time.Time
@@ -172,10 +178,10 @@ type querySpec struct {
 	Epsilon float64   `json:"epsilon"`
 }
 
-// degradedNote reports a fallback-served answer.
+// degradedNote reports why an answer came from the anytime rung: the
+// trigger ("saturated", "timeout" or "budget") and the error behind it.
 type degradedNote struct {
 	Reason string `json:"reason"`
-	Solver string `json:"solver"`
 	Cause  string `json:"cause"`
 }
 
@@ -197,7 +203,7 @@ type accuracyNote struct {
 // returned, and the region bounds — rather than equals — the true answer.
 // Tier ("exact", "approx", "anytime" — also the X-RRQ-Tier header)
 // classifies the serving contract; anytime answers additionally carry
-// Accuracy.
+// Accuracy, and Degraded when the server chose the anytime rung.
 type solveResponse struct {
 	Version     uint64          `json:"version"`
 	Partitions  int             `json:"partitions"`
@@ -213,7 +219,7 @@ type solveResponse struct {
 
 // errorResponse is every non-2xx body: the message, a stable kind for
 // programmatic handling, the Retry-After echo for 429s and — for
-// panic-isolated failures — the degradation note.
+// panic-isolated failures — a note that the failure stayed isolated.
 type errorResponse struct {
 	Error       string `json:"error"`
 	Kind        string `json:"kind"`
@@ -322,18 +328,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		var she *ShedError
 		if errors.As(err, &she) {
 			if s.cfg.AnytimeBudget > 0 {
-				// Saturation degrades instead of shedding: answer on the
-				// anytime tier, outside the solve slots — the budget bounds
-				// the work, so the degraded path cannot pile onto the very
-				// queue that triggered it.
-				s.counter("server.tier_degraded")
-				res, err := ix.SolveContext(ctx, q, rrq.WithAnytime(s.cfg.AnytimeBudget))
+				// Saturation degrades instead of shedding, outside the solve
+				// slots: the budget bounds the work, so the degraded path
+				// cannot pile onto the very queue that triggered it.
+				ans, err := s.anytime(ctx, ix, q, "saturated", she)
 				if err != nil {
 					writeError(w, err, 0)
 					return
 				}
-				s.cfg.Tenants.Charge(tenant, WorkUnits(res.Stats), s.cfg.Now())
-				s.writeSolve(w, ix.Version(), res, false)
+				s.cfg.Tenants.Charge(tenant, WorkUnits(ans.res.Stats), s.cfg.Now())
+				s.writeSolve(w, ix.Version(), ans, false)
 				return
 			}
 			s.counter("server.shed")
@@ -350,8 +354,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// solve still pins its own snapshot).
 	key := strconv.FormatUint(ix.Version(), 10) + "|" + q.Key()
 	start := time.Now()
-	res, shared, err := s.flights.Do(key, func() (rrq.Result, error) {
-		return ix.SolveContext(ctx, q)
+	ans, shared, err := s.flights.Do(key, func() (answer, error) {
+		res, err := ix.SolveContext(ctx, q)
+		if reason := degradeReason(err); s.cfg.AnytimeBudget > 0 && reason != "" && ctx.Err() == nil {
+			deg, err := s.anytime(ctx, ix, q, reason, err)
+			// Meter the work of the failed exact solve too.
+			deg.res.Stats.Add(res.Stats)
+			return deg, err
+		}
+		return answer{res: res}, err
 	})
 	release(time.Since(start))
 	s.gaugeDepth()
@@ -364,14 +375,47 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	} else {
 		// Post-paid metering: only the tenant whose request ran the solve
 		// is charged; coalesced followers consumed no solver work.
-		s.cfg.Tenants.Charge(tenant, WorkUnits(res.Stats), s.cfg.Now())
+		s.cfg.Tenants.Charge(tenant, WorkUnits(ans.res.Stats), s.cfg.Now())
 	}
-	s.writeSolve(w, ix.Version(), res, shared)
+	s.writeSolve(w, ix.Version(), ans, shared)
+}
+
+// answer is one /v1/solve outcome: the library result plus, when the
+// anytime rung produced it, why.
+type answer struct {
+	res      rrq.Result
+	degraded *degradedNote
+}
+
+// degradeReason names the anytime-rung trigger an exact-solve failure
+// maps to: "timeout" for ErrDeadline, "budget" for *BudgetError, "" for
+// every other outcome (success, validation, panics, numerical failures,
+// cancellation), which is answered as is.
+func degradeReason(err error) string {
+	var be *core.BudgetError
+	switch {
+	case errors.As(err, &be):
+		return "budget"
+	case errors.Is(err, core.ErrDeadline):
+		return "timeout"
+	default:
+		return ""
+	}
+}
+
+// anytime answers q on the anytime tier under the configured budget — the
+// one rung below exact — recording the trigger and its cause in the
+// answer and in "server.tier_degraded".
+func (s *Server) anytime(ctx context.Context, ix *rrq.Index, q rrq.Query, reason string, cause error) (answer, error) {
+	s.counter("server.tier_degraded")
+	res, err := ix.SolveContext(ctx, q, rrq.WithAnytime(s.cfg.AnytimeBudget))
+	return answer{res: res, degraded: &degradedNote{Reason: reason, Cause: cause.Error()}}, err
 }
 
 // writeSolve emits the success body (and the X-RRQ-Tier header) for one
-// solve result.
-func (s *Server) writeSolve(w http.ResponseWriter, version uint64, res rrq.Result, shared bool) {
+// solve answer.
+func (s *Server) writeSolve(w http.ResponseWriter, version uint64, ans answer, shared bool) {
+	res := ans.res
 	region, err := res.Region.MarshalJSON()
 	if err != nil {
 		writeError(w, err, 0)
@@ -383,6 +427,7 @@ func (s *Server) writeSolve(w http.ResponseWriter, version uint64, res rrq.Resul
 		ElapsedMS:  float64(res.Elapsed.Microseconds()) / 1000,
 		Cache:      res.Cache.String(),
 		Tier:       res.Tier.String(),
+		Degraded:   ans.degraded,
 		Deduped:    shared,
 		Region:     region,
 	}
@@ -397,9 +442,6 @@ func (s *Server) writeSolve(w http.ResponseWriter, version uint64, res rrq.Resul
 	}
 	if src := res.CacheSource; src != nil {
 		resp.CacheSource = &querySpec{Q: src.Q, K: src.K, Epsilon: src.Epsilon}
-	}
-	if deg := res.Degraded; deg != nil {
-		resp.Degraded = &degradedNote{Reason: deg.Reason.String(), Solver: deg.Solver, Cause: deg.Cause.Error()}
 	}
 	w.Header().Set("X-RRQ-Tier", res.Tier.String())
 	writeJSON(w, http.StatusOK, resp)
@@ -544,13 +586,13 @@ type flightGroup struct {
 
 type flight struct {
 	done chan struct{}
-	res  rrq.Result
+	res  answer
 	err  error
 }
 
 // Do runs fn once per key among concurrent callers; shared reports whether
 // this caller received another caller's result.
-func (g *flightGroup) Do(key string, fn func() (rrq.Result, error)) (res rrq.Result, shared bool, err error) {
+func (g *flightGroup) Do(key string, fn func() (answer, error)) (res answer, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*flight)

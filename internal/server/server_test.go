@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"rrq"
+	"rrq/internal/core"
 	"rrq/internal/faultinject"
 )
 
@@ -189,13 +190,12 @@ func TestErrorMappingValidation(t *testing.T) {
 	}
 }
 
-// A solver work-budget failure surfaces as 429 with kind "budget".
-func TestErrorMappingSolverBudget(t *testing.T) {
-	// The budget checks are amortized, so a toy market never trips them:
-	// find a query on which LP-CTA does real LP work (the resilience
-	// suite's precondition), then cap the budget far below it.
+// hardLPCTAQuery returns a 2-d market and a query point on which LP-CTA
+// does real LP work — the budget checks are amortized, so a toy market
+// never trips them.
+func hardLPCTAQuery(t *testing.T) (*rrq.Dataset, rrq.Point) {
+	t.Helper()
 	ds := rrq.SyntheticDataset(rrq.Independent, 300, 2, 13)
-	var q rrq.Point
 	for seed := int64(1); seed < 30; seed++ {
 		cand := ds.RandomQuery(seed)
 		res, err := rrq.SolveResult(ds, rrq.Query{Q: cand, K: 10, Epsilon: 0.2},
@@ -204,13 +204,16 @@ func TestErrorMappingSolverBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !res.Region.IsEmpty() && res.Stats.LPSolves > 200 {
-			q = cand
-			break
+			return ds, cand
 		}
 	}
-	if q == nil {
-		t.Fatal("precondition: no query makes LP-CTA work hard enough")
-	}
+	t.Fatal("precondition: no query makes LP-CTA work hard enough")
+	return nil, nil
+}
+
+// A solver work-budget failure surfaces as 429 with kind "budget".
+func TestErrorMappingSolverBudget(t *testing.T) {
+	ds, q := hardLPCTAQuery(t)
 	ix, err := rrq.BuildIndex(ds, rrq.WithWorkBudget(50), rrq.WithAlgorithm(rrq.LPCTAAlgo))
 	if err != nil {
 		t.Fatal(err)
@@ -223,6 +226,125 @@ func TestErrorMappingSolverBudget(t *testing.T) {
 	}
 	if er := decodeError(t, b); er.Kind != "budget" {
 		t.Fatalf("kind %q, want budget (%s)", er.Kind, b)
+	}
+}
+
+// The two exact-solve triggers of the degradation ladder. With
+// AnytimeBudget, an exact solve that runs past the query timeout or its
+// work budget answers 200 on the anytime tier with the trigger named in
+// "degraded", and concurrent identical requests share the leader's one
+// degraded answer. Without it, the same request answers 504 or 429.
+func TestLadderExactFailureTriggers(t *testing.T) {
+	ds, q := hardLPCTAQuery(t)
+	body := fmt.Sprintf(`{"q":[%.17g,%.17g],"k":10,"epsilon":0.2}`, q[0], q[1])
+	cases := []struct {
+		reason, kind string
+		status       int
+		limit        rrq.Option
+	}{
+		{"timeout", "deadline", http.StatusGatewayTimeout, rrq.WithQueryTimeout(20 * time.Millisecond)},
+		{"budget", "budget", http.StatusTooManyRequests, rrq.WithWorkBudget(50)},
+	}
+	for _, tc := range cases {
+		for _, anytime := range []time.Duration{0, 50 * time.Millisecond} {
+			t.Run(fmt.Sprintf("%s/anytime=%v", tc.reason, anytime), func(t *testing.T) {
+				// The delay holds the exact solve open long enough for a
+				// follower to join its flight (and, with the 20ms query
+				// timeout, expires it).
+				inj := faultinject.New(&faultinject.Fault{Point: faultinject.SolveStart, Delay: 150 * time.Millisecond})
+				reg := rrq.NewRegistry()
+				ix, err := rrq.BuildIndex(ds, rrq.WithAlgorithm(rrq.LPCTAAlgo), rrq.WithMetrics(reg), tc.limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				adm := NewAdmission(AdmitAlways, 4, 0)
+				ts := newTestServer(t, Config{
+					Index:         ix,
+					Metrics:       reg,
+					Admission:     adm,
+					AnytimeBudget: anytime,
+					BaseContext:   func() context.Context { return faultinject.ContextWith(context.Background(), inj) },
+				})
+				if anytime == 0 {
+					resp, b := postJSON(t, ts.URL+"/v1/solve", body)
+					if resp.StatusCode != tc.status {
+						t.Fatalf("status %d: %s, want %d", resp.StatusCode, b, tc.status)
+					}
+					if er := decodeError(t, b); er.Kind != tc.kind {
+						t.Fatalf("kind %q, want %q (%s)", er.Kind, tc.kind, b)
+					}
+					if got := reg.Counter("server.tier_degraded").Value(); got != 0 {
+						t.Fatalf("server.tier_degraded = %d without an anytime budget", got)
+					}
+					return
+				}
+				type reply struct {
+					resp *http.Response
+					body []byte
+				}
+				replies := make([]reply, 2)
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					replies[0].resp, replies[0].body = postJSON(t, ts.URL+"/v1/solve", body)
+				}()
+				for i := 0; adm.Depth() == 0 && i < 100; i++ {
+					time.Sleep(5 * time.Millisecond)
+				}
+				replies[1].resp, replies[1].body = postJSON(t, ts.URL+"/v1/solve", body)
+				wg.Wait()
+				deduped := 0
+				for i, r := range replies {
+					if r.resp.StatusCode != http.StatusOK {
+						t.Fatalf("reply %d: status %d: %s, want 200", i, r.resp.StatusCode, r.body)
+					}
+					sr := decodeSolve(t, r.body)
+					if sr.Tier != "anytime" || r.resp.Header.Get("X-RRQ-Tier") != "anytime" {
+						t.Fatalf("reply %d: tier body=%q header=%q, want anytime", i, sr.Tier, r.resp.Header.Get("X-RRQ-Tier"))
+					}
+					if sr.Degraded == nil || sr.Degraded.Reason != tc.reason || sr.Degraded.Cause == "" {
+						t.Fatalf("reply %d: degraded %+v, want reason %q with a cause", i, sr.Degraded, tc.reason)
+					}
+					if sr.Accuracy == nil || sr.Accuracy.RhoBound <= 0 || sr.Accuracy.RhoBound > 1 {
+						t.Fatalf("reply %d: accuracy %+v, want a ρ bound in (0, 1]", i, sr.Accuracy)
+					}
+					if sr.Deduped {
+						deduped++
+					}
+				}
+				if deduped != 1 {
+					t.Fatalf("%d deduped replies, want 1: the follower shares the leader's flight", deduped)
+				}
+				if got := reg.Counter("server.tier_degraded").Value(); got != 1 {
+					t.Fatalf("server.tier_degraded = %d, want 1 (one flight degraded)", got)
+				}
+			})
+		}
+	}
+}
+
+// degradeReason maps exactly the two exact-solve failures the ladder
+// absorbs; every other outcome is answered as is.
+func TestDegradeReasonClassification(t *testing.T) {
+	cases := []struct {
+		err  error
+		want string
+	}{
+		{nil, ""},
+		{&core.QueryError{Field: "k", Msg: "x"}, ""},
+		{&core.SolveError{Solver: "E-PT", Panic: "x"}, ""},
+		{&core.NumericalError{Solver: "LP-CTA", Err: errors.New("lp failed")}, ""},
+		{context.Canceled, ""},
+		{errors.New("anything else"), ""},
+		{core.ErrDeadline, "timeout"},
+		{fmt.Errorf("wrapped: %w", core.ErrDeadline), "timeout"},
+		{&core.BudgetError{Limit: 1, Spent: 2}, "budget"},
+	}
+	for _, c := range cases {
+		if got := degradeReason(c.err); got != c.want {
+			t.Errorf("degradeReason(%v) = %q, want %q", c.err, got, c.want)
+		}
 	}
 }
 
@@ -347,6 +469,9 @@ func TestDegradedAnytimeTierUnderSaturation(t *testing.T) {
 	}
 	if sr.Accuracy == nil || sr.Accuracy.RhoBound <= 0 || sr.Accuracy.RhoBound > 1 {
 		t.Fatalf("degraded solve accuracy %+v, want a ρ bound in (0, 1]", sr.Accuracy)
+	}
+	if sr.Degraded == nil || sr.Degraded.Reason != "saturated" || sr.Degraded.Cause == "" {
+		t.Fatalf("degraded solve note %+v, want reason saturated with a cause", sr.Degraded)
 	}
 	// The admission controller still observed the saturation (adm.Shed()),
 	// but the server degraded instead of answering 429: its shed counter
@@ -570,11 +695,11 @@ func TestFlightGroup(t *testing.T) {
 	started := make(chan struct{})
 	block := make(chan struct{})
 	var calls int
-	go g.Do("k", func() (rrq.Result, error) {
+	go g.Do("k", func() (answer, error) {
 		calls++
 		close(started)
 		<-block
-		return rrq.Result{}, fmt.Errorf("shared outcome")
+		return answer{}, fmt.Errorf("shared outcome")
 	})
 	<-started
 	var wg sync.WaitGroup
@@ -582,9 +707,9 @@ func TestFlightGroup(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, shared, err := g.Do("k", func() (rrq.Result, error) {
+			_, shared, err := g.Do("k", func() (answer, error) {
 				t.Error("follower ran the function")
-				return rrq.Result{}, nil
+				return answer{}, nil
 			})
 			if !shared || err == nil || err.Error() != "shared outcome" {
 				t.Errorf("follower: shared=%v err=%v", shared, err)

@@ -240,7 +240,7 @@ func TestQueryValidateRejections(t *testing.T) {
 		} else {
 			check(t, tc.name+"/Validate", tc.q.Validate(), tc.field)
 		}
-		_, err := Solve(ds, tc.q)
+		_, err := SolveResult(ds, tc.q)
 		check(t, tc.name+"/Solve", err, tc.field)
 		_, err = NewDynamicRegion(ds, tc.q)
 		check(t, tc.name+"/NewDynamicRegion", err, tc.field)
@@ -260,7 +260,7 @@ func TestQueryValidateRejections(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("good query rejected: %v", err)
 	}
-	if _, err := Solve(ds, good); err != nil {
+	if _, err := SolveResult(ds, good); err != nil {
 		t.Errorf("good query failed to solve: %v", err)
 	}
 }

@@ -27,52 +27,42 @@ func resilienceDataset(t *testing.T) (*Dataset, Query) {
 	return nil, Query{}
 }
 
-// WithWorkBudget + WithFallback end to end: the expensive primary trips the
-// budget, the query degrades to the exact fallback, and the Result records
-// why — while the degraded region still matches the exact answer.
+// "Exact, else approximate" from the library: an exact solve that exhausts
+// its work budget fails with a typed *BudgetError, and the caller's
+// fallback is the same query again on the anytime tier, which answers with
+// a sound region and an accuracy receipt.
 func TestWithWorkBudgetFallback(t *testing.T) {
 	ds, q := resilienceDataset(t)
-	reg := NewRegistry()
-	res, err := SolveContext(context.Background(), ds, q,
-		WithAlgorithm(LPCTAAlgo),
-		WithWorkBudget(50),
-		WithFallback(SweepingAlgo),
-		WithMetrics(reg))
-	if err != nil {
-		t.Fatalf("err = %v, want degraded success", err)
-	}
-	deg := res.Degraded
-	if deg == nil {
-		t.Fatal("Result.Degraded = nil, want a degradation record")
-	}
-	if deg.Reason != DegradeBudget || deg.Solver != "Sweeping" {
-		t.Fatalf("Degraded{%v, %q}, want {budget, Sweeping}", deg.Reason, deg.Solver)
-	}
-	var be *BudgetError
-	if !errors.As(deg.Cause, &be) {
-		t.Fatalf("cause %v, want *BudgetError", deg.Cause)
-	}
-	if c := reg.Counters()["solve.degraded.budget"]; c != 1 {
-		t.Errorf("solve.degraded.budget = %d, want 1", c)
-	}
-
-	// The fallback is exact in 2-d: cross-validate against a plain solve.
-	want, err := Solve(ds, q, WithAlgorithm(SweepingAlgo))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Region.Measure(20000)-want.Measure(20000)) > 1e-9 {
-		t.Fatal("degraded region differs from the exact answer")
-	}
-
-	// Without the fallback, the same budget surfaces the typed error.
-	_, err = SolveContext(context.Background(), ds, q,
+	_, err := SolveContext(context.Background(), ds, q,
 		WithAlgorithm(LPCTAAlgo), WithWorkBudget(50))
+	var be *BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %v, want *BudgetError", err)
 	}
 	if be.Limit != 50 {
 		t.Fatalf("BudgetError.Limit = %d, want 50", be.Limit)
+	}
+
+	res, err := SolveContext(context.Background(), ds, q,
+		WithAlgorithm(LPCTAAlgo), WithWorkBudget(50), WithAnytime(time.Second))
+	if err != nil {
+		t.Fatalf("anytime retry: %v", err)
+	}
+	if res.Tier != TierAnytime || res.Accuracy == nil {
+		t.Fatalf("retry tier %v accuracy %+v, want anytime with a receipt", res.Tier, res.Accuracy)
+	}
+	exact, err := regionOf(SolveResult(ds, q, WithAlgorithm(SweepingAlgo)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 200; i++ {
+		u := res.Region.Sample(i)
+		if u == nil {
+			break
+		}
+		if !exact.Contains(u) {
+			t.Fatalf("anytime sample %v outside the exact region", u)
+		}
 	}
 }
 
@@ -91,45 +81,6 @@ func TestWithQueryTimeoutPerQuery(t *testing.T) {
 	}
 	if report.Failed != 0 || report.Solved != len(queries) {
 		t.Fatalf("solved=%d failed=%d, want all %d solved", report.Solved, report.Failed, len(queries))
-	}
-	if report.Degraded != 0 {
-		t.Fatalf("Degraded = %d, want 0", report.Degraded)
-	}
-}
-
-// A batch with a degrading query: BatchReport counts it in both Solved and
-// Degraded, and the per-result Degraded record survives the trip through
-// the public layer.
-func TestSolveBatchDegradedCount(t *testing.T) {
-	ds, hard := resilienceDataset(t)
-	queries := []Query{
-		{Q: ds.RandomQuery(101), K: 2, Epsilon: 0.05},
-		hard,
-		{Q: ds.RandomQuery(102), K: 2, Epsilon: 0.05},
-	}
-	report, err := SolveBatch(context.Background(), ds, queries,
-		WithAlgorithm(LPCTAAlgo),
-		WithWorkBudget(50),
-		WithFallback(SweepingAlgo))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Failed != 0 {
-		for i, r := range report.Results {
-			if r.Err != nil {
-				t.Logf("q%d: %v", i, r.Err)
-			}
-		}
-		t.Fatalf("failed = %d, want 0", report.Failed)
-	}
-	if report.Results[1].Degraded == nil {
-		t.Fatal("hard query did not degrade")
-	}
-	if report.Degraded < 1 || report.Degraded > len(queries) {
-		t.Fatalf("report.Degraded = %d", report.Degraded)
-	}
-	if report.Solved != len(queries) {
-		t.Fatalf("solved = %d, want %d", report.Solved, len(queries))
 	}
 }
 
@@ -158,12 +109,12 @@ func TestNewDatasetTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("raw data rejected at construction: %v", err)
 	}
-	_, err = Solve(ds, Query{Q: Point{0.5, 0.5}, K: 1, Epsilon: 0.1})
+	_, err = SolveResult(ds, Query{Q: Point{0.5, 0.5}, K: 1, Epsilon: 0.1})
 	if !errors.As(err, &de) {
 		t.Fatalf("solve on non-positive data: err = %v, want *DataError", err)
 	}
 	// After Normalize the same data lands in the solver domain and solves.
-	if _, err := Solve(ds.Normalize(), Query{Q: Point{0.5, 0.5}, K: 1, Epsilon: 0.1}); err != nil {
+	if _, err := SolveResult(ds.Normalize(), Query{Q: Point{0.5, 0.5}, K: 1, Epsilon: 0.1}); err != nil {
 		t.Fatalf("normalized dataset rejected: %v", err)
 	}
 }
@@ -172,7 +123,7 @@ func TestNewDatasetTypedErrors(t *testing.T) {
 func TestQueryPositivityValidation(t *testing.T) {
 	ds := SyntheticDataset(Independent, 20, 2, 1)
 	for _, bad := range []Point{{0, 0.5}, {-0.1, 0.5}} {
-		_, err := Solve(ds, Query{Q: bad, K: 1, Epsilon: 0.1})
+		_, err := SolveResult(ds, Query{Q: bad, K: 1, Epsilon: 0.1})
 		var qe *QueryError
 		if !errors.As(err, &qe) {
 			t.Fatalf("q=%v: err = %v, want *QueryError", bad, err)

@@ -145,13 +145,13 @@ type QueryError = core.QueryError
 // Validate checks the query's intrinsic parameters — Q finite with
 // dimension ≥ 2, K ≥ 1 and Epsilon ∈ [0,1) — without a dataset. The same
 // validation (plus the query/dataset dimension match) runs inside every
-// entry point: Solve and its variants, NewDynamicRegion and PBAIndex
+// entry point: SolveResult and its variants, NewDynamicRegion and PBAIndex
 // queries. A failure is always a *QueryError.
 func (q Query) Validate() error {
 	return q.toCore().Validate(len(q.Q))
 }
 
-// Algorithm selects the solver used by Solve.
+// Algorithm selects the solver used by SolveResult and its variants.
 type Algorithm int
 
 const (
@@ -194,11 +194,7 @@ func (a Algorithm) String() string {
 type Stats = core.Stats
 
 // Result is the full outcome of one solve: the qualified region, the
-// solver's work counters and the wall-clock time spent. Degraded is nil
-// for a primary answer; when the answer came from the fallback chain
-// (WithFallback) it records why the primary failed and which fallback
-// solver produced the region. Stats then cover every attempt the query
-// cost, not just the successful one.
+// solver's work counters and the wall-clock time spent.
 //
 // Cache reports how the result cache participated (CacheBypass when no
 // cache is configured). For a bound-served answer (CacheInner/CacheOuter)
@@ -214,7 +210,6 @@ type Result struct {
 	Region      *Region
 	Stats       Stats
 	Elapsed     time.Duration
-	Degraded    *Degradation
 	Cache       CacheStatus
 	CacheSource *Query
 	Tier        SolverTier
@@ -230,8 +225,7 @@ const (
 	// records that the region bounds a different query's answer).
 	TierExact SolverTier = iota
 	// TierApprox: the region is A-PC's one-sided approximation — a sound
-	// inner region with no per-run accuracy report (WithAlgorithm(APCAlgo)
-	// or an A-PC fallback answer).
+	// inner region with no per-run accuracy report (WithAlgorithm(APCAlgo)).
 	TierApprox
 	// TierAnytime: the region is a cut of the anytime A-PC construction
 	// (WithAnytime / WithAnytimeSamples, or a server-side degrade); a sound
@@ -278,7 +272,7 @@ type CacheStatus int
 
 const (
 	// CacheBypass: no result cache configured, or the serving path cannot
-	// cache (approximate or degraded answers).
+	// cache (approximate answers).
 	CacheBypass CacheStatus = iota
 	// CacheMiss: the cache was consulted, missed, and stored the fresh
 	// answer.
@@ -343,7 +337,7 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 // TimerSnapshot is a point-in-time copy of one phase timer's histogram.
 type TimerSnapshot = obs.TimerSnapshot
 
-// Option configures Solve, SolveContext, SolveBatch and Prepare.
+// Option configures SolveResult, SolveContext, SolveBatch and Prepare.
 type Option func(*config)
 
 type config struct {
@@ -357,14 +351,9 @@ type config struct {
 	metrics      *obs.Registry
 	queryTimeout time.Duration
 	workBudget   int64
-	fallbacks    []Algorithm
-	kmax         int
-	treeNodes    int
-	treeServe    bool
 	cacheSize    int
 	cacheBounds  bool
 	noBatchShare bool
-	indexCompat  bool
 
 	anytimeBudget  time.Duration
 	anytimeSamples int
@@ -447,10 +436,10 @@ func WithTrace(fn func(Event)) Option {
 
 // WithQueryTimeout bounds the wall-clock time of each individual solve.
 // Unlike a context deadline — which covers a whole SolveBatch call — the
-// timeout restarts for every query (and for every fallback attempt, see
-// WithFallback), so one pathological query cannot starve the rest of a
-// batch. A solve that exceeds its timeout fails with ErrDeadline, or
-// degrades to the fallback chain when one is configured. d ≤ 0 (the
+// timeout restarts for every query, so one pathological query cannot
+// starve the rest of a batch. A solve that exceeds its timeout fails with
+// ErrDeadline; to answer such a query approximately instead, solve it again
+// with WithAnytime (rrqd does this for you under -anytime). d ≤ 0 (the
 // default) disables the per-query timeout.
 func WithQueryTimeout(d time.Duration) Option {
 	return func(c *config) { c.queryTimeout = d }
@@ -463,40 +452,24 @@ func WithQueryTimeout(d time.Duration) Option {
 // budget or fails with a *BudgetError on every run, regardless of machine
 // load. The budget is shared across a solve's intra-query workers and
 // checked on the amortized cadence, so small overruns (one check interval)
-// are possible. With WithFallback, a budget-exhausted query degrades
-// instead of failing; the fallback attempt gets a fresh budget. n ≤ 0 (the
-// default) disables the budget.
+// are possible. As with WithQueryTimeout, WithAnytime is the approximate
+// retry for a query that does not fit. n ≤ 0 (the default) disables the
+// budget.
 func WithWorkBudget(n int64) Option {
 	return func(c *config) { c.workBudget = n }
 }
 
-// WithFallback installs a graceful-degradation chain: when the primary
-// solver times out (WithQueryTimeout), exhausts its work budget
-// (WithWorkBudget) or fails numerically, the query is re-run on each
-// fallback algorithm in order — each attempt with a fresh timeout and
-// budget — and the first success is returned with Result.Degraded
-// recording why and by which solver. The paper's own ladder is the natural
-// chain: A-PC is a bounded-error approximation of E-PT (§5.2), so
-// WithFallback(APCAlgo) trades exactness for a guaranteed answer; see
-// docs/ALGORITHMS.md for the error bound.
-//
-// Panics, validation errors and caller cancellation are never retried:
-// the answer would be wrong for the same reason, or the caller is gone.
-func WithFallback(algos ...Algorithm) Option {
-	return func(c *config) { c.fallbacks = append([]Algorithm(nil), algos...) }
-}
-
 // WithResultCache gives an Index a bounded LRU result cache of n entries
 // (n ≤ 0 disables it, the default). Cached entries are keyed on the
-// snapshot epoch, the serving path and Query.Key, so a repeat of an exact,
-// non-degraded query on an unchanged index is answered without solving —
-// byte-identical to the fresh answer, because the cache stores the fresh
-// answer. Mutations invalidate for free: Insert/Delete publish a new epoch
-// whose keys never match the old generation (which is pruned eagerly).
-// Approximate (A-PC) and degraded answers are never cached. With
-// WithMetrics, traffic shows as "cache.hit" / "cache.miss" /
-// "cache.bound_served". The option only affects Index solving; Solve and
-// Prepare over a plain Dataset ignore it.
+// snapshot epoch, the serving path and Query.Key, so a repeat of an exact
+// query on an unchanged index is answered without solving — byte-identical
+// to the fresh answer, because the cache stores the fresh answer.
+// Mutations invalidate for free: Insert/Delete publish a new epoch whose
+// keys never match the old generation (which is pruned eagerly).
+// Approximate (A-PC) answers are never cached. With WithMetrics, traffic
+// shows as "cache.hit" / "cache.miss" / "cache.bound_served". The option
+// only affects Index solving; SolveResult and Prepare over a plain Dataset
+// ignore it.
 func WithResultCache(n int) Option { return func(c *config) { c.cacheSize = n } }
 
 // WithCacheBounds additionally lets the cache answer a query it has never
@@ -545,8 +518,8 @@ func WithMetrics(reg *Registry) Option { return func(c *config) { c.metrics = re
 // fixed seed the region is monotone in the budget: a longer budget's
 // region contains a shorter one's.
 //
-// The anytime tier replaces the configured algorithm and fallback chain
-// and bypasses tree-serving and batch sharing. The result cache still
+// The anytime tier replaces the configured algorithm and bypasses batch
+// sharing. The result cache still
 // participates: anytime answers are stored as inner-bound entries, and a
 // cached inner bound on the same query point seeds the construction
 // (warm start), so repeated anytime queries ratchet toward the full
@@ -595,52 +568,23 @@ func solverFor(cfg config, dim int) (core.Solver, error) {
 	}
 }
 
-// policyFor assembles the core serving policy: the primary solver plus the
-// configured fallback chain and per-query limits. Fallback algorithms
-// resolve under the same configuration as the primary (samples, seed,
-// intra-query workers), so e.g. a degraded A-PC answer uses the caller's
-// sample count.
+// policyFor assembles the core serving policy: the configured solver plus
+// the per-query limits.
 func policyFor(cfg config, dim int) (core.SolvePolicy, error) {
 	s, err := solverFor(cfg, dim)
 	if err != nil {
 		return core.SolvePolicy{}, err
 	}
-	pol := core.SolvePolicy{
+	return core.SolvePolicy{
 		Solver:       s,
 		QueryTimeout: cfg.queryTimeout,
 		WorkBudget:   cfg.workBudget,
-	}
-	for _, a := range cfg.fallbacks {
-		fcfg := cfg
-		fcfg.algo = a
-		fb, err := solverFor(fcfg, dim)
-		if err != nil {
-			return core.SolvePolicy{}, err
-		}
-		pol.Fallbacks = append(pol.Fallbacks, fb)
-	}
-	return pol, nil
-}
-
-// Solve answers the reverse regret query over the dataset and returns only
-// the region.
-//
-// Deprecated: Solve is the historical entry point from before Result
-// existed and is the one solve variant that discards the work counters,
-// elapsed time and degradation record. Use SolveResult (same call shape,
-// full Result) or SolveContext (Result under a context). Solve remains
-// functional — it is SolveResult with the region extracted.
-func Solve(d *Dataset, q Query, opts ...Option) (*Region, error) {
-	res, err := SolveResult(d, q, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return res.Region, nil
+	}, nil
 }
 
 // SolveResult answers the reverse regret query over the dataset — the
 // plain (background-context) form of SolveContext, returning the full
-// Result: region, work counters, elapsed time and degradation record.
+// Result: region, work counters, elapsed time and serving tier.
 func SolveResult(d *Dataset, q Query, opts ...Option) (Result, error) {
 	return SolveContext(context.Background(), d, q, opts...)
 }
@@ -683,25 +627,7 @@ type BudgetError = core.BudgetError
 
 // NumericalError is the typed error for a numerical failure inside a
 // solver — an LP that did not reach optimality, or degenerate geometry.
-// It is fallback-eligible under WithFallback.
 type NumericalError = core.NumericalError
-
-// Degradation records that a Result came from the fallback chain: why the
-// primary solver failed (Reason, Cause) and which fallback answered.
-type Degradation = core.Degradation
-
-// DegradeReason classifies why a query degraded to a fallback solver.
-type DegradeReason = core.DegradeReason
-
-// Degradation reasons.
-const (
-	// DegradeTimeout: the primary exceeded the per-query timeout.
-	DegradeTimeout = core.DegradeTimeout
-	// DegradeBudget: the primary exhausted its work budget.
-	DegradeBudget = core.DegradeBudget
-	// DegradeNumerical: the primary failed numerically.
-	DegradeNumerical = core.DegradeNumerical
-)
 
 // ReverseTopK answers the continuous reverse top-k query: the region of
 // preference space on which q ranks within the top k. It equals the
@@ -839,7 +765,7 @@ func NewDynamicRegion(d *Dataset, q Query) (*DynamicRegion, error) {
 	if len(q.Q) != d.Dim() {
 		return nil, &QueryError{Field: "dim", Msg: fmt.Sprintf("query dimension %d does not match dataset dimension %d", len(q.Q), d.Dim())}
 	}
-	ix, err := index.Build(d.points(), d.Dim(), index.Options{Kmax: q.K})
+	ix, err := index.Build(d.points(), d.Dim())
 	if err != nil {
 		return nil, err
 	}

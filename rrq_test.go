@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+// regionOf keeps the region of a SolveResult, for tests that check only the
+// answer.
+func regionOf(res Result, err error) (*Region, error) { return res.Region, err }
+
 func table3Dataset(t *testing.T) *Dataset {
 	t.Helper()
 	ds, err := NewDataset([][]float64{{0.2, 0.92}, {0.7, 0.54}, {0.6, 0.3}})
@@ -41,7 +45,7 @@ func TestNewDatasetValidation(t *testing.T) {
 func TestSolvePaperExample(t *testing.T) {
 	ds := table3Dataset(t)
 	q := Query{Q: Point{0.4, 0.7}, K: 2, Epsilon: 0.1}
-	region, err := Solve(ds, q)
+	region, err := regionOf(SolveResult(ds, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +60,11 @@ func TestSolvePaperExample(t *testing.T) {
 func TestSolveAlgorithmsAgree(t *testing.T) {
 	ds := SyntheticDataset(Independent, 80, 3, 5)
 	q := Query{Q: ds.RandomQuery(1), K: 4, Epsilon: 0.1}
-	exact, err := Solve(ds, q, WithAlgorithm(EPTAlgo))
+	exact, err := regionOf(SolveResult(ds, q, WithAlgorithm(EPTAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lpcta, err := Solve(ds, q, WithAlgorithm(LPCTAAlgo))
+	lpcta, err := regionOf(SolveResult(ds, q, WithAlgorithm(LPCTAAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +73,7 @@ func TestSolveAlgorithmsAgree(t *testing.T) {
 	if math.Abs(me-ml) > 0.01 {
 		t.Fatalf("measures differ: E-PT %v vs LP-CTA %v", me, ml)
 	}
-	apc, err := Solve(ds, q, WithAlgorithm(APCAlgo), WithSamples(200), WithSeed(3))
+	apc, err := regionOf(SolveResult(ds, q, WithAlgorithm(APCAlgo), WithSamples(200), WithSeed(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +84,7 @@ func TestSolveAlgorithmsAgree(t *testing.T) {
 
 func TestSolveAutoDispatch(t *testing.T) {
 	ds2 := table3Dataset(t)
-	r2, err := Solve(ds2, Query{Q: Point{0.4, 0.7}, K: 1, Epsilon: 0.1})
+	r2, err := regionOf(SolveResult(ds2, Query{Q: Point{0.4, 0.7}, K: 1, Epsilon: 0.1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,20 +92,20 @@ func TestSolveAutoDispatch(t *testing.T) {
 		t.Fatalf("auto 2-d should sweep to one interval, got %v", got)
 	}
 	ds3 := SyntheticDataset(Independent, 30, 3, 2)
-	if _, err := Solve(ds3, Query{Q: ds3.RandomQuery(1), K: 2, Epsilon: 0.1}); err != nil {
+	if _, err := SolveResult(ds3, Query{Q: ds3.RandomQuery(1), K: 2, Epsilon: 0.1}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSolveErrors(t *testing.T) {
 	ds := table3Dataset(t)
-	if _, err := Solve(ds, Query{Q: Point{0.4, 0.7}, K: 0, Epsilon: 0.1}); err == nil {
+	if _, err := SolveResult(ds, Query{Q: Point{0.4, 0.7}, K: 0, Epsilon: 0.1}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := Solve(ds, Query{Q: Point{0.4, 0.7, 0.1}, K: 1, Epsilon: 0.1}); err == nil {
+	if _, err := SolveResult(ds, Query{Q: Point{0.4, 0.7, 0.1}, K: 1, Epsilon: 0.1}); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
-	if _, err := Solve(ds, Query{Q: Point{0.4, 0.7}, K: 1, Epsilon: 0.1}, WithAlgorithm(Algorithm(99))); err == nil {
+	if _, err := SolveResult(ds, Query{Q: Point{0.4, 0.7}, K: 1, Epsilon: 0.1}, WithAlgorithm(Algorithm(99))); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -113,7 +117,7 @@ func TestReverseTopKVersusRRQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rrq0, err := Solve(ds, Query{Q: q, K: 3, Epsilon: 0}, WithAlgorithm(EPTAlgo))
+	rrq0, err := regionOf(SolveResult(ds, Query{Q: q, K: 3, Epsilon: 0}, WithAlgorithm(EPTAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +125,7 @@ func TestReverseTopKVersusRRQ(t *testing.T) {
 		t.Fatal("reverse top-k must equal RRQ at ε=0")
 	}
 	// Relaxing ε grows the region.
-	rrq10, err := Solve(ds, Query{Q: q, K: 3, Epsilon: 0.1}, WithAlgorithm(EPTAlgo))
+	rrq10, err := regionOf(SolveResult(ds, Query{Q: q, K: 3, Epsilon: 0.1}, WithAlgorithm(EPTAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +146,7 @@ func TestRegretRatio(t *testing.T) {
 func TestRegionSampleAndMeasure(t *testing.T) {
 	ds := SyntheticDataset(Independent, 60, 3, 9)
 	q := Query{Q: ds.RandomQuery(3), K: 5, Epsilon: 0.15}
-	region, err := Solve(ds, q)
+	region, err := regionOf(SolveResult(ds, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +165,7 @@ func TestRegionSampleAndMeasure(t *testing.T) {
 func TestKSkybandPreprocessingPreservesAnswers(t *testing.T) {
 	ds := SyntheticDataset(Independent, 300, 3, 11)
 	q := Query{Q: ds.RandomQuery(5), K: 3, Epsilon: 0.1}
-	full, err := Solve(ds, q, WithAlgorithm(EPTAlgo))
+	full, err := regionOf(SolveResult(ds, q, WithAlgorithm(EPTAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +173,7 @@ func TestKSkybandPreprocessingPreservesAnswers(t *testing.T) {
 	if pruned.Len() >= ds.Len() {
 		t.Fatalf("skyband did not prune: %d of %d", pruned.Len(), ds.Len())
 	}
-	reduced, err := Solve(pruned, q, WithAlgorithm(EPTAlgo))
+	reduced, err := regionOf(SolveResult(pruned, q, WithAlgorithm(EPTAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +196,7 @@ func TestPBAIndexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Solve(ds, q, WithAlgorithm(EPTAlgo))
+	want, err := regionOf(SolveResult(ds, q, WithAlgorithm(EPTAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +290,7 @@ func TestDynamicRegionAPI(t *testing.T) {
 		t.Fatalf("Len = %d, want 3", dyn.Len())
 	}
 	// The maintained region matches a fresh solve at all times.
-	fresh, err := Solve(ds, q, WithAlgorithm(EPTAlgo))
+	fresh, err := regionOf(SolveResult(ds, q, WithAlgorithm(EPTAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +316,7 @@ func TestShareProfilePublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The curve must agree with a direct solve at ε = 0.1.
-	reg, err := Solve(ds, Query{Q: q, K: 5, Epsilon: 0.1}, WithAlgorithm(EPTAlgo))
+	reg, err := regionOf(SolveResult(ds, Query{Q: q, K: 5, Epsilon: 0.1}, WithAlgorithm(EPTAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +332,7 @@ func TestShareProfilePublicAPI(t *testing.T) {
 // state; regions are immutable). Run with -race.
 func TestConcurrentSolves(t *testing.T) {
 	ds := SyntheticDataset(Independent, 150, 3, 41)
-	region, err := Solve(ds, Query{Q: ds.RandomQuery(1), K: 3, Epsilon: 0.1})
+	region, err := regionOf(SolveResult(ds, Query{Q: ds.RandomQuery(1), K: 3, Epsilon: 0.1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +341,7 @@ func TestConcurrentSolves(t *testing.T) {
 		w := w
 		go func() {
 			q := Query{Q: ds.RandomQuery(int64(w)), K: 2 + w%3, Epsilon: 0.05 * float64(1+w%3)}
-			r, err := Solve(ds, q)
+			r, err := regionOf(SolveResult(ds, q))
 			if err != nil {
 				done <- err
 				return
@@ -373,7 +377,7 @@ func TestRegretMinimizingSet(t *testing.T) {
 	// non-trivial reverse-regret region of its own.
 	market := ds.KSkyband(1)
 	_ = market
-	region, err := Solve(ds, Query{Q: ds.PointAt(sel[0]), K: 1, Epsilon: math.Min(0.9, mrr+0.05)})
+	region, err := regionOf(SolveResult(ds, Query{Q: ds.PointAt(sel[0]), K: 1, Epsilon: math.Min(0.9, mrr+0.05)}))
 	if err != nil {
 		t.Fatal(err)
 	}
