@@ -139,7 +139,7 @@ type BatchResult struct {
 	// Query.Key) of an earlier one in the batch: the result is a copy of
 	// that single solve (regions are immutable and safely shared), Stats
 	// describe the shared solve, and Elapsed is zero — no work ran for this
-	// slot. See WithBatchSharing.
+	// slot.
 	Dedup bool
 }
 
@@ -175,10 +175,10 @@ type BatchReport struct {
 // ≤ 0 means GOMAXPROCS). WithIntraQueryWorkers additionally parallelizes
 // the inside of each solve; the two multiply, so keep workers × intra near
 // GOMAXPROCS. Results arrive in query order regardless of scheduling.
-// Unless WithBatchSharing(false) was set, the batch amortizes work across
-// its queries — duplicate collapse, one shared skyband pass, per-(point, ε)
-// plane groups, clustered dispatch and per-worker scratch arenas — with
-// answers byte-identical to independent solves. When ctx is canceled mid-batch, in-flight solves abort at
+// The batch amortizes work across its queries — duplicate collapse, one
+// shared skyband pass, per-(point, ε) plane groups, clustered dispatch and
+// per-worker scratch arenas — with answers byte-identical to independent
+// solves. When ctx is canceled mid-batch, in-flight solves abort at
 // their next amortized check (a deadline surfaces as ErrDeadline,
 // cancellation as ctx.Err()) and queries not yet started report ctx.Err()
 // without running.
@@ -222,13 +222,8 @@ func (p *Prepared) SolveBatch(ctx context.Context, queries []Query) *BatchReport
 	for i, q := range queries {
 		cqs[i] = q.toCore()
 	}
-	share := !p.cfg.noBatchShare
 	start := time.Now()
-	outs := core.SolveBatchOptions(ctx, p.pol, p.prep, cqs, core.BatchOptions{
-		Workers: p.cfg.workers,
-		Share:   share,
-		Dedup:   share,
-	})
+	outs := core.SolveBatchPolicy(ctx, p.pol, p.prep, cqs, p.cfg.workers)
 	rep := &BatchReport{
 		Results: make([]BatchResult, len(outs)),
 		Elapsed: time.Since(start),

@@ -909,7 +909,7 @@ func runMatrixCell(ds *rrq.Dataset, queries []rrq.Query, sc matrixScenario, cpus
 	ctx := context.Background()
 	opts := []rrq.Option{
 		rrq.WithAlgorithm(rrq.EPTAlgo), rrq.WithSkybandPrefilter(true),
-		rrq.WithWorkers(cpus), rrq.WithSeed(seed), rrq.WithBatchSharing(shared),
+		rrq.WithWorkers(cpus), rrq.WithSeed(seed),
 	}
 	var deduped int
 	runOnce := func() error {

@@ -98,9 +98,10 @@ type IndexStats struct {
 	Version uint64
 	Points  int
 	Dim     int
-	// PlaneHits/PlaneMisses count shared-plane-storage traffic over the
-	// index's lifetime; PlaneSets and SkybandViews are the current
-	// snapshot's memoized plane sets and k-band views.
+	// PlaneHits/PlaneMisses count plane-store traffic over the index's
+	// lifetime (a hit is a plane set served without classification);
+	// PlaneSets and SkybandViews are the current snapshot's (point, ε)
+	// plane groups and memoized k-band views.
 	PlaneHits    int64
 	PlaneMisses  int64
 	PlaneSets    int
@@ -195,7 +196,7 @@ func (ix *Index) preparedOn(snap *index.Snapshot, cfg config) (*Prepared, error)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{prep: snap.Prepared(cfg.metrics), pol: pol, cfg: cfg, dim: ix.dim}, nil
+	return &Prepared{prep: snap.Prepared(), pol: pol, cfg: cfg, dim: ix.dim}, nil
 }
 
 // Solve answers one query on the current snapshot — the plain form of

@@ -80,6 +80,48 @@ func TestSweepIntervalsZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDeriveIntoArenaZeroAlloc pins the plane store's narrowing path: a
+// query below its group's rank derives its set — store lookup, count filter
+// and ID renumbering — into a warm arena without allocating, and the
+// derived set equals a fresh BuildPlanes over the query's own band.
+func TestDeriveIntoArenaZeroAlloc(t *testing.T) {
+	for d := 2; d <= 4; d++ {
+		rng := rand.New(rand.NewSource(int64(d) * 37))
+		pts, q := randomInstance(rng, 200, d)
+		prep, err := Prepare(pts, d, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := newPlaneStore(prep.bands, nil)
+		wide := q
+		wide.K = 8
+		store.planes(prep.PointsFor(wide.K), wide, nil, nil) // build the group at rank 8
+		q.K = 3
+		band := prep.PointsFor(q.K)
+		a := &Arena{}
+		got := store.planes(band, q, a, nil)
+		want := BuildPlanes(band, q)
+		if len(want.Crossing) == 0 {
+			t.Fatalf("d=%d: instance produced no crossing planes; test is vacuous", d)
+		}
+		if got.Base != want.Base || len(got.Crossing) != len(want.Crossing) {
+			t.Fatalf("d=%d: derived base=%d planes=%d, want base=%d planes=%d",
+				d, got.Base, len(got.Crossing), want.Base, len(want.Crossing))
+		}
+		for i, h := range want.Crossing {
+			if g := got.Crossing[i]; g.ID != h.ID || !g.Normal.Equal(h.Normal, 0) {
+				t.Fatalf("d=%d: derived plane %d = (%d, %v), want (%d, %v)", d, i, g.ID, g.Normal, h.ID, h.Normal)
+			}
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			store.planes(band, q, a, nil)
+		})
+		if allocs != 0 {
+			t.Errorf("d=%d: narrowing into a warm arena allocates %.1f per run, want 0", d, allocs)
+		}
+	}
+}
+
 // benchBatch measures one full cold batch — Prepare plus all solves, the
 // one-shot SolveBatch workload — over a query set with the structure the
 // sharing layer targets: a few query points, each asked at a range of
@@ -100,7 +142,6 @@ func benchBatch(b *testing.B, share bool) {
 	}
 	queries = append(queries, queries[0], queries[9], queries[17], queries[25])
 	pol := SolvePolicy{Solver: EPTSolver{}}
-	opt := BatchOptions{Workers: 1, Share: true, Dedup: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -109,7 +150,7 @@ func benchBatch(b *testing.B, share bool) {
 			b.Fatal(err)
 		}
 		if share {
-			outs := SolveBatchOptions(context.Background(), pol, prep, queries, opt)
+			outs := SolveBatchPolicy(context.Background(), pol, prep, queries, 1)
 			for j := range outs {
 				if outs[j].Err != nil {
 					b.Fatal(outs[j].Err)

@@ -23,7 +23,8 @@ import (
 // may retain). Buffers grow geometrically through append and keep their
 // capacity between solves.
 type Arena struct {
-	// Plane construction (buildPlanesArena).
+	// Plane construction (buildPlanesArena) and plane-store narrowing
+	// (planeGroup.narrow).
 	normals []float64         // flat unit-normal backing, stride d
 	planes  []geom.Hyperplane // crossing-plane headers
 
@@ -44,14 +45,6 @@ type Arena struct {
 	events []sweepEvent
 	ivs    [][2]float64
 	merged [][2]float64
-
-	// share, when non-nil, is the current batch's sharing view: solvers on
-	// this worker derive their plane sets from it (into this arena) instead
-	// of building them. group is the current query's precomputed plane group
-	// (nil past the group cap), assigned by the dispatcher before each
-	// solve. Both are cleared on putArena.
-	share *shareView
-	group *planeGroup
 }
 
 // growF64 returns buf resized to n, reallocating only when the capacity is
@@ -98,12 +91,7 @@ var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
 
 func getArena() *Arena { return arenaPool.Get().(*Arena) }
 
-func putArena(a *Arena) {
-	// Never leak a batch's sharing state into the next batch.
-	a.share = nil
-	a.group = nil
-	arenaPool.Put(a)
-}
+func putArena(a *Arena) { arenaPool.Put(a) }
 
 // arenaKey is the private context key carrying a worker's arena.
 type arenaKey struct{}
@@ -169,18 +157,11 @@ func buildPlanesArena(pts []vec.Vec, q Query, a *Arena) PlaneSet {
 	return PlaneSet{Crossing: planes, Base: base}
 }
 
-// planesForArena resolves the plane set like planesFor, preferring the
-// batch sharing view riding on the arena (which derives into the arena),
-// then shared storage, then the worker arena, then a fresh build.
-func planesForArena(src PlaneSource, pts []vec.Vec, q Query, a *Arena) PlaneSet {
-	if a != nil && a.share != nil {
-		return a.share.planesArena(pts, q, a)
+// buildPlanesInto builds the plane set into the worker arena when there is
+// one, else with BuildPlanes.
+func buildPlanesInto(pts []vec.Vec, q Query, a *Arena) PlaneSet {
+	if a == nil {
+		return BuildPlanes(pts, q)
 	}
-	if src != nil {
-		return src(pts, q)
-	}
-	if a != nil {
-		return buildPlanesArena(pts, q, a)
-	}
-	return BuildPlanes(pts, q)
+	return buildPlanesArena(pts, q, a)
 }

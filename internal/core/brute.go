@@ -31,9 +31,9 @@ func BruteForce2DContext(ctx context.Context, pts []vec.Vec, q Query) (*Region, 
 }
 
 // brute2DSolve is the 2-d enumeration body shared by the validated entry
-// points; src, when non-nil, serves the (read-only) classified plane set
+// points; store, when non-nil, serves the (read-only) classified plane set
 // from shared storage.
-func brute2DSolve(ctx context.Context, pts []vec.Vec, q Query, src PlaneSource) (*Region, Stats, error) {
+func brute2DSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore) (*Region, Stats, error) {
 	var st Stats
 	if q.Q.Dim() != 2 {
 		return nil, st, fmt.Errorf("core: BruteForce2D requires d = 2, got %d", q.Q.Dim())
@@ -43,7 +43,7 @@ func brute2DSolve(ctx context.Context, pts []vec.Vec, q Query, src PlaneSource) 
 	if check.Failed() {
 		return nil, st, check.Err()
 	}
-	ps := planesFor(src, pts, q)
+	ps := store.planes(pts, q, nil, check.reg)
 	st.PlanesBuilt = len(ps.Crossing)
 	check.Emit(obs.EvPlaneBuilt, st.PlanesBuilt)
 	k := ps.KEff(q.K)
@@ -109,9 +109,9 @@ func BruteForceNDContext(ctx context.Context, pts []vec.Vec, q Query, maxPlanes 
 }
 
 // bruteNDSolve is the arrangement-materializing body shared by the
-// validated entry points; src, when non-nil, serves the (read-only)
+// validated entry points; store, when non-nil, serves the (read-only)
 // classified plane set from shared storage.
-func bruteNDSolve(ctx context.Context, pts []vec.Vec, q Query, maxPlanes int, src PlaneSource) (*Region, Stats, error) {
+func bruteNDSolve(ctx context.Context, pts []vec.Vec, q Query, maxPlanes int, store *planeStore) (*Region, Stats, error) {
 	var st Stats
 	d := q.Q.Dim()
 	check := NewCtxChecker(ctx, 0xff)
@@ -119,7 +119,7 @@ func bruteNDSolve(ctx context.Context, pts []vec.Vec, q Query, maxPlanes int, sr
 	if check.Failed() {
 		return nil, st, check.Err()
 	}
-	ps := planesFor(src, pts, q)
+	ps := store.planes(pts, q, nil, check.reg)
 	st.PlanesBuilt = len(ps.Crossing)
 	check.Emit(obs.EvPlaneBuilt, st.PlanesBuilt)
 	if len(ps.Crossing) > maxPlanes {

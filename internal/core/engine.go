@@ -11,7 +11,6 @@ import (
 
 	"rrq/internal/faultinject"
 	"rrq/internal/obs"
-	"rrq/internal/skyband"
 	"rrq/internal/vec"
 )
 
@@ -205,26 +204,17 @@ func (st *Stats) Add(other Stats) {
 
 // Prepared captures the per-dataset work that every solver used to repeat
 // on each call: dimension validation and, when enabled, the k-skyband
-// prefilter, cached per k so that a batch of queries sharing a rank
-// parameter computes it once. A Prepared is safe for concurrent use.
+// prefilter, whose bands are memoized from one dominator-count vector so
+// queries of any rank share it. A Prepared is safe for concurrent use.
 //
-// A Prepared built by PrepareIndexed instead delegates both the prefilter
-// and plane construction to an index snapshot: PointsFor serves the
-// snapshot's incrementally maintained k-skyband, and solvers draw their
-// classified plane sets from the snapshot's deduplicated storage rather
-// than rebuilding them per call.
+// A Prepared may also own a plane store that serves classified plane sets
+// across queries: an index snapshot's Prepared (PrepareCounted) keeps one
+// for the snapshot's lifetime, and SolveBatch gives a store-less Prepared an
+// ephemeral one for the batch. Prepare alone builds planes per solve.
 type Prepared struct {
-	pts     []vec.Vec
-	dim     int
-	skyband bool
-
-	pointsFor func(k int) []vec.Vec // optional index-backed prefilter
-	planes    PlaneSource           // optional shared plane storage
-
-	mu      sync.Mutex
-	bands   map[int][]vec.Vec
-	counts  []int // capped dominator counts at countsK (batch sharing)
-	countsK int
+	dim   int
+	bands *bandSet
+	store *planeStore
 }
 
 // Prepare validates pts against dim once — dimension, finiteness and the
@@ -247,50 +237,53 @@ func Prepare(pts []vec.Vec, dim int, skybandPrefilter bool) (*Prepared, error) {
 			return nil, de
 		}
 	}
-	return &Prepared{pts: pts, dim: dim, skyband: skybandPrefilter}, nil
+	return &Prepared{dim: dim, bands: newBandSet(pts, skybandPrefilter)}, nil
 }
 
-// PrepareIndexed wraps an index snapshot's point storage as a Prepared
-// without re-validating: the snapshot validated every point when it was
-// built or mutated. pointsFor (non-nil) serves the snapshot's maintained
-// k-skyband; planes (may be nil) serves classified plane sets from the
-// snapshot's shared storage. Both must be safe for concurrent use, and the
-// plane sets they return are treated as read-only by every solver.
-func PrepareIndexed(pts []vec.Vec, dim int, pointsFor func(k int) []vec.Vec, planes PlaneSource) *Prepared {
-	return &Prepared{pts: pts, dim: dim, pointsFor: pointsFor, planes: planes}
+// PrepareCounted wraps an index snapshot's points as a prefiltered Prepared
+// without re-validating (the snapshot validated every point when it was
+// built or mutated). dom holds each point's exact dominator count, so every
+// k-band is one comparison per point and never recomputed. The Prepared
+// owns a plane store for its lifetime whose traffic is tallied in tally and
+// reported to the context's registry as index.planes.hit / .miss.
+func PrepareCounted(pts []vec.Vec, dim int, dom []int, tally *PlaneCounters) *Prepared {
+	bands := newBandSet(pts, true)
+	bands.counts, bands.countsK = dom, math.MaxInt
+	return &Prepared{dim: dim, bands: bands, store: newPlaneStore(bands, tally)}
 }
 
 // Dim returns the validated dataset dimension.
 func (p *Prepared) Dim() int { return p.dim }
 
 // Len returns the full dataset size.
-func (p *Prepared) Len() int { return len(p.pts) }
+func (p *Prepared) Len() int { return len(p.bands.all.pts) }
 
 // Points returns the full validated point set (not copied; callers must
 // not mutate).
-func (p *Prepared) Points() []vec.Vec { return p.pts }
+func (p *Prepared) Points() []vec.Vec { return p.bands.all.pts }
 
 // PointsFor returns the point set a solver should run on for rank k: the
-// index-maintained k-skyband for an indexed Prepared, the cached k-skyband
-// when prefiltering is enabled, the full set otherwise.
+// memoized k-skyband when prefiltering is enabled, the full set otherwise.
 func (p *Prepared) PointsFor(k int) []vec.Vec {
-	if p.pointsFor != nil {
-		return p.pointsFor(k)
+	return p.bands.get(p.bands.rank(k)).pts
+}
+
+// BandViews returns the number of memoized k-bands.
+func (p *Prepared) BandViews() int {
+	p.bands.mu.Lock()
+	defer p.bands.mu.Unlock()
+	return len(p.bands.memo)
+}
+
+// PlaneGroups returns the number of (point, ε) groups in the Prepared's
+// plane store (0 without one).
+func (p *Prepared) PlaneGroups() int {
+	if p.store == nil {
+		return 0
 	}
-	if !p.skyband || k < 1 {
-		return p.pts
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if b, ok := p.bands[k]; ok {
-		return b
-	}
-	if p.bands == nil {
-		p.bands = make(map[int][]vec.Vec)
-	}
-	b := skyband.Select(p.pts, skyband.KSkyband(p.pts, k))
-	p.bands[k] = b
-	return b
+	p.store.mu.Lock()
+	defer p.store.mu.Unlock()
+	return len(p.store.groups)
 }
 
 // Solver is the uniform solving contract every algorithm implements:
@@ -331,7 +324,7 @@ func (SweepingSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*Regi
 	if err := validatePrepared(q, prep.dim); err != nil {
 		return nil, Stats{}, err
 	}
-	return sweepSolve(ctx, prep.PointsFor(q.K), q, prep.planes)
+	return sweepSolve(ctx, prep.PointsFor(q.K), q, prep.store)
 }
 
 // EPTSolver answers queries exactly with the partition tree (§5.1).
@@ -345,7 +338,7 @@ func (s EPTSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*Region,
 	if err := validatePrepared(q, prep.dim); err != nil {
 		return nil, Stats{}, err
 	}
-	return eptSolve(ctx, prep.PointsFor(q.K), q, s.Opt, prep.planes)
+	return eptSolve(ctx, prep.PointsFor(q.K), q, s.Opt, prep.store)
 }
 
 // APCSolver answers queries approximately by progressive construction
@@ -376,13 +369,13 @@ func (s BruteForceSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*
 	}
 	pts := prep.PointsFor(q.K)
 	if prep.Dim() == 2 {
-		return brute2DSolve(ctx, pts, q, prep.planes)
+		return brute2DSolve(ctx, pts, q, prep.store)
 	}
 	maxPlanes := s.MaxPlanes
 	if maxPlanes <= 0 {
 		maxPlanes = 64
 	}
-	return bruteNDSolve(ctx, pts, q, maxPlanes, prep.planes)
+	return bruteNDSolve(ctx, pts, q, maxPlanes, prep.store)
 }
 
 // BatchOutcome is one query's result within a batch: the answer, the work
@@ -403,22 +396,6 @@ type BatchOutcome struct {
 	Dedup   bool
 }
 
-// BatchOptions tunes how SolveBatchOptions dispatches a batch.
-type BatchOptions struct {
-	// Workers bounds the worker pool; ≤ 0 uses GOMAXPROCS.
-	Workers int
-	// Share enables batch-scoped cross-query sharing: one capped skyband
-	// computation at the batch's maximum k serves every query's prefilter,
-	// classified plane sets are built once per (query point, ε) group and
-	// narrowed per k, and the dispatch order clusters queries on shared
-	// state. Answers are byte-identical to independent solves.
-	Share bool
-	// Dedup collapses exact-duplicate queries (equal Query.Key()) into one
-	// solve whose outcome is fanned out to every duplicate slot, marked
-	// with BatchOutcome.Dedup.
-	Dedup bool
-}
-
 // SolveBatch answers queries over one shared Prepared with a bounded
 // worker pool — SolveBatchPolicy with a bare policy (no per-query
 // limits). Panic isolation still applies: a solver panic
@@ -430,47 +407,41 @@ func SolveBatch(ctx context.Context, s Solver, prep *Prepared, queries []Query, 
 // SolveBatchPolicy answers queries over one shared Prepared with a bounded
 // worker pool, each query guarded by the policy: panics are isolated into
 // per-query *SolveError values, and per-query timeouts and work budgets
-// apply to each query separately. Results are
-// returned in query order regardless of worker count and scheduling;
-// errors are isolated per query. When ctx is canceled mid-batch, queries
+// apply to each query separately. When ctx is canceled mid-batch, queries
 // not yet started report ctx.Err() (e.g. context.Canceled) while in-flight
 // solves abort at their next amortized check. workers ≤ 0 uses GOMAXPROCS.
-func SolveBatchPolicy(ctx context.Context, pol SolvePolicy, prep *Prepared, queries []Query, workers int) []BatchOutcome {
-	return SolveBatchOptions(ctx, pol, prep, queries, BatchOptions{Workers: workers})
-}
-
-// SolveBatchOptions is SolveBatchPolicy with batch-level optimizations
-// under explicit control: exact-duplicate collapse (opt.Dedup), batch-
-// scoped cross-query sharing with clustered dispatch (opt.Share), and a
-// per-worker scratch arena that makes repeated solves on one worker
-// allocation-free in their plane phases. Results are returned in input
+//
+// The batch shares work across its queries: exact duplicates (equal
+// Query.Key()) solve once and fan out to every slot, marked with
+// BatchOutcome.Dedup; every (point, ε) group draws its planes from one
+// plane store — the Prepared's own, or an ephemeral one for the batch —
+// classified once at the group's largest k; the dispatch order clusters
+// queries on shared state; and each worker reuses a scratch arena that
+// makes its plane phases allocation-free. Results are returned in input
 // order regardless of worker count, clustering or deduplication, and are
-// byte-identical to what independent per-query solves would produce.
-func SolveBatchOptions(ctx context.Context, pol SolvePolicy, prep *Prepared, queries []Query, opt BatchOptions) []BatchOutcome {
+// byte-identical to independent per-query solves.
+func SolveBatchPolicy(ctx context.Context, pol SolvePolicy, prep *Prepared, queries []Query, workers int) []BatchOutcome {
 	out := make([]BatchOutcome, len(queries))
 	if len(queries) == 0 {
 		return out
 	}
-	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-
-	// One PointKey per query, computed once and reused by deduplication,
-	// sharing-group assignment and clustering.
-	var keys []string
-	if (opt.Dedup || opt.Share) && len(queries) > 1 {
-		keys = make([]string, len(queries))
-		for i, q := range queries {
-			keys[i] = q.PointKey()
-		}
 	}
 
 	// Deduplicate: one representative slot per distinct query identity; the
 	// other slots receive a copy of its outcome after the solves.
 	order := make([]int, 0, len(queries))
 	var dupOf []int
-	if opt.Dedup && len(queries) > 1 {
+	if len(queries) == 1 {
+		order = append(order, 0)
+	} else {
+		// One PointKey per query, reused by deduplication, group reservation
+		// and clustering.
+		keys := make([]string, len(queries))
+		for i, q := range queries {
+			keys[i] = q.PointKey()
+		}
 		type qID struct {
 			point string
 			k     int
@@ -488,16 +459,7 @@ func SolveBatchOptions(ctx context.Context, pol SolvePolicy, prep *Prepared, que
 				order = append(order, i)
 			}
 		}
-	} else {
-		for i := range queries {
-			order = append(order, i)
-		}
-	}
-
-	solvePrep := prep
-	var view *shareView
-	if opt.Share && len(queries) > 1 {
-		solvePrep, view = prep.shareFor(queries, keys)
+		prep = prep.forBatch(queries, keys)
 		clusterOrder(order, queries, keys)
 	}
 	if workers > len(order) {
@@ -511,16 +473,12 @@ func SolveBatchOptions(ctx context.Context, pol SolvePolicy, prep *Prepared, que
 			out[i].Err = MapContextErr(err)
 			return
 		}
-		if view != nil {
-			a.group = view.groupOf[i]
-		}
 		start := time.Now()
-		out[i].Region, out[i].Stats, out[i].Err = pol.Solve(sctx, solvePrep, queries[i], i)
+		out[i].Region, out[i].Stats, out[i].Err = pol.Solve(sctx, prep, queries[i], i)
 		out[i].Elapsed = time.Since(start)
 	}
 	if workers == 1 {
 		a := getArena()
-		a.share = view
 		actx := contextWithArena(ctx, a)
 		for _, i := range order {
 			solveOne(actx, a, i)
@@ -535,7 +493,6 @@ func SolveBatchOptions(ctx context.Context, pol SolvePolicy, prep *Prepared, que
 				defer wg.Done()
 				a := getArena()
 				defer putArena(a)
-				a.share = view
 				actx := contextWithArena(ctx, a)
 				for i := range idx {
 					solveOne(actx, a, i)
@@ -559,4 +516,36 @@ func SolveBatchOptions(ctx context.Context, pol SolvePolicy, prep *Prepared, que
 		}
 	}
 	return out
+}
+
+// forBatch returns the Prepared a batch solves on — p itself when it owns a
+// plane store, else a view sharing p's bands with an ephemeral store — after
+// reserving every (point, ε) group of the batch at its largest band rank,
+// so each group is classified once however its queries are ordered.
+func (p *Prepared) forBatch(queries []Query, keys []string) *Prepared {
+	bp := p
+	if p.store == nil {
+		bp = &Prepared{dim: p.dim, bands: p.bands, store: newPlaneStore(p.bands, nil)}
+	}
+	type groupID struct {
+		point string
+		eps   uint64
+	}
+	kmax := make(map[groupID]int)
+	for i, q := range queries {
+		id := groupID{point: keys[i], eps: math.Float64bits(q.Eps)}
+		kmax[id] = max(kmax[id], q.K)
+	}
+	// Reserve in query order (each group at its first query), so which
+	// groups fit under the store's cap is deterministic.
+	for i, q := range queries {
+		id := groupID{point: keys[i], eps: math.Float64bits(q.Eps)}
+		if k, ok := kmax[id]; ok {
+			if k >= 1 {
+				bp.store.group(q, bp.bands.rank(k))
+			}
+			delete(kmax, id)
+		}
+	}
+	return bp
 }

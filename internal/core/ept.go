@@ -74,11 +74,11 @@ func EPTContext(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions) (*R
 	return eptSolve(ctx, pts, q, opt, nil)
 }
 
-// eptSolve is the E-PT body shared by the validated entry points. src, when
-// non-nil, serves the classified plane set from shared (index-owned)
-// storage; the set is then treated as read-only — any path that would
-// reorder or repack it copies the slice first.
-func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, src PlaneSource) (*Region, Stats, error) {
+// eptSolve is the E-PT body shared by the validated entry points. store,
+// when non-nil, serves the classified plane set from shared storage; the
+// set is then treated as read-only — any path that would reorder or repack
+// it copies the slice first.
+func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, store *planeStore) (*Region, Stats, error) {
 	var st Stats
 	d := q.Q.Dim()
 	check := NewCtxChecker(ctx, 0xfff)
@@ -89,7 +89,7 @@ func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, src P
 	a := arenaFrom(ctx)
 	planePhase := check.Phase("phase.ept.planes")
 	defer planePhase()
-	ps := planesForArena(src, pts, q, a)
+	ps := store.planes(pts, q, a, check.reg)
 	st.PlanesBuilt = len(ps.Crossing)
 	check.Emit(obs.EvPlaneBuilt, st.PlanesBuilt)
 	k := ps.KEff(q.K)
@@ -102,7 +102,7 @@ func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, src P
 	planes := ps.Crossing
 	if !opt.NoReduction || !opt.NoOrdering {
 		planes = reduceAndOrderPlanesOpt(ps.Crossing, k, opt.NoReduction, opt.NoOrdering, a)
-	} else if src != nil {
+	} else if store != nil {
 		// Both ablations off the reduction path would pack the cached slice
 		// itself; shared plane storage is read-only, so copy the headers
 		// (PackNormals rebinds each entry's backing array, it does not write

@@ -1,0 +1,325 @@
+package core
+
+import (
+	"encoding/binary"
+	"math"
+	"sort"
+	"sync"
+	"sync/atomic"
+
+	"rrq/internal/geom"
+	"rrq/internal/obs"
+	"rrq/internal/skyband"
+	"rrq/internal/vec"
+)
+
+// bandSet is the skyband state of one dataset, shared by every Prepared
+// over it: per-point dominator counts and the k-bands they select. A point
+// is in the k-skyband iff its count is < k, so one count vector serves every
+// rank it is exact for, and selecting by that predicate in input order
+// reproduces skyband.Select(pts, skyband.KSkyband(pts, k)) exactly.
+type bandSet struct {
+	all *band // the whole dataset: rank 0, and every rank when on is false
+	on  bool  // the k-skyband prefilter is enabled
+
+	mu      sync.Mutex
+	counts  []int // dominator counts, exact below countsK
+	countsK int   // counts answer every rank ≤ countsK
+	memo    map[int]*band
+}
+
+// band is one memoized k-band: its points in input order and their
+// dominator counts (exact below the rank, which is all narrowing needs).
+type band struct {
+	pts []vec.Vec
+	cnt []int
+}
+
+func newBandSet(pts []vec.Vec, on bool) *bandSet {
+	return &bandSet{all: &band{pts: pts}, on: on}
+}
+
+// rank maps a query's k to the band rank its solver runs on: k itself with
+// the prefilter on, 0 (the whole dataset) otherwise.
+func (s *bandSet) rank(k int) int {
+	if !s.on || k < 1 {
+		return 0
+	}
+	return k
+}
+
+// get returns the band of rank r (see rank), memoized. Without exact counts
+// the capped counts of skyband.KSkybandCounts are computed at r and only
+// recomputed when a deeper rank arrives; counts at r′ ≥ r answer r.
+func (s *bandSet) get(r int) *band {
+	if r == 0 {
+		return s.all
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if b, ok := s.memo[r]; ok {
+		return b
+	}
+	if s.countsK < r {
+		s.counts = skyband.KSkybandCounts(s.all.pts, r)
+		s.countsK = r
+	}
+	m := 0
+	for _, c := range s.counts {
+		if c < r {
+			m++
+		}
+	}
+	b := &band{pts: make([]vec.Vec, 0, m), cnt: make([]int, 0, m)}
+	for i, c := range s.counts {
+		if c < r {
+			b.pts = append(b.pts, s.all.pts[i])
+			b.cnt = append(b.cnt, c)
+		}
+	}
+	if s.memo == nil {
+		s.memo = make(map[int]*band)
+	}
+	s.memo[r] = b
+	return b
+}
+
+// maxPlaneGroups bounds a plane store; queries whose group would exceed it
+// build their planes directly (the region is unaffected).
+const maxPlaneGroups = 1024
+
+// PlaneCounters tallies a plane store's traffic. A hit is a plane set served
+// without classification; a miss classified planes — building or rebuilding
+// a group, or a direct build past the store's cap.
+type PlaneCounters struct {
+	Hits, Misses atomic.Int64
+}
+
+// planeStore holds classified plane sets keyed by (query point bytes, ε
+// bits): classifying h_{q,p} depends only on q, ε and p, and k only selects
+// which band points take part, so one group classified over its widest band
+// answers every smaller k by filtering. An index snapshot keeps one store
+// for its lifetime; a plain-dataset batch gets an ephemeral one. Safe for
+// concurrent use; the served plane sets are read-only.
+type planeStore struct {
+	bands *bandSet
+	tally *PlaneCounters // nil: uncounted (batch-scoped)
+
+	mu     sync.Mutex
+	groups map[string]*planeGroup
+}
+
+func newPlaneStore(bands *bandSet, tally *PlaneCounters) *planeStore {
+	return &planeStore{bands: bands, tally: tally, groups: make(map[string]*planeGroup)}
+}
+
+// Per-point classification categories of a plane group, mirroring
+// BuildPlanes' three-way switch.
+const (
+	catDrop  uint8 = iota // normal ≥ 0: never counts, no plane
+	catBase               // normal ≤ 0: folded into PlaneSet.Base
+	catCross              // mixed signs: a crossing plane
+)
+
+// planeGroup is the classification of one (point, ε) over the band of rank
+// kmax. It is built once, by the first query that needs it, and immutable
+// afterwards; the band itself is the Prepared's memoized one, not a copy.
+type planeGroup struct {
+	kmax int
+
+	mu     sync.Mutex
+	ready  atomic.Bool
+	band   *band
+	cat    []uint8           // per band point
+	base   int               // catBase points in the band
+	planes []geom.Hyperplane // one per catCross point, ID = band position
+}
+
+// groupKey appends the store key of q — the bytes of its point, then of ε —
+// to dst.
+func groupKey(dst []byte, q Query) []byte {
+	for _, x := range q.Q {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+	}
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(q.Eps))
+}
+
+// planes returns q's classified plane set over pts, the band its rank
+// selects. A nil store builds the set directly, into the worker arena a
+// when there is one. A store serves it from q's group: at the group's rank
+// the group's own slice, uncopied; below it a count-filtered, renumbered
+// set (into a when there is one); above it the group is rebuilt at q's
+// rank. Counted stores report each lookup to their PlaneCounters and, when
+// reg is non-nil, to its index.planes.hit / index.planes.miss counters.
+func (s *planeStore) planes(pts []vec.Vec, q Query, a *Arena, reg *obs.Registry) PlaneSet {
+	if s == nil {
+		return buildPlanesInto(pts, q, a)
+	}
+	r := s.bands.rank(q.K)
+	g := s.group(q, r)
+	if g == nil {
+		s.count(false, reg)
+		return buildPlanesInto(pts, q, a)
+	}
+	hit := true
+	if !g.ready.Load() {
+		g.mu.Lock()
+		if !g.ready.Load() {
+			g.build(s.bands.get(g.kmax), q)
+			g.ready.Store(true)
+			hit = false
+		}
+		g.mu.Unlock()
+	}
+	s.count(hit, reg)
+	if r == g.kmax {
+		return PlaneSet{Crossing: g.planes, Base: g.base}
+	}
+	return g.narrow(r, a)
+}
+
+// group returns q's group if it covers rank r, else installs a fresh
+// (unbuilt) one at r; nil when the store is full and q has no group.
+func (s *planeStore) group(q Query, r int) *planeGroup {
+	var buf [128]byte
+	key := groupKey(buf[:0], q)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	g := s.groups[string(key)]
+	if g != nil && g.kmax >= r {
+		return g
+	}
+	if g == nil && len(s.groups) >= maxPlaneGroups {
+		return nil
+	}
+	g = &planeGroup{kmax: r}
+	s.groups[string(key)] = g
+	return g
+}
+
+func (s *planeStore) count(hit bool, reg *obs.Registry) {
+	if s.tally == nil {
+		return
+	}
+	name := "index.planes.miss"
+	if hit {
+		s.tally.Hits.Add(1)
+		name = "index.planes.hit"
+	} else {
+		s.tally.Misses.Add(1)
+	}
+	if reg != nil {
+		reg.Counter(name).Inc()
+	}
+}
+
+// build classifies every point of b exactly as BuildPlanes does, keeping the
+// per-point category and the crossing planes, whose unit normals share one
+// flat block (IDs are band positions).
+func (g *planeGroup) build(b *band, q Query) {
+	scale := 1 - q.Eps
+	d := q.Q.Dim()
+	g.band = b
+	g.cat = make([]uint8, len(b.pts))
+	crossings := 0
+	for j, pt := range b.pts {
+		neg, pos := false, false
+		for i := 0; i < d; i++ {
+			x := q.Q[i] - scale*pt[i]
+			if x > geom.Tol {
+				pos = true
+			} else if x < -geom.Tol {
+				neg = true
+			}
+		}
+		switch {
+		case !neg:
+			g.cat[j] = catDrop
+		case !pos:
+			g.cat[j] = catBase
+			g.base++
+		default:
+			g.cat[j] = catCross
+			crossings++
+		}
+	}
+
+	// Second pass: materialize the crossing planes into a block sized by the
+	// first pass, so the backing never moves under the plane headers.
+	flat := make([]float64, crossings*d)
+	g.planes = make([]geom.Hyperplane, 0, crossings)
+	for j, pt := range b.pts {
+		if g.cat[j] != catCross {
+			continue
+		}
+		ci := len(g.planes)
+		slot := vec.Vec(flat[ci*d : ci*d+d : ci*d+d])
+		for i := 0; i < d; i++ {
+			slot[i] = q.Q[i] - scale*pt[i]
+		}
+		g.planes = append(g.planes, geom.NewHyperplaneInto(slot, slot, j))
+	}
+}
+
+// narrow derives the plane set of rank k < kmax: walk the band in order,
+// keep the members of the k-band (count < k), and renumber crossing-plane
+// IDs to their position in that narrower band — exactly the IDs BuildPlanes
+// assigns over the k-band itself. The headers go into the worker arena when
+// there is one (valid until its next solve, like buildPlanesArena's output);
+// the normals alias the group's block, which every solver treats as
+// read-only.
+func (g *planeGroup) narrow(k int, a *Arena) PlaneSet {
+	var crossing []geom.Hyperplane
+	if a != nil {
+		crossing = a.planes[:0]
+	} else {
+		crossing = make([]geom.Hyperplane, 0, len(g.planes))
+	}
+	var ps PlaneSet
+	m := 0  // position within the narrowed band
+	ci := 0 // crossing-plane cursor over the group's band
+	for j, c := range g.band.cnt {
+		if c < k {
+			switch g.cat[j] {
+			case catBase:
+				ps.Base++
+			case catCross:
+				h := g.planes[ci]
+				h.ID = m
+				crossing = append(crossing, h)
+			}
+			m++
+		}
+		if g.cat[j] == catCross {
+			ci++
+		}
+	}
+	if a != nil {
+		a.planes = crossing
+	}
+	ps.Crossing = crossing
+	return ps
+}
+
+// clusterOrder sorts the batch's solve order so queries drawing on the same
+// plane group run adjacently — same point, then ε, then ascending k —
+// keeping the group's classification and the derived sets cache-warm on
+// whichever worker picks the next index. Ties keep submission order.
+// Results are still delivered in input order; only the dispatch order
+// changes.
+func clusterOrder(order []int, queries []Query, keys []string) {
+	if len(order) < 2 {
+		return
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		qa, qb := queries[order[a]], queries[order[b]]
+		if keys[order[a]] != keys[order[b]] {
+			return keys[order[a]] < keys[order[b]]
+		}
+		ea, eb := math.Float64bits(qa.Eps), math.Float64bits(qb.Eps)
+		if ea != eb {
+			return ea < eb
+		}
+		return qa.K < qb.K
+	})
+}

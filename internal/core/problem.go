@@ -33,8 +33,8 @@ type Query struct {
 
 // Key returns the canonical comparable form of the query: a compact byte
 // string that is equal exactly when (Q, K, Eps) are bit-for-bit equal. It is
-// the single key used wherever a query is hashed — the index's shared plane
-// storage, the result cache, the server's in-flight deduplication — so no
+// the single key used wherever a whole query is hashed — the result cache,
+// the server's in-flight deduplication, batch duplicate collapse — so no
 // layer re-derives its own ad-hoc encoding. The layout is fixed-width
 // little-endian (K, then Eps, then the coordinates of Q); queries of
 // different dimensions therefore have different lengths and never collide.
@@ -309,8 +309,7 @@ func QualifiedAt(pts []vec.Vec, q Query, u vec.Vec) bool {
 // PlaneSet is the preprocessed hyper-plane arrangement input shared by the
 // solvers. It is immutable once built: solvers that need to reorder or
 // repack the crossing planes copy the slice first, so one PlaneSet can be
-// cached by an index snapshot and served to any number of concurrent
-// queries.
+// held by a plane store and served to any number of concurrent queries.
 type PlaneSet struct {
 	Crossing []geom.Hyperplane // planes whose negative half-space cuts U properly
 	Base     int               // planes whose negative half-space covers all of U
@@ -319,21 +318,6 @@ type PlaneSet struct {
 // KEff returns the effective budget k − Base. When ≤ 0 the whole utility
 // space is disqualified.
 func (ps PlaneSet) KEff(k int) int { return k - ps.Base }
-
-// PlaneSource supplies the classified plane set for a query over pts. A
-// non-nil source on a Prepared replaces the per-call BuildPlanes, letting
-// an index snapshot deduplicate plane construction across queries; the
-// returned set must be treated as shared and read-only.
-type PlaneSource func(pts []vec.Vec, q Query) PlaneSet
-
-// planesFor resolves the plane set through src when present, else builds it
-// fresh.
-func planesFor(src PlaneSource, pts []vec.Vec, q Query) PlaneSet {
-	if src != nil {
-		return src(pts, q)
-	}
-	return BuildPlanes(pts, q)
-}
 
 // BuildPlanes constructs h_{q,p} for every p ∈ pts and classifies it:
 //

@@ -1,9 +1,9 @@
 package core
 
-// Tests for batch-scoped cross-query sharing: the shared skyband substrate,
-// per-(point, ε) plane groups and duplicate collapse must leave every
-// query's answer byte-identical to an independent solve, across worker
-// counts, solvers and prefilter settings.
+// Tests for cross-query sharing: the shared skyband bands, the per-(point, ε)
+// plane store and duplicate collapse must leave every query's answer
+// byte-identical to an independent solve, across worker counts, solvers and
+// prefilter settings.
 
 import (
 	"bytes"
@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rrq/internal/skyband"
 	"rrq/internal/vec"
 )
 
@@ -52,9 +53,9 @@ func regionBytes(t *testing.T, r *Region) []byte {
 }
 
 // TestBatchSharedByteIdentical is the sharing contract: for every solver,
-// dimension, prefilter setting and worker count, a batch solved with
-// Share+Dedup produces regions whose JSON encoding is byte-for-byte equal
-// to independent per-query solves on the same Prepared.
+// dimension, prefilter setting and worker count, a batch produces regions
+// whose JSON encoding is byte-for-byte equal to independent per-query
+// solves on the same Prepared.
 func TestBatchSharedByteIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -88,8 +89,7 @@ func TestBatchSharedByteIdentical(t *testing.T) {
 					want[i] = regionBytes(t, r)
 				}
 				for _, w := range []int{1, 2, 4} {
-					outs := SolveBatchOptions(context.Background(), SolvePolicy{Solver: tc.s}, prep, queries,
-						BatchOptions{Workers: w, Share: true, Dedup: true})
+					outs := SolveBatchPolicy(context.Background(), SolvePolicy{Solver: tc.s}, prep, queries, w)
 					for i, o := range outs {
 						if o.Err != nil {
 							t.Fatalf("workers=%d query %d: %v", w, i, o.Err)
@@ -122,8 +122,7 @@ func TestBatchDedupCollapse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 3} {
-		outs := SolveBatchOptions(context.Background(), SolvePolicy{Solver: EPTSolver{}}, prep, queries,
-			BatchOptions{Workers: w, Share: true, Dedup: true})
+		outs := SolveBatchPolicy(context.Background(), SolvePolicy{Solver: EPTSolver{}}, prep, queries, w)
 		rep := outs[0]
 		if rep.Dedup {
 			t.Fatalf("workers=%d: representative slot marked Dedup", w)
@@ -207,48 +206,42 @@ func TestClusterOrderProperties(t *testing.T) {
 	}
 }
 
-// TestShareViewBandsMatchPrepared verifies the shared skyband substrate:
-// the batch view's per-k bands (derived from one capped count at the
-// batch's maximum k) equal the Prepared's own cached per-k skybands, in
-// membership and order, and a k past the batch range falls back cleanly.
-func TestShareViewBandsMatchPrepared(t *testing.T) {
+// TestPreparedBandsMatchKSkyband verifies the one band mechanism: bands
+// selected from capped counts (plain Prepare, asked deepest-first and then
+// in mixed order) and from exact counts (PrepareCounted) equal
+// skyband.Select(pts, skyband.KSkyband(pts, k)) in membership and order.
+func TestPreparedBandsMatchKSkyband(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pts, _ := randomInstance(rng, 150, 3)
 	// Duplicate some points so ties and repeated coordinates are exercised.
 	pts = append(pts, pts[0].Clone(), pts[1].Clone(), pts[2].Clone())
-	prep, err := Prepare(pts, 3, true)
+	plain, err := Prepare(pts, 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := make([]Query, 6)
-	for i := range queries {
-		queries[i] = Query{Q: vec.RandSimplex(rng, 3).Scale(0.9), K: i + 1, Eps: 0.05}
-	}
-	qkeys := make([]string, len(queries))
-	for i := range qkeys {
-		qkeys[i] = queries[i].PointKey()
-	}
-	view, sv := prep.shareFor(queries, qkeys)
-	if view == prep || sv == nil {
-		t.Fatal("shareFor returned the base Prepared for a multi-query batch")
-	}
-	for k := 1; k <= 8; k++ { // 7, 8 are past the batch's kmax of 6
-		want := prep.PointsFor(k)
-		got := view.PointsFor(k)
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: band size %d, want %d", k, len(got), len(want))
-		}
-		for i := range want {
-			if !got[i].Equal(want[i], 0) {
-				t.Fatalf("k=%d: band[%d] = %v, want %v", k, i, got[i], want[i])
+	counted := PrepareCounted(pts, 3, skyband.DominatorCounts(pts), nil)
+	for _, k := range []int{6, 1, 3, 8, 2, 7, 4, 5} {
+		want := skyband.Select(pts, skyband.KSkyband(pts, k))
+		for name, prep := range map[string]*Prepared{"plain": plain, "counted": counted} {
+			got := prep.PointsFor(k)
+			if len(got) != len(want) {
+				t.Fatalf("%s k=%d: band size %d, want %d", name, k, len(got), len(want))
+			}
+			for i := range want {
+				if !got[i].Equal(want[i], 0) {
+					t.Fatalf("%s k=%d: band[%d] = %v, want %v", name, k, i, got[i], want[i])
+				}
 			}
 		}
 	}
+	if plain.BandViews() != 8 || counted.BandViews() != 8 {
+		t.Fatalf("band views plain=%d counted=%d, want 8 each", plain.BandViews(), counted.BandViews())
+	}
 }
 
-// TestCappedCountsCache pins the cross-batch count cache: counts computed
-// at a deeper rank serve shallower requests without recomputation (the
-// slice is reused), and a deeper request replaces them.
+// TestCappedCountsCache pins the count cache behind plain Prepare's bands:
+// counts computed at a deeper rank serve shallower bands without
+// recomputation (the slice is reused), and a deeper request replaces them.
 func TestCappedCountsCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts, _ := randomInstance(rng, 60, 3)
@@ -256,33 +249,61 @@ func TestCappedCountsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c4 := prep.cappedCounts(4)
-	c2 := prep.cappedCounts(2)
-	if &c4[0] != &c2[0] {
+	prep.PointsFor(4)
+	c4 := prep.bands.counts
+	prep.PointsFor(2)
+	if c2 := prep.bands.counts; &c4[0] != &c2[0] {
 		t.Error("shallower rank recomputed cached counts")
 	}
-	c6 := prep.cappedCounts(6)
-	for i, c := range c6 {
+	prep.PointsFor(6)
+	if prep.bands.countsK != 6 {
+		t.Fatalf("counts rank %d after k=6, want 6", prep.bands.countsK)
+	}
+	for i, c := range prep.bands.counts {
 		if c > 6 {
 			t.Fatalf("count[%d] = %d exceeds cap 6", i, c)
 		}
 	}
 }
 
-// TestShareForPassThrough pins the cases where sharing must not interpose:
-// single-query batches and index-backed Prepareds keep their own paths.
-func TestShareForPassThrough(t *testing.T) {
+// TestBatchPlaneStoreLifetimes pins who owns the plane store: a batch over a
+// plain Prepare runs on an ephemeral store and leaves the Prepared
+// store-less (plain solves build planes per call) while sharing its bands;
+// a batch over a counted Prepared fills that Prepared's own store, one
+// group per (point, ε).
+func TestBatchPlaneStoreLifetimes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts, q := randomInstance(rng, 30, 3)
-	prep, err := Prepare(pts, 3, false)
+	q2 := q
+	q2.K = q.K + 2
+	q3 := q
+	q3.Eps = q.Eps / 2
+	queries := []Query{q, q2, q3, q}
+	pol := SolvePolicy{Solver: EPTSolver{}}
+
+	plain, err := Prepare(pts, 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, sv := prep.shareFor([]Query{q}, []string{q.PointKey()}); got != prep || sv != nil {
-		t.Error("single-query batch built a share view")
+	for _, o := range SolveBatchPolicy(context.Background(), pol, plain, queries, 2) {
+		if o.Err != nil {
+			t.Fatal(o.Err)
+		}
 	}
-	indexed := PrepareIndexed(pts, 3, func(k int) []vec.Vec { return pts }, nil)
-	if got, sv := indexed.shareFor([]Query{q, q}, []string{q.PointKey(), q.PointKey()}); got != indexed || sv != nil {
-		t.Error("index-backed Prepared was wrapped by a share view")
+	if plain.store != nil || plain.PlaneGroups() != 0 {
+		t.Error("a batch left a plane store on a plain Prepared")
+	}
+	if plain.BandViews() == 0 {
+		t.Error("the batch's bands were not memoized on the Prepared")
+	}
+
+	counted := PrepareCounted(pts, 3, skyband.DominatorCounts(pts), nil)
+	for _, o := range SolveBatchPolicy(context.Background(), pol, counted, queries, 2) {
+		if o.Err != nil {
+			t.Fatal(o.Err)
+		}
+	}
+	if got := counted.PlaneGroups(); got != 2 {
+		t.Errorf("counted Prepared holds %d plane groups after the batch, want 2", got)
 	}
 }

@@ -44,11 +44,11 @@ type sweepEvent struct {
 	incl bool
 }
 
-// sweepSolve is the sweep body shared by the validated entry points; src,
+// sweepSolve is the sweep body shared by the validated entry points; store,
 // when non-nil, serves the (read-only) classified plane set from shared
 // storage. A worker arena riding on ctx supplies every scratch buffer, so
 // repeated solves on one batch worker allocate only the returned region.
-func sweepSolve(ctx context.Context, pts []vec.Vec, q Query, src PlaneSource) (*Region, Stats, error) {
+func sweepSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore) (*Region, Stats, error) {
 	var st Stats
 	if q.Q.Dim() != 2 {
 		return nil, st, fmt.Errorf("core: Sweeping requires d = 2, got %d", q.Q.Dim())
@@ -61,7 +61,7 @@ func sweepSolve(ctx context.Context, pts []vec.Vec, q Query, src PlaneSource) (*
 	a := arenaFrom(ctx)
 	planePhase := check.Phase("phase.sweep.planes")
 	defer planePhase()
-	ps := planesForArena(src, pts, q, a)
+	ps := store.planes(pts, q, a, check.reg)
 	planePhase()
 	st.PlanesBuilt = len(ps.Crossing)
 	check.Emit(obs.EvPlaneBuilt, st.PlanesBuilt)

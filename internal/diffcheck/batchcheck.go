@@ -1,14 +1,15 @@
 package diffcheck
 
 // Batch-sharing differential harness: the batch engine's cross-query
-// sharing (shared skyband substrate, per-(point, ε) plane groups, duplicate
+// sharing (shared skyband bands, the per-(point, ε) plane store, duplicate
 // collapse, clustered dispatch, worker arenas) must be invisible in the
 // answers. For every corpus problem, a mixed-(k, ε) batch with exact
-// duplicates solved through SolveBatchOptions with sharing on must be
-// byte-identical — same JSON encoding, not merely same membership — to
-// independent per-query solves, with the prefilter both on and off, and
-// with batches served from an index snapshot between interleaved
-// Insert/Delete mutations.
+// duplicates solved through SolveBatchPolicy must be byte-identical — same
+// JSON encoding, not merely same membership — to independent per-query
+// solves, with the prefilter both on and off, and with batches served from
+// an index snapshot between interleaved Insert/Delete mutations. The
+// independent side is the free solver function over skyband.KSkyband (see
+// referenceBytes), so it shares no band or plane code with core.Prepared.
 
 import (
 	"bytes"
@@ -96,9 +97,10 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// checkBatchProblem compares shared-batch solves against independent
-// per-query solves on fresh Prepareds (prefilter on and off), then against
-// an index snapshot's Prepared with mutations interleaved between batches.
+// checkBatchProblem compares shared-batch solves on fresh Prepareds
+// (prefilter on and off), then on an index snapshot's Prepared with
+// mutations interleaved between batches, against independent reference
+// solves over the same points.
 func checkBatchProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *BatchReport) {
 	d := ins.Q.Dim()
 	rng := rand.New(rand.NewSource(cfg.Seed ^ (ordinal*48611 + 7)))
@@ -112,21 +114,21 @@ func checkBatchProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *Batc
 			return
 		}
 		step := fmt.Sprintf("prefilter=%v", prefilter)
-		if !compareBatchSolve(prep, queries, prob, step, rep) {
+		if !compareBatchAgainst(prep, ins.Pts, prefilter, queries, prob, step, rep) {
 			return
 		}
 	}
 
-	// Index-served batches with interleaved mutations: the snapshot path
-	// bypasses the batch plane store (its own storage already deduplicates)
-	// but still runs under dedup, clustering and worker arenas.
+	// Index-served batches with interleaved mutations: the snapshot's own
+	// plane store serves the batch (and persists across batches of one
+	// epoch) under dedup, clustering and worker arenas.
 	ix, err := index.Build(ins.Pts, d)
 	if err != nil {
 		rep.fail(Mismatch{Kind: "batch-index-build-error", Problem: prob, Detail: err.Error()})
 		return
 	}
 	cur := append([]vec.Vec(nil), ins.Pts...)
-	if !compareBatchIndex(ix, cur, d, queries, prob, "index initial", rep) {
+	if !compareBatchAgainst(ix.Snapshot().Prepared(), cur, true, queries, prob, "index initial", rep) {
 		return
 	}
 	for op := 0; op < BatchMutations; op++ {
@@ -152,43 +154,23 @@ func checkBatchProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *Batc
 			cur = append(cur, p)
 		}
 		rep.Mutations++
-		if !compareBatchIndex(ix, cur, d, queries, prob, step, rep) {
+		if !compareBatchAgainst(ix.Snapshot().Prepared(), cur, true, queries, prob, step, rep) {
 			return
 		}
 	}
 }
 
-// compareBatchIndex runs the shared batch over the index snapshot's
-// Prepared and compares every slot against an independent solve on a fresh
-// prefiltered Prepared over the mirrored points.
-func compareBatchIndex(ix *index.Index, cur []vec.Vec, d int, queries []core.Query, prob Problem, step string, rep *BatchReport) bool {
-	fresh, err := core.Prepare(cur, d, true)
-	if err != nil {
-		rep.fail(Mismatch{Kind: "batch-index-divergence", Problem: prob, Detail: step + ": fresh prepare failed: " + err.Error()})
-		return false
-	}
-	return compareBatchAgainst(ix.Snapshot().Prepared(nil), fresh, queries, prob, step, rep)
-}
-
-// compareBatchSolve compares the shared batch against independent solves on
-// the same Prepared.
-func compareBatchSolve(prep *core.Prepared, queries []core.Query, prob Problem, step string, rep *BatchReport) bool {
-	return compareBatchAgainst(prep, prep, queries, prob, step, rep)
-}
-
-// compareBatchAgainst dispatches queries through SolveBatchOptions with
-// sharing, dedup and multiple workers over batchPrep, and requires every
-// slot to match a plain independent solve over wantPrep byte-for-byte
-// (errors must agree too).
-func compareBatchAgainst(batchPrep, wantPrep *core.Prepared, queries []core.Query, prob Problem, step string, rep *BatchReport) bool {
+// compareBatchAgainst dispatches queries through SolveBatchPolicy with
+// multiple workers over batchPrep, and requires every slot to match the
+// independent reference over pts (referenceBytes) byte-for-byte (errors
+// must agree too).
+func compareBatchAgainst(batchPrep *core.Prepared, pts []vec.Vec, prefilter bool, queries []core.Query, prob Problem, step string, rep *BatchReport) bool {
 	rep.Batches++
-	solver := core.EPTSolver{}
-	outs := core.SolveBatchOptions(context.Background(), core.SolvePolicy{Solver: solver}, batchPrep, queries,
-		core.BatchOptions{Workers: 3, Share: true, Dedup: true})
+	outs := core.SolveBatchPolicy(context.Background(), core.SolvePolicy{Solver: core.EPTSolver{}}, batchPrep, queries, 3)
 	ok := true
 	for i, o := range outs {
 		rep.Queries++
-		want, _, wantErr := solver.Solve(context.Background(), wantPrep, queries[i])
+		wb, wantErr := referenceBytes(pts, queries[i], prefilter)
 		if (o.Err == nil) != (wantErr == nil) {
 			rep.fail(Mismatch{Kind: "batch-divergence", Problem: prob,
 				Detail: fmt.Sprintf("%s query %d: error mismatch: batch=%v independent=%v", step, i, o.Err, wantErr)})
@@ -202,13 +184,6 @@ func compareBatchAgainst(batchPrep, wantPrep *core.Prepared, queries []core.Quer
 		if err != nil {
 			rep.fail(Mismatch{Kind: "batch-divergence", Problem: prob,
 				Detail: fmt.Sprintf("%s query %d: marshal batch region: %v", step, i, err)})
-			ok = false
-			continue
-		}
-		wb, err := want.MarshalJSON()
-		if err != nil {
-			rep.fail(Mismatch{Kind: "batch-divergence", Problem: prob,
-				Detail: fmt.Sprintf("%s query %d: marshal independent region: %v", step, i, err)})
 			ok = false
 			continue
 		}

@@ -2,10 +2,12 @@ package diffcheck
 
 // Index differential harness: the snapshot index must be invisible in the
 // answers. For every corpus problem, a solve served from an index snapshot
-// (maintained skyband prefilter, shared plane storage) must be byte-identical
+// (maintained skyband prefilter, shared plane store) must be byte-identical
 // — same JSON encoding, not merely same membership — to a from-scratch solve
-// with the skyband prefilter enabled, both before and after every step of an
-// interleaved Insert/Delete stream mirrored against plain-slice bookkeeping.
+// over the k-skyband, both before and after every step of an interleaved
+// Insert/Delete stream mirrored against plain-slice bookkeeping. The
+// from-scratch side is the free solver function over skyband.KSkyband, so
+// the reference shares no band or plane code with core.Prepared.
 
 import (
 	"bytes"
@@ -16,6 +18,7 @@ import (
 	"rrq/internal/core"
 	"rrq/internal/diffcheck/corpus"
 	"rrq/internal/index"
+	"rrq/internal/skyband"
 	"rrq/internal/vec"
 )
 
@@ -72,7 +75,7 @@ func checkIndexProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *Inde
 		return
 	}
 	cur := append([]vec.Vec(nil), ins.Pts...)
-	if !compareIndexSolve(ix, cur, d, q, prob, "initial", rep) {
+	if !compareIndexSolve(ix, cur, q, prob, "initial", rep) {
 		return
 	}
 
@@ -111,7 +114,7 @@ func checkIndexProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *Inde
 			cur = append(cur, p)
 		}
 		rep.Mutations++
-		if !compareIndexSolve(ix, cur, d, q, prob, step, rep) {
+		if !compareIndexSolve(ix, cur, q, prob, step, rep) {
 			return
 		}
 	}
@@ -120,15 +123,10 @@ func checkIndexProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *Inde
 // compareIndexSolve solves q once through the index's current snapshot and
 // once from scratch over the mirrored points, and requires byte-identical
 // region encodings. Returns false when the problem should be abandoned.
-func compareIndexSolve(ix *index.Index, cur []vec.Vec, d int, q core.Query, prob Problem, step string, rep *IndexReport) bool {
+func compareIndexSolve(ix *index.Index, cur []vec.Vec, q core.Query, prob Problem, step string, rep *IndexReport) bool {
 	rep.Solves++
-	got, gotErr := regionBytes(ix.Snapshot().Prepared(nil), q)
-	prep, err := core.Prepare(cur, d, true)
-	if err != nil {
-		rep.fail(Mismatch{Kind: "index-divergence", Problem: prob, Detail: step + ": fresh prepare failed: " + err.Error()})
-		return false
-	}
-	want, wantErr := regionBytes(prep, q)
+	got, gotErr := regionBytes(ix.Snapshot().Prepared(), q)
+	want, wantErr := referenceBytes(cur, q, true)
 	if (gotErr == nil) != (wantErr == nil) {
 		rep.fail(Mismatch{Kind: "index-divergence", Problem: prob,
 			Detail: fmt.Sprintf("%s: error mismatch: index=%v fresh=%v", step, gotErr, wantErr)})
@@ -149,6 +147,20 @@ func compareIndexSolve(ix *index.Index, cur []vec.Vec, d int, q core.Query, prob
 // returns the region's canonical JSON encoding.
 func regionBytes(prep *core.Prepared, q core.Query) ([]byte, error) {
 	r, _, err := (core.EPTSolver{}).Solve(context.Background(), prep, q)
+	if err != nil {
+		return nil, err
+	}
+	return r.MarshalJSON()
+}
+
+// referenceBytes is regionBytes computed independently of core.Prepared:
+// the free E-PT function over the points — restricted to their k-skyband
+// by skyband.KSkyband when prefilter is set — with planes built per call.
+func referenceBytes(pts []vec.Vec, q core.Query, prefilter bool) ([]byte, error) {
+	if prefilter {
+		pts = skyband.Select(pts, skyband.KSkyband(pts, q.K))
+	}
+	r, _, err := core.EPTContext(context.Background(), pts, q, core.EPTOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -118,7 +118,7 @@ func checkRecoveryProblem(cfg Config, ins corpus.Instance, ordinal int64, dir st
 	// want[k] is the region after the first k mutations; bounds[k] the WAL
 	// byte offset at which exactly k records survive.
 	want := make([][]byte, 0, RecoveryMutations+1)
-	wb, werr := regionBytes(ref.Snapshot().Prepared(nil), q)
+	wb, werr := regionBytes(ref.Snapshot().Prepared(), q)
 	if werr != nil {
 		// The instance does not solve at all (e.g. over-constrained): the
 		// recovery semantics are untestable on it, skip like the other
@@ -171,7 +171,7 @@ func checkRecoveryProblem(cfg Config, ins corpus.Instance, ordinal int64, dir st
 		}
 		rep.Mutations++
 		bounds = append(bounds, bounds[len(bounds)-1]+int64(len(wal.Encode(rec))))
-		wb, werr := regionBytes(ref.Snapshot().Prepared(nil), q)
+		wb, werr := regionBytes(ref.Snapshot().Prepared(), q)
 		if werr != nil {
 			rep.fail(Mismatch{Kind: "recovery-divergence", Problem: prob, Detail: step + ": reference solve failed: " + werr.Error()})
 			_ = dur.Close()
@@ -234,7 +234,7 @@ func crashRecover(prob Problem, dir, seg string, off int64, k int, torn bool, wa
 			Detail: where + ": torn tail recovered without truncation"})
 		return
 	}
-	got, gotErr := regionBytes(rix.Snapshot().Prepared(nil), q)
+	got, gotErr := regionBytes(rix.Snapshot().Prepared(), q)
 	if gotErr != nil {
 		rep.fail(Mismatch{Kind: "recovery-divergence", Problem: prob, Detail: where + ": recovered solve failed: " + gotErr.Error()})
 		return

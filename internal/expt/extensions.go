@@ -90,7 +90,7 @@ func ExtDynamic(sc Scale) []*Table {
 			if _, err := ix.Insert(p); err != nil {
 				panic(err)
 			}
-			if _, _, err := solver.Solve(context.Background(), ix.Snapshot().Prepared(nil), q); err != nil {
+			if _, _, err := solver.Solve(context.Background(), ix.Snapshot().Prepared(), q); err != nil {
 				panic(err)
 			}
 		}

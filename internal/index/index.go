@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 
 	"rrq/internal/core"
-	"rrq/internal/obs"
 	"rrq/internal/skyband"
 	"rrq/internal/vec"
 	"rrq/internal/wal"
@@ -38,7 +37,7 @@ import (
 // Readers call Snapshot (or the convenience accessors) and never block;
 // writers are serialized by a mutex and publish each new epoch atomically.
 type Index struct {
-	pstats planeStats // plane-cache traffic across every epoch
+	pstats core.PlaneCounters // plane-store traffic across every epoch
 
 	mu   sync.Mutex // serializes Insert/Delete
 	snap atomic.Pointer[Snapshot]
@@ -46,13 +45,6 @@ type Index struct {
 	// dur, once attached by OpenDurable, write-ahead-logs every mutation
 	// before its epoch is published and checkpoints on a record cadence.
 	dur *Durable
-}
-
-// planeStats is the index-lifetime plane-cache traffic, shared by every
-// snapshot of one index so Stats survives epoch succession.
-type planeStats struct {
-	hits   atomic.Int64
-	misses atomic.Int64
 }
 
 // Stats is a read-only introspection snapshot of an index: the current
@@ -65,11 +57,12 @@ type Stats struct {
 	// Points is the current dataset size, Dim its dimension.
 	Points int
 	Dim    int
-	// PlaneHits / PlaneMisses count shared-plane-storage traffic over the
-	// index's lifetime (across every epoch).
+	// PlaneHits / PlaneMisses count plane-store traffic over the index's
+	// lifetime (across every epoch): a hit is a plane set served without
+	// classification.
 	PlaneHits, PlaneMisses int64
-	// PlaneSets is the number of classified plane sets cached by the
-	// current snapshot, SkybandViews its memoized k-band views.
+	// PlaneSets is the number of (point, ε) plane groups in the current
+	// snapshot's store, SkybandViews its memoized k-band views.
 	PlaneSets    int
 	SkybandViews int
 }
@@ -83,36 +76,33 @@ func (ix *Index) Stats() Stats {
 		Version:     s.version,
 		Points:      len(s.pts),
 		Dim:         s.dim,
-		PlaneHits:   ix.pstats.hits.Load(),
-		PlaneMisses: ix.pstats.misses.Load(),
+		PlaneHits:   ix.pstats.Hits.Load(),
+		PlaneMisses: ix.pstats.Misses.Load(),
 	}
 	s.mu.Lock()
-	st.PlaneSets = len(s.planes)
-	st.SkybandViews = len(s.bands)
+	if s.prep != nil {
+		st.PlaneSets = s.prep.PlaneGroups()
+		st.SkybandViews = s.prep.BandViews()
+	}
 	s.mu.Unlock()
 	return st
 }
 
 // Snapshot is one immutable epoch: the validated points, their exact
-// dominator counts, and lazily materialized derived state (per-k skyband
-// views, classified plane sets). All lazily built state is
-// internally synchronized, so one snapshot serves any number of concurrent
-// queries.
+// dominator counts, and a lazily built core.Prepared over them that holds
+// the derived state (memoized k-bands, the plane store) for the snapshot's
+// lifetime. That state is internally synchronized, so one snapshot serves
+// any number of concurrent queries.
 type Snapshot struct {
 	version uint64
 	dim     int
-	pts     []vec.Vec   // immutable
-	dom     []int       // exact dominator count per point; immutable
-	pstats  *planeStats // owning index's lifetime plane-cache counters
+	pts     []vec.Vec           // immutable
+	dom     []int               // exact dominator count per point; immutable
+	pstats  *core.PlaneCounters // owning index's lifetime plane-store counters
 
-	mu     sync.Mutex
-	bands  map[int][]vec.Vec
-	planes map[string]core.PlaneSet
+	mu   sync.Mutex
+	prep *core.Prepared
 }
-
-// maxPlaneCache bounds the per-snapshot plane store; queries beyond it
-// build planes without caching (the region is unaffected).
-const maxPlaneCache = 1024
 
 // Build validates pts and constructs the first epoch. The points are
 // copied; the caller keeps ownership of its slice.
@@ -132,7 +122,7 @@ func Build(pts []vec.Vec, dim int) (*Index, error) {
 	return ix, nil
 }
 
-func newSnapshot(version uint64, dim int, pts []vec.Vec, dom []int, pstats *planeStats) *Snapshot {
+func newSnapshot(version uint64, dim int, pts []vec.Vec, dom []int, pstats *core.PlaneCounters) *Snapshot {
 	return &Snapshot{version: version, dim: dim, pts: pts, dom: dom, pstats: pstats}
 }
 
@@ -241,66 +231,17 @@ func (s *Snapshot) Points() []vec.Vec { return s.pts }
 // read-only).
 func (s *Snapshot) DominatorCounts() []int { return s.dom }
 
-// PointsFor returns the k-skyband view of the snapshot: the points
-// dominated by fewer than k others, in input order — exactly the set and
-// order skyband.Select(pts, skyband.KSkyband(pts, k)) produces, but served
-// in one comparison per point from the maintained counts. Views are
-// memoized per k. k < 1 returns the full set, matching core.Prepared.
-func (s *Snapshot) PointsFor(k int) []vec.Vec {
-	if k < 1 {
-		return s.pts
-	}
+// Prepared returns the snapshot as a core.Prepared, built on first use and
+// kept for the snapshot's lifetime: solvers draw their k-bands from the
+// maintained counts and their classified plane sets from one store shared
+// by every query on the snapshot. Plane-store traffic is tallied in the
+// index's lifetime counters (Stats) and reported as index.planes.hit /
+// index.planes.miss to a registry riding on the solve's context.
+func (s *Snapshot) Prepared() *core.Prepared {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b, ok := s.bands[k]; ok {
-		return b
+	if s.prep == nil {
+		s.prep = core.PrepareCounted(s.pts, s.dim, s.dom, s.pstats)
 	}
-	b := make([]vec.Vec, 0, len(s.pts))
-	for i, c := range s.dom {
-		if c < k {
-			b = append(b, s.pts[i])
-		}
-	}
-	if s.bands == nil {
-		s.bands = make(map[int][]vec.Vec)
-	}
-	s.bands[k] = b
-	return b
-}
-
-// Prepared wraps the snapshot as a core.Prepared: solvers draw their point
-// sets from the maintained skyband and their classified plane sets from
-// the snapshot's deduplicated storage, keyed by the canonical Query.Key.
-// reg, when non-nil, receives index.planes.hit / index.planes.miss
-// counters; the snapshot's shared lifetime counters (Index.Stats) are
-// maintained unconditionally.
-func (s *Snapshot) Prepared(reg *obs.Registry) *core.Prepared {
-	src := func(pts []vec.Vec, q core.Query) core.PlaneSet {
-		key := q.Key()
-		s.mu.Lock()
-		ps, ok := s.planes[key]
-		s.mu.Unlock()
-		if ok {
-			s.pstats.hits.Add(1)
-			if reg != nil {
-				reg.Counter("index.planes.hit").Inc()
-			}
-			return ps
-		}
-		ps = core.BuildPlanes(pts, q)
-		s.mu.Lock()
-		if s.planes == nil {
-			s.planes = make(map[string]core.PlaneSet)
-		}
-		if len(s.planes) < maxPlaneCache {
-			s.planes[key] = ps
-		}
-		s.mu.Unlock()
-		s.pstats.misses.Add(1)
-		if reg != nil {
-			reg.Counter("index.planes.miss").Inc()
-		}
-		return ps
-	}
-	return core.PrepareIndexed(s.pts, s.dim, s.PointsFor, src)
+	return s.prep
 }

@@ -94,7 +94,7 @@ func TestIndexMatchesFreshSolve(t *testing.T) {
 					}
 					cur = append(cur, p)
 				}
-				got := solveJSON(t, ix.Snapshot().Prepared(nil), q)
+				got := solveJSON(t, ix.Snapshot().Prepared(), q)
 				want := solveJSON(t, freshPrep(t, cur, d), q)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("d=%d trial=%d op=%d: index-served region differs from fresh solve\n got: %s\nwant: %s",
@@ -128,7 +128,7 @@ func TestIndexInsertOnly(t *testing.T) {
 		}
 		cur = append(cur, p)
 	}
-	got, _, err := core.EPTSolver{}.Solve(context.Background(), ix.Snapshot().Prepared(nil), q)
+	got, _, err := core.EPTSolver{}.Solve(context.Background(), ix.Snapshot().Prepared(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestIndexDominatingInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 	region := func() *core.Region {
-		r, _, err := core.EPTSolver{}.Solve(context.Background(), ix.Snapshot().Prepared(nil), q)
+		r, _, err := core.EPTSolver{}.Solve(context.Background(), ix.Snapshot().Prepared(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestIndexDeltaSkybandCorpus(t *testing.T) {
 						}
 					}
 					for k := 1; k <= 6; k++ {
-						got := s.PointsFor(k)
+						got := s.Prepared().PointsFor(k)
 						want := skyband.Select(cur, skyband.KSkyband(cur, k))
 						if len(got) != len(want) {
 							t.Fatalf("fam=%s dim=%d op=%d k=%d: band size %d, want %d",
@@ -314,7 +314,7 @@ func TestIndexSnapshotIsolation(t *testing.T) {
 			// Pin one epoch and verify its answer never changes while
 			// mutations publish new epochs around it.
 			snap := ix.Snapshot()
-			prep := snap.Prepared(nil)
+			prep := snap.Prepared()
 			first, _, err := core.EPTSolver{}.Solve(context.Background(), prep, q)
 			if err != nil {
 				errs <- err.Error()
@@ -366,11 +366,26 @@ func TestIndexSnapshotIsolation(t *testing.T) {
 	default:
 	}
 	// After the dust settles, the latest epoch must still match fresh.
-	got := solveJSON(t, ix.Snapshot().Prepared(nil), q)
+	got := solveJSON(t, ix.Snapshot().Prepared(), q)
 	want := solveJSON(t, freshPrep(t, cur, 3), q)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("final epoch differs from fresh solve")
 	}
+}
+
+// solveJSONCtx is solveJSON under a caller context (e.g. one carrying a
+// metrics registry).
+func solveJSONCtx(t *testing.T, ctx context.Context, prep *core.Prepared, q core.Query) []byte {
+	t.Helper()
+	r, _, err := core.EPTSolver{}.Solve(ctx, prep, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // The shared plane storage must dedupe repeated queries on one snapshot and
@@ -383,9 +398,10 @@ func TestIndexPlaneCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	prep := ix.Snapshot().Prepared(reg)
-	a := solveJSON(t, prep, q)
-	b := solveJSON(t, prep, q)
+	ctx := obs.ContextWithRegistry(context.Background(), reg)
+	prep := ix.Snapshot().Prepared()
+	a := solveJSONCtx(t, ctx, prep, q)
+	b := solveJSONCtx(t, ctx, prep, q)
 	if !bytes.Equal(a, b) {
 		t.Fatal("repeated solve on one snapshot differs")
 	}
@@ -395,13 +411,99 @@ func TestIndexPlaneCache(t *testing.T) {
 	if reg.Counters()["index.planes.hit"] != 1 {
 		t.Fatalf("hits = %d, want 1", reg.Counters()["index.planes.hit"])
 	}
-	// A new epoch starts cold: plane caches never leak across snapshots.
+	// A new epoch starts cold: plane stores never leak across snapshots.
 	if _, err := ix.Insert(vec.Of(0.5, 0.5, 0.5)); err != nil {
 		t.Fatal(err)
 	}
-	solveJSON(t, ix.Snapshot().Prepared(reg), q)
+	solveJSONCtx(t, ctx, ix.Snapshot().Prepared(), q)
 	if reg.Counters()["index.planes.miss"] != 2 {
 		t.Fatalf("misses after epoch change = %d, want 2", reg.Counters()["index.planes.miss"])
+	}
+}
+
+// One (point, ε) asked at k = 3, 7, 3, 5 on one snapshot is one plane
+// group: built at 3, rebuilt wider at 7, then narrowed for 3 and 5 without
+// classifying again — and every answer is byte-identical to a free E-PT
+// solve over the k-skyband.
+func TestSnapshotPlaneStoreAcrossK(t *testing.T) {
+	rng := rand.New(rand.NewSource(5151))
+	pts, q := randomInstance(rng, 60, 3)
+	ix, err := Build(pts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	ctx := obs.ContextWithRegistry(context.Background(), reg)
+	prep := ix.Snapshot().Prepared()
+	wantHit := []bool{false, false, true, true}
+	var hits, misses int64
+	for i, k := range []int{3, 7, 3, 5} {
+		q.K = k
+		got := solveJSONCtx(t, ctx, prep, q)
+		band := skyband.Select(pts, skyband.KSkyband(pts, k))
+		if r, _, err := core.EPTContext(context.Background(), band, q, core.EPTOptions{}); err != nil {
+			t.Fatal(err)
+		} else if ref, err := r.MarshalJSON(); err != nil {
+			t.Fatal(err)
+		} else if !bytes.Equal(got, ref) {
+			t.Fatalf("k=%d: snapshot region differs from the free-function reference\n got %s\nwant %s", k, got, ref)
+		}
+		if wantHit[i] {
+			hits++
+		} else {
+			misses++
+		}
+		c := reg.Counters()
+		if c["index.planes.hit"] != hits || c["index.planes.miss"] != misses {
+			t.Fatalf("after k=%d: hits/misses = %d/%d, want %d/%d", k,
+				c["index.planes.hit"], c["index.planes.miss"], hits, misses)
+		}
+	}
+	st := ix.Stats()
+	if st.PlaneSets != 1 || st.PlaneHits != 2 || st.PlaneMisses != 2 {
+		t.Fatalf("stats PlaneSets=%d hits=%d misses=%d, want 1/2/2", st.PlaneSets, st.PlaneHits, st.PlaneMisses)
+	}
+}
+
+// Concurrent queries of one (point, ε) at mixed ranks build, rebuild and
+// narrow the same plane group at once; every answer must still equal the
+// fresh solve at its rank.
+func TestSnapshotPlaneStoreConcurrentK(t *testing.T) {
+	rng := rand.New(rand.NewSource(6161))
+	pts, q := randomInstance(rng, 60, 3)
+	ix, err := Build(pts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := freshPrep(t, pts, 3)
+	want := make(map[int][]byte)
+	for k := 1; k <= 6; k++ {
+		q.K = k
+		want[k] = solveJSON(t, fresh, q)
+	}
+	prep := ix.Snapshot().Prepared()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				qk := q
+				qk.K = 1 + (i+g*5)%6
+				r, _, err := core.EPTSolver{}.Solve(context.Background(), prep, qk)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, err := r.MarshalJSON(); err != nil || !bytes.Equal(got, want[qk.K]) {
+					t.Errorf("k=%d: concurrent snapshot solve differs from fresh solve (err %v)", qk.K, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := ix.Stats(); st.PlaneSets != 1 {
+		t.Fatalf("PlaneSets = %d, want 1", st.PlaneSets)
 	}
 }
 
@@ -432,8 +534,8 @@ func TestIndexSaveLoadRoundtrip(t *testing.T) {
 	if loaded.Dim() != 3 || loaded.Len() != ix.Len() {
 		t.Fatalf("shape mismatch after load: dim=%d len=%d", loaded.Dim(), loaded.Len())
 	}
-	got := solveJSON(t, loaded.Snapshot().Prepared(nil), q)
-	want := solveJSON(t, ix.Snapshot().Prepared(nil), q)
+	got := solveJSON(t, loaded.Snapshot().Prepared(), q)
+	want := solveJSON(t, ix.Snapshot().Prepared(), q)
 	if !bytes.Equal(got, want) {
 		t.Fatal("loaded index answers differently")
 	}

@@ -200,11 +200,15 @@ func Load(r io.Reader) (*Index, error) {
 		return nil, &PersistError{Reason: PersistDecode,
 			Detail: fmt.Sprintf("implausible payload length %d", plen)}
 	}
-	payload := make([]byte, plen)
-	if n, err := io.ReadFull(br, payload); err != nil {
+	// The buffer grows only as bytes arrive: a header claiming gigabytes over
+	// a short stream costs what the stream holds, not what it claims.
+	var buf bytes.Buffer
+	n, err := buf.ReadFrom(io.LimitReader(br, int64(plen)))
+	if err != nil || uint64(n) < plen {
 		return nil, &PersistError{Reason: PersistTruncated,
 			Detail: fmt.Sprintf("payload ends at %d of %d bytes", n, plen)}
 	}
+	payload := buf.Bytes()
 	if got := crc32.Checksum(payload, persistCRC); got != wantCRC {
 		return nil, &PersistError{Reason: PersistChecksum,
 			Detail: fmt.Sprintf("stored %08x, computed %08x", wantCRC, got)}

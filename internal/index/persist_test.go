@@ -8,13 +8,14 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"rrq/internal/faultinject"
 	"rrq/internal/vec"
 )
 
-func buildTestIndex(t *testing.T) *Index {
+func buildTestIndex(t testing.TB) *Index {
 	t.Helper()
 	pts := []vec.Vec{
 		{0.9, 0.2, 0.3}, {0.4, 0.8, 0.1}, {0.2, 0.3, 0.9}, {0.7, 0.7, 0.2}, {0.5, 0.5, 0.5},
@@ -212,4 +213,85 @@ func TestSaveFileRenameFault(t *testing.T) {
 	if err != nil || old.Version() != 1 {
 		t.Fatalf("previous checkpoint damaged: version %v err %v", old.Version(), err)
 	}
+}
+
+// claimedHeader is a checkpoint header that declares plen payload bytes
+// and carries none of them.
+func claimedHeader(plen uint64) []byte {
+	hdr := make([]byte, persistHeaderLen)
+	copy(hdr, persistMagic[:])
+	binary.LittleEndian.PutUint32(hdr[8:], persistFormat)
+	binary.LittleEndian.PutUint64(hdr[16:], plen)
+	return hdr
+}
+
+// TestLoadDoesNotTrustLengthPrefix: a 24-byte header claiming a 1 GiB
+// payload is a truncated file, and rejecting it must cost what the stream
+// holds, not what the header claims.
+func TestLoadDoesNotTrustLengthPrefix(t *testing.T) {
+	raw := claimedHeader(1 << 30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	wantPersistError(t, err, PersistTruncated)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("Load allocated %d bytes for a %d-byte stream, want < 1 MiB", d, len(raw))
+	}
+}
+
+// FuzzLoad: arbitrary bytes either load as a valid index or are rejected
+// with a typed *PersistError — never a panic or an untyped error.
+func FuzzLoad(f *testing.F) {
+	ix := buildTestIndex(f)
+	raw := func() []byte {
+		var buf bytes.Buffer
+		if err := ix.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}()
+	f.Add(raw)
+	for _, off := range []int{0, 9, 13, 17, persistHeaderLen + 3, len(raw) - 1} {
+		flipped := append([]byte(nil), raw...)
+		flipped[off] ^= 0x10
+		f.Add(flipped)
+	}
+	for _, cut := range []int{3, persistHeaderLen - 1, persistHeaderLen + 10, len(raw) - 1} {
+		f.Add(raw[:cut])
+	}
+	future := append([]byte(nil), raw...)
+	future[8] = 0xFF
+	f.Add(future)
+	f.Add([]byte("GOBBLEDYGOOK and then some"))
+	f.Add(claimedHeader(1 << 30))
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(&indexFile{Format: 1, Version: 7, Dim: 3,
+		Pts: [][]float64{{0.9, 0.2, 0.3}}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy.Bytes())
+	f.Add(withHeader(legacy.Bytes()))
+	f.Add(withHeader([]byte{0x01, 0x02, 0x03}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Load(bytes.NewReader(data))
+		if err != nil {
+			var pe *PersistError
+			if !errors.As(err, &pe) {
+				t.Fatalf("Load error %v (%T), want *PersistError", err, err)
+			}
+			return
+		}
+		s := got.Snapshot()
+		if got.Version() < 1 || got.Dim() < 2 || len(s.Points()) != len(s.DominatorCounts()) {
+			t.Fatalf("loaded an inconsistent index: version %d dim %d points %d counts %d",
+				got.Version(), got.Dim(), len(s.Points()), len(s.DominatorCounts()))
+		}
+		for i, p := range s.Points() {
+			if p.Dim() != got.Dim() {
+				t.Fatalf("loaded point %d has dimension %d, want %d", i, p.Dim(), got.Dim())
+			}
+		}
+	})
 }

@@ -613,6 +613,11 @@ func replaySegment(dir, seg string, info *ReplayInfo, fn func(Record) error, cou
 		return nil, fmt.Errorf("wal: replay: %w", err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("wal: replay: %w", err)
+	}
+	size := fi.Size()
 
 	truncate := func(off int64, reason string) (*CorruptError, error) {
 		if err := os.Truncate(path, off); err != nil {
@@ -638,6 +643,11 @@ func replaySegment(dir, seg string, info *ReplayInfo, fn func(Record) error, cou
 		want := binary.LittleEndian.Uint32(hdr[4:])
 		if plen == 0 || plen > maxPayload {
 			return truncate(off, fmt.Sprintf("implausible payload length %d", plen))
+		}
+		// A length the segment cannot hold is a torn record: reject it
+		// before allocating for it.
+		if avail := size - off - recHeader; int64(plen) > avail {
+			return truncate(off, fmt.Sprintf("torn record payload (%d of %d bytes)", avail, plen))
 		}
 		payload := make([]byte, plen)
 		if n, err := io.ReadFull(f, payload); err != nil {

@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -428,4 +430,56 @@ func TestNonMonotoneEpochIsCorruption(t *testing.T) {
 	if len(got) != 1 || info.Truncated == nil {
 		t.Fatalf("replay = %d records, truncated %+v; want 1 record + truncation", len(got), info.Truncated)
 	}
+}
+
+// FuzzReplay: arbitrary bytes written as a segment replay to a sound
+// record prefix plus, at worst, a typed *CorruptError truncation — never a
+// panic or an error — and a length prefix never buys an allocation the
+// segment cannot back.
+func FuzzReplay(f *testing.F) {
+	var log []byte
+	for _, r := range testRecords() {
+		log = append(log, Encode(r)...)
+	}
+	f.Add(log)
+	for _, cut := range []int{1, recHeader - 1, recHeader, recHeader + 5, len(log) / 2, len(log) - 1} {
+		f.Add(log[:cut])
+	}
+	flipped := append([]byte(nil), log...)
+	flipped[recHeader+3] ^= 0x40
+	f.Add(flipped)
+	huge := make([]byte, recHeader)
+	binary.LittleEndian.PutUint32(huge, maxPayload) // claims 1 MiB, carries none
+	f.Add(huge)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		seg := segName(1)
+		if err := os.WriteFile(filepath.Join(dir, seg), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var got []Record
+		info, err := Replay(dir, Options{}, func(r Record) error {
+			got = append(got, r)
+			return nil
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("Replay error %v, want records or a truncation", err)
+		}
+		if info.Records != len(got) {
+			t.Fatalf("info.Records = %d, streamed %d", info.Records, len(got))
+		}
+		if info.Truncated != nil {
+			if info.Truncated.Segment != seg || info.Truncated.Offset < 0 || info.Truncated.Offset > int64(len(data)) {
+				t.Fatalf("truncation %+v outside the %d-byte segment", info.Truncated, len(data))
+			}
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > maxPayload {
+			t.Fatalf("Replay of a %d-byte segment allocated %d bytes, more than maxPayload", len(data), d)
+		}
+	})
 }

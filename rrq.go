@@ -353,7 +353,6 @@ type config struct {
 	workBudget   int64
 	cacheSize    int
 	cacheBounds  bool
-	noBatchShare bool
 
 	anytimeBudget  time.Duration
 	anytimeSamples int
@@ -484,22 +483,6 @@ func WithResultCache(n int) Option { return func(c *config) { c.cacheSize = n } 
 // solving work, so the option is off by default; callers must check
 // Result.Cache before treating the region as exact.
 func WithCacheBounds(on bool) Option { return func(c *config) { c.cacheBounds = on } }
-
-// WithBatchSharing toggles cross-query amortization inside SolveBatch
-// (default on). When enabled, a batch over one dataset shares work across
-// its queries: exact duplicates (equal Query.Key) collapse to a single
-// solve fanned out to every slot (BatchResult.Dedup), one skyband
-// computation at the batch's maximum K serves every query's prefilter,
-// classified plane sets are built once per (query point, ε) group and
-// narrowed to each query's K, and the dispatch order clusters queries on
-// shared state. Answers are byte-identical to independent solves — the
-// shared substrate reproduces exactly the planes and point sets each query
-// would have built for itself — so the switch exists for benchmarking
-// (shared vs. independent), not correctness. Index-backed batches keep
-// drawing planes from the snapshot's own storage, which already
-// deduplicates across queries and batches; duplicate collapse and
-// clustering still apply.
-func WithBatchSharing(on bool) Option { return func(c *config) { c.noBatchShare = !on } }
 
 // WithMetrics accumulates phase timings and solve counters into reg: each
 // solver phase (e.g. "phase.ept.insert") gets a histogram timer, and the
@@ -800,7 +783,7 @@ func (dr *DynamicRegion) Region() *Region {
 	// The instance was validated at construction and every mutation
 	// revalidated its point, so with an unbounded background context the
 	// exact solver cannot fail.
-	r, _, err := (core.EPTSolver{}).Solve(context.Background(), snap.Prepared(nil), dr.q)
+	r, _, err := (core.EPTSolver{}).Solve(context.Background(), snap.Prepared(), dr.q)
 	if err != nil {
 		panic(fmt.Sprintf("rrq: dynamic re-solve failed on a validated instance: %v", err))
 	}
