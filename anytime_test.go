@@ -2,8 +2,11 @@ package rrq
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
+
+	"rrq/internal/faultinject"
 )
 
 // An anytime solve must report the tier and an accuracy contract, respect
@@ -242,6 +245,60 @@ func TestIndexAnytimeWarmStartsFromExactNeighbor(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		if u := tres.Region.Sample(seed); u != nil && !res.Region.Contains(u) {
 			t.Fatalf("anytime cut dropped member %v of its exact seed", u)
+		}
+	}
+}
+
+// A panic in an anytime solve is isolated like any other solver panic: the
+// tier runs through the one guarded solve path, so the panic comes back as
+// a *SolveError naming A-PC — from a dataset solve, from an index solve,
+// and from exactly the batch slot whose query it hit.
+func TestAnytimePanicIsolated(t *testing.T) {
+	ds, q := indexTestInstance(t, 3, 9007)
+	other := Query{Q: ds.RandomQuery(9100), K: q.K, Epsilon: q.Epsilon}
+	armed := func() context.Context {
+		inj := faultinject.New(&faultinject.Fault{
+			Point:  faultinject.SolveStart,
+			Match:  faultinject.MatchPoint(q.Q),
+			Panics: "injected anytime failure",
+		})
+		return faultinject.ContextWith(context.Background(), inj)
+	}
+	wantPanic := func(what string, err error, index int) {
+		t.Helper()
+		var se *SolveError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: err = %v, want *SolveError", what, err)
+		}
+		if se.Solver != "A-PC" || se.QueryIndex != index {
+			t.Fatalf("%s: SolveError{Solver: %q, QueryIndex: %d}, want A-PC at %d", what, se.Solver, se.QueryIndex, index)
+		}
+	}
+	opts := []Option{WithAnytimeSamples(20), WithSeed(1)}
+
+	_, err := SolveContext(armed(), ds, q, opts...)
+	wantPanic("SolveContext", err, -1)
+
+	ix, err := BuildIndex(ds, WithResultCache(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ix.SolveContext(armed(), q, opts...)
+	wantPanic("Index.SolveContext", err, -1)
+
+	p, err := Prepare(ds, append(opts, WithWorkers(2))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := p.SolveBatch(armed(), []Query{other, q, other})
+	if rep.Solved != 2 || rep.Failed != 1 || rep.Deduped != 1 {
+		t.Fatalf("solved=%d failed=%d deduped=%d, want 2/1/1", rep.Solved, rep.Failed, rep.Deduped)
+	}
+	wantPanic("batch slot 1", rep.Results[1].Err, 1)
+	for _, i := range []int{0, 2} {
+		br := rep.Results[i]
+		if br.Err != nil || br.Tier != TierAnytime || br.Accuracy == nil {
+			t.Fatalf("batch slot %d: err=%v tier=%v accuracy=%v, want an anytime answer", i, br.Err, br.Tier, br.Accuracy)
 		}
 	}
 }

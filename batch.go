@@ -53,44 +53,48 @@ func Prepare(d *Dataset, opts ...Option) (*Prepared, error) {
 // Solve answers one query against the prepared dataset, returning the full
 // Result. Every solve is guarded: a solver panic comes back as a per-call
 // *SolveError rather than crashing the process, and the per-query timeout
-// and work budget apply. On error the Result still carries the partial
-// Stats and elapsed time of the failed solve.
+// and work budget apply. On the anytime tier the cut budgets bound the run
+// instead, and the Result carries the accuracy receipt. On error the Result
+// still carries the partial Stats and elapsed time of the failed solve.
 func (p *Prepared) Solve(ctx context.Context, q Query) (Result, error) {
-	if p.cfg.anytimeActive() {
-		return p.solveAnytime(ctx, q, nil, "")
-	}
 	cq := q.toCore()
 	start := time.Now()
 	r, st, err := p.pol.Solve(p.cfg.obsContext(ctx), p.prep, cq, -1)
-	res := Result{Stats: st, Elapsed: time.Since(start), Tier: tierFor(p.cfg, p.dim)}
+	res := Result{Stats: st, Tier: tierFor(p.cfg, p.dim)}
 	if reg := p.cfg.metrics; reg != nil {
 		reg.Counter("rrq.solves").Inc()
 		if err != nil {
 			reg.Counter("rrq.solve_errors").Inc()
 		}
 	}
-	if err != nil {
-		return res, err
+	if err == nil {
+		res.Region = &Region{inner: r, q: cq}
+		res.Accuracy = p.receipt(r, st, cq)
 	}
-	res.Region = &Region{inner: r, q: cq}
-	return res, nil
+	res.Elapsed = time.Since(start)
+	return res, err
 }
 
-// tierFor classifies a non-anytime answer: TierApprox when A-PC produced
-// the region, TierExact otherwise.
+// tierFor classifies the answers of a configuration: TierAnytime on the
+// anytime tier, TierApprox when A-PC produces the region, TierExact
+// otherwise.
 func tierFor(cfg config, dim int) SolverTier {
-	if resolvedAlgo(cfg, dim) == APCAlgo {
+	switch {
+	case cfg.anytimeActive():
+		return TierAnytime
+	case resolvedAlgo(cfg, dim) == APCAlgo:
 		return TierApprox
+	default:
+		return TierExact
 	}
-	return TierExact
 }
 
-// anytimeOptions maps the public configuration onto the core anytime
-// construction: the A-PC sample/seed knobs carry over, the anytime knobs
+// anytimeOptions maps the public configuration onto the cut A-PC run of the
+// anytime tier: the A-PC sample/seed knobs carry over, the anytime knobs
 // become the cut budgets, and warm holds the partitions of a previously
-// served inner bound to resume from.
-func anytimeOptions(cfg config, warm []*geom.Cell) core.AnytimeOptions {
-	return core.AnytimeOptions{
+// served inner bound to start from.
+func anytimeOptions(cfg config, warm []*geom.Cell) core.APCOptions {
+	return core.APCOptions{
 		Samples:    cfg.samples,
 		Seed:       cfg.seed,
 		MaxSamples: cfg.anytimeSamples,
@@ -99,32 +103,14 @@ func anytimeOptions(cfg config, warm []*geom.Cell) core.AnytimeOptions {
 	}
 }
 
-// solveAnytime answers one query on the anytime tier: the resumable
-// progressive A-PC construction, cut by the configured budget(s). warm
-// seeds the construction with the partitions of a previously served inner
-// bound (the cells are appended verbatim, so the result region contains
-// the seed); warmName, when non-empty, names the metrics counter bumped
-// for the warm start.
-func (p *Prepared) solveAnytime(ctx context.Context, q Query, warm []*geom.Cell, warmName string) (Result, error) {
-	cq := q.toCore()
-	start := time.Now()
-	r, st, acc, err := core.APCAnytimeContext(p.cfg.obsContext(ctx), p.prep.PointsFor(cq.K), cq, anytimeOptions(p.cfg, warm))
-	res := Result{Stats: st, Elapsed: time.Since(start), Tier: TierAnytime}
-	if reg := p.cfg.metrics; reg != nil {
-		reg.Counter("rrq.solves").Inc()
-		if err != nil {
-			reg.Counter("rrq.solve_errors").Inc()
-		}
-		if warm != nil && warmName != "" {
-			reg.Counter(warmName).Inc()
-		}
+// receipt is the accuracy receipt of an anytime answer; nil on the other
+// tiers, which do not pay for the volume estimate.
+func (p *Prepared) receipt(r *core.Region, st core.Stats, q core.Query) *Accuracy {
+	if !p.cfg.anytimeActive() {
+		return nil
 	}
-	if err != nil {
-		return res, err
-	}
-	res.Region = &Region{inner: r, q: cq}
-	res.Accuracy = &acc
-	return res, nil
+	acc := core.AccuracyOf(r, st, q, anytimeOptions(p.cfg, nil))
+	return &acc
 }
 
 // BatchResult is one query's outcome within a batch: the full Result of the
@@ -187,29 +173,6 @@ type BatchReport struct {
 // so the report's Phases covers exactly this batch, then merged into the
 // user's registry along with the rrq.solves / rrq.solve_errors counters.
 func (p *Prepared) SolveBatch(ctx context.Context, queries []Query) *BatchReport {
-	if p.cfg.anytimeActive() {
-		// The anytime tier has no sharing substrate: cross-query sharing
-		// (and dedup) reproduces full solves, while an anytime cut's region
-		// depends on the budget each individual solve was granted. Answer
-		// each query independently (solveAnytime attaches trace and metrics
-		// itself; phase timings land in the user's registry, so Phases stays
-		// nil here).
-		rep := &BatchReport{Results: make([]BatchResult, len(queries))}
-		start := time.Now()
-		for i, q := range queries {
-			res, err := p.solveAnytime(ctx, q, nil, "")
-			rep.Results[i] = BatchResult{Result: res, Err: err}
-			rep.QueryTime += res.Elapsed
-			if err == nil {
-				rep.Solved++
-				rep.Agg.Add(res.Stats)
-			} else {
-				rep.Failed++
-			}
-		}
-		rep.Elapsed = time.Since(start)
-		return rep
-	}
 	if p.cfg.trace != nil {
 		ctx = obs.ContextWithTrace(ctx, p.cfg.trace)
 	}
@@ -239,6 +202,7 @@ func (p *Prepared) SolveBatch(ctx context.Context, queries []Query) *BatchReport
 		}
 		if o.Err == nil {
 			br.Region = &Region{inner: o.Region, q: cqs[i]}
+			br.Accuracy = p.receipt(o.Region, o.Stats, cqs[i])
 			rep.Solved++
 			rep.Agg.Add(o.Stats)
 		} else {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"rrq/internal/cache"
+	"rrq/internal/core"
 	"rrq/internal/geom"
 	"rrq/internal/index"
 	"rrq/internal/vec"
@@ -354,7 +355,13 @@ func (ix *Index) anytimeSolve(ctx context.Context, cfg config, snap *index.Snaps
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := p.solveAnytime(ctx, q, warm, "cache.warm_start")
+	if warm != nil {
+		p.pol.Solver = core.APCSolver{Opt: anytimeOptions(cfg, warm)}
+		if reg := cfg.metrics; reg != nil {
+			reg.Counter("cache.warm_start").Inc()
+		}
+	}
+	res, err := p.Solve(ctx, q)
 	if err != nil {
 		return res, err
 	}

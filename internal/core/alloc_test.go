@@ -10,6 +10,7 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"time"
 
 	"rrq/internal/vec"
 )
@@ -40,10 +41,15 @@ func TestReduceAndOrderPlanesZeroAlloc(t *testing.T) {
 		if len(ps.Crossing) < 4 {
 			t.Fatalf("d=%d: only %d crossing planes; test is vacuous", d, len(ps.Crossing))
 		}
+		// A checker on a live deadline and work budget that evaluates on
+		// every poll: the reduction's abort checks must not allocate either.
+		ctx, cancel := context.WithTimeout(ContextWithWorkBudget(context.Background(), 1<<40), time.Hour)
+		defer cancel()
+		check := NewCtxChecker(ctx, 0)
 		a := &Arena{}
-		reduceAndOrderPlanesOpt(ps.Crossing, q.K, false, false, a)
+		reduceAndOrderPlanesOpt(ps.Crossing, q.K, false, false, a, check)
 		allocs := testing.AllocsPerRun(50, func() {
-			reduceAndOrderPlanesOpt(ps.Crossing, q.K, false, false, a)
+			reduceAndOrderPlanesOpt(ps.Crossing, q.K, false, false, a, check)
 		})
 		if allocs != 0 {
 			t.Errorf("d=%d: reduceAndOrderPlanesOpt allocates %.1f per run on a warm arena, want 0", d, allocs)

@@ -5,26 +5,50 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"time"
 
 	"rrq/internal/geom"
 	"rrq/internal/obs"
 	"rrq/internal/vec"
 )
 
-// APCOptions configures the approximate solver.
+// APCOptions configures one A-PC run. Whether the run merges is decided by
+// the cut budgets: a run with neither MaxSamples nor Budget set cannot be
+// cut and builds the paper's merged construction; a run with either set
+// streams its samples and can stop at any partition boundary.
 type APCOptions struct {
-	// Samples is the number N of utility vectors to draw. When ≤ 0 the
-	// paper's default N = 10·(d−1) is used (§6.3).
+	// Samples is the candidate pool N. When ≤ 0 the paper's default
+	// N = 10·(d−1) is used (§6.3). Cuts only ever stop a run earlier.
 	Samples int
-	// Seed drives the deterministic sampler; ignored when Rng is set.
+	// Seed drives the deterministic sampler: candidate i is the same draw
+	// on every run of the same seed, which is what makes cuts monotone.
 	Seed int64
-	// Rng, when non-nil, supplies the randomness. Must be nil when the
-	// solver is shared across goroutines (SolveBatch).
-	Rng *rand.Rand
 	// Workers parallelizes the per-sample utility scans (the O(N·n·d)
-	// phase). ≤ 1 runs serially. The result is identical for any worker
-	// count: samples are drawn up front and merged in sample order.
+	// phase) of a run that cannot be cut. ≤ 1 runs serially. The result is
+	// identical for any worker count: samples are drawn up front and merged
+	// in sample order.
 	Workers int
+	// MaxSamples cuts the run once this many candidates have been consumed.
+	// ≤ 0 disables the sample cut.
+	MaxSamples int
+	// Budget cuts the run at the first partition boundary after the
+	// wall-clock budget elapses. ≤ 0 disables the time cut. Sample cuts are
+	// deterministic; time cuts are not — prefer MaxSamples wherever a
+	// replayable answer matters.
+	Budget time.Duration
+	// Warm seeds the run with cells already known to be qualified for this
+	// query (a cached inner bound from a neighbor with k' ≤ k and ε' ≤ ε).
+	// Warm cells join the Lemma 5.8 dedup set and the returned region, so
+	// the answer is a monotone improvement over the seed.
+	Warm []*geom.Cell
+}
+
+// poolSize is the candidate pool N for dimension d.
+func (o APCOptions) poolSize(d int) int {
+	if o.Samples > 0 {
+		return o.Samples
+	}
+	return 10 * (d - 1)
 }
 
 // SampleSizeFor returns the sample size of Lemma 5.10 that finds every
@@ -38,22 +62,33 @@ func SampleSizeFor(rho, delta float64, d int) int {
 }
 
 // APC solves RRQ approximately by progressive construction (paper §5.2,
-// Algorithm 3): sample utility vectors, keep the qualified ones, merge
-// samples whose positive point-sets nest (Lemma 5.9), and build one
-// qualified partition per surviving sample (Lemma 5.7), skipping samples
-// that land in an already-built partition (Lemma 5.8). Every returned
-// partition is qualified in full; partitions never hit by a sample may be
-// missed, which is the approximation.
+// Algorithm 3) — APCContext with a background context.
 func APC(pts []vec.Vec, q Query, opt APCOptions) (*Region, error) {
 	r, _, err := APCContext(context.Background(), pts, q, opt)
 	return r, err
 }
 
-// APCContext runs A-PC under a context: the sample-classification and
-// partition-construction loops observe cancellation with amortized checks.
-// A passed deadline surfaces as ErrDeadline, cancellation as ctx.Err().
-// Trace hooks and metrics registries attached to ctx (see internal/obs)
-// receive the solve's work events and phase timings.
+// APCContext runs A-PC (paper §5.2, Algorithm 3) under a context: sample
+// utility vectors from Seed in order, keep the qualified ones, and build one
+// qualified partition per kept sample (Lemma 5.7), skipping samples that
+// land in an already-built partition (Lemma 5.8). Every returned partition
+// is qualified in full; partitions never hit by a sample may be missed,
+// which is the approximation (bounded by Lemma 5.10, see AccuracyOf).
+//
+// A run that cannot be cut (no MaxSamples, no Budget) classifies its whole
+// pool up front — in parallel under Workers — and merges samples whose
+// positive sets nest (Lemma 5.9) before building. A run that can be cut
+// streams instead: each qualified sample's partition is appended at once
+// and never merged, and the run stops at the first partition boundary past
+// MaxSamples or Budget. Merging would mutate partitions an earlier cut
+// already returned, so only the streamed form keeps every prefix a subset
+// of every longer one.
+//
+// The classification and construction loops observe cancellation with
+// amortized checks. A passed deadline surfaces as ErrDeadline,
+// cancellation as ctx.Err(). Trace hooks and metrics registries attached
+// to ctx (see internal/obs) receive the solve's work events and phase
+// timings.
 func APCContext(ctx context.Context, pts []vec.Vec, q Query, opt APCOptions) (*Region, Stats, error) {
 	var st Stats
 	d := q.Q.Dim()
@@ -65,23 +100,87 @@ func APCContext(ctx context.Context, pts []vec.Vec, q Query, opt APCOptions) (*R
 	if check.Failed() {
 		return nil, st, check.Err()
 	}
-	rng := opt.Rng
-	if rng == nil {
-		rng = rand.New(rand.NewSource(opt.Seed))
+	run := &apcRun{
+		pts:     pts,
+		q:       q,
+		dropped: apcDroppedPlanes(pts, q),
+		rng:     rand.New(rand.NewSource(opt.Seed)),
+		check:   check,
 	}
-	n := opt.Samples
-	if n <= 0 {
-		n = 10 * (d - 1)
+	run.cells = append(run.cells, opt.Warm...)
+	n := opt.poolSize(d)
+	var err error
+	if opt.MaxSamples > 0 || opt.Budget > 0 {
+		st.Samples, err = run.stream(n, opt)
+	} else {
+		st.Samples = n
+		err = run.merged(ctx, n, opt.Workers)
 	}
-	st.Samples = n
+	if err != nil {
+		return nil, st, err
+	}
+	st.Pieces = len(run.cells)
+	check.Emit(obs.EvPieceEmitted, st.Pieces)
+	if len(run.cells) == 0 {
+		return emptyRegion(d), st, nil
+	}
+	return newCellRegion(d, run.cells), st, nil
+}
+
+// apcRun is the state of one A-PC run: the instance, the planes dropped
+// from every D⁻ set, the seeded sample stream and the cells built so far.
+type apcRun struct {
+	pts     []vec.Vec
+	q       Query
+	dropped []bool
+	rng     *rand.Rand
+	check   *CtxChecker
+	cells   []*geom.Cell
+}
+
+// merged is the run that cannot be cut (Algorithm 3 as published): draw
+// the whole pool of n, classify it (the O(N·n·d) phase, in parallel when
+// workers > 1), merge samples whose positive sets nest (Lemma 5.9), then
+// build one partition per surviving sample.
+func (run *apcRun) merged(ctx context.Context, n, workers int) error {
+	pts, q, dropped, check := run.pts, run.q, run.dropped, run.check
+	d := q.Q.Dim()
 	classifyPhase := check.Phase("phase.apc.classify")
 	// Abort net: the closer is idempotent, so a cancellation or worker
 	// failure mid-classify still closes the phase exactly once.
 	defer classifyPhase()
 
-	// Sample and keep qualified utility vectors with their D⁻ sets. D⁻ has
-	// fewer than k elements for a qualified sample, so the sets stay tiny
-	// and D⁺ ⊆ D⁺' tests reduce to superset tests on D⁻.
+	// Draw all samples up front so the answer does not depend on the
+	// worker count, then classify them.
+	us := make([]vec.Vec, n)
+	for i := range us {
+		us[i] = vec.RandSimplex(run.rng, d)
+	}
+	negs := make([][]int32, n)
+	oks := make([]bool, n)
+	if workers > 1 {
+		err := parallelFor(ctx, workers, n, 0x3f, func(i int) {
+			negs[i], oks[i] = apcClassify(pts, q, dropped, us[i])
+		})
+		if err != nil {
+			return err
+		}
+	} else {
+		for i, u := range us {
+			if check.Stop() {
+				return check.Err()
+			}
+			negs[i], oks[i] = apcClassify(pts, q, dropped, u)
+		}
+	}
+	classifyPhase()
+	check.Emit(obs.EvSampleClassified, n)
+	constructPhase := check.Phase("phase.apc.construct")
+	defer constructPhase()
+
+	// Keep the qualified samples with their D⁻ sets. D⁻ has fewer than k
+	// elements for a qualified sample, so the sets stay tiny and D⁺ ⊆ D⁺'
+	// tests reduce to superset tests on D⁻.
 	//
 	// Each kept sample carries two roles of its D⁻ set: orig stays fixed
 	// and defines D⁺ = complement(orig) for the subset tests and the
@@ -94,47 +193,11 @@ func APCContext(ctx context.Context, pts []vec.Vec, q Query, opt APCOptions) (*R
 		orig []int32 // D⁻ at sampling time (sorted)
 		negC []int32 // D⁻ used for negative constraints after merging
 	}
-	dropped := apcDroppedPlanes(pts, q)
-	// Draw all samples up front so the answer does not depend on the
-	// worker count, then classify them (the O(N·n·d) phase), optionally in
-	// parallel.
-	us := make([]vec.Vec, n)
-	for i := range us {
-		us[i] = vec.RandSimplex(rng, d)
-	}
-	classify := func(u vec.Vec) (neg []int32, ok bool) {
-		return apcClassify(pts, q, dropped, u)
-	}
-	negs := make([][]int32, n)
-	oks := make([]bool, n)
-	if opt.Workers > 1 {
-		err := parallelFor(ctx, opt.Workers, n, 0x3f, func(i int) {
-			negs[i], oks[i] = classify(us[i])
-		})
-		if err != nil {
-			return nil, st, err
-		}
-	} else {
-		for i, u := range us {
-			if check.Stop() {
-				return nil, st, check.Err()
-			}
-			negs[i], oks[i] = classify(u)
-		}
-	}
-	classifyPhase()
-	check.Emit(obs.EvSampleClassified, n)
-	constructPhase := check.Phase("phase.apc.construct")
-	defer constructPhase()
 	var kept []sample
 	for i, u := range us {
 		if oks[i] {
 			kept = append(kept, sample{u: u, orig: negs[i], negC: negs[i]})
 		}
-	}
-	if len(kept) == 0 {
-		check.Emit(obs.EvPieceEmitted, 0)
-		return emptyRegion(d), st, nil
 	}
 
 	// Refinement (Algorithm 3 lines 6–12): D⁺_{u1} ⊆ D⁺_{u2} iff
@@ -171,36 +234,146 @@ func APCContext(ctx context.Context, pts []vec.Vec, q Query, opt APCOptions) (*R
 		}
 	}
 
-	// Progressive construction with the Lemma 5.8 dedup.
-	var cells []*geom.Cell
 	for i, s := range kept {
 		if !alive[i] {
 			continue
 		}
-		already := false
-		for _, c := range cells {
-			if c.Contains(s.u) {
-				already = true
-				break
-			}
+		if err := run.add(s.u, s.orig, s.negC); err != nil {
+			return err
 		}
-		if already {
+	}
+	return nil
+}
+
+// stream is the run that can be cut: consume the pool of n strictly in
+// order and append each qualified sample's own partition at once, never
+// revisiting an emitted cell, until the pool is exhausted or a budget of
+// opt cuts the run. Cuts happen at partition boundaries only — a partition
+// is either fully built and appended or not started — so for one seed the
+// cells after n₁ consumed samples are a prefix of the cells after n₂ ≥ n₁.
+// Returns the number of samples consumed.
+func (run *apcRun) stream(n int, opt APCOptions) (int, error) {
+	check := run.check
+	d := run.q.Q.Dim()
+	phase := check.Phase("phase.apc.anytime")
+	defer phase()
+	var deadline time.Time
+	if opt.Budget > 0 {
+		deadline = time.Now().Add(opt.Budget)
+	}
+	consumed := 0
+	for consumed < n {
+		if opt.MaxSamples > 0 && consumed >= opt.MaxSamples {
+			break
+		}
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			break
+		}
+		if check.Stop() {
+			return consumed, check.Err()
+		}
+		u := vec.RandSimplex(run.rng, d)
+		consumed++
+		neg, ok := apcClassify(run.pts, run.q, run.dropped, u)
+		if !ok {
 			continue
 		}
-		c, err := buildPartition(pts, q, s.u, s.orig, s.negC, check)
-		if err != nil {
-			return nil, st, err
-		}
-		if c != nil {
-			cells = append(cells, c)
+		if err := run.add(u, neg, neg); err != nil {
+			return consumed, err
 		}
 	}
-	st.Pieces = len(cells)
-	check.Emit(obs.EvPieceEmitted, st.Pieces)
-	if len(cells) == 0 {
-		return emptyRegion(d), st, nil
+	check.Emit(obs.EvSampleClassified, consumed)
+	return consumed, nil
+}
+
+// add builds sample u's partition (Lemma 5.7) unless u already lies in a
+// built cell (Lemma 5.8).
+func (run *apcRun) add(u vec.Vec, orig, negC []int32) error {
+	for _, c := range run.cells {
+		if c.Contains(u) {
+			return nil
+		}
 	}
-	return newCellRegion(d, cells), st, nil
+	c, err := buildPartition(run.pts, run.q, u, orig, negC, run.check)
+	if err == nil && c != nil {
+		run.cells = append(run.cells, c)
+	}
+	return err
+}
+
+// Accuracy is the accuracy receipt of a run that can be cut, derived from
+// Lemma 5.10 for the samples actually consumed rather than the samples
+// requested. AccuracyOf computes it from the run's result.
+type Accuracy struct {
+	// SamplesUsed is the number of candidate samples consumed before the
+	// cut (Stats.Samples).
+	SamplesUsed int
+	// RhoBound is the Lemma 5.10 volume-ratio bound for SamplesUsed: with
+	// probability ≥ 1−Delta, every qualified partition of volume ratio
+	// > RhoBound was hit by at least one consumed sample. Inverted from
+	// N = (d + ln(1/δ))/ρ²; clamped to 1 when the samples are too few to
+	// bound anything.
+	RhoBound float64
+	// Delta is the confidence parameter the bound was computed at.
+	Delta float64
+	// Cut reports whether a budget stopped the construction before it
+	// exhausted the sample pool.
+	Cut bool
+	// VolumeEst is a Monte-Carlo estimate of the returned region's volume
+	// from a stream decorrelated from the solver's own (see measureSeedFor).
+	VolumeEst float64
+}
+
+// The receipt's fixed parameters: the confidence δ of the ρ bound and the
+// size of the Monte-Carlo volume estimate.
+const (
+	receiptDelta    = 0.05
+	receiptMeasures = 2000
+)
+
+// AccuracyOf is the accuracy receipt of an A-PC result r with stats st,
+// produced for q under opt. Every field is a function of the result: the
+// samples consumed, whether they fell short of the pool, the Lemma 5.10 ρ
+// for them at δ = 0.05, and a 2000-sample volume estimate. The estimate
+// costs a pass over the region, so only callers that report the receipt
+// (the anytime tier) should pay for it.
+func AccuracyOf(r *Region, st Stats, q Query, opt APCOptions) Accuracy {
+	d := q.Q.Dim()
+	return Accuracy{
+		SamplesUsed: st.Samples,
+		RhoBound:    RhoFor(st.Samples, receiptDelta, d),
+		Delta:       receiptDelta,
+		Cut:         st.Samples < opt.poolSize(d),
+		VolumeEst:   r.MeasureWithSeed(measureSeedFor(opt.Seed), receiptMeasures),
+	}
+}
+
+// RhoFor inverts Lemma 5.10 for a consumed sample count: the smallest
+// volume ratio ρ such that N samples find every qualified partition of
+// ratio > ρ with confidence 1−delta. It is SampleSizeFor solved for ρ,
+// clamped to 1.
+func RhoFor(samples int, delta float64, d int) float64 {
+	if samples <= 0 || delta <= 0 || delta >= 1 {
+		return 1
+	}
+	r := math.Sqrt((float64(d) + math.Log(1/delta)) / float64(samples))
+	if r > 1 {
+		return 1
+	}
+	return r
+}
+
+// measureSeedFor derives the accuracy-measurement seed from the solver seed
+// with a splitmix-style mix, so the measurement stream shares no prefix
+// with the solver's own rand.NewSource(seed) stream even though both are
+// pure functions of the one configured seed. Replaying the solver's stream
+// would be biased: every qualified solver sample lies in the returned region
+// by construction, so a correlated estimate overstates coverage.
+func measureSeedFor(seed int64) int64 {
+	z := uint64(seed) + 0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return int64(z ^ (z >> 31))
 }
 
 // apcDroppedPlanes classifies each plane's normal component-wise up front,

@@ -10,6 +10,15 @@ import (
 	"rrq/internal/vec"
 )
 
+// apcWithReceipt runs A-PC and returns its result with its accuracy receipt.
+func apcWithReceipt(t *testing.T, pts []vec.Vec, q Query, opt APCOptions) (*Region, Stats, Accuracy, error) {
+	r, st, err := APCContext(t.Context(), pts, q, opt)
+	if err != nil {
+		return nil, st, Accuracy{}, err
+	}
+	return r, st, AccuracyOf(r, st, q, opt), nil
+}
+
 // Every streamed prefix of the anytime construction must be sound (never
 // contain an unqualified preference) and monotone: cutting later can only
 // grow the region.
@@ -23,7 +32,7 @@ func TestAnytimeSoundAndMonotonePrefixes(t *testing.T) {
 		var prev *Region
 		prevPieces := -1
 		for _, cut := range cuts {
-			r, st, acc, err := APCAnytimeContext(t.Context(), pts, q, AnytimeOptions{
+			r, st, acc, err := apcWithReceipt(t, pts, q, APCOptions{
 				Samples: n, Seed: int64(trial), MaxSamples: cut,
 			})
 			if err != nil {
@@ -55,47 +64,6 @@ func TestAnytimeSoundAndMonotonePrefixes(t *testing.T) {
 	}
 }
 
-// Resuming from a cut (StartSample + the cut's cells as Warm) must agree
-// with the uncut run: the construction is a pure function of the seed, so
-// the resumed suffix appends exactly the cells the fresh run would.
-func TestAnytimeResumeMatchesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(572))
-	for trial := 0; trial < 15; trial++ {
-		d := 2 + rng.Intn(3)
-		pts, q := randomInstance(rng, 25, d)
-		opt := AnytimeOptions{Samples: 60, Seed: int64(100 + trial)}
-		full, _, facc, err := APCAnytimeContext(t.Context(), pts, q, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cutOpt := opt
-		cutOpt.MaxSamples = 20
-		cut, _, cacc, err := APCAnytimeContext(t.Context(), pts, q, cutOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resOpt := opt
-		resOpt.StartSample = cacc.SamplesUsed
-		resOpt.Warm = cut.Cells()
-		res, _, racc, err := APCAnytimeContext(t.Context(), pts, q, resOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if racc.SamplesUsed != facc.SamplesUsed {
-			t.Fatalf("trial %d: resumed SamplesUsed=%d, fresh=%d", trial, racc.SamplesUsed, facc.SamplesUsed)
-		}
-		if res.NumPieces() != full.NumPieces() {
-			t.Fatalf("trial %d: resumed pieces=%d, fresh=%d", trial, res.NumPieces(), full.NumPieces())
-		}
-		for i := 0; i < 120; i++ {
-			u := vec.RandSimplex(rng, d)
-			if res.Contains(u) != full.Contains(u) {
-				t.Fatalf("trial %d: resumed and fresh runs disagree at %v", trial, u)
-			}
-		}
-	}
-}
-
 // A warm start from a stricter neighbor (k' ≤ k, ε' ≤ ε) is exactly the
 // cache's inner-bound seeding path: the warm cells join the answer, and the
 // combined region must stay sound for the relaxed query.
@@ -108,12 +76,12 @@ func TestAnytimeWarmStartFromInnerBound(t *testing.T) {
 		strict := q
 		strict.K--
 		strict.Eps = q.Eps / 2
-		seedRegion, _, _, err := APCAnytimeContext(t.Context(), pts, strict, AnytimeOptions{Samples: 50, Seed: int64(trial)})
+		seedRegion, _, err := APCContext(t.Context(), pts, strict, APCOptions{Samples: 50, Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, _, _, err := APCAnytimeContext(t.Context(), pts, q, AnytimeOptions{
-			Samples: 50, Seed: int64(trial) + 7, Warm: seedRegion.Cells(),
+		r, _, err := APCContext(t.Context(), pts, q, APCOptions{
+			Samples: 50, Seed: int64(trial) + 7, MaxSamples: 50, Warm: seedRegion.Cells(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -133,30 +101,34 @@ func TestAnytimeWarmStartFromInnerBound(t *testing.T) {
 // volume by replaying the solver's own sample stream counts exactly the
 // samples that seeded the partitions, so it tracks the *true* region's
 // volume rather than the constructed subset's and overstates coverage. The
-// default accuracy report must use the decoupled stream, and the two paths
-// must diverge on an instance the sample pool undercovers.
+// receipt must use the decoupled stream, and the two paths must diverge on
+// an instance the sample pool undercovers. The pool matches the receipt's
+// measurement size, so the replay covers every solver sample.
 func TestAnytimeMeasureSeedDecoupled(t *testing.T) {
 	rng := rand.New(rand.NewSource(574))
-	pts, q := randomInstance(rng, 60, 4)
-	q.K = 2
-	q.Eps = 0.05
-	const n = 40
-	opt := AnytimeOptions{Samples: n, Seed: 9, MeasureSamples: n}
-	r, _, acc, err := APCAnytimeContext(t.Context(), pts, q, opt)
-	if err != nil {
-		t.Fatal(err)
+	for trial := 0; trial < 20; trial++ {
+		pts, q := randomInstance(rng, 60, 4)
+		q.K = 2
+		q.Eps = 0.05
+		opt := APCOptions{Samples: receiptMeasures, Seed: 9, MaxSamples: receiptMeasures}
+		r, _, acc, err := apcWithReceipt(t, pts, q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Empty() {
+			continue // too strict for the divergence check
+		}
+		correlated := r.MeasureWithSeed(opt.Seed, receiptMeasures) // replays the solver's own stream
+		independent := r.MeasureWithSeed(measureSeedFor(opt.Seed), receiptMeasures)
+		if acc.VolumeEst != independent {
+			t.Fatalf("VolumeEst=%v, want the decoupled-stream estimate %v", acc.VolumeEst, independent)
+		}
+		if correlated <= independent {
+			t.Fatalf("trial %d: correlated estimate %v did not exceed independent %v — the streams are not decoupled the way the bug needs", trial, correlated, independent)
+		}
+		return
 	}
-	if r.Empty() {
-		t.Skip("empty region: instance too strict for the divergence check")
-	}
-	correlated := r.MeasureWithSeed(opt.Seed, n) // replays the solver's own stream
-	independent := r.MeasureWithSeed(measureSeedFor(opt.Seed), n)
-	if acc.VolumeEst != independent {
-		t.Fatalf("VolumeEst=%v, want the decoupled-stream estimate %v", acc.VolumeEst, independent)
-	}
-	if correlated <= independent {
-		t.Fatalf("correlated estimate %v did not exceed independent %v — the streams are not decoupled the way the bug needs", correlated, independent)
-	}
+	t.Fatal("precondition: every instance had an empty region; pick a new seed")
 }
 
 // RhoFor inverts SampleSizeFor and the reported bound must tighten as the
@@ -178,7 +150,7 @@ func TestAnytimeRhoBound(t *testing.T) {
 	pts, q := randomInstance(rng, 20, 3)
 	var prev float64 = 2
 	for _, cut := range []int{10, 40, 160} {
-		_, _, acc, err := APCAnytimeContext(t.Context(), pts, q, AnytimeOptions{Samples: 160, Seed: 1, MaxSamples: cut})
+		_, _, acc, err := apcWithReceipt(t, pts, q, APCOptions{Samples: 160, Seed: 1, MaxSamples: cut})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,17 +166,17 @@ func TestAnytimeRhoBound(t *testing.T) {
 func TestAnytimeExpiredBudgetCutsImmediately(t *testing.T) {
 	rng := rand.New(rand.NewSource(576))
 	pts, q := randomInstance(rng, 15, 3)
-	r, _, acc, err := APCAnytimeContext(t.Context(), pts, q, AnytimeOptions{Samples: 40, Seed: 2, Budget: -time.Second})
+	r, _, acc, err := apcWithReceipt(t, pts, q, APCOptions{Samples: 40, Seed: 2, Budget: -time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A negative budget means Budget ≤ 0 is "no cut"; use MaxSamples 0 edge
-	// instead: the construction must have run to completion.
+	// Budget ≤ 0 is "no cut": the run cannot be cut and must have consumed
+	// its whole pool.
 	if acc.Cut || acc.SamplesUsed != 40 {
 		t.Fatalf("Budget ≤ 0 must disable the time cut: %+v", acc)
 	}
 	_ = r
-	r, _, acc, err = APCAnytimeContext(t.Context(), pts, q, AnytimeOptions{Samples: 40, Seed: 2, Budget: time.Nanosecond})
+	r, _, acc, err = apcWithReceipt(t, pts, q, APCOptions{Samples: 40, Seed: 2, Budget: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +252,8 @@ func TestAnytimeWithinAPC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, _, err := APCAnytime(c.pts, c.q, AnytimeOptions{Samples: c.opt.Samples, Seed: c.opt.Seed})
+		// MaxSamples at the pool: the run streams (no merge) yet is never cut.
+		a, err := APC(c.pts, c.q, APCOptions{Samples: c.opt.Samples, Seed: c.opt.Seed, MaxSamples: c.opt.Samples})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -243,12 +243,17 @@ func Prepare(pts []vec.Vec, dim int, skybandPrefilter bool) (*Prepared, error) {
 // PrepareCounted wraps an index snapshot's points as a prefiltered Prepared
 // without re-validating (the snapshot validated every point when it was
 // built or mutated). dom holds each point's exact dominator count, so every
-// k-band is one comparison per point and never recomputed. The Prepared
-// owns a plane store for its lifetime whose traffic is tallied in tally and
-// reported to the context's registry as index.planes.hit / .miss.
+// k-band is one comparison per point and never recomputed, and every k
+// above the largest count maps to one band. The Prepared owns a plane store
+// for its lifetime whose traffic is tallied in tally and reported to the
+// context's registry as index.planes.hit / .miss.
 func PrepareCounted(pts []vec.Vec, dim int, dom []int, tally *PlaneCounters) *Prepared {
 	bands := newBandSet(pts, true)
 	bands.counts, bands.countsK = dom, math.MaxInt
+	bands.top = 1
+	for _, c := range dom {
+		bands.top = max(bands.top, c+1)
+	}
 	return &Prepared{dim: dim, bands: bands, store: newPlaneStore(bands, tally)}
 }
 
@@ -272,7 +277,13 @@ func (p *Prepared) PointsFor(k int) []vec.Vec {
 func (p *Prepared) BandViews() int {
 	p.bands.mu.Lock()
 	defer p.bands.mu.Unlock()
-	return len(p.bands.memo)
+	n := 0
+	for _, b := range p.bands.memo {
+		if b != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // PlaneGroups returns the number of (point, ε) groups in the Prepared's
@@ -342,8 +353,9 @@ func (s EPTSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*Region,
 }
 
 // APCSolver answers queries approximately by progressive construction
-// (§5.2). Opt.Rng must be nil when the solver is used concurrently; seeds
-// are deterministic per query, so batch answers match sequential ones.
+// (§5.2): the paper's A-PC when Opt sets no cut budget, the anytime tier's
+// cut run when it does (see APCContext). Seeds are deterministic per query,
+// so batch answers match sequential ones.
 type APCSolver struct {
 	Opt APCOptions
 }

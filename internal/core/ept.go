@@ -101,7 +101,10 @@ func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, store
 
 	planes := ps.Crossing
 	if !opt.NoReduction || !opt.NoOrdering {
-		planes = reduceAndOrderPlanesOpt(ps.Crossing, k, opt.NoReduction, opt.NoOrdering, a)
+		planes = reduceAndOrderPlanesOpt(ps.Crossing, k, opt.NoReduction, opt.NoOrdering, a, check)
+		if check.Failed() {
+			return nil, st, check.Err()
+		}
 	} else if store != nil {
 		// Both ablations off the reduction path would pack the cached slice
 		// itself; shared plane storage is read-only, so copy the headers
@@ -162,7 +165,7 @@ func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, store
 // on negated unit normals (a standard descent argument shows counting only
 // kept dominators is sufficient — see internal/skyband).
 func reduceAndOrderPlanes(planes []geom.Hyperplane, k int) []geom.Hyperplane {
-	return reduceAndOrderPlanesOpt(planes, k, false, false, nil)
+	return reduceAndOrderPlanesOpt(planes, k, false, false, nil, NewCtxChecker(context.Background(), 0))
 }
 
 // reduceAndOrderPlanesOpt optionally skips the reduction or the ordering,
@@ -170,7 +173,12 @@ func reduceAndOrderPlanes(planes []geom.Hyperplane, k int) []geom.Hyperplane {
 // when one is supplied; the returned slice then aliases arena memory and is
 // consumed (repacked by PackNormals, copied into tree nodes) before the
 // worker's next solve.
-func reduceAndOrderPlanesOpt(planes []geom.Hyperplane, k int, noReduce, noOrder bool, a *Arena) []geom.Hyperplane {
+//
+// Both O(m²) passes poll check once every skyband.StopStride dominance
+// tests, so a deadline, cancellation or work budget stops the reduction
+// within one amortized check interval; the result is then nil and
+// check.Failed() reports the abort.
+func reduceAndOrderPlanesOpt(planes []geom.Hyperplane, k int, noReduce, noOrder bool, a *Arena, check *CtxChecker) []geom.Hyperplane {
 	m := len(planes)
 	if m == 0 {
 		return nil
@@ -198,7 +206,10 @@ func reduceAndOrderPlanesOpt(planes []geom.Hyperplane, k int, noReduce, noOrder 
 			keepIdx[i] = i
 		}
 	} else {
-		keepIdx = skyband.KSkybandScratch(negUnits, k, &a.sky)
+		keepIdx = skyband.KSkybandScratch(negUnits, k, &a.sky, check)
+		if check.Failed() {
+			return nil
+		}
 	}
 	kept := growPlanes(&a.kept, len(keepIdx))
 	// W(h): the number of negative half-spaces covered by h⁻. By Lemma 5.2,
@@ -212,6 +223,9 @@ func reduceAndOrderPlanesOpt(planes []geom.Hyperplane, k int, noReduce, noOrder 
 		w[out] = 0
 		ui := planes[i].Unit()
 		for j := 0; j < m; j++ {
+			if j%skyband.StopStride == 0 && check.Stop() {
+				return nil
+			}
 			if j != i && skyband.Dominates(planes[j].Unit(), ui) {
 				w[out]++
 			}

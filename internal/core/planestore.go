@@ -21,12 +21,17 @@ import (
 type bandSet struct {
 	all *band // the whole dataset: rank 0, and every rank when on is false
 	on  bool  // the k-skyband prefilter is enabled
+	top int   // with exact counts, max count + 1: every rank ≥ top is one band
 
 	mu      sync.Mutex
-	counts  []int // dominator counts, exact below countsK
-	countsK int   // counts answer every rank ≤ countsK
-	memo    map[int]*band
+	counts  []int         // dominator counts, exact below countsK
+	countsK int           // counts answer every rank ≤ countsK
+	memo    map[int]*band // at most maxBandViews ranks; nil: slot reserved, unbuilt
 }
+
+// maxBandViews bounds the memoized k-bands of one bandSet. A band of a rank
+// past the cap is built for its one solve and dropped.
+const maxBandViews = 64
 
 // band is one memoized k-band: its points in input order and their
 // dominator counts (exact below the rank, which is all narrowing needs).
@@ -40,15 +45,20 @@ func newBandSet(pts []vec.Vec, on bool) *bandSet {
 }
 
 // rank maps a query's k to the band rank its solver runs on: k itself with
-// the prefilter on, 0 (the whole dataset) otherwise.
+// the prefilter on — or top, when exact counts show every deeper rank
+// selects the same band — and 0 (the whole dataset) otherwise.
 func (s *bandSet) rank(k int) int {
 	if !s.on || k < 1 {
 		return 0
 	}
+	if s.top > 0 {
+		return min(k, s.top)
+	}
 	return k
 }
 
-// get returns the band of rank r (see rank), memoized. Without exact counts
+// get returns the band of rank r (see rank), memoized while fewer than
+// maxBandViews ranks are (or r's slot is reserved). Without exact counts
 // the capped counts of skyband.KSkybandCounts are computed at r and only
 // recomputed when a deeper rank arrives; counts at r′ ≥ r answer r.
 func (s *bandSet) get(r int) *band {
@@ -57,7 +67,8 @@ func (s *bandSet) get(r int) *band {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b, ok := s.memo[r]; ok {
+	b, reserved := s.memo[r]
+	if b != nil {
 		return b
 	}
 	if s.countsK < r {
@@ -70,18 +81,45 @@ func (s *bandSet) get(r int) *band {
 			m++
 		}
 	}
-	b := &band{pts: make([]vec.Vec, 0, m), cnt: make([]int, 0, m)}
+	b = &band{pts: make([]vec.Vec, 0, m), cnt: make([]int, 0, m)}
 	for i, c := range s.counts {
 		if c < r {
 			b.pts = append(b.pts, s.all.pts[i])
 			b.cnt = append(b.cnt, c)
 		}
 	}
+	if reserved || s.claim() {
+		s.memo[r] = b
+	}
+	return b
+}
+
+// reserve reports whether rank r's band is, or will be, memoized — claiming
+// a memo slot for it when one is free. A plane group keeps its band alive,
+// so groups are installed only at reserved ranks.
+func (s *bandSet) reserve(r int) bool {
+	if r == 0 {
+		return true
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.memo[r]; ok {
+		return true
+	}
+	if !s.claim() {
+		return false
+	}
+	s.memo[r] = nil
+	return true
+}
+
+// claim reports whether the memo has room for one more rank. Callers hold
+// s.mu.
+func (s *bandSet) claim() bool {
 	if s.memo == nil {
 		s.memo = make(map[int]*band)
 	}
-	s.memo[r] = b
-	return b
+	return len(s.memo) < maxBandViews
 }
 
 // maxPlaneGroups bounds a plane store; queries whose group would exceed it
@@ -179,7 +217,8 @@ func (s *planeStore) planes(pts []vec.Vec, q Query, a *Arena, reg *obs.Registry)
 }
 
 // group returns q's group if it covers rank r, else installs a fresh
-// (unbuilt) one at r; nil when the store is full and q has no group.
+// (unbuilt) one at r; nil when the store is full and q has no group, or
+// when r's band is past the memo cap.
 func (s *planeStore) group(q Query, r int) *planeGroup {
 	var buf [128]byte
 	key := groupKey(buf[:0], q)
@@ -189,7 +228,7 @@ func (s *planeStore) group(q Query, r int) *planeGroup {
 	if g != nil && g.kmax >= r {
 		return g
 	}
-	if g == nil && len(s.groups) >= maxPlaneGroups {
+	if g == nil && len(s.groups) >= maxPlaneGroups || !s.bands.reserve(r) {
 		return nil
 	}
 	g = &planeGroup{kmax: r}

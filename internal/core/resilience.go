@@ -6,8 +6,9 @@ package core
 // batch query runs through: panics become typed *SolveError values, and
 // timeouts and budget exhaustion surface as typed errors (ErrDeadline,
 // *BudgetError). The one approximate rung below an exact answer is the
-// anytime A-PC tier (apc_anytime.go); the serving layers decide when to
-// take it.
+// anytime tier — an APCSolver whose options set a cut budget — and it runs
+// through the same guarded entry; the serving layers decide when to take
+// it.
 
 import (
 	"context"
@@ -73,7 +74,8 @@ type meterKey struct{}
 // ContextWithWorkBudget returns a context whose solves abort with a
 // *BudgetError after roughly limit work units — the same units the
 // amortized cancellation checks count: partition-tree node visits, LP
-// relation tests, sample scans. The bound is amortized (checked every
+// relation tests, sample scans, E-PT plane-reduction steps (one per
+// skyband.StopStride dominance tests). The bound is amortized (checked every
 // mask+1 units per worker), so overruns are detected within one check
 // interval. limit ≤ 0 returns ctx unchanged.
 func ContextWithWorkBudget(ctx context.Context, limit int64) context.Context {
@@ -113,7 +115,8 @@ func (e *NumericalError) Unwrap() error { return e.Err }
 // mishandles, and the serving layer's job is to report it as a typed
 // *SolveError, not to paper over it. A timeout or budget failure surfaces
 // as ErrDeadline or *BudgetError; answering such a query approximately is
-// the caller's decision (the anytime tier, see APCAnytimeContext).
+// the caller's decision (the anytime tier: an APCSolver with a cut budget,
+// under a policy without the limits it is degrading from).
 type SolvePolicy struct {
 	Solver       Solver
 	QueryTimeout time.Duration // ≤ 0: no per-query timeout

@@ -156,8 +156,9 @@ func TestWorkBudgetExceeded(t *testing.T) {
 // The timeout rung of the degradation ladder at the core level: a per-query
 // timeout on a delayed exact solve surfaces ErrDeadline, and the anytime
 // construction then answers the same query with a sound region and an
-// accuracy receipt. The rung runs outside the policy, so the delay that
-// stalled the exact solve does not touch it.
+// accuracy receipt. The rung runs through the same guarded policy, without
+// the timeout it is degrading from; the delay fires once, so it stalls only
+// the exact solve.
 func TestQueryTimeoutDegradation(t *testing.T) {
 	pts := dataset.Generate(dataset.Independent, 60, 3, 3)
 	prep, err := Prepare(pts, 3, false)
@@ -168,16 +169,19 @@ func TestQueryTimeoutDegradation(t *testing.T) {
 	inj := faultinject.New(&faultinject.Fault{
 		Point: faultinject.SolveStart,
 		Delay: 200 * time.Millisecond,
+		Times: 1,
 	})
 	ctx := faultinject.ContextWith(context.Background(), inj)
 	pol := SolvePolicy{Solver: EPTSolver{}, QueryTimeout: 30 * time.Millisecond}
 	if _, _, err := pol.Solve(ctx, prep, q, -1); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("exact err = %v, want ErrDeadline", err)
 	}
-	r, _, acc, err := APCAnytimeContext(ctx, prep.PointsFor(q.K), q, AnytimeOptions{Seed: 1, Budget: 50 * time.Millisecond})
+	opt := APCOptions{Seed: 1, Budget: 50 * time.Millisecond}
+	r, st, err := SolvePolicy{Solver: APCSolver{Opt: opt}}.Solve(ctx, prep, q, -1)
 	if err != nil {
 		t.Fatalf("anytime rung: %v", err)
 	}
+	acc := AccuracyOf(r, st, q, opt)
 	if acc.SamplesUsed == 0 || acc.RhoBound <= 0 || acc.RhoBound > 1 {
 		t.Fatalf("anytime receipt %+v", acc)
 	}
@@ -374,4 +378,39 @@ func TestCancelMidBatchPhasesBalanced(t *testing.T) {
 		t.Fatal("cancellation had no effect on the batch")
 	}
 	assertPhasesBalanced(t, reg)
+}
+
+// The E-PT plane reduction is two O(m²) passes (the skyband over negated
+// unit normals, then the W(h) count). At large k both run long before the
+// partition tree starts, so they must observe the per-query timeout
+// themselves: a 1ms timeout fails within a small multiple of itself
+// instead of after the whole reduction. The same polls charge the work
+// budget.
+func TestEPTReductionObservesTimeout(t *testing.T) {
+	pts := dataset.Generate(dataset.Independent, 8000, 3, 1)
+	prep, err := Prepare(pts, 3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Q: dataset.RandQuery(rand.New(rand.NewSource(2)), pts), K: 1000, Eps: 0.1}
+	pol := SolvePolicy{Solver: EPTSolver{}, QueryTimeout: time.Millisecond}
+	start := time.Now()
+	_, st, err := pol.Solve(context.Background(), prep, q, -1)
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrDeadline) {
+		t.Fatalf("err = %v, want ErrDeadline", err)
+	}
+	if st.PlanesBuilt < 5000 {
+		t.Fatalf("precondition: only %d crossing planes; the reduction is not the long phase", st.PlanesBuilt)
+	}
+	if elapsed > 100*time.Millisecond {
+		t.Fatalf("1ms timeout fired after %v: the reduction ignores the deadline", elapsed)
+	}
+
+	pol = SolvePolicy{Solver: EPTSolver{}, WorkBudget: 1000}
+	_, _, err = pol.Solve(context.Background(), prep, q, -1)
+	var be *BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("err = %v, want *BudgetError from the reduction", err)
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rrq/internal/dataset"
 	"rrq/internal/skyband"
 	"rrq/internal/vec"
 )
@@ -305,5 +306,93 @@ func TestBatchPlaneStoreLifetimes(t *testing.T) {
 	}
 	if got := counted.PlaneGroups(); got != 2 {
 		t.Errorf("counted Prepared holds %d plane groups after the batch, want 2", got)
+	}
+}
+
+// TestBandMemoBounded pins the band memo's two bounds on a counted
+// Prepared: every k above the largest dominator count maps to one band
+// (rank max count + 1), and the memo holds at most maxBandViews ranks —
+// a rank past the cap builds its band and planes for its one solve. Either
+// way each region is byte-identical to free E-PT over the k-skyband.
+func TestBandMemoBounded(t *testing.T) {
+	pts := dataset.Generate(dataset.Correlated, 200, 3, 5)
+	dom := skyband.DominatorCounts(pts)
+	top := 1
+	for _, c := range dom {
+		top = max(top, c+1)
+	}
+	if top < maxBandViews+10 {
+		t.Fatalf("precondition: largest dominator count %d leaves too few distinct ranks", top-1)
+	}
+	q := Query{Q: dataset.RandQuery(rand.New(rand.NewSource(6)), pts), Eps: 0.1}
+	wants := map[int][]byte{}
+	check := func(k int, got *Region) {
+		t.Helper()
+		if wants[k] == nil {
+			kq := q
+			kq.K = k
+			want, _, err := EPTContext(context.Background(), skyband.Select(pts, skyband.KSkyband(pts, k)), kq, EPTOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wants[k] = regionBytes(t, want)
+		}
+		if !bytes.Equal(regionBytes(t, got), wants[k]) {
+			t.Fatalf("k=%d: region differs from free E-PT over the k-skyband", k)
+		}
+	}
+	solve := func(prep *Prepared, k int) {
+		t.Helper()
+		kq := q
+		kq.K = k
+		got, _, err := EPTSolver{}.Solve(context.Background(), prep, kq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(k, got)
+	}
+
+	deep := PrepareCounted(pts, 3, dom, nil)
+	for k := top; k < top+20; k++ {
+		solve(deep, k)
+	}
+	if got := deep.BandViews(); got != 1 {
+		t.Fatalf("%d band views after 20 ranks above the largest count, want 1", got)
+	}
+
+	// Ascending ranks deepen the query's plane group one rank at a time
+	// until the memo is full; past it, bands and planes are built per solve.
+	capped := PrepareCounted(pts, 3, dom, nil)
+	for k := 1; k < maxBandViews+10; k++ {
+		solve(capped, k)
+	}
+	solve(capped, maxBandViews+5)
+	solve(capped, top+3)
+	if got := capped.BandViews(); got != maxBandViews {
+		t.Fatalf("%d band views, want the cap %d", got, maxBandViews)
+	}
+	if got := capped.PlaneGroups(); got != 1 {
+		t.Fatalf("%d plane groups for one (point, ε), want 1", got)
+	}
+	if g := capped.store.groups[string(groupKey(nil, q))]; g.kmax != maxBandViews {
+		t.Fatalf("plane group at rank %d, want the last memoized rank %d", g.kmax, maxBandViews)
+	}
+
+	// Concurrent workers race for the last memo slots; the cap still holds.
+	var queries []Query
+	for k := maxBandViews + 9; k >= 1; k-- {
+		kq := q
+		kq.K = k
+		queries = append(queries, kq)
+	}
+	batch := PrepareCounted(pts, 3, dom, nil)
+	for i, o := range SolveBatchPolicy(context.Background(), SolvePolicy{Solver: EPTSolver{}}, batch, queries, 4) {
+		if o.Err != nil {
+			t.Fatal(o.Err)
+		}
+		check(queries[i].K, o.Region)
+	}
+	if got := batch.BandViews(); got > maxBandViews {
+		t.Fatalf("%d band views after a concurrent batch, want at most %d", got, maxBandViews)
 	}
 }

@@ -111,11 +111,8 @@ func checkAnytimeProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *An
 	var prevPieces, prevCut int
 	var prevRho float64
 	for _, cut := range cuts {
-		region, _, acc, err := core.APCAnytimeContext(ctx, ins.Pts, q, core.AnytimeOptions{
-			Samples:    n,
-			Seed:       seed,
-			MaxSamples: cut,
-		})
+		opt := core.APCOptions{Samples: n, Seed: seed, MaxSamples: cut}
+		region, st, err := core.APCContext(ctx, ins.Pts, q, opt)
 		if err != nil {
 			rep.SolveSkipped++
 			rep.fail(Mismatch{Kind: "anytime-error", Solver: "A-PC-anytime", Problem: prob,
@@ -123,6 +120,7 @@ func checkAnytimeProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *An
 			return
 		}
 		rep.Cuts++
+		acc := core.AccuracyOf(region, st, q, opt)
 
 		// Accuracy accounting: the budget is a hard ceiling, the Cut flag
 		// tells truncated prefixes from the natural end of the stream, and

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -281,14 +282,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// decodeBody decodes a JSON request body (bounded at 1 MiB), reporting
-// malformed input as a *QueryError so it maps to 400 like any other
-// validation failure.
+// decodeBody decodes a JSON request body (bounded at 1 MiB) that must hold
+// exactly one JSON value, reporting malformed input — trailing bytes
+// included — as a *QueryError so it maps to 400 like any other validation
+// failure.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return &core.QueryError{Field: "body", Msg: fmt.Sprintf("malformed request: %v", err)}
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return &core.QueryError{Field: "body", Msg: "malformed request: trailing data after the JSON value"}
 	}
 	return nil
 }

@@ -523,6 +523,94 @@ func TestErrorMappingPanic(t *testing.T) {
 	}
 }
 
+// A panic in the anytime rung is a solver panic like any other: 500 with
+// kind "panic", under both triggers of the rung. Under the timeout trigger
+// the rung runs inside the singleflight leader, so the flight must still
+// close — the repeat of the identical request gets an answer instead of
+// waiting forever on the failed flight.
+func TestAnytimeRungPanic(t *testing.T) {
+	client := &http.Client{Timeout: 10 * time.Second}
+	post := func(t *testing.T, url, body string) (int, []byte) {
+		t.Helper()
+		resp, err := client.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", body, err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, buf.Bytes()
+	}
+	wantPanic := func(t *testing.T, status int, b []byte) {
+		t.Helper()
+		if status != http.StatusInternalServerError {
+			t.Fatalf("status %d: %s, want 500", status, b)
+		}
+		if er := decodeError(t, b); er.Kind != "panic" {
+			t.Fatalf("kind %q, want panic (%s)", er.Kind, b)
+		}
+	}
+	const degraded = `{"q":[0.35,0.8],"k":1,"epsilon":0.05}`
+
+	t.Run("timeout", func(t *testing.T) {
+		// The first firing stalls the exact solve past its query timeout;
+		// the second, in the anytime retry, panics.
+		inj := faultinject.New(
+			&faultinject.Fault{Point: faultinject.SolveStart, Delay: 100 * time.Millisecond, Times: 1},
+			&faultinject.Fault{Point: faultinject.SolveStart, Panics: "injected anytime failure", Times: 1},
+		)
+		ts := newTestServer(t, Config{
+			Index:         testIndex(t, rrq.WithQueryTimeout(20*time.Millisecond)),
+			AnytimeBudget: 50 * time.Millisecond,
+			BaseContext:   func() context.Context { return faultinject.ContextWith(context.Background(), inj) },
+		})
+		status, b := post(t, ts.URL+"/v1/solve", degraded)
+		wantPanic(t, status, b)
+		if status, b := post(t, ts.URL+"/v1/solve", degraded); status != http.StatusOK {
+			t.Fatalf("repeat status %d: %s, want 200", status, b)
+		}
+	})
+
+	t.Run("saturated", func(t *testing.T) {
+		slow := `{"q":[0.4,0.7],"k":2,"epsilon":0.1}`
+		inj := faultinject.New(
+			&faultinject.Fault{Point: faultinject.SolveStart, Match: faultinject.MatchPoint([]float64{0.4, 0.7}),
+				Delay: 300 * time.Millisecond, Times: 1},
+			&faultinject.Fault{Point: faultinject.SolveStart, Match: faultinject.MatchPoint([]float64{0.35, 0.8}),
+				Panics: "injected anytime failure", Times: 1},
+		)
+		adm := NewAdmission(AdmitCap, 1, 0)
+		ts := newTestServer(t, Config{
+			Index:         testIndex(t),
+			Admission:     adm,
+			AnytimeBudget: 50 * time.Millisecond,
+			BaseContext:   func() context.Context { return faultinject.ContextWith(context.Background(), inj) },
+		})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if status, b := post(t, ts.URL+"/v1/solve", slow); status != http.StatusOK {
+				t.Errorf("slow solve status %d: %s", status, b)
+			}
+		}()
+		for i := 0; adm.Depth() == 0 && i < 100; i++ {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if adm.Depth() == 0 {
+			t.Fatal("slow solve never occupied the slot")
+		}
+		status, b := post(t, ts.URL+"/v1/solve", degraded)
+		wantPanic(t, status, b)
+		if status, b := post(t, ts.URL+"/v1/solve", degraded); status != http.StatusOK {
+			t.Fatalf("repeat status %d: %s, want 200", status, b)
+		}
+		wg.Wait()
+	})
+}
+
 // Concurrent identical requests are coalesced into one solve.
 func TestSolveDedup(t *testing.T) {
 	inj := faultinject.New(&faultinject.Fault{

@@ -91,7 +91,7 @@ func TestKSkybandScratchMatchesKSkyband(t *testing.T) {
 			pts := randPoints(rng, n, d)
 			for k := 1; k <= 4; k++ {
 				want := KSkyband(pts, k)
-				got := KSkybandScratch(pts, k, &s)
+				got := KSkybandScratch(pts, k, &s, nil)
 				if len(got) != len(want) {
 					t.Fatalf("d=%d n=%d k=%d: %d indices, want %d", d, n, k, len(got), len(want))
 				}
@@ -109,9 +109,9 @@ func TestKSkybandScratchZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	pts := randPoints(rng, 300, 3)
 	var s Scratch
-	KSkybandScratch(pts, 3, &s)
+	KSkybandScratch(pts, 3, &s, nil)
 	allocs := testing.AllocsPerRun(50, func() {
-		KSkybandScratch(pts, 3, &s)
+		KSkybandScratch(pts, 3, &s, nil)
 	})
 	if allocs != 0 {
 		t.Errorf("KSkybandScratch allocates %.1f per run on warm scratch, want 0", allocs)

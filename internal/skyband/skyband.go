@@ -80,6 +80,16 @@ type Scratch struct {
 	band  []int
 }
 
+// Stopper lets a caller abort a long scan: Stop counts one unit of work and
+// reports whether the scan should stop.
+type Stopper interface {
+	Stop() bool
+}
+
+// StopStride is the number of dominance tests per Stopper poll — the work
+// one unit stands for.
+const StopStride = 32
+
 // KSkybandScratch is KSkyband with caller-owned scratch storage: the
 // returned index slice aliases s and is valid only until the next call with
 // the same scratch. The result is identical to KSkyband — the internal
@@ -87,7 +97,10 @@ type Scratch struct {
 // has a strictly larger attribute sum than the point it dominates (it must
 // exceed it in some coordinate and match or exceed in the rest), so
 // equal-sum ties never affect dominator counts or band membership.
-func KSkybandScratch(pts []vec.Vec, k int, s *Scratch) []int {
+//
+// stop, when non-nil, is polled once every StopStride dominance tests; the
+// scan returns nil as soon as it reports true.
+func KSkybandScratch(pts []vec.Vec, k int, s *Scratch, stop Stopper) []int {
 	if k < 1 {
 		return nil
 	}
@@ -105,10 +118,15 @@ func KSkybandScratch(pts []vec.Vec, k int, s *Scratch) []int {
 	sortIdxBySumDesc(order, sums)
 
 	band := s.band[:0]
+	tests := 0
 	for _, idx := range order {
 		p := pts[idx]
 		count := 0
 		for _, bIdx := range band {
+			if tests++; tests%StopStride == 0 && stop != nil && stop.Stop() {
+				s.band = band
+				return nil
+			}
 			if Dominates(pts[bIdx], p) {
 				count++
 				if count >= k {

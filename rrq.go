@@ -446,7 +446,8 @@ func WithQueryTimeout(d time.Duration) Option {
 
 // WithWorkBudget bounds the work of each individual solve in the solver's
 // own units — partition-tree node visits, LP relation tests, sample
-// classifications: the same units the amortized cancellation checks count.
+// classifications, and E-PT's plane-reduction steps (one unit per 32
+// dominance tests): the same units the amortized cancellation checks count.
 // Unlike a timeout, the bound is deterministic: a query either fits its
 // budget or fails with a *BudgetError on every run, regardless of machine
 // load. The budget is shared across a solve's intra-query workers and
@@ -493,16 +494,19 @@ func WithCacheBounds(on bool) Option { return func(c *config) { c.cacheBounds = 
 func WithMetrics(reg *Registry) Option { return func(c *config) { c.metrics = reg } }
 
 // WithAnytime selects the anytime serving tier with a wall-clock budget:
-// the solve runs the resumable progressive A-PC construction and cuts at
-// the first partition boundary past the deadline, returning whatever
+// the solve runs the progressive A-PC construction and cuts at the first
+// partition boundary past the deadline, returning whatever
 // sound inner region has accumulated by then (possibly empty) with
 // Result.Accuracy reporting the Lemma 5.10 ρ bound for the samples
 // actually consumed. Cuts happen only at partition boundaries, so for a
 // fixed seed the region is monotone in the budget: a longer budget's
 // region contains a shorter one's.
 //
-// The anytime tier replaces the configured algorithm and bypasses batch
-// sharing. The result cache still
+// The anytime tier replaces the configured algorithm and the per-query
+// limits (WithQueryTimeout, WithWorkBudget) — it is the retry for a solve
+// that failed on them, and its budget bounds the run — but keeps the
+// guarded solve path: a panic comes back as a *SolveError, and batches use
+// the worker pool and duplicate collapse. The result cache still
 // participates: anytime answers are stored as inner-bound entries, and a
 // cached inner bound on the same query point seeds the construction
 // (warm start), so repeated anytime queries ratchet toward the full
@@ -552,8 +556,13 @@ func solverFor(cfg config, dim int) (core.Solver, error) {
 }
 
 // policyFor assembles the core serving policy: the configured solver plus
-// the per-query limits.
+// the per-query limits. On the anytime tier the solver is the cut A-PC run
+// and the limits are left off: the tier is the retry for a solve that
+// failed on them, and its cut budgets bound the run instead.
 func policyFor(cfg config, dim int) (core.SolvePolicy, error) {
+	if cfg.anytimeActive() {
+		return core.SolvePolicy{Solver: core.APCSolver{Opt: anytimeOptions(cfg, nil)}}, nil
+	}
 	s, err := solverFor(cfg, dim)
 	if err != nil {
 		return core.SolvePolicy{}, err
