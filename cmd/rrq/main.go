@@ -92,7 +92,7 @@ func main() {
 		}
 	}
 
-	algo, err := parseAlgo(*algoStr)
+	algo, err := rrq.ParseAlgorithm(*algoStr)
 	fatal(err)
 
 	var resOpts []rrq.Option
@@ -333,24 +333,6 @@ func parsePoint(s string) (rrq.Point, error) {
 		p[i] = x
 	}
 	return p, nil
-}
-
-func parseAlgo(s string) (rrq.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "auto":
-		return rrq.Auto, nil
-	case "sweeping":
-		return rrq.SweepingAlgo, nil
-	case "ept":
-		return rrq.EPTAlgo, nil
-	case "apc":
-		return rrq.APCAlgo, nil
-	case "lpcta":
-		return rrq.LPCTAAlgo, nil
-	case "brute":
-		return rrq.BruteForceAlgo, nil
-	}
-	return 0, fmt.Errorf("unknown algorithm %q", s)
 }
 
 func fmtVec(u rrq.Vector) string {

@@ -408,8 +408,8 @@ func simSuite(full bool) []simScenario {
 }
 
 // runSimScenarios replays one seeded mixed-(k, ε) workload through every
-// serving scenario. Each scenario gets a freshly built index so cache state
-// never leaks between rows.
+// serving scenario, each against rrqd's handler over a freshly built index
+// so cache state never leaks between rows.
 func runSimScenarios(full bool, seed int64) ([]simBenchResult, error) {
 	var out []simBenchResult
 	for _, sc := range simSuite(full) {
@@ -426,9 +426,15 @@ func runSimScenarios(full bool, seed int64) ([]simBenchResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sc.Name, err)
 		}
+		srv, err := server.New(server.Config{
+			Index:     ix,
+			Admission: server.NewAdmission(sc.Policy, sc.Capacity, sc.Queue),
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", sc.Name, err)
+		}
 		rep, err := sim.Run(context.Background(), sim.Config{
-			Index:       ix,
-			Admission:   server.NewAdmission(sc.Policy, sc.Capacity, sc.Queue),
+			Handler:     srv.Handler(),
 			Queries:     w.Generate(ds),
 			Clients:     sc.Clients,
 			ArrivalRate: sc.Arrival,

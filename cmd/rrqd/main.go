@@ -38,36 +38,18 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"rrq"
-	"rrq/internal/dataset"
 	"rrq/internal/faultinject"
 	"rrq/internal/server"
 )
 
 func main() {
+	sf := server.RegisterFlags(flag.CommandLine)
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		dataPath    = flag.String("data", "", "CSV dataset path (header + numeric rows)")
-		synthetic   = flag.String("synthetic", "", "synthetic dataset spec type:n:d:seed, e.g. indep:5000:3:1")
-		real        = flag.String("real", "", "real dataset stand-in spec name:maxN, e.g. NBA:3000")
-		algoStr     = flag.String("algo", "auto", "auto|sweeping|ept|apc|lpcta|brute")
-		samples     = flag.Int("samples", 0, "A-PC sample count (0 = paper default)")
-		cacheN      = flag.Int("cache", 1024, "result cache capacity in entries (0 = no cache)")
-		cacheBnd    = flag.Bool("cache-bounds", false, "serve sound inner/outer bounds from cached neighbors")
-		qTimeout    = flag.Duration("query-timeout", 0, "per-query wall-clock limit (0 = none)")
-		budget      = flag.Int64("budget", 0, "per-query work budget in solver units (0 = none)")
-		policyStr   = flag.String("policy", "always", `admission policy: "always" (queue) or "cap" (shed)`)
-		capacity    = flag.Int("capacity", 0, "concurrent solve slots (0 = GOMAXPROCS)")
-		queueLen    = flag.Int("queue", 64, "queued requests beyond the slots before the cap policy sheds")
-		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant refill rate in work units/second (0 = no metering)")
-		tenantBurst = flag.Float64("tenant-burst", 0, "per-tenant budget burst in work units")
-
+		addr       = flag.String("addr", ":8080", "listen address")
 		walDir     = flag.String("wal-dir", "", "durability directory (WAL + checkpoints); empty = in-memory only")
 		fsync      = flag.String("fsync", "always", `WAL fsync policy: "always", "interval" or "never"`)
 		fsyncEvery = flag.Duration("fsync-interval", 100*time.Millisecond, `flush period under -fsync interval`)
@@ -75,35 +57,20 @@ func main() {
 		drainT     = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain limit before in-flight requests are force-closed")
 		drainG     = flag.Duration("drain-grace", 0, "after SIGTERM, keep the listener open this long answering 503 so load balancers observe the drain before connections close")
 		solveDelay = flag.Duration("debug-solve-delay", 0, "artificial per-solve delay (shutdown/drain testing only)")
-		anytime    = flag.Duration("anytime", 0, "answer on the anytime tier under this per-solve budget when the cap policy is saturated or an exact solve exceeds -query-timeout or -budget (0 = 429/504 as usual)")
 	)
 	flag.Parse()
 
-	algo, err := parseAlgo(*algoStr)
-	fatal(err)
-
 	reg := rrq.NewRegistry()
-	opts := []rrq.Option{
-		rrq.WithAlgorithm(algo),
-		rrq.WithMetrics(reg),
-		rrq.WithResultCache(*cacheN),
-		rrq.WithCacheBounds(*cacheBnd),
-	}
-	if *samples > 0 {
-		opts = append(opts, rrq.WithSamples(*samples))
-	}
-	if *qTimeout > 0 {
-		opts = append(opts, rrq.WithQueryTimeout(*qTimeout))
-	}
-	if *budget > 0 {
-		opts = append(opts, rrq.WithWorkBudget(*budget))
-	}
+	opts, err := sf.IndexOptions(reg)
+	fatal(err)
+	cfg, err := sf.Config(reg)
+	fatal(err)
 
 	durable := *walDir != ""
 	var ix *rrq.Index
 	if !durable {
 		// In-memory serving: build before listening, exactly as before.
-		ds, err := loadDataset(*dataPath, *synthetic, *real)
+		ds, err := sf.Dataset()
 		fatal(err)
 		buildStart := time.Now()
 		ix, err = rrq.BuildIndex(ds, opts...)
@@ -112,21 +79,8 @@ func main() {
 			ix.Len(), ix.Dim(), ix.Version(), time.Since(buildStart).Round(time.Millisecond))
 	}
 
-	policy, err := server.ParseAdmissionPolicy(*policyStr)
-	fatal(err)
-	if *capacity <= 0 {
-		*capacity = runtime.GOMAXPROCS(0)
-	}
-	cfg := server.Config{
-		Index:         ix,
-		Recovering:    durable,
-		Metrics:       reg,
-		Admission:     server.NewAdmission(policy, *capacity, *queueLen),
-		AnytimeBudget: *anytime,
-	}
-	if *tenantRate > 0 && *tenantBurst > 0 {
-		cfg.Tenants = server.NewTenantBudgets(*tenantRate, *tenantBurst)
-	}
+	cfg.Index = ix
+	cfg.Recovering = durable
 	if *solveDelay > 0 {
 		in := faultinject.New(&faultinject.Fault{Point: faultinject.SolveStart, Delay: *solveDelay})
 		cfg.BaseContext = func() context.Context {
@@ -140,7 +94,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() {
 		fmt.Printf("rrqd: serving on %s (policy=%s capacity=%d cache=%d)\n",
-			*addr, policy, cfg.Admission.Capacity(), *cacheN)
+			*addr, cfg.Admission.Policy(), cfg.Admission.Capacity(), sf.Cache)
 		errc <- httpSrv.ListenAndServe()
 	}()
 
@@ -150,9 +104,9 @@ func main() {
 		// checkpoint exists, so restarts need no dataset source.
 		recoverStart := time.Now()
 		seed := func() (*rrq.Dataset, error) {
-			ds, err := loadDataset(*dataPath, *synthetic, *real)
+			ds, err := sf.Dataset()
 			if err != nil {
-				return nil, fmt.Errorf("rrqd: no checkpoint in %s, seeding needs a dataset: %w", *walDir, err)
+				return nil, fmt.Errorf("no checkpoint in %s, seeding needs a dataset: %w", *walDir, err)
 			}
 			return ds, nil
 		}
@@ -208,98 +162,9 @@ func main() {
 	}
 }
 
-// loadDataset resolves exactly one of the three dataset sources.
-func loadDataset(csvPath, synthetic, real string) (*rrq.Dataset, error) {
-	set := 0
-	for _, s := range []string{csvPath, synthetic, real} {
-		if s != "" {
-			set++
-		}
-	}
-	if set != 1 {
-		return nil, errors.New("rrqd: exactly one of -data, -synthetic, -real is required")
-	}
-	switch {
-	case csvPath != "":
-		f, err := os.Open(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		pts, err := dataset.ReadCSV(f)
-		if err != nil {
-			return nil, err
-		}
-		if len(pts) == 0 {
-			return nil, fmt.Errorf("rrqd: no data rows in %s", csvPath)
-		}
-		raw := make([][]float64, len(pts))
-		for i, p := range pts {
-			raw[i] = p
-		}
-		ds, err := rrq.NewDataset(raw)
-		if err != nil {
-			return nil, err
-		}
-		return ds.Normalize(), nil
-	case synthetic != "":
-		parts := strings.Split(synthetic, ":")
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("rrqd: -synthetic wants type:n:d:seed, got %q", synthetic)
-		}
-		var t rrq.DistType
-		switch parts[0] {
-		case "indep":
-			t = rrq.Independent
-		case "corr":
-			t = rrq.Correlated
-		case "anti":
-			t = rrq.Anticorrelated
-		default:
-			return nil, fmt.Errorf("rrqd: unknown distribution %q (want indep|corr|anti)", parts[0])
-		}
-		n, err1 := strconv.Atoi(parts[1])
-		d, err2 := strconv.Atoi(parts[2])
-		seed, err3 := strconv.ParseInt(parts[3], 10, 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("rrqd: malformed -synthetic %q", synthetic)
-		}
-		return rrq.SyntheticDataset(t, n, d, seed), nil
-	default:
-		name, maxS, ok := strings.Cut(real, ":")
-		maxN := 0
-		if ok {
-			var err error
-			if maxN, err = strconv.Atoi(maxS); err != nil {
-				return nil, fmt.Errorf("rrqd: malformed -real %q", real)
-			}
-		}
-		return rrq.RealDataset(name, maxN)
-	}
-}
-
-func parseAlgo(s string) (rrq.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "auto":
-		return rrq.Auto, nil
-	case "sweeping", "sweep":
-		return rrq.SweepingAlgo, nil
-	case "ept":
-		return rrq.EPTAlgo, nil
-	case "apc":
-		return rrq.APCAlgo, nil
-	case "lpcta":
-		return rrq.LPCTAAlgo, nil
-	case "brute":
-		return rrq.BruteForceAlgo, nil
-	default:
-		return 0, fmt.Errorf("rrqd: unknown algorithm %q", s)
-	}
-}
-
 func fatal(err error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "rrqd:", err)
 		os.Exit(1)
 	}
 }

@@ -1,7 +1,7 @@
 // Command rrqsim runs the closed-loop (or open-loop) workload simulator
-// against an in-process index — the same admission controller and tenant
-// meter rrqd deploys, minus HTTP — and prints per-policy latency
-// percentiles, shed rate and cache effectiveness.
+// against rrqd's own handler, built in-process from rrqd's dataset, index
+// and serving flags (same names, same defaults), and prints per-policy
+// latency percentiles, shed rate and cache effectiveness.
 //
 // Usage:
 //
@@ -14,7 +14,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -27,35 +26,23 @@ import (
 )
 
 func main() {
+	sf := server.RegisterFlags(flag.CommandLine)
 	var (
-		synthetic   = flag.String("synthetic", "", "synthetic dataset spec type:n:d:seed, e.g. indep:2000:2:1")
-		real        = flag.String("real", "", "real dataset stand-in spec name:maxN")
-		algoStr     = flag.String("algo", "auto", "auto|sweeping|ept|apc|lpcta|brute")
-		queries     = flag.Int("queries", 200, "query stream length")
-		clients     = flag.Int("clients", 8, "closed-loop client count")
-		arrival     = flag.Float64("arrival", 0, "open-loop arrivals/second (0 = closed loop)")
-		kmin        = flag.Int("kmin", 2, "minimum query rank")
-		kmax        = flag.Int("kmax", 8, "maximum query rank")
-		epsStr      = flag.String("eps", "0.05,0.1,0.2", "comma-separated regret tolerance levels")
-		repeat      = flag.Float64("repeat", 0.5, "probability a query repeats an earlier one")
-		seed        = flag.Int64("seed", 42, "workload seed")
-		policyStr   = flag.String("policy", "always", `admission policy: "always" or "cap"`)
-		capacity    = flag.Int("capacity", 2, "concurrent solve slots")
-		queueLen    = flag.Int("queue", 8, "queue depth beyond the slots before the cap policy sheds")
-		cacheN      = flag.Int("cache", 1024, "result cache capacity (0 = no cache)")
-		cacheBnd    = flag.Bool("cache-bounds", false, "serve sound inner/outer bounds from cached neighbors")
-		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant refill rate in work units/second (0 = no metering)")
-		tenantBurst = flag.Float64("tenant-burst", 0, "per-tenant budget burst in work units")
-		tenants     = flag.Int("tenants", 4, "synthetic tenant count when metering is on")
-		anytime     = flag.Duration("anytime", 0, "degrade shed requests to the anytime tier under this per-solve budget (0 = shed)")
-		compare     = flag.Bool("compare", false, "run the full policy × cache matrix instead of one scenario")
-		jsonPath    = flag.String("json", "", `write reports as JSON to this path ("-" = stdout)`)
+		queries  = flag.Int("queries", 200, "query stream length")
+		clients  = flag.Int("clients", 8, "closed-loop client count")
+		arrival  = flag.Float64("arrival", 0, "open-loop arrivals/second (0 = closed loop)")
+		kmin     = flag.Int("kmin", 2, "minimum query rank")
+		kmax     = flag.Int("kmax", 8, "maximum query rank")
+		epsStr   = flag.String("eps", "0.05,0.1,0.2", "comma-separated regret tolerance levels")
+		repeat   = flag.Float64("repeat", 0.5, "probability a query repeats an earlier one")
+		seed     = flag.Int64("seed", 42, "workload seed")
+		tenants  = flag.Int("tenants", 4, "synthetic tenant count the requests are spread over")
+		compare  = flag.Bool("compare", false, "run the full policy × cache matrix (overriding -policy and -cache) instead of one scenario")
+		jsonPath = flag.String("json", "", `write reports as JSON to this path ("-" = stdout)`)
 	)
 	flag.Parse()
 
-	ds, err := loadDataset(*synthetic, *real)
-	fatal(err)
-	algo, err := parseAlgo(*algoStr)
+	ds, err := sf.Dataset()
 	fatal(err)
 
 	var eps []float64
@@ -68,22 +55,19 @@ func main() {
 	stream := w.Generate(ds)
 
 	type scenario struct {
-		Name   string                 `json:"name"`
-		Policy server.AdmissionPolicy `json:"policy"`
-		Cache  int                    `json:"cache"`
+		Name   string `json:"name"`
+		Policy string `json:"policy"`
+		Cache  int    `json:"cache"`
 	}
-	var scenarios []scenario
+	scenarios := []scenario{{Name: "run", Policy: sf.Policy, Cache: sf.Cache}}
 	if *compare {
+		scenarios = nil
 		for _, p := range []server.AdmissionPolicy{server.AdmitAlways, server.AdmitCap} {
-			for _, c := range []int{0, *cacheN} {
+			for _, c := range []int{0, sf.Cache} {
 				name := fmt.Sprintf("%s/cache=%d", p, c)
-				scenarios = append(scenarios, scenario{Name: name, Policy: p, Cache: c})
+				scenarios = append(scenarios, scenario{Name: name, Policy: string(p), Cache: c})
 			}
 		}
-	} else {
-		p, err := server.ParseAdmissionPolicy(*policyStr)
-		fatal(err)
-		scenarios = []scenario{{Name: "run", Policy: p, Cache: *cacheN}}
 	}
 
 	type record struct {
@@ -92,26 +76,26 @@ func main() {
 	}
 	var records []record
 	for _, sc := range scenarios {
-		opts := []rrq.Option{rrq.WithAlgorithm(algo)}
-		if sc.Cache > 0 {
-			opts = append(opts, rrq.WithResultCache(sc.Cache), rrq.WithCacheBounds(*cacheBnd))
-		}
-		ix, err := rrq.BuildIndex(ds, opts...)
+		// Each scenario serves from a fresh index and server, so cache
+		// state never leaks between rows.
+		sf.Policy, sf.Cache = sc.Policy, sc.Cache
+		reg := rrq.NewRegistry()
+		opts, err := sf.IndexOptions(reg)
 		fatal(err)
-		cfg := sim.Config{
-			Index:         ix,
-			Admission:     server.NewAdmission(sc.Policy, *capacity, *queueLen),
-			Queries:       stream,
-			Clients:       *clients,
-			ArrivalRate:   *arrival,
-			ArrivalSeed:   *seed,
-			AnytimeBudget: *anytime,
-		}
-		if *tenantRate > 0 && *tenantBurst > 0 {
-			cfg.Tenants = server.NewTenantBudgets(*tenantRate, *tenantBurst)
-			cfg.TenantCount = *tenants
-		}
-		rep, err := sim.Run(context.Background(), cfg)
+		cfg, err := sf.Config(reg)
+		fatal(err)
+		cfg.Index, err = rrq.BuildIndex(ds, opts...)
+		fatal(err)
+		srv, err := server.New(cfg)
+		fatal(err)
+		rep, err := sim.Run(context.Background(), sim.Config{
+			Handler:     srv.Handler(),
+			Queries:     stream,
+			Clients:     *clients,
+			ArrivalRate: *arrival,
+			ArrivalSeed: *seed,
+			TenantCount: *tenants,
+		})
 		fatal(err)
 		records = append(records, record{scenario: sc, Report: rep})
 		fmt.Printf("%-16s %s\n", sc.Name, rep)
@@ -131,71 +115,9 @@ func main() {
 	}
 }
 
-// loadDataset resolves exactly one of the two dataset sources.
-func loadDataset(synthetic, real string) (*rrq.Dataset, error) {
-	switch {
-	case synthetic != "" && real != "":
-		return nil, errors.New("rrqsim: -synthetic and -real are mutually exclusive")
-	case synthetic != "":
-		parts := strings.Split(synthetic, ":")
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("rrqsim: -synthetic wants type:n:d:seed, got %q", synthetic)
-		}
-		var t rrq.DistType
-		switch parts[0] {
-		case "indep":
-			t = rrq.Independent
-		case "corr":
-			t = rrq.Correlated
-		case "anti":
-			t = rrq.Anticorrelated
-		default:
-			return nil, fmt.Errorf("rrqsim: unknown distribution %q (want indep|corr|anti)", parts[0])
-		}
-		n, err1 := strconv.Atoi(parts[1])
-		d, err2 := strconv.Atoi(parts[2])
-		seed, err3 := strconv.ParseInt(parts[3], 10, 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("rrqsim: malformed -synthetic %q", synthetic)
-		}
-		return rrq.SyntheticDataset(t, n, d, seed), nil
-	case real != "":
-		name, maxS, ok := strings.Cut(real, ":")
-		maxN := 0
-		if ok {
-			var err error
-			if maxN, err = strconv.Atoi(maxS); err != nil {
-				return nil, fmt.Errorf("rrqsim: malformed -real %q", real)
-			}
-		}
-		return rrq.RealDataset(name, maxN)
-	default:
-		return nil, errors.New("rrqsim: one of -synthetic or -real is required")
-	}
-}
-
-func parseAlgo(s string) (rrq.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "auto":
-		return rrq.Auto, nil
-	case "sweeping", "sweep":
-		return rrq.SweepingAlgo, nil
-	case "ept":
-		return rrq.EPTAlgo, nil
-	case "apc":
-		return rrq.APCAlgo, nil
-	case "lpcta":
-		return rrq.LPCTAAlgo, nil
-	case "brute":
-		return rrq.BruteForceAlgo, nil
-	default:
-		return 0, fmt.Errorf("rrqsim: unknown algorithm %q", s)
-	}
-}
-
 func fatal(err error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "rrqsim:", err)
 		os.Exit(1)
 	}
 }

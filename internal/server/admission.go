@@ -49,8 +49,7 @@ func (e *ShedError) Error() string {
 
 // Admission is the queue-depth-aware admission controller: Capacity solve
 // slots, requests beyond them queue, and — under the cap policy — requests
-// beyond Capacity+MaxQueue are shed. It is HTTP-free so the closed-loop
-// simulator drives exactly the component the server deploys.
+// beyond Capacity+MaxQueue are shed.
 type Admission struct {
 	policy   AdmissionPolicy
 	capacity int

@@ -211,7 +211,8 @@ func hardLPCTAQuery(t *testing.T) (*rrq.Dataset, rrq.Point) {
 	return nil, nil
 }
 
-// A solver work-budget failure surfaces as 429 with kind "budget".
+// A solver work-budget failure surfaces as 429 with kind "budget" and no
+// Retry-After.
 func TestErrorMappingSolverBudget(t *testing.T) {
 	ds, q := hardLPCTAQuery(t)
 	ix, err := rrq.BuildIndex(ds, rrq.WithWorkBudget(50), rrq.WithAlgorithm(rrq.LPCTAAlgo))
@@ -226,6 +227,11 @@ func TestErrorMappingSolverBudget(t *testing.T) {
 	}
 	if er := decodeError(t, b); er.Kind != "budget" {
 		t.Fatalf("kind %q, want budget (%s)", er.Kind, b)
+	}
+	// Retrying the same over-budget query cannot help, so unlike a tenant
+	// rejection the answer names no retry time.
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		t.Fatalf("solver-budget 429 carries Retry-After %q", ra)
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package sim is the closed-loop workload simulator for the serving stack:
-// it drives the exact admission controller and tenant meter the rrqd server
-// deploys — HTTP-free — against an rrq.Index, replaying a seeded stream of
-// mixed (k, ε) queries and reporting per-policy latency percentiles, shed
-// rate and cache effectiveness.
+// it drives rrqd's own HTTP handler (server.Handler, called in-process with
+// no sockets) with a seeded stream of mixed (k, ε) queries and reports
+// per-policy latency percentiles, shed rate and cache effectiveness. Every
+// outcome is read from the server's response, so admission, tenant
+// metering, singleflight, the cache and the anytime rung behave exactly as
+// rrqd deploys them.
 //
 // Two arrival models are supported. The closed loop (default) runs a fixed
 // number of clients, each issuing its next query as soon as the previous
@@ -13,17 +15,20 @@
 package sim
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"rrq"
-	"rrq/internal/server"
 )
 
 // Workload describes a seeded query stream over a dataset: mixed ranks
@@ -72,12 +77,12 @@ func (w Workload) Generate(ds *rrq.Dataset) []rrq.Query {
 	return qs
 }
 
-// Config wires one simulation run. Index, Admission and Queries are
-// required; everything else defaults sensibly.
+// Config wires one simulation run. Handler and Queries are required;
+// everything else defaults sensibly.
 type Config struct {
-	Index     *rrq.Index
-	Admission *server.Admission
-	Tenants   *server.TenantBudgets // optional post-paid work metering
+	// Handler serves the requests: a server.Handler(), or anything that
+	// forwards to one (a reverse proxy to a running rrqd).
+	Handler http.Handler
 
 	Queries []rrq.Query
 
@@ -91,21 +96,14 @@ type Config struct {
 	ArrivalSeed int64
 
 	// TenantCount spreads requests round-robin over this many synthetic
-	// tenants ("t0", "t1", ...) when Tenants is set. Default 1.
+	// tenants ("t0", "t1", ...), which the server meters when it has
+	// tenant budgets. Default 1.
 	TenantCount int
-
-	// Timeout bounds each request's context (queue wait + solve). 0 = none.
-	Timeout time.Duration
-
-	// AnytimeBudget > 0 mirrors the server's graceful degradation: a
-	// request the admission controller sheds is answered on the anytime
-	// tier under this wall-clock budget instead of failing, and counts as
-	// Degraded in the report.
-	AnytimeBudget time.Duration
 }
 
 // Report aggregates one run. Latency percentiles cover completed solves
-// only and include queue wait — the latency a client actually observed.
+// only and span the whole handler call — decode, queue wait, solve and
+// encode: the latency a client actually observed.
 type Report struct {
 	Policy         string  `json:"policy"`
 	Requests       int     `json:"requests"`
@@ -145,17 +143,18 @@ type runner struct {
 	latNs   []int64
 }
 
-// Run replays cfg.Queries through the admission controller and index and
-// aggregates the outcome. The context cancels the whole run.
+// Run replays cfg.Queries through cfg.Handler and aggregates the outcome.
+// The context cancels the whole run and rides every request.
 func Run(ctx context.Context, cfg Config) (Report, error) {
-	if cfg.Index == nil {
-		return Report{}, errors.New("sim: Config.Index is required")
-	}
-	if cfg.Admission == nil {
-		return Report{}, errors.New("sim: Config.Admission is required")
+	if cfg.Handler == nil {
+		return Report{}, errors.New("sim: Config.Handler is required")
 	}
 	if len(cfg.Queries) == 0 {
 		return Report{}, errors.New("sim: empty query stream")
+	}
+	policy, err := serverPolicy(ctx, cfg.Handler)
+	if err != nil {
+		return Report{}, err
 	}
 	if cfg.Clients <= 0 {
 		cfg.Clients = 1
@@ -175,7 +174,29 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	} else {
 		r.closedLoop(ctx)
 	}
-	return r.report(time.Since(start)), nil
+	rep := r.report(time.Since(start))
+	rep.Policy = policy
+	return rep, nil
+}
+
+// serverPolicy reads the admission policy the handler's server runs from
+// GET /v1/stats.
+func serverPolicy(ctx context.Context, h http.Handler) (string, error) {
+	rec := serve(ctx, h, http.MethodGet, "/v1/stats", nil)
+	var stats struct {
+		Server struct{ Policy string } `json:"server"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); rec.Code != http.StatusOK || err != nil {
+		return "", fmt.Errorf("sim: GET /v1/stats: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	return stats.Server.Policy, nil
+}
+
+// serve issues one in-process request to h under ctx.
+func serve(ctx context.Context, h http.Handler, method, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)).WithContext(ctx))
+	return rec
 }
 
 // closedLoop runs Clients workers, each claiming the next unclaimed query
@@ -228,72 +249,60 @@ func (r *runner) openLoop(ctx context.Context) {
 	wg.Wait()
 }
 
-// do issues request i: tenant admission, controller admission, solve.
+// solveBody is the /v1/solve request body.
+type solveBody struct {
+	Q       []float64 `json:"q"`
+	K       int       `json:"k"`
+	Epsilon float64   `json:"epsilon"`
+	Tenant  string    `json:"tenant"`
+}
+
+// do issues request i as a /v1/solve call and records what the server
+// answered.
 func (r *runner) do(ctx context.Context, i int) {
-	cfg := r.cfg
-	if cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-		defer cancel()
-	}
-	tenant := "t" + strconv.Itoa(i%cfg.TenantCount)
+	q := r.cfg.Queries[i]
+	// Marshal fails only on a NaN or infinite coordinate; the empty body
+	// it leaves is a 400 the server counts as failed, like the query.
+	body, _ := json.Marshal(solveBody{Q: q.Q, K: q.K, Epsilon: q.Epsilon,
+		Tenant: "t" + strconv.Itoa(i%r.cfg.TenantCount)})
 	start := time.Now()
-	if cfg.Tenants != nil {
-		if _, err := cfg.Tenants.Admit(tenant, start); err != nil {
-			r.outcome[i] = ocTenantRejected
-			return
-		}
-	}
-	release, err := cfg.Admission.Acquire(ctx)
-	if err != nil {
-		var shed *server.ShedError
-		if errors.As(err, &shed) {
-			if cfg.AnytimeBudget > 0 {
-				// Graceful degradation, as the server deploys it: answer on
-				// the anytime tier without a solve slot.
-				res, err := cfg.Index.SolveContext(ctx, cfg.Queries[i], rrq.WithAnytime(cfg.AnytimeBudget))
-				r.latNs[i] = time.Since(start).Nanoseconds()
-				if err != nil {
-					r.outcome[i] = ocFailed
-					return
-				}
-				if cfg.Tenants != nil {
-					cfg.Tenants.Charge(tenant, server.WorkUnits(res.Stats), time.Now())
-				}
-				r.outcome[i] = ocSolvedDegraded
-				return
-			}
-			r.outcome[i] = ocShed
-		} else {
-			r.outcome[i] = ocFailed
-		}
-		return
-	}
-	solveStart := time.Now()
-	res, err := cfg.Index.SolveContext(ctx, cfg.Queries[i])
-	release(time.Since(solveStart))
+	rec := serve(ctx, r.cfg.Handler, http.MethodPost, "/v1/solve", body)
 	r.latNs[i] = time.Since(start).Nanoseconds()
-	if err != nil {
-		r.outcome[i] = ocFailed
-		return
+	r.outcome[i] = classify(rec)
+}
+
+// classify reads one /v1/solve response's outcome. A budget 429 with
+// Retry-After is a tenant rejection: the tenant meter always sets the
+// header, a solver work-budget failure never does (retrying the same query
+// cannot help).
+func classify(rec *httptest.ResponseRecorder) uint8 {
+	var reply struct {
+		Cache    string          `json:"cache"`
+		Degraded json.RawMessage `json:"degraded"`
+		Kind     string          `json:"kind"`
 	}
-	if cfg.Tenants != nil {
-		cfg.Tenants.Charge(tenant, server.WorkUnits(res.Stats), time.Now())
-	}
-	switch res.Cache {
-	case rrq.CacheHit:
-		r.outcome[i] = ocSolvedCacheHit
-	case rrq.CacheInner, rrq.CacheOuter:
-		r.outcome[i] = ocSolvedCacheBound
+	ok := json.Unmarshal(rec.Body.Bytes(), &reply) == nil && rec.Code == http.StatusOK
+	switch {
+	case ok && reply.Degraded != nil:
+		return ocSolvedDegraded
+	case ok && reply.Cache == "hit":
+		return ocSolvedCacheHit
+	case ok && (reply.Cache == "inner-bound" || reply.Cache == "outer-bound"):
+		return ocSolvedCacheBound
+	case ok:
+		return ocSolved
+	case rec.Code == http.StatusTooManyRequests && reply.Kind == "shed":
+		return ocShed
+	case rec.Code == http.StatusTooManyRequests && reply.Kind == "budget" && rec.Header().Get("Retry-After") != "":
+		return ocTenantRejected
 	default:
-		r.outcome[i] = ocSolved
+		return ocFailed
 	}
 }
 
 // report folds the per-slot outcomes into the aggregate.
 func (r *runner) report(elapsed time.Duration) Report {
 	rep := Report{
-		Policy:    string(r.cfg.Admission.Policy()),
 		Requests:  len(r.cfg.Queries),
 		ElapsedNs: elapsed.Nanoseconds(),
 	}

@@ -2,6 +2,11 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"testing"
 	"time"
 
@@ -22,6 +27,17 @@ func simIndex(t *testing.T, cacheSize int) (*rrq.Dataset, *rrq.Index) {
 		t.Fatalf("BuildIndex: %v", err)
 	}
 	return ds, ix
+}
+
+// simHandler builds the server Run drives: cfg over ix.
+func simHandler(t *testing.T, ix *rrq.Index, cfg server.Config) http.Handler {
+	t.Helper()
+	cfg.Index = ix
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	return srv.Handler()
 }
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -71,10 +87,9 @@ func TestClosedLoopAlwaysPolicySolvesEverything(t *testing.T) {
 	ds, ix := simIndex(t, 256)
 	qs := Workload{Queries: 60, KMin: 2, KMax: 5, EpsLevels: []float64{0.05, 0.1}, Repeat: 0.5, Seed: 1}.Generate(ds)
 	rep, err := Run(context.Background(), Config{
-		Index:     ix,
-		Admission: server.NewAdmission(server.AdmitAlways, 2, 0),
-		Queries:   qs,
-		Clients:   4,
+		Handler: simHandler(t, ix, server.Config{Admission: server.NewAdmission(server.AdmitAlways, 2, 0)}),
+		Queries: qs,
+		Clients: 4,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -99,10 +114,9 @@ func TestWarmCacheBeatsNoCache(t *testing.T) {
 	qs := Workload{Queries: 80, KMin: 2, KMax: 4, EpsLevels: []float64{0.1}, Repeat: 0.7, Seed: 5}.Generate(ds)
 	run := func(ix *rrq.Index) Report {
 		rep, err := Run(context.Background(), Config{
-			Index:     ix,
-			Admission: server.NewAdmission(server.AdmitAlways, 4, 0),
-			Queries:   qs,
-			Clients:   4,
+			Handler: simHandler(t, ix, server.Config{Admission: server.NewAdmission(server.AdmitAlways, 4, 0)}),
+			Queries: qs,
+			Clients: 4,
 		})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
@@ -133,8 +147,7 @@ func TestOpenLoopCapPolicySheds(t *testing.T) {
 	ctx := faultinject.ContextWith(context.Background(),
 		faultinject.New(&faultinject.Fault{Point: faultinject.SolveStart, Delay: 20 * time.Millisecond}))
 	rep, err := Run(ctx, Config{
-		Index:       ix,
-		Admission:   server.NewAdmission(server.AdmitCap, 1, 0),
+		Handler:     simHandler(t, ix, server.Config{Admission: server.NewAdmission(server.AdmitCap, 1, 0)}),
 		Queries:     qs,
 		ArrivalRate: 20000,
 		ArrivalSeed: 2,
@@ -163,12 +176,13 @@ func TestOpenLoopAnytimeDegradesInsteadOfShedding(t *testing.T) {
 	ctx := faultinject.ContextWith(context.Background(),
 		faultinject.New(&faultinject.Fault{Point: faultinject.SolveStart, Delay: 20 * time.Millisecond}))
 	rep, err := Run(ctx, Config{
-		Index:         ix,
-		Admission:     server.NewAdmission(server.AdmitCap, 1, 0),
-		Queries:       qs,
-		ArrivalRate:   20000,
-		ArrivalSeed:   2,
-		AnytimeBudget: 5 * time.Millisecond,
+		Handler: simHandler(t, ix, server.Config{
+			Admission:     server.NewAdmission(server.AdmitCap, 1, 0),
+			AnytimeBudget: 5 * time.Millisecond,
+		}),
+		Queries:     qs,
+		ArrivalRate: 20000,
+		ArrivalSeed: 2,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -194,9 +208,10 @@ func TestTenantMeteringRejects(t *testing.T) {
 	// The first solve charges real work units and drives the balance
 	// negative; later requests must be rejected.
 	rep, err := Run(context.Background(), Config{
-		Index:       ix,
-		Admission:   server.NewAdmission(server.AdmitAlways, 2, 0),
-		Tenants:     server.NewTenantBudgets(0.001, 1),
+		Handler: simHandler(t, ix, server.Config{
+			Admission: server.NewAdmission(server.AdmitAlways, 2, 0),
+			Tenants:   server.NewTenantBudgets(0.001, 1),
+		}),
 		TenantCount: 1,
 		Queries:     qs,
 		Clients:     1,
@@ -214,14 +229,10 @@ func TestTenantMeteringRejects(t *testing.T) {
 
 func TestRunValidatesConfig(t *testing.T) {
 	_, ix := simIndex(t, 0)
-	adm := server.NewAdmission(server.AdmitAlways, 1, 0)
-	if _, err := Run(context.Background(), Config{Admission: adm, Queries: []rrq.Query{{}}}); err == nil {
-		t.Fatal("nil Index accepted")
+	if _, err := Run(context.Background(), Config{Queries: []rrq.Query{{}}}); err == nil {
+		t.Fatal("nil Handler accepted")
 	}
-	if _, err := Run(context.Background(), Config{Index: ix, Queries: []rrq.Query{{}}}); err == nil {
-		t.Fatal("nil Admission accepted")
-	}
-	if _, err := Run(context.Background(), Config{Index: ix, Admission: adm}); err == nil {
+	if _, err := Run(context.Background(), Config{Handler: simHandler(t, ix, server.Config{})}); err == nil {
 		t.Fatal("empty query stream accepted")
 	}
 }
@@ -229,14 +240,14 @@ func TestRunValidatesConfig(t *testing.T) {
 func TestRunRespectsContextCancel(t *testing.T) {
 	ds, ix := simIndex(t, 0)
 	qs := Workload{Queries: 200, KMin: 2, KMax: 4, EpsLevels: []float64{0.1}, Repeat: 0, Seed: 6}.Generate(ds)
+	h := simHandler(t, ix, server.Config{Admission: server.NewAdmission(server.AdmitAlways, 1, 0)})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan Report, 1)
 	go func() {
 		rep, _ := Run(ctx, Config{
-			Index:     ix,
-			Admission: server.NewAdmission(server.AdmitAlways, 1, 0),
-			Queries:   qs,
-			Clients:   2,
+			Handler: h,
+			Queries: qs,
+			Clients: 2,
 		})
 		done <- rep
 	}()
@@ -245,5 +256,138 @@ func TestRunRespectsContextCancel(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run did not return after context cancel")
+	}
+}
+
+// solveOutcome is one /v1/solve answer as its client sees it.
+type solveOutcome struct {
+	Status                    int
+	Kind, Tier, Cache, Reason string
+}
+
+// recordSolves wraps h, appending the outcome of every /v1/solve response
+// to *log. Run with Clients: 1 issues requests one at a time, so the log is
+// the stream order.
+func recordSolves(h http.Handler, log *[]solveOutcome) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if r.URL.Path == "/v1/solve" {
+			var body struct {
+				Kind, Tier, Cache string
+				Degraded          *struct{ Reason string }
+			}
+			_ = json.Unmarshal(rec.Body.Bytes(), &body)
+			oc := solveOutcome{Status: rec.Code, Kind: body.Kind, Tier: body.Tier, Cache: body.Cache}
+			if body.Degraded != nil {
+				oc.Reason = body.Degraded.Reason
+			}
+			*log = append(*log, oc)
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
+	})
+}
+
+// The simulator's outcomes are the server's: one seeded stream gives the
+// same per-request (status, kind, tier, cache, degraded reason) driven
+// in-process through sim.Run and driven through a reverse proxy to a
+// loopback server built from the same Config. The stream exercises the
+// result cache, the timeout rung of the anytime ladder and tenant metering.
+func TestInProcessMatchesLoopback(t *testing.T) {
+	ds := rrq.SyntheticDataset(rrq.Independent, 200, 2, 11)
+	qs := Workload{Queries: 40, KMin: 2, KMax: 4, EpsLevels: []float64{0.05, 0.1}, Repeat: 0.5, Seed: 12}.Generate(ds)
+	// Stall the exact solve of two query points past the query timeout so
+	// the anytime rung answers them.
+	slow := [][]float64{qs[1].Q, qs[6].Q}
+
+	newServer := func() *server.Server {
+		ix, err := rrq.BuildIndex(ds,
+			rrq.WithAlgorithm(rrq.SweepingAlgo),
+			rrq.WithQueryTimeout(50*time.Millisecond),
+			rrq.WithResultCache(64),
+			rrq.WithCacheBounds(true))
+		if err != nil {
+			t.Fatalf("BuildIndex: %v", err)
+		}
+		var faults []*faultinject.Fault
+		for _, p := range slow {
+			faults = append(faults, &faultinject.Fault{Point: faultinject.SolveStart,
+				Match: faultinject.MatchPoint(p), Delay: 120 * time.Millisecond})
+		}
+		inj := faultinject.New(faults...)
+		srv, err := server.New(server.Config{
+			Index:         ix,
+			Admission:     server.NewAdmission(server.AdmitAlways, 2, 8),
+			AnytimeBudget: 5 * time.Millisecond,
+			// Every tenant's first solve overdraws this burst, so each of
+			// the 28 tenants is served once and rejected afterwards,
+			// whatever its solve cost.
+			Tenants: server.NewTenantBudgets(0.001, 0.5),
+			BaseContext: func() context.Context {
+				return faultinject.ContextWith(context.Background(), inj)
+			},
+		})
+		if err != nil {
+			t.Fatalf("server.New: %v", err)
+		}
+		return srv
+	}
+	run := func(h http.Handler) ([]solveOutcome, Report) {
+		var log []solveOutcome
+		rep, err := Run(context.Background(), Config{
+			Handler: recordSolves(h, &log), Queries: qs, Clients: 1, TenantCount: 28,
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return log, rep
+	}
+
+	inLog, inRep := run(newServer().Handler())
+	ts := httptest.NewServer(newServer().Handler())
+	defer ts.Close()
+	u, err := url.Parse(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loopLog, loopRep := run(httputil.NewSingleHostReverseProxy(u))
+
+	if len(inLog) != len(qs) || len(loopLog) != len(qs) {
+		t.Fatalf("recorded %d in-process and %d loopback answers, want %d", len(inLog), len(loopLog), len(qs))
+	}
+	for i := range inLog {
+		if inLog[i] != loopLog[i] {
+			t.Errorf("request %d: in-process %+v, loopback %+v", i, inLog[i], loopLog[i])
+		}
+	}
+	counts := func(r Report) [7]int {
+		return [7]int{r.Solved, r.Shed, r.Degraded, r.TenantRejected, r.Failed, r.CacheHits, r.CacheBounds}
+	}
+	if counts(inRep) != counts(loopRep) {
+		t.Errorf("reports differ:\n  in-process %+v\n  loopback   %+v", inRep, loopRep)
+	}
+
+	var hits, timeouts, rejected int
+	for _, oc := range inLog {
+		switch {
+		case oc.Cache == "hit":
+			hits++
+		case oc.Reason == "timeout":
+			timeouts++
+		case oc.Status == http.StatusTooManyRequests && oc.Kind == "budget":
+			rejected++
+		}
+	}
+	if hits == 0 || timeouts == 0 || rejected == 0 {
+		t.Fatalf("stream lacks a case: %d hits, %d timeout degradations, %d tenant rejections\n%+v",
+			hits, timeouts, rejected, inLog)
+	}
+	if inRep.Degraded != timeouts || inRep.TenantRejected != rejected || inRep.CacheHits != hits {
+		t.Fatalf("report %+v disagrees with the responses: %d hits, %d degraded, %d rejected",
+			inRep, hits, timeouts, rejected)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 
@@ -185,6 +186,27 @@ func (a Algorithm) String() string {
 		return "BruteForce"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
+	}
+}
+
+// ParseAlgorithm maps a command-line algorithm name to the value, case
+// insensitively: auto, sweeping (or sweep), ept, apc, lpcta, brute.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	switch strings.ToLower(s) {
+	case "auto":
+		return Auto, nil
+	case "sweeping", "sweep":
+		return SweepingAlgo, nil
+	case "ept":
+		return EPTAlgo, nil
+	case "apc":
+		return APCAlgo, nil
+	case "lpcta":
+		return LPCTAAlgo, nil
+	case "brute":
+		return BruteForceAlgo, nil
+	default:
+		return 0, fmt.Errorf("rrq: unknown algorithm %q (want auto|sweeping|ept|apc|lpcta|brute)", s)
 	}
 }
 

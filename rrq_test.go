@@ -110,6 +110,32 @@ func TestSolveErrors(t *testing.T) {
 	}
 }
 
+func TestParseAlgorithm(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Algorithm
+	}{
+		{"auto", Auto},
+		{"sweeping", SweepingAlgo},
+		{"sweep", SweepingAlgo},
+		{"SWEEP", SweepingAlgo},
+		{"ept", EPTAlgo},
+		{"apc", APCAlgo},
+		{"LPCTA", LPCTAAlgo},
+		{"brute", BruteForceAlgo},
+	} {
+		got, err := ParseAlgorithm(tc.name)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+	for _, bad := range []string{"", "e-pt", "bruteforce"} {
+		if _, err := ParseAlgorithm(bad); err == nil {
+			t.Errorf("ParseAlgorithm(%q) accepted", bad)
+		}
+	}
+}
+
 func TestReverseTopKVersusRRQ(t *testing.T) {
 	ds := SyntheticDataset(Independent, 50, 3, 7)
 	q := ds.RandomQuery(2)
