@@ -57,6 +57,29 @@ func TestReduceAndOrderPlanesZeroAlloc(t *testing.T) {
 	}
 }
 
+// The reduction's dominance counts live in the arena's skyband.Counter: a
+// warm arena serves many planes and few, alternating, without allocating.
+func TestReduceAndOrderPlanesCounterZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(137))
+	pts, q := randomInstance(rng, 2000, 4)
+	q.K = 40
+	many := BuildPlanes(pts, q).Crossing
+	few := many[:40]
+	if len(many) < 500 {
+		t.Fatalf("only %d crossing planes; the bitset path is not exercised", len(many))
+	}
+	check := NewCtxChecker(context.Background(), 0)
+	a := &Arena{}
+	run := func() {
+		reduceAndOrderPlanesOpt(many, q.K, false, false, a, check)
+		reduceAndOrderPlanesOpt(few, 3, false, false, a, check)
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Errorf("reduceAndOrderPlanesOpt allocates %.1f per run on a warm arena, want 0", allocs)
+	}
+}
+
 func TestSweepIntervalsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	pts, _ := randomInstance(rng, 300, 2)

@@ -29,14 +29,13 @@ type Arena struct {
 	planes  []geom.Hyperplane // crossing-plane headers
 
 	// E-PT plane reduction and ordering (reduceAndOrderPlanesOpt).
-	negFlat  []float64
-	negUnits []vec.Vec
-	sky      skyband.Scratch
-	noRedIdx []int
-	kept     []geom.Hyperplane
-	w        []int
-	order    []int
-	ordered  []geom.Hyperplane
+	units   []vec.Vec
+	dom     skyband.Counter
+	keep    []int
+	kept    []geom.Hyperplane
+	w       []int
+	order   []int
+	ordered []geom.Hyperplane
 
 	// Sweeping (sweepIntervals).
 	incl   []float64

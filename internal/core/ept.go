@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 
 	"rrq/internal/faultinject"
 	"rrq/internal/geom"
@@ -160,10 +161,8 @@ func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, store
 //
 // h_i⁻ ⊆ h_j⁻ when the unit normal of h_i dominates (component-wise ≥,
 // somewhere >) that of h_j. A plane whose negative half-space is covered by
-// ≥ k other negative half-spaces is redundant. This is exactly a k-skyband
-// computation under the reversed order, so the skyband substrate is reused
-// on negated unit normals (a standard descent argument shows counting only
-// kept dominators is sufficient — see internal/skyband).
+// ≥ k other negative half-spaces — whose unit normal dominates ≥ k others —
+// is redundant: the reduction is the k-skyband of the negated unit normals.
 func reduceAndOrderPlanes(planes []geom.Hyperplane, k int) []geom.Hyperplane {
 	return reduceAndOrderPlanesOpt(planes, k, false, false, nil, NewCtxChecker(context.Background(), 0))
 }
@@ -174,65 +173,64 @@ func reduceAndOrderPlanes(planes []geom.Hyperplane, k int) []geom.Hyperplane {
 // consumed (repacked by PackNormals, copied into tree nodes) before the
 // worker's next solve.
 //
-// Both O(m²) passes poll check once every skyband.StopStride dominance
-// tests, so a deadline, cancellation or work budget stops the reduction
-// within one amortized check interval; the result is then nil and
-// check.Failed() reports the abort.
+// Both counts — the normals each normal dominates, for the reduction, and
+// the normals dominating it, W(h), for the order — come from one
+// skyband.Counter over the unit normals. It polls check about once every
+// skyband.StopStride units of work, so a deadline, cancellation or work
+// budget stops the reduction within one amortized check interval; the
+// result is then nil and check.Failed() reports the abort.
 func reduceAndOrderPlanesOpt(planes []geom.Hyperplane, k int, noReduce, noOrder bool, a *Arena, check *CtxChecker) []geom.Hyperplane {
 	m := len(planes)
 	if m == 0 {
 		return nil
 	}
+	var cnt *skyband.Counter
 	if a == nil {
 		a = &Arena{}
+		cnt = counterPool.Get().(*skyband.Counter)
+		defer counterPool.Put(cnt)
+	} else {
+		cnt = &a.dom
 	}
-	d := planes[0].Normal.Dim()
-	// All negated unit normals share one flat backing array; the skyband
-	// scan is a pure read over them.
-	flat := growF64(&a.negFlat, m*d)
-	negUnits := growVecs(&a.negUnits, m)
+	units := growVecs(&a.units, m)
 	for i, h := range planes {
-		u := h.Unit()
-		nu := flat[i*d : (i+1)*d : (i+1)*d]
-		for j, x := range u {
-			nu[j] = -x
-		}
-		negUnits[i] = nu
+		units[i] = h.Unit()
 	}
-	var keepIdx []int
+	if !cnt.Reset(units, check) {
+		return nil
+	}
+	keepIdx := growInts(&a.keep, m)
 	if noReduce {
-		keepIdx = growInts(&a.noRedIdx, m)
 		for i := range keepIdx {
 			keepIdx[i] = i
 		}
 	} else {
-		keepIdx = skyband.KSkybandScratch(negUnits, k, &a.sky, check)
-		if check.Failed() {
+		covered := growInts(&a.w, m)
+		if !cnt.Dominated(nil, covered) {
 			return nil
+		}
+		keepIdx = keepIdx[:0]
+		for i, c := range covered {
+			if c < k {
+				keepIdx = append(keepIdx, i)
+			}
 		}
 	}
 	kept := growPlanes(&a.kept, len(keepIdx))
+	for out, i := range keepIdx {
+		kept[out] = planes[i]
+	}
+	if noOrder {
+		return kept
+	}
 	// W(h): the number of negative half-spaces covered by h⁻. By Lemma 5.2,
 	// v' ≥ v component-wise means h'⁻ ⊆ h⁻, so W counts the planes whose
 	// unit normal dominates h's. Inserting in descending W order lets the
 	// widest negative half-spaces raise counters first, so invalid nodes
 	// are discovered early.
 	w := growInts(&a.w, len(keepIdx))
-	for out, i := range keepIdx {
-		kept[out] = planes[i]
-		w[out] = 0
-		ui := planes[i].Unit()
-		for j := 0; j < m; j++ {
-			if j%skyband.StopStride == 0 && check.Stop() {
-				return nil
-			}
-			if j != i && skyband.Dominates(planes[j].Unit(), ui) {
-				w[out]++
-			}
-		}
-	}
-	if noOrder {
-		return kept
+	if !cnt.Dominators(keepIdx, w) {
+		return nil
 	}
 	order := growInts(&a.order, len(kept))
 	for i := range order {
@@ -245,6 +243,12 @@ func reduceAndOrderPlanesOpt(planes []geom.Hyperplane, k int, noReduce, noOrder 
 	}
 	return out
 }
+
+// counterPool recycles the dominance counters of reductions that run
+// without a worker arena — every solve outside a batch — whose rank and
+// checkpoint buffers would otherwise be allocated anew per solve. Nothing
+// the reduction returns aliases a counter.
+var counterPool = sync.Pool{New: func() any { return new(skyband.Counter) }}
 
 // sortPlaneOrder sorts order by descending W, ties by ascending index —
 // the same total order the previous sort.Slice comparator produced, via a

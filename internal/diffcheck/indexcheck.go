@@ -6,8 +6,9 @@ package diffcheck
 // — same JSON encoding, not merely same membership — to a from-scratch solve
 // over the k-skyband, both before and after every step of an interleaved
 // Insert/Delete stream mirrored against plain-slice bookkeeping. The
-// from-scratch side is the free solver function over skyband.KSkyband, so
-// the reference shares no band or plane code with core.Prepared.
+// from-scratch side is the free solver function over the band the quadratic
+// skyband.DominatorCount oracle selects, so the reference shares no band or
+// plane code with core.Prepared.
 
 import (
 	"bytes"
@@ -154,11 +155,19 @@ func regionBytes(prep *core.Prepared, q core.Query) ([]byte, error) {
 }
 
 // referenceBytes is regionBytes computed independently of core.Prepared:
-// the free E-PT function over the points — restricted to their k-skyband
-// by skyband.KSkyband when prefilter is set — with planes built per call.
+// the free E-PT function over the points — restricted, when prefilter is
+// set, to their k-skyband as the quadratic skyband.DominatorCount oracle
+// selects it, so the sweep never checks the counting primitive against
+// itself — with planes built per call.
 func referenceBytes(pts []vec.Vec, q core.Query, prefilter bool) ([]byte, error) {
 	if prefilter {
-		pts = skyband.Select(pts, skyband.KSkyband(pts, q.K))
+		var band []vec.Vec
+		for i, c := range skyband.DominatorCount(pts) {
+			if c < q.K {
+				band = append(band, pts[i])
+			}
+		}
+		pts = band
 	}
 	r, _, err := core.EPTContext(context.Background(), pts, q, core.EPTOptions{})
 	if err != nil {

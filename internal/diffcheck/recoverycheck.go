@@ -72,12 +72,8 @@ func RunRecovery(cfg Config, scratch string) RecoveryReport {
 	}
 	cfg = cfg.withDefaults()
 	var rep RecoveryReport
-	dims := []int{2, 3, 4, 5, 6}
 	for i := 0; i < cfg.Problems; i++ {
-		fam := byte(i % corpus.NumFamilies)
-		dim := dims[(i/corpus.NumFamilies)%len(dims)]
-		data := corpus.Encode(fam, dim, 3+i%10, 1+i%4, i%7, cfg.Seed+int64(i)*7919)
-		ins, ok := corpus.DecodeDim(data, dim)
+		ins, ok := recoveryInstance(cfg, i)
 		if !ok {
 			continue
 		}
@@ -87,12 +83,73 @@ func RunRecovery(cfg Config, scratch string) RecoveryReport {
 	return rep
 }
 
-// checkRecoveryProblem runs the crash sweep for one instance: build the
-// durable index and an uninterrupted in-memory twin, apply the same
-// mutation stream to both (remembering the wanted region after every
-// prefix), then crash-and-recover at every record boundary and torn-tail
-// offset, comparing the recovered answer against the twin's prefix answer.
+// recoveryInstance is the i-th corpus problem of the recovery sweep.
+func recoveryInstance(cfg Config, i int) (corpus.Instance, bool) {
+	dims := []int{2, 3, 4, 5, 6}
+	fam := byte(i % corpus.NumFamilies)
+	dim := dims[(i/corpus.NumFamilies)%len(dims)]
+	data := corpus.Encode(fam, dim, 3+i%10, 1+i%4, i%7, cfg.Seed+int64(i)*7919)
+	return corpus.DecodeDim(data, dim)
+}
+
+// checkRecoveryProblem runs the crash sweep for one instance: log the
+// mutation stream (logRecoveryProblem), then crash-and-recover at every
+// record boundary and torn-tail offset, comparing the recovered answer
+// against the uninterrupted twin's prefix answer.
 func checkRecoveryProblem(cfg Config, ins corpus.Instance, ordinal int64, dir string, rep *RecoveryReport) {
+	want, bounds, ok := logRecoveryProblem(cfg, ins, ordinal, dir, rep)
+	if !ok {
+		return
+	}
+	q := core.Query{Q: ins.Q, K: ins.K, Eps: ins.Eps}
+	prob := newProblem(ins)
+	for _, c := range crashPoints(bounds) {
+		crashRecover(prob, dir, recoverySegment, c.off, c.k, c.torn, want[c.k], q, rep)
+		if c.torn {
+			rep.TornTails++
+		} else {
+			rep.KillPoints++
+		}
+	}
+}
+
+// recoverySegment is the WAL segment every logged mutation lands in: the
+// one opened at epoch 2, on top of the recovery checkpoint at version 1.
+var recoverySegment = fmt.Sprintf("wal-%020d.seg", 2)
+
+// crashPoint is one simulated crash: the segment cut at off bytes, which
+// holds k whole records, inside record k+1 when torn.
+type crashPoint struct {
+	off  int64
+	k    int
+	torn bool
+}
+
+// crashPoints lists the crashes of one problem whose records end at
+// bounds[1:]: a clean crash after every record, and two torn tails inside
+// every record — a split length prefix, and a payload cut one byte short.
+// A torn tail must recover to the records before it, with the tail
+// truncated.
+func crashPoints(bounds []int64) []crashPoint {
+	var cps []crashPoint
+	for k := range bounds {
+		cps = append(cps, crashPoint{off: bounds[k], k: k})
+		if k+1 < len(bounds) {
+			full := bounds[k+1] - bounds[k]
+			for _, delta := range []int64{1, full - 1} {
+				cps = append(cps, crashPoint{off: bounds[k] + delta, k: k, torn: true})
+			}
+		}
+	}
+	return cps
+}
+
+// logRecoveryProblem builds the durable index in dir and an uninterrupted
+// in-memory twin, and applies the same mutation stream to both. It returns
+// the twin's region after every prefix (want[k] after k mutations) and the
+// WAL byte offsets at which exactly k records survive; ok is false when the
+// instance does not solve, or on a failure, which it records in rep.
+func logRecoveryProblem(cfg Config, ins corpus.Instance, ordinal int64, dir string, rep *RecoveryReport) (want [][]byte, bounds []int64, ok bool) {
 	d := ins.Q.Dim()
 	q := core.Query{Q: ins.Q, K: ins.K, Eps: ins.Eps}
 	prob := newProblem(ins)
@@ -100,7 +157,7 @@ func checkRecoveryProblem(cfg Config, ins corpus.Instance, ordinal int64, dir st
 	ref, err := index.Build(ins.Pts, d)
 	if err != nil {
 		rep.fail(Mismatch{Kind: "recovery-build-error", Problem: prob, Detail: err.Error()})
-		return
+		return nil, nil, false
 	}
 	// CheckpointEvery is unreachable so every mutation stays in one WAL
 	// segment: the sweep then controls exactly which records survive the
@@ -112,22 +169,20 @@ func checkRecoveryProblem(cfg Config, ins corpus.Instance, ordinal int64, dir st
 	})
 	if err != nil {
 		rep.fail(Mismatch{Kind: "recovery-open-error", Problem: prob, Detail: err.Error()})
-		return
+		return nil, nil, false
 	}
 
-	// want[k] is the region after the first k mutations; bounds[k] the WAL
-	// byte offset at which exactly k records survive.
-	want := make([][]byte, 0, RecoveryMutations+1)
+	want = make([][]byte, 0, RecoveryMutations+1)
 	wb, werr := regionBytes(ref.Snapshot().Prepared(), q)
 	if werr != nil {
 		// The instance does not solve at all (e.g. over-constrained): the
 		// recovery semantics are untestable on it, skip like the other
 		// harnesses skip unsolvable comparisons.
 		_ = dur.Close()
-		return
+		return nil, nil, false
 	}
 	want = append(want, wb)
-	bounds := []int64{0}
+	bounds = []int64{0}
 	n := len(ins.Pts)
 
 	rng := rand.New(rand.NewSource(cfg.Seed ^ (ordinal*92821 + 5)))
@@ -142,12 +197,12 @@ func checkRecoveryProblem(cfg Config, ins corpus.Instance, ordinal int64, dir st
 			if _, err := ix.Delete(i); err != nil {
 				rep.fail(Mismatch{Kind: "recovery-maintain-error", Problem: prob, Detail: step + ": " + err.Error()})
 				_ = dur.Close()
-				return
+				return nil, nil, false
 			}
 			if _, err := ref.Delete(i); err != nil {
 				rep.fail(Mismatch{Kind: "recovery-maintain-error", Problem: prob, Detail: step + " (reference): " + err.Error()})
 				_ = dur.Close()
-				return
+				return nil, nil, false
 			}
 			n--
 		} else {
@@ -160,12 +215,12 @@ func checkRecoveryProblem(cfg Config, ins corpus.Instance, ordinal int64, dir st
 			if _, err := ix.Insert(p); err != nil {
 				rep.fail(Mismatch{Kind: "recovery-maintain-error", Problem: prob, Detail: step + ": " + err.Error()})
 				_ = dur.Close()
-				return
+				return nil, nil, false
 			}
 			if _, err := ref.Insert(p.Clone()); err != nil {
 				rep.fail(Mismatch{Kind: "recovery-maintain-error", Problem: prob, Detail: step + " (reference): " + err.Error()})
 				_ = dur.Close()
-				return
+				return nil, nil, false
 			}
 			n++
 		}
@@ -175,33 +230,85 @@ func checkRecoveryProblem(cfg Config, ins corpus.Instance, ordinal int64, dir st
 		if werr != nil {
 			rep.fail(Mismatch{Kind: "recovery-divergence", Problem: prob, Detail: step + ": reference solve failed: " + werr.Error()})
 			_ = dur.Close()
-			return
+			return nil, nil, false
 		}
 		want = append(want, wb)
 	}
 	if err := dur.Close(); err != nil {
 		rep.fail(Mismatch{Kind: "recovery-open-error", Problem: prob, Detail: "close: " + err.Error()})
-		return
+		return nil, nil, false
 	}
+	return want, bounds, true
+}
 
-	// The active segment was opened at epoch 2 (on top of the recovery
-	// checkpoint at version 1).
-	seg := fmt.Sprintf("wal-%020d.seg", 2)
-	for k := 0; k <= RecoveryMutations; k++ {
-		// Clean crash exactly after record k.
-		crashRecover(prob, dir, seg, bounds[k], k, false, want[k], q, rep)
-		rep.KillPoints++
-		if k < RecoveryMutations {
-			// Torn tails inside record k+1: a split length prefix, and a
-			// payload cut one byte short. Both must recover to prefix k
-			// with the tail truncated.
-			full := bounds[k+1] - bounds[k]
-			for _, delta := range []int64{1, full - 1} {
-				crashRecover(prob, dir, seg, bounds[k]+delta, k, true, want[k], q, rep)
-				rep.TornTails++
+// CrashImage is one crash state of the recovery sweep, as decoder input:
+// the WAL segment the crash left behind, and the checkpoint that recovery
+// from it writes.
+type CrashImage struct {
+	Name       string // problem, surviving records and crash kind, e.g. "p003-k2-torn"
+	Segment    []byte
+	Checkpoint []byte
+}
+
+// CrashImages recovers from every crash point of the given recovery-sweep
+// problems (ordinals as in RunRecovery, which skips unsolvable ones too)
+// and returns the images, using scratch as RunRecovery does. They seed the
+// WAL and checkpoint decoders' fuzz targets.
+func CrashImages(cfg Config, scratch string, problems ...int) ([]CrashImage, error) {
+	cfg = cfg.withDefaults()
+	var out []CrashImage
+	for _, i := range problems {
+		ins, ok := recoveryInstance(cfg, i)
+		if !ok {
+			continue
+		}
+		dir := filepath.Join(scratch, fmt.Sprintf("p%03d", i))
+		var rep RecoveryReport
+		_, bounds, ok := logRecoveryProblem(cfg, ins, int64(i), dir, &rep)
+		if len(rep.Mismatches) > 0 {
+			return nil, fmt.Errorf("problem %d: %s", i, rep.Mismatches[0].Detail)
+		}
+		if !ok {
+			continue
+		}
+		seg, err := os.ReadFile(filepath.Join(dir, recoverySegment))
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range crashPoints(bounds) {
+			ckpt, err := recoveredCheckpoint(dir, c.off)
+			if err != nil {
+				return nil, fmt.Errorf("problem %d, offset %d: %w", i, c.off, err)
 			}
+			kind := "clean"
+			if c.torn {
+				kind = fmt.Sprintf("torn%d", c.off-bounds[c.k])
+			}
+			out = append(out, CrashImage{
+				Name:    fmt.Sprintf("p%03d-k%d-%s", i, c.k, kind),
+				Segment: seg[:c.off], Checkpoint: ckpt,
+			})
 		}
 	}
+	return out, nil
+}
+
+// recoveredCheckpoint recovers a crash image of dir cut at off and returns
+// the checkpoint the recovery wrote.
+func recoveredCheckpoint(dir string, off int64) ([]byte, error) {
+	crash, err := copyCrashImage(dir, recoverySegment, off)
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(crash)
+	rix, rd, _, err := index.OpenDurable(index.DurableOptions{Dir: crash, Sync: wal.SyncAlways}, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := rd.Close(); err != nil {
+		return nil, err
+	}
+	return os.ReadFile(filepath.Join(crash, fmt.Sprintf("checkpoint-%020d.ckpt", rix.Version())))
 }
 
 // crashRecover copies the durability directory with its WAL segment

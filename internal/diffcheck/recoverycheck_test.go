@@ -1,6 +1,15 @@
 package diffcheck
 
-import "testing"
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"rrq/internal/diffcheck/corpus"
+)
 
 // TestRecoveryDifferentialSweep is the durability acceptance gate: across
 // the corpus, an index recovered from a crash at any WAL record boundary —
@@ -42,4 +51,77 @@ func TestRunRecoveryDeterminism(t *testing.T) {
 		a.TornTails != b.TornTails || a.Replayed != b.Replayed || len(a.Mismatches) != len(b.Mismatches) {
 		t.Fatalf("reports differ across identical runs: %+v vs %+v", a, b)
 	}
+}
+
+var updateCrashSeeds = flag.Bool("update-crash-seeds", false,
+	"rewrite the crash-image seed corpora of FuzzReplay and FuzzLoad")
+
+// crashSeedProblems are the recovery-sweep problems whose crash images seed
+// the decoder fuzz targets: dimensions 2 through 6.
+var crashSeedProblems = []int{0, corpus.NumFamilies, 2 * corpus.NumFamilies, 3 * corpus.NumFamilies, 4*corpus.NumFamilies + 1}
+
+// TestCrashImageSeeds keeps the checked-in seed corpora of the WAL and
+// checkpoint decoders' fuzz targets equal to the crash images the recovery
+// sweep recovers from: every record-boundary and torn-tail cut of the WAL
+// segment seeds FuzzReplay, and the checkpoint each recovery writes seeds
+// FuzzLoad. After a format change, refresh them with
+//
+//	go test ./internal/diffcheck -run TestCrashImageSeeds -update-crash-seeds
+func TestCrashImageSeeds(t *testing.T) {
+	imgs, err := CrashImages(Config{Seed: 20240808}, t.TempDir(), crashSeedProblems...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(imgs) < 4*len(crashSeedProblems) {
+		t.Fatalf("%d crash images from %d problems", len(imgs), len(crashSeedProblems))
+	}
+	want := map[string][]byte{}
+	seen := map[string]bool{}
+	for _, img := range imgs {
+		want[filepath.Join("..", "wal", "testdata", "fuzz", "FuzzReplay", "crash-"+img.Name)] = fuzzCorpusFile(img.Segment)
+		// Torn tails recover to the same state as the boundary before them.
+		if sum := string(img.Checkpoint); !seen[sum] {
+			seen[sum] = true
+			want[filepath.Join("..", "index", "testdata", "fuzz", "FuzzLoad", "crash-"+img.Name)] = fuzzCorpusFile(img.Checkpoint)
+		}
+	}
+	if *updateCrashSeeds {
+		for _, dir := range []string{"../wal/testdata/fuzz/FuzzReplay", "../index/testdata/fuzz/FuzzLoad"} {
+			old, _ := filepath.Glob(filepath.Join(dir, "crash-*"))
+			for _, f := range old {
+				if err := os.Remove(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for path, b := range want {
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return
+	}
+	for path, b := range want {
+		got, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(got, b) {
+			t.Errorf("seed %s is missing or stale; regenerate with -update-crash-seeds", path)
+		}
+	}
+	for _, glob := range []string{"../wal/testdata/fuzz/FuzzReplay/crash-*", "../index/testdata/fuzz/FuzzLoad/crash-*"} {
+		files, _ := filepath.Glob(glob)
+		for _, f := range files {
+			if _, ok := want[f]; !ok {
+				t.Errorf("seed %s is no crash image of the sweep; regenerate with -update-crash-seeds", f)
+			}
+		}
+	}
+}
+
+// fuzzCorpusFile encodes one []byte fuzz input in the corpus file format
+// of go test.
+func fuzzCorpusFile(b []byte) []byte {
+	return []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b))
 }

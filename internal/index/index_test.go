@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -181,6 +182,55 @@ func TestIndexDominatingInserts(t *testing.T) {
 	}
 	if region().Empty() {
 		t.Fatal("deletion should restore the region")
+	}
+}
+
+// Regression: (0.5, 2e-17) dominates (0.5, 1e-18) although both sums
+// round to 0.5. Build must count that dominator in either input order and
+// agree with Build followed by Insert, and Delete must then bring the
+// dominated point's count back to 0, not to −1.
+func TestIndexEqualSumDominator(t *testing.T) {
+	q, p := vec.Of(0.5, 1e-18), vec.Of(0.5, 2e-17)
+	counts := func(ix *Index) []int { return append([]int(nil), ix.Snapshot().DominatorCounts()...) }
+	for _, tc := range []struct {
+		name  string
+		first vec.Vec
+		then  vec.Vec
+		want  []int // counts of [first, then]
+	}{
+		{"dominated first", q, p, []int{1, 0}},
+		{"dominator first", p, q, []int{0, 1}},
+	} {
+		built, err := Build([]vec.Vec{tc.first, tc.then}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := counts(built); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: Build counts %v, want %v", tc.name, got, tc.want)
+		}
+		grown, err := Build([]vec.Vec{tc.first}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := grown.Insert(tc.then); err != nil {
+			t.Fatal(err)
+		}
+		if got := counts(grown); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: Build+Insert counts %v, want %v", tc.name, got, tc.want)
+		}
+		for _, ix := range []*Index{built, grown} {
+			// Delete the dominator; the survivor has no dominator left.
+			victim := 1
+			if tc.want[1] == 1 {
+				victim = 0
+			}
+			if _, err := ix.Delete(victim); err != nil {
+				t.Fatal(err)
+			}
+			if got := counts(ix); !slices.Equal(got, []int{0}) {
+				t.Errorf("%s: counts after deleting the dominator %v, want [0]", tc.name, got)
+			}
+		}
 	}
 }
 

@@ -1,9 +1,7 @@
 package skyband
 
 // Tests for the batch-sharing substrate: the capped dominator counts of
-// KSkybandCounts must reproduce every band rank kk ≤ k exactly, and the
-// scratch-backed KSkyband variant must match the allocating one while
-// reusing its buffers.
+// KSkybandCounts must reproduce every band rank kk ≤ k exactly.
 
 import (
 	"math/rand"
@@ -80,40 +78,5 @@ func TestKSkybandCountsEdge(t *testing.T) {
 		if c != 1 {
 			t.Errorf("k=0: count %d, want 1 (no rank qualifies)", c)
 		}
-	}
-}
-
-func TestKSkybandScratchMatchesKSkyband(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	var s Scratch
-	for _, d := range []int{2, 3, 4} {
-		for _, n := range []int{0, 1, 17, 150} {
-			pts := randPoints(rng, n, d)
-			for k := 1; k <= 4; k++ {
-				want := KSkyband(pts, k)
-				got := KSkybandScratch(pts, k, &s, nil)
-				if len(got) != len(want) {
-					t.Fatalf("d=%d n=%d k=%d: %d indices, want %d", d, n, k, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("d=%d n=%d k=%d: band[%d] = %d, want %d", d, n, k, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestKSkybandScratchZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	pts := randPoints(rng, 300, 3)
-	var s Scratch
-	KSkybandScratch(pts, 3, &s, nil)
-	allocs := testing.AllocsPerRun(50, func() {
-		KSkybandScratch(pts, 3, &s, nil)
-	})
-	if allocs != 0 {
-		t.Errorf("KSkybandScratch allocates %.1f per run on warm scratch, want 0", allocs)
 	}
 }
