@@ -4,8 +4,8 @@ package rrq
 // queries, fanned out over a bounded worker pool. The per-dataset work
 // (validation, optional k-skyband prefilter) is done once in Prepare;
 // each query then runs independently, with per-query error isolation and
-// deterministic, input-ordered results. Observability (WithTrace,
-// WithMetrics) fixed at Prepare time flows into every solve.
+// deterministic, input-ordered results. Metrics (WithMetrics) fixed at
+// Prepare time flow into every solve.
 
 import (
 	"context"
@@ -35,10 +35,7 @@ type Prepared struct {
 // (WithQueryTimeout, WithWorkBudget) fix the per-query serving policy every
 // solve runs under.
 func Prepare(d *Dataset, opts ...Option) (*Prepared, error) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newConfig(opts)
 	prep, err := core.Prepare(d.points(), d.Dim(), cfg.skyband)
 	if err != nil {
 		return nil, err
@@ -61,14 +58,11 @@ func (p *Prepared) Solve(ctx context.Context, q Query) (Result, error) {
 	start := time.Now()
 	r, st, err := p.pol.Solve(p.cfg.obsContext(ctx), p.prep, cq, -1)
 	res := Result{Stats: st, Tier: tierFor(p.cfg, p.dim)}
-	if reg := p.cfg.metrics; reg != nil {
-		reg.Counter("rrq.solves").Inc()
-		if err != nil {
-			reg.Counter("rrq.solve_errors").Inc()
-		}
-	}
-	if err == nil {
-		res.Region = &Region{inner: r, q: cq}
+	p.cfg.metrics.Counter("rrq.solves").Inc()
+	if err != nil {
+		p.cfg.metrics.Counter("rrq.solve_errors").Inc()
+	} else {
+		res.Region = &Region{inner: r}
 		res.Accuracy = p.receipt(r, st, cq)
 	}
 	res.Elapsed = time.Since(start)
@@ -173,14 +167,11 @@ type BatchReport struct {
 // so the report's Phases covers exactly this batch, then merged into the
 // user's registry along with the rrq.solves / rrq.solve_errors counters.
 func (p *Prepared) SolveBatch(ctx context.Context, queries []Query) *BatchReport {
-	if p.cfg.trace != nil {
-		ctx = obs.ContextWithTrace(ctx, p.cfg.trace)
-	}
 	var batchReg *obs.Registry
 	if p.cfg.metrics != nil {
 		batchReg = obs.NewRegistry()
-		ctx = obs.ContextWithRegistry(ctx, batchReg)
 	}
+	ctx = obs.ContextWithRegistry(ctx, batchReg)
 	cqs := make([]core.Query, len(queries))
 	for i, q := range queries {
 		cqs[i] = q.toCore()
@@ -201,7 +192,7 @@ func (p *Prepared) SolveBatch(ctx context.Context, queries []Query) *BatchReport
 			rep.Deduped++
 		}
 		if o.Err == nil {
-			br.Region = &Region{inner: o.Region, q: cqs[i]}
+			br.Region = &Region{inner: o.Region}
 			br.Accuracy = p.receipt(o.Region, o.Stats, cqs[i])
 			rep.Solved++
 			rep.Agg.Add(o.Stats)
@@ -210,12 +201,10 @@ func (p *Prepared) SolveBatch(ctx context.Context, queries []Query) *BatchReport
 		}
 		rep.Results[i] = br
 	}
-	if batchReg != nil {
-		batchReg.Counter("rrq.solves").Add(int64(len(outs)))
-		batchReg.Counter("rrq.solve_errors").Add(int64(rep.Failed))
-		rep.Phases = batchReg.Timers()
-		p.cfg.metrics.Merge(batchReg)
-	}
+	batchReg.Counter("rrq.solves").Add(int64(len(outs)))
+	batchReg.Counter("rrq.solve_errors").Add(int64(rep.Failed))
+	rep.Phases = batchReg.Timers()
+	p.cfg.metrics.Merge(batchReg)
 	return rep
 }
 

@@ -95,12 +95,12 @@ func main() {
 	algo, err := rrq.ParseAlgorithm(*algoStr)
 	fatal(err)
 
-	var resOpts []rrq.Option
+	var baseOpts []rrq.Option
 	if *qTimeout > 0 {
-		resOpts = append(resOpts, rrq.WithQueryTimeout(*qTimeout))
+		baseOpts = append(baseOpts, rrq.WithQueryTimeout(*qTimeout))
 	}
 	if *budget > 0 {
-		resOpts = append(resOpts, rrq.WithWorkBudget(*budget))
+		baseOpts = append(baseOpts, rrq.WithWorkBudget(*budget))
 	}
 
 	ctx := context.Background()
@@ -114,15 +114,13 @@ func main() {
 	if *metrics {
 		reg = rrq.NewRegistry()
 	}
+	baseOpts = append(baseOpts, rrq.WithMetrics(reg))
 
 	if *indexMode != "" {
 		opts := []rrq.Option{rrq.WithAlgorithm(algo), rrq.WithIntraQueryWorkers(*intra)}
-		opts = append(opts, resOpts...)
+		opts = append(opts, baseOpts...)
 		if *samples > 0 {
 			opts = append(opts, rrq.WithSamples(*samples))
-		}
-		if reg != nil {
-			opts = append(opts, rrq.WithMetrics(reg))
 		}
 		indexMain(ctx, ds, reg, *indexMode, *indexFile, *qStr, *qsStr, *k, *eps, *measureN, *workers, *asJSON, opts)
 		return
@@ -130,12 +128,9 @@ func main() {
 
 	if *qsStr != "" {
 		opts := []rrq.Option{rrq.WithAlgorithm(algo), rrq.WithWorkers(*workers), rrq.WithIntraQueryWorkers(*intra)}
-		opts = append(opts, resOpts...)
+		opts = append(opts, baseOpts...)
 		if *samples > 0 {
 			opts = append(opts, rrq.WithSamples(*samples))
-		}
-		if reg != nil {
-			opts = append(opts, rrq.WithMetrics(reg))
 		}
 		var queries []rrq.Query
 		for _, s := range strings.Split(*qsStr, ";") {
@@ -179,12 +174,9 @@ func main() {
 	}
 
 	opts := []rrq.Option{rrq.WithAlgorithm(algo), rrq.WithIntraQueryWorkers(*intra)}
-	opts = append(opts, resOpts...)
+	opts = append(opts, baseOpts...)
 	if *samples > 0 {
 		opts = append(opts, rrq.WithSamples(*samples))
-	}
-	if reg != nil {
-		opts = append(opts, rrq.WithMetrics(reg))
 	}
 	res, err := rrq.SolveContext(ctx, ds, rrq.Query{Q: q, K: *k, Epsilon: *eps}, opts...)
 	fatal(err)

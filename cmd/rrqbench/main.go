@@ -70,7 +70,6 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		csvDir     = flag.String("csv", "", "also write each table as <dir>/<table-id>.csv")
 		budget     = flag.Duration("budget", 0, "per-cell wall-clock budget (0 = default)")
-		timeout    = flag.Duration("timeout", 0, "alias of -budget: per-cell wall-clock budget (0 = default)")
 		workers    = flag.Int("workers", 0, "worker count for the batch experiment (0 = sweep defaults)")
 		benchJSON  = flag.String("benchjson", "", "run the solve benchmark suite and write machine-readable JSON to this path")
 		cpus       = flag.String("cpus", "", "comma-separated GOMAXPROCS values (e.g. 1,2,4,8): with -benchjson, also run the shared-vs-independent batch matrix at each value")
@@ -78,9 +77,6 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write an allocation profile at exit to this path (go tool pprof)")
 	)
 	flag.Parse()
-	if *budget == 0 {
-		*budget = *timeout
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

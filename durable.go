@@ -13,7 +13,6 @@ import (
 	"errors"
 	"time"
 
-	"rrq/internal/cache"
 	"rrq/internal/index"
 	"rrq/internal/wal"
 )
@@ -57,10 +56,7 @@ type RecoveryInfo = index.Recovery
 // published, and a mutation whose append fails is rejected whole. Close
 // the index on shutdown; Checkpoint first for a replay-free restart.
 func OpenDurableIndex(dc DurableConfig, seed func() (*Dataset, error), opts ...Option) (*Index, *RecoveryInfo, error) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newConfig(opts)
 	pol := wal.SyncAlways
 	if dc.Fsync != "" {
 		p, err := wal.ParseSyncPolicy(dc.Fsync)
@@ -79,10 +75,7 @@ func OpenDurableIndex(dc DurableConfig, seed func() (*Dataset, error), opts ...O
 		}
 		return index.Build(ds.points(), ds.Dim())
 	}
-	var done func()
-	if cfg.metrics != nil {
-		done = timePhase(cfg.metrics, "phase.index.recover")
-	}
+	start := time.Now()
 	inner, dur, rec, err := index.OpenDurable(index.DurableOptions{
 		Dir:             dc.Dir,
 		Sync:            pol,
@@ -91,21 +84,11 @@ func OpenDurableIndex(dc DurableConfig, seed func() (*Dataset, error), opts ...O
 		KeepCheckpoints: dc.KeepCheckpoints,
 		Metrics:         cfg.metrics,
 	}, build)
-	if done != nil {
-		done()
-	}
+	cfg.metrics.Timer("phase.index.recover").Observe(time.Since(start))
 	if err != nil {
 		return nil, nil, err
 	}
-	ix := &Index{inner: inner, cfg: cfg, dim: inner.Dim(), dur: dur}
-	if cfg.cacheSize > 0 {
-		ix.cache = cache.New(cfg.cacheSize)
-	}
-	if reg := cfg.metrics; reg != nil {
-		reg.Counter("index.builds").Inc()
-		reg.Gauge("index.epoch").Set(float64(inner.Version()))
-	}
-	return ix, rec, nil
+	return newIndex(inner, dur, cfg), rec, nil
 }
 
 // Durable reports whether the index carries a durability layer (it was

@@ -42,37 +42,27 @@ type Index struct {
 // the "index.epoch" gauge, times "phase.index.build", and every served
 // query's plane-cache traffic shows as "index.planes.hit"/"index.planes.miss".
 func BuildIndex(d *Dataset, opts ...Option) (*Index, error) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	var done func()
-	if cfg.metrics != nil {
-		done = timePhase(cfg.metrics, "phase.index.build")
-	}
+	cfg := newConfig(opts)
+	start := time.Now()
 	inner, err := index.Build(d.points(), d.Dim())
-	if done != nil {
-		done()
-	}
+	cfg.metrics.Timer("phase.index.build").Observe(time.Since(start))
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{inner: inner, cfg: cfg, dim: d.Dim()}
+	return newIndex(inner, nil, cfg), nil
+}
+
+// newIndex wraps a built, loaded or recovered inner index (dur is its
+// durability layer, nil for an in-memory index) with the configuration's
+// result cache, and counts the build in "index.builds" and "index.epoch".
+func newIndex(inner *index.Index, dur *index.Durable, cfg config) *Index {
+	ix := &Index{inner: inner, cfg: cfg, dim: inner.Dim(), dur: dur}
 	if cfg.cacheSize > 0 {
 		ix.cache = cache.New(cfg.cacheSize)
 	}
-	if reg := cfg.metrics; reg != nil {
-		reg.Counter("index.builds").Inc()
-		reg.Gauge("index.epoch").Set(float64(inner.Version()))
-	}
-	return ix, nil
-}
-
-// timePhase starts the named phase timer on reg and returns its closer.
-func timePhase(reg *Registry, name string) func() {
-	t := reg.Timer(name)
-	start := time.Now()
-	return func() { t.Observe(time.Since(start)) }
+	cfg.metrics.Counter("index.builds").Inc()
+	cfg.metrics.Gauge("index.epoch").Set(float64(inner.Version()))
+	return ix
 }
 
 // Version returns the current epoch number: 1 after BuildIndex, incremented
@@ -155,24 +145,21 @@ func (ix *Index) Delete(i int) (uint64, error) {
 // the named counter, the "phase.index.maintain" timer and the
 // "index.epoch" gauge.
 func (ix *Index) maintain(counter string, op func() (uint64, error)) (uint64, error) {
-	var done func()
-	if ix.cfg.metrics != nil {
-		done = timePhase(ix.cfg.metrics, "phase.index.maintain")
-	}
+	reg := ix.cfg.metrics
+	start := time.Now()
 	v, err := op()
-	if done != nil {
-		done()
+	reg.Timer("phase.index.maintain").Observe(time.Since(start))
+	if err != nil {
+		return v, err
 	}
-	if err == nil && ix.cache != nil {
+	if ix.cache != nil {
 		// Invalidation is free — the new epoch never matches old keys — but
 		// pruning the dead generation now keeps it from occupying capacity.
 		ix.cache.Prune(v)
 	}
-	if reg := ix.cfg.metrics; reg != nil && err == nil {
-		reg.Counter(counter).Inc()
-		reg.Gauge("index.epoch").Set(float64(v))
-	}
-	return v, err
+	reg.Counter(counter).Inc()
+	reg.Gauge("index.epoch").Set(float64(v))
+	return v, nil
 }
 
 // Prepared binds the current snapshot to a solver configuration, reusing
@@ -255,7 +242,7 @@ func (ix *Index) cachedSolve(ctx context.Context, cfg config, snap *index.Snapsh
 		start := time.Now()
 		if r, ok := ix.cache.Get(version, algo.String(), cq); ok {
 			return ix.cacheServe(cfg, "cache.hit", Result{
-				Region:  &Region{inner: r, q: cq},
+				Region:  &Region{inner: r},
 				Stats:   Stats{Pieces: r.NumPieces()},
 				Elapsed: time.Since(start),
 				Cache:   CacheHit,
@@ -264,7 +251,7 @@ func (ix *Index) cachedSolve(ctx context.Context, cfg config, snap *index.Snapsh
 		if cfg.cacheBounds {
 			if ans := ix.cache.Bound(version, cq); ans != nil {
 				res := Result{
-					Region:  &Region{inner: ans.Region, q: ans.From},
+					Region:  &Region{inner: ans.Region},
 					Stats:   Stats{Pieces: ans.Region.NumPieces()},
 					Elapsed: time.Since(start),
 				}
@@ -284,9 +271,7 @@ func (ix *Index) cachedSolve(ctx context.Context, cfg config, snap *index.Snapsh
 				return ix.cacheServe(cfg, "cache.bound_served", res), nil
 			}
 		}
-		if reg := cfg.metrics; reg != nil {
-			reg.Counter("cache.miss").Inc()
-		}
+		cfg.metrics.Counter("cache.miss").Inc()
 	}
 	p, err := ix.preparedOn(snap, cfg)
 	if err != nil {
@@ -332,7 +317,7 @@ func (ix *Index) anytimeSolve(ctx context.Context, cfg config, snap *index.Snaps
 				// An exact artifact for this very (k, ε): the true answer,
 				// already paid for. Serving it dominates every anytime cut.
 				return ix.cacheServe(cfg, "cache.hit", Result{
-					Region:  &Region{inner: ans.Region, q: cq},
+					Region:  &Region{inner: ans.Region},
 					Stats:   Stats{Pieces: ans.Region.NumPieces()},
 					Elapsed: time.Since(start),
 					Cache:   CacheHit,
@@ -357,9 +342,7 @@ func (ix *Index) anytimeSolve(ctx context.Context, cfg config, snap *index.Snaps
 	}
 	if warm != nil {
 		p.pol.Solver = core.APCSolver{Opt: anytimeOptions(cfg, warm)}
-		if reg := cfg.metrics; reg != nil {
-			reg.Counter("cache.warm_start").Inc()
-		}
+		cfg.metrics.Counter("cache.warm_start").Inc()
 	}
 	res, err := p.Solve(ctx, q)
 	if err != nil {
@@ -376,10 +359,8 @@ func (ix *Index) anytimeSolve(ctx context.Context, cfg config, snap *index.Snaps
 // cacheServe finalizes a cache-served result: request accounting matches a
 // solved query ("rrq.solves"), plus the named cache counter.
 func (ix *Index) cacheServe(cfg config, counter string, res Result) Result {
-	if reg := cfg.metrics; reg != nil {
-		reg.Counter("rrq.solves").Inc()
-		reg.Counter(counter).Inc()
-	}
+	cfg.metrics.Counter("rrq.solves").Inc()
+	cfg.metrics.Counter(counter).Inc()
 	return res
 }
 
@@ -406,21 +387,9 @@ func (ix *Index) Save(w io.Writer) error { return ix.inner.Save(w) }
 // Files are validated (magic, format version, checksum) and rejected with a
 // typed error on mismatch.
 func LoadIndex(r io.Reader, opts ...Option) (*Index, error) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
 	inner, err := index.Load(r)
 	if err != nil {
 		return nil, err
 	}
-	if reg := cfg.metrics; reg != nil {
-		reg.Counter("index.builds").Inc()
-		reg.Gauge("index.epoch").Set(float64(inner.Version()))
-	}
-	ix := &Index{inner: inner, cfg: cfg, dim: inner.Dim()}
-	if cfg.cacheSize > 0 {
-		ix.cache = cache.New(cfg.cacheSize)
-	}
-	return ix, nil
+	return newIndex(inner, nil, newConfig(opts)), nil
 }

@@ -21,7 +21,6 @@ import (
 	"rrq/internal/faultinject"
 	"rrq/internal/geom"
 	"rrq/internal/lp"
-	"rrq/internal/obs"
 	"rrq/internal/vec"
 )
 
@@ -65,9 +64,9 @@ func LPCTAWithStats(pts []vec.Vec, q core.Query) (*core.Region, core.Stats, erro
 // LPCTAContext runs LP-CTA under a context: cancellation and deadlines are
 // observed with one amortized check every 64 LP solves (an LP per node
 // visit is expensive, so a finer grain buys nothing). A passed deadline
-// surfaces as core.ErrDeadline, cancellation as ctx.Err(). Trace hooks and
-// metrics registries attached to ctx (see internal/obs) receive the
-// solve's work events and phase timings.
+// surfaces as core.ErrDeadline, cancellation as ctx.Err(). A metrics
+// registry attached to ctx (see internal/obs) receives the solve's phase
+// timings; its work is reported in the returned Stats.
 func LPCTAContext(ctx context.Context, pts []vec.Vec, q core.Query) (*core.Region, core.Stats, error) {
 	var st core.Stats
 	d := q.Q.Dim()
@@ -87,10 +86,8 @@ func LPCTAContext(ctx context.Context, pts []vec.Vec, q core.Query) (*core.Regio
 		return nil, st, err
 	}
 	st.PlanesBuilt = len(planes)
-	check.Emit(obs.EvPlaneBuilt, st.PlanesBuilt)
 	k := q.K - base
 	if k <= 0 {
-		check.Emit(obs.EvPlanePruned, st.PlanesBuilt)
 		return core.EmptyRegion(d), st, nil
 	}
 
@@ -116,7 +113,6 @@ func LPCTAContext(ctx context.Context, pts []vec.Vec, q core.Query) (*core.Regio
 	var cells []*geom.Cell
 	ctaCollect(root, d, &cells)
 	st.Pieces = len(cells)
-	check.Emit(obs.EvPieceEmitted, st.Pieces)
 	if len(cells) == 0 {
 		return core.EmptyRegion(d), st, nil
 	}
@@ -173,7 +169,6 @@ func ctaInsert(n *ctaNode, h geom.Hyperplane, cc *ctaCtx) {
 		}
 		st.NodesCreated += 2
 		st.Splits++
-		cc.check.Emit(obs.EvNodeSplit, 1)
 		if neg.q >= k {
 			neg.invalid = true
 		}
@@ -208,7 +203,6 @@ func ctaSolve(n *ctaNode, h geom.Hyperplane, cc *ctaCtx, maximize bool) (float64
 		return 0, false
 	}
 	st.LPSolves++
-	cc.check.Emit(obs.EvLPSolve, 1)
 	obj := h.Normal
 	aub := make([][]float64, 0, len(n.normals))
 	bub := make([]float64, 0, len(n.normals))

@@ -159,7 +159,6 @@ func (ix *PBAIndex) build(n *pbaNode, remaining []int, maxNodes int) error {
 			continue
 		}
 		child := &pbaNode{cell: cell, point: p, depth: n.depth + 1}
-		ix.check.Emit(obs.EvNodeSplit, 1)
 		ix.Nodes++
 		if ix.Nodes > maxNodes {
 			return ErrPBABudget
@@ -207,9 +206,8 @@ func (ix *PBAIndex) Query(q core.Query) (*core.Region, error) {
 // that compares the query point against each partition's ranked point. A
 // partition already dominated by q at some level is returned whole without
 // refinement (which is why PBA+ gets faster as ε grows); at depth k the
-// partition is clipped by h_{q,p_k}. A trace hook attached to ctx (see
-// internal/obs) receives plane-built and piece-emitted events, and a
-// metrics registry times the "phase.pba.search" phase and maintains
+// partition is clipped by h_{q,p_k}. A metrics registry attached to ctx
+// (see internal/obs) times the "phase.pba.search" phase and maintains
 // pba.queries / pba.nodes_visited / pba.planes_built counters.
 func (ix *PBAIndex) QueryContext(ctx context.Context, q core.Query) (*core.Region, error) {
 	if err := q.Validate(ix.dim); err != nil {
@@ -220,12 +218,9 @@ func (ix *PBAIndex) QueryContext(ctx context.Context, q core.Query) (*core.Regio
 	}
 	check := core.NewCtxChecker(ctx, 0x3ff)
 	reg := obs.RegistryFrom(ctx)
-	if reg != nil {
-		reg.Counter("pba.queries").Inc()
-	}
+	reg.Counter("pba.queries").Inc()
 	if q.K > len(ix.pts) {
 		// Fewer points than k: every utility vector qualifies.
-		check.Emit(obs.EvPieceEmitted, 1)
 		return core.NewCellRegion(ix.dim, []*geom.Cell{geom.NewSimplex(ix.dim)}), nil
 	}
 	searchPhase := check.Phase("phase.pba.search")
@@ -233,12 +228,8 @@ func (ix *PBAIndex) QueryContext(ctx context.Context, q core.Query) (*core.Regio
 	visited, planesBuilt := 0, 0
 	ix.search(ix.root, q, &cells, &visited, &planesBuilt)
 	searchPhase()
-	if reg != nil {
-		reg.Counter("pba.nodes_visited").Add(int64(visited))
-		reg.Counter("pba.planes_built").Add(int64(planesBuilt))
-	}
-	check.Emit(obs.EvPlaneBuilt, planesBuilt)
-	check.Emit(obs.EvPieceEmitted, len(cells))
+	reg.Counter("pba.nodes_visited").Add(int64(visited))
+	reg.Counter("pba.planes_built").Add(int64(planesBuilt))
 	if len(cells) == 0 {
 		return core.EmptyRegion(ix.dim), nil
 	}

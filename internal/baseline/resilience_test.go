@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rrq/internal/core"
@@ -90,16 +90,31 @@ func TestBudgetStopsLPCTANotSweeping(t *testing.T) {
 	}
 }
 
+// secondPollCancel is a test-only context whose Err reports
+// context.Canceled from its second poll onward, canceling its parent then
+// so Done closes too. The solve's CtxChecker polls once at construction,
+// so LP-CTA aborts at its first amortized check, inside the insert phase.
+type secondPollCancel struct {
+	context.Context
+	cancel context.CancelFunc
+	polls  atomic.Int32
+}
+
+func (c *secondPollCancel) Err() error {
+	if c.polls.Add(1) >= 2 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
 // Mid-phase cancellation of LP-CTA: abort with context.Canceled and close
 // every opened phase timer.
 func TestLPCTACancelMidPhase(t *testing.T) {
 	pts, q := lpctaInstance(t)
-	ctx, cancel := context.WithCancel(context.Background())
+	parent, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	var once sync.Once
-	ctx = obs.ContextWithTrace(ctx, func(obs.Event) { once.Do(cancel) })
 	reg := obs.NewRegistry()
-	ctx = obs.ContextWithRegistry(ctx, reg)
+	ctx := obs.ContextWithRegistry(&secondPollCancel{Context: parent, cancel: cancel}, reg)
 
 	_, _, err := LPCTAContext(ctx, pts, q)
 	if !errors.Is(err, context.Canceled) {

@@ -95,12 +95,12 @@ func TestSweepIntervalsZeroAlloc(t *testing.T) {
 	a := &Arena{}
 	check := NewCtxChecker(context.Background(), 0)
 	var st Stats
-	if _, _, err := sweepIntervals(ps, k, a, &st, check); err != nil {
+	if _, err := sweepIntervals(ps, k, a, &st, check); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		st = Stats{}
-		if _, _, err := sweepIntervals(ps, k, a, &st, check); err != nil {
+		if _, err := sweepIntervals(ps, k, a, &st, check); err != nil {
 			panic(err)
 		}
 	})

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rrq/internal/geom"
-	"rrq/internal/obs"
 	"rrq/internal/vec"
 )
 
@@ -86,9 +85,9 @@ func APC(pts []vec.Vec, q Query, opt APCOptions) (*Region, error) {
 //
 // The classification and construction loops observe cancellation with
 // amortized checks. A passed deadline surfaces as ErrDeadline,
-// cancellation as ctx.Err(). Trace hooks and metrics registries attached
-// to ctx (see internal/obs) receive the solve's work events and phase
-// timings.
+// cancellation as ctx.Err(). A metrics registry attached to ctx (see
+// internal/obs) receives the solve's phase timings; its work is reported
+// in the returned Stats.
 func APCContext(ctx context.Context, pts []vec.Vec, q Query, opt APCOptions) (*Region, Stats, error) {
 	var st Stats
 	d := q.Q.Dim()
@@ -120,7 +119,6 @@ func APCContext(ctx context.Context, pts []vec.Vec, q Query, opt APCOptions) (*R
 		return nil, st, err
 	}
 	st.Pieces = len(run.cells)
-	check.Emit(obs.EvPieceEmitted, st.Pieces)
 	if len(run.cells) == 0 {
 		return emptyRegion(d), st, nil
 	}
@@ -174,7 +172,6 @@ func (run *apcRun) merged(ctx context.Context, n, workers int) error {
 		}
 	}
 	classifyPhase()
-	check.Emit(obs.EvSampleClassified, n)
 	constructPhase := check.Phase("phase.apc.construct")
 	defer constructPhase()
 
@@ -282,7 +279,6 @@ func (run *apcRun) stream(n int, opt APCOptions) (int, error) {
 			return consumed, err
 		}
 	}
-	check.Emit(obs.EvSampleClassified, consumed)
 	return consumed, nil
 }
 

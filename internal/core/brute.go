@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"rrq/internal/geom"
-	"rrq/internal/obs"
 	"rrq/internal/vec"
 )
 
@@ -45,10 +44,8 @@ func brute2DSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore
 	}
 	ps := store.planes(pts, q, nil, check.reg)
 	st.PlanesBuilt = len(ps.Crossing)
-	check.Emit(obs.EvPlaneBuilt, st.PlanesBuilt)
 	k := ps.KEff(q.K)
 	if k <= 0 {
-		check.Emit(obs.EvPlanePruned, st.PlanesBuilt)
 		return emptyRegion(2), st, nil
 	}
 	// Every crossing plane enters the enumeration; nothing is pruned.
@@ -83,7 +80,6 @@ func brute2DSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore
 	}
 	merged := MergeIntervals(out)
 	st.Pieces = len(merged)
-	check.Emit(obs.EvPieceEmitted, st.Pieces)
 	if len(merged) == 0 {
 		return emptyRegion(2), st, nil
 	}
@@ -121,13 +117,11 @@ func bruteNDSolve(ctx context.Context, pts []vec.Vec, q Query, maxPlanes int, st
 	}
 	ps := store.planes(pts, q, nil, check.reg)
 	st.PlanesBuilt = len(ps.Crossing)
-	check.Emit(obs.EvPlaneBuilt, st.PlanesBuilt)
 	if len(ps.Crossing) > maxPlanes {
 		return nil, st, fmt.Errorf("core: brute force limited to %d planes, have %d", maxPlanes, len(ps.Crossing))
 	}
 	k := ps.KEff(q.K)
 	if k <= 0 {
-		check.Emit(obs.EvPlanePruned, st.PlanesBuilt)
 		return emptyRegion(d), st, nil
 	}
 	type entry struct {
@@ -151,7 +145,6 @@ func bruteNDSolve(ctx context.Context, pts []vec.Vec, q Query, maxPlanes int, st
 				neg, pos := e.cell.Split(h)
 				if neg != nil && pos != nil {
 					st.Splits++
-					check.Emit(obs.EvNodeSplit, 1)
 				}
 				if neg != nil {
 					next = append(next, entry{neg, e.neg + 1})
@@ -170,7 +163,6 @@ func bruteNDSolve(ctx context.Context, pts []vec.Vec, q Query, maxPlanes int, st
 		}
 	}
 	st.Pieces = len(out)
-	check.Emit(obs.EvPieceEmitted, st.Pieces)
 	if len(out) == 0 {
 		return emptyRegion(d), st, nil
 	}

@@ -34,17 +34,15 @@ func MapContextErr(err error) error {
 // context state. A checker is not safe for concurrent use; parallel
 // phases create one per worker.
 //
-// The checker doubles as the per-solve observability carrier: it captures
-// the trace hook and metrics registry riding on the context once at
-// construction, so the solver hot path pays a single nil-check per
-// potential event (Emit) or phase boundary (Phase) when observability is
+// The checker doubles as the per-solve metrics carrier: it captures the
+// registry riding on the context once at construction, so the solver hot
+// path pays a single nil-check per phase boundary (Phase) when metrics are
 // off.
 type CtxChecker struct {
 	ctx    context.Context
 	mask   uint32
 	n      uint32
 	err    error
-	trace  obs.TraceFunc
 	reg    *obs.Registry
 	meter  *workMeter
 	faults *faultinject.Injector
@@ -55,13 +53,11 @@ type CtxChecker struct {
 // (mask must be 2^m − 1). A context that can never be canceled
 // (ctx.Done() == nil, e.g. context.Background()) disables cancellation
 // checking; an already-expired context trips the checker immediately, so
-// solvers fail fast before doing any work. Any obs trace hook, metrics
-// registry, work budget (ContextWithWorkBudget) or fault injector carried
-// by ctx is captured once here, so the hot path pays one nil-check per
-// facility.
+// solvers fail fast before doing any work. Any metrics registry, work
+// budget (ContextWithWorkBudget) or fault injector carried by ctx is
+// captured once here, so the hot path pays one nil-check per facility.
 func NewCtxChecker(ctx context.Context, mask uint32) *CtxChecker {
 	c := &CtxChecker{
-		trace:  obs.TraceFrom(ctx),
 		reg:    obs.RegistryFrom(ctx),
 		meter:  meterFrom(ctx),
 		faults: faultinject.From(ctx),
@@ -102,18 +98,6 @@ func (c *CtxChecker) fail(err error) {
 	}
 }
 
-// Emit delivers one trace event when tracing is on; otherwise it is a
-// single nil-check.
-func (c *CtxChecker) Emit(kind obs.EventKind, n int) {
-	if c.trace != nil {
-		c.trace(obs.Event{Kind: kind, N: n})
-	}
-}
-
-// Tracing reports whether a trace hook is attached, for call sites that
-// want to skip event bookkeeping entirely when off.
-func (c *CtxChecker) Tracing() bool { return c.trace != nil }
-
 // nopPhase is the shared no-op phase closer returned when metrics are off,
 // so Phase allocates nothing on the disabled path.
 var nopPhase = func() {}
@@ -125,7 +109,7 @@ var nopPhase = func() {}
 // The closer is idempotent: solvers close each phase at its natural end
 // AND defer the closer as an abort net, so a query canceled (or failed)
 // mid-phase still records exactly one observation per opened phase — no
-// dangling open phases in traces.
+// dangling open phases in the timers.
 func (c *CtxChecker) Phase(name string) func() {
 	if c.reg == nil {
 		return nopPhase

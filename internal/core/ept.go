@@ -6,7 +6,6 @@ import (
 
 	"rrq/internal/faultinject"
 	"rrq/internal/geom"
-	"rrq/internal/obs"
 	"rrq/internal/skyband"
 	"rrq/internal/vec"
 )
@@ -65,9 +64,9 @@ func EPTWithOptions(pts []vec.Vec, q Query, opt EPTOptions) (*Region, Stats, err
 // EPTContext runs E-PT under a context: cancellation and deadlines are
 // observed with one amortized check every few thousand node visits, so a
 // Solve aborts within one check interval of the context firing. A passed
-// deadline surfaces as ErrDeadline, cancellation as ctx.Err(). Trace hooks
-// and metrics registries attached to ctx (see internal/obs) receive the
-// solve's work events and phase timings.
+// deadline surfaces as ErrDeadline, cancellation as ctx.Err(). A metrics
+// registry attached to ctx (see internal/obs) receives the solve's phase
+// timings; its work is reported in the returned Stats.
 func EPTContext(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions) (*Region, Stats, error) {
 	if err := ValidateInstance(pts, q); err != nil {
 		return nil, Stats{}, err
@@ -92,11 +91,9 @@ func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, store
 	defer planePhase()
 	ps := store.planes(pts, q, a, check.reg)
 	st.PlanesBuilt = len(ps.Crossing)
-	check.Emit(obs.EvPlaneBuilt, st.PlanesBuilt)
 	k := ps.KEff(q.K)
 	if k <= 0 {
 		planePhase()
-		check.Emit(obs.EvPlanePruned, st.PlanesBuilt)
 		return emptyRegion(d), st, nil
 	}
 
@@ -118,7 +115,6 @@ func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, store
 	// per-plane normals are scattered across the heap.
 	geom.PackNormals(planes)
 	st.PlanesInserted = len(planes)
-	check.Emit(obs.EvPlanePruned, st.PlanesBuilt-st.PlanesInserted)
 	planePhase()
 
 	insertPhase := check.Phase("phase.ept.insert")
@@ -129,7 +125,7 @@ func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, store
 	if opt.Workers > 1 {
 		pool := newEPTPool(ctx, t, opt.Workers, q.Q)
 		err := pool.run(planes, check)
-		pool.drain(&st, check)
+		pool.drain(&st)
 		if err != nil {
 			return nil, st, err
 		}
@@ -149,7 +145,6 @@ func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, store
 	var cells []*geom.Cell
 	t.collect(t.root, &cells)
 	st.Pieces = len(cells)
-	check.Emit(obs.EvPieceEmitted, st.Pieces)
 	if len(cells) == 0 {
 		return emptyRegion(d), st, nil
 	}
@@ -302,7 +297,7 @@ func planeOrderLess(w []int, a, b int) bool {
 }
 
 // eptTree is the shared partition tree: structure and parameters only. All
-// mutable per-run bookkeeping (counters, cancellation, event buffers) lives
+// mutable per-run bookkeeping (counters, cancellation) lives
 // in eptCtx so several execution contexts can refine disjoint subtrees
 // concurrently.
 type eptTree struct {
@@ -312,28 +307,15 @@ type eptTree struct {
 }
 
 // eptCtx is one execution context over the tree: the serial solver uses a
-// single context streaming events directly, the worker pool gives each
-// worker its own (per-worker Stats, per-worker CtxChecker — the checker is
-// not concurrency-safe — and buffered trace events, merged when the pool
-// drains). A context only ever touches nodes of the subtree it was handed,
-// so contexts never contend.
+// single context, the worker pool gives each worker its own (per-worker
+// Stats and per-worker CtxChecker — the checker is not concurrency-safe —
+// merged when the pool drains). A context only ever touches nodes of the
+// subtree it was handed, so contexts never contend.
 type eptCtx struct {
-	t      *eptTree
-	stats  *Stats
-	check  *CtxChecker
-	pool   *eptPool // nil when serial
-	splits int      // buffered EvNodeSplit count (pool mode only)
-}
-
-// emitSplit records one node split: streamed immediately in serial mode,
-// buffered per worker in pool mode (the trace hook contract is that per-kind
-// sums match Stats, not event granularity).
-func (e *eptCtx) emitSplit() {
-	if e.pool == nil {
-		e.check.Emit(obs.EvNodeSplit, 1)
-	} else {
-		e.splits++
-	}
+	t     *eptTree
+	stats *Stats
+	check *CtxChecker
+	pool  *eptPool // nil when serial
 }
 
 // needSplit is the lazy-split trigger; in eager mode any pending plane
@@ -438,7 +420,6 @@ func (e *eptCtx) lazySplit(n *eptNode) {
 			}
 		default:
 			e.stats.Splits++
-			e.emitSplit()
 			left := &eptNode{cell: neg, q: n.q + 1, lazy: append([]geom.Hyperplane(nil), n.lazy...)}
 			right := &eptNode{cell: pos, q: n.q, lazy: n.lazy}
 			e.stats.NodesCreated += 2

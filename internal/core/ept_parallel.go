@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"rrq/internal/geom"
-	"rrq/internal/obs"
 )
 
 // Intra-query parallel E-PT.
@@ -33,8 +32,8 @@ type eptTask struct {
 }
 
 // eptPool is the per-solve worker pool. Workers own one eptCtx each
-// (per-worker Stats, CtxChecker and buffered trace counts — none of those
-// types are concurrency-safe), merged into the solve's totals by drain.
+// (per-worker Stats and CtxChecker — neither is concurrency-safe), merged
+// into the solve's totals by drain.
 type eptPool struct {
 	tree    *eptTree
 	tasks   chan eptTask
@@ -121,19 +120,13 @@ func (p *eptPool) spawn(n *eptNode, h geom.Hyperplane, from *eptCtx) {
 	}
 }
 
-// drain shuts the workers down and merges their buffered bookkeeping into
-// the solve's totals: Stats counters are summed (order-independent), and
-// the buffered split counts become one aggregated EvNodeSplit event, so
-// per-kind trace sums still match the Stats counters exactly.
-func (p *eptPool) drain(st *Stats, check *CtxChecker) {
+// drain shuts the workers down and sums their per-worker Stats into the
+// solve's totals (order-independent, so every worker count reports the
+// same counters).
+func (p *eptPool) drain(st *Stats) {
 	close(p.tasks)
 	p.done.Wait()
-	splits := 0
 	for _, e := range p.ctxs {
 		st.Add(*e.stats)
-		splits += e.splits
-	}
-	if splits > 0 {
-		check.Emit(obs.EvNodeSplit, splits)
 	}
 }

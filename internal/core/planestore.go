@@ -247,9 +247,7 @@ func (s *planeStore) count(hit bool, reg *obs.Registry) {
 	} else {
 		s.tally.Misses.Add(1)
 	}
-	if reg != nil {
-		reg.Counter(name).Inc()
-	}
+	reg.Counter(name).Inc()
 }
 
 // build classifies every point of b exactly as BuildPlanes does, keeping the

@@ -154,9 +154,7 @@ func (pol SolvePolicy) Solve(ctx context.Context, prep *Prepared, q Query, query
 			if se.Solver == "" {
 				se.Solver = s.Name()
 			}
-			if reg := obs.RegistryFrom(ctx); reg != nil {
-				reg.Counter("solve.panics").Inc()
-			}
+			obs.RegistryFrom(ctx).Counter("solve.panics").Inc()
 		}
 	}()
 	if fi := faultinject.From(actx); fi != nil {

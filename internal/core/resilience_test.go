@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,17 +253,42 @@ func TestParallelForPanicIsolation(t *testing.T) {
 	}
 }
 
-// cancelOnFirstEvent builds a context that cancels itself the moment the
-// solve emits its first trace event — i.e. mid-solve, after the first phase
-// has opened — plus a registry to audit the phase timers afterwards.
-func cancelOnFirstEvent(t *testing.T) (context.Context, *obs.Registry) {
+// pollCancelCtx is a test-only context whose Err reports context.Canceled
+// from its second poll onward, canceling its parent then so Done closes
+// too. A solve's CtxChecker polls once at construction, before its first
+// phase opens, so a single solve aborts at its first amortized check —
+// mid-phase. With gate set, polls count only once a phase timer has opened
+// on it: a batch also polls before each query starts, and would otherwise
+// abort before any phase opened.
+type pollCancelCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	gate   *obs.Registry
+	polls  atomic.Int32
+}
+
+func (c *pollCancelCtx) Err() error {
+	if c.gate == nil || len(c.gate.Timers()) > 0 {
+		if c.polls.Add(1) >= 2 {
+			c.cancel()
+		}
+	}
+	return c.Context.Err()
+}
+
+// cancelMidPhase builds a context that cancels itself mid-phase (gated on
+// its own phase timers when gated is set), plus the registry it carries to
+// audit those timers afterwards.
+func cancelMidPhase(t *testing.T, gated bool) (context.Context, *obs.Registry) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	var once sync.Once
-	ctx = obs.ContextWithTrace(ctx, func(obs.Event) { once.Do(cancel) })
 	reg := obs.NewRegistry()
-	return obs.ContextWithRegistry(ctx, reg), reg
+	pc := &pollCancelCtx{Context: ctx, cancel: cancel}
+	if gated {
+		pc.gate = reg
+	}
+	return obs.ContextWithRegistry(pc, reg), reg
 }
 
 // assertPhasesBalanced fails if any phase timer was opened (created) but
@@ -338,7 +363,7 @@ func TestCancelMidPhaseAllSolvers(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			ctx, reg := cancelOnFirstEvent(t)
+			ctx, reg := cancelMidPhase(t, false)
 			err := c.solve(ctx)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
@@ -363,7 +388,7 @@ func TestCancelMidBatchPhasesBalanced(t *testing.T) {
 	for i := range queries {
 		queries[i] = Query{Q: dataset.RandQuery(rng, pts), K: 6, Eps: 0.05}
 	}
-	ctx, reg := cancelOnFirstEvent(t)
+	ctx, reg := cancelMidPhase(t, true)
 	outs := SolveBatchPolicy(ctx, SolvePolicy{Solver: EPTSolver{}}, prep, queries, 2)
 	failed := 0
 	for _, o := range outs {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rrq/internal/geom"
-	"rrq/internal/obs"
 	"rrq/internal/topk"
 	"rrq/internal/vec"
 )
@@ -64,24 +63,18 @@ func sweepSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore) 
 	ps := store.planes(pts, q, a, check.reg)
 	planePhase()
 	st.PlanesBuilt = len(ps.Crossing)
-	check.Emit(obs.EvPlaneBuilt, st.PlanesBuilt)
 	k := ps.KEff(q.K)
 	if k <= 0 {
-		check.Emit(obs.EvPlanePruned, st.PlanesBuilt)
 		return emptyRegion(2), st, nil
 	}
 	sweepPhase := check.Phase("phase.sweep.sweep")
 	defer sweepPhase()
 
-	merged, collapsed, err := sweepIntervals(ps, k, a, &st, check)
+	merged, err := sweepIntervals(ps, k, a, &st, check)
 	if err != nil {
 		return nil, st, err
 	}
-	if collapsed {
-		return emptyRegion(2), st, nil
-	}
 	st.Pieces = len(merged)
-	check.Emit(obs.EvPieceEmitted, st.Pieces)
 	if len(merged) == 0 {
 		return emptyRegion(2), st, nil
 	}
@@ -92,12 +85,11 @@ func sweepSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore) 
 // sweepIntervals runs the window reduction, event sweep and interval merge
 // over an already-classified plane set, with every buffer drawn from the
 // arena (a may be nil: a throwaway arena then takes the allocating path).
-// The returned intervals alias a.merged; collapsed reports that the window
-// reduction already disqualified the whole segment (the caller then skips
-// the piece-count event, as the pre-kernel code did). This is the
-// allocation-free hot path of the Sweeping solver; the AllocsPerRun
-// regression tests pin it at zero steady-state allocations.
-func sweepIntervals(ps PlaneSet, k int, a *Arena, st *Stats, check *CtxChecker) (merged [][2]float64, collapsed bool, err error) {
+// The returned intervals alias a.merged (empty when the window reduction
+// already disqualified the whole segment). This is the allocation-free hot
+// path of the Sweeping solver; the AllocsPerRun regression tests pin it at
+// zero steady-state allocations.
+func sweepIntervals(ps PlaneSet, k int, a *Arena, st *Stats, check *CtxChecker) ([][2]float64, error) {
 	if a == nil {
 		a = &Arena{}
 	}
@@ -126,11 +118,10 @@ func sweepIntervals(ps PlaneSet, k int, a *Arena, st *Stats, check *CtxChecker) 
 		tLo, a.selBuf = topk.KthMaxScratch(excl, k, a.selBuf)
 	}
 	if tLo >= tHi-geom.Tol {
-		check.Emit(obs.EvPlanePruned, st.PlanesBuilt)
-		return nil, true, nil
+		return nil, nil
 	}
 	if check.Stop() {
-		return nil, false, check.Err()
+		return nil, check.Err()
 	}
 
 	// Initial counter at the window start: inclusive planes already passed
@@ -156,7 +147,6 @@ func sweepIntervals(ps PlaneSet, k int, a *Arena, st *Stats, check *CtxChecker) 
 	a.events = events
 	sortSweepEvents(events)
 	st.PlanesInserted = len(events)
-	check.Emit(obs.EvPlanePruned, st.PlanesBuilt-st.PlanesInserted)
 
 	// Sweep the O(k) surviving partitions with an O(1) counter update. An
 	// interval is emitted only when the counter qualifies and the piece is
@@ -185,7 +175,7 @@ func sweepIntervals(ps PlaneSet, k int, a *Arena, st *Stats, check *CtxChecker) 
 	// The sweep emits intervals in ascending start order, so the sorted
 	// merge of MergeIntervals reduces to one linear pass with the same
 	// touching tolerance.
-	merged = a.merged[:0]
+	merged := a.merged[:0]
 	for _, iv := range out {
 		if n := len(merged); n > 0 && iv[0] <= merged[n-1][1]+geom.Tol {
 			if iv[1] > merged[n-1][1] {
@@ -196,7 +186,7 @@ func sweepIntervals(ps PlaneSet, k int, a *Arena, st *Stats, check *CtxChecker) 
 		}
 	}
 	a.merged = merged
-	return merged, false, nil
+	return merged, nil
 }
 
 // sortSweepEvents sorts events by ascending parameter with a hand-rolled

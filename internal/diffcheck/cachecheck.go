@@ -56,12 +56,8 @@ func (rep *CacheReport) fail(m Mismatch) {
 func RunCache(cfg Config) CacheReport {
 	cfg = cfg.withDefaults()
 	var rep CacheReport
-	dims := []int{2, 3, 4, 5, 6}
 	for i := 0; i < cfg.Problems; i++ {
-		fam := byte(i % corpus.NumFamilies)
-		dim := dims[(i/corpus.NumFamilies)%len(dims)]
-		data := corpus.Encode(fam, dim, 3+i%10, 1+i%4, i%7, cfg.Seed+int64(i)*7919)
-		ins, ok := corpus.DecodeDim(data, dim)
+		ins, ok := instance(cfg, i)
 		if !ok {
 			continue
 		}

@@ -117,12 +117,8 @@ func Run(cfg Config) Report {
 		PerFamily:  make(map[string]int),
 		SolverRuns: make(map[string]int),
 	}
-	dims := []int{2, 3, 4, 5, 6}
 	for i := 0; i < cfg.Problems; i++ {
-		fam := byte(i % corpus.NumFamilies)
-		dim := dims[(i/corpus.NumFamilies)%len(dims)]
-		data := corpus.Encode(fam, dim, 3+i%10, 1+i%4, i%7, cfg.Seed+int64(i)*7919)
-		ins, ok := corpus.DecodeDim(data, dim)
+		ins, ok := instance(cfg, i)
 		if !ok {
 			continue
 		}
@@ -131,6 +127,18 @@ func Run(cfg Config) Report {
 		checkProblem(cfg, ins, int64(i), &rep)
 	}
 	return rep
+}
+
+// instance is the i-th problem of the corpus enumeration every sweep
+// walks: families cycle fastest, then dimensions 2–6, with the size, rank,
+// ε and seed all derived from i. ok is false for an encoding that does not
+// decode; the sweeps skip it.
+func instance(cfg Config, i int) (ins corpus.Instance, ok bool) {
+	dims := []int{2, 3, 4, 5, 6}
+	fam := byte(i % corpus.NumFamilies)
+	dim := dims[(i/corpus.NumFamilies)%len(dims)]
+	data := corpus.Encode(fam, dim, 3+i%10, 1+i%4, i%7, cfg.Seed+int64(i)*7919)
+	return corpus.DecodeDim(data, dim)
 }
 
 // checkProblem runs every applicable solver on one instance and applies the

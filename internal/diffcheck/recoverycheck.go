@@ -73,7 +73,7 @@ func RunRecovery(cfg Config, scratch string) RecoveryReport {
 	cfg = cfg.withDefaults()
 	var rep RecoveryReport
 	for i := 0; i < cfg.Problems; i++ {
-		ins, ok := recoveryInstance(cfg, i)
+		ins, ok := instance(cfg, i)
 		if !ok {
 			continue
 		}
@@ -81,15 +81,6 @@ func RunRecovery(cfg Config, scratch string) RecoveryReport {
 		checkRecoveryProblem(cfg, ins, int64(i), filepath.Join(scratch, fmt.Sprintf("p%03d", i)), &rep)
 	}
 	return rep
-}
-
-// recoveryInstance is the i-th corpus problem of the recovery sweep.
-func recoveryInstance(cfg Config, i int) (corpus.Instance, bool) {
-	dims := []int{2, 3, 4, 5, 6}
-	fam := byte(i % corpus.NumFamilies)
-	dim := dims[(i/corpus.NumFamilies)%len(dims)]
-	data := corpus.Encode(fam, dim, 3+i%10, 1+i%4, i%7, cfg.Seed+int64(i)*7919)
-	return corpus.DecodeDim(data, dim)
 }
 
 // checkRecoveryProblem runs the crash sweep for one instance: log the
@@ -258,7 +249,7 @@ func CrashImages(cfg Config, scratch string, problems ...int) ([]CrashImage, err
 	cfg = cfg.withDefaults()
 	var out []CrashImage
 	for _, i := range problems {
-		ins, ok := recoveryInstance(cfg, i)
+		ins, ok := instance(cfg, i)
 		if !ok {
 			continue
 		}

@@ -306,19 +306,13 @@ func OpenDurable(o DurableOptions, build func() (*Index, error)) (*Index, *Durab
 	return ix, d, rec, nil
 }
 
-// counter bumps a named counter when metrics are configured.
-func (d *Durable) counter(name string) {
-	if reg := d.o.Metrics; reg != nil {
-		reg.Counter(name).Inc()
-	}
-}
+// counter bumps a named counter (a no-op without metrics).
+func (d *Durable) counter(name string) { d.o.Metrics.Counter(name).Inc() }
 
 // observeCheckpoint records one successful checkpoint write.
 func (d *Durable) observeCheckpoint() {
 	d.counter("checkpoint.writes")
-	if reg := d.o.Metrics; reg != nil {
-		reg.Gauge("checkpoint.age").Set(0)
-	}
+	d.o.Metrics.Gauge("checkpoint.age").Set(0)
 }
 
 // logAppend durably records one mutation; called by Insert/Delete under
@@ -329,9 +323,7 @@ func (d *Durable) logAppend(r wal.Record) error { return d.w.Append(r) }
 // it advances the auto-checkpoint cadence and refreshes checkpoint.age.
 func (d *Durable) committed(version uint64) {
 	d.sinceCkpt++
-	if reg := d.o.Metrics; reg != nil {
-		reg.Gauge("checkpoint.age").Set(time.Since(d.lastCkptTime).Seconds())
-	}
+	d.o.Metrics.Gauge("checkpoint.age").Set(time.Since(d.lastCkptTime).Seconds())
 	if d.sinceCkpt >= d.o.CheckpointEvery {
 		_ = d.checkpointLocked(version) // WAL still covers everything on failure
 	}

@@ -1,110 +1,19 @@
-// Package obs is the observability substrate of the solver stack: a
-// zero-dependency metrics registry (atomic counters, gauges and
-// histogram-style phase timers with an expvar-compatible text exposition)
-// plus a per-solve trace hook that streams the work events the paper's
-// evaluation counts — planes, tree nodes, LP solves, samples and answer
-// pieces (§6).
+// Package obs is the metrics substrate of the solver stack: a
+// zero-dependency registry of atomic counters, gauges and histogram-style
+// phase timers with an expvar-compatible text exposition. Per-solve work
+// (planes, tree nodes, LP solves, samples and answer pieces, §6) is
+// reported by the solvers' Stats, not here.
 //
-// Both facilities ride on the context: callers attach a TraceFunc or a
-// *Registry with ContextWithTrace / ContextWithRegistry, and the solvers
-// pick them up once per solve when they build their CtxChecker. With
-// neither attached, the hot path pays a single nil-check per potential
-// event, so tracing off costs nothing measurable.
+// The registry rides on the context: callers attach a *Registry with
+// ContextWithRegistry, and the solvers pick it up once per solve when they
+// build their CtxChecker. A nil *Registry hands out nil handles whose
+// methods do nothing, so instrumented code needs no nil checks of its own.
 package obs
 
 import "context"
 
-// EventKind classifies one unit of solver work. Each kind corresponds to a
-// core.Stats counter; summing Event.N over a solve reproduces that counter
-// exactly (see docs/ALGORITHMS.md for the mapping to the paper's work
-// measures).
-type EventKind uint8
-
-const (
-	// EvPlaneBuilt: crossing hyper-planes h_{q,p} constructed during
-	// preprocessing (Stats.PlanesBuilt).
-	EvPlaneBuilt EventKind = iota
-	// EvPlanePruned: crossing planes discarded before insertion by the
-	// Lemma 5.2 reduction or the §4 window restriction
-	// (Stats.PlanesBuilt − Stats.PlanesInserted).
-	EvPlanePruned
-	// EvNodeSplit: partition-tree node splits (Stats.Splits; E-PT and
-	// LP-CTA).
-	EvNodeSplit
-	// EvLPSolve: simplex LP solves (Stats.LPSolves; LP-CTA).
-	EvLPSolve
-	// EvSampleClassified: utility samples classified against the dataset
-	// (Stats.Samples; A-PC).
-	EvSampleClassified
-	// EvPieceEmitted: convex pieces in the returned region (Stats.Pieces).
-	EvPieceEmitted
-
-	numEventKinds = iota
-)
-
-// NumEventKinds is the number of distinct event kinds, for callers that
-// aggregate per kind into a fixed-size array.
-const NumEventKinds = int(numEventKinds)
-
-func (k EventKind) String() string {
-	switch k {
-	case EvPlaneBuilt:
-		return "plane-built"
-	case EvPlanePruned:
-		return "plane-pruned"
-	case EvNodeSplit:
-		return "node-split"
-	case EvLPSolve:
-		return "lp-solve"
-	case EvSampleClassified:
-		return "sample-classified"
-	case EvPieceEmitted:
-		return "piece-emitted"
-	default:
-		return "unknown-event"
-	}
-}
-
-// Event is one traced unit of solver work. N is the number of units the
-// event accounts for: solvers batch cheap per-item work (e.g. one
-// EvPlaneBuilt with N = number of planes) and stream expensive items
-// individually (one EvLPSolve with N = 1 per simplex run).
-type Event struct {
-	Kind EventKind
-	N    int
-}
-
-// TraceFunc receives trace events during a solve. A batch or a parallel
-// solver phase may invoke it from several goroutines; implementations must
-// be safe for concurrent use (the public rrq.WithTrace option wraps the
-// user's function with a mutex, so callbacks installed through it never
-// run concurrently).
-type TraceFunc func(Event)
-
-// traceKey and registryKey are the private context keys for the two
-// observability carriers.
-type (
-	traceKey    struct{}
-	registryKey struct{}
-)
-
-// ContextWithTrace returns a context carrying fn as the solve trace hook.
-// A nil fn returns ctx unchanged.
-func ContextWithTrace(ctx context.Context, fn TraceFunc) context.Context {
-	if fn == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, traceKey{}, fn)
-}
-
-// TraceFrom extracts the trace hook from ctx, or nil.
-func TraceFrom(ctx context.Context) TraceFunc {
-	if ctx == nil {
-		return nil
-	}
-	fn, _ := ctx.Value(traceKey{}).(TraceFunc)
-	return fn
-}
+// registryKey is the private context key of the registry carrier.
+type registryKey struct{}
 
 // ContextWithRegistry returns a context carrying reg as the metrics
 // registry. A nil reg returns ctx unchanged.

@@ -162,54 +162,46 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
-// TestContextPlumbing checks the trace/registry context carriers.
+// TestContextPlumbing checks the registry context carrier.
 func TestContextPlumbing(t *testing.T) {
-	if TraceFrom(context.Background()) != nil {
-		t.Fatal("TraceFrom on bare context should be nil")
-	}
 	if RegistryFrom(context.Background()) != nil {
 		t.Fatal("RegistryFrom on bare context should be nil")
 	}
-	var got []Event
-	ctx := ContextWithTrace(context.Background(), func(e Event) { got = append(got, e) })
 	reg := NewRegistry()
-	ctx = ContextWithRegistry(ctx, reg)
-	if fn := TraceFrom(ctx); fn == nil {
-		t.Fatal("trace not carried")
-	} else {
-		fn(Event{Kind: EvLPSolve, N: 2})
-	}
-	if len(got) != 1 || got[0].Kind != EvLPSolve || got[0].N != 2 {
-		t.Fatalf("trace delivered %v", got)
-	}
+	ctx := ContextWithRegistry(context.Background(), reg)
 	if RegistryFrom(ctx) != reg {
 		t.Fatal("registry not carried")
 	}
-	// Nil attachments leave the context untouched.
-	if ContextWithTrace(ctx, nil) != ctx || ContextWithRegistry(ctx, nil) != ctx {
+	// A nil attachment leaves the context untouched.
+	if ContextWithRegistry(ctx, nil) != ctx {
 		t.Fatal("nil attachment should be a no-op")
 	}
 }
 
-// TestEventKindStrings pins the event vocabulary.
-func TestEventKindStrings(t *testing.T) {
-	want := map[EventKind]string{
-		EvPlaneBuilt:       "plane-built",
-		EvPlanePruned:      "plane-pruned",
-		EvNodeSplit:        "node-split",
-		EvLPSolve:          "lp-solve",
-		EvSampleClassified: "sample-classified",
-		EvPieceEmitted:     "piece-emitted",
+// TestNilHandlesZeroAlloc pins the metrics-off contract: a nil Registry
+// hands out nil handles, every handle method is a no-op on a nil receiver,
+// and the whole disabled path allocates nothing.
+func TestNilHandlesZeroAlloc(t *testing.T) {
+	var reg *Registry
+	if reg.Counter("c") != nil || reg.Gauge("g") != nil || reg.Timer("t") != nil {
+		t.Fatal("nil registry should hand out nil handles")
 	}
-	if len(want) != NumEventKinds {
-		t.Fatalf("NumEventKinds = %d, want %d", NumEventKinds, len(want))
+	allocs := testing.AllocsPerRun(100, func() {
+		reg.Counter("c").Inc()
+		reg.Counter("c").Add(3)
+		reg.Gauge("g").Set(1.5)
+		reg.Timer("t").Observe(time.Millisecond)
+		reg.Timer("t").Time(func() {})
+	})
+	if allocs != 0 {
+		t.Fatalf("nil handles allocate %.1f per run, want 0", allocs)
 	}
-	for k, s := range want {
-		if k.String() != s {
-			t.Fatalf("kind %d String() = %q, want %q", k, k.String(), s)
-		}
-	}
-	if EventKind(200).String() != "unknown-event" {
-		t.Fatal("unknown kind should render as unknown-event")
+	var (
+		c  *Counter
+		g  *Gauge
+		tm *Timer
+	)
+	if c.Value() != 0 || c.String() != "0" || g.Value() != 0 || tm.Snapshot().Count != 0 {
+		t.Fatal("nil handles should read as zero")
 	}
 }

@@ -12,34 +12,54 @@ import (
 )
 
 // Counter is a monotonically increasing atomic counter. The zero value is
-// ready to use. Counter implements expvar.Var.
+// ready to use; a nil *Counter (what a nil Registry hands out) ignores
+// updates and reads as zero. Counter implements expvar.Var.
 type Counter struct {
 	v atomic.Int64
 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // String renders the counter as its decimal value (expvar.Var contract).
-func (c *Counter) String() string { return fmt.Sprintf("%d", c.v.Load()) }
+func (c *Counter) String() string { return fmt.Sprintf("%d", c.Value()) }
 
-// Gauge is an atomic instantaneous value. The zero value is ready to use.
-// Gauge implements expvar.Var.
+// Gauge is an atomic instantaneous value. The zero value is ready to use;
+// a nil *Gauge ignores updates and reads as zero. Gauge implements
+// expvar.Var.
 type Gauge struct {
 	bits atomic.Uint64
 }
 
 // Set stores the gauge value.
-func (g *Gauge) Set(x float64) { g.bits.Store(math.Float64bits(x)) }
+func (g *Gauge) Set(x float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(x))
+	}
+}
 
 // Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return math.Float64frombits(g.bits.Load())
+}
 
 // String renders the gauge as its numeric value (expvar.Var contract).
 func (g *Gauge) String() string { return fmt.Sprintf("%g", g.Value()) }
@@ -57,7 +77,8 @@ var timerBucketLabels = [...]string{
 // Timer is a histogram-style phase timer: it records how many times a
 // phase ran, the total, min and max durations, and a log-scale latency
 // histogram. All methods are safe for concurrent use; the zero value is
-// ready. Timer implements expvar.Var.
+// ready, and a nil *Timer ignores observations and snapshots as empty.
+// Timer implements expvar.Var.
 type Timer struct {
 	mu      sync.Mutex
 	count   int64
@@ -69,6 +90,9 @@ type Timer struct {
 
 // Observe records one phase duration.
 func (t *Timer) Observe(d time.Duration) {
+	if t == nil {
+		return
+	}
 	ns := d.Nanoseconds()
 	if ns < 0 {
 		ns = 0
@@ -102,6 +126,9 @@ func (t *Timer) Time(fn func()) {
 
 // Snapshot returns a consistent copy of the timer state.
 func (t *Timer) Snapshot() TimerSnapshot {
+	if t == nil {
+		return TimerSnapshot{}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := TimerSnapshot{
@@ -174,7 +201,9 @@ func (s TimerSnapshot) json() string {
 // lookups are lock-free after creation only in the sense that the returned
 // handle can be cached by the caller — Registry methods themselves take a
 // short registry lock, so hot paths should hold on to the handle. The zero
-// value is not usable; call NewRegistry.
+// value is not usable; call NewRegistry. A nil *Registry stands for
+// "metrics off": its Counter, Gauge and Timer return nil handles, whose
+// methods do nothing.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
@@ -193,6 +222,9 @@ func NewRegistry() *Registry {
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	c, ok := r.counters[name]
 	r.mu.RUnlock()
@@ -211,6 +243,9 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	g, ok := r.gauges[name]
 	r.mu.RUnlock()
@@ -229,6 +264,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // Timer returns the named phase timer, creating it on first use.
 func (r *Registry) Timer(name string) *Timer {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	t, ok := r.timers[name]
 	r.mu.RUnlock()
@@ -245,8 +283,12 @@ func (r *Registry) Timer(name string) *Timer {
 	return t
 }
 
-// Timers returns a snapshot of every registered phase timer by name.
+// Timers returns a snapshot of every registered phase timer by name (nil
+// for a nil registry).
 func (r *Registry) Timers() map[string]TimerSnapshot {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make(map[string]TimerSnapshot, len(r.timers))
@@ -268,9 +310,10 @@ func (r *Registry) Counters() map[string]int64 {
 }
 
 // Merge folds every metric of other into r: counters add, gauges take
-// other's latest value, timers merge their histograms.
+// other's latest value, timers merge their histograms. Either side may be
+// nil, which makes the call a no-op.
 func (r *Registry) Merge(other *Registry) {
-	if other == nil {
+	if r == nil || other == nil {
 		return
 	}
 	other.mu.RLock()
@@ -300,8 +343,12 @@ func (r *Registry) Merge(other *Registry) {
 
 // WriteText writes every metric as one "name: value" line in sorted name
 // order, with values in their expvar (String) rendering — counters and
-// gauges as numbers, timers as JSON histograms.
+// gauges as numbers, timers as JSON histograms. A nil registry writes
+// nothing.
 func (r *Registry) WriteText(w io.Writer) error {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	lines := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.timers))
 	for name, c := range r.counters {

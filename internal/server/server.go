@@ -156,12 +156,8 @@ func (s *Server) unavailable(w http.ResponseWriter, kind string) {
 		Error: "server " + kind + ", retry shortly", Kind: kind, RetryAfterS: 1})
 }
 
-// counter bumps a named server counter when metrics are configured.
-func (s *Server) counter(name string) {
-	if reg := s.cfg.Metrics; reg != nil {
-		reg.Counter(name).Inc()
-	}
-}
+// counter bumps a named server counter (a no-op without metrics).
+func (s *Server) counter(name string) { s.cfg.Metrics.Counter(name).Inc() }
 
 // solveRequest is the /v1/solve body. Tenant may instead arrive in the
 // X-RRQ-Tenant header (the body wins when both are set).
@@ -454,9 +450,7 @@ func (s *Server) writeSolve(w http.ResponseWriter, version uint64, ans answer, s
 
 // gaugeDepth publishes the current queue depth.
 func (s *Server) gaugeDepth() {
-	if reg := s.cfg.Metrics; reg != nil {
-		reg.Gauge("server.queue_depth").Set(float64(s.adm.Depth()))
-	}
+	s.cfg.Metrics.Gauge("server.queue_depth").Set(float64(s.adm.Depth()))
 }
 
 type insertRequest struct {
@@ -555,9 +549,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if reg := s.cfg.Metrics; reg != nil {
-		_ = reg.WriteText(w)
-	}
+	_ = s.cfg.Metrics.WriteText(w)
 }
 
 // handleHealthz reports the serving state as plain text: 200 "ok" when

@@ -309,12 +309,8 @@ func (w *WAL) openSegment(first uint64) error {
 	return nil
 }
 
-// counter bumps a named WAL counter when metrics are configured.
-func (w *WAL) counter(name string, n int64) {
-	if reg := w.o.Metrics; reg != nil {
-		reg.Counter(name).Add(n)
-	}
-}
+// counter bumps a named WAL counter (a no-op without metrics).
+func (w *WAL) counter(name string, n int64) { w.o.Metrics.Counter(name).Add(n) }
 
 // Append encodes and writes r, honoring the fsync policy. On error the
 // caller must treat the mutation as failed (it was never published); the
@@ -577,11 +573,7 @@ func Replay(dir string, o Options, fn func(Record) error) (ReplayInfo, error) {
 		}
 		return info, fmt.Errorf("wal: replay: %w", err)
 	}
-	counter := func(name string, n int64) {
-		if reg := o.Metrics; reg != nil {
-			reg.Counter(name).Add(n)
-		}
-	}
+	counter := func(name string, n int64) { o.Metrics.Counter(name).Add(n) }
 	for si, seg := range segs {
 		info.Segments++
 		corrupt, err := replaySegment(dir, seg, &info, fn, counter)

@@ -9,7 +9,9 @@ import (
 )
 
 // obsCase pairs a solver with a dataset and query it can handle, for the
-// trace/metrics invariants that must hold across every algorithm.
+// Stats invariants that must hold across every algorithm. The queries are
+// competitive (strong on some attributes, weak on others), so every solver
+// does real work and returns a non-empty region.
 type obsCase struct {
 	name string
 	ds   *Dataset
@@ -20,8 +22,8 @@ type obsCase struct {
 func obsCases() []obsCase {
 	ds2 := SyntheticDataset(Independent, 60, 2, 31)
 	ds3 := SyntheticDataset(Independent, 40, 3, 32)
-	q2 := Query{Q: ds2.RandomQuery(1), K: 3, Epsilon: 0.1}
-	q3 := Query{Q: ds3.RandomQuery(1), K: 3, Epsilon: 0.1}
+	q2 := Query{Q: Point{0.9, 0.5}, K: 5, Epsilon: 0.1}
+	q3 := Query{Q: Point{0.9, 0.6, 0.4}, K: 5, Epsilon: 0.1}
 	return []obsCase{
 		{"sweeping", ds2, q2, []Option{WithAlgorithm(SweepingAlgo)}},
 		{"ept", ds3, q3, []Option{WithAlgorithm(EPTAlgo)}},
@@ -32,37 +34,38 @@ func obsCases() []obsCase {
 	}
 }
 
-// TestTraceEventsMatchStats pins the central observability invariant: for
-// every solver, the per-kind sums of the trace events of one solve equal
-// the corresponding Stats counters exactly.
-func TestTraceEventsMatchStats(t *testing.T) {
+// checkStatsInvariants pins what a solver's Stats must say about its own
+// answer: Pieces counts the region's partitions, reduction never adds
+// planes, and only LP-CTA solves LPs and only A-PC classifies samples.
+func checkStatsInvariants(t *testing.T, name string, st Stats, pieces int, lp, sampled bool) {
+	t.Helper()
+	if st.Pieces != pieces {
+		t.Errorf("%s: Stats.Pieces = %d, region has %d partitions", name, st.Pieces, pieces)
+	}
+	if st.PlanesInserted > st.PlanesBuilt {
+		t.Errorf("%s: PlanesInserted %d > PlanesBuilt %d", name, st.PlanesInserted, st.PlanesBuilt)
+	}
+	if (st.LPSolves > 0) != lp {
+		t.Errorf("%s: LPSolves = %d, want > 0 only for LP-CTA", name, st.LPSolves)
+	}
+	if (st.Samples > 0) != sampled {
+		t.Errorf("%s: Samples = %d, want > 0 only for A-PC", name, st.Samples)
+	}
+}
+
+// TestStatsInvariantsPerSolver checks the Stats of one solve against its
+// region for every solver.
+func TestStatsInvariantsPerSolver(t *testing.T) {
 	for _, tc := range obsCases() {
-		sums := make(map[EventKind]int)
-		opts := append([]Option{WithTrace(func(e Event) { sums[e.Kind] += e.N })}, tc.opts...)
-		res, err := SolveContext(context.Background(), tc.ds, tc.q, opts...)
+		res, err := SolveContext(context.Background(), tc.ds, tc.q, tc.opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		st := res.Stats
-		want := map[EventKind]int{
-			EventPlaneBuilt:       st.PlanesBuilt,
-			EventPlanePruned:      st.PlanesBuilt - st.PlanesInserted,
-			EventNodeSplit:        st.Splits,
-			EventLPSolve:          st.LPSolves,
-			EventSampleClassified: st.Samples,
-			EventPieceEmitted:     st.Pieces,
+		if res.Region.IsEmpty() {
+			t.Fatalf("%s: empty region, the case exercises nothing", tc.name)
 		}
-		for kind, n := range want {
-			if sums[kind] != n {
-				t.Errorf("%s: %v events sum to %d, stats say %d (stats %+v, events %v)",
-					tc.name, kind, sums[kind], n, st, sums)
-			}
-		}
-		for kind := range sums {
-			if _, ok := want[kind]; !ok {
-				t.Errorf("%s: unexpected event kind %v", tc.name, kind)
-			}
-		}
+		checkStatsInvariants(t, tc.name, res.Stats, res.Region.NumPartitions(),
+			tc.name == "lpcta", tc.name == "apc")
 	}
 }
 
@@ -96,39 +99,32 @@ func TestSolveBatchStatsParity(t *testing.T) {
 	}
 }
 
-// TestBatchTraceEventsMatchAggStats runs the trace invariant through the
-// batch engine: the event sums over a whole batch (the WithTrace callback
-// is serialized, so a plain map is fine) must equal the aggregate Stats.
-func TestBatchTraceEventsMatchAggStats(t *testing.T) {
+// TestBatchAggStatsInvariants runs the Stats invariants through the batch
+// engine: the aggregate over a whole batch must describe the batch's
+// regions just as one solve's Stats describe its region.
+func TestBatchAggStatsInvariants(t *testing.T) {
 	ds := SyntheticDataset(Independent, 40, 3, 33)
 	queries := make([]Query, 8)
 	for i := range queries {
-		queries[i] = Query{Q: ds.RandomQuery(int64(i + 1)), K: 3, Epsilon: 0.1}
+		f := float64(i) / 50
+		queries[i] = Query{Q: Point{0.85 + f, 0.6, 0.45 - f}, K: 5, Epsilon: 0.1}
 	}
-	sums := make(map[EventKind]int)
 	rep, err := SolveBatch(context.Background(), ds, queries,
-		WithAlgorithm(EPTAlgo), WithWorkers(4),
-		WithTrace(func(e Event) { sums[e.Kind] += e.N }))
+		WithAlgorithm(EPTAlgo), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Failed != 0 {
 		t.Fatalf("batch failed queries: %d", rep.Failed)
 	}
-	st := rep.Agg
-	want := map[EventKind]int{
-		EventPlaneBuilt:       st.PlanesBuilt,
-		EventPlanePruned:      st.PlanesBuilt - st.PlanesInserted,
-		EventNodeSplit:        st.Splits,
-		EventLPSolve:          st.LPSolves,
-		EventSampleClassified: st.Samples,
-		EventPieceEmitted:     st.Pieces,
+	pieces := 0
+	for _, r := range rep.Results {
+		pieces += r.Region.NumPartitions()
 	}
-	for kind, n := range want {
-		if sums[kind] != n {
-			t.Errorf("%v events sum to %d, aggregate stats say %d", kind, sums[kind], n)
-		}
+	if pieces == 0 {
+		t.Fatal("every region is empty, the batch exercises nothing")
 	}
+	checkStatsInvariants(t, "batch", rep.Agg, pieces, false, false)
 }
 
 // TestWithMetricsRegistry checks that WithMetrics records phase timers and
@@ -265,30 +261,52 @@ func TestQueryValidateRejections(t *testing.T) {
 	}
 }
 
-// TestTraceOnPBAIndex checks the index query path emits piece events.
-func TestTraceOnPBAIndex(t *testing.T) {
+// TestPBAIndexMetrics checks the index query path: WithMetrics times the
+// search and counts it in the pba.* counters, and the region agrees with
+// the regret-ratio definition away from its boundary.
+func TestPBAIndexMetrics(t *testing.T) {
 	ds := SyntheticDataset(Independent, 12, 2, 37)
 	ix, err := BuildPBAIndex(ds, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pieces := 0
 	reg := NewRegistry()
-	r, err := ix.QueryContext(context.Background(),
-		Query{Q: ds.RandomQuery(1), K: 2, Epsilon: 0.1},
-		WithTrace(func(e Event) {
-			if e.Kind == EventPieceEmitted {
-				pieces += e.N
-			}
-		}),
-		WithMetrics(reg))
+	q := Query{Q: Point{0.9, 0.5}, K: 2, Epsilon: 0.1}
+	r, err := ix.QueryContext(context.Background(), q, WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pieces != r.NumPartitions() {
-		t.Errorf("piece events sum to %d, region has %d partitions", pieces, r.NumPartitions())
-	}
 	if reg.Timers()["phase.pba.search"].Count != 1 {
 		t.Errorf("phase.pba.search not timed: %v", reg.Timers())
+	}
+	counters := reg.Counters()
+	if counters["pba.queries"] != 1 {
+		t.Errorf("pba.queries = %d, want 1", counters["pba.queries"])
+	}
+	if counters["pba.nodes_visited"] <= 0 {
+		t.Errorf("pba.nodes_visited = %d, want > 0", counters["pba.nodes_visited"])
+	}
+	if _, ok := counters["pba.planes_built"]; !ok {
+		t.Errorf("pba.planes_built missing from %v", counters)
+	}
+	var in, out int
+	for i := 1; i < 200; i++ {
+		u := Vector{float64(i) / 200, 1 - float64(i)/200}
+		ratio := RegretRatio(ds, q.Q, q.K, u)
+		if math.Abs(ratio-q.Epsilon) < 1e-6 {
+			continue
+		}
+		want := ratio <= q.Epsilon
+		if want {
+			in++
+		} else {
+			out++
+		}
+		if r.Contains(u) != want {
+			t.Errorf("u=%v: Contains = %v, regret ratio %.6f says %v", u, !want, ratio, want)
+		}
+	}
+	if in == 0 || out == 0 {
+		t.Fatalf("%d qualified and %d unqualified probes: the query exercises one side only", in, out)
 	}
 }

@@ -327,27 +327,6 @@ func (s CacheStatus) String() string {
 	}
 }
 
-// Event is one observability event emitted during a solve; see WithTrace.
-// Kind identifies the work unit, N how many of them the event accounts for
-// (cheap units such as plane construction are batched into a single event,
-// expensive ones such as LP solves arrive one at a time).
-type Event = obs.Event
-
-// EventKind enumerates the trace event kinds.
-type EventKind = obs.EventKind
-
-// Trace event kinds. Summed over one solve, each kind's N totals match the
-// corresponding Stats counter exactly (see docs/ALGORITHMS.md for the full
-// mapping to the paper's work measures).
-const (
-	EventPlaneBuilt       = obs.EvPlaneBuilt       // Stats.PlanesBuilt
-	EventPlanePruned      = obs.EvPlanePruned      // Stats.PlanesBuilt − Stats.PlanesInserted
-	EventNodeSplit        = obs.EvNodeSplit        // Stats.Splits
-	EventLPSolve          = obs.EvLPSolve          // Stats.LPSolves
-	EventSampleClassified = obs.EvSampleClassified // Stats.Samples
-	EventPieceEmitted     = obs.EvPieceEmitted     // Stats.Pieces
-)
-
 // Registry is a process-wide metrics registry: named counters, gauges and
 // phase timers, exposable as expvar-compatible text (Text / WriteText).
 // Attach one to solves with WithMetrics.
@@ -369,7 +348,6 @@ type config struct {
 	workers      int
 	intra        int
 	skyband      bool
-	trace        obs.TraceFunc
 	metrics      *obs.Registry
 	queryTimeout time.Duration
 	workBudget   int64
@@ -380,21 +358,24 @@ type config struct {
 	anytimeSamples int
 }
 
+// newConfig applies opts to the zero configuration.
+func newConfig(opts []Option) config {
+	var c config
+	for _, o := range opts {
+		o(&c)
+	}
+	return c
+}
+
 // anytimeActive reports whether any anytime knob selects the anytime tier.
 func (c *config) anytimeActive() bool {
 	return c.anytimeBudget > 0 || c.anytimeSamples > 0
 }
 
-// obsContext attaches the configured trace hook and metrics registry to ctx
-// so the solver hot paths can pick them up (one nil-check when off).
+// obsContext attaches the configured metrics registry to ctx so the solver
+// hot paths can pick it up (one nil-check when off).
 func (c *config) obsContext(ctx context.Context) context.Context {
-	if c.trace != nil {
-		ctx = obs.ContextWithTrace(ctx, c.trace)
-	}
-	if c.metrics != nil {
-		ctx = obs.ContextWithRegistry(ctx, c.metrics)
-	}
-	return ctx
+	return obs.ContextWithRegistry(ctx, c.metrics)
 }
 
 // WithAlgorithm forces a specific solver.
@@ -432,28 +413,6 @@ func WithIntraQueryWorkers(n int) Option { return func(c *config) { c.intra = n 
 // decomposition — and therefore its JSON encoding — may differ, which is why
 // the prefilter is off by default.
 func WithSkybandPrefilter(on bool) Option { return func(c *config) { c.skyband = on } }
-
-// WithTrace streams per-solve trace events to fn: planes built and pruned,
-// node splits, LP solves, samples classified and answer pieces emitted.
-// Within one solve the events of each kind sum exactly to the matching
-// Stats counter. fn is serialized behind a mutex, so it may be an ordinary
-// closure even under SolveBatch or parallel A-PC; the lock makes tracing a
-// profiling tool, not a production hot path. A nil fn disables tracing
-// (solvers then pay a single nil-check per emission site).
-func WithTrace(fn func(Event)) Option {
-	return func(c *config) {
-		if fn == nil {
-			c.trace = nil
-			return
-		}
-		var mu sync.Mutex
-		c.trace = func(e obs.Event) {
-			mu.Lock()
-			fn(e)
-			mu.Unlock()
-		}
-	}
-}
 
 // WithQueryTimeout bounds the wall-clock time of each individual solve.
 // Unlike a context deadline — which covers a whole SolveBatch call — the
@@ -607,8 +566,8 @@ func SolveResult(d *Dataset, q Query, opts ...Option) (Result, error) {
 // the full Result: region, work counters and elapsed time. A context
 // deadline aborts the solve with ErrDeadline, cancellation with ctx.Err();
 // both are observed with an amortized check inside the solver hot loops, so
-// aborts take effect within a bounded amount of work. WithTrace and
-// WithMetrics attach per-solve observability.
+// aborts take effect within a bounded amount of work. WithMetrics attaches
+// phase timers and counters; per-solve work is reported in Result.Stats.
 func SolveContext(ctx context.Context, d *Dataset, q Query, opts ...Option) (Result, error) {
 	p, err := Prepare(d, opts...)
 	if err != nil {
@@ -664,7 +623,6 @@ func RegretRatio(d *Dataset, q Point, k int, u Vector) float64 {
 // represented as convex partitions of the preference simplex.
 type Region struct {
 	inner *core.Region
-	q     core.Query
 }
 
 // IsEmpty reports whether no preference qualifies.
@@ -737,19 +695,15 @@ func (ix *PBAIndex) Query(q Query) (*Region, error) {
 }
 
 // QueryContext answers a reverse regret query with the prebuilt index under
-// a context. WithTrace and WithMetrics attach per-query observability;
-// other options are ignored (the index fixes the algorithm).
+// a context. WithMetrics attaches per-query phase timers and the pba.*
+// counters; other options are ignored (the index fixes the algorithm).
 func (ix *PBAIndex) QueryContext(ctx context.Context, q Query, opts ...Option) (*Region, error) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	cq := q.toCore()
-	r, err := ix.inner.QueryContext(cfg.obsContext(ctx), cq)
+	cfg := newConfig(opts)
+	r, err := ix.inner.QueryContext(cfg.obsContext(ctx), q.toCore())
 	if err != nil {
 		return nil, err
 	}
-	return &Region{inner: r, q: cq}, nil
+	return &Region{inner: r}, nil
 }
 
 // DynamicRegion maintains the answer to one query over a changing market —
@@ -819,7 +773,7 @@ func (dr *DynamicRegion) Region() *Region {
 		panic(fmt.Sprintf("rrq: dynamic re-solve failed on a validated instance: %v", err))
 	}
 	dr.ver = snap.Version()
-	dr.cached = &Region{inner: r, q: dr.q}
+	dr.cached = &Region{inner: r}
 	return dr.cached
 }
 
