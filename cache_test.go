@@ -63,8 +63,9 @@ func TestIndexResultCacheHitAndVersionMiss(t *testing.T) {
 	}
 }
 
-// Bound serving: a cached tighter neighbor answers as a sound inner bound,
-// a looser one as an outer bound, and the result names its source.
+// A cache miss is always solved exactly, even with cached neighbors on the
+// same query point that bound its answer from inside (tighter, ε = 0) and
+// outside (looser), and with the deprecated WithCacheBounds switched on.
 func TestIndexResultCacheBounds(t *testing.T) {
 	ds, q := indexTestInstance(t, 3, 777)
 	ix, err := BuildIndex(ds, WithResultCache(16), WithCacheBounds(true))
@@ -72,87 +73,64 @@ func TestIndexResultCacheBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-
-	tight := Query{Q: q.Q, K: q.K - 1, Epsilon: q.Epsilon / 2}
-	loose := Query{Q: q.Q, K: q.K + 1, Epsilon: q.Epsilon * 2}
-	tres, err := ix.SolveContext(ctx, tight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := ix.SolveContext(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inner.Cache != CacheInner {
-		t.Fatalf("cache status = %v, want %v", inner.Cache, CacheInner)
-	}
-	if inner.CacheSource == nil || inner.CacheSource.K != tight.K || inner.CacheSource.Epsilon != tight.Epsilon {
-		t.Fatalf("inner bound source = %+v, want %+v", inner.CacheSource, tight)
-	}
-	// The served region is exactly the tighter query's answer.
-	ib, _ := inner.Region.MarshalJSON()
-	tb, _ := tres.Region.MarshalJSON()
-	if !bytes.Equal(ib, tb) {
-		t.Fatal("inner-bound region is not the cached neighbor's region")
-	}
-	// Soundness: every sampled member of the inner bound is in the true
-	// region.
-	truth, err := SolveContext(ctx, ds, q, WithSkybandPrefilter(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(1); seed <= 20; seed++ {
-		if u := inner.Region.Sample(seed); u != nil && !truth.Region.Contains(u) {
-			t.Fatalf("inner bound contains non-member %v", u)
+	for _, nb := range []Query{
+		{Q: q.Q, K: q.K - 1, Epsilon: q.Epsilon / 2},
+		{Q: q.Q, K: q.K + 1, Epsilon: q.Epsilon * 2},
+		{Q: q.Q, K: q.K, Epsilon: 0},
+	} {
+		if _, err := ix.SolveContext(ctx, nb); err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// Evict the tight entry's epoch relevance by building a fresh index
-	// with only the loose neighbor cached: the query then gets an outer
-	// bound.
-	ix2, err := BuildIndex(ds, WithResultCache(16), WithCacheBounds(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix2.SolveContext(ctx, loose); err != nil {
-		t.Fatal(err)
-	}
-	outer, err := ix2.SolveContext(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outer.Cache != CacheOuter {
-		t.Fatalf("cache status = %v, want %v", outer.Cache, CacheOuter)
-	}
-	for seed := int64(1); seed <= 20; seed++ {
-		if u := truth.Region.Sample(seed); u != nil && !outer.Region.Contains(u) {
-			t.Fatalf("outer bound misses true member %v", u)
-		}
-	}
-}
-
-// ε=0 entries (reverse top-k answers) seed inner bounds for ε>0 queries on
-// the same point.
-func TestIndexCacheTopKSeedsRefinement(t *testing.T) {
-	ds, q := indexTestInstance(t, 3, 555)
-	ix, err := BuildIndex(ds, WithResultCache(16), WithCacheBounds(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	topk := Query{Q: q.Q, K: q.K, Epsilon: 0}
-	if _, err := ix.SolveContext(ctx, topk); err != nil {
-		t.Fatal(err)
 	}
 	res, err := ix.SolveContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cache != CacheInner {
-		t.Fatalf("cache status = %v, want %v (ε=0 seed)", res.Cache, CacheInner)
+	if res.Cache != CacheMiss || res.CacheSource != nil {
+		t.Fatalf("cache status = %v, source = %+v; want %v with no source", res.Cache, res.CacheSource, CacheMiss)
+	}
+	truth, err := SolveContext(ctx, ds, q, WithSkybandPrefilter(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, _ := res.Region.MarshalJSON()
+	wb, _ := truth.Region.MarshalJSON()
+	if !bytes.Equal(gb, wb) {
+		t.Fatalf("cache miss differs from a fresh solve\n got: %s\nwant: %s", gb, wb)
+	}
+}
+
+// A cached ε = 0 answer (the reverse top-k region) warm-starts an anytime
+// solve of the same point and rank at ε > 0.
+func TestIndexCacheTopKSeedsRefinement(t *testing.T) {
+	ds, q := indexTestInstance(t, 3, 777)
+	reg := NewRegistry()
+	ix, err := BuildIndex(ds, WithResultCache(16), WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	topk := Query{Q: q.Q, K: q.K, Epsilon: 0}
+	seed, err := ix.SolveContext(ctx, topk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An empty region has no partitions to seed with.
+	if seed.Region.NumPartitions() == 0 {
+		t.Fatal("reverse top-k region is empty; the instance cannot exercise seeding")
+	}
+	res, err := ix.SolveContext(ctx, q, WithAnytimeSamples(4), WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tier != TierAnytime {
+		t.Fatalf("tier = %v, want %v", res.Tier, TierAnytime)
 	}
 	if res.CacheSource == nil || res.CacheSource.Epsilon != 0 {
 		t.Fatalf("source = %+v, want the ε=0 entry", res.CacheSource)
+	}
+	if got := reg.Counter("cache.warm_start").Value(); got != 1 {
+		t.Fatalf("cache.warm_start = %d, want 1", got)
 	}
 }
 
@@ -215,12 +193,13 @@ func TestQueryKey(t *testing.T) {
 	}
 }
 
-// A malformed query must fail with its *QueryError even when bound serving
-// is on: k = 0 is ≤ every cached rank, so without up-front validation the
-// cache would happily serve it an outer bound.
+// A malformed query must fail with its *QueryError even with a neighbor on
+// the same point cached, on the exact path and on the anytime tier: ε ≥ 1
+// is ≥ every cached ε, so without up-front validation the anytime tier
+// would look up a warm-start bound for it.
 func TestIndexCacheRejectsInvalidQueryBeforeBoundServing(t *testing.T) {
 	ds, q := indexTestInstance(t, 2, 888)
-	ix, err := BuildIndex(ds, WithResultCache(16), WithCacheBounds(true))
+	ix, err := BuildIndex(ds, WithResultCache(16))
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
@@ -232,9 +211,11 @@ func TestIndexCacheRejectsInvalidQueryBeforeBoundServing(t *testing.T) {
 		{Q: q.Q, K: q.K, Epsilon: 1.5},
 		{Q: q.Q, K: q.K, Epsilon: -0.1},
 	} {
-		var qe *QueryError
-		if _, err := ix.SolveContext(context.Background(), bad); !errors.As(err, &qe) {
-			t.Fatalf("query %+v through a cached index: err=%v, want *QueryError", bad, err)
+		for _, opts := range [][]Option{nil, {WithAnytimeSamples(4)}} {
+			var qe *QueryError
+			if _, err := ix.SolveContext(context.Background(), bad, opts...); !errors.As(err, &qe) {
+				t.Fatalf("query %+v through a cached index (%d opts): err=%v, want *QueryError", bad, len(opts), err)
+			}
 		}
 	}
 }

@@ -31,8 +31,6 @@ import (
 
 	"rrq"
 	"rrq/internal/expt"
-	"rrq/internal/server"
-	"rrq/internal/sim"
 )
 
 // summaryReference picks the proposed algorithm to normalize speedups to:
@@ -240,7 +238,6 @@ type benchReport struct {
 	Results    []benchResult        `json:"results"`
 	CPUMatrix  []cpuMatrixRow       `json:"cpu_matrix,omitempty"`
 	Index      []indexBenchResult   `json:"index_results"`
-	Sim        []simBenchResult     `json:"sim_results"`
 	Anytime    []anytimeBenchResult `json:"anytime_results"`
 }
 
@@ -298,44 +295,6 @@ type indexBenchResult struct {
 	MaintainNsPerOp int64   `json:"maintain_ns_per_op"`
 }
 
-// simScenario is one serving-stack simulation: the admission policy and
-// cache configuration under either a closed loop (Clients issue queries
-// back to back) or an open loop (Arrival requests/second regardless of
-// completions — the overload case where the policies diverge).
-type simScenario struct {
-	Name     string
-	Policy   server.AdmissionPolicy
-	Cache    int     // result cache capacity; 0 = no-cache baseline
-	Clients  int     // closed-loop concurrency (when Arrival == 0)
-	Arrival  float64 // open-loop arrivals/second (0 = closed loop)
-	Capacity int     // concurrent solve slots
-	Queue    int     // cap-policy queue depth beyond the slots
-	Queries  int
-
-	// Dataset and workload shape. The closed-loop rows use fast warm EPT
-	// serving (the throughput story); the open-loop rows use LP-CTA, whose
-	// multi-millisecond solves let a fixed arrival rate genuinely outrun
-	// the two solve slots (the overload story).
-	Dist       rrq.DistType
-	N, D       int
-	Algo       rrq.Algorithm
-	KMin, KMax int
-	Eps        []float64
-}
-
-// simBenchResult is the JSON record of one simulation scenario: the
-// configuration plus the simulator's aggregate (per-policy p50/p99 latency,
-// shed rate, cache hits and solved-per-second throughput).
-type simBenchResult struct {
-	Name     string  `json:"name"`
-	Cache    int     `json:"cache"`
-	Clients  int     `json:"clients"`
-	Arrival  float64 `json:"arrival_per_sec"`
-	Capacity int     `json:"capacity"`
-	Queue    int     `json:"queue"`
-	sim.Report
-}
-
 // anytimeBenchResult is one point of the volume-error-vs-latency curve: the
 // anytime tier cut at a fixed sample budget, compared against the exact
 // region for the same queries. Volume error is measured with a fixed-seed
@@ -362,90 +321,6 @@ type anytimeBenchResult struct {
 	ErrorBound  float64 `json:"error_bound"` // the bound benchdiff holds volume_error_max to
 	VolErrMean  float64 `json:"volume_error_mean"`
 	VolErrMax   float64 `json:"volume_error_max"`
-}
-
-// simSuite returns the serving scenario matrix over one shared workload:
-// closed-loop throughput rows with and without the cache (the no-cache rows
-// are the baseline the warm-cache qps is read against), then the same
-// open-loop overload replayed under both admission policies × both cache
-// settings, which is where shed rate and tail latency separate them.
-func simSuite(full bool) []simScenario {
-	mul := 1
-	if full {
-		mul = 4
-	}
-	q := 96 * mul
-	cap8 := runtime.GOMAXPROCS(0)
-	if cap8 > 8 {
-		cap8 = 8
-	}
-	var out []simScenario
-	for _, cache := range []int{0, 1024} {
-		out = append(out, simScenario{
-			Name:   fmt.Sprintf("closed-always-cache%d", cache),
-			Policy: server.AdmitAlways,
-			Cache:  cache, Clients: cap8 * 2, Capacity: cap8, Queries: q,
-			Dist: rrq.Independent, N: 2000, D: 3, Algo: rrq.EPTAlgo,
-			KMin: 3, KMax: 8, Eps: []float64{0.05, 0.1, 0.2},
-		})
-	}
-	for _, p := range []server.AdmissionPolicy{server.AdmitAlways, server.AdmitCap} {
-		for _, cache := range []int{0, 1024} {
-			out = append(out, simScenario{
-				Name:   fmt.Sprintf("open-%s-cache%d", p, cache),
-				Policy: p,
-				Cache:  cache, Arrival: 20000, Capacity: 2, Queue: 4, Queries: q,
-				Dist: rrq.Independent, N: 300, D: 3, Algo: rrq.LPCTAAlgo,
-				KMin: 5, KMax: 8, Eps: []float64{0.1, 0.2},
-			})
-		}
-	}
-	return out
-}
-
-// runSimScenarios replays one seeded mixed-(k, ε) workload through every
-// serving scenario, each against rrqd's handler over a freshly built index
-// so cache state never leaks between rows.
-func runSimScenarios(full bool, seed int64) ([]simBenchResult, error) {
-	var out []simBenchResult
-	for _, sc := range simSuite(full) {
-		ds := rrq.SyntheticDataset(sc.Dist, sc.N, sc.D, seed)
-		w := sim.Workload{
-			Queries: sc.Queries, KMin: sc.KMin, KMax: sc.KMax,
-			EpsLevels: sc.Eps, Repeat: 0.5, Seed: seed,
-		}
-		opts := []rrq.Option{rrq.WithAlgorithm(sc.Algo)}
-		if sc.Cache > 0 {
-			opts = append(opts, rrq.WithResultCache(sc.Cache))
-		}
-		ix, err := rrq.BuildIndex(ds, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sc.Name, err)
-		}
-		srv, err := server.New(server.Config{
-			Index:     ix,
-			Admission: server.NewAdmission(sc.Policy, sc.Capacity, sc.Queue),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sc.Name, err)
-		}
-		rep, err := sim.Run(context.Background(), sim.Config{
-			Handler:     srv.Handler(),
-			Queries:     w.Generate(ds),
-			Clients:     sc.Clients,
-			ArrivalRate: sc.Arrival,
-			ArrivalSeed: seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sc.Name, err)
-		}
-		out = append(out, simBenchResult{
-			Name: sc.Name, Cache: sc.Cache, Clients: sc.Clients,
-			Arrival: sc.Arrival, Capacity: sc.Capacity, Queue: sc.Queue,
-			Report: rep,
-		})
-	}
-	return out, nil
 }
 
 // runAnytimeScenarios traces the anytime tier's accuracy/latency trade-off:
@@ -685,18 +560,6 @@ func runBenchJSON(path string, full bool, seed int64, cpus []int) error {
 			time.Duration(res.ColdNsPerQuery).Round(time.Microsecond),
 			res.Speedup,
 			time.Duration(res.MaintainNsPerOp).Round(time.Microsecond))
-	}
-	sims, err := runSimScenarios(full, seed)
-	if err != nil {
-		return err
-	}
-	rep.Sim = sims
-	for _, s := range sims {
-		fmt.Printf("%-24s policy=%-6s cache=%-5d p50 %v  p99 %v  shed %.0f%%  %d+%d cache hits  %.0f solved/s\n",
-			s.Name, s.Policy, s.Cache,
-			time.Duration(s.P50Ns).Round(time.Microsecond),
-			time.Duration(s.P99Ns).Round(time.Microsecond),
-			100*s.ShedRate, s.CacheHits, s.CacheBounds, s.QPS)
 	}
 	anytime, err := runAnytimeScenarios(full, seed)
 	if err != nil {

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	rrqd -data cars.csv -addr :8080
-//	rrqd -synthetic indep:5000:3:1 -cache 1024 -cache-bounds
+//	rrqd -synthetic indep:5000:3:1 -cache 1024
 //	rrqd -real NBA:3000 -policy cap -capacity 8 -queue 64
 //	rrqd -synthetic indep:2000:2:7 -tenant-rate 50000 -tenant-burst 200000
 //	rrqd -synthetic indep:2000:3:1 -wal-dir /var/lib/rrqd -fsync always

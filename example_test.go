@@ -51,16 +51,21 @@ func ExampleDataset_KSkyband() {
 	// 1000 true
 }
 
-// Maintaining an answer while the market changes (the paper's future work).
-func ExampleDynamicRegion() {
+// Maintaining an answer while the market changes (the paper's future work):
+// every mutation publishes a new epoch, and the one-entry result cache
+// re-solves the standing query at most once per epoch.
+func ExampleIndex() {
 	ds, _ := rrq.NewDataset([][]float64{
 		{0.8, 0.3},
 		{0.3, 0.8},
 	})
-	dyn, _ := rrq.NewDynamicRegion(ds, rrq.Query{Q: rrq.Point{0.6, 0.6}, K: 1, Epsilon: 0.1})
-	before := dyn.Region().Measure(0) // exact for 2-d regions
-	_ = dyn.Insert(rrq.Point{0.9, 0.9})
-	after := dyn.Region().Measure(0)
+	ix, _ := rrq.BuildIndex(ds, rrq.WithAlgorithm(rrq.EPTAlgo), rrq.WithResultCache(1))
+	q := rrq.Query{Q: rrq.Point{0.6, 0.6}, K: 1, Epsilon: 0.1}
+	r, _ := ix.Solve(q)
+	before := r.Measure(0) // exact for 2-d regions
+	_, _ = ix.Insert(rrq.Point{0.9, 0.9})
+	r, _ = ix.Solve(q)
+	after := r.Measure(0)
 	fmt.Println(before > 0, after < before)
 	// Output:
 	// true true

@@ -1,6 +1,8 @@
 // Dynamicmarket demonstrates the dynamic extension (the paper's stated
 // future work): maintaining a product's prospective-customer region while
-// competitors enter and leave the market.
+// competitors enter and leave the market. An Index publishes a new epoch
+// per mutation, and a one-entry result cache re-solves the standing query
+// at most once per epoch.
 package main
 
 import (
@@ -23,39 +25,42 @@ func main() {
 	}
 	q := rrq.Query{Q: rrq.Point{0.65, 0.6, 0.55}, K: 2, Epsilon: 0.1}
 
-	dyn, err := rrq.NewDynamicRegion(ds, q)
+	ix, err := rrq.BuildIndex(ds, rrq.WithAlgorithm(rrq.EPTAlgo), rrq.WithResultCache(1))
 	if err != nil {
 		log.Fatal(err)
 	}
 	show := func(event string) {
-		r := dyn.Region()
+		r, err := ix.Solve(q)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-38s market=%d  share=%5.1f%%  partitions=%d\n",
-			event, dyn.Len(), 100*r.Measure(30000), r.NumPartitions())
+			event, ix.Len(), 100*r.Measure(30000), r.NumPartitions())
 	}
 
 	show("initial market")
 
 	// A strong competitor launches: our share shrinks (incremental clip).
-	if err := dyn.Insert(rrq.Point{0.75, 0.75, 0.70}); err != nil {
+	if _, err := ix.Insert(rrq.Point{0.75, 0.75, 0.70}); err != nil {
 		log.Fatal(err)
 	}
 	show("competitor (0.75,0.75,0.70) launches")
 
 	// Another one: with k=2 two strong rivals hurt badly.
-	if err := dyn.Insert(rrq.Point{0.72, 0.78, 0.68}); err != nil {
+	if _, err := ix.Insert(rrq.Point{0.72, 0.78, 0.68}); err != nil {
 		log.Fatal(err)
 	}
 	show("second competitor launches")
 
 	// The first competitor exits (recall, discontinued…): share recovers.
-	if err := dyn.Delete(4); err != nil {
+	if _, err := ix.Delete(4); err != nil {
 		log.Fatal(err)
 	}
 	show("first competitor exits")
 
 	// A flood of weak products changes nothing.
 	for i := 0; i < 5; i++ {
-		if err := dyn.Insert(rrq.Point{0.2, 0.2, 0.25}); err != nil {
+		if _, err := ix.Insert(rrq.Point{0.2, 0.2, 0.25}); err != nil {
 			log.Fatal(err)
 		}
 	}

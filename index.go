@@ -76,8 +76,8 @@ func (ix *Index) Len() int { return ix.inner.Len() }
 func (ix *Index) Dim() int { return ix.dim }
 
 // CacheStats is a point-in-time view of an Index's result cache: occupancy
-// (Entries/Capacity), exact-lookup traffic (Hits/Misses) and answers
-// served as monotonicity bounds (BoundHits).
+// (Entries/Capacity), exact-lookup traffic (Hits/Misses) and cached
+// neighbors handed to the anytime tier as warm-start seeds (BoundHits).
 type CacheStats = cache.Stats
 
 // IndexStats is the read-only introspection view returned by Index.Stats:
@@ -224,16 +224,14 @@ func (ix *Index) SolveContext(ctx context.Context, q Query, opts ...Option) (Res
 // cachedSolve serves q through the result cache, pinned to one snapshot:
 // the version that keys every lookup is the version a miss is solved on, so a concurrent mutation can never mix epochs within one query.
 // Exact hits are byte-identical to a fresh solve (the cache stores the
-// fresh artifact, keyed by serving path); with WithCacheBounds a cached
-// neighbor on the same query point may answer as a sound inner or outer
-// bound. Approximate (A-PC) serving bypasses the cache entirely.
+// fresh artifact, keyed by serving path); a miss is always solved exactly.
+// Approximate (A-PC) serving bypasses the cache entirely.
 func (ix *Index) cachedSolve(ctx context.Context, cfg config, snap *index.Snapshot, q Query) (Result, error) {
 	algo := resolvedAlgo(cfg, ix.dim)
 	cacheable := algo != APCAlgo
 	cq := q.toCore()
-	// Validate before any lookup: a malformed query (k = 0 is ≤ every
-	// cached rank) could otherwise match a monotonicity neighbor and be
-	// served a bound instead of its *QueryError.
+	// Validate before any lookup: a malformed query fails with its
+	// *QueryError and never counts as cache traffic.
 	if err := cq.Validate(ix.dim); err != nil {
 		return Result{}, err
 	}
@@ -241,35 +239,12 @@ func (ix *Index) cachedSolve(ctx context.Context, cfg config, snap *index.Snapsh
 	if cacheable {
 		start := time.Now()
 		if r, ok := ix.cache.Get(version, algo.String(), cq); ok {
-			return ix.cacheServe(cfg, "cache.hit", Result{
+			return ix.cacheHit(cfg, Result{
 				Region:  &Region{inner: r},
 				Stats:   Stats{Pieces: r.NumPieces()},
 				Elapsed: time.Since(start),
 				Cache:   CacheHit,
 			}), nil
-		}
-		if cfg.cacheBounds {
-			if ans := ix.cache.Bound(version, cq); ans != nil {
-				res := Result{
-					Region:  &Region{inner: ans.Region},
-					Stats:   Stats{Pieces: ans.Region.NumPieces()},
-					Elapsed: time.Since(start),
-				}
-				if ans.Kind == cache.Exact {
-					// Same (k, ε) under a different serving path: the region
-					// equals the true answer as a set.
-					res.Cache = CacheHit
-					return ix.cacheServe(cfg, "cache.hit", res), nil
-				}
-				if ans.Kind == cache.Inner {
-					res.Cache = CacheInner
-				} else {
-					res.Cache = CacheOuter
-				}
-				src := Query{Q: Point(ans.From.Q), K: ans.From.K, Epsilon: ans.From.Eps}
-				res.CacheSource = &src
-				return ix.cacheServe(cfg, "cache.bound_served", res), nil
-			}
 		}
 		cfg.metrics.Counter("cache.miss").Inc()
 	}
@@ -296,13 +271,12 @@ func (ix *Index) cachedSolve(ctx context.Context, cfg config, snap *index.Snapsh
 // contains the seed, so repeated anytime queries ratchet toward the full
 // answer; CacheSource names the seed and "cache.warm_start" counts it) —
 // and the cut's region is stored back as an inner-bound entry, never
-// served as an exact hit (see cache.PutInner). Warm seeding needs only a
-// configured cache, not WithCacheBounds: a bound-derived seed changes how
-// fast the construction covers the region, never the soundness of what it
-// returns.
+// served as an exact hit (see cache.PutInner). A seed changes how fast the
+// construction covers the region, never the soundness of what it returns.
 func (ix *Index) anytimeSolve(ctx context.Context, cfg config, snap *index.Snapshot, q Query) (Result, error) {
 	cq := q.toCore()
-	// Validate before any lookup — same precedence as cachedSolve.
+	// Validate before any lookup: ε ≥ 1 is ≥ every cached ε, so a malformed
+	// query could otherwise be seeded from a neighbor.
 	if err := cq.Validate(ix.dim); err != nil {
 		return Result{}, err
 	}
@@ -316,7 +290,7 @@ func (ix *Index) anytimeSolve(ctx context.Context, cfg config, snap *index.Snaps
 			case cache.Exact:
 				// An exact artifact for this very (k, ε): the true answer,
 				// already paid for. Serving it dominates every anytime cut.
-				return ix.cacheServe(cfg, "cache.hit", Result{
+				return ix.cacheHit(cfg, Result{
 					Region:  &Region{inner: ans.Region},
 					Stats:   Stats{Pieces: ans.Region.NumPieces()},
 					Elapsed: time.Since(start),
@@ -333,7 +307,6 @@ func (ix *Index) anytimeSolve(ctx context.Context, cfg config, snap *index.Snaps
 					warmSrc = &src
 				}
 			}
-			// An outer bound cannot seed an inner construction.
 		}
 	}
 	p, err := ix.preparedOn(snap, cfg)
@@ -356,11 +329,11 @@ func (ix *Index) anytimeSolve(ctx context.Context, cfg config, snap *index.Snaps
 	return res, nil
 }
 
-// cacheServe finalizes a cache-served result: request accounting matches a
-// solved query ("rrq.solves"), plus the named cache counter.
-func (ix *Index) cacheServe(cfg config, counter string, res Result) Result {
+// cacheHit finalizes a cache-served result: request accounting matches a
+// solved query ("rrq.solves"), plus "cache.hit".
+func (ix *Index) cacheHit(cfg config, res Result) Result {
 	cfg.metrics.Counter("rrq.solves").Inc()
-	cfg.metrics.Counter(counter).Inc()
+	cfg.metrics.Counter("cache.hit").Inc()
 	return res
 }
 

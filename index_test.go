@@ -27,7 +27,7 @@ func TestIndexMatchesSolve(t *testing.T) {
 			t.Fatalf("fresh index: version=%d len=%d dim=%d", ix.Version(), ix.Len(), ix.Dim())
 		}
 
-		check := func(cur *Dataset) {
+		check := func(cur *Dataset) *Region {
 			t.Helper()
 			got, err := ix.Solve(q)
 			if err != nil {
@@ -42,8 +42,9 @@ func TestIndexMatchesSolve(t *testing.T) {
 			if !bytes.Equal(gb, wb) {
 				t.Fatalf("d=%d: index-served region differs from fresh solve\n got: %s\nwant: %s", d, gb, wb)
 			}
+			return got
 		}
-		check(ds)
+		prev := check(ds)
 
 		rng := rand.New(rand.NewSource(int64(7 * d)))
 		raw := make([][]float64, ds.Len())
@@ -51,6 +52,7 @@ func TestIndexMatchesSolve(t *testing.T) {
 			raw[i] = ds.PointAt(i)
 		}
 		for op := 0; op < 10; op++ {
+			inserted := false
 			if rng.Intn(3) == 0 && len(raw) > 5 {
 				i := rng.Intn(len(raw))
 				if _, err := ix.Delete(i); err != nil {
@@ -66,12 +68,20 @@ func TestIndexMatchesSolve(t *testing.T) {
 					t.Fatal(err)
 				}
 				raw = append(raw, p)
+				inserted = true
 			}
 			cur, err := NewDataset(raw)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(cur)
+			got := check(cur)
+			// An insertion only adds a competitor: the region never grows.
+			if inserted {
+				if before, after := prev.Measure(20000), got.Measure(20000); after > before+1e-9 {
+					t.Fatalf("d=%d: region grew after an insertion: %v -> %v", d, before, after)
+				}
+			}
+			prev = got
 		}
 		if want := uint64(11); ix.Version() != want {
 			t.Fatalf("version = %d after 10 mutations, want %d", ix.Version(), want)

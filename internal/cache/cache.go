@@ -9,10 +9,10 @@
 // regret threshold rises; see docs/SERVING.md for the Lemma 3.5 counting
 // argument). A cached region for the same query point at (k', ε') with
 // k' ≤ k and ε' ≤ ε is therefore a sound inner bound — every preference it
-// contains genuinely qualifies — and one at k' ≥ k, ε' ≥ ε a sound outer
-// bound — every qualifying preference is inside it. The special case
-// ε' = 0 is the reverse top-k answer, which is how cached ReverseTopK
-// results seed the refinement of any (k, ε > 0) query on the same point.
+// contains genuinely qualifies — and Bound hands such a neighbor to the
+// anytime tier as a warm-start seed. The special case ε' = 0 is the
+// reverse top-k answer, which is how cached ReverseTopK results seed the
+// anytime construction of any (k, ε > 0) query on the same point.
 //
 // Exact hits are byte-identical to a from-scratch solve because the cache
 // only ever stores the artifact such a solve produced, keyed by serving
@@ -39,12 +39,9 @@ type BoundKind int
 const (
 	// Exact: the cached region is the answer to the requested query itself.
 	Exact BoundKind = iota
-	// Inner: the cached region is a subset of the true region (served from
-	// a neighbor with k' ≤ k and ε' ≤ ε).
+	// Inner: the cached region is a subset of the true region (a neighbor
+	// with k' ≤ k and ε' ≤ ε).
 	Inner
-	// Outer: the cached region is a superset of the true region (served
-	// from a neighbor with k' ≥ k and ε' ≥ ε).
-	Outer
 )
 
 func (b BoundKind) String() string {
@@ -53,15 +50,13 @@ func (b BoundKind) String() string {
 		return "exact"
 	case Inner:
 		return "inner"
-	case Outer:
-		return "outer"
 	default:
 		return "BoundKind(?)"
 	}
 }
 
 // Answer is one cache response: the stored region, how it bounds the
-// requested query (Exact, Inner, Outer), and the query the region actually
+// requested query (Exact or Inner), and the query the region actually
 // answers (equal to the request for Exact).
 type Answer struct {
 	Region *core.Region
@@ -82,7 +77,7 @@ type entry struct {
 	// to — its key's true region (an anytime answer stored by PutInner).
 	// Inexact entries only ever serve as Inner bounds: a subset of
 	// R(k', ε') is still inside R(k, ε) for k' ≤ k, ε' ≤ ε, but it can
-	// answer neither an Exact nor an Outer lookup.
+	// never answer an Exact lookup.
 	inexact bool
 	// measure memoizes the seeded volume estimate used as the tightness
 	// proxy when two bound candidates are incomparable under the (k, ε)
@@ -175,9 +170,9 @@ func (c *Cache) Get(version uint64, path string, q core.Query) (*core.Region, bo
 
 // Put stores the region solved for (version, path, q). Only exact,
 // deterministic artifacts belong here: the serving layer must not Put
-// approximate (A-PC) or degraded results, since exact lookups and outer
-// bounds assume the entry is the true region of its key — store those
-// through PutInner, which marks the entry as a sound inner bound.
+// approximate (A-PC) or degraded results, since exact lookups assume the
+// entry is the true region of its key — store those through PutInner,
+// which marks the entry as a sound inner bound.
 func (c *Cache) Put(version uint64, path string, q core.Query, region *core.Region) {
 	c.put(version, path, q, region, false)
 }
@@ -186,7 +181,7 @@ func (c *Cache) Put(version uint64, path string, q core.Query, region *core.Regi
 // true answer — an anytime A-PC result, whose every partition is qualified
 // (Lemma 5.7) but which may under-cover. The entry never answers an exact
 // Get (the path keeps it out of the exact solvers' key space) and Bound
-// serves it only in the Inner direction; a later anytime solve of the same
+// returns it only as an Inner bound; a later anytime solve of the same
 // point uses it as a warm start. Storing a better (larger) region under the
 // same key replaces the old one, so repeated anytime solves ratchet the
 // cached bound upward.
@@ -220,14 +215,12 @@ func (c *Cache) put(version uint64, path string, q core.Query, region *core.Regi
 	}
 }
 
-// Bound returns the best available monotonicity bound for (version, q)
-// among entries cached for the same query point: inner from the tightest
-// neighbor with k' ≤ k and ε' ≤ ε, outer from the tightest neighbor with
-// k' ≥ k and ε' ≥ ε. An exact entry matching (k, ε) is returned as an Exact
-// answer regardless of its serving path; inexact (anytime) entries serve in
-// the Inner direction only. Nil when no applicable neighbor is cached; a
-// served bound counts as a bound hit and refreshes the source entry's
-// recency.
+// Bound returns the best available inner bound for (version, q) among
+// entries cached for the same query point: the tightest neighbor with
+// k' ≤ k and ε' ≤ ε. An exact entry matching (k, ε) is returned as an Exact
+// answer regardless of its serving path; inexact (anytime) entries are only
+// ever Inner. Nil when no applicable neighbor is cached; a returned inner
+// bound counts as a bound hit and refreshes the source entry's recency.
 //
 // "Tightest" is decided by dominance first: among inner candidates, one
 // whose (k', ε') dominates another's componentwise can only have the larger
@@ -241,7 +234,7 @@ func (c *Cache) Bound(version uint64, q core.Query) *Answer {
 	bucket := versionKey(version, q.PointKey())
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var inner, outer *entry
+	var inner *entry
 	for e := range c.buckets[bucket] {
 		eq := e.q
 		if !e.inexact && eq.K == q.K && eq.Eps == q.Eps {
@@ -252,21 +245,13 @@ func (c *Cache) Bound(version uint64, q core.Query) *Answer {
 		if eq.K <= q.K && eq.Eps <= q.Eps {
 			inner = c.betterInner(e, inner)
 		}
-		if !e.inexact && eq.K >= q.K && eq.Eps >= q.Eps {
-			outer = c.betterOuter(e, outer)
-		}
 	}
-	pick := inner
-	kind := Inner
-	if pick == nil {
-		pick, kind = outer, Outer
-	}
-	if pick == nil {
+	if inner == nil {
 		return nil
 	}
-	c.lru.MoveToFront(pick.lruEntry)
+	c.lru.MoveToFront(inner.lruEntry)
 	c.boundHits.Add(1)
-	return &Answer{Region: pick.region, Kind: kind, From: pick.q}
+	return &Answer{Region: inner.region, Kind: Inner, From: inner.q}
 }
 
 // betterInner picks the tighter of two inner-bound candidates (best may be
@@ -288,26 +273,6 @@ func (c *Cache) betterInner(e, best *entry) *entry {
 		}
 	}
 	if e.measureLocked() > best.measureLocked() {
-		return e
-	}
-	return best
-}
-
-// betterOuter picks the tighter of two outer-bound candidates: dominance —
-// the dominated (k, ε) has the smaller, hence tighter, superset region —
-// then the smaller stored region by the proxy for incomparable pairs.
-// Inexact entries never reach here (they cannot bound from outside).
-func (c *Cache) betterOuter(e, best *entry) *entry {
-	if best == nil {
-		return e
-	}
-	if e.q.K <= best.q.K && e.q.Eps <= best.q.Eps {
-		return e
-	}
-	if best.q.K <= e.q.K && best.q.Eps <= e.q.Eps {
-		return best
-	}
-	if e.measureLocked() < best.measureLocked() {
 		return e
 	}
 	return best
@@ -347,8 +312,8 @@ func (c *Cache) removeLocked(e *entry) {
 type Stats struct {
 	// Entries is the current number of cached results, Capacity the bound.
 	Entries, Capacity int
-	// Hits and Misses count exact lookups; BoundHits counts answers served
-	// as monotonicity bounds.
+	// Hits and Misses count exact lookups; BoundHits counts inner bounds
+	// returned by Bound (anytime warm-start seeds).
 	Hits, Misses, BoundHits int64
 }
 

@@ -46,7 +46,7 @@ func TestExactHitAndMiss(t *testing.T) {
 func TestBoundSelection(t *testing.T) {
 	c := New(8)
 	// Three neighbors on the same point: a loose inner, a tight inner and
-	// an outer.
+	// a looser one that bounds nothing from inside.
 	looseIn, tightIn, out := region(0.4, 0.5), region(0.3, 0.6), region(0.1, 0.9)
 	c.Put(1, "E-PT", q2(0.4, 0.7, 1, 0.0), looseIn) // reverse top-k seed
 	c.Put(1, "E-PT", q2(0.4, 0.7, 2, 0.05), tightIn)
@@ -60,8 +60,8 @@ func TestBoundSelection(t *testing.T) {
 		t.Fatalf("wrong source query: %+v", ans.From)
 	}
 
-	// Only the outer neighbor applies to (k=3, ε=0.2)... no: inner needs
-	// k'≤3, ε'≤0.2 — both inner entries apply; tightest is (2, 0.05).
+	// Inner needs k'≤3, ε'≤0.2 — both inner entries apply; tightest is
+	// (2, 0.05).
 	ans = c.Bound(1, q2(0.4, 0.7, 3, 0.2))
 	if ans == nil || ans.Kind != Inner || ans.Region != tightIn {
 		t.Fatalf("want inner (2,0.05), got %+v", ans)
@@ -74,12 +74,11 @@ func TestBoundSelection(t *testing.T) {
 		t.Fatalf("want exact, got %+v", ans)
 	}
 
-	// A query below every cached (k', ε') gets only the outer side.
+	// A query below every cached (k', ε') gets no bound.
 	c2 := New(8)
 	c2.Put(1, "E-PT", q2(0.4, 0.7, 4, 0.3), out)
-	ans = c2.Bound(1, q2(0.4, 0.7, 2, 0.1))
-	if ans == nil || ans.Kind != Outer || ans.Region != out {
-		t.Fatalf("want outer bound, got %+v", ans)
+	if ans := c2.Bound(1, q2(0.4, 0.7, 2, 0.1)); ans != nil {
+		t.Fatalf("looser neighbor served as a bound: %+v", ans)
 	}
 
 	// Different query point or version → no bound.
@@ -91,6 +90,8 @@ func TestBoundSelection(t *testing.T) {
 	}
 }
 
+// A looser neighbor beside an inner one changes nothing: the inner one is
+// the bound.
 func TestBoundPrefersInnerOverOuter(t *testing.T) {
 	c := New(8)
 	in, out := region(0.3, 0.6), region(0.1, 0.9)
@@ -104,8 +105,8 @@ func TestBoundPrefersInnerOverOuter(t *testing.T) {
 
 func TestIncomparableNeighborServesNothing(t *testing.T) {
 	c := New(8)
-	// (k'=1, ε'=0.3) vs query (k=2, ε=0.1): k' ≤ k but ε' > ε — neither
-	// inner nor outer.
+	// (k'=1, ε'=0.3) vs query (k=2, ε=0.1): k' ≤ k but ε' > ε — not an
+	// inner bound.
 	c.Put(1, "E-PT", q2(0.4, 0.7, 1, 0.3), region(0.2, 0.8))
 	if ans := c.Bound(1, q2(0.4, 0.7, 2, 0.1)); ans != nil {
 		t.Fatalf("incomparable neighbor served as %v bound", ans.Kind)
@@ -132,22 +133,6 @@ func TestBoundIncomparableInnerPicksLargerRegion(t *testing.T) {
 	}
 }
 
-// The outer direction mirrors it: among incomparable outer neighbors the
-// smaller stored region is the tighter superset, whatever its (k', ε').
-func TestBoundIncomparableOuterPicksSmallerRegion(t *testing.T) {
-	c := New(8)
-	big, tight := region(0.05, 0.95), region(0.2, 0.7)
-	c.Put(1, "E-PT", q2(0.4, 0.7, 3, 0.4), big) // lexicographic winner (smaller k)
-	c.Put(1, "E-PT", q2(0.4, 0.7, 4, 0.3), tight)
-	ans := c.Bound(1, q2(0.4, 0.7, 2, 0.2))
-	if ans == nil || ans.Kind != Outer {
-		t.Fatalf("want outer bound, got %+v", ans)
-	}
-	if ans.Region != tight {
-		t.Fatalf("picked the lexicographic neighbor (%+v) over the strictly smaller region", ans.From)
-	}
-}
-
 // When candidates are comparable, dominance decides without consulting the
 // proxy: the dominating (k', ε') owns the superset region by the
 // monotonicity invariant, and the cache trusts the invariant over 256
@@ -163,9 +148,10 @@ func TestBoundDominanceDecidesComparablePairs(t *testing.T) {
 	}
 }
 
-// Incomparable-neighbor matrix in both bound directions, including the
-// k-equal and ε-equal edges of the partial order (where dominance applies
-// and the historical lexicographic pick happened to be right).
+// Incomparable-neighbor matrix, including the k-equal and ε-equal edges of
+// the partial order (where dominance applies and the historical
+// lexicographic pick happened to be right), and looser neighbors, which
+// bound nothing.
 func TestBoundNeighborMatrix(t *testing.T) {
 	mk := func() *Cache {
 		c := New(16)
@@ -173,8 +159,8 @@ func TestBoundNeighborMatrix(t *testing.T) {
 		c.Put(1, "E-PT", q2(0.4, 0.7, 2, 0.05), region(0.40, 0.55)) // ε-equal edge
 		c.Put(1, "E-PT", q2(0.4, 0.7, 2, 0.10), region(0.35, 0.60)) // k-equal edge
 		c.Put(1, "E-PT", q2(0.4, 0.7, 1, 0.15), region(0.20, 0.80)) // incomparable to (2, 0.10), larger
-		c.Put(1, "E-PT", q2(0.4, 0.7, 5, 0.30), region(0.10, 0.90)) // outer
-		c.Put(1, "E-PT", q2(0.4, 0.7, 4, 0.40), region(0.15, 0.85)) // outer, incomparable, smaller
+		c.Put(1, "E-PT", q2(0.4, 0.7, 5, 0.30), region(0.10, 0.90)) // looser
+		c.Put(1, "E-PT", q2(0.4, 0.7, 4, 0.40), region(0.15, 0.85)) // looser, incomparable
 		return c
 	}
 	// Inner side of (2, 0.2): candidates are all four low entries;
@@ -198,22 +184,21 @@ func TestBoundNeighborMatrix(t *testing.T) {
 	if ans := c.Bound(1, q2(0.4, 0.7, 3, 0.2)); ans == nil || ans.From.K != 2 {
 		t.Fatalf("ε-equal edge pick = %+v, want (2, 0.05)", ans)
 	}
-	// Outer side of (3, 0.25): (5, 0.30) vs (4, 0.40) are incomparable; the
-	// smaller region (4, 0.40) is the tighter superset.
 	ans = mk().Bound(1, q2(0.4, 0.7, 6, 0.45))
 	if ans == nil || ans.Kind != Inner {
 		t.Fatalf("everything below (6, 0.45) should serve inner, got %+v", ans)
 	}
+	// Only looser neighbors of (3, 0.25): no bound.
 	c = New(16)
 	c.Put(1, "E-PT", q2(0.4, 0.7, 5, 0.30), region(0.10, 0.90))
 	c.Put(1, "E-PT", q2(0.4, 0.7, 4, 0.40), region(0.15, 0.85))
-	if ans := c.Bound(1, q2(0.4, 0.7, 3, 0.25)); ans == nil || ans.Kind != Outer || ans.From.K != 4 {
-		t.Fatalf("outer matrix pick = %+v, want (4, 0.40)", ans)
+	if ans := c.Bound(1, q2(0.4, 0.7, 3, 0.25)); ans != nil {
+		t.Fatalf("looser neighbors served as a bound: %+v", ans)
 	}
 }
 
 // Inexact (anytime) entries are sound inner bounds only: never an exact
-// hit, never an Exact-kind bound answer, never an outer bound.
+// hit, never an Exact-kind bound answer.
 func TestPutInnerServesOnlyInnerBounds(t *testing.T) {
 	c := New(8)
 	q := q2(0.4, 0.7, 3, 0.2)
@@ -227,10 +212,9 @@ func TestPutInnerServesOnlyInnerBounds(t *testing.T) {
 	if ans == nil || ans.Kind != Inner || ans.Region != r {
 		t.Fatalf("want inner bound from the inexact entry, got %+v", ans)
 	}
-	// A stricter query would need an outer bound; the inexact entry must
-	// not pretend to be one.
+	// A stricter query has no inner bound among the cached entries.
 	if ans := c.Bound(1, q2(0.4, 0.7, 2, 0.1)); ans != nil {
-		t.Fatalf("inexact entry served as an outer bound: %+v", ans)
+		t.Fatalf("inexact entry bounded a stricter query: %+v", ans)
 	}
 	// Re-storing a larger anytime region ratchets the cached bound upward.
 	r2 := region(0.2, 0.7)

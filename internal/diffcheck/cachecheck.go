@@ -1,14 +1,14 @@
 package diffcheck
 
 // Cache differential harness: the result cache must be invisible in exact
-// answers and sound in bound-served answers. For every corpus problem,
+// answers and sound in the inner bounds it hands the anytime tier as
+// warm-start seeds. For every corpus problem,
 //
 //   - an exact cache hit must be byte-identical — same JSON encoding, not
 //     merely same membership — to a from-scratch solve;
-//   - a bound served from a cached neighbor must honor the diffcheck-proven
-//     monotonicity invariant R(q,k,ε) ⊆ R(q,k',ε') for k ≤ k', ε ≤ ε': an
-//     inner bound (tighter cached neighbor) must be contained in the true
-//     region, an outer bound (looser cached neighbor) must contain it, with
+//   - an inner bound from a tighter cached neighbor must honor the
+//     diffcheck-proven monotonicity invariant R(q,k',ε') ⊆ R(q,k,ε) for
+//     k' ≤ k, ε' ≤ ε: it must be contained in the true region, with
 //     membership evaluated against the half-space counting oracle on a
 //     margin-guarded sample grid;
 //   - an ε = 0 cached answer (ReverseTopK) must serve as an inner seed for
@@ -33,8 +33,8 @@ type CacheReport struct {
 	Problems int
 	// ExactChecks counts exact-hit byte comparisons performed.
 	ExactChecks int
-	// BoundChecks counts bound-serving scenarios exercised (inner, outer,
-	// ε = 0 seed, preference).
+	// BoundChecks counts inner-bound scenarios exercised (tighter neighbor,
+	// ε = 0 seed).
 	BoundChecks int
 	// SampleChecks counts individual margin-guarded membership assertions.
 	SampleChecks int
@@ -153,55 +153,25 @@ func checkCacheProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *Cach
 	if tight.K > 1 {
 		tight.K--
 	}
-	haveTight := tight.K < q.K || tight.Eps < q.Eps
-	if haveTight {
-		checkCacheBound(cfg, ins, prob, version, q, tight, cache.Inner, oracle, grid, solve, rep)
+	if tight.K < q.K || tight.Eps < q.Eps {
+		checkCacheBound(cfg, ins, prob, version, q, tight, oracle, grid, solve, rep)
 	}
-
-	// Outer bound from a strictly looser cached neighbor. K+1 is always a
-	// valid loosening; ε grows too when it stays clear of the ε < 1 domain
-	// boundary.
-	loose := core.Query{Q: ins.Q, K: ins.K + 1, Eps: ins.Eps}
-	if ins.Eps+0.05 < 1 {
-		loose.Eps = ins.Eps + 0.05
-	}
-	checkCacheBound(cfg, ins, prob, version, q, loose, cache.Outer, oracle, grid, solve, rep)
 
 	// ε = 0 seed: the cached ReverseTopK answer for the same point and rank
 	// must serve as an inner bound for the ε > 0 query.
 	if ins.Eps > 0 {
 		seed := core.Query{Q: ins.Q, K: ins.K, Eps: 0}
-		checkCacheBound(cfg, ins, prob, version, q, seed, cache.Inner, oracle, grid, solve, rep)
-	}
-
-	// Preference: with both neighbors cached, the inner one must win.
-	if haveTight {
-		rt, _, errT := solve(tight)
-		rl, _, errL := solve(loose)
-		if errT == nil && errL == nil {
-			both := cache.New(16)
-			both.Put(version, cacheServePath, tight, rt)
-			both.Put(version, cacheServePath, loose, rl)
-			rep.BoundChecks++
-			ans := both.Bound(version, q)
-			if ans == nil {
-				rep.fail(Mismatch{Kind: "cache-bound-kind", Problem: prob,
-					Detail: "no bound served with both neighbors cached"})
-			} else if ans.Kind != cache.Inner {
-				rep.fail(Mismatch{Kind: "cache-bound-kind", Problem: prob,
-					Detail: fmt.Sprintf("served %v with both an inner and an outer neighbor cached; want inner", ans.Kind)})
-			}
-		}
+		checkCacheBound(cfg, ins, prob, version, q, seed, oracle, grid, solve, rep)
 	}
 }
 
-// checkCacheBound stores the neighbor's fresh answer, asks the cache for a
-// bound on q, and verifies the served kind, the byte-level integrity of the
-// served region against a fresh solve of the neighbor, and the monotonicity
-// containment on the margin-guarded sample grid.
+// checkCacheBound stores the tighter neighbor's fresh answer, asks the
+// cache for a bound on q, and verifies that it comes back as an inner
+// bound, the byte-level integrity of the returned region against a fresh
+// solve of the neighbor, and the monotonicity containment on the
+// margin-guarded sample grid.
 func checkCacheBound(cfg Config, ins corpus.Instance, prob Problem, version uint64, q, neighbor core.Query,
-	wantKind cache.BoundKind, oracle *planeOracle,
-	grid []vec.Vec, solve func(core.Query) (*core.Region, []byte, error), rep *CacheReport) {
+	oracle *planeOracle, grid []vec.Vec, solve func(core.Query) (*core.Region, []byte, error), rep *CacheReport) {
 
 	nr, nrBytes, err := solve(neighbor)
 	if err != nil {
@@ -215,14 +185,14 @@ func checkCacheBound(cfg Config, ins corpus.Instance, prob Problem, version uint
 	ans := c.Bound(version, q)
 	if ans == nil {
 		rep.fail(Mismatch{Kind: "cache-bound-kind", Problem: prob,
-			Detail: fmt.Sprintf("no bound served for (k=%d, ε=%g) from cached neighbor (k=%d, ε=%g)",
+			Detail: fmt.Sprintf("no inner bound for (k=%d, ε=%g) from cached neighbor (k=%d, ε=%g)",
 				q.K, q.Eps, neighbor.K, neighbor.Eps)})
 		return
 	}
-	if ans.Kind != wantKind {
+	if ans.Kind != cache.Inner {
 		rep.fail(Mismatch{Kind: "cache-bound-kind", Problem: prob,
 			Detail: fmt.Sprintf("neighbor (k=%d, ε=%g) served as %v for (k=%d, ε=%g); want %v",
-				neighbor.K, neighbor.Eps, ans.Kind, q.K, q.Eps, wantKind)})
+				neighbor.K, neighbor.Eps, ans.Kind, q.K, q.Eps, cache.Inner)})
 		return
 	}
 	servedBytes, err := ans.Region.MarshalJSON()
@@ -232,7 +202,7 @@ func checkCacheBound(cfg Config, ins corpus.Instance, prob Problem, version uint
 	}
 	if !bytes.Equal(servedBytes, nrBytes) {
 		rep.fail(Mismatch{Kind: "cache-byte-divergence", Problem: prob,
-			Detail: "bound-served region differs from a fresh solve of the cached neighbor"})
+			Detail: "inner-bound region differs from a fresh solve of the cached neighbor"})
 		return
 	}
 
@@ -247,22 +217,11 @@ func checkCacheBound(cfg Config, ins corpus.Instance, prob Problem, version uint
 			continue
 		}
 		rep.SampleChecks++
-		served := ans.Region.Contains(u)
-		switch wantKind {
-		case cache.Inner:
-			if served && !truth {
-				rep.fail(Mismatch{Kind: "cache-inner-unsound", Problem: prob, U: u,
-					Detail: fmt.Sprintf("inner bound from (k=%d, ε=%g) contains a point outside R(q, k=%d, ε=%g)",
-						neighbor.K, neighbor.Eps, q.K, q.Eps)})
-				return
-			}
-		case cache.Outer:
-			if truth && !served {
-				rep.fail(Mismatch{Kind: "cache-outer-unsound", Problem: prob, U: u,
-					Detail: fmt.Sprintf("outer bound from (k=%d, ε=%g) misses a point of R(q, k=%d, ε=%g)",
-						neighbor.K, neighbor.Eps, q.K, q.Eps)})
-				return
-			}
+		if ans.Region.Contains(u) && !truth {
+			rep.fail(Mismatch{Kind: "cache-inner-unsound", Problem: prob, U: u,
+				Detail: fmt.Sprintf("inner bound from (k=%d, ε=%g) contains a point outside R(q, k=%d, ε=%g)",
+					neighbor.K, neighbor.Eps, q.K, q.Eps)})
+			return
 		}
 	}
 }

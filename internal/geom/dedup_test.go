@@ -42,8 +42,8 @@ func TestCoincidentNearOrigin(t *testing.T) {
 }
 
 func TestAppendVertexMergesTightSets(t *testing.T) {
-	vs := appendVertex(nil, vertex{pt: vec.Of(0.75, 0.25 + 1.2e-9), tight: newTightSet(3)})
-	vs = appendVertex(vs, vertex{pt: vec.Of(0.75 + 1.2e-9, 0.25), tight: newTightSet(7)})
+	vs := appendVertex(nil, vertex{pt: vec.Of(0.75, 0.25+1.2e-9), tight: newTightSet(3)})
+	vs = appendVertex(vs, vertex{pt: vec.Of(0.75+1.2e-9, 0.25), tight: newTightSet(7)})
 	if len(vs) != 1 {
 		t.Fatalf("coincident vertices were not merged: %d entries", len(vs))
 	}

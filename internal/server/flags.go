@@ -22,7 +22,6 @@ type Flags struct {
 	Algo                    string
 	Samples                 int
 	Cache                   int
-	CacheBounds             bool
 	QueryTimeout            time.Duration
 	Budget                  int64
 	Policy                  string
@@ -40,7 +39,6 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Algo, "algo", "auto", "auto|sweeping|ept|apc|lpcta|brute")
 	fs.IntVar(&f.Samples, "samples", 0, "A-PC sample count (0 = paper default)")
 	fs.IntVar(&f.Cache, "cache", 1024, "result cache capacity in entries (0 = no cache)")
-	fs.BoolVar(&f.CacheBounds, "cache-bounds", false, "serve sound inner/outer bounds from cached neighbors")
 	fs.DurationVar(&f.QueryTimeout, "query-timeout", 0, "per-query wall-clock limit (0 = none)")
 	fs.Int64Var(&f.Budget, "budget", 0, "per-query work budget in solver units (0 = none)")
 	fs.StringVar(&f.Policy, "policy", "always", `admission policy: "always" (queue) or "cap" (shed)`)
@@ -63,7 +61,6 @@ func (f *Flags) IndexOptions(reg *rrq.Registry) ([]rrq.Option, error) {
 		rrq.WithAlgorithm(algo),
 		rrq.WithMetrics(reg),
 		rrq.WithResultCache(f.Cache),
-		rrq.WithCacheBounds(f.CacheBounds),
 	}
 	if f.Samples > 0 {
 		opts = append(opts, rrq.WithSamples(f.Samples))

@@ -95,7 +95,7 @@ func TestFlagsDataset(t *testing.T) {
 
 // IndexOptions carries every index flag into the built index.
 func TestFlagsIndexOptions(t *testing.T) {
-	f := parseFlags(t, "-algo", "sweep", "-cache", "8", "-cache-bounds")
+	f := parseFlags(t, "-algo", "sweep", "-cache", "8")
 	opts, err := f.IndexOptions(rrq.NewRegistry())
 	if err != nil {
 		t.Fatal(err)

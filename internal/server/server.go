@@ -195,9 +195,8 @@ type accuracyNote struct {
 }
 
 // solveResponse is the /v1/solve success body. Cache is the CacheStatus
-// string ("bypass", "miss", "hit", "inner-bound", "outer-bound"); for
-// bound-served answers CacheSource names the cached query whose region is
-// returned, and the region bounds — rather than equals — the true answer.
+// string ("bypass", "miss", "hit"); for an anytime answer warm-started
+// from a cached neighbor, CacheSource names the neighbor's query.
 // Tier ("exact", "approx", "anytime" — also the X-RRQ-Tier header)
 // classifies the serving contract; anytime answers additionally carry
 // Accuracy, and Degraded when the server chose the anytime rung.

@@ -113,7 +113,6 @@ type Report struct {
 	TenantRejected int     `json:"tenant_rejected"`
 	Failed         int     `json:"failed"`
 	CacheHits      int     `json:"cache_hits"`
-	CacheBounds    int     `json:"cache_bound_hits"`
 	ElapsedNs      int64   `json:"elapsed_ns"`
 	P50Ns          int64   `json:"p50_ns"`
 	P99Ns          int64   `json:"p99_ns"`
@@ -128,7 +127,6 @@ const (
 	ocPending = iota
 	ocSolved
 	ocSolvedCacheHit
-	ocSolvedCacheBound
 	ocSolvedDegraded
 	ocShed
 	ocTenantRejected
@@ -287,8 +285,6 @@ func classify(rec *httptest.ResponseRecorder) uint8 {
 		return ocSolvedDegraded
 	case ok && reply.Cache == "hit":
 		return ocSolvedCacheHit
-	case ok && (reply.Cache == "inner-bound" || reply.Cache == "outer-bound"):
-		return ocSolvedCacheBound
 	case ok:
 		return ocSolved
 	case rec.Code == http.StatusTooManyRequests && reply.Kind == "shed":
@@ -309,13 +305,11 @@ func (r *runner) report(elapsed time.Duration) Report {
 	var lats []int64
 	for i, oc := range r.outcome {
 		switch oc {
-		case ocSolved, ocSolvedCacheHit, ocSolvedCacheBound, ocSolvedDegraded:
+		case ocSolved, ocSolvedCacheHit, ocSolvedDegraded:
 			rep.Solved++
 			lats = append(lats, r.latNs[i])
 			if oc == ocSolvedCacheHit {
 				rep.CacheHits++
-			} else if oc == ocSolvedCacheBound {
-				rep.CacheBounds++
 			} else if oc == ocSolvedDegraded {
 				rep.Degraded++
 			}
@@ -366,9 +360,9 @@ func percentile(sorted []int64, p float64) int64 {
 // String renders the report as the one-line summary rrqsim prints.
 func (rep Report) String() string {
 	return fmt.Sprintf(
-		"policy=%s requests=%d solved=%d shed=%d (%.0f%%) degraded=%d rejected=%d failed=%d cache=%d+%d p50=%v p99=%v qps=%.0f",
+		"policy=%s requests=%d solved=%d shed=%d (%.0f%%) degraded=%d rejected=%d failed=%d cache=%d p50=%v p99=%v qps=%.0f",
 		rep.Policy, rep.Requests, rep.Solved, rep.Shed, 100*rep.ShedRate, rep.Degraded,
-		rep.TenantRejected, rep.Failed, rep.CacheHits, rep.CacheBounds,
+		rep.TenantRejected, rep.Failed, rep.CacheHits,
 		time.Duration(rep.P50Ns).Round(time.Microsecond),
 		time.Duration(rep.P99Ns).Round(time.Microsecond),
 		rep.QPS)

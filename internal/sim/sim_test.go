@@ -308,8 +308,7 @@ func TestInProcessMatchesLoopback(t *testing.T) {
 		ix, err := rrq.BuildIndex(ds,
 			rrq.WithAlgorithm(rrq.SweepingAlgo),
 			rrq.WithQueryTimeout(50*time.Millisecond),
-			rrq.WithResultCache(64),
-			rrq.WithCacheBounds(true))
+			rrq.WithResultCache(64))
 		if err != nil {
 			t.Fatalf("BuildIndex: %v", err)
 		}
@@ -364,8 +363,8 @@ func TestInProcessMatchesLoopback(t *testing.T) {
 			t.Errorf("request %d: in-process %+v, loopback %+v", i, inLog[i], loopLog[i])
 		}
 	}
-	counts := func(r Report) [7]int {
-		return [7]int{r.Solved, r.Shed, r.Degraded, r.TenantRejected, r.Failed, r.CacheHits, r.CacheBounds}
+	counts := func(r Report) [6]int {
+		return [6]int{r.Solved, r.Shed, r.Degraded, r.TenantRejected, r.Failed, r.CacheHits}
 	}
 	if counts(inRep) != counts(loopRep) {
 		t.Errorf("reports differ:\n  in-process %+v\n  loopback   %+v", inRep, loopRep)

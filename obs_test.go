@@ -238,8 +238,6 @@ func TestQueryValidateRejections(t *testing.T) {
 		}
 		_, err := SolveResult(ds, tc.q)
 		check(t, tc.name+"/Solve", err, tc.field)
-		_, err = NewDynamicRegion(ds, tc.q)
-		check(t, tc.name+"/NewDynamicRegion", err, tc.field)
 	}
 
 	// The PBA+ index validates through the same authority.

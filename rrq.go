@@ -24,13 +24,11 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"rrq/internal/baseline"
 	"rrq/internal/core"
 	"rrq/internal/dataset"
-	"rrq/internal/index"
 	"rrq/internal/obs"
 	"rrq/internal/rms"
 	"rrq/internal/skyband"
@@ -146,7 +144,7 @@ type QueryError = core.QueryError
 // Validate checks the query's intrinsic parameters — Q finite with
 // dimension ≥ 2, K ≥ 1 and Epsilon ∈ [0,1) — without a dataset. The same
 // validation (plus the query/dataset dimension match) runs inside every
-// entry point: SolveResult and its variants, NewDynamicRegion and PBAIndex
+// entry point: SolveResult and its variants, Index solving and PBAIndex
 // queries. A failure is always a *QueryError.
 func (q Query) Validate() error {
 	return q.toCore().Validate(len(q.Q))
@@ -219,11 +217,9 @@ type Stats = core.Stats
 // solver's work counters and the wall-clock time spent.
 //
 // Cache reports how the result cache participated (CacheBypass when no
-// cache is configured). For a bound-served answer (CacheInner/CacheOuter)
-// CacheSource names the cached query whose region was served; the region
-// then bounds, rather than equals, the true answer — see WithCacheBounds.
-// For an anytime answer warm-started from a cached inner bound,
-// CacheSource names the seed query instead.
+// cache is configured). CacheSource is set only on an anytime answer that
+// was warm-started from a cached neighbor: it names the cached query whose
+// region seeded the construction (see Index.SolveContext).
 //
 // Tier classifies the contract the answer was produced under; for
 // TierAnytime answers Accuracy carries the enforced accuracy contract
@@ -242,9 +238,8 @@ type Result struct {
 type SolverTier int
 
 const (
-	// TierExact: the region equals the true answer (exact solvers, exact
-	// cache hits, and bound-served exact artifacts — for those, Cache
-	// records that the region bounds a different query's answer).
+	// TierExact: the region equals the true answer (exact solvers and
+	// exact cache hits).
 	TierExact SolverTier = iota
 	// TierApprox: the region is A-PC's one-sided approximation — a sound
 	// inner region with no per-run accuracy report (WithAlgorithm(APCAlgo)).
@@ -302,12 +297,6 @@ const (
 	// CacheHit: the answer was served from the cache, byte-identical to a
 	// fresh solve on the same snapshot.
 	CacheHit
-	// CacheInner: the region is a sound inner bound (subset of the true
-	// region), served from the cached neighbor in CacheSource.
-	CacheInner
-	// CacheOuter: the region is a sound outer bound (superset of the true
-	// region), served from the cached neighbor in CacheSource.
-	CacheOuter
 )
 
 func (s CacheStatus) String() string {
@@ -318,10 +307,6 @@ func (s CacheStatus) String() string {
 		return "miss"
 	case CacheHit:
 		return "hit"
-	case CacheInner:
-		return "inner-bound"
-	case CacheOuter:
-		return "outer-bound"
 	default:
 		return fmt.Sprintf("CacheStatus(%d)", int(s))
 	}
@@ -352,7 +337,6 @@ type config struct {
 	queryTimeout time.Duration
 	workBudget   int64
 	cacheSize    int
-	cacheBounds  bool
 
 	anytimeBudget  time.Duration
 	anytimeSamples int
@@ -448,23 +432,16 @@ func WithWorkBudget(n int64) Option {
 // Mutations invalidate for free: Insert/Delete publish a new epoch whose
 // keys never match the old generation (which is pruned eagerly).
 // Approximate (A-PC) answers are never cached. With WithMetrics, traffic
-// shows as "cache.hit" / "cache.miss" / "cache.bound_served". The option
-// only affects Index solving; SolveResult and Prepare over a plain Dataset
-// ignore it.
+// shows as "cache.hit" / "cache.miss", plus "cache.warm_start" for anytime
+// solves seeded from a cached neighbor. The option only affects Index
+// solving; SolveResult and Prepare over a plain Dataset ignore it.
 func WithResultCache(n int) Option { return func(c *config) { c.cacheSize = n } }
 
-// WithCacheBounds additionally lets the cache answer a query it has never
-// seen from a cached neighbor on the same query point, exploiting the
-// monotonicity the differential harness verifies: the qualified region
-// only grows as K or Epsilon grows. A cached (k′ ≤ K, ε′ ≤ Epsilon) answer
-// is served as a sound inner bound (Result.Cache = CacheInner: every
-// preference in the region qualifies), a cached (k′ ≥ K, ε′ ≥ Epsilon)
-// answer as a sound outer bound (CacheOuter: every qualifying preference
-// is in the region); ε′ = 0 entries — cached ReverseTopK answers — are the
-// natural inner seeds. Bound-served results trade exactness for zero
-// solving work, so the option is off by default; callers must check
-// Result.Cache before treating the region as exact.
-func WithCacheBounds(on bool) Option { return func(c *config) { c.cacheBounds = on } }
+// WithCacheBounds does nothing; a cache miss is always solved exactly.
+//
+// Deprecated: cached neighbors no longer answer queries. They only
+// warm-start the anytime tier, which needs just WithResultCache.
+func WithCacheBounds(bool) Option { return func(*config) {} }
 
 // WithMetrics accumulates phase timings and solve counters into reg: each
 // solver phase (e.g. "phase.ept.insert") gets a histogram timer, and the
@@ -704,77 +681,6 @@ func (ix *PBAIndex) QueryContext(ctx context.Context, q Query, opts ...Option) (
 		return nil, err
 	}
 	return &Region{inner: r}, nil
-}
-
-// DynamicRegion maintains the answer to one query over a changing market —
-// the paper's stated future work. It is a standing query over a snapshot
-// index: every mutation publishes a new epoch through the index's
-// delta-maintained preprocessing (no rebuild, for deletions included), and
-// Region re-solves lazily — at most once per epoch — against the epoch's
-// shared skyband and plane storage. For many standing queries over one
-// changing market, share a single Index and call Solve per query instead.
-type DynamicRegion struct {
-	ix *index.Index
-	q  core.Query
-
-	mu     sync.Mutex
-	ver    uint64
-	cached *Region
-}
-
-// NewDynamicRegion builds the initial answer for q over the dataset.
-func NewDynamicRegion(d *Dataset, q Query) (*DynamicRegion, error) {
-	cq := q.toCore()
-	// Intrinsic validity first (a malformed query point reports "q"), then
-	// the dataset-dimension match ("dim") — the shared entry-point precedence.
-	if err := cq.Validate(len(q.Q)); err != nil {
-		return nil, err
-	}
-	if len(q.Q) != d.Dim() {
-		return nil, &QueryError{Field: "dim", Msg: fmt.Sprintf("query dimension %d does not match dataset dimension %d", len(q.Q), d.Dim())}
-	}
-	ix, err := index.Build(d.points(), d.Dim())
-	if err != nil {
-		return nil, err
-	}
-	return &DynamicRegion{ix: ix, q: cq}, nil
-}
-
-// Insert adds a product to the market; the answer updates on the next
-// Region call.
-func (dr *DynamicRegion) Insert(p Point) error {
-	_, err := dr.ix.Insert(vec.Vec(p))
-	return err
-}
-
-// Delete removes the i-th product (in insertion order).
-func (dr *DynamicRegion) Delete(i int) error {
-	_, err := dr.ix.Delete(i)
-	return err
-}
-
-// Len returns the current market size.
-func (dr *DynamicRegion) Len() int { return dr.ix.Len() }
-
-// Region returns the current answer, re-solving only when the market
-// changed since the last call.
-func (dr *DynamicRegion) Region() *Region {
-	dr.mu.Lock()
-	defer dr.mu.Unlock()
-	snap := dr.ix.Snapshot()
-	if dr.cached != nil && dr.ver == snap.Version() {
-		return dr.cached
-	}
-	// The instance was validated at construction and every mutation
-	// revalidated its point, so with an unbounded background context the
-	// exact solver cannot fail.
-	r, _, err := (core.EPTSolver{}).Solve(context.Background(), snap.Prepared(), dr.q)
-	if err != nil {
-		panic(fmt.Sprintf("rrq: dynamic re-solve failed on a validated instance: %v", err))
-	}
-	dr.ver = snap.Version()
-	dr.cached = &Region{inner: r}
-	return dr.cached
 }
 
 // DistType selects a synthetic data distribution.

@@ -285,46 +285,6 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
-func TestDynamicRegionAPI(t *testing.T) {
-	ds := table3Dataset(t)
-	q := Query{Q: Point{0.4, 0.7}, K: 2, Epsilon: 0.1}
-	dyn, err := NewDynamicRegion(ds, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := dyn.Region().Measure(20000)
-	if before <= 0 {
-		t.Fatal("initial region should be non-empty")
-	}
-	// A dominating competitor shrinks the region.
-	if err := dyn.Insert(Point{0.95, 0.95}); err != nil {
-		t.Fatal(err)
-	}
-	mid := dyn.Region().Measure(20000)
-	if mid > before+1e-9 {
-		t.Fatalf("region grew after an insertion: %v -> %v", before, mid)
-	}
-	// Removing it restores the answer.
-	if err := dyn.Delete(3); err != nil {
-		t.Fatal(err)
-	}
-	after := dyn.Region().Measure(20000)
-	if math.Abs(after-before) > 0.02 {
-		t.Fatalf("region not restored after delete: %v vs %v", after, before)
-	}
-	if dyn.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", dyn.Len())
-	}
-	// The maintained region matches a fresh solve at all times.
-	fresh, err := regionOf(SolveResult(ds, q, WithAlgorithm(EPTAlgo)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dyn.Region().Measure(20000)-fresh.Measure(20000)) > 0.02 {
-		t.Fatal("dynamic region diverged from fresh solve")
-	}
-}
-
 func TestNewDatasetRejectsNaN(t *testing.T) {
 	if _, err := NewDataset([][]float64{{math.NaN(), 0.5}}); err == nil {
 		t.Error("NaN accepted")
