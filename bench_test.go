@@ -347,7 +347,7 @@ func BenchmarkSolveBatch(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				outs := core.SolveBatch(ctx, core.EPTSolver{}, prep, queries, workers)
+				outs := core.SolveBatchPolicy(ctx, core.SolvePolicy{Solver: core.EPTSolver{}}, prep, queries, workers)
 				for _, o := range outs {
 					if o.Err != nil {
 						b.Fatal(o.Err)

@@ -46,11 +46,13 @@ type ctaNode struct {
 	invalid  bool
 }
 
-// LPCTA solves RRQ exactly with the adapted LP-CTA algorithm. It applies
-// the same hyper-plane preprocessing as the core solvers (planes that never
-// or always count are folded away) but none of E-PT's accelerations: no
-// hyper-plane reduction, no insertion ordering, no sphere tests and no lazy
-// splitting; every relationship check costs two LP solves.
+// LPCTA solves RRQ exactly with the adapted LP-CTA algorithm. It validates
+// the instance with core.ValidateInstance and takes its planes from
+// core.BuildPlanes, the core solvers' own preprocessing (planes that never
+// or always count are folded away), but applies none of E-PT's
+// accelerations: no hyper-plane reduction, no insertion ordering, no sphere
+// tests and no lazy splitting; every relationship check costs two LP
+// solves.
 func LPCTA(pts []vec.Vec, q core.Query) (*core.Region, error) {
 	r, _, err := LPCTAWithStats(pts, q)
 	return r, err
@@ -70,7 +72,7 @@ func LPCTAWithStats(pts []vec.Vec, q core.Query) (*core.Region, core.Stats, erro
 func LPCTAContext(ctx context.Context, pts []vec.Vec, q core.Query) (*core.Region, core.Stats, error) {
 	var st core.Stats
 	d := q.Q.Dim()
-	if err := q.Validate(d); err != nil {
+	if err := core.ValidateInstance(pts, q); err != nil {
 		return nil, st, err
 	}
 	check := core.NewCtxChecker(ctx, 0x3f)
@@ -80,13 +82,10 @@ func LPCTAContext(ctx context.Context, pts []vec.Vec, q core.Query) (*core.Regio
 	}
 	planePhase := check.Phase("phase.lpcta.planes")
 	defer planePhase()
-	planes, base, err := queryPlanes(pts, q)
+	ps := core.BuildPlanes(pts, q)
 	planePhase()
-	if err != nil {
-		return nil, st, err
-	}
-	st.PlanesBuilt = len(planes)
-	k := q.K - base
+	st.PlanesBuilt = len(ps.Crossing)
+	k := ps.KEff(q.K)
 	if k <= 0 {
 		return core.EmptyRegion(d), st, nil
 	}
@@ -96,7 +95,7 @@ func LPCTAContext(ctx context.Context, pts []vec.Vec, q core.Query) (*core.Regio
 	root := &ctaNode{}
 	st.NodesCreated++
 	cc := &ctaCtx{k: k, d: d, st: &st, check: check}
-	for _, h := range planes {
+	for _, h := range ps.Crossing {
 		st.PlanesInserted++
 		ctaInsert(root, h, cc)
 		if cc.err != nil {
@@ -281,34 +280,4 @@ func appendInt(xs []int, x int) []int {
 	copy(out, xs)
 	out[len(xs)] = x
 	return out
-}
-
-// queryPlanes rebuilds the RRQ hyper-plane classification (identical to the
-// core preprocessing, restated here because the baselines consume planes in
-// raw input order).
-func queryPlanes(pts []vec.Vec, q core.Query) (crossing []geom.Hyperplane, base int, err error) {
-	d := q.Q.Dim()
-	scale := 1 - q.Eps
-	for i, p := range pts {
-		if p.Dim() != d {
-			return nil, 0, errDim(d, p.Dim())
-		}
-		w := q.Q.AddScaled(-scale, p)
-		neg, pos := false, false
-		for _, x := range w {
-			if x > geom.Tol {
-				pos = true
-			} else if x < -geom.Tol {
-				neg = true
-			}
-		}
-		switch {
-		case !neg:
-		case !pos:
-			base++
-		default:
-			crossing = append(crossing, geom.NewHyperplane(w, i))
-		}
-	}
-	return crossing, base, nil
 }

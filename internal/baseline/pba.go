@@ -239,6 +239,10 @@ func (ix *PBAIndex) QueryContext(ctx context.Context, q core.Query) (*core.Regio
 func (ix *PBAIndex) search(n *pbaNode, q core.Query, out *[]*geom.Cell, visited, planesBuilt *int) {
 	*visited++
 	if n.point >= 0 {
+		// Deliberately not core's classifyPlane: the search needs the
+		// plane's relation to this node's cell, not to all of U, and only
+		// excludes the numerically zero normal (a norm test, not the
+		// component signs) before building it.
 		w := q.Q.AddScaled(-(1 - q.Eps), ix.pts[n.point])
 		if w.Norm() < vec.Eps {
 			// q sits exactly on the scaled point: boundary, treat as
@@ -270,8 +274,4 @@ func (ix *PBAIndex) search(n *pbaNode, q core.Query, out *[]*geom.Cell, visited,
 	for _, c := range n.children {
 		ix.search(c, q, out, visited, planesBuilt)
 	}
-}
-
-func errDim(want, got int) error {
-	return fmt.Errorf("baseline: point dimension %d does not match query dimension %d", got, want)
 }

@@ -20,15 +20,34 @@ func TestBuildPlanesArenaZeroAlloc(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(d) * 71))
 		pts, q := randomInstance(rng, 200, d)
 		a := &Arena{}
-		warm := buildPlanesArena(pts, q, a)
+		warm, _ := buildPlanes(pts, q, a)
 		if len(warm.Crossing) == 0 {
 			t.Fatalf("d=%d: instance produced no crossing planes; test is vacuous", d)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			buildPlanesArena(pts, q, a)
+			buildPlanes(pts, q, a)
 		})
 		if allocs != 0 {
-			t.Errorf("d=%d: buildPlanesArena allocates %.1f per run on a warm arena, want 0", d, allocs)
+			t.Errorf("d=%d: buildPlanes allocates %.1f per run on a warm arena, want 0", d, allocs)
+		}
+	}
+}
+
+// Without an arena, plane construction makes three exact-size allocations —
+// the per-point kinds, the flat normal block and the plane headers — however
+// many planes cross U, instead of one per crossing plane.
+func TestBuildPlanesFixedAlloc(t *testing.T) {
+	for d := 2; d <= 5; d++ {
+		rng := rand.New(rand.NewSource(int64(d) * 977))
+		pts, q := randomInstance(rng, 400, d)
+		if n := len(BuildPlanes(pts, q).Crossing); n < 10 {
+			t.Fatalf("d=%d: only %d crossing planes; test is vacuous", d, n)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			BuildPlanes(pts, q)
+		})
+		if allocs > 3 {
+			t.Errorf("d=%d: BuildPlanes allocates %.1f per run, want at most 3", d, allocs)
 		}
 	}
 }

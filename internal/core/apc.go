@@ -120,13 +120,14 @@ func APCContext(ctx context.Context, pts []vec.Vec, q Query, opt APCOptions) (*R
 	}
 	st.Pieces = len(run.cells)
 	if len(run.cells) == 0 {
-		return emptyRegion(d), st, nil
+		return EmptyRegion(d), st, nil
 	}
-	return newCellRegion(d, run.cells), st, nil
+	return NewCellRegion(d, run.cells), st, nil
 }
 
 // apcRun is the state of one A-PC run: the instance, the planes dropped
-// from every D⁻ set, the seeded sample stream and the cells built so far.
+// from every D⁻ set and partition, the seeded sample stream and the cells
+// built so far.
 type apcRun struct {
 	pts     []vec.Vec
 	q       Query
@@ -290,7 +291,7 @@ func (run *apcRun) add(u vec.Vec, orig, negC []int32) error {
 			return nil
 		}
 	}
-	c, err := buildPartition(run.pts, run.q, u, orig, negC, run.check)
+	c, err := run.buildPartition(u, orig, negC)
 	if err == nil && c != nil {
 		run.cells = append(run.cells, c)
 	}
@@ -372,25 +373,17 @@ func measureSeedFor(seed int64) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// apcDroppedPlanes classifies each plane's normal component-wise up front,
-// mirroring BuildPlanes: a plane that is never negative over U — including
-// the degenerate zero normal from q = (1−ε)p — contributes 0 to every
-// sample's D⁻ by the system-wide contract (see QueryPlane). Deciding such
+// apcDroppedPlanes marks the planes classifyPlane drops: a plane that is
+// never negative over U — including the degenerate zero normal from
+// q = (1−ε)p — contributes 0 to every sample's D⁻ by the system-wide
+// contract (see geom.QueryPlane) and constrains no partition. Deciding such
 // planes by the raw utility difference instead would let rounding noise
 // disqualify samples the exact solvers accept.
 func apcDroppedPlanes(pts []vec.Vec, q Query) []bool {
-	d := q.Q.Dim()
 	scale := 1 - q.Eps
 	dropped := make([]bool, len(pts))
 	for j, p := range pts {
-		neg := false
-		for x := 0; x < d; x++ {
-			if q.Q[x]-scale*p[x] < -geom.Tol {
-				neg = true
-				break
-			}
-		}
-		dropped[j] = !neg
+		dropped[j] = classifyPlane(q.Q, p, scale) == planeDrop
 	}
 	return dropped
 }
@@ -418,10 +411,13 @@ func apcClassify(pts []vec.Vec, q Query, dropped []bool, u vec.Vec) (neg []int32
 
 // buildPartition intersects the simplex with h⁻ for every point in negC,
 // h⁺ for every point outside orig, and leaves points in orig \ negC
-// unconstrained (paper §5.2.1–5.2.2). Planes that do not constrain the
-// current cell are skipped by Clip via the relation tests, so the cell
+// unconstrained (paper §5.2.1–5.2.2). A dropped plane never counts, so it
+// constrains nothing and is skipped (apcClassify never put it in a D⁻ set
+// either, keeping both tallies consistent). Planes that do not constrain
+// the current cell are skipped by Clip via the relation tests, so the cell
 // description stays small.
-func buildPartition(pts []vec.Vec, q Query, u vec.Vec, orig, negC []int32, check *CtxChecker) (*geom.Cell, error) {
+func (run *apcRun) buildPartition(u vec.Vec, orig, negC []int32) (*geom.Cell, error) {
+	pts, q := run.pts, run.q
 	d := q.Q.Dim()
 	scale := 1 - q.Eps
 	cell := geom.NewSimplex(d)
@@ -437,11 +433,13 @@ func buildPartition(pts []vec.Vec, q Query, u vec.Vec, orig, negC []int32, check
 	// normalized copy.
 	w := vec.New(d)
 	for j, p := range pts {
-		if check.Stop() {
-			return nil, check.Err()
+		if run.check.Stop() {
+			return nil, run.check.Err()
 		}
 		sign := +1
 		switch {
+		case run.dropped[j]:
+			continue
 		case isNeg[int32(j)]:
 			sign = -1
 		case inOrig[int32(j)]:
@@ -449,13 +447,6 @@ func buildPartition(pts []vec.Vec, q Query, u vec.Vec, orig, negC []int32, check
 		}
 		for x := range w {
 			w[x] = q.Q[x] - scale*p[x]
-		}
-		if w.Norm() < vec.Eps {
-			// Boundary-degenerate plane (q = (1−ε)p): the whole space lies on
-			// it. Per the QueryPlane contract it contributes 0 to the <k tally
-			// everywhere, so it constrains nothing; classify() never put it in
-			// a D⁻ set either, keeping both tallies consistent.
-			continue
 		}
 		h := geom.NewHyperplane(w, j)
 		cell = cell.Clip(h, sign)

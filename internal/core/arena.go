@@ -23,8 +23,9 @@ import (
 // may retain). Buffers grow geometrically through append and keep their
 // capacity between solves.
 type Arena struct {
-	// Plane construction (buildPlanesArena) and plane-store narrowing
+	// Plane construction (buildPlanes) and plane-store narrowing
 	// (planeGroup.narrow).
+	kinds   []planeKind       // per-point plane classes
 	normals []float64         // flat unit-normal backing, stride d
 	planes  []geom.Hyperplane // crossing-plane headers
 
@@ -46,38 +47,11 @@ type Arena struct {
 	merged [][2]float64
 }
 
-// growF64 returns buf resized to n, reallocating only when the capacity is
+// grow returns buf resized to n, reallocating only when the capacity is
 // insufficient. The contents are unspecified; callers overwrite every slot.
-func growF64(buf *[]float64, n int) []float64 {
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	} else {
-		*buf = (*buf)[:n]
-	}
-	return *buf
-}
-
-func growInts(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	} else {
-		*buf = (*buf)[:n]
-	}
-	return *buf
-}
-
-func growVecs(buf *[]vec.Vec, n int) []vec.Vec {
-	if cap(*buf) < n {
-		*buf = make([]vec.Vec, n)
-	} else {
-		*buf = (*buf)[:n]
-	}
-	return *buf
-}
-
-func growPlanes(buf *[]geom.Hyperplane, n int) []geom.Hyperplane {
-	if cap(*buf) < n {
-		*buf = make([]geom.Hyperplane, n)
+		*buf = make([]T, n)
 	} else {
 		*buf = (*buf)[:n]
 	}
@@ -109,58 +83,4 @@ func arenaFrom(ctx context.Context) *Arena {
 	}
 	a, _ := ctx.Value(arenaKey{}).(*Arena)
 	return a
-}
-
-// buildPlanesArena is BuildPlanes writing its crossing-plane normals into
-// the arena's flat block instead of per-plane heap allocations. The stored
-// values are bitwise-identical to BuildPlanes' (same classification, same
-// normalization), so the two construction paths are interchangeable.
-//
-// The returned PlaneSet aliases arena memory and is valid only until the
-// worker's next solve: E-PT repacks surviving normals into fresh heap
-// storage (PackNormals) before any tree node can retain them, and Sweeping
-// only reads the normals during its window scan.
-func buildPlanesArena(pts []vec.Vec, q Query, a *Arena) PlaneSet {
-	d := q.Q.Dim()
-	flat := growF64(&a.normals, len(pts)*d)
-	planes := a.planes[:0]
-	var base int
-	scale := 1 - q.Eps
-	nc := 0
-	for i, p := range pts {
-		// The raw normal is written into the crossing slot first; when the
-		// plane turns out to cross, it is normalized in place (the element-
-		// wise scale never reads a slot it has already written).
-		slot := vec.Vec(flat[nc*d : nc*d+d : nc*d+d])
-		neg, pos := false, false
-		for j := 0; j < d; j++ {
-			x := q.Q[j] - scale*p[j]
-			slot[j] = x
-			if x > geom.Tol {
-				pos = true
-			} else if x < -geom.Tol {
-				neg = true
-			}
-		}
-		switch {
-		case !neg:
-			// Never negative over U (includes the degenerate zero normal).
-		case !pos:
-			base++
-		default:
-			planes = append(planes, geom.NewHyperplaneInto(slot, slot, i))
-			nc++
-		}
-	}
-	a.planes = planes
-	return PlaneSet{Crossing: planes, Base: base}
-}
-
-// buildPlanesInto builds the plane set into the worker arena when there is
-// one, else with BuildPlanes.
-func buildPlanesInto(pts []vec.Vec, q Query, a *Arena) PlaneSet {
-	if a == nil {
-		return BuildPlanes(pts, q)
-	}
-	return buildPlanesArena(pts, q, a)
 }

@@ -46,7 +46,7 @@ func brute2DSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore
 	st.PlanesBuilt = len(ps.Crossing)
 	k := ps.KEff(q.K)
 	if k <= 0 {
-		return emptyRegion(2), st, nil
+		return EmptyRegion(2), st, nil
 	}
 	// Every crossing plane enters the enumeration; nothing is pruned.
 	st.PlanesInserted = st.PlanesBuilt
@@ -81,9 +81,9 @@ func brute2DSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore
 	merged := MergeIntervals(out)
 	st.Pieces = len(merged)
 	if len(merged) == 0 {
-		return emptyRegion(2), st, nil
+		return EmptyRegion(2), st, nil
 	}
-	return newIntervalRegion(merged), st, nil
+	return NewIntervalRegion(merged), st, nil
 }
 
 // BruteForceND solves RRQ exactly in any dimension by materializing the
@@ -122,7 +122,7 @@ func bruteNDSolve(ctx context.Context, pts []vec.Vec, q Query, maxPlanes int, st
 	}
 	k := ps.KEff(q.K)
 	if k <= 0 {
-		return emptyRegion(d), st, nil
+		return EmptyRegion(d), st, nil
 	}
 	type entry struct {
 		cell *geom.Cell
@@ -164,7 +164,7 @@ func bruteNDSolve(ctx context.Context, pts []vec.Vec, q Query, maxPlanes int, st
 	}
 	st.Pieces = len(out)
 	if len(out) == 0 {
-		return emptyRegion(d), st, nil
+		return EmptyRegion(d), st, nil
 	}
 	return NewDisjointCellRegion(d, out), st, nil
 }

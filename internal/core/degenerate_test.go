@@ -3,8 +3,11 @@ package core
 // Regression tests for degenerate-plane semantics: a dataset containing
 // p = q/(1−ε) produces a plane h_{q,p} with an exactly-zero normal. The
 // system-wide contract (see geom.QueryPlane) is that such a plane
-// contributes 0 to the <k negative-half-space tally in every layer:
-// BuildPlanes, CountBetter, every solver, and the A-PC sampler.
+// contributes 0 to the <k negative-half-space tally in every layer. One
+// function, classifyPlane, decides it for plane construction, CountBetter
+// and the A-PC sampler and partition builder; TestClassifyPlaneBoundary
+// pins that rule at its geom.Tol threshold, and the rest check that every
+// solver honours it.
 
 import (
 	"context"
@@ -36,6 +39,57 @@ func degenerateInstance(rng *rand.Rand, n, d int, eps float64) ([]vec.Vec, Query
 		q[j] = scale * p[j]
 	}
 	return pts, Query{Q: q, K: 1 + rng.Intn(3), Eps: eps}
+}
+
+// TestClassifyPlaneBoundary pins the plane rule at its threshold: each
+// component of the normal q − (1−ε)p counts as zero within the absolute
+// geom.Tol (= 1e-9), strictly, whatever the operands' magnitude. With p = 0
+// and ε = 0 the normal is q itself, exactly. BuildPlanes and CountBetter
+// must agree with the rule on every row.
+func TestClassifyPlaneBoundary(t *testing.T) {
+	const in, out = 1e-10, 5e-9 // inside and outside geom.Tol
+	cases := []struct {
+		name   string
+		normal vec.Vec
+		want   planeKind
+	}{
+		{"zero", vec.Vec{0, 0, 0}, planeDrop},
+		{"pos-inside", vec.Vec{in, 0, 0}, planeDrop},
+		{"neg-inside", vec.Vec{-in, 0, 0}, planeDrop},
+		{"neg-at-tol", vec.Vec{-1e-9, 0, 0}, planeDrop},
+		{"pos-outside", vec.Vec{out, 0, 0}, planeDrop},
+		{"neg-outside", vec.Vec{-out, 0, 0}, planeBase},
+		{"neg-outside-pos-inside", vec.Vec{-out, in, 0}, planeBase},
+		{"pos-outside-neg-inside", vec.Vec{out, -in, 0}, planeDrop},
+		{"mixed-outside", vec.Vec{out, -out, 0}, planeCross},
+		{"mixed-inside", vec.Vec{in, -in, 0}, planeDrop},
+		{"mixed-large", vec.Vec{0.3, -0.2, 0.1}, planeCross},
+		{"neg-large-neg-inside", vec.Vec{-0.3, -0.2, -in}, planeBase},
+		{"pos-large-neg-inside", vec.Vec{0.3, 0.2, -in}, planeDrop},
+	}
+	zero := vec.New(3)
+	for _, tc := range cases {
+		if got := classifyPlane(tc.normal, zero, 1); got != tc.want {
+			t.Errorf("%s: classifyPlane(%v) = %d, want %d", tc.name, tc.normal, got, tc.want)
+		}
+		q := Query{Q: tc.normal, K: 1}
+		ps := BuildPlanes([]vec.Vec{zero}, q)
+		if ps.Base != b2i(tc.want == planeBase) || len(ps.Crossing) != b2i(tc.want == planeCross) {
+			t.Errorf("%s: BuildPlanes base %d, crossing %d; want kind %d", tc.name, ps.Base, len(ps.Crossing), tc.want)
+		}
+		if tc.want != planeCross {
+			if c, _ := CountBetter([]vec.Vec{zero}, q, vec.Vec{1. / 3, 1. / 3, 1. / 3}); c != b2i(tc.want == planeBase) {
+				t.Errorf("%s: CountBetter = %d, want kind %d", tc.name, c, tc.want)
+			}
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestCountBetterSkipsDegeneratePlane: the zero-normal plane must neither

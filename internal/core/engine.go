@@ -304,10 +304,7 @@ func validatePrepared(q Query, dim int) error {
 	if err := q.Validate(q.Q.Dim()); err != nil {
 		return err
 	}
-	if q.Q.Dim() != dim {
-		return errDimMismatch(dim, q.Q.Dim())
-	}
-	return nil
+	return q.Validate(dim)
 }
 
 // SweepingSolver answers 2-d queries with the linear-time sweep (§4).
@@ -390,14 +387,6 @@ type BatchOutcome struct {
 	Elapsed time.Duration
 	Err     error
 	Dedup   bool
-}
-
-// SolveBatch answers queries over one shared Prepared with a bounded
-// worker pool — SolveBatchPolicy with a bare policy (no per-query
-// limits). Panic isolation still applies: a solver panic
-// surfaces as that query's *SolveError.
-func SolveBatch(ctx context.Context, s Solver, prep *Prepared, queries []Query, workers int) []BatchOutcome {
-	return SolveBatchPolicy(ctx, SolvePolicy{Solver: s}, prep, queries, workers)
 }
 
 // SolveBatchPolicy answers queries over one shared Prepared with a bounded

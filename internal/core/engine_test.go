@@ -156,7 +156,7 @@ func TestCoreSolveBatchOrderingAndIsolation(t *testing.T) {
 	}
 	queries[4].K = 0 // invalid: must fail alone
 	for _, w := range []int{1, 3, 0} {
-		outs := SolveBatch(context.Background(), EPTSolver{}, prep, queries, w)
+		outs := SolveBatchPolicy(context.Background(), SolvePolicy{Solver: EPTSolver{}}, prep, queries, w)
 		if len(outs) != len(queries) {
 			t.Fatalf("workers=%d: %d outcomes", w, len(outs))
 		}

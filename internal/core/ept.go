@@ -94,7 +94,7 @@ func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, store
 	k := ps.KEff(q.K)
 	if k <= 0 {
 		planePhase()
-		return emptyRegion(d), st, nil
+		return EmptyRegion(d), st, nil
 	}
 
 	planes := ps.Crossing
@@ -146,7 +146,7 @@ func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, store
 	t.collect(t.root, &cells)
 	st.Pieces = len(cells)
 	if len(cells) == 0 {
-		return emptyRegion(d), st, nil
+		return EmptyRegion(d), st, nil
 	}
 	return NewDisjointCellRegion(d, cells), st, nil
 }
@@ -187,20 +187,20 @@ func reduceAndOrderPlanesOpt(planes []geom.Hyperplane, k int, noReduce, noOrder 
 	} else {
 		cnt = &a.dom
 	}
-	units := growVecs(&a.units, m)
+	units := grow(&a.units, m)
 	for i, h := range planes {
 		units[i] = h.Unit()
 	}
 	if !cnt.Reset(units, check) {
 		return nil
 	}
-	keepIdx := growInts(&a.keep, m)
+	keepIdx := grow(&a.keep, m)
 	if noReduce {
 		for i := range keepIdx {
 			keepIdx[i] = i
 		}
 	} else {
-		covered := growInts(&a.w, m)
+		covered := grow(&a.w, m)
 		if !cnt.Dominated(nil, covered) {
 			return nil
 		}
@@ -211,7 +211,7 @@ func reduceAndOrderPlanesOpt(planes []geom.Hyperplane, k int, noReduce, noOrder 
 			}
 		}
 	}
-	kept := growPlanes(&a.kept, len(keepIdx))
+	kept := grow(&a.kept, len(keepIdx))
 	for out, i := range keepIdx {
 		kept[out] = planes[i]
 	}
@@ -223,16 +223,16 @@ func reduceAndOrderPlanesOpt(planes []geom.Hyperplane, k int, noReduce, noOrder 
 	// unit normal dominates h's. Inserting in descending W order lets the
 	// widest negative half-spaces raise counters first, so invalid nodes
 	// are discovered early.
-	w := growInts(&a.w, len(keepIdx))
+	w := grow(&a.w, len(keepIdx))
 	if !cnt.Dominators(keepIdx, w) {
 		return nil
 	}
-	order := growInts(&a.order, len(kept))
+	order := grow(&a.order, len(kept))
 	for i := range order {
 		order[i] = i
 	}
 	sortPlaneOrder(order, w)
-	out := growPlanes(&a.ordered, len(kept))
+	out := grow(&a.ordered, len(kept))
 	for i, idx := range order {
 		out[i] = kept[idx]
 	}

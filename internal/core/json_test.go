@@ -62,7 +62,7 @@ func TestRegionJSONRoundTripCells(t *testing.T) {
 }
 
 func TestRegionJSONEmpty(t *testing.T) {
-	data, err := json.Marshal(emptyRegion(4))
+	data, err := json.Marshal(EmptyRegion(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,14 +151,6 @@ func newPlaneStore(bands *bandSet, tally *PlaneCounters) *planeStore {
 	return &planeStore{bands: bands, tally: tally, groups: make(map[string]*planeGroup)}
 }
 
-// Per-point classification categories of a plane group, mirroring
-// BuildPlanes' three-way switch.
-const (
-	catDrop  uint8 = iota // normal ≥ 0: never counts, no plane
-	catBase               // normal ≤ 0: folded into PlaneSet.Base
-	catCross              // mixed signs: a crossing plane
-)
-
 // planeGroup is the classification of one (point, ε) over the band of rank
 // kmax. It is built once, by the first query that needs it, and immutable
 // afterwards; the band itself is the Prepared's memoized one, not a copy.
@@ -168,9 +160,9 @@ type planeGroup struct {
 	mu     sync.Mutex
 	ready  atomic.Bool
 	band   *band
-	cat    []uint8           // per band point
-	base   int               // catBase points in the band
-	planes []geom.Hyperplane // one per catCross point, ID = band position
+	kinds  []planeKind       // per band point
+	base   int               // planeBase points in the band
+	planes []geom.Hyperplane // one per planeCross point, ID = band position
 }
 
 // groupKey appends the store key of q — the bytes of its point, then of ε —
@@ -191,13 +183,15 @@ func groupKey(dst []byte, q Query) []byte {
 // reg is non-nil, to its index.planes.hit / index.planes.miss counters.
 func (s *planeStore) planes(pts []vec.Vec, q Query, a *Arena, reg *obs.Registry) PlaneSet {
 	if s == nil {
-		return buildPlanesInto(pts, q, a)
+		ps, _ := buildPlanes(pts, q, a)
+		return ps
 	}
 	r := s.bands.rank(q.K)
 	g := s.group(q, r)
 	if g == nil {
 		s.count(false, reg)
-		return buildPlanesInto(pts, q, a)
+		ps, _ := buildPlanes(pts, q, a)
+		return ps
 	}
 	hit := true
 	if !g.ready.Load() {
@@ -250,59 +244,20 @@ func (s *planeStore) count(hit bool, reg *obs.Registry) {
 	reg.Counter(name).Inc()
 }
 
-// build classifies every point of b exactly as BuildPlanes does, keeping the
-// per-point category and the crossing planes, whose unit normals share one
-// flat block (IDs are band positions).
+// build classifies every point of b with buildPlanes, keeping the
+// per-point kinds and the crossing planes in heap storage the group owns
+// (IDs are band positions).
 func (g *planeGroup) build(b *band, q Query) {
-	scale := 1 - q.Eps
-	d := q.Q.Dim()
-	g.band = b
-	g.cat = make([]uint8, len(b.pts))
-	crossings := 0
-	for j, pt := range b.pts {
-		neg, pos := false, false
-		for i := 0; i < d; i++ {
-			x := q.Q[i] - scale*pt[i]
-			if x > geom.Tol {
-				pos = true
-			} else if x < -geom.Tol {
-				neg = true
-			}
-		}
-		switch {
-		case !neg:
-			g.cat[j] = catDrop
-		case !pos:
-			g.cat[j] = catBase
-			g.base++
-		default:
-			g.cat[j] = catCross
-			crossings++
-		}
-	}
-
-	// Second pass: materialize the crossing planes into a block sized by the
-	// first pass, so the backing never moves under the plane headers.
-	flat := make([]float64, crossings*d)
-	g.planes = make([]geom.Hyperplane, 0, crossings)
-	for j, pt := range b.pts {
-		if g.cat[j] != catCross {
-			continue
-		}
-		ci := len(g.planes)
-		slot := vec.Vec(flat[ci*d : ci*d+d : ci*d+d])
-		for i := 0; i < d; i++ {
-			slot[i] = q.Q[i] - scale*pt[i]
-		}
-		g.planes = append(g.planes, geom.NewHyperplaneInto(slot, slot, j))
-	}
+	var ps PlaneSet
+	ps, g.kinds = buildPlanes(b.pts, q, nil)
+	g.band, g.base, g.planes = b, ps.Base, ps.Crossing
 }
 
 // narrow derives the plane set of rank k < kmax: walk the band in order,
 // keep the members of the k-band (count < k), and renumber crossing-plane
 // IDs to their position in that narrower band — exactly the IDs BuildPlanes
 // assigns over the k-band itself. The headers go into the worker arena when
-// there is one (valid until its next solve, like buildPlanesArena's output);
+// there is one (valid until its next solve, like buildPlanes' arena output);
 // the normals alias the group's block, which every solver treats as
 // read-only.
 func (g *planeGroup) narrow(k int, a *Arena) PlaneSet {
@@ -317,17 +272,17 @@ func (g *planeGroup) narrow(k int, a *Arena) PlaneSet {
 	ci := 0 // crossing-plane cursor over the group's band
 	for j, c := range g.band.cnt {
 		if c < k {
-			switch g.cat[j] {
-			case catBase:
+			switch g.kinds[j] {
+			case planeBase:
 				ps.Base++
-			case catCross:
+			case planeCross:
 				h := g.planes[ci]
 				h.ID = m
 				crossing = append(crossing, h)
 			}
 			m++
 		}
-		if g.cat[j] == catCross {
+		if g.kinds[j] == planeCross {
 			ci++
 		}
 	}

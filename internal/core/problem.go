@@ -253,38 +253,28 @@ func RegretRatio(pts []vec.Vec, q Query, u vec.Vec) float64 {
 // point w.r.t. u iff the count is below k. The margin lets property tests
 // skip utility vectors that sit numerically on a boundary.
 //
-// Each point is classified component-wise with geom.Tol exactly as
-// BuildPlanes classifies its plane, so this oracle and every solver agree
-// on degenerate inputs: a plane whose normal q − (1−ε)p is ≥ 0 within
-// tolerance (including the exactly-zero normal from q = (1−ε)p) never
-// counts, one that is ≤ 0 within tolerance always counts, and only the
-// remaining crossing planes are decided by the sign of the utility
-// difference. Deciding those degenerate planes by the raw floating-point
-// difference instead would make the count depend on rounding noise — and a
-// zero normal would pin the reported margin to ~0 for every u, silently
+// Each point is classified by classifyPlane, the rule every solver builds
+// its planes with, so this oracle and every solver agree on degenerate
+// inputs: a plane whose normal q − (1−ε)p is ≥ 0 within tolerance
+// (including the exactly-zero normal from q = (1−ε)p) never counts, one
+// that is ≤ 0 within tolerance always counts, and only the remaining
+// crossing planes are decided by the sign of the utility difference.
+// Deciding those degenerate planes by the raw floating-point difference
+// instead would make the count depend on rounding noise — and a zero
+// normal would pin the reported margin to ~0 for every u, silently
 // disabling margin-guarded checks.
 func CountBetter(pts []vec.Vec, q Query, u vec.Vec) (count int, margin float64) {
 	fq := u.Dot(q.Q)
 	margin = math.Inf(1)
 	scale := 1 - q.Eps
-	d := q.Q.Dim()
 	for _, p := range pts {
-		neg, pos := false, false
-		for j := 0; j < d; j++ {
-			x := q.Q[j] - scale*p[j]
-			if x > geom.Tol {
-				pos = true
-			} else if x < -geom.Tol {
-				neg = true
-			}
-		}
-		switch {
-		case !neg:
-			// Never negative over U (includes the degenerate zero normal):
-			// contributes 0 everywhere and has no boundary inside U.
-		case !pos:
+		switch classifyPlane(q.Q, p, scale) {
+		case planeDrop:
+			// Never negative over U: contributes 0 everywhere and has no
+			// boundary inside U.
+		case planeBase:
 			count++
-		default:
+		case planeCross:
 			diff := scale*u.Dot(p) - fq
 			if diff > 0 {
 				count++
@@ -319,42 +309,110 @@ type PlaneSet struct {
 // space is disqualified.
 func (ps PlaneSet) KEff(k int) int { return k - ps.Base }
 
-// BuildPlanes constructs h_{q,p} for every p ∈ pts and classifies it:
+// planeKind is the class of h_{q,p} with respect to the utility space U.
+type planeKind uint8
+
+const (
+	planeDrop  planeKind = iota // never negative over U: never counts against q
+	planeBase                   // negative over all of U: counts everywhere
+	planeCross                  // crosses U: counts on its negative side only
+)
+
+// classifyPlane decides the class of h_{q,p}, whose normal is
+// q − scale·p with scale = 1 − ε (paper §3.2, Lemma 3.5), from the signs of
+// the normal's components, each compared against geom.Tol:
 //
-//   - normal ≥ 0 component-wise: the negative half-space misses U entirely;
-//     the plane can never count against q and is dropped;
-//   - normal ≤ 0 component-wise (with some strictly negative component):
-//     the negative half-space covers U up to measure zero; it contributes a
-//     constant +1 to every partition's counter and is folded into base;
-//   - mixed signs: the plane genuinely crosses U and enters the sweep/tree.
+//   - no component below −Tol (normal ≥ 0, including the degenerate zero
+//     normal from q = (1−ε)p): the negative half-space misses U, so the
+//     plane never counts against q — planeDrop;
+//   - some component below −Tol and none above +Tol (normal ≤ 0): the
+//     negative half-space covers U up to measure zero, a constant +1 on
+//     every partition's counter — planeBase;
+//   - components beyond the tolerance on both sides: the plane crosses U —
+//     planeCross.
 //
-// Plane IDs are the indices of the source points, which keeps them unique
-// within the arrangement as the geometry package requires.
-func BuildPlanes(pts []vec.Vec, q Query) PlaneSet {
-	var ps PlaneSet
-	scale := 1 - q.Eps
-	// One scratch normal reused across points: NewHyperplane stores a
-	// normalized copy, so only crossing planes cost an allocation.
-	w := vec.New(q.Q.Dim())
-	for i, p := range pts {
-		neg, pos := false, false
-		for j := range w {
-			x := q.Q[j] - scale*p[j]
-			w[j] = x
-			if x > geom.Tol {
-				pos = true
-			} else if x < -geom.Tol {
-				neg = true
-			}
-		}
-		switch {
-		case !neg:
-			// Never negative over U (includes the degenerate zero normal).
-		case !pos:
-			ps.Base++
-		default:
-			ps.Crossing = append(ps.Crossing, geom.NewHyperplane(w, i))
+// This is the one place the rule lives: plane construction, the counting
+// oracle CountBetter and A-PC's dropped planes all call it, so the layers
+// cannot disagree on a degenerate plane.
+func classifyPlane(q, p vec.Vec, scale float64) planeKind {
+	neg, pos := false, false
+	for j, qj := range q {
+		x := qj - scale*p[j]
+		if x > geom.Tol {
+			pos = true
+		} else if x < -geom.Tol {
+			neg = true
 		}
 	}
+	switch {
+	case !neg:
+		return planeDrop
+	case !pos:
+		return planeBase
+	}
+	return planeCross
+}
+
+// BuildPlanes constructs h_{q,p} for every p ∈ pts, classifies it with
+// classifyPlane, folds the planeBase planes into Base and keeps the crossing
+// planes; planeDrop planes are dropped. Plane IDs are the indices of the
+// source points, which keeps them unique within the arrangement as the
+// geometry package requires.
+func BuildPlanes(pts []vec.Vec, q Query) PlaneSet {
+	ps, _ := buildPlanes(pts, q, nil)
 	return ps
+}
+
+// buildPlanes is BuildPlanes returning each point's class too. A first pass
+// classifies every point; a second writes the crossing unit normals into
+// one flat block sized by the first, so the backing never moves under the
+// plane headers. With an arena the kinds, the block and the headers live in
+// its reused buffers and the result is valid only until the worker's next
+// solve (E-PT repacks surviving normals into fresh heap storage with
+// PackNormals before any tree node can retain them, and Sweeping only reads
+// the normals during its window scan); without one each is one exact-size
+// allocation, whatever the number of crossings.
+func buildPlanes(pts []vec.Vec, q Query, a *Arena) (PlaneSet, []planeKind) {
+	scale := 1 - q.Eps
+	var kinds []planeKind
+	if a != nil {
+		kinds = grow(&a.kinds, len(pts))
+	} else {
+		kinds = make([]planeKind, len(pts))
+	}
+	var ps PlaneSet
+	crossings := 0
+	for i, p := range pts {
+		kinds[i] = classifyPlane(q.Q, p, scale)
+		switch kinds[i] {
+		case planeBase:
+			ps.Base++
+		case planeCross:
+			crossings++
+		}
+	}
+	d := q.Q.Dim()
+	var flat []float64
+	if a != nil {
+		flat = grow(&a.normals, crossings*d)
+		ps.Crossing = a.planes[:0]
+	} else {
+		flat = make([]float64, crossings*d)
+		ps.Crossing = make([]geom.Hyperplane, 0, crossings)
+	}
+	for i, p := range pts {
+		if kinds[i] != planeCross {
+			continue
+		}
+		c := len(ps.Crossing)
+		slot := vec.Vec(flat[c*d : c*d+d : c*d+d])
+		for j := range slot {
+			slot[j] = q.Q[j] - scale*p[j]
+		}
+		ps.Crossing = append(ps.Crossing, geom.NewHyperplaneInto(slot, slot, i))
+	}
+	if a != nil {
+		a.planes = ps.Crossing
+	}
+	return ps, kinds
 }

@@ -43,12 +43,6 @@ func NewIntervalRegion(intervals [][2]float64) *Region {
 // EmptyRegion is the empty answer in dimension d.
 func EmptyRegion(d int) *Region { return &Region{dim: d} }
 
-func newCellRegion(d int, cells []*geom.Cell) *Region { return NewCellRegion(d, cells) }
-
-func newIntervalRegion(intervals [][2]float64) *Region { return NewIntervalRegion(intervals) }
-
-func emptyRegion(d int) *Region { return EmptyRegion(d) }
-
 // Dim returns the ambient dimension d.
 func (r *Region) Dim() int { return r.dim }
 

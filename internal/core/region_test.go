@@ -28,7 +28,7 @@ func TestMergeIntervals(t *testing.T) {
 }
 
 func TestIntervalRegionBasics(t *testing.T) {
-	r := newIntervalRegion([][2]float64{{0.1, 0.3}, {0.6, 0.8}})
+	r := NewIntervalRegion([][2]float64{{0.1, 0.3}, {0.6, 0.8}})
 	if r.Dim() != 2 || r.Empty() || r.NumPieces() != 2 {
 		t.Fatal("basic accessors broken")
 	}
@@ -57,7 +57,7 @@ func TestIntervalRegionBasics(t *testing.T) {
 }
 
 func TestEmptyRegion(t *testing.T) {
-	r := emptyRegion(3)
+	r := EmptyRegion(3)
 	if !r.Empty() || r.NumPieces() != 0 {
 		t.Fatal("empty region not empty")
 	}
@@ -79,7 +79,7 @@ func TestIntervalsPanicsOnHighDim(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	emptyRegion(3).Intervals()
+	EmptyRegion(3).Intervals()
 }
 
 func TestCellRegionIntervalsDerived(t *testing.T) {
@@ -202,7 +202,7 @@ func TestSampleUniform(t *testing.T) {
 	if !vec.OnSimplex(mean, 0.5) {
 		t.Fatalf("sample mean %v implausible", mean)
 	}
-	if emptyRegion(3).SampleUniform(rng, 10) != nil {
+	if EmptyRegion(3).SampleUniform(rng, 10) != nil {
 		t.Fatal("empty region sampled a point")
 	}
 }

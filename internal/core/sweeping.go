@@ -65,7 +65,7 @@ func sweepSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore) 
 	st.PlanesBuilt = len(ps.Crossing)
 	k := ps.KEff(q.K)
 	if k <= 0 {
-		return emptyRegion(2), st, nil
+		return EmptyRegion(2), st, nil
 	}
 	sweepPhase := check.Phase("phase.sweep.sweep")
 	defer sweepPhase()
@@ -76,10 +76,10 @@ func sweepSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore) 
 	}
 	st.Pieces = len(merged)
 	if len(merged) == 0 {
-		return emptyRegion(2), st, nil
+		return EmptyRegion(2), st, nil
 	}
 	// The merged intervals alias arena memory; the region owns a copy.
-	return newIntervalRegion(append([][2]float64(nil), merged...)), st, nil
+	return NewIntervalRegion(append([][2]float64(nil), merged...)), st, nil
 }
 
 // sweepIntervals runs the window reduction, event sweep and interval merge

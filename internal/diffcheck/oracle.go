@@ -18,6 +18,10 @@ import (
 // (tree refinement, cell maintenance, LP cell trees) rather than in plane
 // building.
 //
+// The classification is a deliberate copy of core's classifyPlane, not a
+// call to it: this oracle is the reference every sweep compares the
+// solvers against, so it must not share their code.
+//
 // Margins are measured against unit normals, so the boundary skip is
 // scale-free: a plane with a tiny raw normal (q ≈ (1−ε)p) does not poison
 // the margin of every sample the way raw utility differences would.

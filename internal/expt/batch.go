@@ -52,7 +52,7 @@ func Batch(sc Scale) []*Table {
 	for _, w := range workerCounts {
 		ctx, cancel := cellCtx(sc)
 		start := time.Now()
-		outs := core.SolveBatch(ctx, solver, prep, queries, w)
+		outs := core.SolveBatchPolicy(ctx, core.SolvePolicy{Solver: solver}, prep, queries, w)
 		total := time.Since(start).Seconds()
 		cancel()
 		var failed error

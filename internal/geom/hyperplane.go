@@ -48,33 +48,12 @@ type Hyperplane struct {
 // on a zero normal; callers must filter degenerate planes (q = (1−ε)p)
 // before construction.
 func NewHyperplane(normal vec.Vec, id int) Hyperplane {
-	n := normal.Norm()
-	if n < vec.Eps {
-		panic("geom: hyperplane with zero normal")
-	}
-	u := normal.Scale(1 / n)
-	// Tangent norm computed in place (same summation order as
-	// u.TangentPart().Norm()) to avoid the throwaway projection vector.
-	m := u.Mean()
-	var tn float64
-	for _, x := range u {
-		d := x - m
-		tn += d * d
-	}
-	return Hyperplane{
-		Normal:      u,
-		ID:          id,
-		tangentNorm: math.Sqrt(tn),
-		offsetMean:  m,
-		unit:        u,
-	}
+	return NewHyperplaneInto(vec.New(normal.Dim()), normal, id)
 }
 
 // NewHyperplaneInto is NewHyperplane with caller-provided storage for the
 // unit normal: dst must have length normal.Dim() and may come from a reused
-// arena block. The stored values are bitwise-identical to what
-// NewHyperplane would produce (same scale and summation order), so planes
-// built through either path classify points identically.
+// arena block, or alias normal itself to normalize it in place.
 func NewHyperplaneInto(dst, normal vec.Vec, id int) Hyperplane {
 	n := normal.Norm()
 	if n < vec.Eps {
@@ -161,11 +140,12 @@ func (h Hyperplane) String() string {
 // Contract (system-wide): a filtered plane contributes 0 to the
 // <k negative-half-space tally of Lemma 3.5, i.e. it is "never negative" —
 // the boundary itself is not inside the open negative half-space. Every
-// layer observes this: buildPlanes and CountBetter in internal/core drop
-// the plane from both count and margin, A-PC excludes it from sample D⁻
-// sets and partition constraints, and PBA+ descends through it without
-// consuming rank budget. See docs/ALGORITHMS.md, "Tolerances and
-// degeneracy".
+// layer observes this. In internal/core one function, classifyPlane,
+// drops it together with every plane whose normal is ≥ 0 within Tol, so
+// plane construction, CountBetter and A-PC (sample D⁻ sets and partition
+// constraints) all leave it out of count, margin and constraints. PBA+
+// descends through it without consuming rank budget. See
+// docs/ALGORITHMS.md, "Tolerances and degeneracy".
 func QueryPlane(q, p vec.Vec, eps float64, id int) (h Hyperplane, ok bool) {
 	w := q.AddScaled(-(1 - eps), p)
 	if w.Norm() < vec.Eps {

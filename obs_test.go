@@ -191,7 +191,8 @@ func TestWithMetricsRegistry(t *testing.T) {
 
 // TestQueryValidateRejections is the rejection table of the centralized
 // query validation: each malformed query must fail with a *QueryError
-// naming the offending field, from every entry point.
+// naming the offending field, from every entry point and through every
+// solver that runs on a 3-d dataset.
 func TestQueryValidateRejections(t *testing.T) {
 	ds := SyntheticDataset(Independent, 20, 3, 35)
 	good := Query{Q: ds.RandomQuery(1), K: 2, Epsilon: 0.1}
@@ -236,8 +237,19 @@ func TestQueryValidateRejections(t *testing.T) {
 		} else {
 			check(t, tc.name+"/Validate", tc.q.Validate(), tc.field)
 		}
-		_, err := SolveResult(ds, tc.q)
-		check(t, tc.name+"/Solve", err, tc.field)
+		for _, algo := range []Algorithm{EPTAlgo, APCAlgo, LPCTAAlgo, BruteForceAlgo} {
+			_, err := SolveResult(ds, tc.q, WithAlgorithm(algo))
+			check(t, tc.name+"/Solve/"+algo.String(), err, tc.field)
+		}
+	}
+
+	// The Prepared-path solvers name the query as the mismatched side.
+	for _, algo := range []Algorithm{EPTAlgo, BruteForceAlgo} {
+		_, err := SolveResult(ds, Query{Q: Point{0.5, 0.5}, K: 2, Epsilon: 0.1}, WithAlgorithm(algo))
+		const want = "query dimension 2 does not match dataset dimension 3"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("dim-mismatch/%v: error %v, want it to say %q", algo, err, want)
+		}
 	}
 
 	// The PBA+ index validates through the same authority.
