@@ -23,6 +23,26 @@ func ExampleSolveResult() {
 	// 0.018
 }
 
+// AppendJSON writes a region's MarshalJSON bytes into a caller's buffer,
+// so answers written one after another through the same buffer stop
+// allocating once it is big enough.
+func ExampleRegion_AppendJSON() {
+	ds, _ := rrq.NewDataset([][]float64{
+		{0.20, 0.92},
+		{0.70, 0.54},
+		{0.60, 0.30},
+	})
+	var buf []byte
+	for _, k := range []int{1, 2} {
+		res, _ := rrq.SolveResult(ds, rrq.Query{Q: rrq.Point{0.4, 0.7}, K: k, Epsilon: 0.1})
+		buf, _ = res.Region.AppendJSON(buf[:0])
+		fmt.Println(string(buf))
+	}
+	// Output:
+	// {"dim":2,"intervals":[[0.3678160919540232,0.4819819819819819]]}
+	// {"dim":2,"intervals":[[0,0.7543859649122806]]}
+}
+
 // Reverse top-k misses score-close products that the reverse regret query
 // keeps — the paper's Table 1 car market.
 func ExampleReverseTopK() {

@@ -80,3 +80,56 @@ func FuzzAPCSound(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRegionJSON feeds arbitrary bytes to the region decoder, seeded with
+// the encodings of E-PT, Sweeping and A-PC regions. Decoding must never
+// panic, and a region it accepts must re-encode to bytes it accepts again.
+func FuzzRegionJSON(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	for d := 2; d <= 4; d++ {
+		pts, q := randomInstance(rng, 12, d)
+		q.Q = vec.New(d)
+		for j := range q.Q {
+			q.Q[j] = 0.8
+		}
+		q.K, q.Eps = 2, 0.1
+		regs := []*Region{}
+		reg, err := EPT(pts, q)
+		regs = append(regs, reg)
+		if err == nil && d == 2 {
+			reg, err = Sweeping(pts, q)
+			regs = append(regs, reg)
+		}
+		if err == nil {
+			reg, err = APC(pts, q, APCOptions{Seed: 1})
+			regs = append(regs, reg)
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, reg := range regs {
+			if reg.Empty() {
+				f.Fatalf("d=%d: precondition: an empty seed region", d)
+			}
+			b, err := reg.AppendJSON(nil)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r Region
+		if r.UnmarshalJSON(data) != nil {
+			return
+		}
+		b, err := r.AppendJSON(nil)
+		if err != nil {
+			t.Fatalf("re-encoding the decoded region: %v", err)
+		}
+		var back Region
+		if err := back.UnmarshalJSON(b); err != nil {
+			t.Fatalf("re-encoding %s does not decode: %v", b, err)
+		}
+	})
+}

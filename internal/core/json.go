@@ -2,14 +2,26 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
+	"strconv"
 
 	"rrq/internal/geom"
+	"rrq/internal/vec"
 )
 
-// regionJSON is the wire form of a Region: either intervals (d = 2 sweep
-// results) or cells described by their half-space constraints. Vertices are
-// included for convenience (plotting, debugging); membership can be decided
-// from the constraints alone.
+// The wire form of a Region is either intervals (d = 2 sweep results) or
+// cells described by their half-space constraints:
+//
+//	{"dim":3,"cells":[{"constraints":[{"normal":[...],"sign":1},...],"vertices":[[...],...]}]}
+//	{"dim":2,"intervals":[[lo,hi],...]}
+//
+// "intervals" and "cells" are omitted when empty. Each normal is the unit
+// normal of a hyper-plane; sign +1 keeps u·normal ≥ 0, −1 keeps ≤ 0.
+// Vertices are included for convenience (plotting, debugging); membership
+// can be decided from the constraints alone. AppendJSON writes this form
+// and UnmarshalJSON reads it through regionJSON.
 type regionJSON struct {
 	Dim       int          `json:"dim"`
 	Intervals [][2]float64 `json:"intervals,omitempty"`
@@ -22,47 +34,133 @@ type cellJSON struct {
 }
 
 type constraintJSON struct {
-	Normal []float64 `json:"normal"` // unit normal of the hyper-plane
-	Sign   int       `json:"sign"`   // +1 keeps u·normal ≥ 0, −1 keeps ≤ 0
+	Normal []float64 `json:"normal"`
+	Sign   int       `json:"sign"`
 }
 
 // MarshalJSON encodes the region. The encoding is self-contained: a
 // consumer can test membership of a utility vector u by checking
 // sign·(u·normal) ≥ 0 for every constraint of some cell (or locating u[0]
 // in an interval for 2-d sweep output).
-func (r *Region) MarshalJSON() ([]byte, error) {
-	out := regionJSON{Dim: r.dim, Intervals: r.intervals}
+func (r *Region) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil) }
+
+// AppendJSON appends the region's JSON encoding to b and returns the
+// extended buffer. The bytes are those encoding/json writes for the wire
+// form, float formatting included, and it allocates only when b runs out
+// of room. A NaN or infinite coordinate fails with the
+// *json.UnsupportedValueError encoding/json reports, and b is returned
+// unextended.
+func (r *Region) AppendJSON(b []byte) ([]byte, error) {
+	a := jsonAppender{b: b}
+	a.b = append(a.b, `{"dim":`...)
+	a.b = strconv.AppendInt(a.b, int64(r.dim), 10)
+	if len(r.intervals) > 0 {
+		a.b = append(a.b, `,"intervals":[`...)
+		for i := range r.intervals {
+			if i > 0 {
+				a.b = append(a.b, ',')
+			}
+			a.floats(r.intervals[i][:])
+		}
+		a.b = append(a.b, ']')
+	}
 	if len(r.cells) > 0 {
-		out.Cells = make([]cellJSON, 0, len(r.cells))
+		a.b = append(a.b, `,"cells":[`...)
+		for i, c := range r.cells {
+			if i > 0 {
+				a.b = append(a.b, ',')
+			}
+			a.cell(c)
+		}
+		a.b = append(a.b, ']')
 	}
-	for _, c := range r.cells {
-		// NumConstraints/NumVertices size the slices exactly without
-		// materializing the constraint list twice.
-		cj := cellJSON{
-			Constraints: make([]constraintJSON, 0, c.NumConstraints()),
-			Vertices:    make([][]float64, 0, c.NumVertices()),
-		}
-		for _, con := range c.Constraints() {
-			cj.Constraints = append(cj.Constraints, constraintJSON{
-				Normal: con.H.Normal,
-				Sign:   con.Sign,
-			})
-		}
-		for _, v := range c.Vertices() {
-			cj.Vertices = append(cj.Vertices, v)
-		}
-		out.Cells = append(out.Cells, cj)
+	a.b = append(a.b, '}')
+	if a.err != nil {
+		return b, a.err
 	}
-	return json.Marshal(out)
+	return a.b, nil
+}
+
+// jsonAppender accumulates one encoding and its first error.
+type jsonAppender struct {
+	b   []byte
+	err error
+}
+
+func (a *jsonAppender) cell(c *geom.Cell) {
+	a.b = append(a.b, `{"constraints":[`...)
+	first := true
+	c.EachConstraint(func(con geom.Constraint) {
+		if !first {
+			a.b = append(a.b, ',')
+		}
+		first = false
+		a.b = append(a.b, `{"normal":`...)
+		a.floats(con.H.Normal)
+		a.b = append(a.b, `,"sign":`...)
+		a.b = strconv.AppendInt(a.b, int64(con.Sign), 10)
+		a.b = append(a.b, '}')
+	})
+	a.b = append(a.b, `],"vertices":[`...)
+	for i := 0; i < c.NumVertices(); i++ {
+		if i > 0 {
+			a.b = append(a.b, ',')
+		}
+		a.floats(c.Vertex(i))
+	}
+	a.b = append(a.b, "]}"...)
+}
+
+// floats writes xs as a JSON array.
+func (a *jsonAppender) floats(xs []float64) {
+	a.b = append(a.b, '[')
+	for i, x := range xs {
+		if i > 0 {
+			a.b = append(a.b, ',')
+		}
+		a.float(x)
+	}
+	a.b = append(a.b, ']')
+}
+
+// float formats x as encoding/json does: the shortest representation that
+// round-trips, in 'f' form unless |x| < 1e-6 or |x| ≥ 1e21, with the
+// exponent's leading zero dropped ("1e-07" → "1e-7").
+func (a *jsonAppender) float(x float64) {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		if a.err == nil {
+			a.err = &json.UnsupportedValueError{Value: reflect.ValueOf(x), Str: strconv.FormatFloat(x, 'g', -1, 64)}
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	a.b = strconv.AppendFloat(a.b, x, format, -1, 64)
+	if format == 'e' {
+		if n := len(a.b); n >= 4 && a.b[n-4] == 'e' && a.b[n-3] == '-' && a.b[n-2] == '0' {
+			a.b[n-2] = a.b[n-1]
+			a.b = a.b[:n-1]
+		}
+	}
 }
 
 // UnmarshalJSON decodes a region previously produced by MarshalJSON. Cells
-// are reconstructed as constraint sets with their stored vertices; the
-// disjointness flag is conservatively dropped (measure falls back to
-// Monte-Carlo in d ≥ 3).
+// are reconstructed as constraint sets; the disjointness flag is
+// conservatively dropped (measure falls back to Monte-Carlo in d ≥ 3).
+// Input that MarshalJSON cannot have produced is an error: dim < 2,
+// intervals outside d = 2, a normal or vertex whose length is not dim, a
+// zero or overflowing normal, a sign other than ±1, or a cell with fewer
+// than dim vertices. The last check bounds the O(d²) simplex each cell
+// starts from by the input's own size. Non-finite values cannot arrive:
+// encoding/json rejects numbers outside the float64 range.
 func (r *Region) UnmarshalJSON(data []byte) error {
 	var in regionJSON
 	if err := json.Unmarshal(data, &in); err != nil {
+		return err
+	}
+	if err := in.validate(); err != nil {
 		return err
 	}
 	r.dim = in.Dim
@@ -72,15 +170,49 @@ func (r *Region) UnmarshalJSON(data []byte) error {
 	for _, cj := range in.Cells {
 		cell := geom.NewSimplex(in.Dim)
 		for i, con := range cj.Constraints {
-			h := geom.NewHyperplane(con.Normal, i)
-			cell = cell.Clip(h, con.Sign)
+			cell = cell.Clip(geom.NewHyperplane(con.Normal, i), con.Sign)
 			if cell == nil {
-				// Numerically empty after round-trip; drop the cell.
 				break
 			}
 		}
-		if cell != nil {
+		// A cell that clips to nothing, or to fewer than d extreme points,
+		// has no interior after the round trip; drop it.
+		if cell != nil && cell.NumVertices() >= in.Dim {
 			r.cells = append(r.cells, cell)
+		}
+	}
+	return nil
+}
+
+// validate rejects a decoded wire form that no encoding of a Region
+// produces; see UnmarshalJSON.
+func (in *regionJSON) validate() error {
+	d := in.Dim
+	if d < 2 {
+		return fmt.Errorf("core: region JSON: dim %d < 2", d)
+	}
+	if len(in.Intervals) > 0 && d != 2 {
+		return fmt.Errorf("core: region JSON: intervals in dimension %d, want 2", d)
+	}
+	for i, cj := range in.Cells {
+		if len(cj.Vertices) < d {
+			return fmt.Errorf("core: region JSON: cell %d has %d vertices, want at least dim %d", i, len(cj.Vertices), d)
+		}
+		for j, v := range cj.Vertices {
+			if len(v) != d {
+				return fmt.Errorf("core: region JSON: cell %d vertex %d has %d coordinates, want %d", i, j, len(v), d)
+			}
+		}
+		for j, con := range cj.Constraints {
+			if con.Sign != 1 && con.Sign != -1 {
+				return fmt.Errorf("core: region JSON: cell %d constraint %d: sign %d, want ±1", i, j, con.Sign)
+			}
+			if len(con.Normal) != d {
+				return fmt.Errorf("core: region JSON: cell %d constraint %d: normal has %d coordinates, want %d", i, j, len(con.Normal), d)
+			}
+			if n := vec.Vec(con.Normal).Norm(); n < vec.Eps || math.IsInf(n, 0) {
+				return fmt.Errorf("core: region JSON: cell %d constraint %d: normal of norm %g", i, j, n)
+			}
 		}
 	}
 	return nil

@@ -119,8 +119,20 @@ func (c *Cell) Constraints() []Constraint {
 	return out
 }
 
-// NumConstraints returns the number of cut constraints.
-func (c *Cell) NumConstraints() int { return c.nCons }
+// EachConstraint calls fn with each cut constraint, in insertion order,
+// without copying the list: it allocates nothing. The constraints' normals
+// are shared with the cell and must not be modified.
+func (c *Cell) EachConstraint(fn func(Constraint)) { c.cons.each(fn) }
+
+// each visits the list from its oldest node, so the recursion depth is the
+// constraint count.
+func (l *consList) each(fn func(Constraint)) {
+	if l == nil {
+		return
+	}
+	l.prev.each(fn)
+	fn(l.con)
+}
 
 // NumVertices returns the number of maintained extreme points (possibly a
 // superset of the true vertex set in degenerate configurations).
@@ -134,6 +146,11 @@ func (c *Cell) Vertices() []vec.Vec {
 	}
 	return out
 }
+
+// Vertex returns the i-th maintained extreme point, 0 ≤ i < NumVertices,
+// without copying it. The point is shared with the cell and must not be
+// modified.
+func (c *Cell) Vertex(i int) vec.Vec { return c.verts[i].pt }
 
 // Contains reports whether u (assumed on the simplex) satisfies every cut
 // constraint of the cell, boundary inclusive.

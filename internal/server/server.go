@@ -194,23 +194,24 @@ type accuracyNote struct {
 	VolumeEst   float64 `json:"volume_est"`
 }
 
-// solveResponse is the /v1/solve success body. Cache is the CacheStatus
-// string ("bypass", "miss", "hit"); for an anytime answer warm-started
-// from a cached neighbor, CacheSource names the neighbor's query.
-// Tier ("exact", "approx", "anytime" — also the X-RRQ-Tier header)
-// classifies the serving contract; anytime answers additionally carry
-// Accuracy, and Degraded when the server chose the anytime rung.
+// solveResponse is the head of the /v1/solve success body; the body ends
+// with a "region" field holding the answer's Region JSON (see writeSolve).
+// Cache is the CacheStatus string ("bypass", "miss", "hit"); for an
+// anytime answer warm-started from a cached neighbor, CacheSource names the
+// neighbor's query. Tier ("exact", "approx", "anytime" — also the
+// X-RRQ-Tier header) classifies the serving contract; anytime answers
+// additionally carry Accuracy, and Degraded when the server chose the
+// anytime rung.
 type solveResponse struct {
-	Version     uint64          `json:"version"`
-	Partitions  int             `json:"partitions"`
-	ElapsedMS   float64         `json:"elapsed_ms"`
-	Cache       string          `json:"cache"`
-	Tier        string          `json:"tier"`
-	Accuracy    *accuracyNote   `json:"accuracy,omitempty"`
-	CacheSource *querySpec      `json:"cache_source,omitempty"`
-	Degraded    *degradedNote   `json:"degraded,omitempty"`
-	Deduped     bool            `json:"deduped,omitempty"`
-	Region      json.RawMessage `json:"region"`
+	Version     uint64        `json:"version"`
+	Partitions  int           `json:"partitions"`
+	ElapsedMS   float64       `json:"elapsed_ms"`
+	Cache       string        `json:"cache"`
+	Tier        string        `json:"tier"`
+	Accuracy    *accuracyNote `json:"accuracy,omitempty"`
+	CacheSource *querySpec    `json:"cache_source,omitempty"`
+	Degraded    *degradedNote `json:"degraded,omitempty"`
+	Deduped     bool          `json:"deduped,omitempty"`
 }
 
 // errorResponse is every non-2xx body: the message, a stable kind for
@@ -412,16 +413,42 @@ func (s *Server) anytime(ctx context.Context, ix *rrq.Index, q rrq.Query, reason
 	return answer{res: res, degraded: &degradedNote{Reason: reason, Cause: cause.Error()}}, err
 }
 
+// replyPool recycles the buffers /v1/solve replies are appended into, so
+// a reply costs no allocation once a buffer of its size has been through
+// the pool.
+var replyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledReply caps the buffers returned to replyPool: a pooled buffer
+// lives until the pool is next emptied, so one huge answer must not keep
+// its buffer pinned for every small reply that follows.
+const maxPooledReply = 1 << 20
+
 // writeSolve emits the success body (and the X-RRQ-Tier header) for one
-// solve answer.
+// solve answer. The whole body — the head fields, then the region, then
+// the closing brace and newline — is appended into one pooled buffer, and
+// the status and body are written only once encoding has succeeded, so an
+// encoding failure is still a typed error response.
 func (s *Server) writeSolve(w http.ResponseWriter, version uint64, ans answer, shared bool) {
-	res := ans.res
-	region, err := res.Region.MarshalJSON()
-	if err != nil {
+	bp := replyPool.Get().(*[]byte)
+	b, err := appendSolve((*bp)[:0], solveHead(version, ans, shared), ans.res.Region)
+	if err == nil {
+		w.Header().Set("X-RRQ-Tier", ans.res.Tier.String())
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(b)
+	} else {
 		writeError(w, err, 0)
-		return
 	}
-	resp := solveResponse{
+	if cap(b) <= maxPooledReply {
+		*bp = b
+		replyPool.Put(bp)
+	}
+}
+
+// solveHead maps one solve answer to the head fields of its reply.
+func solveHead(version uint64, ans answer, shared bool) solveResponse {
+	res := ans.res
+	head := solveResponse{
 		Version:    version,
 		Partitions: res.Region.NumPartitions(),
 		ElapsedMS:  float64(res.Elapsed.Microseconds()) / 1000,
@@ -429,10 +456,9 @@ func (s *Server) writeSolve(w http.ResponseWriter, version uint64, ans answer, s
 		Tier:       res.Tier.String(),
 		Degraded:   ans.degraded,
 		Deduped:    shared,
-		Region:     region,
 	}
 	if acc := res.Accuracy; acc != nil {
-		resp.Accuracy = &accuracyNote{
+		head.Accuracy = &accuracyNote{
 			SamplesUsed: acc.SamplesUsed,
 			RhoBound:    acc.RhoBound,
 			Delta:       acc.Delta,
@@ -441,10 +467,25 @@ func (s *Server) writeSolve(w http.ResponseWriter, version uint64, ans answer, s
 		}
 	}
 	if src := res.CacheSource; src != nil {
-		resp.CacheSource = &querySpec{Q: src.Q, K: src.K, Epsilon: src.Epsilon}
+		head.CacheSource = &querySpec{Q: src.Q, K: src.K, Epsilon: src.Epsilon}
 	}
-	w.Header().Set("X-RRQ-Tier", res.Tier.String())
-	writeJSON(w, http.StatusOK, resp)
+	return head
+}
+
+// appendSolve appends one /v1/solve body to b. The head goes through
+// json.Marshal, which keeps encoding/json's HTML escaping of the free-text
+// degraded cause; the region is appended by Region.AppendJSON.
+func appendSolve(b []byte, head solveResponse, region *rrq.Region) ([]byte, error) {
+	h, err := json.Marshal(head)
+	if err != nil {
+		return b, err
+	}
+	b = append(b, h[:len(h)-1]...) // drop the head's closing brace
+	b = append(b, `,"region":`...)
+	if b, err = region.AppendJSON(b); err != nil {
+		return b, err
+	}
+	return append(b, "}\n"...), nil
 }
 
 // gaugeDepth publishes the current queue depth.

@@ -62,9 +62,16 @@ func postJSON(t *testing.T, url string, body string) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
-func decodeSolve(t *testing.T, b []byte) solveResponse {
+// solveReply is a decoded /v1/solve success body: the head fields and the
+// raw region.
+type solveReply struct {
+	solveResponse
+	Region json.RawMessage `json:"region"`
+}
+
+func decodeSolve(t *testing.T, b []byte) solveReply {
 	t.Helper()
-	var sr solveResponse
+	var sr solveReply
 	if err := json.Unmarshal(b, &sr); err != nil {
 		t.Fatalf("malformed solve response %s: %v", b, err)
 	}
@@ -633,7 +640,7 @@ func TestSolveDedup(t *testing.T) {
 	})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	var leader solveResponse
+	var leader solveReply
 	go func() {
 		defer wg.Done()
 		_, b := postJSON(t, ts.URL+"/v1/solve", solveBody)

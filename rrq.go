@@ -643,6 +643,13 @@ func (r *Region) Intervals2D() [][2]float64 { return r.inner.Intervals() }
 // 2-d sweep answers, half-space constraint sets (plus vertices) otherwise.
 func (r *Region) MarshalJSON() ([]byte, error) { return r.inner.MarshalJSON() }
 
+// AppendJSON appends the MarshalJSON encoding of the region to b and
+// returns the extended buffer, allocating only when b runs out of room —
+// the form for writing many answers through one reused buffer. On error
+// (a NaN or infinite coordinate, reported as *json.UnsupportedValueError)
+// b is returned unextended.
+func (r *Region) AppendJSON(b []byte) ([]byte, error) { return r.inner.AppendJSON(b) }
+
 // PBAIndex is the adapted PBA+ baseline: an index built once over a
 // dataset, answering reverse regret queries for any k up to its kmax.
 // Included for benchmark parity with the paper; its preprocessing is
