@@ -156,12 +156,11 @@ type BatchReport struct {
 // the inside of each solve; the two multiply, so keep workers × intra near
 // GOMAXPROCS. Results arrive in query order regardless of scheduling.
 // The batch amortizes work across its queries — duplicate collapse, one
-// shared skyband pass, per-(point, ε) plane groups, clustered dispatch and
-// per-worker scratch arenas — with answers byte-identical to independent
-// solves. When ctx is canceled mid-batch, in-flight solves abort at
-// their next amortized check (a deadline surfaces as ErrDeadline,
-// cancellation as ctx.Err()) and queries not yet started report ctx.Err()
-// without running.
+// shared skyband pass, per-(point, ε) plane groups and clustered dispatch
+// — with answers byte-identical to independent solves. When ctx is
+// canceled mid-batch, in-flight solves abort at their next amortized check
+// (a deadline surfaces as ErrDeadline, cancellation as ctx.Err()) and
+// queries not yet started report ctx.Err() without running.
 //
 // With WithMetrics set, phase timings are recorded into a private registry
 // so the report's Phases covers exactly this batch, then merged into the

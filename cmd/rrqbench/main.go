@@ -714,8 +714,8 @@ func matrixQueries(ds *rrq.Dataset, sc matrixScenario, seed int64) []rrq.Query {
 // runCPUMatrix runs the shared-vs-independent comparison at each requested
 // GOMAXPROCS. Both modes measure the one-shot serving pattern — dataset
 // preprocessing plus all solves — so the batch engine's amortization
-// (one capped skyband pass, per-(point, ε) plane groups, dedup, arenas)
-// shows against its replacement: a fresh Prepare with an independent Solve
+// (one capped skyband pass, per-(point, ε) plane groups, dedup) shows
+// against its replacement: a fresh Prepare with an independent Solve
 // call per query, fanned over the same number of workers. GOMAXPROCS is
 // restored on return.
 func runCPUMatrix(full bool, seed int64, cpus []int) ([]cpuMatrixRow, error) {

@@ -3,6 +3,7 @@ package rrq
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -156,6 +157,29 @@ func TestIndexSolveBatchAndMetrics(t *testing.T) {
 	for _, want := range []string{"index.builds", "index.epoch", "index.inserts", "index.deletes", "index.planes.miss"} {
 		if !bytes.Contains([]byte(text), []byte(want)) {
 			t.Errorf("metric %q missing from registry exposition:\n%s", want, text)
+		}
+	}
+}
+
+// An out-of-range delete is a typed *DataError from the index itself, so a
+// server maps it to a 400 however the index changed since it last looked.
+func TestIndexDeleteOutOfRangeTypedError(t *testing.T) {
+	ds, _ := indexTestInstance(t, 3, 11)
+	ix, err := BuildIndex(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{ix.Len(), -1} {
+		v, err := ix.Delete(i)
+		var de *DataError
+		if !errors.As(err, &de) {
+			t.Fatalf("Delete(%d): err = %v, want *DataError", i, err)
+		}
+		if de.Point != i || de.Attr != -1 {
+			t.Fatalf("Delete(%d): DataError{Point:%d Attr:%d}, want {%d, -1}", i, de.Point, de.Attr, i)
+		}
+		if v != 1 || ix.Version() != 1 {
+			t.Fatalf("Delete(%d): version %d (index at %d), want 1", i, v, ix.Version())
 		}
 	}
 }

@@ -1,10 +1,11 @@
 package core
 
-// Allocation-regression tests for the batch engine's pooled hot paths: once
-// a worker arena has warmed up, the plane-construction, reduction/ordering
-// and sweep kernels must run without a single heap allocation. A regression
-// here silently reintroduces per-solve garbage across every batch worker,
-// so these tests pin the steady state at exactly zero.
+// Allocation-regression tests for the solvers' pooled hot paths: once a
+// solve's arena has warmed up, the plane-construction, reduction/ordering
+// and sweep kernels must run without a single heap allocation. Every solve
+// draws its arena from one pool, so a regression here silently
+// reintroduces per-solve garbage on every request; these tests pin the
+// steady state at exactly zero.
 
 import (
 	"context"
@@ -33,7 +34,7 @@ func TestBuildPlanesArenaZeroAlloc(t *testing.T) {
 	}
 }
 
-// Without an arena, plane construction makes three exact-size allocations —
+// On a fresh arena, plane construction makes three exact-size allocations —
 // the per-point kinds, the flat normal block and the plane headers — however
 // many planes cross U, instead of one per crossing plane.
 func TestBuildPlanesFixedAlloc(t *testing.T) {
@@ -143,7 +144,7 @@ func TestDeriveIntoArenaZeroAlloc(t *testing.T) {
 		store := newPlaneStore(prep.bands, nil)
 		wide := q
 		wide.K = 8
-		store.planes(prep.PointsFor(wide.K), wide, nil, nil) // build the group at rank 8
+		store.planes(prep.PointsFor(wide.K), wide, &Arena{}, nil) // build the group at rank 8
 		q.K = 3
 		band := prep.PointsFor(q.K)
 		a := &Arena{}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sync"
 
 	"rrq/internal/geom"
@@ -9,19 +8,22 @@ import (
 	"rrq/internal/vec"
 )
 
-// Arena is the per-worker scratch memory of the batch engine: every buffer
-// a solve's serial pre-phase needs — the flat unit-normal block of plane
-// construction, the reduction's negated-normal and ordering buffers, the
-// sweep's crossing-parameter and event buffers — lives here and is reused
-// across solves, so a worker that has warmed up its arena performs the
-// whole plane phase without allocating.
+// Arena is the scratch memory of one solve: every buffer the serial
+// pre-phase needs — the flat unit-normal block of plane construction, the
+// reduction's dominance counter, negated-normal and ordering buffers, the
+// sweep's crossing-parameter and event buffers — lives here. Every solve
+// takes one from arenaPool for its whole duration and returns it when the
+// solve returns, so a warmed-up arena runs the whole plane phase without
+// allocating, whichever entry point the solve came through.
 //
-// An arena is not synchronized: it belongs to exactly one batch worker and
-// is only touched by the serial portion of a solve (E-PT's intra-query
-// insert pool never sees it; by the time workers spawn, every arena-backed
-// buffer has been consumed or repacked into heap storage that the result
-// may retain). Buffers grow geometrically through append and keep their
-// capacity between solves.
+// The contract: nothing a solve returns may alias its arena. E-PT repacks
+// the surviving normals into heap storage (PackNormals) before any tree
+// node can retain them, and Sweeping copies its merged intervals out.
+// Callers that keep what they build — BuildPlanes, a plane group's build,
+// brute-force regions that keep the plane normals — pass a fresh zero
+// Arena instead, whose buffers they then own. An arena is not synchronized
+// and is only touched by the serial portion of a solve (E-PT's intra-query
+// insert pool never sees it). Buffers keep their capacity between solves.
 type Arena struct {
 	// Plane construction (buildPlanes) and plane-store narrowing
 	// (planeGroup.narrow).
@@ -58,29 +60,10 @@ func grow[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-// arenaPool recycles worker arenas across batches, so a server alternating
-// between batches keeps its warmed buffers instead of re-growing them.
+// arenaPool recycles solve arenas, so consecutive solves reuse warmed
+// buffers instead of re-growing them.
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
 
 func getArena() *Arena { return arenaPool.Get().(*Arena) }
 
 func putArena(a *Arena) { arenaPool.Put(a) }
-
-// arenaKey is the private context key carrying a worker's arena.
-type arenaKey struct{}
-
-// contextWithArena attaches a worker-owned arena to ctx. Solvers fetch it
-// once at entry; a context without an arena (every non-batch entry point)
-// simply takes the allocating path.
-func contextWithArena(ctx context.Context, a *Arena) context.Context {
-	return context.WithValue(ctx, arenaKey{}, a)
-}
-
-// arenaFrom extracts the worker arena from ctx, or nil.
-func arenaFrom(ctx context.Context) *Arena {
-	if ctx == nil {
-		return nil
-	}
-	a, _ := ctx.Value(arenaKey{}).(*Arena)
-	return a
-}

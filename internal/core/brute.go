@@ -42,7 +42,9 @@ func brute2DSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore
 	if check.Failed() {
 		return nil, st, check.Err()
 	}
-	ps := store.planes(pts, q, nil, check.reg)
+	// The oracle owns its planes (a fresh arena, never the pool), so it
+	// shares no scratch with the solvers it checks.
+	ps := store.planes(pts, q, &Arena{}, check.reg)
 	st.PlanesBuilt = len(ps.Crossing)
 	k := ps.KEff(q.K)
 	if k <= 0 {
@@ -115,7 +117,9 @@ func bruteNDSolve(ctx context.Context, pts []vec.Vec, q Query, maxPlanes int, st
 	if check.Failed() {
 		return nil, st, check.Err()
 	}
-	ps := store.planes(pts, q, nil, check.reg)
+	// The region's cells keep the plane normals, so they must live in
+	// storage the solve owns: a fresh arena, never the pool.
+	ps := store.planes(pts, q, &Arena{}, check.reg)
 	st.PlanesBuilt = len(ps.Crossing)
 	if len(ps.Crossing) > maxPlanes {
 		return nil, st, fmt.Errorf("core: brute force limited to %d planes, have %d", maxPlanes, len(ps.Crossing))

@@ -401,10 +401,10 @@ type BatchOutcome struct {
 // BatchOutcome.Dedup; every (point, ε) group draws its planes from one
 // plane store — the Prepared's own, or an ephemeral one for the batch —
 // classified once at the group's largest k; the dispatch order clusters
-// queries on shared state; and each worker reuses a scratch arena that
-// makes its plane phases allocation-free. Results are returned in input
-// order regardless of worker count, clustering or deduplication, and are
-// byte-identical to independent per-query solves.
+// queries on shared state. Like every solve, each one draws its scratch
+// from the arena pool. Results are returned in input order regardless of
+// worker count, clustering or deduplication, and are byte-identical to
+// independent per-query solves.
 func SolveBatchPolicy(ctx context.Context, pol SolvePolicy, prep *Prepared, queries []Query, workers int) []BatchOutcome {
 	out := make([]BatchOutcome, len(queries))
 	if len(queries) == 0 {
@@ -451,24 +451,21 @@ func SolveBatchPolicy(ctx context.Context, pol SolvePolicy, prep *Prepared, quer
 		workers = len(order)
 	}
 
-	solveOne := func(sctx context.Context, a *Arena, i int) {
-		if err := sctx.Err(); err != nil {
+	solveOne := func(i int) {
+		if err := ctx.Err(); err != nil {
 			// Same vocabulary as an in-flight abort: ErrDeadline for a
 			// passed deadline, context.Canceled for cancellation.
 			out[i].Err = MapContextErr(err)
 			return
 		}
 		start := time.Now()
-		out[i].Region, out[i].Stats, out[i].Err = pol.Solve(sctx, prep, queries[i], i)
+		out[i].Region, out[i].Stats, out[i].Err = pol.Solve(ctx, prep, queries[i], i)
 		out[i].Elapsed = time.Since(start)
 	}
 	if workers == 1 {
-		a := getArena()
-		actx := contextWithArena(ctx, a)
 		for _, i := range order {
-			solveOne(actx, a, i)
+			solveOne(i)
 		}
-		putArena(a)
 	} else {
 		idx := make(chan int)
 		var wg sync.WaitGroup
@@ -476,11 +473,8 @@ func SolveBatchPolicy(ctx context.Context, pol SolvePolicy, prep *Prepared, quer
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				a := getArena()
-				defer putArena(a)
-				actx := contextWithArena(ctx, a)
 				for i := range idx {
-					solveOne(actx, a, i)
+					solveOne(i)
 				}
 			}()
 		}

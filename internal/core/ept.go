@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"sync"
 
 	"rrq/internal/faultinject"
 	"rrq/internal/geom"
-	"rrq/internal/skyband"
 	"rrq/internal/vec"
 )
 
@@ -86,7 +84,8 @@ func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, store
 	if check.Failed() {
 		return nil, st, check.Err()
 	}
-	a := arenaFrom(ctx)
+	a := getArena()
+	defer putArena(a)
 	planePhase := check.Phase("phase.ept.planes")
 	defer planePhase()
 	ps := store.planes(pts, q, a, check.reg)
@@ -151,25 +150,21 @@ func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, store
 	return NewDisjointCellRegion(d, cells), st, nil
 }
 
-// reduceAndOrderPlanes applies the hyper-plane reduction of Lemma 5.2 and
-// the W(h)-descending insertion order of §5.1.2.
+// reduceAndOrderPlanesOpt applies the hyper-plane reduction of Lemma 5.2
+// and the W(h)-descending insertion order of §5.1.2, optionally skipping
+// either for ablation runs.
 //
 // h_i⁻ ⊆ h_j⁻ when the unit normal of h_i dominates (component-wise ≥,
 // somewhere >) that of h_j. A plane whose negative half-space is covered by
 // ≥ k other negative half-spaces — whose unit normal dominates ≥ k others —
 // is redundant: the reduction is the k-skyband of the negated unit normals.
-func reduceAndOrderPlanes(planes []geom.Hyperplane, k int) []geom.Hyperplane {
-	return reduceAndOrderPlanesOpt(planes, k, false, false, nil, NewCtxChecker(context.Background(), 0))
-}
-
-// reduceAndOrderPlanesOpt optionally skips the reduction or the ordering,
-// for ablation runs. Every working buffer is drawn from the worker arena
-// when one is supplied; the returned slice then aliases arena memory and is
-// consumed (repacked by PackNormals, copied into tree nodes) before the
-// worker's next solve.
+//
+// Every working buffer is drawn from the solve's arena; the returned slice
+// aliases arena memory and is consumed (repacked by PackNormals, copied
+// into tree nodes) before the solve returns.
 //
 // Both counts — the normals each normal dominates, for the reduction, and
-// the normals dominating it, W(h), for the order — come from one
+// the normals dominating it, W(h), for the order — come from the arena's
 // skyband.Counter over the unit normals. It polls check about once every
 // skyband.StopStride units of work, so a deadline, cancellation or work
 // budget stops the reduction within one amortized check interval; the
@@ -179,14 +174,7 @@ func reduceAndOrderPlanesOpt(planes []geom.Hyperplane, k int, noReduce, noOrder 
 	if m == 0 {
 		return nil
 	}
-	var cnt *skyband.Counter
-	if a == nil {
-		a = &Arena{}
-		cnt = counterPool.Get().(*skyband.Counter)
-		defer counterPool.Put(cnt)
-	} else {
-		cnt = &a.dom
-	}
+	cnt := &a.dom
 	units := grow(&a.units, m)
 	for i, h := range planes {
 		units[i] = h.Unit()
@@ -238,12 +226,6 @@ func reduceAndOrderPlanesOpt(planes []geom.Hyperplane, k int, noReduce, noOrder 
 	}
 	return out
 }
-
-// counterPool recycles the dominance counters of reductions that run
-// without a worker arena — every solve outside a batch — whose rank and
-// checkpoint buffers would otherwise be allocated anew per solve. Nothing
-// the reduction returns aliases a counter.
-var counterPool = sync.Pool{New: func() any { return new(skyband.Counter) }}
 
 // sortPlaneOrder sorts order by descending W, ties by ascending index —
 // the same total order the previous sort.Slice comparator produced, via a

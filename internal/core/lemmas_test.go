@@ -5,12 +5,14 @@ package core
 // implementation details.
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"rrq/internal/geom"
 	"rrq/internal/skyband"
+	"rrq/internal/topk"
 	"rrq/internal/vec"
 )
 
@@ -101,7 +103,7 @@ func TestLemma42WindowPlaneCount(t *testing.T) {
 		}
 		tHi := 1.0
 		if len(incl) >= k {
-			tHi = kthSmallest(incl, k)
+			tHi, _ = topk.KthMinScratch(incl, k, nil)
 		}
 		tLo := 0.0
 		if len(excl) >= k {
@@ -365,7 +367,7 @@ func TestReductionMatchesQuadraticDominance(t *testing.T) {
 		if k <= 0 || len(ps.Crossing) == 0 {
 			continue
 		}
-		kept := reduceAndOrderPlanes(ps.Crossing, k)
+		kept := reduceAndOrderPlanesOpt(ps.Crossing, k, false, false, &Arena{}, NewCtxChecker(context.Background(), 0))
 		keptIDs := map[int]bool{}
 		for _, h := range kept {
 			keptIDs[h.ID] = true

@@ -175,12 +175,12 @@ func groupKey(dst []byte, q Query) []byte {
 }
 
 // planes returns q's classified plane set over pts, the band its rank
-// selects. A nil store builds the set directly, into the worker arena a
-// when there is one. A store serves it from q's group: at the group's rank
-// the group's own slice, uncopied; below it a count-filtered, renumbered
-// set (into a when there is one); above it the group is rebuilt at q's
-// rank. Counted stores report each lookup to their PlaneCounters and, when
-// reg is non-nil, to its index.planes.hit / index.planes.miss counters.
+// selects. A nil store builds the set directly into a. A store serves it
+// from q's group: at the group's rank the group's own slice, uncopied;
+// below it a count-filtered, renumbered set (headers in a); above it the
+// group is rebuilt at q's rank. Counted stores report each lookup to their
+// PlaneCounters and, when reg is non-nil, to its index.planes.hit /
+// index.planes.miss counters.
 func (s *planeStore) planes(pts []vec.Vec, q Query, a *Arena, reg *obs.Registry) PlaneSet {
 	if s == nil {
 		ps, _ := buildPlanes(pts, q, a)
@@ -249,24 +249,19 @@ func (s *planeStore) count(hit bool, reg *obs.Registry) {
 // (IDs are band positions).
 func (g *planeGroup) build(b *band, q Query) {
 	var ps PlaneSet
-	ps, g.kinds = buildPlanes(b.pts, q, nil)
+	ps, g.kinds = buildPlanes(b.pts, q, &Arena{})
 	g.band, g.base, g.planes = b, ps.Base, ps.Crossing
 }
 
 // narrow derives the plane set of rank k < kmax: walk the band in order,
 // keep the members of the k-band (count < k), and renumber crossing-plane
 // IDs to their position in that narrower band — exactly the IDs BuildPlanes
-// assigns over the k-band itself. The headers go into the worker arena when
-// there is one (valid until its next solve, like buildPlanes' arena output);
+// assigns over the k-band itself. The headers go into a (on a solve's
+// pooled arena, valid until the solve returns, like buildPlanes' output);
 // the normals alias the group's block, which every solver treats as
 // read-only.
 func (g *planeGroup) narrow(k int, a *Arena) PlaneSet {
-	var crossing []geom.Hyperplane
-	if a != nil {
-		crossing = a.planes[:0]
-	} else {
-		crossing = make([]geom.Hyperplane, 0, len(g.planes))
-	}
+	crossing := a.planes[:0]
 	var ps PlaneSet
 	m := 0  // position within the narrowed band
 	ci := 0 // crossing-plane cursor over the group's band
@@ -286,9 +281,7 @@ func (g *planeGroup) narrow(k int, a *Arena) PlaneSet {
 			ci++
 		}
 	}
-	if a != nil {
-		a.planes = crossing
-	}
+	a.planes = crossing
 	ps.Crossing = crossing
 	return ps
 }

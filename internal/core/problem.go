@@ -359,27 +359,23 @@ func classifyPlane(q, p vec.Vec, scale float64) planeKind {
 // source points, which keeps them unique within the arrangement as the
 // geometry package requires.
 func BuildPlanes(pts []vec.Vec, q Query) PlaneSet {
-	ps, _ := buildPlanes(pts, q, nil)
+	ps, _ := buildPlanes(pts, q, &Arena{})
 	return ps
 }
 
 // buildPlanes is BuildPlanes returning each point's class too. A first pass
 // classifies every point; a second writes the crossing unit normals into
 // one flat block sized by the first, so the backing never moves under the
-// plane headers. With an arena the kinds, the block and the headers live in
-// its reused buffers and the result is valid only until the worker's next
-// solve (E-PT repacks surviving normals into fresh heap storage with
-// PackNormals before any tree node can retain them, and Sweeping only reads
-// the normals during its window scan); without one each is one exact-size
-// allocation, whatever the number of crossings.
+// plane headers. The kinds, the block and the headers live in a's buffers,
+// which grow to exact size when too small. On a solve's pooled arena the
+// result is valid only until the solve returns (E-PT repacks surviving
+// normals into fresh heap storage with PackNormals before any tree node can
+// retain them, and Sweeping only reads the normals during its window scan);
+// on a fresh zero arena it is three exact-size allocations the caller owns,
+// whatever the number of crossings.
 func buildPlanes(pts []vec.Vec, q Query, a *Arena) (PlaneSet, []planeKind) {
 	scale := 1 - q.Eps
-	var kinds []planeKind
-	if a != nil {
-		kinds = grow(&a.kinds, len(pts))
-	} else {
-		kinds = make([]planeKind, len(pts))
-	}
+	kinds := grow(&a.kinds, len(pts))
 	var ps PlaneSet
 	crossings := 0
 	for i, p := range pts {
@@ -392,14 +388,8 @@ func buildPlanes(pts []vec.Vec, q Query, a *Arena) (PlaneSet, []planeKind) {
 		}
 	}
 	d := q.Q.Dim()
-	var flat []float64
-	if a != nil {
-		flat = grow(&a.normals, crossings*d)
-		ps.Crossing = a.planes[:0]
-	} else {
-		flat = make([]float64, crossings*d)
-		ps.Crossing = make([]geom.Hyperplane, 0, crossings)
-	}
+	flat := grow(&a.normals, crossings*d)
+	ps.Crossing = grow(&a.planes, crossings)[:0]
 	for i, p := range pts {
 		if kinds[i] != planeCross {
 			continue
@@ -410,9 +400,6 @@ func buildPlanes(pts []vec.Vec, q Query, a *Arena) (PlaneSet, []planeKind) {
 			slot[j] = q.Q[j] - scale*p[j]
 		}
 		ps.Crossing = append(ps.Crossing, geom.NewHyperplaneInto(slot, slot, i))
-	}
-	if a != nil {
-		a.planes = ps.Crossing
 	}
 	return ps, kinds
 }

@@ -45,8 +45,8 @@ type sweepEvent struct {
 
 // sweepSolve is the sweep body shared by the validated entry points; store,
 // when non-nil, serves the (read-only) classified plane set from shared
-// storage. A worker arena riding on ctx supplies every scratch buffer, so
-// repeated solves on one batch worker allocate only the returned region.
+// storage. The solve's pooled arena supplies every scratch buffer, so a
+// solve on a warm arena allocates only the returned region.
 func sweepSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore) (*Region, Stats, error) {
 	var st Stats
 	if q.Q.Dim() != 2 {
@@ -57,7 +57,8 @@ func sweepSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore) 
 	if check.Failed() {
 		return nil, st, check.Err()
 	}
-	a := arenaFrom(ctx)
+	a := getArena()
+	defer putArena(a)
 	planePhase := check.Phase("phase.sweep.planes")
 	defer planePhase()
 	ps := store.planes(pts, q, a, check.reg)
@@ -84,15 +85,11 @@ func sweepSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore) 
 
 // sweepIntervals runs the window reduction, event sweep and interval merge
 // over an already-classified plane set, with every buffer drawn from the
-// arena (a may be nil: a throwaway arena then takes the allocating path).
-// The returned intervals alias a.merged (empty when the window reduction
-// already disqualified the whole segment). This is the allocation-free hot
-// path of the Sweeping solver; the AllocsPerRun regression tests pin it at
-// zero steady-state allocations.
+// arena. The returned intervals alias a.merged (empty when the window
+// reduction already disqualified the whole segment). This is the
+// allocation-free hot path of the Sweeping solver; the AllocsPerRun
+// regression tests pin it at zero steady-state allocations.
 func sweepIntervals(ps PlaneSet, k int, a *Arena, st *Stats, check *CtxChecker) ([][2]float64, error) {
-	if a == nil {
-		a = &Arena{}
-	}
 	// Crossing parameters on L: u·w = 0 at t* = w2 / (w2 − w1).
 	incl, excl := a.incl[:0], a.excl[:0]
 	for _, h := range ps.Crossing {
@@ -229,13 +226,4 @@ func sortSweepEvents(ev []sweepEvent) {
 			ev[j], ev[j-1] = ev[j-1], ev[j]
 		}
 	}
-}
-
-// kthSmallest returns the k-th smallest element of xs (1-based).
-func kthSmallest(xs []float64, k int) float64 {
-	neg := make([]float64, len(xs))
-	for i, x := range xs {
-		neg[i] = -x
-	}
-	return -topk.KthMax(neg, k)
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rrq/internal/topk"
 	"rrq/internal/vec"
 )
 
@@ -134,10 +135,10 @@ func TestSweepingEmptyWindow(t *testing.T) {
 
 func TestKthSmallest(t *testing.T) {
 	xs := []float64{0.5, 0.1, 0.9, 0.3}
-	if got := kthSmallest(xs, 1); got != 0.1 {
+	if got, _ := topk.KthMinScratch(xs, 1, nil); got != 0.1 {
 		t.Fatalf("1st smallest = %v", got)
 	}
-	if got := kthSmallest(xs, 4); got != 0.9 {
+	if got, _ := topk.KthMinScratch(xs, 4, nil); got != 0.9 {
 		t.Fatalf("4th smallest = %v", got)
 	}
 }

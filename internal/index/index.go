@@ -180,13 +180,15 @@ func (ix *Index) Insert(p vec.Vec) (uint64, error) {
 // Delete removes the point at index i (in insertion order) and publishes a
 // new epoch. Only the counts of points the removed one dominated change —
 // this is the delta that lets deletions keep serving instead of triggering
-// the from-scratch rebuild core.Dynamic needed.
+// the from-scratch rebuild core.Dynamic needed. An out-of-range i fails
+// with a *core.DataError (Attr −1), checked under the mutation lock.
 func (ix *Index) Delete(i int) (uint64, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	old := ix.snap.Load()
 	if i < 0 || i >= len(old.pts) {
-		return old.version, fmt.Errorf("index: delete index %d out of range [0,%d)", i, len(old.pts))
+		return old.version, &core.DataError{Point: i, Attr: -1,
+			Msg: fmt.Sprintf("delete index out of range [0,%d)", len(old.pts))}
 	}
 	rm := old.pts[i]
 	pts := make([]vec.Vec, 0, len(old.pts)-1)

@@ -543,11 +543,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err, 0)
 		return
 	}
-	if n := ix.Len(); req.Index < 0 || req.Index >= n {
-		writeError(w, &core.DataError{Point: req.Index, Attr: -1,
-			Msg: fmt.Sprintf("delete index out of range [0,%d)", n)}, 0)
-		return
-	}
 	v, err := ix.Delete(req.Index)
 	if err != nil {
 		writeError(w, err, 0)

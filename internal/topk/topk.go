@@ -23,18 +23,8 @@ func Utilities(pts []vec.Vec, u vec.Vec) []float64 {
 // It clamps k to [1, len(xs)] and panics on an empty slice. xs is not
 // modified.
 func KthMax(xs []float64, k int) float64 {
-	n := len(xs)
-	if n == 0 {
-		panic("topk: KthMax of empty slice")
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	buf := append([]float64(nil), xs...)
-	return quickselectDesc(buf, k-1)
+	v, _ := KthMaxScratch(xs, k, nil)
+	return v
 }
 
 // KthMaxScratch is KthMax with caller-owned scratch storage: xs is copied
