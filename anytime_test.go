@@ -249,6 +249,32 @@ func TestIndexAnytimeWarmStartsFromExactNeighbor(t *testing.T) {
 	}
 }
 
+// An anytime solve takes its hyper-planes from the snapshot's plane store,
+// as exact solves do: repeating an anytime query is a plane hit, and so is
+// an exact solve of the same query afterwards.
+func TestIndexAnytimeSharesPlanes(t *testing.T) {
+	ds, q := indexTestInstance(t, 4, 9007)
+	ix, err := BuildIndex(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want := []IndexStats{{PlaneMisses: 1}, {PlaneMisses: 1, PlaneHits: 1}, {PlaneMisses: 1, PlaneHits: 2}}
+	for i, w := range want {
+		var opts []Option
+		if i < 2 {
+			opts = []Option{WithAnytimeSamples(8), WithSeed(3)}
+		}
+		if _, err := ix.SolveContext(ctx, q, opts...); err != nil {
+			t.Fatal(err)
+		}
+		st := ix.Stats()
+		if st.PlaneHits != w.PlaneHits || st.PlaneMisses != w.PlaneMisses {
+			t.Fatalf("solve %d: plane hits/misses = %d/%d, want %d/%d", i, st.PlaneHits, st.PlaneMisses, w.PlaneHits, w.PlaneMisses)
+		}
+	}
+}
+
 // A panic in an anytime solve is isolated like any other solver panic: the
 // tier runs through the one guarded solve path, so the panic comes back as
 // a *SolveError naming A-PC — from a dataset solve, from an index solve,

@@ -81,16 +81,18 @@ func main() {
 
 	cfg.Index = ix
 	cfg.Recovering = durable
-	if *solveDelay > 0 {
-		in := faultinject.New(&faultinject.Fault{Point: faultinject.SolveStart, Delay: *solveDelay})
-		cfg.BaseContext = func() context.Context {
-			return faultinject.ContextWith(context.Background(), in)
-		}
-	}
 	srv, err := server.New(cfg)
 	fatal(err)
+	handler := srv.Handler()
+	if *solveDelay > 0 {
+		in := faultinject.New(&faultinject.Fault{Point: faultinject.SolveStart, Delay: *solveDelay})
+		next := handler
+		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			next.ServeHTTP(w, r.WithContext(faultinject.ContextWith(r.Context(), in)))
+		})
+	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	errc := make(chan error, 1)
 	go func() {
 		fmt.Printf("rrqd: serving on %s (policy=%s capacity=%d cache=%d)\n",

@@ -89,22 +89,32 @@ func APC(pts []vec.Vec, q Query, opt APCOptions) (*Region, error) {
 // internal/obs) receives the solve's phase timings; its work is reported
 // in the returned Stats.
 func APCContext(ctx context.Context, pts []vec.Vec, q Query, opt APCOptions) (*Region, Stats, error) {
+	if err := ValidateInstance(pts, q); err != nil {
+		return nil, Stats{}, err
+	}
+	return apcSolve(ctx, pts, q, opt, nil)
+}
+
+// apcSolve is the A-PC body shared by the validated entry points. store,
+// when non-nil, serves the classified plane set from shared storage, the
+// same arrangement the exact solvers of the snapshot draw on.
+func apcSolve(ctx context.Context, pts []vec.Vec, q Query, opt APCOptions, store *planeStore) (*Region, Stats, error) {
 	var st Stats
 	d := q.Q.Dim()
-	if err := ValidateInstance(pts, q); err != nil {
-		return nil, st, err
-	}
 	check := NewCtxChecker(ctx, 0xff)
 	check.SetFaultKey(q.Q)
 	if check.Failed() {
 		return nil, st, check.Err()
 	}
+	// The partitions keep their constraints' normals, so the planes must
+	// live in storage the solve owns: a fresh arena, never the pool.
+	ps := store.planes(pts, q, &Arena{}, check.reg)
 	run := &apcRun{
-		pts:     pts,
-		q:       q,
-		dropped: apcDroppedPlanes(pts, q),
-		rng:     rand.New(rand.NewSource(opt.Seed)),
-		check:   check,
+		d:      d,
+		planes: ps.Crossing,
+		k:      ps.KEff(q.K),
+		rng:    rand.New(rand.NewSource(opt.Seed)),
+		check:  check,
 	}
 	run.cells = append(run.cells, opt.Warm...)
 	n := opt.poolSize(d)
@@ -125,16 +135,16 @@ func APCContext(ctx context.Context, pts []vec.Vec, q Query, opt APCOptions) (*R
 	return NewCellRegion(d, run.cells), st, nil
 }
 
-// apcRun is the state of one A-PC run: the instance, the planes dropped
-// from every D⁻ set and partition, the seeded sample stream and the cells
-// built so far.
+// apcRun is the state of one A-PC run: the crossing planes and the
+// effective rank k − Base they are counted against, the seeded sample
+// stream and the cells built so far.
 type apcRun struct {
-	pts     []vec.Vec
-	q       Query
-	dropped []bool
-	rng     *rand.Rand
-	check   *CtxChecker
-	cells   []*geom.Cell
+	d      int
+	planes []geom.Hyperplane
+	k      int
+	rng    *rand.Rand
+	check  *CtxChecker
+	cells  []*geom.Cell
 }
 
 // merged is the run that cannot be cut (Algorithm 3 as published): draw
@@ -142,8 +152,7 @@ type apcRun struct {
 // workers > 1), merge samples whose positive sets nest (Lemma 5.9), then
 // build one partition per surviving sample.
 func (run *apcRun) merged(ctx context.Context, n, workers int) error {
-	pts, q, dropped, check := run.pts, run.q, run.dropped, run.check
-	d := q.Q.Dim()
+	check, d := run.check, run.d
 	classifyPhase := check.Phase("phase.apc.classify")
 	// Abort net: the closer is idempotent, so a cancellation or worker
 	// failure mid-classify still closes the phase exactly once.
@@ -159,7 +168,7 @@ func (run *apcRun) merged(ctx context.Context, n, workers int) error {
 	oks := make([]bool, n)
 	if workers > 1 {
 		err := parallelFor(ctx, workers, n, 0x3f, func(i int) {
-			negs[i], oks[i] = apcClassify(pts, q, dropped, us[i])
+			negs[i], oks[i] = apcClassify(run.planes, run.k, us[i])
 		})
 		if err != nil {
 			return err
@@ -169,7 +178,7 @@ func (run *apcRun) merged(ctx context.Context, n, workers int) error {
 			if check.Stop() {
 				return check.Err()
 			}
-			negs[i], oks[i] = apcClassify(pts, q, dropped, u)
+			negs[i], oks[i] = apcClassify(run.planes, run.k, u)
 		}
 	}
 	classifyPhase()
@@ -252,7 +261,6 @@ func (run *apcRun) merged(ctx context.Context, n, workers int) error {
 // Returns the number of samples consumed.
 func (run *apcRun) stream(n int, opt APCOptions) (int, error) {
 	check := run.check
-	d := run.q.Q.Dim()
 	phase := check.Phase("phase.apc.anytime")
 	defer phase()
 	var deadline time.Time
@@ -270,9 +278,9 @@ func (run *apcRun) stream(n int, opt APCOptions) (int, error) {
 		if check.Stop() {
 			return consumed, check.Err()
 		}
-		u := vec.RandSimplex(run.rng, d)
+		u := vec.RandSimplex(run.rng, run.d)
 		consumed++
-		neg, ok := apcClassify(run.pts, run.q, run.dropped, u)
+		neg, ok := apcClassify(run.planes, run.k, u)
 		if !ok {
 			continue
 		}
@@ -291,7 +299,7 @@ func (run *apcRun) add(u vec.Vec, orig, negC []int32) error {
 			return nil
 		}
 	}
-	c, err := run.buildPartition(u, orig, negC)
+	c, err := run.buildPartition(orig, negC)
 	if err == nil && c != nil {
 		run.cells = append(run.cells, c)
 	}
@@ -373,35 +381,20 @@ func measureSeedFor(seed int64) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// apcDroppedPlanes marks the planes classifyPlane drops: a plane that is
-// never negative over U — including the degenerate zero normal from
-// q = (1−ε)p — contributes 0 to every sample's D⁻ by the system-wide
-// contract (see geom.QueryPlane) and constrains no partition. Deciding such
-// planes by the raw utility difference instead would let rounding noise
-// disqualify samples the exact solvers accept.
-func apcDroppedPlanes(pts []vec.Vec, q Query) []bool {
-	scale := 1 - q.Eps
-	dropped := make([]bool, len(pts))
-	for j, p := range pts {
-		dropped[j] = classifyPlane(q.Q, p, scale) == planeDrop
+// apcClassify computes one sample's D⁻ set: the IDs of the crossing
+// planes negative at u, ascending because the planes are in band order.
+// The base planes are negative everywhere and already folded into k (see
+// PlaneSet.KEff), and dropped planes never count. ok is false when the set
+// reaches k — the sample is unqualified and its partial D⁻ is discarded;
+// when k ≤ 0 no sample qualifies.
+func apcClassify(planes []geom.Hyperplane, k int, u vec.Vec) (neg []int32, ok bool) {
+	if k <= 0 {
+		return nil, false
 	}
-	return dropped
-}
-
-// apcClassify computes one sample's D⁻ set (ascending point indices, by
-// construction): the points beating (1−ε)-scaled q under u, excluding the
-// planes dropped by apcDroppedPlanes. ok is false when the set reaches k —
-// the sample is unqualified and its partial D⁻ is discarded.
-func apcClassify(pts []vec.Vec, q Query, dropped []bool, u vec.Vec) (neg []int32, ok bool) {
-	scale := 1 - q.Eps
-	fq := u.Dot(q.Q)
-	for j, p := range pts {
-		if dropped[j] {
-			continue
-		}
-		if scale*u.Dot(p) > fq {
-			neg = append(neg, int32(j))
-			if len(neg) >= q.K {
+	for _, h := range planes {
+		if h.Eval(u) < 0 {
+			neg = append(neg, int32(h.ID))
+			if len(neg) >= k {
 				return nil, false
 			}
 		}
@@ -409,46 +402,28 @@ func apcClassify(pts []vec.Vec, q Query, dropped []bool, u vec.Vec) (neg []int32
 	return neg, true
 }
 
-// buildPartition intersects the simplex with h⁻ for every point in negC,
-// h⁺ for every point outside orig, and leaves points in orig \ negC
-// unconstrained (paper §5.2.1–5.2.2). A dropped plane never counts, so it
-// constrains nothing and is skipped (apcClassify never put it in a D⁻ set
-// either, keeping both tallies consistent). Planes that do not constrain
-// the current cell are skipped by Clip via the relation tests, so the cell
-// description stays small.
-func (run *apcRun) buildPartition(u vec.Vec, orig, negC []int32) (*geom.Cell, error) {
-	pts, q := run.pts, run.q
-	d := q.Q.Dim()
-	scale := 1 - q.Eps
-	cell := geom.NewSimplex(d)
-	inOrig := make(map[int32]bool, len(orig))
-	for _, j := range orig {
-		inOrig[j] = true
-	}
-	isNeg := make(map[int32]bool, len(negC))
-	for _, j := range negC {
-		isNeg[j] = true
-	}
-	// One scratch normal reused across points; NewHyperplane stores a
-	// normalized copy.
-	w := vec.New(d)
-	for j, p := range pts {
+// buildPartition intersects the simplex with h⁻ for every plane in negC,
+// h⁺ for every plane outside orig, and leaves planes in orig \ negC
+// unconstrained (paper §5.2.1–5.2.2). Both sets are ascending plane IDs
+// and negC ⊆ orig, so one cursor each walks them beside the planes. Planes
+// that do not constrain the current cell are skipped by Clip via the
+// relation tests, so the cell description stays small.
+func (run *apcRun) buildPartition(orig, negC []int32) (*geom.Cell, error) {
+	cell := geom.NewSimplex(run.d)
+	oi, ni := 0, 0
+	for _, h := range run.planes {
 		if run.check.Stop() {
 			return nil, run.check.Err()
 		}
 		sign := +1
-		switch {
-		case run.dropped[j]:
-			continue
-		case isNeg[int32(j)]:
+		if oi < len(orig) && orig[oi] == int32(h.ID) {
+			oi++
+			if ni >= len(negC) || negC[ni] != int32(h.ID) {
+				continue // merged away: left unconstrained
+			}
+			ni++
 			sign = -1
-		case inOrig[int32(j)]:
-			continue // merged away: left unconstrained
 		}
-		for x := range w {
-			w[x] = q.Q[x] - scale*p[x]
-		}
-		h := geom.NewHyperplane(w, j)
 		cell = cell.Clip(h, sign)
 		if cell == nil {
 			return nil, nil // numerically empty (sample sat on a boundary)

@@ -222,12 +222,12 @@ func TestAPCKeepsQualifiedSamples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Replay A-PC's own sample stream.
+		// Replay A-PC's own sample stream against its plane set.
 		rng := rand.New(rand.NewSource(c.opt.Seed))
-		dropped := apcDroppedPlanes(c.pts, c.q)
+		ps := BuildPlanes(c.pts, c.q)
 		for s := 0; s < c.opt.Samples; s++ {
 			u := vec.RandSimplex(rng, c.q.Q.Dim())
-			if _, ok := apcClassify(c.pts, c.q, dropped, u); !ok {
+			if _, ok := apcClassify(ps.Crossing, ps.KEff(c.q.K), u); !ok {
 				continue
 			}
 			qualified++

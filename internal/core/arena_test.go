@@ -43,6 +43,9 @@ func TestPooledArenaNotRetained(t *testing.T) {
 		{"ept-4d", 4, 100, EPTSolver{}},
 		{"brute-2d", 2, 60, BruteForceSolver{}},
 		{"brute-3d", 3, 30, BruteForceSolver{}},
+		// A-PC's partitions keep their constraints' normals, merged or cut.
+		{"apc-merged-3d", 3, 150, APCSolver{Opt: APCOptions{Samples: 40, Seed: 3}}},
+		{"apc-cut-4d", 4, 100, APCSolver{Opt: APCOptions{Samples: 60, Seed: 3, MaxSamples: 30}}},
 	}
 	for ci, tc := range cases {
 		pts := dataset.Generate(dataset.Independent, tc.n, tc.d, int64(ci)+5)

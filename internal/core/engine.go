@@ -344,7 +344,10 @@ type APCSolver struct {
 func (APCSolver) Name() string { return "A-PC" }
 
 func (s APCSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*Region, Stats, error) {
-	return APCContext(ctx, prep.PointsFor(q.K), q, s.Opt)
+	if err := validatePrepared(q, prep.dim); err != nil {
+		return nil, Stats{}, err
+	}
+	return apcSolve(ctx, prep.PointsFor(q.K), q, s.Opt, prep.store)
 }
 
 // BruteForceSolver is the exact reference solver: the direct 2-d crossing

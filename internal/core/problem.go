@@ -331,9 +331,9 @@ const (
 //   - components beyond the tolerance on both sides: the plane crosses U —
 //     planeCross.
 //
-// This is the one place the rule lives: plane construction, the counting
-// oracle CountBetter and A-PC's dropped planes all call it, so the layers
-// cannot disagree on a degenerate plane.
+// This is the one place the rule lives: plane construction (every core
+// solver's plane set) and the counting oracle CountBetter call it, so the
+// layers cannot disagree on a degenerate plane.
 func classifyPlane(q, p vec.Vec, scale float64) planeKind {
 	neg, pos := false, false
 	for j, qj := range q {

@@ -55,10 +55,6 @@ type Config struct {
 	Admission *Admission
 	// Tenants meters per-tenant work; nil disables metering.
 	Tenants *TenantBudgets
-	// BaseContext, when set, replaces the request context for solves —
-	// a test hook (fault injectors are context-carried) mirroring
-	// http.Server.BaseContext.
-	BaseContext func() context.Context
 	// AnytimeBudget, when positive, enables the one rung below an exact
 	// answer: the anytime tier, the progressive A-PC construction cut at
 	// this wall-clock budget. Two triggers take it:
@@ -320,9 +316,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	if s.cfg.BaseContext != nil {
-		ctx = s.cfg.BaseContext()
-	}
 	q := rrq.Query{Q: rrq.Point(req.Q), K: req.K, Epsilon: req.Epsilon}
 	release, err := s.adm.Acquire(ctx)
 	if err != nil {
@@ -355,7 +348,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// solve still pins its own snapshot).
 	key := strconv.FormatUint(ix.Version(), 10) + "|" + q.Key()
 	start := time.Now()
-	ans, shared, err := s.flights.Do(key, func() (answer, error) {
+	solve := func() (answer, error) {
 		res, err := ix.SolveContext(ctx, q)
 		if reason := degradeReason(err); s.cfg.AnytimeBudget > 0 && reason != "" && ctx.Err() == nil {
 			deg, err := s.anytime(ctx, ix, q, reason, err)
@@ -364,7 +357,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return deg, err
 		}
 		return answer{res: res}, err
-	})
+	}
+	ans, shared, err := s.flights.Do(key, solve)
+	// A flight ends in context.Canceled when its leader's client goes
+	// away; a follower whose own client is still there re-enters instead
+	// of inheriting that cancellation.
+	for shared && errors.Is(err, context.Canceled) && ctx.Err() == nil {
+		ans, shared, err = s.flights.Do(key, solve)
+	}
 	release(time.Since(start))
 	s.gaugeDepth()
 	if err != nil {

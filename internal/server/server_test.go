@@ -39,13 +39,27 @@ func testIndex(t *testing.T, opts ...rrq.Option) *rrq.Index {
 
 func newTestServer(t *testing.T, cfg Config) *httptest.Server {
 	t.Helper()
+	return newFaultServer(t, cfg, nil)
+}
+
+// newFaultServer serves cfg with inj armed on every request's context, the
+// way fault injectors reach a solve.
+func newFaultServer(t *testing.T, cfg Config, inj *faultinject.Injector) *httptest.Server {
+	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(withFaults(s.Handler(), inj))
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// withFaults arms inj on the context of every request h serves.
+func withFaults(h http.Handler, inj *faultinject.Injector) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r.WithContext(faultinject.ContextWith(r.Context(), inj)))
+	})
 }
 
 func postJSON(t *testing.T, url string, body string) (*http.Response, []byte) {
@@ -271,13 +285,12 @@ func TestLadderExactFailureTriggers(t *testing.T) {
 					t.Fatal(err)
 				}
 				adm := NewAdmission(AdmitAlways, 4, 0)
-				ts := newTestServer(t, Config{
+				ts := newFaultServer(t, Config{
 					Index:         ix,
 					Metrics:       reg,
 					Admission:     adm,
 					AnytimeBudget: anytime,
-					BaseContext:   func() context.Context { return faultinject.ContextWith(context.Background(), inj) },
-				})
+				}, inj)
 				if anytime == 0 {
 					resp, b := postJSON(t, ts.URL+"/v1/solve", body)
 					if resp.StatusCode != tc.status {
@@ -398,11 +411,10 @@ func TestErrorMappingShed(t *testing.T) {
 		Delay: 300 * time.Millisecond,
 	})
 	adm := NewAdmission(AdmitCap, 1, 0)
-	ts := newTestServer(t, Config{
-		Index:       testIndex(t),
-		Admission:   adm,
-		BaseContext: func() context.Context { return faultinject.ContextWith(context.Background(), inj) },
-	})
+	ts := newFaultServer(t, Config{
+		Index:     testIndex(t),
+		Admission: adm,
+	}, inj)
 	// Occupy the only slot with a slow solve...
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -447,13 +459,12 @@ func TestDegradedAnytimeTierUnderSaturation(t *testing.T) {
 	})
 	reg := rrq.NewRegistry()
 	adm := NewAdmission(AdmitCap, 1, 0)
-	ts := newTestServer(t, Config{
+	ts := newFaultServer(t, Config{
 		Index:         testIndex(t, rrq.WithMetrics(reg)),
 		Metrics:       reg,
 		Admission:     adm,
 		AnytimeBudget: 50 * time.Millisecond,
-		BaseContext:   func() context.Context { return faultinject.ContextWith(context.Background(), inj) },
-	})
+	}, inj)
 	// Occupy the only slot with a slow solve...
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -514,10 +525,9 @@ func TestErrorMappingPanic(t *testing.T) {
 		Panics: "injected failure",
 		Times:  1,
 	})
-	ts := newTestServer(t, Config{
-		Index:       testIndex(t),
-		BaseContext: func() context.Context { return faultinject.ContextWith(context.Background(), inj) },
-	})
+	ts := newFaultServer(t, Config{
+		Index: testIndex(t),
+	}, inj)
 	resp, b := postJSON(t, ts.URL+"/v1/solve", solveBody)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status %d: %s, want 500", resp.StatusCode, b)
@@ -574,11 +584,10 @@ func TestAnytimeRungPanic(t *testing.T) {
 			&faultinject.Fault{Point: faultinject.SolveStart, Delay: 100 * time.Millisecond, Times: 1},
 			&faultinject.Fault{Point: faultinject.SolveStart, Panics: "injected anytime failure", Times: 1},
 		)
-		ts := newTestServer(t, Config{
+		ts := newFaultServer(t, Config{
 			Index:         testIndex(t, rrq.WithQueryTimeout(20*time.Millisecond)),
 			AnytimeBudget: 50 * time.Millisecond,
-			BaseContext:   func() context.Context { return faultinject.ContextWith(context.Background(), inj) },
-		})
+		}, inj)
 		status, b := post(t, ts.URL+"/v1/solve", degraded)
 		wantPanic(t, status, b)
 		if status, b := post(t, ts.URL+"/v1/solve", degraded); status != http.StatusOK {
@@ -595,12 +604,11 @@ func TestAnytimeRungPanic(t *testing.T) {
 				Panics: "injected anytime failure", Times: 1},
 		)
 		adm := NewAdmission(AdmitCap, 1, 0)
-		ts := newTestServer(t, Config{
+		ts := newFaultServer(t, Config{
 			Index:         testIndex(t),
 			Admission:     adm,
 			AnytimeBudget: 50 * time.Millisecond,
-			BaseContext:   func() context.Context { return faultinject.ContextWith(context.Background(), inj) },
-		})
+		}, inj)
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
@@ -632,12 +640,11 @@ func TestSolveDedup(t *testing.T) {
 	})
 	reg := rrq.NewRegistry()
 	adm := NewAdmission(AdmitAlways, 4, 0)
-	ts := newTestServer(t, Config{
-		Index:       testIndex(t, rrq.WithMetrics(reg)),
-		Metrics:     reg,
-		Admission:   adm,
-		BaseContext: func() context.Context { return faultinject.ContextWith(context.Background(), inj) },
-	})
+	ts := newFaultServer(t, Config{
+		Index:     testIndex(t, rrq.WithMetrics(reg)),
+		Metrics:   reg,
+		Admission: adm,
+	}, inj)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var leader solveReply
@@ -660,6 +667,61 @@ func TestSolveDedup(t *testing.T) {
 	}
 	if reg.Counter("server.dedup").Value() < 1 {
 		t.Fatalf("server.dedup = %d, want ≥ 1", reg.Counter("server.dedup").Value())
+	}
+}
+
+// A follower does not inherit its leader's client cancellation: when the
+// leader's client goes away mid-solve, the flight ends in context.Canceled,
+// and a follower whose own client is still connected solves again — 200
+// with the body an uncoalesced request gets.
+func TestFollowerSurvivesLeaderCancel(t *testing.T) {
+	inj := faultinject.New(&faultinject.Fault{
+		Point: faultinject.SolveStart,
+		Delay: 300 * time.Millisecond,
+		Times: 1,
+	})
+	adm := NewAdmission(AdmitAlways, 4, 0)
+	s, err := New(Config{Index: testIndex(t), Admission: adm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := withFaults(s.Handler(), inj)
+	serve := func(ctx context.Context) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(solveBody)).WithContext(ctx)
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leader := make(chan *httptest.ResponseRecorder, 1)
+	go func() { leader <- serve(leaderCtx) }()
+	for i := 0; adm.Depth() == 0 && i < 100; i++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	follower := make(chan *httptest.ResponseRecorder, 1)
+	go func() { follower <- serve(context.Background()) }()
+	for i := 0; adm.Depth() < 2 && i < 100; i++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if adm.Depth() < 2 {
+		t.Fatal("the follower never reached the solve")
+	}
+	time.Sleep(20 * time.Millisecond) // let the follower join the flight
+	cancel()
+	<-leader
+	rec := <-follower
+	if rec.Code != http.StatusOK {
+		t.Fatalf("follower status %d: %s, want 200", rec.Code, rec.Body.Bytes())
+	}
+	got := decodeSolve(t, rec.Body.Bytes())
+	if got.Deduped {
+		t.Fatal("follower reports a shared answer from a canceled flight")
+	}
+	_, b := postJSON(t, newTestServer(t, Config{Index: testIndex(t)}).URL+"/v1/solve", solveBody)
+	if want := decodeSolve(t, b); !bytes.Equal(got.Region, want.Region) || got.Partitions != want.Partitions {
+		t.Fatalf("follower region %s, want the uncoalesced %s", got.Region, want.Region)
 	}
 }
 

@@ -304,7 +304,9 @@ func TestInProcessMatchesLoopback(t *testing.T) {
 	// the anytime rung answers them.
 	slow := [][]float64{qs[1].Q, qs[6].Q}
 
-	newServer := func() *server.Server {
+	// The injector rides each request's context, the way faults reach a
+	// solve behind rrqd's handler.
+	newHandler := func() http.Handler {
 		ix, err := rrq.BuildIndex(ds,
 			rrq.WithAlgorithm(rrq.SweepingAlgo),
 			rrq.WithQueryTimeout(50*time.Millisecond),
@@ -326,14 +328,14 @@ func TestInProcessMatchesLoopback(t *testing.T) {
 			// the 28 tenants is served once and rejected afterwards,
 			// whatever its solve cost.
 			Tenants: server.NewTenantBudgets(0.001, 0.5),
-			BaseContext: func() context.Context {
-				return faultinject.ContextWith(context.Background(), inj)
-			},
 		})
 		if err != nil {
 			t.Fatalf("server.New: %v", err)
 		}
-		return srv
+		h := srv.Handler()
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(w, r.WithContext(faultinject.ContextWith(r.Context(), inj)))
+		})
 	}
 	run := func(h http.Handler) ([]solveOutcome, Report) {
 		var log []solveOutcome
@@ -346,8 +348,8 @@ func TestInProcessMatchesLoopback(t *testing.T) {
 		return log, rep
 	}
 
-	inLog, inRep := run(newServer().Handler())
-	ts := httptest.NewServer(newServer().Handler())
+	inLog, inRep := run(newHandler())
+	ts := httptest.NewServer(newHandler())
 	defer ts.Close()
 	u, err := url.Parse(ts.URL)
 	if err != nil {
