@@ -275,6 +275,36 @@ func TestIndexAnytimeSharesPlanes(t *testing.T) {
 	}
 }
 
+// LP-CTA takes its hyper-planes from the snapshot's plane store like every
+// core solver: a repeated LP-CTA query is a plane hit, and so is an E-PT
+// solve of the same query afterwards.
+func TestIndexLPCTASharesPlanes(t *testing.T) {
+	ds, q := indexTestInstance(t, 3, 9007)
+	ix, err := BuildIndex(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want := []IndexStats{{PlaneMisses: 1}, {PlaneMisses: 1, PlaneHits: 1}, {PlaneMisses: 1, PlaneHits: 2}}
+	for i, w := range want {
+		algo := LPCTAAlgo
+		if i == 2 {
+			algo = EPTAlgo
+		}
+		res, err := ix.SolveContext(ctx, q, WithAlgorithm(algo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.PlanesBuilt == 0 {
+			t.Fatalf("solve %d: no crossing planes; test is vacuous", i)
+		}
+		st := ix.Stats()
+		if st.PlaneHits != w.PlaneHits || st.PlaneMisses != w.PlaneMisses {
+			t.Fatalf("solve %d (%v): plane hits/misses = %d/%d, want %d/%d", i, algo, st.PlaneHits, st.PlaneMisses, w.PlaneHits, w.PlaneMisses)
+		}
+	}
+}
+
 // A panic in an anytime solve is isolated like any other solver panic: the
 // tier runs through the one guarded solve path, so the panic comes back as
 // a *SolveError naming A-PC — from a dataset solve, from an index solve,

@@ -6,6 +6,7 @@ package rrq
 // internal/expt, run by cmd/rrqbench at quick or paper scale.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -85,7 +86,11 @@ func BenchmarkDynamicInsert(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cur = append(cur, extra[i])
-			if _, err := core.EPT(cur, q); err != nil {
+			prep, err := core.Prepare(cur, 3, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := (core.EPTSolver{}).Solve(context.Background(), prep, q); err != nil {
 				b.Fatal(err)
 			}
 		}

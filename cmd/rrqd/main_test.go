@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -54,6 +55,30 @@ func waitHealthz(t *testing.T, client *http.Client, base, want string, deadline 
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("healthz never reported %q within %v", want, deadline)
+}
+
+// A solver that cannot answer the dataset's dimension is a startup error:
+// rrqd exits before listening instead of answering every /v1/solve with a
+// 500.
+func TestStartupRejectsSweepingBeyond2D(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin := buildRRQD(t, t.TempDir())
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, bin,
+		"-synthetic", "indep:100:3:1",
+		"-algo", "sweeping",
+		"-addr", fmt.Sprintf("127.0.0.1:%d", freePort(t)),
+	)
+	out, err := cmd.CombinedOutput()
+	if ctx.Err() != nil {
+		t.Fatalf("rrqd kept running with -algo sweeping on 3-d data:\n%s", out)
+	}
+	if err == nil || !strings.Contains(string(out), "d = 2") {
+		t.Fatalf("rrqd exit = %v, output:\n%s\nwant a non-zero exit naming the d = 2 requirement", err, out)
+	}
 }
 
 // TestGracefulShutdownE2E drives the real binary through the drain

@@ -88,7 +88,12 @@ func OpenDurableIndex(dc DurableConfig, seed func() (*Dataset, error), opts ...O
 	if err != nil {
 		return nil, nil, err
 	}
-	return newIndex(inner, dur, cfg), rec, nil
+	ix, err := newIndex(inner, dur, cfg)
+	if err != nil {
+		dur.Close()
+		return nil, nil, err
+	}
+	return ix, rec, nil
 }
 
 // Durable reports whether the index carries a durability layer (it was

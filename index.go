@@ -49,20 +49,25 @@ func BuildIndex(d *Dataset, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(inner, nil, cfg), nil
+	return newIndex(inner, nil, cfg)
 }
 
 // newIndex wraps a built, loaded or recovered inner index (dur is its
 // durability layer, nil for an in-memory index) with the configuration's
 // result cache, and counts the build in "index.builds" and "index.epoch".
-func newIndex(inner *index.Index, dur *index.Durable, cfg config) *Index {
+// A configuration whose solver cannot answer the index's dimension is
+// rejected here, not on every solve.
+func newIndex(inner *index.Index, dur *index.Durable, cfg config) (*Index, error) {
+	if _, err := policyFor(cfg, inner.Dim()); err != nil {
+		return nil, err
+	}
 	ix := &Index{inner: inner, cfg: cfg, dim: inner.Dim(), dur: dur}
 	if cfg.cacheSize > 0 {
 		ix.cache = cache.New(cfg.cacheSize)
 	}
 	cfg.metrics.Counter("index.builds").Inc()
 	cfg.metrics.Gauge("index.epoch").Set(float64(inner.Version()))
-	return ix
+	return ix, nil
 }
 
 // Version returns the current epoch number: 1 after BuildIndex, incremented
@@ -364,5 +369,5 @@ func LoadIndex(r io.Reader, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(inner, nil, newConfig(opts)), nil
+	return newIndex(inner, nil, newConfig(opts))
 }

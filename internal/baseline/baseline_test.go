@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -30,6 +31,21 @@ func randomInstance(rng *rand.Rand, n, d int) ([]vec.Vec, core.Query) {
 	return pts, q
 }
 
+// solveOn answers q over pts the way every caller does: one unfiltered
+// Prepare at the points' dimension (the query's when there are none), then
+// s.Solve on it.
+func solveOn(ctx context.Context, s core.Solver, pts []vec.Vec, q core.Query) (*core.Region, core.Stats, error) {
+	d := q.Q.Dim()
+	if len(pts) > 0 {
+		d = pts[0].Dim()
+	}
+	prep, err := core.Prepare(pts, d, false)
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	return s.Solve(ctx, prep, q)
+}
+
 const boundaryMargin = 1e-7
 
 // agree verifies two regions classify random utility vectors identically,
@@ -54,11 +70,11 @@ func TestLPCTAMatchesEPT(t *testing.T) {
 	for _, d := range []int{2, 3, 4} {
 		for trial := 0; trial < 12; trial++ {
 			pts, q := randomInstance(rng, 8+rng.Intn(20), d)
-			want, err := core.EPT(pts, q)
+			want, _, err := solveOn(context.Background(), core.EPTSolver{}, pts, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := LPCTA(pts, q)
+			got, _, err := solveOn(context.Background(), LPCTASolver{}, pts, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +86,7 @@ func TestLPCTAMatchesEPT(t *testing.T) {
 func TestLPCTAStatsCountLPs(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	pts, q := randomInstance(rng, 30, 3)
-	_, st, err := LPCTAWithStats(pts, q)
+	_, st, err := solveOn(context.Background(), LPCTASolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,17 +100,17 @@ func TestLPCTAStatsCountLPs(t *testing.T) {
 
 func TestLPCTAInvalidQuery(t *testing.T) {
 	pts := []vec.Vec{vec.Of(0.5, 0.5)}
-	if _, err := LPCTA(pts, core.Query{Q: vec.Of(0.5, 0.5), K: 0, Eps: 0.1}); err == nil {
+	if _, _, err := solveOn(context.Background(), LPCTASolver{}, pts, core.Query{Q: vec.Of(0.5, 0.5), K: 0, Eps: 0.1}); err == nil {
 		t.Fatal("k=0 should error")
 	}
 	var qe *core.QueryError
-	if _, err := LPCTA([]vec.Vec{vec.Of(0.5, 0.5, 0.5)}, core.Query{Q: vec.Of(0.5, 0.5), K: 1, Eps: 0.1}); !errors.As(err, &qe) || qe.Field != "dim" {
+	if _, _, err := solveOn(context.Background(), LPCTASolver{}, []vec.Vec{vec.Of(0.5, 0.5, 0.5)}, core.Query{Q: vec.Of(0.5, 0.5), K: 1, Eps: 0.1}); !errors.As(err, &qe) || qe.Field != "dim" {
 		t.Fatalf("dim mismatch: error %v, want a *core.QueryError on field dim", err)
 	}
 	// A NaN point fails validation instead of silently dropping its plane.
 	var de *core.DataError
 	nan := []vec.Vec{vec.Of(0.9, 0.2), vec.Of(0.5, math.NaN())}
-	if _, err := LPCTA(nan, core.Query{Q: vec.Of(0.5, 0.5), K: 1, Eps: 0.1}); !errors.As(err, &de) {
+	if _, _, err := solveOn(context.Background(), LPCTASolver{}, nan, core.Query{Q: vec.Of(0.5, 0.5), K: 1, Eps: 0.1}); !errors.As(err, &de) {
 		t.Fatalf("NaN point: error %v, want a *core.DataError", err)
 	}
 }
@@ -112,7 +128,7 @@ func TestPBAMatchesEPT(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := core.EPT(pts, q)
+			want, _, err := solveOn(context.Background(), core.EPTSolver{}, pts, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +155,7 @@ func TestPBAReusableAcrossQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.EPT(pts, q)
+		want, _, err := solveOn(context.Background(), core.EPTSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +228,7 @@ func TestPBADuplicatePoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.EPT(pts, q)
+	want, _, err := solveOn(context.Background(), core.EPTSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,16 +24,20 @@ import (
 	"rrq/internal/vec"
 )
 
-// LPCTASolver adapts LP-CTA to the uniform core.Solver contract.
+// LPCTASolver solves RRQ exactly with the adapted LP-CTA algorithm. It
+// takes its planes from core.Prepared.Planes, the plane source of every core
+// solver (planes that never or always count are folded away, and a
+// Prepared's plane store serves them), but applies none of E-PT's
+// accelerations: no hyper-plane reduction, no insertion ordering, no sphere
+// tests and no lazy splitting; every relationship check costs two LP
+// solves. Cancellation and deadlines are observed with one amortized check
+// every 64 LP solves (an LP per node visit is expensive, so a finer grain
+// buys nothing). A metrics registry attached to ctx (see internal/obs)
+// receives the solve's phase timings.
 type LPCTASolver struct{}
 
 // Name implements core.Solver.
 func (LPCTASolver) Name() string { return "LP-CTA" }
-
-// Solve implements core.Solver.
-func (LPCTASolver) Solve(ctx context.Context, prep *core.Prepared, q core.Query) (*core.Region, core.Stats, error) {
-	return LPCTAContext(ctx, prep.PointsFor(q.K), q)
-}
 
 // ctaNode is one node of the cell tree. Unlike the E-PT, cells are stored
 // purely as constraint lists — relationship checks go through the LP
@@ -46,33 +50,11 @@ type ctaNode struct {
 	invalid  bool
 }
 
-// LPCTA solves RRQ exactly with the adapted LP-CTA algorithm. It validates
-// the instance with core.ValidateInstance and takes its planes from
-// core.BuildPlanes, the core solvers' own preprocessing (planes that never
-// or always count are folded away), but applies none of E-PT's
-// accelerations: no hyper-plane reduction, no insertion ordering, no sphere
-// tests and no lazy splitting; every relationship check costs two LP
-// solves.
-func LPCTA(pts []vec.Vec, q core.Query) (*core.Region, error) {
-	r, _, err := LPCTAWithStats(pts, q)
-	return r, err
-}
-
-// LPCTAWithStats is LPCTA plus the shared core.Stats work counters.
-func LPCTAWithStats(pts []vec.Vec, q core.Query) (*core.Region, core.Stats, error) {
-	return LPCTAContext(context.Background(), pts, q)
-}
-
-// LPCTAContext runs LP-CTA under a context: cancellation and deadlines are
-// observed with one amortized check every 64 LP solves (an LP per node
-// visit is expensive, so a finer grain buys nothing). A passed deadline
-// surfaces as core.ErrDeadline, cancellation as ctx.Err(). A metrics
-// registry attached to ctx (see internal/obs) receives the solve's phase
-// timings; its work is reported in the returned Stats.
-func LPCTAContext(ctx context.Context, pts []vec.Vec, q core.Query) (*core.Region, core.Stats, error) {
+// Solve implements core.Solver.
+func (LPCTASolver) Solve(ctx context.Context, prep *core.Prepared, q core.Query) (*core.Region, core.Stats, error) {
 	var st core.Stats
 	d := q.Q.Dim()
-	if err := core.ValidateInstance(pts, q); err != nil {
+	if err := prep.Validate(q); err != nil {
 		return nil, st, err
 	}
 	check := core.NewCtxChecker(ctx, 0x3f)
@@ -82,7 +64,7 @@ func LPCTAContext(ctx context.Context, pts []vec.Vec, q core.Query) (*core.Regio
 	}
 	planePhase := check.Phase("phase.lpcta.planes")
 	defer planePhase()
-	ps := core.BuildPlanes(pts, q)
+	ps := prep.Planes(q, check)
 	planePhase()
 	st.PlanesBuilt = len(ps.Crossing)
 	k := ps.KEff(q.K)
@@ -244,7 +226,11 @@ func ctaCoverNeg(n *ctaNode, k int) {
 }
 
 // ctaCollect materializes the qualified leaves as geometric cells (the
-// output construction step of CTA).
+// output construction step of CTA). Each constraint is clipped as a plane
+// rebuilt from its stored unit normal, numbered by its position in the
+// leaf's list. The rebuild re-normalizes an already-unit normal, which can
+// move its last bits: LP-CTA's answers carry the re-normalized normals, not
+// the served ones.
 func ctaCollect(n *ctaNode, d int, out *[]*geom.Cell) {
 	if n.invalid {
 		return

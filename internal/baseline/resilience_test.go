@@ -22,7 +22,7 @@ func lpctaInstance(t *testing.T) ([]vec.Vec, core.Query) {
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 30; i++ {
 		q := core.Query{Q: dataset.RandQuery(rng, pts), K: 10, Eps: 0.2}
-		_, st, err := LPCTAContext(context.Background(), pts, q)
+		_, st, err := solveOn(context.Background(), LPCTASolver{}, pts, q)
 		if err == nil && st.Pieces > 0 && st.LPSolves > 200 {
 			return pts, q
 		}
@@ -76,7 +76,7 @@ func TestBudgetStopsLPCTANotSweeping(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Sweeping under the same budget: %v", err)
 	}
-	want, err := core.Sweeping(pts, q)
+	want, _, err := solveOn(context.Background(), core.SweepingSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestLPCTACancelMidPhase(t *testing.T) {
 	reg := obs.NewRegistry()
 	ctx := obs.ContextWithRegistry(&secondPollCancel{Context: parent, cancel: cancel}, reg)
 
-	_, _, err := LPCTAContext(ctx, pts, q)
+	_, _, err := solveOn(ctx, LPCTASolver{}, pts, q)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

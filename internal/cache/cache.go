@@ -88,8 +88,8 @@ type entry struct {
 
 // proxySeed and proxySamples parameterize the tightness-proxy estimate.
 // The seed is fixed so repeated lookups agree; 256 samples are enough to
-// order regions whose volumes differ meaningfully, and ties fall back to
-// keeping the incumbent.
+// order regions whose volumes differ meaningfully, and ties fall back to a
+// fixed rule (see betterInner).
 const (
 	proxySeed    = 0x5EED
 	proxySamples = 256
@@ -218,9 +218,10 @@ func (c *Cache) put(version uint64, path string, q core.Query, region *core.Regi
 // Bound returns the best available inner bound for (version, q) among
 // entries cached for the same query point: the tightest neighbor with
 // k' ≤ k and ε' ≤ ε. An exact entry matching (k, ε) is returned as an Exact
-// answer regardless of its serving path; inexact (anytime) entries are only
-// ever Inner. Nil when no applicable neighbor is cached; a returned inner
-// bound counts as a bound hit and refreshes the source entry's recency.
+// answer regardless of its serving path (the smallest cache key among
+// several); inexact (anytime) entries are only ever Inner. Nil when no
+// applicable neighbor is cached; a returned inner bound counts as a bound
+// hit and refreshes the source entry's recency.
 //
 // "Tightest" is decided by dominance first: among inner candidates, one
 // whose (k', ε') dominates another's componentwise can only have the larger
@@ -228,21 +229,28 @@ func (c *Cache) put(version uint64, path string, q core.Query, region *core.Regi
 // admits incomparable candidates, though — e.g. (k=3, ε=0.1) vs
 // (k=2, ε=0.2) — for which no a-priori ordering exists (either region can
 // be the larger); those ties break on a memoized seeded-measure proxy of
-// the stored regions themselves. A lexicographic (k, then ε) pick — the
-// historical behavior — could prefer a strictly looser bound.
+// the stored regions themselves, and equal measures on a fixed rule (see
+// betterInner), so the pick never depends on map order. A lexicographic
+// (k, then ε) pick alone could prefer a strictly looser bound.
 func (c *Cache) Bound(version uint64, q core.Query) *Answer {
 	bucket := versionKey(version, q.PointKey())
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var inner *entry
-	for e := range c.buckets[bucket] {
-		eq := e.q
-		if !e.inexact && eq.K == q.K && eq.Eps == q.Eps {
-			c.lru.MoveToFront(e.lruEntry)
-			c.hits.Add(1)
-			return &Answer{Region: e.region, Kind: Exact, From: eq}
+	members := c.buckets[bucket]
+	var exact *entry
+	for e := range members {
+		if !e.inexact && e.q.K == q.K && e.q.Eps == q.Eps && (exact == nil || e.fullKey < exact.fullKey) {
+			exact = e
 		}
-		if eq.K <= q.K && eq.Eps <= q.Eps {
+	}
+	if exact != nil {
+		c.lru.MoveToFront(exact.lruEntry)
+		c.hits.Add(1)
+		return &Answer{Region: exact.region, Kind: Exact, From: exact.q}
+	}
+	var inner *entry
+	for e := range members {
+		if e.q.K <= q.K && e.q.Eps <= q.Eps {
 			inner = c.betterInner(e, inner)
 		}
 	}
@@ -255,27 +263,45 @@ func (c *Cache) Bound(version uint64, q core.Query) *Answer {
 }
 
 // betterInner picks the tighter of two inner-bound candidates (best may be
-// nil): dominance on (k, ε) when both entries are exact — a dominating
-// neighbor's region is a superset by the monotonicity invariant —
-// otherwise the larger stored region by the seeded-measure proxy. Inexact
-// entries always compare by measure: their region can be far smaller than
-// their (k, ε) advertises, so dominance says nothing about them.
+// nil). The order is total, so the pick never depends on the order Bound
+// visits its bucket in: the larger stored region by the seeded-measure
+// proxy, then the larger k, the larger ε, and the smaller cache key. When
+// both entries are exact and their (k, ε) differ, dominance decides without
+// measuring — it agrees with that order, because a dominating neighbor's
+// region is a superset by the monotonicity invariant and so measures at
+// least as large on the shared samples. Inexact entries always compare by
+// measure: their region can be far smaller than their (k, ε) advertises, so
+// dominance says nothing about them.
 func (c *Cache) betterInner(e, best *entry) *entry {
 	if best == nil {
 		return e
 	}
-	if !e.inexact && !best.inexact {
-		if e.q.K >= best.q.K && e.q.Eps >= best.q.Eps {
+	ek, bk := e.q, best.q
+	if !e.inexact && !best.inexact && (ek.K != bk.K || ek.Eps != bk.Eps) {
+		if ek.K >= bk.K && ek.Eps >= bk.Eps {
 			return e
 		}
-		if best.q.K >= e.q.K && best.q.Eps >= e.q.Eps {
+		if bk.K >= ek.K && bk.Eps >= ek.Eps {
 			return best
 		}
 	}
-	if e.measureLocked() > best.measureLocked() {
-		return e
+	if me, mb := e.measureLocked(), best.measureLocked(); me != mb {
+		return pick(me > mb, e, best)
 	}
-	return best
+	if ek.K != bk.K {
+		return pick(ek.K > bk.K, e, best)
+	}
+	if ek.Eps != bk.Eps {
+		return pick(ek.Eps > bk.Eps, e, best)
+	}
+	return pick(e.fullKey < best.fullKey, e, best)
+}
+
+func pick(first bool, a, b *entry) *entry {
+	if first {
+		return a
+	}
+	return b
 }
 
 // Prune discards every entry not belonging to version — called after a

@@ -133,6 +133,34 @@ func TestBoundIncomparableInnerPicksLargerRegion(t *testing.T) {
 	}
 }
 
+// Two incomparable neighbors whose regions measure the same are a tie the
+// proxy cannot break; the pick must still be the same on every lookup,
+// whatever order the bucket map visits its members in.
+func TestBoundEqualMeasureTieIsDeterministic(t *testing.T) {
+	c := New(8)
+	c.Put(1, "E-PT", q2(0.4, 0.7, 3, 0.1), region(0.25, 0.5))
+	c.Put(1, "E-PT", q2(0.4, 0.7, 2, 0.2), region(0.5, 0.75))
+	want := c.Bound(1, q2(0.4, 0.7, 3, 0.2))
+	if want == nil || want.Kind != Inner {
+		t.Fatalf("want inner bound, got %+v", want)
+	}
+	for i := 0; i < 200; i++ {
+		if got := c.Bound(1, q2(0.4, 0.7, 3, 0.2)); got.Region != want.Region {
+			t.Fatalf("lookup %d picked %+v, an earlier one %+v", i, got.From, want.From)
+		}
+	}
+	// And several serving paths holding the exact answer: one fixed pick.
+	for _, path := range []string{"Sweeping", "E-PT", "LP-CTA", "BruteForce"} {
+		c.Put(1, path, q2(0.4, 0.7, 3, 0.2), region(0.1, 0.9))
+	}
+	first := c.Bound(1, q2(0.4, 0.7, 3, 0.2))
+	for i := 0; i < 200; i++ {
+		if got := c.Bound(1, q2(0.4, 0.7, 3, 0.2)); got.Kind != Exact || got.Region != first.Region {
+			t.Fatalf("exact lookup %d returned a different entry", i)
+		}
+	}
+}
+
 // When candidates are comparable, dominance decides without consulting the
 // proxy: the dominating (k', ε') owns the superset region by the
 // monotonicity invariant, and the cache trusts the invariant over 256

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,12 +21,12 @@ func TestEPTAblationVariantsAgree(t *testing.T) {
 	for _, d := range []int{2, 3, 4} {
 		for trial := 0; trial < 10; trial++ {
 			pts, q := randomInstance(rng, 10+rng.Intn(30), d)
-			want, err := EPT(pts, q)
+			want, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for vi, opt := range variants {
-				got, _, err := EPTWithOptions(pts, q, opt)
+				got, _, err := solveOn(context.Background(), EPTSolver{Opt: opt}, pts, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -55,18 +56,18 @@ func TestEPTAblationStats(t *testing.T) {
 		pts[i] = vec.Of(0.1+0.8*rng.Float64(), 0.1+0.8*rng.Float64(), 0.1+0.8*rng.Float64())
 	}
 	q := Query{Q: vec.Of(0.75, 0.75, 0.75), K: 5, Eps: 0.1}
-	_, full, err := EPTWithStats(pts, q)
+	_, full, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, noRed, err := EPTWithOptions(pts, q, EPTOptions{NoReduction: true})
+	_, noRed, err := solveOn(context.Background(), EPTSolver{Opt: EPTOptions{NoReduction: true}}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.PlanesInserted > noRed.PlanesInserted {
 		t.Fatalf("reduction increased planes: %d vs %d", full.PlanesInserted, noRed.PlanesInserted)
 	}
-	_, eager, err := EPTWithOptions(pts, q, EPTOptions{NoLazySplit: true})
+	_, eager, err := solveOn(context.Background(), EPTSolver{Opt: EPTOptions{NoLazySplit: true}}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,14 +41,14 @@ func TestBuildPlanesFixedAlloc(t *testing.T) {
 	for d := 2; d <= 5; d++ {
 		rng := rand.New(rand.NewSource(int64(d) * 977))
 		pts, q := randomInstance(rng, 400, d)
-		if n := len(BuildPlanes(pts, q).Crossing); n < 10 {
-			t.Fatalf("d=%d: only %d crossing planes; test is vacuous", d, n)
+		if ps, _ := buildPlanes(pts, q, &Arena{}); len(ps.Crossing) < 10 {
+			t.Fatalf("d=%d: only %d crossing planes; test is vacuous", d, len(ps.Crossing))
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			BuildPlanes(pts, q)
+			buildPlanes(pts, q, &Arena{})
 		})
 		if allocs > 3 {
-			t.Errorf("d=%d: BuildPlanes allocates %.1f per run, want at most 3", d, allocs)
+			t.Errorf("d=%d: buildPlanes on a fresh arena allocates %.1f per run, want at most 3", d, allocs)
 		}
 	}
 }
@@ -57,7 +57,7 @@ func TestReduceAndOrderPlanesZeroAlloc(t *testing.T) {
 	for d := 2; d <= 4; d++ {
 		rng := rand.New(rand.NewSource(int64(d) * 131))
 		pts, q := randomInstance(rng, 200, d)
-		ps := BuildPlanes(pts, q)
+		ps, _ := buildPlanes(pts, q, &Arena{})
 		if len(ps.Crossing) < 4 {
 			t.Fatalf("d=%d: only %d crossing planes; test is vacuous", d, len(ps.Crossing))
 		}
@@ -83,7 +83,8 @@ func TestReduceAndOrderPlanesCounterZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
 	pts, q := randomInstance(rng, 2000, 4)
 	q.K = 40
-	many := BuildPlanes(pts, q).Crossing
+	ps, _ := buildPlanes(pts, q, &Arena{})
+	many := ps.Crossing
 	few := many[:40]
 	if len(many) < 500 {
 		t.Fatalf("only %d crossing planes; the bitset path is not exercised", len(many))
@@ -107,7 +108,7 @@ func TestSweepIntervalsZeroAlloc(t *testing.T) {
 	// can dominate it under the (1−ε) scale), so the effective rank stays
 	// positive and the sweep actually runs.
 	q := Query{Q: vec.Of(0.9, 0.85), K: 3, Eps: 0.1}
-	ps := BuildPlanes(pts, q)
+	ps, _ := buildPlanes(pts, q, &Arena{})
 	k := ps.KEff(q.K)
 	if k <= 0 || len(ps.Crossing) == 0 {
 		t.Fatalf("degenerate instance (keff=%d, planes=%d); test is vacuous", k, len(ps.Crossing))
@@ -132,7 +133,7 @@ func TestSweepIntervalsZeroAlloc(t *testing.T) {
 // TestDeriveIntoArenaZeroAlloc pins the plane store's narrowing path: a
 // query below its group's rank derives its set — store lookup, count filter
 // and ID renumbering — into a warm arena without allocating, and the
-// derived set equals a fresh BuildPlanes over the query's own band.
+// derived set equals a fresh buildPlanes over the query's own band.
 func TestDeriveIntoArenaZeroAlloc(t *testing.T) {
 	for d := 2; d <= 4; d++ {
 		rng := rand.New(rand.NewSource(int64(d) * 37))
@@ -149,7 +150,7 @@ func TestDeriveIntoArenaZeroAlloc(t *testing.T) {
 		band := prep.PointsFor(q.K)
 		a := &Arena{}
 		got := store.planes(band, q, a, nil)
-		want := BuildPlanes(band, q)
+		want, _ := buildPlanes(band, q, &Arena{})
 		if len(want.Crossing) == 0 {
 			t.Fatalf("d=%d: instance produced no crossing planes; test is vacuous", d)
 		}

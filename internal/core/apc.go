@@ -60,45 +60,44 @@ func SampleSizeFor(rho, delta float64, d int) int {
 	return int(math.Ceil((float64(d) + math.Log(1/delta)) / (rho * rho)))
 }
 
-// APC solves RRQ approximately by progressive construction (paper §5.2,
-// Algorithm 3) — APCContext with a background context.
-func APC(pts []vec.Vec, q Query, opt APCOptions) (*Region, error) {
-	r, _, err := APCContext(context.Background(), pts, q, opt)
-	return r, err
-}
-
-// APCContext runs A-PC (paper §5.2, Algorithm 3) under a context: sample
-// utility vectors from Seed in order, keep the qualified ones, and build one
-// qualified partition per kept sample (Lemma 5.7), skipping samples that
-// land in an already-built partition (Lemma 5.8). Every returned partition
-// is qualified in full; partitions never hit by a sample may be missed,
-// which is the approximation (bounded by Lemma 5.10, see AccuracyOf).
+// APCSolver solves RRQ approximately by progressive construction (paper
+// §5.2, Algorithm 3): sample utility vectors from Opt.Seed in order, keep
+// the qualified ones, and build one qualified partition per kept sample
+// (Lemma 5.7), skipping samples that land in an already-built partition
+// (Lemma 5.8). Every returned partition is qualified in full; partitions
+// never hit by a sample may be missed, which is the approximation (bounded
+// by Lemma 5.10, see AccuracyOf). Seeds are deterministic per query, so
+// batch answers match sequential ones.
 //
-// A run that cannot be cut (no MaxSamples, no Budget) classifies its whole
-// pool up front — in parallel under Workers — and merges samples whose
-// positive sets nest (Lemma 5.9) before building. A run that can be cut
-// streams instead: each qualified sample's partition is appended at once
-// and never merged, and the run stops at the first partition boundary past
-// MaxSamples or Budget. Merging would mutate partitions an earlier cut
-// already returned, so only the streamed form keeps every prefix a subset
-// of every longer one.
+// A run that cannot be cut (no MaxSamples, no Budget) is the paper's A-PC:
+// it classifies its whole pool up front — in parallel under Workers — and
+// merges samples whose positive sets nest (Lemma 5.9) before building. A
+// run that can be cut is the anytime tier's: it streams instead, appending
+// each qualified sample's partition at once and never merging, and stops
+// at the first partition boundary past MaxSamples or Budget. Merging would
+// mutate partitions an earlier cut already returned, so only the streamed
+// form keeps every prefix a subset of every longer one.
 //
 // The classification and construction loops observe cancellation with
-// amortized checks. A passed deadline surfaces as ErrDeadline,
-// cancellation as ctx.Err(). A metrics registry attached to ctx (see
-// internal/obs) receives the solve's phase timings; its work is reported
-// in the returned Stats.
-func APCContext(ctx context.Context, pts []vec.Vec, q Query, opt APCOptions) (*Region, Stats, error) {
-	if err := ValidateInstance(pts, q); err != nil {
-		return nil, Stats{}, err
-	}
-	return apcSolve(ctx, pts, q, opt, nil)
+// amortized checks. A metrics registry attached to ctx (see internal/obs)
+// receives the solve's phase timings.
+type APCSolver struct {
+	Opt APCOptions
 }
 
-// apcSolve is the A-PC body shared by the validated entry points. store,
-// when non-nil, serves the classified plane set from shared storage, the
-// same arrangement the exact solvers of the snapshot draw on.
-func apcSolve(ctx context.Context, pts []vec.Vec, q Query, opt APCOptions, store *planeStore) (*Region, Stats, error) {
+func (APCSolver) Name() string { return "A-PC" }
+
+func (s APCSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*Region, Stats, error) {
+	if err := prep.Validate(q); err != nil {
+		return nil, Stats{}, err
+	}
+	return apcSolve(ctx, prep, q, s.Opt)
+}
+
+// apcSolve is the A-PC body. Its planes come from prep.Planes: the same
+// arrangement the exact solvers of the Prepared draw on, served from its
+// plane store when it has one.
+func apcSolve(ctx context.Context, prep *Prepared, q Query, opt APCOptions) (*Region, Stats, error) {
 	var st Stats
 	d := q.Q.Dim()
 	check := NewCtxChecker(ctx, 0xff)
@@ -107,8 +106,8 @@ func apcSolve(ctx context.Context, pts []vec.Vec, q Query, opt APCOptions, store
 		return nil, st, check.Err()
 	}
 	// The partitions keep their constraints' normals, so the planes must
-	// live in storage the solve owns: a fresh arena, never the pool.
-	ps := store.planes(pts, q, &Arena{}, check.reg)
+	// live in storage the solve owns, never the pool.
+	ps := prep.Planes(q, check)
 	run := &apcRun{
 		d:      d,
 		planes: ps.Crossing,

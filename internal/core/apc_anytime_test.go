@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 
 // apcWithReceipt runs A-PC and returns its result with its accuracy receipt.
 func apcWithReceipt(t *testing.T, pts []vec.Vec, q Query, opt APCOptions) (*Region, Stats, Accuracy, error) {
-	r, st, err := APCContext(t.Context(), pts, q, opt)
+	r, st, err := solveOn(t.Context(), APCSolver{Opt: opt}, pts, q)
 	if err != nil {
 		return nil, st, Accuracy{}, err
 	}
@@ -76,13 +77,13 @@ func TestAnytimeWarmStartFromInnerBound(t *testing.T) {
 		strict := q
 		strict.K--
 		strict.Eps = q.Eps / 2
-		seedRegion, _, err := APCContext(t.Context(), pts, strict, APCOptions{Samples: 50, Seed: int64(trial)})
+		seedRegion, _, err := solveOn(t.Context(), APCSolver{Opt: APCOptions{Samples: 50, Seed: int64(trial)}}, pts, strict)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, _, err := APCContext(t.Context(), pts, q, APCOptions{
+		r, _, err := solveOn(t.Context(), APCSolver{Opt: APCOptions{
 			Samples: 50, Seed: int64(trial) + 7, MaxSamples: 50, Warm: seedRegion.Cells(),
-		})
+		}}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,13 +219,13 @@ func apcPairCases() []apcPairCase {
 func TestAPCKeepsQualifiedSamples(t *testing.T) {
 	qualified := 0
 	for ci, c := range apcPairCases() {
-		r, err := APC(c.pts, c.q, c.opt)
+		r, _, err := solveOn(context.Background(), APCSolver{Opt: c.opt}, c.pts, c.q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Replay A-PC's own sample stream against its plane set.
 		rng := rand.New(rand.NewSource(c.opt.Seed))
-		ps := BuildPlanes(c.pts, c.q)
+		ps, _ := buildPlanes(c.pts, c.q, &Arena{})
 		for s := 0; s < c.opt.Samples; s++ {
 			u := vec.RandSimplex(rng, c.q.Q.Dim())
 			if _, ok := apcClassify(ps.Crossing, ps.KEff(c.q.K), u); !ok {
@@ -248,12 +249,12 @@ func TestAPCKeepsQualifiedSamples(t *testing.T) {
 func TestAnytimeWithinAPC(t *testing.T) {
 	covered := 0
 	for ci, c := range apcPairCases() {
-		r, err := APC(c.pts, c.q, c.opt)
+		r, _, err := solveOn(context.Background(), APCSolver{Opt: c.opt}, c.pts, c.q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// MaxSamples at the pool: the run streams (no merge) yet is never cut.
-		a, err := APC(c.pts, c.q, APCOptions{Samples: c.opt.Samples, Seed: c.opt.Seed, MaxSamples: c.opt.Samples})
+		a, _, err := solveOn(context.Background(), APCSolver{Opt: APCOptions{Samples: c.opt.Samples, Seed: c.opt.Seed, MaxSamples: c.opt.Samples}}, c.pts, c.q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,14 +14,15 @@ import (
 // sweep's crossing-parameter and event buffers — lives here. Every solve
 // takes one from arenaPool for its whole duration and returns it when the
 // solve returns, so a warmed-up arena runs the whole plane phase without
-// allocating, whichever entry point the solve came through.
+// allocating.
 //
 // The contract: nothing a solve returns may alias its arena. E-PT repacks
 // the surviving normals into heap storage (PackNormals) before any tree
 // node can retain them, and Sweeping copies its merged intervals out.
-// Callers that keep what they build — BuildPlanes, a plane group's build,
-// brute-force regions that keep the plane normals — pass a fresh zero
-// Arena instead, whose buffers they then own. An arena is not synchronized
+// Callers that keep what they build — a plane group's build, and every
+// solver whose answer keeps the plane normals (Prepared.Planes: A-PC,
+// brute force, LP-CTA) — pass a fresh zero Arena instead, whose buffers
+// they then own. An arena is not synchronized
 // and is only touched by the serial portion of a solve (E-PT's intra-query
 // insert pool never sees it). Buffers keep their capacity between solves.
 type Arena struct {

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"bytes"
@@ -8,66 +8,58 @@ import (
 	"sync"
 	"testing"
 
+	"rrq/internal/baseline"
+	"rrq/internal/core"
 	"rrq/internal/dataset"
 	"rrq/internal/skyband"
-	"rrq/internal/vec"
 )
-
-// competitiveQueries draws n queries near skyline points of pts, the
-// queries whose regions are neither trivially empty nor the whole simplex.
-func competitiveQueries(rng *rand.Rand, pts []vec.Vec, n int) []Query {
-	var sky []vec.Vec
-	for _, i := range skyband.Skyline(pts) {
-		sky = append(sky, pts[i])
-	}
-	qs := make([]Query, n)
-	for i := range qs {
-		qs[i] = Query{Q: dataset.RandQuery(rng, sky), K: 1 + rng.Intn(4), Eps: 0.05 + 0.15*rng.Float64()}
-	}
-	return qs
-}
 
 // Every solve borrows its scratch arena from a shared pool, so a region
 // that aliased arena memory would be rewritten by whichever solve takes
 // the arena next. Keep the encodings of a first round of regions, run
 // concurrent solves over the same pool, and require every kept region to
-// encode to the same bytes afterwards.
+// encode to the same bytes afterwards. Solvers whose answers keep the
+// plane normals (brute force, A-PC, LP-CTA) take them from
+// Prepared.Planes, never the pool.
 func TestPooledArenaNotRetained(t *testing.T) {
 	cases := []struct {
 		name   string
 		d, n   int
-		solver Solver
+		solver core.Solver
 	}{
-		{"sweeping-2d", 2, 300, SweepingSolver{}},
-		{"ept-3d", 3, 150, EPTSolver{}},
-		{"ept-4d", 4, 100, EPTSolver{}},
-		{"brute-2d", 2, 60, BruteForceSolver{}},
-		{"brute-3d", 3, 30, BruteForceSolver{}},
+		{"sweeping-2d", 2, 300, core.SweepingSolver{}},
+		{"ept-3d", 3, 150, core.EPTSolver{}},
+		{"ept-4d", 4, 100, core.EPTSolver{}},
+		{"brute-2d", 2, 60, core.BruteForceSolver{}},
+		{"brute-3d", 3, 30, core.BruteForceSolver{}},
 		// A-PC's partitions keep their constraints' normals, merged or cut.
-		{"apc-merged-3d", 3, 150, APCSolver{Opt: APCOptions{Samples: 40, Seed: 3}}},
-		{"apc-cut-4d", 4, 100, APCSolver{Opt: APCOptions{Samples: 60, Seed: 3, MaxSamples: 30}}},
+		{"apc-merged-3d", 3, 150, core.APCSolver{Opt: core.APCOptions{Samples: 40, Seed: 3}}},
+		{"apc-cut-4d", 4, 100, core.APCSolver{Opt: core.APCOptions{Samples: 60, Seed: 3, MaxSamples: 30}}},
+		// LP-CTA's cells are clipped from the served planes' normals.
+		{"lpcta-2d", 2, 60, baseline.LPCTASolver{}},
+		{"lpcta-3d", 3, 30, baseline.LPCTASolver{}},
 	}
 	for ci, tc := range cases {
 		pts := dataset.Generate(dataset.Independent, tc.n, tc.d, int64(ci)+5)
-		storeless, err := Prepare(pts, tc.d, false)
+		storeless, err := core.Prepare(pts, tc.d, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		preps := []struct {
 			name string
-			prep *Prepared
+			prep *core.Prepared
 		}{
-			{"counted", PrepareCounted(pts, tc.d, skyband.DominatorCounts(pts), nil)},
+			{"counted", core.PrepareCounted(pts, tc.d, skyband.DominatorCounts(pts), nil)},
 			{"storeless", storeless},
 		}
 		for _, p := range preps {
 			prep := p.prep
 			t.Run(fmt.Sprintf("%s/%s", tc.name, p.name), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(ci) * 101))
-				queries := competitiveQueries(rng, pts, 64)
-				pol := SolvePolicy{Solver: tc.solver}
+				queries := core.CompetitiveQueries(rng, pts, 64)
+				pol := core.SolvePolicy{Solver: tc.solver}
 				ctx := context.Background()
-				regions := make([]*Region, len(queries))
+				regions := make([]*core.Region, len(queries))
 				kept := make([][]byte, len(queries))
 				nonEmpty := 0
 				for i, q := range queries {
@@ -87,7 +79,7 @@ func TestPooledArenaNotRetained(t *testing.T) {
 					t.Fatalf("only %d of %d regions are non-empty; test is vacuous", nonEmpty, len(queries))
 				}
 
-				more := competitiveQueries(rng, pts, 32)
+				more := core.CompetitiveQueries(rng, pts, 32)
 				var wg sync.WaitGroup
 				errs := make(chan error, 4)
 				for w := 0; w < 4; w++ {

@@ -9,42 +9,45 @@ import (
 	"rrq/internal/vec"
 )
 
-// BruteForce2D solves the d = 2 case exactly by enumerating every crossing
-// of the utility segment and counting negative half-spaces at each
-// partition midpoint directly. O(n²); reference implementation for tests.
-func BruteForce2D(pts []vec.Vec, q Query) (*Region, error) {
-	r, _, err := BruteForce2DContext(context.Background(), pts, q)
-	return r, err
+// BruteForceSolver is the exact reference solver, intended purely as a
+// test oracle: in 2-d it enumerates every crossing of the utility segment
+// and counts negative half-spaces at each partition midpoint directly
+// (O(n²)); in higher dimensions it materializes the full arrangement —
+// every crossing plane splits every cell, with no pruning, reduction or
+// laziness — which is exponential in the number of planes and refused past
+// MaxPlanes (default 64). Cancellation is observed once per enumerated
+// partition, or with an amortized check per cell/plane pair.
+type BruteForceSolver struct {
+	MaxPlanes int
 }
 
-// BruteForce2DContext is BruteForce2D under a context with work counters;
-// cancellation is observed once per enumerated partition.
-func BruteForce2DContext(ctx context.Context, pts []vec.Vec, q Query) (*Region, Stats, error) {
-	if q.Q.Dim() != 2 {
-		return nil, Stats{}, fmt.Errorf("core: BruteForce2D requires d = 2, got %d", q.Q.Dim())
-	}
-	if err := ValidateInstance(pts, q); err != nil {
+func (BruteForceSolver) Name() string { return "BruteForce" }
+
+func (s BruteForceSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*Region, Stats, error) {
+	if err := prep.Validate(q); err != nil {
 		return nil, Stats{}, err
 	}
-	return brute2DSolve(ctx, pts, q, nil)
+	if prep.Dim() == 2 {
+		return brute2DSolve(ctx, prep, q)
+	}
+	maxPlanes := s.MaxPlanes
+	if maxPlanes <= 0 {
+		maxPlanes = 64
+	}
+	return bruteNDSolve(ctx, prep, q, maxPlanes)
 }
 
-// brute2DSolve is the 2-d enumeration body shared by the validated entry
-// points; store, when non-nil, serves the (read-only) classified plane set
-// from shared storage.
-func brute2DSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore) (*Region, Stats, error) {
+// brute2DSolve is the 2-d crossing enumeration.
+func brute2DSolve(ctx context.Context, prep *Prepared, q Query) (*Region, Stats, error) {
 	var st Stats
-	if q.Q.Dim() != 2 {
-		return nil, st, fmt.Errorf("core: BruteForce2D requires d = 2, got %d", q.Q.Dim())
-	}
 	check := NewCtxChecker(ctx, 0xff)
 	check.SetFaultKey(q.Q)
 	if check.Failed() {
 		return nil, st, check.Err()
 	}
-	// The oracle owns its planes (a fresh arena, never the pool), so it
-	// shares no scratch with the solvers it checks.
-	ps := store.planes(pts, q, &Arena{}, check.reg)
+	// The oracle owns its planes (never the pool), so it shares no scratch
+	// with the solvers it checks.
+	ps := prep.Planes(q, check)
 	st.PlanesBuilt = len(ps.Crossing)
 	k := ps.KEff(q.K)
 	if k <= 0 {
@@ -88,28 +91,8 @@ func brute2DSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore
 	return NewIntervalRegion(merged), st, nil
 }
 
-// BruteForceND solves RRQ exactly in any dimension by materializing the
-// full arrangement: every crossing plane splits every cell, with no
-// pruning, reduction or laziness. Exponential in the number of planes;
-// guarded by maxPlanes and intended purely as a test oracle.
-func BruteForceND(pts []vec.Vec, q Query, maxPlanes int) (*Region, error) {
-	r, _, err := BruteForceNDContext(context.Background(), pts, q, maxPlanes)
-	return r, err
-}
-
-// BruteForceNDContext is BruteForceND under a context with work counters;
-// cancellation is observed with an amortized check per cell/plane pair.
-func BruteForceNDContext(ctx context.Context, pts []vec.Vec, q Query, maxPlanes int) (*Region, Stats, error) {
-	if err := ValidateInstance(pts, q); err != nil {
-		return nil, Stats{}, err
-	}
-	return bruteNDSolve(ctx, pts, q, maxPlanes, nil)
-}
-
-// bruteNDSolve is the arrangement-materializing body shared by the
-// validated entry points; store, when non-nil, serves the (read-only)
-// classified plane set from shared storage.
-func bruteNDSolve(ctx context.Context, pts []vec.Vec, q Query, maxPlanes int, store *planeStore) (*Region, Stats, error) {
+// bruteNDSolve materializes the full arrangement.
+func bruteNDSolve(ctx context.Context, prep *Prepared, q Query, maxPlanes int) (*Region, Stats, error) {
 	var st Stats
 	d := q.Q.Dim()
 	check := NewCtxChecker(ctx, 0xff)
@@ -118,8 +101,8 @@ func bruteNDSolve(ctx context.Context, pts []vec.Vec, q Query, maxPlanes int, st
 		return nil, st, check.Err()
 	}
 	// The region's cells keep the plane normals, so they must live in
-	// storage the solve owns: a fresh arena, never the pool.
-	ps := store.planes(pts, q, &Arena{}, check.reg)
+	// storage the solve owns, never the pool.
+	ps := prep.Planes(q, check)
 	st.PlanesBuilt = len(ps.Crossing)
 	if len(ps.Crossing) > maxPlanes {
 		return nil, st, fmt.Errorf("core: brute force limited to %d planes, have %d", maxPlanes, len(ps.Crossing))

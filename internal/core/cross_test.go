@@ -6,6 +6,7 @@ package core
 // reported by CountBetter.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,11 +62,11 @@ func TestSweepingMatchesBruteForce2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 150; trial++ {
 		pts, q := randomInstance(rng, 3+rng.Intn(40), 2)
-		want, err := BruteForce2D(pts, q)
+		want, _, err := solveOn(context.Background(), BruteForceSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Sweeping(pts, q)
+		got, _, err := solveOn(context.Background(), SweepingSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestEPTMatchesOracle(t *testing.T) {
 	for _, d := range []int{2, 3, 4, 5} {
 		for trial := 0; trial < 25; trial++ {
 			pts, q := randomInstance(rng, 10+rng.Intn(50), d)
-			reg, err := EPT(pts, q)
+			reg, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,11 +102,11 @@ func TestEPTMatchesBruteForceND(t *testing.T) {
 	for _, d := range []int{3, 4} {
 		for trial := 0; trial < 15; trial++ {
 			pts, q := randomInstance(rng, 6+rng.Intn(8), d)
-			want, err := BruteForceND(pts, q, 100)
+			want, _, err := solveOn(context.Background(), BruteForceSolver{MaxPlanes: 100}, pts, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := EPT(pts, q)
+			got, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,11 +129,11 @@ func TestSweepingMatchesEPT2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	for trial := 0; trial < 60; trial++ {
 		pts, q := randomInstance(rng, 5+rng.Intn(60), 2)
-		sw, err := Sweeping(pts, q)
+		sw, _, err := solveOn(context.Background(), SweepingSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep, err := EPT(pts, q)
+		ep, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func TestAPCSoundness(t *testing.T) {
 	for _, d := range []int{2, 3, 4} {
 		for trial := 0; trial < 20; trial++ {
 			pts, q := randomInstance(rng, 10+rng.Intn(40), d)
-			reg, err := APC(pts, q, APCOptions{Samples: 60, Seed: int64(trial)})
+			reg, _, err := solveOn(context.Background(), APCSolver{Opt: APCOptions{Samples: 60, Seed: int64(trial)}}, pts, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,12 +172,12 @@ func TestAPCRecallImprovesWithSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	pts := dataset.Generate(dataset.Independent, 200, 3, 77)
 	q := Query{Q: dataset.RandQuery(rng, pts), K: 5, Eps: 0.1}
-	exact, err := EPT(pts, q)
+	exact, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recall := func(samples int) float64 {
-		reg, err := APC(pts, q, APCOptions{Samples: samples, Seed: 9})
+		reg, _, err := solveOn(context.Background(), APCSolver{Opt: APCOptions{Samples: samples, Seed: 9}}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +216,7 @@ func TestEpsilonZeroIsReverseTopK(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		pts, q := randomInstance(rng, 20, 3)
 		q.Eps = 0
-		reg, err := EPT(pts, q)
+		reg, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +249,7 @@ func TestDegenerateInputs(t *testing.T) {
 	t.Run("query dominates everything", func(t *testing.T) {
 		pts := []vec.Vec{vec.Of(0.1, 0.2, 0.1), vec.Of(0.2, 0.1, 0.3)}
 		q := Query{Q: vec.Of(0.9, 0.9, 0.9), K: 1, Eps: 0.1}
-		reg, err := EPT(pts, q)
+		reg, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,14 +264,14 @@ func TestDegenerateInputs(t *testing.T) {
 	t.Run("query dominated by k points", func(t *testing.T) {
 		pts := []vec.Vec{vec.Of(0.9, 0.9), vec.Of(0.95, 0.95)}
 		q := Query{Q: vec.Of(0.1, 0.1), K: 2, Eps: 0.05}
-		reg, err := Sweeping(pts, q)
+		reg, _, err := solveOn(context.Background(), SweepingSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reg.Empty() {
 			t.Fatalf("region should be empty, got %v", reg.Intervals())
 		}
-		regE, err := EPT(pts, q)
+		regE, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +283,7 @@ func TestDegenerateInputs(t *testing.T) {
 	t.Run("query in dataset", func(t *testing.T) {
 		pts := []vec.Vec{vec.Of(0.5, 0.5), vec.Of(0.6, 0.4), vec.Of(0.4, 0.6)}
 		q := Query{Q: pts[0].Clone(), K: 1, Eps: 0.1}
-		reg, err := Sweeping(pts, q)
+		reg, _, err := solveOn(context.Background(), SweepingSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,11 +298,11 @@ func TestDegenerateInputs(t *testing.T) {
 		p := vec.Of(0.8, 0.3)
 		pts := []vec.Vec{p, p.Clone(), p.Clone(), vec.Of(0.3, 0.8)}
 		pts2, q := pts, Query{Q: vec.Of(0.6, 0.6), K: 2, Eps: 0.05}
-		want, err := BruteForce2D(pts2, q)
+		want, _, err := solveOn(context.Background(), BruteForceSolver{}, pts2, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Sweeping(pts2, q)
+		got, _, err := solveOn(context.Background(), SweepingSolver{}, pts2, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +316,7 @@ func TestDegenerateInputs(t *testing.T) {
 				t.Fatalf("duplicate points: disagreement at %v", u)
 			}
 		}
-		gotE, err := EPT(pts2, q)
+		gotE, _, err := solveOn(context.Background(), EPTSolver{}, pts2, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +335,7 @@ func TestDegenerateInputs(t *testing.T) {
 	t.Run("k larger than n", func(t *testing.T) {
 		pts := []vec.Vec{vec.Of(0.9, 0.9), vec.Of(0.8, 0.8)}
 		q := Query{Q: vec.Of(0.1, 0.1), K: 10, Eps: 0.0}
-		reg, err := EPT(pts, q)
+		reg, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +349,7 @@ func TestDegenerateInputs(t *testing.T) {
 
 	t.Run("empty dataset", func(t *testing.T) {
 		q := Query{Q: vec.Of(0.5, 0.5), K: 1, Eps: 0.1}
-		reg, err := EPT(nil, q)
+		reg, _, err := solveOn(context.Background(), EPTSolver{}, nil, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,16 +360,16 @@ func TestDegenerateInputs(t *testing.T) {
 
 	t.Run("invalid queries error", func(t *testing.T) {
 		pts := []vec.Vec{vec.Of(0.5, 0.5)}
-		if _, err := EPT(pts, Query{Q: vec.Of(0.5, 0.5), K: 0, Eps: 0.1}); err == nil {
+		if _, _, err := solveOn(context.Background(), EPTSolver{}, pts, Query{Q: vec.Of(0.5, 0.5), K: 0, Eps: 0.1}); err == nil {
 			t.Error("k=0 should error")
 		}
-		if _, err := Sweeping(pts, Query{Q: vec.Of(0.5, 0.5, 0.5), K: 1, Eps: 0.1}); err == nil {
+		if _, _, err := solveOn(context.Background(), SweepingSolver{}, pts, Query{Q: vec.Of(0.5, 0.5, 0.5), K: 1, Eps: 0.1}); err == nil {
 			t.Error("3-d query to Sweeping should error")
 		}
-		if _, err := APC(pts, Query{Q: vec.Of(0.5, 0.5), K: 1, Eps: 2}, APCOptions{}); err == nil {
+		if _, _, err := solveOn(context.Background(), APCSolver{Opt: APCOptions{}}, pts, Query{Q: vec.Of(0.5, 0.5), K: 1, Eps: 2}); err == nil {
 			t.Error("ε=2 should error")
 		}
-		if _, err := EPT([]vec.Vec{vec.Of(0.5, 0.5, 0.5)}, Query{Q: vec.Of(0.5, 0.5), K: 1, Eps: 0.1}); err == nil {
+		if _, _, err := solveOn(context.Background(), EPTSolver{}, []vec.Vec{vec.Of(0.5, 0.5, 0.5)}, Query{Q: vec.Of(0.5, 0.5), K: 1, Eps: 0.1}); err == nil {
 			t.Error("mismatched point dims should error")
 		}
 	})

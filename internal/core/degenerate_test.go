@@ -44,7 +44,7 @@ func degenerateInstance(rng *rand.Rand, n, d int, eps float64) ([]vec.Vec, Query
 // TestClassifyPlaneBoundary pins the plane rule at its threshold: each
 // component of the normal q − (1−ε)p counts as zero within the absolute
 // geom.Tol (= 1e-9), strictly, whatever the operands' magnitude. With p = 0
-// and ε = 0 the normal is q itself, exactly. BuildPlanes and CountBetter
+// and ε = 0 the normal is q itself, exactly. buildPlanes and CountBetter
 // must agree with the rule on every row.
 func TestClassifyPlaneBoundary(t *testing.T) {
 	const in, out = 1e-10, 5e-9 // inside and outside geom.Tol
@@ -73,9 +73,9 @@ func TestClassifyPlaneBoundary(t *testing.T) {
 			t.Errorf("%s: classifyPlane(%v) = %d, want %d", tc.name, tc.normal, got, tc.want)
 		}
 		q := Query{Q: tc.normal, K: 1}
-		ps := BuildPlanes([]vec.Vec{zero}, q)
+		ps, _ := buildPlanes([]vec.Vec{zero}, q, &Arena{})
 		if ps.Base != b2i(tc.want == planeBase) || len(ps.Crossing) != b2i(tc.want == planeCross) {
-			t.Errorf("%s: BuildPlanes base %d, crossing %d; want kind %d", tc.name, ps.Base, len(ps.Crossing), tc.want)
+			t.Errorf("%s: buildPlanes base %d, crossing %d; want kind %d", tc.name, ps.Base, len(ps.Crossing), tc.want)
 		}
 		if tc.want != planeCross {
 			if c, _ := CountBetter([]vec.Vec{zero}, q, vec.Vec{1. / 3, 1. / 3, 1. / 3}); c != b2i(tc.want == planeBase) {
@@ -99,7 +99,7 @@ func TestCountBetterSkipsDegeneratePlane(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		d := 2 + trial%4
 		pts, q := degenerateInstance(rng, 4+rng.Intn(8), d, []float64{0, 0.1, 0.3}[trial%3])
-		ps := BuildPlanes(pts, q)
+		ps, _ := buildPlanes(pts, q, &Arena{})
 		for i := 0; i < 20; i++ {
 			u := vec.RandSimplex(rng, d)
 			count, margin := CountBetter(pts, q, u)
@@ -144,7 +144,7 @@ func TestSolversAgreeOnDegeneratePlaneDatasets(t *testing.T) {
 		eps := []float64{0, 0.1, 0.25}[trial%3]
 		pts, q := degenerateInstance(rng, 5+rng.Intn(6), d, eps)
 
-		reg, _, err := EPTContext(ctx, pts, q, EPTOptions{})
+		reg, _, err := solveOn(ctx, EPTSolver{}, pts, q)
 		if err != nil {
 			t.Fatalf("trial %d: E-PT: %v", trial, err)
 		}
@@ -152,23 +152,23 @@ func TestSolversAgreeOnDegeneratePlaneDatasets(t *testing.T) {
 
 		var brute *Region
 		if d == 2 {
-			brute, _, err = BruteForce2DContext(ctx, pts, q)
+			brute, _, err = solveOn(ctx, BruteForceSolver{}, pts, q)
 			if err == nil {
-				sweep, _, serr := SweepingContext(ctx, pts, q)
+				sweep, _, serr := solveOn(ctx, SweepingSolver{}, pts, q)
 				if serr != nil {
 					t.Fatalf("trial %d: sweeping: %v", trial, serr)
 				}
 				checkRegionAgainstOracle(t, sweep, pts, q, rng, 120, true)
 			}
 		} else {
-			brute, _, err = BruteForceNDContext(ctx, pts, q, 64)
+			brute, _, err = solveOn(ctx, BruteForceSolver{MaxPlanes: 64}, pts, q)
 		}
 		if err != nil {
 			t.Fatalf("trial %d: brute force: %v", trial, err)
 		}
 		checkRegionAgainstOracle(t, brute, pts, q, rng, 120, true)
 
-		apc, _, err := APCContext(ctx, pts, q, APCOptions{Samples: 80, Seed: int64(trial)})
+		apc, _, err := solveOn(ctx, APCSolver{Opt: APCOptions{Samples: 80, Seed: int64(trial)}}, pts, q)
 		if err != nil {
 			t.Fatalf("trial %d: A-PC: %v", trial, err)
 		}
@@ -197,7 +197,7 @@ func TestAPCClassifyIgnoresDegeneratePlane(t *testing.T) {
 		pts := []vec.Vec{p, p.Clone(), p.Clone()}
 		query := Query{Q: q, K: 1, Eps: eps}
 
-		apc, _, err := APCContext(context.Background(), pts, query, APCOptions{Samples: 40, Seed: int64(trial)})
+		apc, _, err := solveOn(context.Background(), APCSolver{Opt: APCOptions{Samples: 40, Seed: int64(trial)}}, pts, query)
 		if err != nil {
 			t.Fatalf("trial %d: A-PC: %v", trial, err)
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -211,7 +210,7 @@ type Prepared struct {
 // its dominators already do.
 func Prepare(pts []vec.Vec, dim int, skybandPrefilter bool) (*Prepared, error) {
 	if dim < 2 {
-		return nil, fmt.Errorf("core: dimension %d < 2", dim)
+		return nil, dataErrf(-1, -1, "dimension %d < 2", dim)
 	}
 	for i, p := range pts {
 		if p.Dim() != dim {
@@ -281,97 +280,47 @@ func (p *Prepared) PlaneGroups() int {
 	return len(p.store.groups)
 }
 
-// Solver is the uniform solving contract every algorithm implements:
-// cancellable via ctx (deadlines surface as ErrDeadline, cancellation as
-// context.Canceled), fed from shared per-dataset preprocessing, and
-// reporting common work counters. Implementations must be stateless or
-// internally synchronized: SolveBatch calls Solve concurrently.
-//
-// The Prepared path validates the query against the prepared dimension and
-// trusts the points (validated once at Prepare / index-build time); the
-// free *Context functions re-validate the full instance on every call.
+// Solver is the one way to run an algorithm: Solve answers q over a
+// Prepared, cancellable via ctx (deadlines surface as ErrDeadline,
+// cancellation as context.Canceled), fed from the Prepared's shared
+// per-dataset preprocessing — its k-bands and, when it owns one, its plane
+// store — and reporting common work counters. Every Solve checks q with
+// Prepared.Validate and trusts the points, which Prepare (or the index
+// build) validated once. Implementations must be stateless or internally
+// synchronized: SolveBatch calls Solve concurrently.
 type Solver interface {
 	Name() string
 	Solve(ctx context.Context, prep *Prepared, q Query) (*Region, Stats, error)
 }
 
-// validatePrepared checks q for a Prepared-path solve: intrinsic validity
-// first (against the query's own dimension, so a malformed query point
-// reports field "q"), then the match against the prepared dataset dimension
-// (field "dim") — the same error precedence the free *Context functions
-// produce through ValidateInstance.
-func validatePrepared(q Query, dim int) error {
+// Validate is the query gate of every Solver: intrinsic validity first
+// (against the query's own dimension, so a malformed query point reports
+// field "q"), then the match against the prepared dataset dimension (field
+// "dim"). A failure is always a *QueryError.
+func (p *Prepared) Validate(q Query) error {
 	if err := q.Validate(q.Q.Dim()); err != nil {
 		return err
 	}
-	return q.Validate(dim)
+	return q.Validate(p.dim)
 }
 
-// SweepingSolver answers 2-d queries with the linear-time sweep (§4).
-type SweepingSolver struct{}
-
-func (SweepingSolver) Name() string { return "Sweeping" }
-
-func (SweepingSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*Region, Stats, error) {
-	if err := validatePrepared(q, prep.dim); err != nil {
-		return nil, Stats{}, err
-	}
-	return sweepSolve(ctx, prep.PointsFor(q.K), q, prep.store)
+// planes returns q's classified plane set over the band its rank selects:
+// served from the Prepared's plane store when it has one, built into a
+// otherwise. Counted stores report the lookup to reg (see
+// planeStore.planes).
+func (p *Prepared) planes(q Query, a *Arena, reg *obs.Registry) PlaneSet {
+	return p.store.planes(p.PointsFor(q.K), q, a, reg)
 }
 
-// EPTSolver answers queries exactly with the partition tree (§5.1).
-type EPTSolver struct {
-	Opt EPTOptions
-}
-
-func (EPTSolver) Name() string { return "E-PT" }
-
-func (s EPTSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*Region, Stats, error) {
-	if err := validatePrepared(q, prep.dim); err != nil {
-		return nil, Stats{}, err
-	}
-	return eptSolve(ctx, prep.PointsFor(q.K), q, s.Opt, prep.store)
-}
-
-// APCSolver answers queries approximately by progressive construction
-// (§5.2): the paper's A-PC when Opt sets no cut budget, the anytime tier's
-// cut run when it does (see APCContext). Seeds are deterministic per query,
-// so batch answers match sequential ones.
-type APCSolver struct {
-	Opt APCOptions
-}
-
-func (APCSolver) Name() string { return "A-PC" }
-
-func (s APCSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*Region, Stats, error) {
-	if err := validatePrepared(q, prep.dim); err != nil {
-		return nil, Stats{}, err
-	}
-	return apcSolve(ctx, prep.PointsFor(q.K), q, s.Opt, prep.store)
-}
-
-// BruteForceSolver is the exact reference solver: the direct 2-d crossing
-// enumeration, or the full arrangement in higher dimensions (bounded by
-// MaxPlanes, default 64).
-type BruteForceSolver struct {
-	MaxPlanes int
-}
-
-func (BruteForceSolver) Name() string { return "BruteForce" }
-
-func (s BruteForceSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*Region, Stats, error) {
-	if err := validatePrepared(q, prep.dim); err != nil {
-		return nil, Stats{}, err
-	}
-	pts := prep.PointsFor(q.K)
-	if prep.Dim() == 2 {
-		return brute2DSolve(ctx, pts, q, prep.store)
-	}
-	maxPlanes := s.MaxPlanes
-	if maxPlanes <= 0 {
-		maxPlanes = 64
-	}
-	return bruteNDSolve(ctx, pts, q, maxPlanes, prep.store)
+// Planes is the plane source of a solver whose answer keeps the plane
+// normals (A-PC, brute force, LP-CTA): q's classified plane set, served
+// from the Prepared's plane store like every solver's, with any storage
+// the serving needs in a fresh Arena the caller owns — never the pooled
+// scratch of a solve. The set is read-only: its normals may be the store's
+// own. check carries the solve's metrics registry, which a counted store
+// reports the lookup to.
+func (p *Prepared) Planes(q Query, check *CtxChecker) PlaneSet {
+	return p.planes(q, &Arena{}, check.reg)
 }
 
 // BatchOutcome is one query's result within a batch: the answer, the work

@@ -10,6 +10,21 @@ import (
 	"rrq/internal/vec"
 )
 
+// solveOn answers q over pts the way every caller does: one unfiltered
+// Prepare at the points' dimension (the query's when there are none), then
+// s.Solve on it.
+func solveOn(ctx context.Context, s Solver, pts []vec.Vec, q Query) (*Region, Stats, error) {
+	d := q.Q.Dim()
+	if len(pts) > 0 {
+		d = pts[0].Dim()
+	}
+	prep, err := Prepare(pts, d, false)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return s.Solve(ctx, prep, q)
+}
+
 func TestCtxCheckerDisabledOnBackground(t *testing.T) {
 	c := NewCtxChecker(context.Background(), 0xff)
 	for i := 0; i < 10_000; i++ {
@@ -61,7 +76,7 @@ func TestEPTContextTimeoutResponsive(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err := EPTContext(ctx, pts, q, EPTOptions{})
+	_, _, err := solveOn(ctx, EPTSolver{}, pts, q)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Skip("instance solved inside 1ms; nothing to assert")
@@ -83,7 +98,7 @@ func TestContextSolversMatchPlainCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EPT(pts, q)
+	want, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +123,16 @@ func TestContextSolversMatchPlainCalls(t *testing.T) {
 	}
 }
 
+// Every fault the Prepare gate rejects is a typed *DataError: a dataset
+// dimension below 2 (no single point at fault, Point −1) and a ragged point.
 func TestPreparedValidation(t *testing.T) {
-	if _, err := Prepare(nil, 1, false); err == nil {
-		t.Error("dimension 1 accepted")
+	var de *DataError
+	if _, err := Prepare(nil, 1, false); !errors.As(err, &de) || de.Point != -1 {
+		t.Errorf("dimension 1: err = %v, want a *DataError with Point −1", err)
 	}
 	pts := []vec.Vec{vec.Of(0.5, 0.5), vec.Of(0.1, 0.2, 0.3)}
-	if _, err := Prepare(pts, 2, false); err == nil {
-		t.Error("ragged points accepted")
+	if _, err := Prepare(pts, 2, false); !errors.As(err, &de) || de.Point != 1 {
+		t.Errorf("ragged points: err = %v, want a *DataError for point 1", err)
 	}
 }
 

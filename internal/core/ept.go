@@ -5,7 +5,6 @@ import (
 
 	"rrq/internal/faultinject"
 	"rrq/internal/geom"
-	"rrq/internal/vec"
 )
 
 // eptNode is one node of the partition tree (paper §5.1.1). Leaves carry
@@ -39,44 +38,32 @@ type EPTOptions struct {
 	Workers int
 }
 
-// EPT solves RRQ exactly in any dimension via the partition tree
+// EPTSolver solves RRQ exactly in any dimension via the partition tree
 // (paper §5.1, Algorithm 2). The four published accelerations are applied:
 // hyper-plane reduction (Lemma 5.2), W(h)-descending insertion order,
 // sphere-accelerated relationship checks (inside geom.Cell.Relation) and
-// lazy splitting with H(N) refinement.
-func EPT(pts []vec.Vec, q Query) (*Region, error) {
-	r, _, err := EPTWithStats(pts, q)
-	return r, err
+// lazy splitting with H(N) refinement; Opt disables them one by one for
+// the ablations. Cancellation and deadlines are observed with one
+// amortized check every few thousand node visits, so a Solve aborts within
+// one check interval of the context firing. A metrics registry attached to
+// ctx (see internal/obs) receives the solve's phase timings.
+type EPTSolver struct {
+	Opt EPTOptions
 }
 
-// EPTWithStats is EPT plus work counters.
-func EPTWithStats(pts []vec.Vec, q Query) (*Region, Stats, error) {
-	return EPTWithOptions(pts, q, EPTOptions{})
-}
+func (EPTSolver) Name() string { return "E-PT" }
 
-// EPTWithOptions runs E-PT with selected accelerations disabled.
-func EPTWithOptions(pts []vec.Vec, q Query, opt EPTOptions) (*Region, Stats, error) {
-	return EPTContext(context.Background(), pts, q, opt)
-}
-
-// EPTContext runs E-PT under a context: cancellation and deadlines are
-// observed with one amortized check every few thousand node visits, so a
-// Solve aborts within one check interval of the context firing. A passed
-// deadline surfaces as ErrDeadline, cancellation as ctx.Err(). A metrics
-// registry attached to ctx (see internal/obs) receives the solve's phase
-// timings; its work is reported in the returned Stats.
-func EPTContext(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions) (*Region, Stats, error) {
-	if err := ValidateInstance(pts, q); err != nil {
+func (s EPTSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*Region, Stats, error) {
+	if err := prep.Validate(q); err != nil {
 		return nil, Stats{}, err
 	}
-	return eptSolve(ctx, pts, q, opt, nil)
+	return eptSolve(ctx, prep, q, s.Opt)
 }
 
-// eptSolve is the E-PT body shared by the validated entry points. store,
-// when non-nil, serves the classified plane set from shared storage; the
-// set is then treated as read-only — any path that would reorder or repack
-// it copies the slice first.
-func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, store *planeStore) (*Region, Stats, error) {
+// eptSolve is the E-PT body. When prep owns a plane store the classified
+// plane set is shared storage and treated as read-only — any path that
+// would reorder or repack it copies the slice first.
+func eptSolve(ctx context.Context, prep *Prepared, q Query, opt EPTOptions) (*Region, Stats, error) {
 	var st Stats
 	d := q.Q.Dim()
 	check := NewCtxChecker(ctx, 0xfff)
@@ -88,7 +75,7 @@ func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, store
 	defer putArena(a)
 	planePhase := check.Phase("phase.ept.planes")
 	defer planePhase()
-	ps := store.planes(pts, q, a, check.reg)
+	ps := prep.planes(q, a, check.reg)
 	st.PlanesBuilt = len(ps.Crossing)
 	k := ps.KEff(q.K)
 	if k <= 0 {
@@ -102,7 +89,7 @@ func eptSolve(ctx context.Context, pts []vec.Vec, q Query, opt EPTOptions, store
 		if check.Failed() {
 			return nil, st, check.Err()
 		}
-	} else if store != nil {
+	} else if prep.store != nil {
 		// Both ablations off the reduction path would pack the cached slice
 		// itself; shared plane storage is read-only, so copy the headers
 		// (PackNormals rebinds each entry's backing array, it does not write
@@ -458,8 +445,4 @@ func (t *eptTree) collect(n *eptNode, out *[]*geom.Cell) {
 	for _, c := range n.children {
 		t.collect(c, out)
 	}
-}
-
-func errDimMismatch(want, got int) error {
-	return queryErrf("dim", "point dimension %d does not match query dimension %d", got, want)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -34,7 +35,7 @@ func BenchmarkEPTSerial(b *testing.B) {
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := EPTWithOptions(pts, q, EPTOptions{}); err != nil {
+				if _, _, err := solveOn(context.Background(), EPTSolver{}, pts, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -52,7 +53,7 @@ func BenchmarkEPTParallel(b *testing.B) {
 			b.Run(fmt.Sprintf("d=%d/workers=%d", d, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := EPTWithOptions(pts, q, EPTOptions{Workers: workers}); err != nil {
+					if _, _, err := solveOn(context.Background(), EPTSolver{Opt: EPTOptions{Workers: workers}}, pts, q); err != nil {
 						b.Fatal(err)
 					}
 				}

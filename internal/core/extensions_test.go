@@ -31,7 +31,7 @@ func TestFilterCustomers(t *testing.T) {
 		t.Error("customer 0 must qualify")
 	}
 	// Every returned customer must agree with the continuous region.
-	reg, err := EPT(pts, q)
+	reg, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestAPCParallelDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3333))
 	for trial := 0; trial < 10; trial++ {
 		pts, q := randomInstance(rng, 40, 3)
-		serial, err := APC(pts, q, APCOptions{Samples: 80, Seed: 5})
+		serial, _, err := solveOn(context.Background(), APCSolver{Opt: APCOptions{Samples: 80, Seed: 5}}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := APC(pts, q, APCOptions{Samples: 80, Seed: 5, Workers: 8})
+		parallel, _, err := solveOn(context.Background(), APCSolver{Opt: APCOptions{Samples: 80, Seed: 5, Workers: 8}}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestEPTDeadline(t *testing.T) {
 	// A deadline in the past must abort promptly with ErrDeadline.
 	past, cancelPast := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancelPast()
-	_, _, err := EPTContext(past, pts, q, EPTOptions{})
+	_, _, err := solveOn(past, EPTSolver{}, pts, q)
 	if !errors.Is(err, ErrDeadline) {
 		// Tiny instances can finish before the first deadline check; only
 		// accept success when the region was actually computable instantly.
@@ -109,11 +109,11 @@ func TestEPTDeadline(t *testing.T) {
 	// A generous deadline must not interfere.
 	future, cancelFuture := context.WithDeadline(context.Background(), time.Now().Add(time.Minute))
 	defer cancelFuture()
-	reg, _, err := EPTContext(future, pts, q, EPTOptions{})
+	reg, _, err := solveOn(future, EPTSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EPT(pts, q)
+	want, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}

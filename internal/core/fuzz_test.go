@@ -8,6 +8,7 @@ package core
 // `go test -fuzz=FuzzSweepingVsBrute ./internal/core` explores further.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -27,11 +28,11 @@ func FuzzSweepingVsBrute(f *testing.F) {
 			return
 		}
 		pts, q := ins.Pts, Query{Q: ins.Q, K: ins.K, Eps: ins.Eps}
-		want, err := BruteForce2D(pts, q)
+		want, _, err := solveOn(context.Background(), BruteForceSolver{}, pts, q)
 		if err != nil {
 			return
 		}
-		got, err := Sweeping(pts, q)
+		got, _, err := solveOn(context.Background(), SweepingSolver{}, pts, q)
 		if err != nil {
 			t.Fatalf("Sweeping failed where brute force succeeded: %v", err)
 		}
@@ -63,7 +64,7 @@ func FuzzAPCSound(f *testing.F) {
 		pts, q := ins.Pts, Query{Q: ins.Q, K: ins.K, Eps: ins.Eps}
 		d := q.Q.Dim()
 		seed := int64(len(data))
-		reg, err := APC(pts, q, APCOptions{Samples: 40, Seed: seed})
+		reg, _, err := solveOn(context.Background(), APCSolver{Opt: APCOptions{Samples: 40, Seed: seed}}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,14 +95,14 @@ func FuzzRegionJSON(f *testing.F) {
 		}
 		q.K, q.Eps = 2, 0.1
 		regs := []*Region{}
-		reg, err := EPT(pts, q)
+		reg, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 		regs = append(regs, reg)
 		if err == nil && d == 2 {
-			reg, err = Sweeping(pts, q)
+			reg, _, err = solveOn(context.Background(), SweepingSolver{}, pts, q)
 			regs = append(regs, reg)
 		}
 		if err == nil {
-			reg, err = APC(pts, q, APCOptions{Seed: 1})
+			reg, _, err = solveOn(context.Background(), APCSolver{Opt: APCOptions{Seed: 1}}, pts, q)
 			regs = append(regs, reg)
 		}
 		if err != nil {

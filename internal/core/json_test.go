@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,7 +17,7 @@ import (
 func TestRegionJSONRoundTripIntervals(t *testing.T) {
 	pts := table3()
 	q := Query{Q: vec.Of(0.4, 0.7), K: 1, Eps: 0.1}
-	reg, err := Sweeping(pts, q)
+	reg, _, err := solveOn(context.Background(), SweepingSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestRegionJSONRoundTripCells(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 10; trial++ {
 		pts, q := randomInstance(rng, 25, 3)
-		reg, err := EPT(pts, q)
+		reg, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,17 +164,17 @@ func encodingCorpus(t *testing.T, problems int) map[string]*Region {
 			}
 			out[fmt.Sprintf("problem %d (%s, d=%d) %s", i, ins.Family, dim, solver)] = reg
 		}
-		reg, _, err := EPTWithOptions(pts, q, EPTOptions{})
+		reg, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 		add("ept", reg, err)
-		reg, _, err = EPTWithOptions(pts, q, EPTOptions{Workers: 3})
+		reg, _, err = solveOn(context.Background(), EPTSolver{Opt: EPTOptions{Workers: 3}}, pts, q)
 		add("ept-intra3", reg, err)
 		if dim == 2 {
-			reg, err = Sweeping(pts, q)
+			reg, _, err = solveOn(context.Background(), SweepingSolver{}, pts, q)
 			add("sweeping", reg, err)
 		}
-		reg, err = APC(pts, q, APCOptions{Seed: int64(i)})
+		reg, _, err = solveOn(context.Background(), APCSolver{Opt: APCOptions{Seed: int64(i)}}, pts, q)
 		add("apc", reg, err)
-		reg, err = APC(pts, q, APCOptions{Seed: int64(i), MaxSamples: 4})
+		reg, _, err = solveOn(context.Background(), APCSolver{Opt: APCOptions{Seed: int64(i), MaxSamples: 4}}, pts, q)
 		add("anytime", reg, err)
 	}
 	return out
@@ -260,7 +261,7 @@ func wideRegion(t *testing.T, d int) *Region {
 		q.Q[j] = 0.8
 	}
 	q.K, q.Eps = 5, 0.1
-	reg, err := EPT(pts, q)
+	reg, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}

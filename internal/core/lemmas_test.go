@@ -45,7 +45,7 @@ func TestLemma41InclusiveCutoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 40; trial++ {
 		pts, q := randomInstance(rng, 25, 2)
-		ps := BuildPlanes(pts, q)
+		ps, _ := buildPlanes(pts, q, &Arena{})
 		k := ps.KEff(q.K)
 		if k <= 0 {
 			continue
@@ -86,7 +86,7 @@ func TestLemma42WindowPlaneCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
 		pts, q := randomInstance(rng, 120, 2)
-		ps := BuildPlanes(pts, q)
+		ps, _ := buildPlanes(pts, q, &Arena{})
 		k := ps.KEff(q.K)
 		if k <= 0 {
 			continue
@@ -272,7 +272,7 @@ func TestLemma57APCPartitionQualifies(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		d := 2 + rng.Intn(3)
 		pts, q := randomInstance(rng, 25, d)
-		reg, err := APC(pts, q, APCOptions{Samples: 40, Seed: int64(trial)})
+		reg, _, err := solveOn(context.Background(), APCSolver{Opt: APCOptions{Samples: 40, Seed: int64(trial)}}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestLemma510SampleSizeFindsLargeRegions(t *testing.T) {
 	// Construct a region of volume ratio just above ρ: a half-space cut.
 	h := geom.NewHyperplane(vec.Of(1, -0.5, -0.2), 0)
 	target := geom.NewSimplex(d).Clip(h, +1)
-	ratio := geom.CellMeasure(target, rng, 20000)
+	ratio := geom.MeasureCells([]*geom.Cell{target}, target.Dim(), rng, 20000)
 	if ratio <= rho {
 		t.Skipf("constructed region ratio %v ≤ ρ; adjust the plane", ratio)
 	}
@@ -334,11 +334,11 @@ func TestHyperplaneReductionPreservesAnswer(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		d := 2 + rng.Intn(3)
 		pts, q := randomInstance(rng, 40, d)
-		full, _, err := EPTWithOptions(pts, q, EPTOptions{NoReduction: true})
+		full, _, err := solveOn(context.Background(), EPTSolver{Opt: EPTOptions{NoReduction: true}}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reduced, err := EPT(pts, q)
+		reduced, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +362,7 @@ func TestReductionMatchesQuadraticDominance(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		d := 2 + rng.Intn(3)
 		pts, q := randomInstance(rng, 60, d)
-		ps := BuildPlanes(pts, q)
+		ps, _ := buildPlanes(pts, q, &Arena{})
 		k := ps.KEff(q.K)
 		if k <= 0 || len(ps.Crossing) == 0 {
 			continue

@@ -5,6 +5,7 @@ package core
 // the Sweeping walk-through of §4.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -56,12 +57,12 @@ func TestExample36PartitionCounts(t *testing.T) {
 	// c1..c4; c1, c2, c3 qualify for k = 2 (Example 3.6 / §3.2).
 	pts := table3()
 	q := Query{Q: vec.Of(0.4, 0.7), K: 2, Eps: 0.1}
-	reg, err := BruteForce2D(pts, q)
+	reg, _, err := solveOn(context.Background(), BruteForceSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Compute the three crossing parameters to locate the partitions.
-	ps := BuildPlanes(pts, q)
+	ps, _ := buildPlanes(pts, q, &Arena{})
 	if len(ps.Crossing) != 3 || ps.Base != 0 {
 		t.Fatalf("planes: crossing=%d base=%d, want 3,0", len(ps.Crossing), ps.Base)
 	}
@@ -91,7 +92,7 @@ func TestSection4SweepingWalkthrough(t *testing.T) {
 	// h_{q,p3} is filtered; the single surviving partition c2 is returned.
 	pts := table3()
 	q := Query{Q: vec.Of(0.4, 0.7), K: 1, Eps: 0.1}
-	reg, err := Sweeping(pts, q)
+	reg, _, err := solveOn(context.Background(), SweepingSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestEPTParallelDeterminism(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(900 + d)))
 			for trial := 0; trial < 4; trial++ {
 				pts, q := randomInstance(rng, 60, d)
-				ref, refStats, err := EPTWithOptions(pts, q, EPTOptions{})
+				ref, refStats, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 				if err != nil {
 					t.Fatalf("serial: %v", err)
 				}
@@ -29,7 +29,7 @@ func TestEPTParallelDeterminism(t *testing.T) {
 					t.Fatalf("marshal serial: %v", err)
 				}
 				for _, workers := range []int{1, 2, 8} {
-					got, gotStats, err := EPTWithOptions(pts, q, EPTOptions{Workers: workers})
+					got, gotStats, err := solveOn(context.Background(), EPTSolver{Opt: EPTOptions{Workers: workers}}, pts, q)
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
@@ -62,8 +62,7 @@ func TestAPCParallelDeterminism(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(700 + d)))
 			for trial := 0; trial < 4; trial++ {
 				pts, q := randomInstance(rng, 60, d)
-				ref, refStats, err := APCContext(context.Background(), pts, q,
-					APCOptions{Samples: 80, Seed: 42})
+				ref, refStats, err := solveOn(context.Background(), APCSolver{Opt: APCOptions{Samples: 80, Seed: 42}}, pts, q)
 				if err != nil {
 					t.Fatalf("serial: %v", err)
 				}
@@ -72,8 +71,7 @@ func TestAPCParallelDeterminism(t *testing.T) {
 					t.Fatalf("marshal serial: %v", err)
 				}
 				for _, workers := range []int{1, 2, 8} {
-					got, gotStats, err := APCContext(context.Background(), pts, q,
-						APCOptions{Samples: 80, Seed: 42, Workers: workers})
+					got, gotStats, err := solveOn(context.Background(), APCSolver{Opt: APCOptions{Samples: 80, Seed: 42, Workers: workers}}, pts, q)
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
@@ -101,7 +99,7 @@ func TestAPCParallelDeterminism(t *testing.T) {
 func TestEPTParallelStatsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pts, q := randomInstance(rng, 80, 4)
-	_, ref, err := EPTContext(context.Background(), pts, q, EPTOptions{Workers: 1})
+	_, ref, err := solveOn(context.Background(), EPTSolver{Opt: EPTOptions{Workers: 1}}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +107,7 @@ func TestEPTParallelStatsParity(t *testing.T) {
 		t.Fatalf("instance performs no splits, the check exercises nothing: %+v", ref)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		_, st, err := EPTContext(context.Background(), pts, q, EPTOptions{Workers: workers})
+		_, st, err := solveOn(context.Background(), EPTSolver{Opt: EPTOptions{Workers: workers}}, pts, q)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -127,7 +125,7 @@ func TestEPTParallelCancellation(t *testing.T) {
 	pts, q := randomInstance(rng, 200, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := EPTContext(ctx, pts, q, EPTOptions{Workers: 4})
+	_, _, err := solveOn(ctx, EPTSolver{Opt: EPTOptions{Workers: 4}}, pts, q)
 	if err == nil {
 		t.Fatal("expected error from canceled context")
 	}

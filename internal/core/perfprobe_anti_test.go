@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -22,7 +23,7 @@ func TestEPTAntiProbe(t *testing.T) {
 	for i := 0; i < 1; i++ {
 		q := Query{Q: dataset.RandQuery(rng, pts), K: 10, Eps: 0.1}
 		start := time.Now()
-		reg, st, err := EPTWithStats(band, q)
+		reg, st, err := solveOn(context.Background(), EPTSolver{}, band, q)
 		if err != nil {
 			t.Fatal(err)
 		}

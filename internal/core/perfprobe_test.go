@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"rrq/internal/dataset"
@@ -16,7 +17,7 @@ func TestEPTPerfProbe(t *testing.T) {
 	pts := dataset.Generate(dataset.Independent, 50000, 4, 11)
 	band := skyband.Select(pts, skyband.KSkyband(pts, 5))
 	q := Query{Q: pts[100].Clone(), K: 5, Eps: 0.1}
-	reg, st, err := EPTWithStats(band, q)
+	reg, st, err := solveOn(context.Background(), EPTSolver{}, band, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,7 +255,7 @@ func (g *planeGroup) build(b *band, q Query) {
 
 // narrow derives the plane set of rank k < kmax: walk the band in order,
 // keep the members of the k-band (count < k), and renumber crossing-plane
-// IDs to their position in that narrower band — exactly the IDs BuildPlanes
+// IDs to their position in that narrower band — exactly the IDs buildPlanes
 // assigns over the k-band itself. The headers go into a (on a solve's
 // pooled arena, valid until the solve returns, like buildPlanes' output);
 // the normals alias the group's block, which every solver treats as

@@ -101,7 +101,8 @@ func queryErrf(field, format string, args ...any) *QueryError {
 // NaN/Inf or non-positive attribute values (the paper assumes the domain
 // (0,1]; run Normalize first for raw data), or a dimension mismatch.
 // Point is the offending point's index, Attr the offending attribute
-// (−1 for a dimension mismatch).
+// (−1 for a dimension mismatch). A dataset dimension below 2 faults no
+// single point and reports Point −1.
 type DataError struct {
 	Point int
 	Attr  int
@@ -109,6 +110,9 @@ type DataError struct {
 }
 
 func (e *DataError) Error() string {
+	if e.Point < 0 {
+		return "core: invalid data: " + e.Msg
+	}
 	if e.Attr >= 0 {
 		return fmt.Sprintf("core: invalid data point %d attribute %d: %s", e.Point, e.Attr, e.Msg)
 	}
@@ -184,27 +188,6 @@ func (q Query) validate(d int) *QueryError {
 	}
 	if q.Eps < 0 || q.Eps >= 1 || math.IsNaN(q.Eps) {
 		return queryErrf("epsilon", "ε = %v outside [0,1)", q.Eps)
-	}
-	return nil
-}
-
-// ValidateInstance checks the query and every point against the query's
-// own dimension and the solver domain (finite, strictly positive
-// attributes) — the shared entry gate of the direct solver functions (the
-// Prepared path validates points once at Prepare time instead). A bad
-// query is a *QueryError, a bad point a *DataError.
-func ValidateInstance(pts []vec.Vec, q Query) error {
-	d := q.Q.Dim()
-	if err := q.Validate(d); err != nil {
-		return err
-	}
-	for i, p := range pts {
-		if p.Dim() != d {
-			return errDimMismatch(d, p.Dim())
-		}
-		if de := validatePoint(i, p); de != nil {
-			return de
-		}
 	}
 	return nil
 }
@@ -353,26 +336,21 @@ func classifyPlane(q, p vec.Vec, scale float64) planeKind {
 	return planeCross
 }
 
-// BuildPlanes constructs h_{q,p} for every p ∈ pts, classifies it with
+// buildPlanes constructs h_{q,p} for every p ∈ pts, classifies it with
 // classifyPlane, folds the planeBase planes into Base and keeps the crossing
 // planes; planeDrop planes are dropped. Plane IDs are the indices of the
 // source points, which keeps them unique within the arrangement as the
-// geometry package requires.
-func BuildPlanes(pts []vec.Vec, q Query) PlaneSet {
-	ps, _ := buildPlanes(pts, q, &Arena{})
-	return ps
-}
-
-// buildPlanes is BuildPlanes returning each point's class too. A first pass
-// classifies every point; a second writes the crossing unit normals into
-// one flat block sized by the first, so the backing never moves under the
-// plane headers. The kinds, the block and the headers live in a's buffers,
-// which grow to exact size when too small. On a solve's pooled arena the
-// result is valid only until the solve returns (E-PT repacks surviving
-// normals into fresh heap storage with PackNormals before any tree node can
-// retain them, and Sweeping only reads the normals during its window scan);
-// on a fresh zero arena it is three exact-size allocations the caller owns,
-// whatever the number of crossings.
+// geometry package requires. It returns each point's class too.
+//
+// A first pass classifies every point; a second writes the crossing unit
+// normals into one flat block sized by the first, so the backing never
+// moves under the plane headers. The kinds, the block and the headers live
+// in a's buffers, which grow to exact size when too small. On a solve's
+// pooled arena the result is valid only until the solve returns (E-PT
+// repacks surviving normals into fresh heap storage with PackNormals before
+// any tree node can retain them, and Sweeping only reads the normals during
+// its window scan); on a fresh zero arena it is three exact-size
+// allocations the caller owns, whatever the number of crossings.
 func buildPlanes(pts []vec.Vec, q Query, a *Arena) (PlaneSet, []planeKind) {
 	scale := 1 - q.Eps
 	kinds := grow(&a.kinds, len(pts))

@@ -89,3 +89,7 @@ func (sp *ShareProfile) EpsForShare(target float64) float64 {
 
 // Samples returns the number of preference samples underlying the profile.
 func (sp *ShareProfile) Samples() int { return len(sp.eps) }
+
+func errDimMismatch(want, got int) error {
+	return queryErrf("dim", "point dimension %d does not match query dimension %d", got, want)
+}

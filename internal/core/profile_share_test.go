@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -37,7 +38,7 @@ func TestShareProfileMatchesRegionMeasure(t *testing.T) {
 	for _, eps := range []float64{0, 0.05, 0.1, 0.2} {
 		q2 := q
 		q2.Eps = eps
-		reg, err := EPT(pts, q2)
+		reg, _, err := solveOn(context.Background(), EPTSolver{}, pts, q2)
 		if err != nil {
 			t.Fatal(err)
 		}

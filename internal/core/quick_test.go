@@ -3,6 +3,7 @@ package core
 // Property-based tests (testing/quick) on the problem-level invariants.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -147,12 +148,12 @@ func TestQuickSweepingMonotoneEps(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		pts, q := randomInstance(rng, 20, 2)
 		q.Eps = 0.05
-		small, err := Sweeping(pts, q)
+		small, _, err := solveOn(context.Background(), SweepingSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		q.Eps = 0.15
-		big, err := Sweeping(pts, q)
+		big, _, err := solveOn(context.Background(), SweepingSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}

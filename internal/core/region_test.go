@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -87,11 +88,11 @@ func TestCellRegionIntervalsDerived(t *testing.T) {
 	// the same answer Sweeping gives.
 	pts := table3()
 	q := Query{Q: vec.Of(0.4, 0.7), K: 1, Eps: 0.1}
-	sw, err := Sweeping(pts, q)
+	sw, _, err := solveOn(context.Background(), SweepingSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := EPT(pts, q)
+	ep, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +110,11 @@ func TestCellRegionIntervalsDerived(t *testing.T) {
 func TestRegionMeasureAgreesAcrossSolvers(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts, q := randomInstance(rng, 25, 3)
-	ep, err := EPT(pts, q)
+	ep, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := BruteForceND(pts, q, 100)
+	bf, _, err := solveOn(context.Background(), BruteForceSolver{MaxPlanes: 100}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestEPTStatsCounters(t *testing.T) {
 		pts = append(pts, vec.Of(0.2+0.6*rng.Float64(), 0.2+0.6*rng.Float64(), 0.2+0.6*rng.Float64()))
 	}
 	q := Query{Q: vec.Of(0.82, 0.82, 0.82), K: 3, Eps: 0.05}
-	_, st, err := EPTWithStats(pts, q)
+	_, st, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestExact3DMeasure(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 10; trial++ {
 		pts, q := randomInstance(rng, 40, 3)
-		reg, err := EPT(pts, q)
+		reg, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +181,7 @@ func TestSampleUniform(t *testing.T) {
 	for {
 		pts, q := randomInstance(rng, 30, 3)
 		var err error
-		reg, err = EPT(pts, q)
+		reg, _, err = solveOn(context.Background(), EPTSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}

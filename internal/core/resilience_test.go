@@ -38,7 +38,7 @@ func TestBatchFaultAcceptance(t *testing.T) {
 	// query (deterministic for fixed seeds).
 	panicIdx := -1
 	for i, q := range queries {
-		if _, st, err := EPTContext(context.Background(), pts, q, EPTOptions{}); err == nil && st.Splits > 0 {
+		if _, st, err := solveOn(context.Background(), EPTSolver{}, pts, q); err == nil && st.Splits > 0 {
 			panicIdx = i
 			break
 		}
@@ -119,7 +119,7 @@ func heavyInstance(t *testing.T) ([]vec.Vec, Query) {
 	t.Helper()
 	pts := dataset.Generate(dataset.Independent, 2000, 4, 11)
 	q := Query{Q: dataset.RandQuery(rand.New(rand.NewSource(5)), pts), K: 20, Eps: 0.2}
-	if _, st, err := EPTContext(context.Background(), pts, q, EPTOptions{}); err != nil || st.NodesCreated < 5000 || st.Pieces == 0 {
+	if _, st, err := solveOn(context.Background(), EPTSolver{}, pts, q); err != nil || st.NodesCreated < 5000 || st.Pieces == 0 {
 		t.Fatalf("precondition: instance too light (nodes=%d pieces=%d err=%v); pick new seeds", st.NodesCreated, st.Pieces, err)
 	}
 	return pts, q
@@ -185,7 +185,7 @@ func TestQueryTimeoutDegradation(t *testing.T) {
 	if acc.SamplesUsed == 0 || acc.RhoBound <= 0 || acc.RhoBound > 1 {
 		t.Fatalf("anytime receipt %+v", acc)
 	}
-	exact, err := EPT(pts, q)
+	exact, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestParallelEPTPanicContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Query{Q: dataset.RandQuery(rand.New(rand.NewSource(6)), pts), K: 5, Eps: 0.05}
-	if _, st, err := EPTContext(context.Background(), pts, q, EPTOptions{}); err != nil || st.Splits == 0 {
+	if _, st, err := solveOn(context.Background(), EPTSolver{}, pts, q); err != nil || st.Splits == 0 {
 		t.Fatalf("precondition: query must split (splits=%d, err=%v)", st.Splits, err)
 	}
 	inj := faultinject.New(&faultinject.Fault{Point: faultinject.EPTSplit, Panics: "worker boom"})
@@ -321,7 +321,7 @@ func TestCancelMidPhaseAllSolvers(t *testing.T) {
 	found := false
 	for i := 0; i < 30 && !found; i++ {
 		q2 = Query{Q: dataset.RandQuery(rng, pts2), K: 20, Eps: 0.2}
-		if _, st, err := SweepingContext(context.Background(), pts2, q2); err == nil && st.Pieces > 0 && st.PlanesBuilt > 300 {
+		if _, st, err := solveOn(context.Background(), SweepingSolver{}, pts2, q2); err == nil && st.Pieces > 0 && st.PlanesBuilt > 300 {
 			found = true
 		}
 	}
@@ -335,27 +335,27 @@ func TestCancelMidPhaseAllSolvers(t *testing.T) {
 		phases bool // solver instruments phase timers
 	}{
 		{name: "Sweeping", phases: true, solve: func(ctx context.Context) error {
-			_, _, err := SweepingContext(ctx, pts2, q2)
+			_, _, err := solveOn(ctx, SweepingSolver{}, pts2, q2)
 			return err
 		}},
 		{name: "EPT-serial", phases: true, solve: func(ctx context.Context) error {
-			_, _, err := EPTContext(ctx, pts4, q4, EPTOptions{})
+			_, _, err := solveOn(ctx, EPTSolver{}, pts4, q4)
 			return err
 		}},
 		{name: "EPT-parallel", phases: true, solve: func(ctx context.Context) error {
-			_, _, err := EPTContext(ctx, pts4, q4, EPTOptions{Workers: 4})
+			_, _, err := solveOn(ctx, EPTSolver{Opt: EPTOptions{Workers: 4}}, pts4, q4)
 			return err
 		}},
 		{name: "APC-serial", phases: true, solve: func(ctx context.Context) error {
-			_, _, err := APCContext(ctx, pts4, q4, APCOptions{Samples: 4000, Seed: 1})
+			_, _, err := solveOn(ctx, APCSolver{Opt: APCOptions{Samples: 4000, Seed: 1}}, pts4, q4)
 			return err
 		}},
 		{name: "APC-parallel", phases: true, solve: func(ctx context.Context) error {
-			_, _, err := APCContext(ctx, pts4, q4, APCOptions{Samples: 4000, Seed: 1, Workers: 4})
+			_, _, err := solveOn(ctx, APCSolver{Opt: APCOptions{Samples: 4000, Seed: 1, Workers: 4}}, pts4, q4)
 			return err
 		}},
 		{name: "BruteForce2D", phases: false, solve: func(ctx context.Context) error {
-			_, _, err := BruteForce2DContext(ctx, pts2, q2)
+			_, _, err := solveOn(ctx, BruteForceSolver{}, pts2, q2)
 			return err
 		}},
 	}

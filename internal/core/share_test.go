@@ -313,7 +313,8 @@ func TestBatchPlaneStoreLifetimes(t *testing.T) {
 // Prepared: every k above the largest dominator count maps to one band
 // (rank max count + 1), and the memo holds at most maxBandViews ranks —
 // a rank past the cap builds its band and planes for its one solve. Either
-// way each region is byte-identical to free E-PT over the k-skyband.
+// way each region is byte-identical to E-PT on an unfiltered Prepare of the
+// k-skyband.
 func TestBandMemoBounded(t *testing.T) {
 	pts := dataset.Generate(dataset.Correlated, 200, 3, 5)
 	dom := skyband.DominatorCounts(pts)
@@ -331,14 +332,14 @@ func TestBandMemoBounded(t *testing.T) {
 		if wants[k] == nil {
 			kq := q
 			kq.K = k
-			want, _, err := EPTContext(context.Background(), skyband.Select(pts, skyband.KSkyband(pts, k)), kq, EPTOptions{})
+			want, _, err := solveOn(context.Background(), EPTSolver{}, skyband.Select(pts, skyband.KSkyband(pts, k)), kq)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wants[k] = regionBytes(t, want)
 		}
 		if !bytes.Equal(regionBytes(t, got), wants[k]) {
-			t.Fatalf("k=%d: region differs from free E-PT over the k-skyband", k)
+			t.Fatalf("k=%d: region differs from E-PT over the k-skyband", k)
 		}
 	}
 	solve := func(prep *Prepared, k int) {

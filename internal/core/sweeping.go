@@ -6,11 +6,10 @@ import (
 
 	"rrq/internal/geom"
 	"rrq/internal/topk"
-	"rrq/internal/vec"
 )
 
-// Sweeping solves the 2-dimensional special case of RRQ in O(n) time
-// (paper §4, Algorithm 1). The utility space is the segment
+// SweepingSolver solves the 2-dimensional special case of RRQ in O(n)
+// time (paper §4, Algorithm 1). The utility space is the segment
 // L = {(t, 1−t) : t ∈ [0,1]} swept from (0,1) (t = 0) toward (1,0) (t = 1).
 //
 // A crossing plane with normal w is inclusive when its negative half-space
@@ -18,23 +17,18 @@ import (
 // positive side first. It is exclusive when w[0] > 0. Partition reduction
 // (Lemmas 4.1, 4.2) restricts the sweep to the window between the k-th
 // ranked exclusive and the k-th ranked inclusive crossings, and the counter
-// update per event is O(1) (Lemma 4.3).
-func Sweeping(pts []vec.Vec, q Query) (*Region, error) {
-	r, _, err := SweepingContext(context.Background(), pts, q)
-	return r, err
-}
+// update per event is O(1) (Lemma 4.3). The sweep is linear, so
+// cancellation is observed once before the scan and once before the event
+// sweep rather than per element.
+type SweepingSolver struct{}
 
-// SweepingContext is Sweeping under a context with work counters. The
-// sweep is linear, so cancellation is observed once before the scan and
-// once before the event sweep rather than per element.
-func SweepingContext(ctx context.Context, pts []vec.Vec, q Query) (*Region, Stats, error) {
-	if q.Q.Dim() != 2 {
-		return nil, Stats{}, fmt.Errorf("core: Sweeping requires d = 2, got %d", q.Q.Dim())
-	}
-	if err := ValidateInstance(pts, q); err != nil {
+func (SweepingSolver) Name() string { return "Sweeping" }
+
+func (SweepingSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*Region, Stats, error) {
+	if err := prep.Validate(q); err != nil {
 		return nil, Stats{}, err
 	}
-	return sweepSolve(ctx, pts, q, nil)
+	return sweepSolve(ctx, prep, q)
 }
 
 // sweepEvent is one crossing inside the sweep window.
@@ -43,11 +37,11 @@ type sweepEvent struct {
 	incl bool
 }
 
-// sweepSolve is the sweep body shared by the validated entry points; store,
-// when non-nil, serves the (read-only) classified plane set from shared
-// storage. The solve's pooled arena supplies every scratch buffer, so a
-// solve on a warm arena allocates only the returned region.
-func sweepSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore) (*Region, Stats, error) {
+// sweepSolve is the sweep body; prep's plane store, when it has one,
+// serves the (read-only) classified plane set. The solve's pooled arena
+// supplies every scratch buffer, so a solve on a warm arena allocates only
+// the returned region.
+func sweepSolve(ctx context.Context, prep *Prepared, q Query) (*Region, Stats, error) {
 	var st Stats
 	if q.Q.Dim() != 2 {
 		return nil, st, fmt.Errorf("core: Sweeping requires d = 2, got %d", q.Q.Dim())
@@ -61,7 +55,7 @@ func sweepSolve(ctx context.Context, pts []vec.Vec, q Query, store *planeStore) 
 	defer putArena(a)
 	planePhase := check.Phase("phase.sweep.planes")
 	defer planePhase()
-	ps := store.planes(pts, q, a, check.reg)
+	ps := prep.planes(q, a, check.reg)
 	planePhase()
 	st.PlanesBuilt = len(ps.Crossing)
 	k := ps.KEff(q.K)

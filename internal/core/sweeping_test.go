@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,7 +14,7 @@ import (
 func TestSweepingWholeSegment(t *testing.T) {
 	pts := []vec.Vec{vec.Of(0.1, 0.1), vec.Of(0.2, 0.1)}
 	q := Query{Q: vec.Of(0.9, 0.9), K: 1, Eps: 0.0}
-	reg, err := Sweeping(pts, q)
+	reg, _, err := solveOn(context.Background(), SweepingSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestSweepingBasePlanes(t *testing.T) {
 	// covers the whole segment.
 	pts := []vec.Vec{vec.Of(0.9, 0.9), vec.Of(0.85, 0.88)}
 	q := Query{Q: vec.Of(0.3, 0.3), K: 2, Eps: 0.1}
-	reg, err := Sweeping(pts, q)
+	reg, _, err := solveOn(context.Background(), SweepingSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestSweepingBasePlanes(t *testing.T) {
 	}
 	// k=3 survives them.
 	q.K = 3
-	reg, err = Sweeping(pts, q)
+	reg, _, err = solveOn(context.Background(), SweepingSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestSweepingOnlyInclusive(t *testing.T) {
 	// half-space contains (1,0).
 	pts := []vec.Vec{vec.Of(0.95, 0.1)}
 	q := Query{Q: vec.Of(0.4, 0.6), K: 1, Eps: 0.0}
-	reg, err := Sweeping(pts, q)
+	reg, _, err := solveOn(context.Background(), SweepingSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestSweepingOnlyInclusive(t *testing.T) {
 func TestSweepingOnlyExclusive(t *testing.T) {
 	pts := []vec.Vec{vec.Of(0.1, 0.95)}
 	q := Query{Q: vec.Of(0.6, 0.4), K: 1, Eps: 0.0}
-	reg, err := Sweeping(pts, q)
+	reg, _, err := solveOn(context.Background(), SweepingSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +93,11 @@ func TestSweepingCoincidentCrossings(t *testing.T) {
 	pts := []vec.Vec{p, p.Clone(), p.Clone(), p.Clone()}
 	for _, k := range []int{1, 2, 3, 4, 5} {
 		q := Query{Q: vec.Of(0.5, 0.5), K: k, Eps: 0.0}
-		want, err := BruteForce2D(pts, q)
+		want, _, err := solveOn(context.Background(), BruteForceSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Sweeping(pts, q)
+		got, _, err := solveOn(context.Background(), SweepingSolver{}, pts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,11 +121,11 @@ func TestSweepingEmptyWindow(t *testing.T) {
 	// windows do not overlap at k=1.
 	pts := []vec.Vec{vec.Of(0.95, 0.4), vec.Of(0.4, 0.95)}
 	q := Query{Q: vec.Of(0.35, 0.35), K: 1, Eps: 0.0}
-	want, err := BruteForce2D(pts, q)
+	want, _, err := solveOn(context.Background(), BruteForceSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Sweeping(pts, q)
+	got, _, err := solveOn(context.Background(), SweepingSolver{}, pts, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,6 +101,13 @@ func checkAnytimeProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *An
 	samples := sampleGrid(d, cfg.Seed^(ordinal*104729+29), cfg.RandSamples)
 	seed := cfg.Seed + ordinal
 
+	prep, err := core.Prepare(ins.Pts, d, false)
+	if err != nil {
+		rep.SolveSkipped++
+		rep.fail(Mismatch{Kind: "anytime-error", Solver: "A-PC-anytime", Problem: prob, Detail: err.Error()})
+		return
+	}
+
 	n := cfg.APCSamples
 	cuts := anytimeCutLadder(n)
 	var prev *core.Region
@@ -108,7 +115,7 @@ func checkAnytimeProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *An
 	var prevRho float64
 	for _, cut := range cuts {
 		opt := core.APCOptions{Samples: n, Seed: seed, MaxSamples: cut}
-		region, st, err := core.APCContext(ctx, ins.Pts, q, opt)
+		region, st, err := core.APCSolver{Opt: opt}.Solve(ctx, prep, q)
 		if err != nil {
 			rep.SolveSkipped++
 			rep.fail(Mismatch{Kind: "anytime-error", Solver: "A-PC-anytime", Problem: prob,

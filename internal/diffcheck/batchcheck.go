@@ -8,9 +8,9 @@ package diffcheck
 // JSON encoding, not merely same membership — to independent per-query
 // solves, with the prefilter both on and off, and with batches served from
 // an index snapshot between interleaved Insert/Delete mutations. The
-// independent side is the free solver function over the oracle's k-skyband
-// (see referenceBytes), so it shares no band or plane code with
-// core.Prepared.
+// independent side is E-PT on an unfiltered Prepare of the oracle's
+// k-skyband (see referenceBytes), so it shares no band or plane-store code
+// with the batch's Prepared.
 
 import (
 	"bytes"

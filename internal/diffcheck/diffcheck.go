@@ -191,7 +191,7 @@ func checkProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *Report) {
 
 	// Metamorphic invariants, all driven through E-PT (the exact
 	// general-dimension solver).
-	metamorphicChecks(ctx, cfg, ins, q, oracle, ordinal, rep, prob)
+	metamorphicChecks(ctx, cfg, ins, prep, q, oracle, ordinal, rep, prob)
 }
 
 // runSolvers answers the problem with every applicable solver: the four
@@ -362,10 +362,11 @@ func completenessCheck(cfg Config, oracle *planeOracle, runs []solverRun, prob P
 }
 
 // metamorphicChecks verifies the harness's four metamorphic invariants on
-// the E-PT answer.
-func metamorphicChecks(ctx context.Context, cfg Config, ins corpus.Instance, q core.Query, oracle *planeOracle, ordinal int64, rep *Report, prob Problem) {
+// the E-PT answer over prep, the instance's Prepared.
+func metamorphicChecks(ctx context.Context, cfg Config, ins corpus.Instance, prep *core.Prepared, q core.Query, oracle *planeOracle, ordinal int64, rep *Report, prob Problem) {
 	samples := sampleGrid(ins.Q.Dim(), cfg.Seed^(ordinal*7561+13), cfg.RandSamples)
-	base, _, err := core.EPTContext(ctx, ins.Pts, q, core.EPTOptions{})
+	ept := core.EPTSolver{}
+	base, _, err := ept.Solve(ctx, prep, q)
 	if err != nil {
 		return // already reported by runSolvers
 	}
@@ -373,7 +374,7 @@ func metamorphicChecks(ctx context.Context, cfg Config, ins corpus.Instance, q c
 	// Point-permutation invariance: the answer is a set property of the
 	// dataset; reordering the points must not change membership.
 	perm := permutedPoints(ins.Pts, cfg.Seed+ordinal)
-	if permReg, _, err := core.EPTContext(ctx, perm, q, core.EPTOptions{}); err == nil {
+	if permReg, err := solveEPT(ctx, perm, q); err == nil {
 		for _, u := range samples {
 			if _, m := oracle.qualified(u); m < cfg.Margin {
 				continue
@@ -391,7 +392,7 @@ func metamorphicChecks(ctx context.Context, cfg Config, ins corpus.Instance, q c
 		q2 := q
 		q2.Eps = eps2
 		oracle2 := newPlaneOracle(ins.Pts, q2)
-		if reg2, _, err := core.EPTContext(ctx, ins.Pts, q2, core.EPTOptions{}); err == nil {
+		if reg2, _, err := ept.Solve(ctx, prep, q2); err == nil {
 			for _, u := range samples {
 				_, m1 := oracle.qualified(u)
 				_, m2 := oracle2.qualified(u)
@@ -411,7 +412,7 @@ func metamorphicChecks(ctx context.Context, cfg Config, ins corpus.Instance, q c
 	// region (the plane arrangement is k-independent, so margins carry over).
 	qk := q
 	qk.K = q.K + 1
-	if regK, _, err := core.EPTContext(ctx, ins.Pts, qk, core.EPTOptions{}); err == nil {
+	if regK, _, err := ept.Solve(ctx, prep, qk); err == nil {
 		for _, u := range samples {
 			if _, m := oracle.qualified(u); m < cfg.Margin {
 				continue

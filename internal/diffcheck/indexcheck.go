@@ -6,9 +6,9 @@ package diffcheck
 // — same JSON encoding, not merely same membership — to a from-scratch solve
 // over the k-skyband, both before and after every step of an interleaved
 // Insert/Delete stream mirrored against plain-slice bookkeeping. The
-// from-scratch side is the free solver function over the band the quadratic
-// skyband.DominatorCount oracle selects, so the reference shares no band or
-// plane code with core.Prepared.
+// from-scratch side is E-PT on an unfiltered Prepare of the band the
+// quadratic skyband.DominatorCount oracle selects, so the reference shares
+// no band or plane-store code with the index's Prepared.
 
 import (
 	"bytes"
@@ -150,11 +150,12 @@ func regionBytes(prep *core.Prepared, q core.Query) ([]byte, error) {
 	return r.MarshalJSON()
 }
 
-// referenceBytes is regionBytes computed independently of core.Prepared:
-// the free E-PT function over the points — restricted, when prefilter is
-// set, to their k-skyband as the quadratic skyband.DominatorCount oracle
-// selects it, so the sweep never checks the counting primitive against
-// itself — with planes built per call.
+// referenceBytes is regionBytes computed independently of the Prepared's
+// band and plane-store machinery: E-PT on a fresh unfiltered Prepare of
+// the points — restricted, when prefilter is set, to their k-skyband as the
+// quadratic skyband.DominatorCount oracle selects it, so the sweep never
+// checks the counting primitive against itself — with planes built per
+// call.
 func referenceBytes(pts []vec.Vec, q core.Query, prefilter bool) ([]byte, error) {
 	if prefilter {
 		var band []vec.Vec
@@ -165,11 +166,21 @@ func referenceBytes(pts []vec.Vec, q core.Query, prefilter bool) ([]byte, error)
 		}
 		pts = band
 	}
-	r, _, err := core.EPTContext(context.Background(), pts, q, core.EPTOptions{})
+	r, err := solveEPT(context.Background(), pts, q)
 	if err != nil {
 		return nil, err
 	}
 	return r.MarshalJSON()
+}
+
+// solveEPT answers q over pts with E-PT on a fresh, unfiltered Prepare.
+func solveEPT(ctx context.Context, pts []vec.Vec, q core.Query) (*core.Region, error) {
+	prep, err := core.Prepare(pts, q.Q.Dim(), false)
+	if err != nil {
+		return nil, err
+	}
+	r, _, err := core.EPTSolver{}.Solve(ctx, prep, q)
+	return r, err
 }
 
 func (rep *IndexReport) fail(m Mismatch) {

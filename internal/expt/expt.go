@@ -184,19 +184,24 @@ func (t *Table) Print(w io.Writer) {
 	}
 }
 
-// instance is a prepared workload: k-skyband-pruned points plus query
-// points, following the paper's protocol (random queries, preprocessing
-// excluded from timings).
+// instance is a prepared workload: k-skyband-pruned points, the one
+// Prepared every solver runs on, plus query points, following the paper's
+// protocol (random queries, preprocessing excluded from timings).
 type instance struct {
 	pts     []vec.Vec
+	prep    *core.Prepared
 	queries []vec.Vec
 	k       int
 	eps     float64
 }
 
 func prepare(pts []vec.Vec, k int, eps float64, repeats int, rng *rand.Rand) instance {
-	band := skyband.KSkyband(pts, k)
-	in := instance{pts: skyband.Select(pts, band), k: k, eps: eps}
+	band := skyband.Select(pts, skyband.KSkyband(pts, k))
+	prep, err := core.Prepare(band, pts[0].Dim(), false)
+	if err != nil {
+		panic(err)
+	}
+	in := instance{pts: band, prep: prep, k: k, eps: eps}
 	for i := 0; i < repeats; i++ {
 		in.queries = append(in.queries, dataset.RandQuery(rng, pts))
 	}
@@ -232,6 +237,25 @@ type algoSet struct {
 	pba      bool
 }
 
+// solvers returns the set's solvers in table order; PBA+ is not a
+// core.Solver (it answers from its own index) and runs separately.
+func (a algoSet) solvers() []core.Solver {
+	var out []core.Solver
+	if a.sweeping {
+		out = append(out, core.SweepingSolver{})
+	}
+	if a.ept {
+		out = append(out, core.EPTSolver{})
+	}
+	if a.apc {
+		out = append(out, core.APCSolver{Opt: core.APCOptions{Seed: 1}})
+	}
+	if a.lpcta {
+		out = append(out, baseline.LPCTASolver{})
+	}
+	return out
+}
+
 // cellCtx returns a context carrying the scale's per-cell wall-clock budget.
 func cellCtx(sc Scale) (context.Context, context.CancelFunc) {
 	if sc.CellBudget <= 0 {
@@ -240,42 +264,23 @@ func cellCtx(sc Scale) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), sc.CellBudget)
 }
 
+// timeSolver times s on the instance's queries under the scale's per-cell
+// budget.
+func timeSolver(in instance, s core.Solver, sc Scale) (float64, error) {
+	ctx, cancel := cellCtx(sc)
+	defer cancel()
+	return timeIt(in, sc.CellBudget, func(q core.Query) error {
+		_, _, err := s.Solve(ctx, in.prep, q)
+		return err
+	})
+}
+
 // run measures every requested solver on the instance.
 func run(in instance, algos algoSet, sc Scale) []Cell {
 	var cells []Cell
-	if algos.sweeping {
-		secs, err := timeIt(in, sc.CellBudget, func(q core.Query) error {
-			_, e := core.Sweeping(in.pts, q)
-			return e
-		})
-		cells = append(cells, cellOrSkip("Sweeping", secs, err))
-	}
-	if algos.ept {
-		ctx, cancel := cellCtx(sc)
-		secs, err := timeIt(in, sc.CellBudget, func(q core.Query) error {
-			_, _, e := core.EPTContext(ctx, in.pts, q, core.EPTOptions{})
-			return e
-		})
-		cancel()
-		cells = append(cells, cellOrSkip("E-PT", secs, err))
-	}
-	if algos.apc {
-		ctx, cancel := cellCtx(sc)
-		secs, err := timeIt(in, sc.CellBudget, func(q core.Query) error {
-			_, _, e := core.APCContext(ctx, in.pts, q, core.APCOptions{Seed: 1})
-			return e
-		})
-		cancel()
-		cells = append(cells, cellOrSkip("A-PC", secs, err))
-	}
-	if algos.lpcta {
-		ctx, cancel := cellCtx(sc)
-		secs, err := timeIt(in, sc.CellBudget, func(q core.Query) error {
-			_, _, e := baseline.LPCTAContext(ctx, in.pts, q)
-			return e
-		})
-		cancel()
-		cells = append(cells, cellOrSkip("LP-CTA", secs, err))
+	for _, s := range algos.solvers() {
+		secs, err := timeSolver(in, s, sc)
+		cells = append(cells, cellOrSkip(s.Name(), secs, err))
 	}
 	if algos.pba {
 		cells = append(cells, runPBA(in, sc))

@@ -43,9 +43,10 @@ func ExtAblation(sc Scale) []*Table {
 	t := &Table{ID: "ext-ablation", Title: "E-PT acceleration ablation (4-d Indep)", ParamCol: "variant"}
 	for _, v := range variants {
 		ctx, cancel := cellCtx(sc)
+		solver := core.EPTSolver{Opt: v.opt}
 		var planes, nodes int
 		secs, err := timeIt(in, sc.CellBudget, func(q core.Query) error {
-			_, st, e := core.EPTContext(ctx, in.pts, q, v.opt)
+			_, st, e := solver.Solve(ctx, in.prep, q)
 			planes, nodes = st.PlanesInserted, st.NodesCreated
 			return e
 		})
@@ -98,12 +99,11 @@ func ExtDynamic(sc Scale) []*Table {
 
 		cur := append([]vec.Vec(nil), in.pts...)
 		start = time.Now()
-		resolveErr := error(nil)
+		var resolveErr error
 		ctx, cancel := cellCtx(sc)
 		for _, p := range newPts {
 			cur = append(cur, p)
-			if _, _, err := core.EPTContext(ctx, cur, q, core.EPTOptions{}); err != nil {
-				resolveErr = err
+			if resolveErr = resolve(ctx, cur, q); resolveErr != nil {
 				break
 			}
 		}
@@ -117,6 +117,17 @@ func ExtDynamic(sc Scale) []*Table {
 		t.Rows = append(t.Rows, row)
 	}
 	return []*Table{t}
+}
+
+// resolve answers q from scratch over pts: a fresh Prepare, then one E-PT
+// solve.
+func resolve(ctx context.Context, pts []vec.Vec, q core.Query) error {
+	prep, err := core.Prepare(pts, q.Q.Dim(), false)
+	if err != nil {
+		return err
+	}
+	_, _, err = core.EPTSolver{}.Solve(ctx, prep, q)
+	return err
 }
 
 // ExtStudy sweeps the user study's regret threshold, showing the interest

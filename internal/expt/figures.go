@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -68,12 +69,14 @@ func Fig7(sc Scale) []*Table {
 // apcAccuracy measures A-PC output quality per §6.3: the share of 10,000
 // random utility vectors that qualify (per E-PT) and are also covered by
 // the A-PC answer.
-func apcAccuracy(pts []vec.Vec, q core.Query, samples int, seed int64) (float64, float64) {
-	exact, err := core.EPT(pts, q)
+func apcAccuracy(prep *core.Prepared, q core.Query, samples int, seed int64) (float64, float64) {
+	ctx := context.Background()
+	exact, _, err := core.EPTSolver{}.Solve(ctx, prep, q)
 	if err != nil {
 		panic(err)
 	}
-	reg, err := core.APC(pts, q, core.APCOptions{Samples: samples, Seed: seed})
+	apc := core.APCSolver{Opt: core.APCOptions{Samples: samples, Seed: seed}}
+	reg, _, err := apc.Solve(ctx, prep, q)
 	if err != nil {
 		panic(err)
 	}
@@ -117,7 +120,7 @@ func Fig8a(sc Scale) []*Table {
 			var sum float64
 			for qi, qp := range in.queries {
 				q := core.Query{Q: qp, K: in.k, Eps: in.eps}
-				acc, _ := apcAccuracy(in.pts, q, N, sc.Seed+int64(qi))
+				acc, _ := apcAccuracy(in.prep, q, N, sc.Seed+int64(qi))
 				sum += acc
 			}
 			row.Extra[fmt.Sprintf("acc d=%d", d)] = sum / float64(len(in.queries))
@@ -135,10 +138,7 @@ func Fig8b(sc Scale) []*Table {
 	pts := sc.synthetic(dataset.Independent, sc.size(), defaultDim)
 	in := prepare(pts, defaultK, defaultEps, sc.Repeats, rng)
 	for _, N := range []int{10, 30, 100, 300, 1000} {
-		secs, err := timeIt(in, sc.CellBudget, func(q core.Query) error {
-			_, e := core.APC(in.pts, q, core.APCOptions{Samples: N, Seed: 1})
-			return e
-		})
+		secs, err := timeSolver(in, core.APCSolver{Opt: core.APCOptions{Samples: N, Seed: 1}}, sc)
 		t.Rows = append(t.Rows, Row{
 			Param: fmt.Sprintf("%d", N),
 			Cells: []Cell{cellOrSkip("A-PC", secs, err)},

@@ -80,6 +80,6 @@ func BenchmarkMeasureCells(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CellMeasure(cell, rng, 1000)
+		MeasureCells([]*Cell{cell}, cell.Dim(), rng, 1000)
 	}
 }

@@ -427,7 +427,7 @@ func TestArea3DMatchesMonteCarlo(t *testing.T) {
 			}
 		}
 		exact := Area3D(cell)
-		mc := CellMeasure(cell, rng, 30000)
+		mc := MeasureCells([]*Cell{cell}, cell.Dim(), rng, 30000)
 		if math.Abs(exact-mc) > 0.02 {
 			t.Fatalf("trial %d: exact %v vs MC %v", trial, exact, mc)
 		}

@@ -28,25 +28,6 @@ func MeasureCells(cells []*Cell, d int, rng *rand.Rand, n int) float64 {
 	return float64(hit) / float64(n)
 }
 
-// CellMeasure estimates the fraction of the simplex covered by one cell.
-func CellMeasure(c *Cell, rng *rand.Rand, n int) float64 {
-	return MeasureCells([]*Cell{c}, c.Dim(), rng, n)
-}
-
-// MeasureCellsSeeded is MeasureCells with a private generator derived from
-// seed: two calls with equal arguments return the identical estimate, and
-// the call leaves no trace on any shared randomness. Differential runs
-// (internal/diffcheck) compare volumes across solvers and replays, which is
-// only meaningful when the sampling noise is reproducible.
-func MeasureCellsSeeded(cells []*Cell, d int, seed int64, n int) float64 {
-	return MeasureCells(cells, d, rand.New(rand.NewSource(seed)), n)
-}
-
-// CellMeasureSeeded is CellMeasure with a private seed-derived generator.
-func CellMeasureSeeded(c *Cell, seed int64, n int) float64 {
-	return CellMeasure(c, rand.New(rand.NewSource(seed)), n)
-}
-
 // Area3D computes, for a 3-dimensional cell (a convex polygon embedded in
 // the plane u1+u2+u3 = 1), its area relative to the whole simplex triangle.
 // The polygon's maintained extreme points are ordered by angle around the

@@ -473,8 +473,8 @@ func TestIndexPlaneCache(t *testing.T) {
 
 // One (point, ε) asked at k = 3, 7, 3, 5 on one snapshot is one plane
 // group: built at 3, rebuilt wider at 7, then narrowed for 3 and 5 without
-// classifying again — and every answer is byte-identical to a free E-PT
-// solve over the k-skyband.
+// classifying again — and every answer is byte-identical to an E-PT solve
+// on an unfiltered Prepare of the k-skyband.
 func TestSnapshotPlaneStoreAcrossK(t *testing.T) {
 	rng := rand.New(rand.NewSource(5151))
 	pts, q := randomInstance(rng, 60, 3)
@@ -491,12 +491,12 @@ func TestSnapshotPlaneStoreAcrossK(t *testing.T) {
 		q.K = k
 		got := solveJSONCtx(t, ctx, prep, q)
 		band := skyband.Select(pts, skyband.KSkyband(pts, k))
-		if r, _, err := core.EPTContext(context.Background(), band, q, core.EPTOptions{}); err != nil {
+		bandPrep, err := core.Prepare(band, 3, false)
+		if err != nil {
 			t.Fatal(err)
-		} else if ref, err := r.MarshalJSON(); err != nil {
-			t.Fatal(err)
-		} else if !bytes.Equal(got, ref) {
-			t.Fatalf("k=%d: snapshot region differs from the free-function reference\n got %s\nwant %s", k, got, ref)
+		}
+		if ref := solveJSONCtx(t, context.Background(), bandPrep, q); !bytes.Equal(got, ref) {
+			t.Fatalf("k=%d: snapshot region differs from the unfiltered reference\n got %s\nwant %s", k, got, ref)
 		}
 		if wantHit[i] {
 			hits++

@@ -495,10 +495,14 @@ func resolvedAlgo(cfg config, dim int) Algorithm {
 	return cfg.algo
 }
 
-// solverFor maps the configured algorithm to its core.Solver.
+// solverFor maps the configured algorithm to its core.Solver, refusing an
+// algorithm that cannot answer the dimension.
 func solverFor(cfg config, dim int) (core.Solver, error) {
 	switch algo := resolvedAlgo(cfg, dim); algo {
 	case SweepingAlgo:
+		if dim != 2 {
+			return nil, fmt.Errorf("rrq: %v requires d = 2, got %d", algo, dim)
+		}
 		return core.SweepingSolver{}, nil
 	case EPTAlgo:
 		return core.EPTSolver{Opt: core.EPTOptions{Workers: cfg.intra}}, nil
@@ -516,14 +520,15 @@ func solverFor(cfg config, dim int) (core.Solver, error) {
 // policyFor assembles the core serving policy: the configured solver plus
 // the per-query limits. On the anytime tier the solver is the cut A-PC run
 // and the limits are left off: the tier is the retry for a solve that
-// failed on them, and its cut budgets bound the run instead.
+// failed on them, and its cut budgets bound the run instead. A configured
+// solver that cannot answer the dimension is an error on either tier.
 func policyFor(cfg config, dim int) (core.SolvePolicy, error) {
-	if cfg.anytimeActive() {
-		return core.SolvePolicy{Solver: core.APCSolver{Opt: anytimeOptions(cfg, nil)}}, nil
-	}
 	s, err := solverFor(cfg, dim)
 	if err != nil {
 		return core.SolvePolicy{}, err
+	}
+	if cfg.anytimeActive() {
+		return core.SolvePolicy{Solver: core.APCSolver{Opt: anytimeOptions(cfg, nil)}}, nil
 	}
 	return core.SolvePolicy{
 		Solver:       s,

@@ -1,8 +1,10 @@
 package rrq
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -107,6 +109,38 @@ func TestSolveErrors(t *testing.T) {
 	}
 	if _, err := SolveResult(ds, Query{Q: Point{0.4, 0.7}, K: 1, Epsilon: 0.1}, WithAlgorithm(Algorithm(99))); err == nil {
 		t.Error("unknown algorithm accepted")
+	}
+}
+
+// Sweeping answers only d = 2: asking for it on 3-d data is a configuration
+// error when the Prepared or index is built — not a failure of every solve
+// after it.
+func TestSweepingRejectedBeyond2D(t *testing.T) {
+	ds3 := SyntheticDataset(Independent, 30, 3, 7)
+	sweep := WithAlgorithm(SweepingAlgo)
+	if _, err := Prepare(ds3, sweep); err == nil || !strings.Contains(err.Error(), "d = 2") {
+		t.Errorf("Prepare: err = %v, want the d = 2 requirement", err)
+	}
+	if _, err := BuildIndex(ds3, sweep); err == nil || !strings.Contains(err.Error(), "d = 2") {
+		t.Errorf("BuildIndex: err = %v, want the d = 2 requirement", err)
+	}
+	ix, err := BuildIndex(ds3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := ix.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadIndex(&saved, sweep); err == nil {
+		t.Error("LoadIndex accepted Sweeping on 3-d data")
+	}
+	// The same option on 2-d data, and Auto on 3-d, stay accepted.
+	if _, err := Prepare(SyntheticDataset(Independent, 30, 2, 7), sweep); err != nil {
+		t.Errorf("Sweeping on 2-d data: %v", err)
+	}
+	if _, err := Prepare(ds3); err != nil {
+		t.Errorf("Auto on 3-d data: %v", err)
 	}
 }
 
