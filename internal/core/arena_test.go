@@ -20,24 +20,29 @@ import (
 // concurrent solves over the same pool, and require every kept region to
 // encode to the same bytes afterwards. Solvers whose answers keep the
 // plane normals (brute force, A-PC, LP-CTA) take them from
-// Prepared.Planes, never the pool.
+// Prepared.Planes, never the pool. E-PT builds its whole tree in the
+// arena's slabs — one per insert-pool worker under Workers > 1 — so its
+// slab rows require real splits and catch a leaf that escaped compaction.
 func TestPooledArenaNotRetained(t *testing.T) {
 	cases := []struct {
 		name   string
 		d, n   int
 		solver core.Solver
+		splits bool // the first round must split cells
 	}{
-		{"sweeping-2d", 2, 300, core.SweepingSolver{}},
-		{"ept-3d", 3, 150, core.EPTSolver{}},
-		{"ept-4d", 4, 100, core.EPTSolver{}},
-		{"brute-2d", 2, 60, core.BruteForceSolver{}},
-		{"brute-3d", 3, 30, core.BruteForceSolver{}},
+		{"sweeping-2d", 2, 300, core.SweepingSolver{}, false},
+		{"ept-3d", 3, 150, core.EPTSolver{}, false},
+		{"ept-4d", 4, 100, core.EPTSolver{}, false},
+		{"ept-slab-4d", 4, 400, core.EPTSolver{}, true},
+		{"ept-slab-4d-workers3", 4, 400, core.EPTSolver{Opt: core.EPTOptions{Workers: 3}}, true},
+		{"brute-2d", 2, 60, core.BruteForceSolver{}, false},
+		{"brute-3d", 3, 30, core.BruteForceSolver{}, false},
 		// A-PC's partitions keep their constraints' normals, merged or cut.
-		{"apc-merged-3d", 3, 150, core.APCSolver{Opt: core.APCOptions{Samples: 40, Seed: 3}}},
-		{"apc-cut-4d", 4, 100, core.APCSolver{Opt: core.APCOptions{Samples: 60, Seed: 3, MaxSamples: 30}}},
+		{"apc-merged-3d", 3, 150, core.APCSolver{Opt: core.APCOptions{Samples: 40, Seed: 3}}, false},
+		{"apc-cut-4d", 4, 100, core.APCSolver{Opt: core.APCOptions{Samples: 60, Seed: 3, MaxSamples: 30}}, false},
 		// LP-CTA's cells are clipped from the served planes' normals.
-		{"lpcta-2d", 2, 60, baseline.LPCTASolver{}},
-		{"lpcta-3d", 3, 30, baseline.LPCTASolver{}},
+		{"lpcta-2d", 2, 60, baseline.LPCTASolver{}, false},
+		{"lpcta-3d", 3, 30, baseline.LPCTASolver{}, false},
 	}
 	for ci, tc := range cases {
 		pts := dataset.Generate(dataset.Independent, tc.n, tc.d, int64(ci)+5)
@@ -61,12 +66,13 @@ func TestPooledArenaNotRetained(t *testing.T) {
 				ctx := context.Background()
 				regions := make([]*core.Region, len(queries))
 				kept := make([][]byte, len(queries))
-				nonEmpty := 0
+				nonEmpty, splits := 0, 0
 				for i, q := range queries {
-					r, _, err := pol.Solve(ctx, prep, q, i)
+					r, st, err := pol.Solve(ctx, prep, q, i)
 					if err != nil {
 						t.Fatalf("query %d: %v", i, err)
 					}
+					splits += st.Splits
 					if kept[i], err = r.MarshalJSON(); err != nil {
 						t.Fatal(err)
 					}
@@ -77,6 +83,9 @@ func TestPooledArenaNotRetained(t *testing.T) {
 				}
 				if nonEmpty < len(queries)/4 {
 					t.Fatalf("only %d of %d regions are non-empty; test is vacuous", nonEmpty, len(queries))
+				}
+				if tc.splits && splits < len(queries) {
+					t.Fatalf("%d splits over %d queries; the slab row is vacuous", splits, len(queries))
 				}
 
 				more := core.CompetitiveQueries(rng, pts, 32)
@@ -101,7 +110,10 @@ func TestPooledArenaNotRetained(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				changed := 0
+				// A pooled arena's slabs are zeroed when its solve returns,
+				// so a cell aliasing them reads as a cell without vertices
+				// even before a later solve overwrites it.
+				changed, hollow := 0, 0
 				for i, r := range regions {
 					b, err := r.MarshalJSON()
 					if err != nil {
@@ -110,9 +122,15 @@ func TestPooledArenaNotRetained(t *testing.T) {
 					if !bytes.Equal(b, kept[i]) {
 						changed++
 					}
+					for _, c := range r.Cells() {
+						if c.NumVertices() < tc.d || !r.Contains(c.Center()) {
+							hollow++
+							break
+						}
+					}
 				}
-				if changed > 0 {
-					t.Fatalf("%d of %d kept regions changed after later solves: a region aliases pooled scratch", changed, len(regions))
+				if changed > 0 || hollow > 0 {
+					t.Fatalf("of %d kept regions, %d changed after later solves and %d hold a cell without its vertices: a region aliases pooled scratch", len(regions), changed, hollow)
 				}
 			})
 		}

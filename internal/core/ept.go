@@ -5,6 +5,7 @@ import (
 
 	"rrq/internal/faultinject"
 	"rrq/internal/geom"
+	"rrq/internal/pile"
 )
 
 // eptNode is one node of the partition tree (paper §5.1.1). Leaves carry
@@ -12,13 +13,50 @@ import (
 // partition the node's cell.
 type eptNode struct {
 	cell     *geom.Cell
-	q        int               // negative half-spaces covering the cell
-	lazy     []geom.Hyperplane // H(N); leaves only
-	children []*eptNode
+	q        int     // negative half-spaces covering the cell
+	lazy     []int32 // H(N) as indices into eptTree.planes; leaves only
+	children [2]*eptNode
 	invalid  bool
 }
 
-func (n *eptNode) leaf() bool { return len(n.children) == 0 }
+func (n *eptNode) leaf() bool { return n.children[0] == nil }
+
+// eptSlab is the storage one E-PT execution context builds the tree in:
+// its cells, its nodes and its lazy plane lists. It lives in the solve's
+// Arena, so a warm solve refines its tree without allocating; the cells
+// that answer the query are compacted out of it at collect time.
+type eptSlab struct {
+	cells geom.Slab
+	nodes pile.Pile[eptNode]
+	lazy  pile.Pile[int32]
+}
+
+func (s *eptSlab) reset() {
+	s.cells.Reset()
+	s.nodes.Reset()
+	s.lazy.Reset()
+}
+
+func (s *eptSlab) bytes() int { return s.cells.Bytes() + s.nodes.Bytes() + s.lazy.Bytes() }
+
+func (s *eptSlab) node() *eptNode { return &s.nodes.Take(1)[0] }
+
+// push appends plane i to a lazy list, moving the list to a larger run of
+// the slab when its own is full.
+func (s *eptSlab) push(l []int32, i int32) []int32 {
+	if len(l) == cap(l) {
+		grown := s.lazy.Take(max(2*len(l), 4))
+		l = grown[:copy(grown, l)]
+	}
+	return append(l, i)
+}
+
+// clone copies a lazy list into a run of its own.
+func (s *eptSlab) clone(l []int32) []int32 {
+	out := s.lazy.Take(len(l))
+	copy(out, l)
+	return out
+}
 
 // EPTOptions disables individual accelerations of §5.1.2, for the ablation
 // benchmarks. The zero value runs the full algorithm.
@@ -105,20 +143,21 @@ func eptSolve(ctx context.Context, prep *Prepared, q Query, opt EPTOptions) (*Re
 
 	insertPhase := check.Phase("phase.ept.insert")
 	defer insertPhase()
-	t := &eptTree{k: k, eager: opt.NoLazySplit}
-	t.root = &eptNode{cell: geom.NewSimplex(d)}
+	t := &eptTree{planes: planes, k: k, eager: opt.NoLazySplit}
+	t.root = a.ept.node()
+	t.root.cell = geom.NewSimplexIn(d, &a.ept.cells)
 	st.NodesCreated++
 	if opt.Workers > 1 {
-		pool := newEPTPool(ctx, t, opt.Workers, q.Q)
-		err := pool.run(planes, check)
+		pool := newEPTPool(ctx, t, a.workerSlabs(opt.Workers), q.Q)
+		err := pool.run(check)
 		pool.drain(&st)
 		if err != nil {
 			return nil, st, err
 		}
 	} else {
-		e := &eptCtx{t: t, stats: &st, check: check}
-		for _, h := range planes {
-			e.insert(t.root, h)
+		e := &eptCtx{t: t, stats: &st, check: check, slab: &a.ept}
+		for i := range planes {
+			e.insert(t.root, int32(i))
 			if check.Failed() {
 				return nil, st, check.Err()
 			}
@@ -128,12 +167,16 @@ func eptSolve(ctx context.Context, prep *Prepared, q Query, opt EPTOptions) (*Re
 
 	collectPhase := check.Phase("phase.ept.collect")
 	defer collectPhase()
-	var cells []*geom.Cell
-	t.collect(t.root, &cells)
-	st.Pieces = len(cells)
-	if len(cells) == 0 {
+	leaves := t.collect(t.root, a.leaves[:0])
+	a.leaves = leaves
+	st.Pieces = len(leaves)
+	if len(leaves) == 0 {
 		return EmptyRegion(d), st, nil
 	}
+	// The leaves live in the arena's slabs, which the next solve reuses:
+	// the answer takes copies of its own.
+	cells := geom.Compact(leaves)
+	clear(leaves)
 	return NewDisjointCellRegion(d, cells), st, nil
 }
 
@@ -266,24 +309,27 @@ func planeOrderLess(w []int, a, b int) bool {
 }
 
 // eptTree is the shared partition tree: structure and parameters only. All
-// mutable per-run bookkeeping (counters, cancellation) lives
-// in eptCtx so several execution contexts can refine disjoint subtrees
+// mutable per-run bookkeeping (counters, cancellation, storage) lives in
+// eptCtx so several execution contexts can refine disjoint subtrees
 // concurrently.
 type eptTree struct {
-	root  *eptNode
-	k     int
-	eager bool // ablation: split on every crossing plane immediately
+	root   *eptNode
+	planes []geom.Hyperplane // in insertion order; lazy lists index it
+	k      int
+	eager  bool // ablation: split on every crossing plane immediately
 }
 
 // eptCtx is one execution context over the tree: the serial solver uses a
 // single context, the worker pool gives each worker its own (per-worker
-// Stats and per-worker CtxChecker — the checker is not concurrency-safe —
+// Stats, CtxChecker and slab — none is concurrency-safe — with the Stats
 // merged when the pool drains). A context only ever touches nodes of the
-// subtree it was handed, so contexts never contend.
+// subtree it was handed, so contexts never contend; the nodes, cells and
+// lazy lists it creates come from its own slab.
 type eptCtx struct {
 	t     *eptTree
 	stats *Stats
 	check *CtxChecker
+	slab  *eptSlab
 	pool  *eptPool // nil when serial
 }
 
@@ -301,11 +347,11 @@ func (t *eptTree) needSplit(n *eptNode) bool {
 // descends into the other itself; every other step is identical to the
 // serial path, which is what keeps the answer independent of the worker
 // count.
-func (e *eptCtx) insert(n *eptNode, h geom.Hyperplane) {
+func (e *eptCtx) insert(n *eptNode, h int32) {
 	if n.invalid || e.check.Stop() {
 		return
 	}
-	switch n.cell.Relation(h) {
+	switch n.cell.Relation(e.t.planes[h]) {
 	case geom.RelNeg:
 		e.coverNeg(n)
 	case geom.RelPos:
@@ -322,7 +368,7 @@ func (e *eptCtx) insert(n *eptNode, h geom.Hyperplane) {
 			}
 			return
 		}
-		n.lazy = append(n.lazy, h)
+		n.lazy = e.slab.push(n.lazy, h)
 		if e.t.needSplit(n) {
 			e.lazySplit(n)
 		}
@@ -370,9 +416,9 @@ func (e *eptCtx) lazySplit(n *eptNode) {
 			e.check.fail(err)
 			return
 		}
-		h := n.lazy[0]
+		h := e.t.planes[n.lazy[0]]
 		n.lazy = n.lazy[1:]
-		neg, pos := n.cell.Split(h)
+		neg, pos := n.cell.SplitInto(h, &e.slab.cells)
 		switch {
 		case neg == nil && pos == nil:
 			// Degenerate sliver; drop the plane.
@@ -389,10 +435,11 @@ func (e *eptCtx) lazySplit(n *eptNode) {
 			}
 		default:
 			e.stats.Splits++
-			left := &eptNode{cell: neg, q: n.q + 1, lazy: append([]geom.Hyperplane(nil), n.lazy...)}
-			right := &eptNode{cell: pos, q: n.q, lazy: n.lazy}
+			left, right := e.slab.node(), e.slab.node()
+			left.cell, left.q, left.lazy = neg, n.q+1, e.slab.clone(n.lazy)
+			right.cell, right.q, right.lazy = pos, n.q, n.lazy
 			e.stats.NodesCreated += 2
-			n.children = []*eptNode{left, right}
+			n.children = [2]*eptNode{left, right}
 			n.lazy = nil
 			e.refine(left)
 			e.refine(right)
@@ -409,9 +456,9 @@ func (e *eptCtx) refine(n *eptNode) {
 		n.invalid = true
 		return
 	}
-	kept := n.lazy[:0:len(n.lazy)] // fresh backing view; slices were copied by caller for one child
+	kept := n.lazy[:0] // each child owns its list: lazySplit cloned one
 	for _, h := range n.lazy {
-		switch n.cell.Relation(h) {
+		switch n.cell.Relation(e.t.planes[h]) {
 		case geom.RelNeg:
 			n.q++
 			if n.q >= e.t.k {
@@ -430,19 +477,20 @@ func (e *eptCtx) refine(n *eptNode) {
 	}
 }
 
-// collect gathers qualified leaf cells: valid leaves with
+// collect appends to out the qualified leaf cells: valid leaves with
 // Q(N) + |H(N)| < k, whose entire partition qualifies (paper §5.1.2).
-func (t *eptTree) collect(n *eptNode, out *[]*geom.Cell) {
+func (t *eptTree) collect(n *eptNode, out []*geom.Cell) []*geom.Cell {
 	if n.invalid {
-		return
+		return out
 	}
 	if n.leaf() {
 		if n.q+len(n.lazy) < t.k {
-			*out = append(*out, n.cell)
+			out = append(out, n.cell)
 		}
-		return
+		return out
 	}
 	for _, c := range n.children {
-		t.collect(c, out)
+		out = t.collect(c, out)
 	}
+	return out
 }

@@ -6,36 +6,48 @@ import (
 	"math/rand"
 	"testing"
 
-	"rrq/internal/vec"
+	"rrq/internal/dataset"
+	"rrq/internal/skyband"
 )
 
-// benchInstance builds a deterministic anticorrelated-ish instance that
-// produces a partition tree deep enough to exercise the split kernels.
-func benchInstance(n, d int) ([]vec.Vec, Query) {
-	rng := rand.New(rand.NewSource(77))
-	pts := make([]vec.Vec, n)
-	for i := range pts {
-		p := vec.New(d)
-		for j := range p {
-			p[j] = 0.05 + 0.95*rng.Float64()
+// eptBenchInstance prepares a skyband-pruned Indep instance with a
+// competitive query — a perturbed band point, the protocol of the root
+// package's benchmarks — on which E-PT really refines its tree: a query
+// whose region is empty or whole makes no split and times plane building
+// alone, so the benchmark fails instead of measuring that.
+func eptBenchInstance(b *testing.B, n, d int) (*Prepared, Query, Stats) {
+	const k = 5
+	pts := dataset.Generate(dataset.Independent, n, d, 42)
+	band := skyband.Select(pts, skyband.KSkyband(pts, k))
+	prep, err := Prepare(band, d, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for try := 0; try < 64; try++ {
+		q := Query{Q: dataset.RandQuery(rng, band), K: k, Eps: 0.1}
+		_, st, err := EPTSolver{}.Solve(context.Background(), prep, q)
+		if err != nil {
+			b.Fatal(err)
 		}
-		pts[i] = p
+		if st.Splits > 0 && st.Pieces > 0 {
+			return prep, q, st
+		}
 	}
-	q := pts[0].Clone()
-	for j := range q {
-		q[j] = 0.3 + 0.4*q[j]
-	}
-	return pts, Query{Q: q, K: 4, Eps: 0.1}
+	b.Fatalf("n=%d d=%d: no query in 64 makes E-PT split", n, d)
+	return nil, Query{}, Stats{}
 }
 
-// BenchmarkEPTSerial pins the allocation profile of the serial solver.
+// BenchmarkEPTSerial times one serial E-PT solve on a prepared instance and
+// pins its allocation profile.
 func BenchmarkEPTSerial(b *testing.B) {
 	for _, d := range []int{3, 4, 5} {
-		pts, q := benchInstance(300, d)
+		prep, q, st := eptBenchInstance(b, 2000, d)
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			b.ReportMetric(float64(st.Splits), "splits/op")
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := solveOn(context.Background(), EPTSolver{}, pts, q); err != nil {
+				if _, _, err := (EPTSolver{}).Solve(context.Background(), prep, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -48,12 +60,14 @@ func BenchmarkEPTSerial(b *testing.B) {
 // Workers=1 takes the serial path and doubles as the in-sweep baseline.
 func BenchmarkEPTParallel(b *testing.B) {
 	for _, d := range []int{4, 5} {
-		pts, q := benchInstance(300, d)
+		prep, q, st := eptBenchInstance(b, 2000, d)
 		for _, workers := range []int{1, 2, 4, 8} {
+			s := EPTSolver{Opt: EPTOptions{Workers: workers}}
 			b.Run(fmt.Sprintf("d=%d/workers=%d", d, workers), func(b *testing.B) {
+				b.ReportMetric(float64(st.Splits), "splits/op")
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := solveOn(context.Background(), EPTSolver{Opt: EPTOptions{Workers: workers}}, pts, q); err != nil {
+					if _, _, err := s.Solve(context.Background(), prep, q); err != nil {
 						b.Fatal(err)
 					}
 				}

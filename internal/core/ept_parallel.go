@@ -4,8 +4,6 @@ import (
 	"context"
 	"runtime/debug"
 	"sync"
-
-	"rrq/internal/geom"
 )
 
 // Intra-query parallel E-PT.
@@ -13,27 +11,31 @@ import (
 // The insertion of one hyper-plane into the partition tree decomposes into
 // independent per-subtree work: when the plane crosses an internal node,
 // the two children are refined without ever reading or writing each other's
-// state (sibling cells share only immutable data — constraint-list tails
-// and vertex coordinate slices — and every node is descended into by
-// exactly one task). The pool exploits exactly that decomposition and
-// nothing else: each task runs the unmodified serial insertion over its
-// subtree, so every geometric decision is identical to the serial solver
-// and the collected cells are byte-identical for any worker count.
+// state (sibling cells share only immutable data — constraint-chain tails —
+// and every node is descended into by exactly one task). Each worker builds
+// its nodes, cells and lazy lists into a slab of its own; a slab's
+// bookkeeping is only ever touched by its worker, and what it handed out
+// only by the task that owns the node. The pool exploits exactly that
+// decomposition and nothing else: each task runs the unmodified serial
+// insertion over its subtree, so every geometric decision is identical to
+// the serial solver and the collected cells are byte-identical for any
+// worker count.
 //
 // Planes are still inserted strictly one after another (pending.Wait is
 // the inter-plane barrier); parallelism is within a plane, across the
 // frontier of subtrees it crosses. That preserves the W(h)-descending
 // insertion order the accelerations of §5.1.2 rely on.
 
-// eptTask is one unit of pool work: insert plane h into the subtree at n.
+// eptTask is one unit of pool work: insert plane h (an index into the
+// tree's planes) into the subtree at n.
 type eptTask struct {
 	n *eptNode
-	h geom.Hyperplane
+	h int32
 }
 
 // eptPool is the per-solve worker pool. Workers own one eptCtx each
-// (per-worker Stats and CtxChecker — neither is concurrency-safe), merged
-// into the solve's totals by drain.
+// (per-worker Stats, CtxChecker and slab — none is concurrency-safe), the
+// Stats merged into the solve's totals by drain.
 type eptPool struct {
 	tree    *eptTree
 	tasks   chan eptTask
@@ -42,14 +44,16 @@ type eptPool struct {
 	ctxs    []*eptCtx
 }
 
-func newEPTPool(ctx context.Context, t *eptTree, workers int, faultKey []float64) *eptPool {
+// newEPTPool starts one worker per slab.
+func newEPTPool(ctx context.Context, t *eptTree, slabs []eptSlab, faultKey []float64) *eptPool {
+	workers := len(slabs)
 	p := &eptPool{
 		tree:  t,
 		tasks: make(chan eptTask, workers*64),
 		ctxs:  make([]*eptCtx, workers),
 	}
 	for w := range p.ctxs {
-		e := &eptCtx{t: t, stats: new(Stats), check: NewCtxChecker(ctx, 0xfff), pool: p}
+		e := &eptCtx{t: t, stats: new(Stats), check: NewCtxChecker(ctx, 0xfff), slab: &slabs[w], pool: p}
 		e.check.SetFaultKey(faultKey)
 		p.ctxs[w] = e
 		p.done.Add(1)
@@ -85,10 +89,10 @@ func (e *eptCtx) runTask(task eptTask) {
 // mutation of plane i visible before plane i+1 starts (WaitGroup Done
 // happens-before Wait returning, and the subsequent channel send orders the
 // next plane's reads).
-func (p *eptPool) run(planes []geom.Hyperplane, check *CtxChecker) error {
-	for _, h := range planes {
+func (p *eptPool) run(check *CtxChecker) error {
+	for h := range p.tree.planes {
 		p.pending.Add(1)
-		p.tasks <- eptTask{p.tree.root, h}
+		p.tasks <- eptTask{p.tree.root, int32(h)}
 		p.pending.Wait()
 		if check.Stop() {
 			return check.Err()
@@ -107,7 +111,7 @@ func (p *eptPool) run(planes []geom.Hyperplane, check *CtxChecker) error {
 // zero while work is outstanding). When the queue is full the task runs
 // inline on the spawning worker instead — workers must never block on the
 // queue, or a full queue of tasks that all want to spawn would deadlock.
-func (p *eptPool) spawn(n *eptNode, h geom.Hyperplane, from *eptCtx) {
+func (p *eptPool) spawn(n *eptNode, h int32, from *eptCtx) {
 	p.pending.Add(1)
 	select {
 	case p.tasks <- eptTask{n, h}:

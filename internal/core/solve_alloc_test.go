@@ -70,3 +70,51 @@ func TestSingleSolveFixedAlloc(t *testing.T) {
 		})
 	}
 }
+
+// A warm serial E-PT solve allocates a fixed handful of objects — the
+// compacted answer, its region, the packed normals and the checker — however
+// many cells its tree splits: every cell, node and lazy plane list of the
+// tree lives in the pooled arena's slab. Two 4-d instances whose split
+// counts differ at least fourfold must both stay under one bound.
+func TestEPTSolveFixedAlloc(t *testing.T) {
+	const bound = 24
+	pts := dataset.Generate(dataset.Independent, 2000, 4, 5)
+	prep := PrepareCounted(pts, 4, skyband.DominatorCounts(pts), nil)
+	ctx := context.Background()
+	s := EPTSolver{}
+	var few, many Query
+	fewSplits, manySplits := 0, 0
+	rng := rand.New(rand.NewSource(17))
+	for _, q := range competitiveQueries(rng, pts, 64) {
+		_, st, err := s.Solve(ctx, prep, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Pieces == 0 || st.Splits < 4 {
+			continue
+		}
+		if fewSplits == 0 || st.Splits < fewSplits {
+			few, fewSplits = q, st.Splits
+		}
+		if st.Splits > manySplits {
+			many, manySplits = q, st.Splits
+		}
+	}
+	if manySplits < 4*fewSplits {
+		t.Fatalf("split counts %d and %d differ less than fourfold; test is vacuous", fewSplits, manySplits)
+	}
+	for _, c := range []struct {
+		q      Query
+		splits int
+	}{{few, fewSplits}, {many, manySplits}} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := s.Solve(ctx, prep, c.q); err != nil {
+				panic(err)
+			}
+		})
+		t.Logf("%d splits: %.1f allocations per solve", c.splits, allocs)
+		if allocs > bound {
+			t.Errorf("a warm solve with %d splits allocates %.1f, want at most %d", c.splits, allocs, bound)
+		}
+	}
+}

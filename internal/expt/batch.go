@@ -64,7 +64,7 @@ func Batch(sc Scale) []*Table {
 		}
 		row := Row{Param: fmt.Sprintf("%d", w)}
 		if failed != nil {
-			row.Cells = []Cell{{Algo: "E-PT batch", Skipped: true, Note: failed.Error()}}
+			row.Cells = []Cell{cellOrSkip("E-PT batch", 0, failed)}
 		} else {
 			row.Cells = []Cell{{Algo: "E-PT batch", Seconds: total / batchQueries}}
 			if base == 0 {

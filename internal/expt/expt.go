@@ -6,6 +6,7 @@ package expt
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -79,11 +80,15 @@ func (s Scale) size() int {
 }
 
 // Cell is one measurement: an algorithm's mean time on one parameter value.
+// A cell whose run blew a budget is Skipped; one whose run failed for any
+// other reason carries the error in Err, which makes the table invalid (see
+// Table.Err).
 type Cell struct {
 	Algo    string
 	Seconds float64
 	Skipped bool
 	Note    string
+	Err     error
 }
 
 // Row is one x-axis value of a figure.
@@ -146,6 +151,8 @@ func (t *Table) Print(w io.Writer) {
 			switch {
 			case !ok:
 				line = append(line, "-")
+			case c.Err != nil:
+				line = append(line, "error")
 			case c.Skipped:
 				line = append(line, ">budget")
 			default:
@@ -182,6 +189,19 @@ func (t *Table) Print(w io.Writer) {
 			fmt.Fprintln(w, strings.Repeat("-", len(b.String())))
 		}
 	}
+}
+
+// Err returns the first failed cell's error, naming the table and the
+// algorithm, or nil when every cell was measured or skipped on a budget.
+func (t *Table) Err() error {
+	for _, r := range t.Rows {
+		for _, c := range r.Cells {
+			if c.Err != nil {
+				return fmt.Errorf("%s (%s=%s): %s: %w", t.ID, t.ParamCol, r.Param, c.Algo, c.Err)
+			}
+		}
+	}
+	return nil
 }
 
 // instance is a prepared workload: k-skyband-pruned points, the one
@@ -296,7 +316,7 @@ func runPBA(in instance, sc Scale) Cell {
 	defer cancel()
 	ix, err := baseline.BuildPBAContext(ctx, in.pts, in.k, sc.PBABudget)
 	if err != nil {
-		return Cell{Algo: "PBA+", Skipped: true, Note: err.Error()}
+		return cellOrSkip("PBA+", 0, err)
 	}
 	secs, err := timeIt(in, sc.CellBudget, func(q core.Query) error {
 		_, e := ix.Query(q)
@@ -305,11 +325,19 @@ func runPBA(in instance, sc Scale) Cell {
 	return cellOrSkip("PBA+", secs, err)
 }
 
+// cellOrSkip turns one timed run into a cell: measured, skipped when the
+// run blew a budget (the analogue of the paper's ">10⁴ s" omissions), or
+// failed with any other error.
 func cellOrSkip(name string, secs float64, err error) Cell {
-	if err != nil {
+	var budget *core.BudgetError
+	switch {
+	case err == nil:
+		return Cell{Algo: name, Seconds: secs}
+	case errors.Is(err, errCellBudget), errors.Is(err, core.ErrDeadline),
+		errors.As(err, &budget), errors.Is(err, baseline.ErrPBABudget):
 		return Cell{Algo: name, Skipped: true, Note: err.Error()}
 	}
-	return Cell{Algo: name, Seconds: secs}
+	return Cell{Algo: name, Err: err}
 }
 
 // Registry maps experiment ids to their runners.

@@ -2,9 +2,14 @@ package expt
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"rrq/internal/baseline"
+	"rrq/internal/core"
 )
 
 // tiny returns a scale small enough for unit tests.
@@ -81,6 +86,9 @@ func TestFiguresSmoke(t *testing.T) {
 		for _, tbl := range tables {
 			if len(tbl.Rows) == 0 {
 				t.Fatalf("%s table %s has no rows", id, tbl.ID)
+			}
+			if err := tbl.Err(); err != nil {
+				t.Fatal(err)
 			}
 			var buf bytes.Buffer
 			tbl.Print(&buf)
@@ -183,5 +191,44 @@ func TestSummarize(t *testing.T) {
 	}
 	if Summarize(tbl, "nope") != nil {
 		t.Fatal("unknown reference should yield nil")
+	}
+}
+
+// Only a blown budget may print as ">budget": any other solver error fails
+// the table, so a figure run whose every solve errs cannot pass for one
+// whose solvers were merely slow.
+func TestCellOrSkipSkipsOnlyBudgets(t *testing.T) {
+	for _, err := range []error{
+		errCellBudget,
+		core.ErrDeadline,
+		fmt.Errorf("solve: %w", core.ErrDeadline),
+		&core.BudgetError{Limit: 10, Spent: 11},
+		baseline.ErrPBABudget,
+	} {
+		if c := cellOrSkip("E-PT", 0, err); !c.Skipped || c.Err != nil {
+			t.Errorf("%v: cell %+v, want skipped", err, c)
+		}
+	}
+
+	qerr := &core.QueryError{Field: "k", Msg: "must be ≥ 1"}
+	c := cellOrSkip("LP-CTA", 0, qerr)
+	if c.Skipped || c.Err == nil {
+		t.Fatalf("query error became cell %+v, want a failed cell", c)
+	}
+	tbl := &Table{ID: "fig9a", ParamCol: "k", Rows: []Row{
+		{Param: "1", Cells: []Cell{{Algo: "E-PT", Seconds: 0.001}, c}},
+	}}
+	var buf bytes.Buffer
+	tbl.Print(&buf)
+	if strings.Contains(buf.String(), ">budget") || !strings.Contains(buf.String(), "error") {
+		t.Errorf("failed cell printed as:\n%s", buf.String())
+	}
+	err := tbl.Err()
+	var got *core.QueryError
+	if !errors.As(err, &got) || !strings.Contains(err.Error(), "fig9a") || !strings.Contains(err.Error(), "LP-CTA") {
+		t.Fatalf("Table.Err() = %v, want the query error naming fig9a and LP-CTA", err)
+	}
+	if (&Table{ID: "fig9a", Rows: []Row{{Param: "1", Cells: []Cell{cellOrSkip("PBA+", 0, baseline.ErrPBABudget)}}}}).Err() != nil {
+		t.Fatal("a skipped cell made the table fail")
 	}
 }

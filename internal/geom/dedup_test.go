@@ -42,17 +42,28 @@ func TestCoincidentNearOrigin(t *testing.T) {
 }
 
 func TestAppendVertexMergesTightSets(t *testing.T) {
-	vs := appendVertex(nil, vertex{pt: vec.Of(0.75, 0.25+1.2e-9), tight: newTightSet(3)})
-	vs = appendVertex(vs, vertex{pt: vec.Of(0.75+1.2e-9, 0.25), tight: newTightSet(7)})
-	if len(vs) != 1 {
-		t.Fatalf("coincident vertices were not merged: %d entries", len(vs))
+	var f freshVerts
+	f.reset(2, 0)
+	add := func(pt vec.Vec, tight tightSet) {
+		f.pts = append(f.pts, pt...)
+		lo := len(f.ids)
+		f.ids = append(f.ids, tight...)
+		f.commit(lo)
 	}
-	if !vs[0].tight.has(3) || !vs[0].tight.has(7) {
+	add(vec.Of(0.75, 0.25+1.2e-9), newTightSet(3))
+	add(vec.Of(0.75+1.2e-9, 0.25), newTightSet(7))
+	if f.len() != 1 {
+		t.Fatalf("coincident vertices were not merged: %d entries", f.len())
+	}
+	if !f.tight(0).has(3) || !f.tight(0).has(7) {
 		t.Fatalf("merged vertex lost a tight membership")
 	}
-	vs = appendVertex(vs, vertex{pt: vec.Of(0.25, 0.75), tight: newTightSet(9)})
-	if len(vs) != 2 {
-		t.Fatalf("distinct vertex was merged away: %d entries", len(vs))
+	add(vec.Of(0.25, 0.75), newTightSet(9))
+	if f.len() != 2 {
+		t.Fatalf("distinct vertex was merged away: %d entries", f.len())
+	}
+	if !f.pt(1).Equal(vec.Of(0.25, 0.75), 0) || len(f.tight(1)) != 1 || !f.tight(1).has(9) {
+		t.Fatalf("distinct vertex stored as %v with tight set %v", f.pt(1), f.tight(1))
 	}
 }
 

@@ -365,19 +365,22 @@ func TestTightSetOps(t *testing.T) {
 	if got := a.intersectCount(b); got != 2 {
 		t.Fatalf("intersectCount = %d, want 2", got)
 	}
-	inter := a.intersect(b)
-	if len(inter) != 2 || inter[0] != 2 || inter[1] != 3 {
-		t.Fatalf("intersect = %v", inter)
+	inter := a.appendIntersectWith(nil, b, 9)
+	if len(inter) != 3 || inter[0] != 2 || inter[1] != 3 || inter[2] != 9 {
+		t.Fatalf("intersect with 9 = %v", inter)
 	}
-	u := a.union(b)
-	if len(u) != 4 {
-		t.Fatalf("union = %v", u)
+	if got := a.appendIntersectWith(nil, b, 2); len(got) != 2 {
+		t.Fatalf("intersect with a member = %v", got)
 	}
-	w := a.with(0)
+	u := a.appendUnion([]int32{7}, b)
+	if len(u) != 5 || u[0] != 7 || u[1] != 1 || u[4] != 5 {
+		t.Fatalf("union appended to [7] = %v", u)
+	}
+	w := a.appendWith(nil, 0)
 	if len(w) != 4 || w[0] != 0 {
 		t.Fatalf("with = %v", w)
 	}
-	if got := a.with(2); len(got) != 3 {
+	if got := a.appendWith(nil, 2); len(got) != 3 {
 		t.Fatalf("with existing changed size: %v", got)
 	}
 }

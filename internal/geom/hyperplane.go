@@ -4,6 +4,13 @@
 // maintenance, relationship tests between cells and hyper-planes
 // (paper Lemmas 5.1, 5.4, 5.5), and Monte-Carlo region measure.
 //
+// Cells live in slabs (Slab): flat piles of vertex coordinates, tight sets,
+// facet pointers, constraint records and Cell values. Split, Clip and
+// NewSimplex build into a fresh slab sized to their result; a solver that
+// refines many short-lived cells builds them into one reused slab with
+// SplitInto and NewSimplexIn, and copies the cells it keeps out with
+// Compact before the slab is reset.
+//
 // The utility space U is the standard (d−1)-simplex
 // {u ∈ R^d : u[i] ≥ 0, Σu[i] = 1}. All cells live inside U. Distances
 // used for sphere tests are measured inside the affine hull of U, which is

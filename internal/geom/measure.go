@@ -88,8 +88,8 @@ func Interval1D(c *Cell) (lo, hi float64) {
 		panic("geom: Interval1D on non-2d cell")
 	}
 	lo, hi = 1, 0
-	for _, v := range c.verts {
-		t := v.pt[0]
+	for i := 0; i < c.nv; i++ {
+		t := c.pts[i*c.dim]
 		if t < lo {
 			lo = t
 		}

@@ -5,6 +5,9 @@ import "sort"
 // tightSet is a sorted slice of constraint identifiers that are tight
 // (satisfied with equality) at a vertex. Identifiers 0..d−1 denote the
 // simplex bounds u[i] ≥ 0; a cut by hyper-plane h contributes d + h.ID.
+// Cells keep their vertices' sets back to back in one int32 slice, so the
+// set operations append their result to a caller-given buffer instead of
+// allocating one.
 type tightSet []int32
 
 func newTightSet(ids ...int32) tightSet {
@@ -19,24 +22,22 @@ func (s tightSet) has(id int32) bool {
 	return i < len(s) && s[i] == id
 }
 
-// with returns s ∪ {id} (s unchanged).
-func (s tightSet) with(id int32) tightSet {
-	if s.has(id) {
-		return append(tightSet(nil), s...)
-	}
-	out := make(tightSet, 0, len(s)+1)
+// appendWith appends s ∪ {id} to dst.
+func (s tightSet) appendWith(dst []int32, id int32) []int32 {
 	inserted := false
 	for _, x := range s {
-		if !inserted && id < x {
-			out = append(out, id)
+		if !inserted && id <= x {
+			if id < x {
+				dst = append(dst, id)
+			}
 			inserted = true
 		}
-		out = append(out, x)
+		dst = append(dst, x)
 	}
 	if !inserted {
-		out = append(out, id)
+		dst = append(dst, id)
 	}
-	return out
+	return dst
 }
 
 // intersectCount returns |s ∩ t| for two sorted sets.
@@ -57,30 +58,9 @@ func (s tightSet) intersectCount(t tightSet) int {
 	return n
 }
 
-// intersect returns s ∩ t as a new sorted set.
-func (s tightSet) intersect(t tightSet) tightSet {
-	out := make(tightSet, 0, min(len(s), len(t)))
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		switch {
-		case s[i] < t[j]:
-			i++
-		case s[i] > t[j]:
-			j++
-		default:
-			out = append(out, s[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// intersectWith returns (s ∩ t) ∪ {id} as a new sorted set in a single
-// allocation — the fused form of intersect followed by with, used on the
-// split hot path where the intermediate intersection would be discarded.
-func (s tightSet) intersectWith(t tightSet, id int32) tightSet {
-	out := make(tightSet, 0, min(len(s), len(t))+1)
+// appendIntersectWith appends (s ∩ t) ∪ {id} to dst — the tight set of the
+// point where the edge between two vertices meets the plane with id.
+func (s tightSet) appendIntersectWith(dst []int32, t tightSet, id int32) []int32 {
 	inserted := false
 	i, j := 0, 0
 	for i < len(s) && j < len(t) {
@@ -93,40 +73,40 @@ func (s tightSet) intersectWith(t tightSet, id int32) tightSet {
 			x := s[i]
 			if !inserted && id <= x {
 				if id < x {
-					out = append(out, id)
+					dst = append(dst, id)
 				}
 				inserted = true
 			}
-			out = append(out, x)
+			dst = append(dst, x)
 			i++
 			j++
 		}
 	}
 	if !inserted {
-		out = append(out, id)
+		dst = append(dst, id)
 	}
-	return out
+	return dst
 }
 
-// union returns s ∪ t as a new sorted set.
-func (s tightSet) union(t tightSet) tightSet {
-	out := make(tightSet, 0, len(s)+len(t))
+// appendUnion appends s ∪ t to dst. Either set may alias dst's contents:
+// appending never writes below len(dst).
+func (s tightSet) appendUnion(dst []int32, t tightSet) []int32 {
 	i, j := 0, 0
 	for i < len(s) && j < len(t) {
 		switch {
 		case s[i] < t[j]:
-			out = append(out, s[i])
+			dst = append(dst, s[i])
 			i++
 		case s[i] > t[j]:
-			out = append(out, t[j])
+			dst = append(dst, t[j])
 			j++
 		default:
-			out = append(out, s[i])
+			dst = append(dst, s[i])
 			i++
 			j++
 		}
 	}
-	out = append(out, s[i:]...)
-	out = append(out, t[j:]...)
-	return out
+	dst = append(dst, s[i:]...)
+	dst = append(dst, t[j:]...)
+	return dst
 }
