@@ -7,7 +7,9 @@
 //     the baseline, per scenario row and per cpu-matrix row;
 //   - the cross-query-sharing contract within the current report: for every
 //     (scenario, cpus) pair in the cpu matrix, the shared row must beat the
-//     independent row on ns/query and allocs/query;
+//     independent row on ns/query and on planes classified per query (the
+//     classification work a batch shares; deterministic, so it shows
+//     whether sharing happened on any machine);
 //   - the shared/independent ns ratio against the baseline's ratio, which
 //     divides out the machine.
 //
@@ -20,9 +22,12 @@
 //	benchdiff -baseline results/BENCH_baseline.json -current BENCH_solve.json
 //
 // After an intended change to what the gates measure, regenerate the
-// committed baseline with the same suite CI runs:
+// committed baseline with the same suite CI runs, at the GOMAXPROCS of CI's
+// runners (the scenario rows run at the ambient GOMAXPROCS, and each
+// processor's first solve grows a cold pooled arena, so their allocs/query
+// rise with it):
 //
-//	go run ./cmd/rrqbench -benchjson results/BENCH_baseline.json -cpus 1,2,4,8
+//	GOMAXPROCS=4 go run ./cmd/rrqbench -benchjson results/BENCH_baseline.json -cpus 1,2,4,8
 package main
 
 import (
@@ -64,11 +69,12 @@ type anytimeRow struct {
 
 // matrixRow mirrors the cpuMatrixRow fields benchdiff gates on.
 type matrixRow struct {
-	Name       string `json:"name"`
-	CPUs       int    `json:"cpus"`
-	Shared     bool   `json:"shared"`
-	NsPerQuery int64  `json:"ns_per_query"`
-	AllocsPerQ int64  `json:"allocs_per_query"`
+	Name       string  `json:"name"`
+	CPUs       int     `json:"cpus"`
+	Shared     bool    `json:"shared"`
+	NsPerQuery int64   `json:"ns_per_query"`
+	AllocsPerQ int64   `json:"allocs_per_query"`
+	PlanesPerQ float64 `json:"planes_classified_per_query"`
 }
 
 // report is the subset of the BENCH_solve.json document benchdiff reads.
@@ -105,7 +111,7 @@ func main() {
 		allocsTol    = flag.Float64("allocs-tol", 1.25, "max allowed allocs/query growth factor vs baseline")
 		allocsSlack  = flag.Int64("allocs-slack", 16, "absolute allocs/query slack added to the tolerance (keeps tiny rows from failing on ±1)")
 		sharedNsTol  = flag.Float64("shared-ns-tol", 0.90, "cpu matrix: shared ns/query must be ≤ independent × this (shared must win)")
-		sharedAlTol  = flag.Float64("shared-allocs-tol", 0.90, "cpu matrix: shared allocs/query must be ≤ independent × this")
+		sharedPlTol  = flag.Float64("shared-planes-tol", 0.90, "cpu matrix: shared planes classified/query must be ≤ independent × this")
 		ratioTol     = flag.Float64("ratio-tol", 1.5, "max allowed growth of the shared/independent ns ratio vs the baseline's ratio")
 		anytimeSlack = flag.Float64("anytime-slack", 0.02, "Monte-Carlo slack added to the anytime error bound (and allowed below zero) before a volume-error row fails")
 	)
@@ -188,9 +194,12 @@ func main() {
 			failf("matrix %-14s cpus=%d shared %d ns/query not below independent %d ns/query × %.2f",
 				k.name, k.cpus, sh.NsPerQuery, ind.NsPerQuery, *sharedNsTol)
 		}
-		if ind.AllocsPerQ > 0 && float64(sh.AllocsPerQ) > float64(ind.AllocsPerQ)**sharedAlTol {
-			failf("matrix %-14s cpus=%d shared %d allocs/query not below independent %d allocs/query × %.2f",
-				k.name, k.cpus, sh.AllocsPerQ, ind.AllocsPerQ, *sharedAlTol)
+		if ind.PlanesPerQ <= 0 {
+			failf("matrix %-14s cpus=%d independent row reports no planes classified: the sharing measurement is missing",
+				k.name, k.cpus)
+		} else if sh.PlanesPerQ > ind.PlanesPerQ**sharedPlTol {
+			failf("matrix %-14s cpus=%d shared %.1f planes classified/query not below independent %.1f × %.2f",
+				k.name, k.cpus, sh.PlanesPerQ, ind.PlanesPerQ, *sharedPlTol)
 		}
 		bsh, ok1 := baseMatrix[matrixKey{k.name, k.cpus, true}]
 		bind, ok2 := baseMatrix[matrixKey{k.name, k.cpus, false}]

@@ -180,9 +180,12 @@ func groupKey(dst []byte, q Query) []byte {
 // below it a count-filtered, renumbered set (headers in a); above it the
 // group is rebuilt at q's rank. Counted stores report each lookup to their
 // PlaneCounters and, when reg is non-nil, to its index.planes.hit /
-// index.planes.miss counters.
+// index.planes.miss counters. Every classification pass, stored or not,
+// adds the points it classified to reg's core.planes.classified counter:
+// the work a store exists to share.
 func (s *planeStore) planes(pts []vec.Vec, q Query, a *Arena, reg *obs.Registry) PlaneSet {
 	if s == nil {
+		reg.Counter("core.planes.classified").Add(int64(len(pts)))
 		ps, _ := buildPlanes(pts, q, a)
 		return ps
 	}
@@ -190,6 +193,7 @@ func (s *planeStore) planes(pts []vec.Vec, q Query, a *Arena, reg *obs.Registry)
 	g := s.group(q, r)
 	if g == nil {
 		s.count(false, reg)
+		reg.Counter("core.planes.classified").Add(int64(len(pts)))
 		ps, _ := buildPlanes(pts, q, a)
 		return ps
 	}
@@ -197,7 +201,9 @@ func (s *planeStore) planes(pts []vec.Vec, q Query, a *Arena, reg *obs.Registry)
 	if !g.ready.Load() {
 		g.mu.Lock()
 		if !g.ready.Load() {
-			g.build(s.bands.get(g.kmax), q)
+			b := s.bands.get(g.kmax)
+			reg.Counter("core.planes.classified").Add(int64(len(b.pts)))
+			g.build(b, q)
 			g.ready.Store(true)
 			hit = false
 		}
