@@ -1,9 +1,13 @@
 package cache
 
 import (
+	"context"
+	"fmt"
+	"sync"
 	"testing"
 
 	"rrq/internal/core"
+	"rrq/internal/dataset"
 	"rrq/internal/vec"
 )
 
@@ -354,4 +358,72 @@ func TestConcurrentAccess(t *testing.T) {
 		<-done
 	}
 	c.Stats()
+}
+
+// Cached regions are shared: an exact hit hands the cached region itself to
+// a caller, who may measure it while the cache measures the same region
+// under its lock to rank neighbors. Cells are immutable once built, so
+// every concurrent reader must see the values a private copy of the region
+// measures to; under -race any write to a shared cell fails the test.
+func TestSharedCellRegionMeasuredConcurrently(t *testing.T) {
+	const d = 3
+	pts := dataset.Generate(dataset.Independent, 400, d, 11)
+	prep, err := core.Prepare(pts, d, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp := vec.Vec{0.8, 1, 0.33}
+	solve := func(k int, eps float64) *core.Region {
+		r, _, err := core.EPTSolver{}.Solve(context.Background(), prep, core.Query{Q: qp, K: k, Eps: eps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	// Two incomparable neighbors of (3, 0.2), so Bound ranks them by
+	// measure, and private copies of both for the reference values.
+	a, b := solve(3, 0.1), solve(2, 0.2)
+	refA, refB := solve(3, 0.1), solve(2, 0.2)
+	if a.NumPieces() < 2 || b.NumPieces() < 2 {
+		t.Fatalf("want multi-cell regions, got %d and %d pieces", a.NumPieces(), b.NumPieces())
+	}
+	wantA, wantB := refA.MeasureWithSeed(1, 0), refB.MeasureWithSeed(1, 0)
+	c := New(8)
+	c.Put(1, "E-PT", core.Query{Q: qp, K: 3, Eps: 0.1}, a)
+	c.Put(1, "E-PT", core.Query{Q: qp, K: 2, Eps: 0.2}, b)
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 16)
+	start := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		if ans := c.Bound(1, core.Query{Q: qp, K: 3, Eps: 0.2}); ans == nil || ans.Kind != Inner {
+			errs <- fmt.Sprintf("want an inner bound, got %+v", ans)
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 20; i++ {
+				if got := a.MeasureWithSeed(1, 0); got != wantA {
+					errs <- fmt.Sprintf("shared region measured %v, its copy %v", got, wantA)
+					return
+				}
+				if got := b.MeasureWithSeed(1, 0); got != wantB {
+					errs <- fmt.Sprintf("shared region measured %v, its copy %v", got, wantB)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
 }
