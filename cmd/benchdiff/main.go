@@ -5,6 +5,10 @@
 //
 //   - allocations per query (deterministic for a given code path) against
 //     the baseline, per scenario row and per cpu-matrix row;
+//   - each scenario row's work counters (Stats) against the baseline,
+//     exactly: the solvers are deterministic, so a differing counter means
+//     the code now does different work, on any machine and at any
+//     GOMAXPROCS;
 //   - the cross-query-sharing contract within the current report: for every
 //     (scenario, cpus) pair in the cpu matrix, the shared row must beat the
 //     independent row on ns/query and on planes classified per query (the
@@ -35,13 +39,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 )
 
-// row mirrors the benchResult fields benchdiff gates on.
+// row mirrors the benchResult fields benchdiff gates on. Stats is the
+// row's summed work account, keyed by counter name.
 type row struct {
-	Name       string `json:"name"`
-	NsPerQuery int64  `json:"ns_per_query"`
-	AllocsPerQ int64  `json:"allocs_per_query"`
+	Name       string           `json:"name"`
+	NsPerQuery int64            `json:"ns_per_query"`
+	AllocsPerQ int64            `json:"allocs_per_query"`
+	Stats      map[string]int64 `json:"stats"`
 }
 
 // anytimeRow mirrors the anytimeBenchResult fields benchdiff gates on. The
@@ -137,7 +144,7 @@ func main() {
 		failures = append(failures, fmt.Sprintf(format, args...))
 	}
 
-	// Scenario rows: presence + allocs regression.
+	// Scenario rows: presence, allocs regression and exact work counters.
 	curRows := make(map[string]row, len(cur.Results))
 	for _, r := range cur.Results {
 		curRows[r.Name] = r
@@ -153,6 +160,10 @@ func main() {
 		if limit := int64(float64(b.AllocsPerQ)**allocsTol) + *allocsSlack; c.AllocsPerQ > limit {
 			failf("result %-18s allocs/query %d exceeds baseline %d (limit %d = %.2fx + %d)",
 				b.Name, c.AllocsPerQ, b.AllocsPerQ, limit, *allocsTol, *allocsSlack)
+		}
+		checked++
+		for _, f := range statsDiff(b.Stats, c.Stats) {
+			failf("result %-18s stats %s", b.Name, f)
 		}
 	}
 
@@ -273,4 +284,25 @@ func main() {
 	}
 	fmt.Printf("benchdiff: ok — %d checks against %s (current gomaxprocs=%d, baseline gomaxprocs=%d)\n",
 		checked, *baselinePath, cur.GOMAXPROCS, base.GOMAXPROCS)
+}
+
+// statsDiff describes, in counter-name order, each counter of the
+// baseline's Stats whose current value differs or is missing.
+func statsDiff(base, cur map[string]int64) []string {
+	names := make([]string, 0, len(base))
+	for name := range base {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var out []string
+	for _, name := range names {
+		c, ok := cur[name]
+		switch {
+		case !ok:
+			out = append(out, fmt.Sprintf("%s missing from current report (baseline %d)", name, base[name]))
+		case c != base[name]:
+			out = append(out, fmt.Sprintf("%s %d differs from baseline %d", name, c, base[name]))
+		}
+	}
+	return out
 }

@@ -43,7 +43,7 @@ func main() {
 		profile   = flag.Bool("profile", false, "print the market-share curve over ε instead of solving one query")
 		timeout   = flag.Duration("timeout", 0, "abort the solve after this duration (0 = none)")
 		workers   = flag.Int("workers", 0, "worker pool size for -queries batches (0 = GOMAXPROCS)")
-		intra     = flag.Int("intra-workers", 0, "workers inside each solve (E-PT subtree / A-PC sample pools; <=1 = serial)")
+		intra     = flag.Int("intra-workers", 0, "workers inside each solve (A-PC sample pool; <=1 = serial)")
 		metrics   = flag.Bool("metrics", false, "print solver metrics (phase timers, work counters) after solving")
 		qTimeout  = flag.Duration("query-timeout", 0, "per-query wall-clock limit, restarted for each query of a batch (0 = none)")
 		budget    = flag.Int64("budget", 0, "per-query work budget in solver work units (0 = none)")
@@ -78,13 +78,15 @@ func main() {
 		if len(pts) == 0 {
 			fatal(fmt.Errorf("no data rows in %s", *dataPath))
 		}
+		// Raw CSV columns may hold zeros or negatives, which NewDataset
+		// rejects: rescale into (0,1] first.
+		dataset.Normalize(pts)
 		raw := make([][]float64, len(pts))
 		for i, p := range pts {
 			raw[i] = p
 		}
 		ds, err = rrq.NewDataset(raw)
 		fatal(err)
-		ds = ds.Normalize()
 		// The index maintains its own k-skyband prefilter incrementally, so
 		// the per-build skyband cut only applies to the per-query path.
 		if *skyband && *indexMode == "" {

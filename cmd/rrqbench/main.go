@@ -447,12 +447,7 @@ func benchSuite(full bool) []benchScenario {
 		{Name: "ept-3d", Dist: rrq.Independent, N: 2000 * mul, D: 3, Algo: rrq.EPTAlgo, K: 5, Eps: 0.1, Queries: 16 * mul},
 		{Name: "ept-4d", Dist: rrq.Anticorrelated, N: 1000 * mul, D: 4, Algo: rrq.EPTAlgo, K: 5, Eps: 0.1, Queries: 8 * mul},
 		{Name: "ept-4d-serial", Dist: rrq.Anticorrelated, N: 1000 * mul, D: 4, Algo: rrq.EPTAlgo, K: 5, Eps: 0.1, Queries: 8 * mul, Workers: 1},
-		// Intra-query parallelism: one query at a time, the worker pool
-		// inside the solve. Paired with the -serial row above / below for
-		// the latency speedup figure.
-		{Name: "ept-4d-intra8", Dist: rrq.Anticorrelated, N: 1000 * mul, D: 4, Algo: rrq.EPTAlgo, K: 5, Eps: 0.1, Queries: 8 * mul, Workers: 1, Intra: 8},
 		{Name: "ept-5d-serial", Dist: rrq.Anticorrelated, N: 400 * mul, D: 5, Algo: rrq.EPTAlgo, K: 5, Eps: 0.1, Queries: 4 * mul, Workers: 1},
-		{Name: "ept-5d-intra8", Dist: rrq.Anticorrelated, N: 400 * mul, D: 5, Algo: rrq.EPTAlgo, K: 5, Eps: 0.1, Queries: 4 * mul, Workers: 1, Intra: 8},
 		{Name: "apc-4d", Dist: rrq.Independent, N: 2000 * mul, D: 4, Algo: rrq.APCAlgo, K: 5, Eps: 0.1, Queries: 8 * mul},
 		{Name: "apc-4d-intra8", Dist: rrq.Independent, N: 2000 * mul, D: 4, Algo: rrq.APCAlgo, K: 5, Eps: 0.1, Queries: 8 * mul, Workers: 1, Intra: 8},
 		{Name: "lpcta-3d", Dist: rrq.Independent, N: 150 * mul, D: 3, Algo: rrq.LPCTAAlgo, K: 3, Eps: 0.1, Queries: 4 * mul},

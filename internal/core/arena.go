@@ -25,10 +25,8 @@ import (
 // answer keeps the plane normals (Prepared.Planes: A-PC, brute force,
 // LP-CTA) — pass a fresh zero Arena instead, whose buffers they then own.
 // An arena is not synchronized and is only touched by the serial portion
-// of a solve, except that E-PT's intra-query insert pool hands each of its
-// workers one of the slabs in workers, for that worker alone. Buffers keep their capacity
-// between solves; putArena resets the slabs and drops them when they grew
-// beyond maxPooledSlabBytes.
+// of a solve. Buffers keep their capacity between solves; putArena resets
+// the slab and drops it when it grew beyond maxPooledSlabBytes.
 type Arena struct {
 	// Plane construction (buildPlanes) and plane-store narrowing
 	// (planeGroup.narrow).
@@ -45,11 +43,10 @@ type Arena struct {
 	order   []int
 	ordered []geom.Hyperplane
 
-	// E-PT partition tree (eptSolve): the serial context's slab, one slab
-	// per insert-pool worker, and the qualified leaves before compaction.
-	ept     eptSlab
-	workers []eptSlab
-	leaves  []*geom.Cell
+	// E-PT partition tree (eptSolve): the tree's slab and the qualified
+	// leaves before compaction.
+	ept    eptSlab
+	leaves []*geom.Cell
 
 	// Sweeping (sweepIntervals).
 	incl   []float64
@@ -75,9 +72,9 @@ func grow[T any](buf *[]T, n int) []T {
 // buffers instead of re-growing them.
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
 
-// maxPooledSlabBytes bounds the E-PT slabs an arena takes back to the
-// pool: a solve whose tree grew beyond it leaves its slabs to the
-// collector instead of pinning them in a pooled arena. Served traffic stays
+// maxPooledSlabBytes bounds the E-PT slab an arena takes back to the
+// pool: a solve whose tree grew beyond it leaves its slab to the
+// collector instead of pinning it in a pooled arena. Served traffic stays
 // well inside it — the largest slabs measured were 0.7 MB on 3-d queries
 // and 2.0 MB on d = 4, n = 5000 queries — while 5-d trees reach 8–32 MB
 // and are dropped rather than held by every pooled arena.
@@ -86,25 +83,10 @@ const maxPooledSlabBytes = 4 << 20
 func getArena() *Arena { return arenaPool.Get().(*Arena) }
 
 func putArena(a *Arena) {
-	n := a.ept.bytes()
-	for i := range a.workers {
-		n += a.workers[i].bytes()
-	}
-	if n > maxPooledSlabBytes {
-		a.ept, a.workers = eptSlab{}, nil
+	if a.ept.bytes() > maxPooledSlabBytes {
+		a.ept = eptSlab{}
 	} else {
 		a.ept.reset()
-		for i := range a.workers {
-			a.workers[i].reset()
-		}
 	}
 	arenaPool.Put(a)
-}
-
-// workerSlabs returns n slabs for E-PT's insert-pool workers.
-func (a *Arena) workerSlabs(n int) []eptSlab {
-	if len(a.workers) < n {
-		a.workers = append(a.workers, make([]eptSlab, n-len(a.workers))...)
-	}
-	return a.workers[:n]
 }

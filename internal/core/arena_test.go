@@ -21,8 +21,8 @@ import (
 // encode to the same bytes afterwards. Solvers whose answers keep the
 // plane normals (brute force, A-PC, LP-CTA) take them from
 // Prepared.Planes, never the pool. E-PT builds its whole tree in the
-// arena's slabs — one per insert-pool worker under Workers > 1 — so its
-// slab rows require real splits and catch a leaf that escaped compaction.
+// arena's slab, so its slab row requires real splits and catches a leaf
+// that escaped compaction.
 func TestPooledArenaNotRetained(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -34,7 +34,6 @@ func TestPooledArenaNotRetained(t *testing.T) {
 		{"ept-3d", 3, 150, core.EPTSolver{}, false},
 		{"ept-4d", 4, 100, core.EPTSolver{}, false},
 		{"ept-slab-4d", 4, 400, core.EPTSolver{}, true},
-		{"ept-slab-4d-workers3", 4, 400, core.EPTSolver{Opt: core.EPTOptions{Workers: 3}}, true},
 		{"brute-2d", 2, 60, core.BruteForceSolver{}, false},
 		{"brute-3d", 3, 30, core.BruteForceSolver{}, false},
 		// A-PC's partitions keep their constraints' normals, merged or cut.

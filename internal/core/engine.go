@@ -90,7 +90,7 @@ func (c *CtxChecker) Fault(p faultinject.Point) error {
 
 // fail poisons the checker with err: every subsequent Stop reports true and
 // Err returns err. Used by fault sites that cannot propagate an error
-// directly and by worker pools converting a recovered panic into an abort.
+// directly.
 func (c *CtxChecker) fail(err error) {
 	if c.err == nil {
 		c.err = err

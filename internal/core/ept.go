@@ -21,7 +21,7 @@ type eptNode struct {
 
 func (n *eptNode) leaf() bool { return n.children[0] == nil }
 
-// eptSlab is the storage one E-PT execution context builds the tree in:
+// eptSlab is the storage an E-PT solve builds its partition tree in:
 // its cells, its nodes and its lazy plane lists. It lives in the solve's
 // Arena, so a warm solve refines its tree without allocating; the cells
 // that answer the query are compacted out of it at collect time.
@@ -68,12 +68,6 @@ type EPTOptions struct {
 	// NoLazySplit splits leaves eagerly on every crossing plane instead of
 	// deferring through H(N).
 	NoLazySplit bool
-	// Workers parallelizes each plane insertion across the partition tree's
-	// independent subtrees (see ept_parallel.go). ≤ 1 runs serially. The
-	// answer is byte-identical for every worker count: the tree refinement
-	// decomposes into disjoint per-subtree work, so scheduling cannot
-	// change any geometric decision.
-	Workers int
 }
 
 // EPTSolver solves RRQ exactly in any dimension via the partition tree
@@ -143,24 +137,14 @@ func eptSolve(ctx context.Context, prep *Prepared, q Query, opt EPTOptions) (*Re
 
 	insertPhase := check.Phase("phase.ept.insert")
 	defer insertPhase()
-	t := &eptTree{planes: planes, k: k, eager: opt.NoLazySplit}
+	t := &eptTree{planes: planes, k: k, eager: opt.NoLazySplit, stats: &st, check: check, slab: &a.ept}
 	t.root = a.ept.node()
 	t.root.cell = geom.NewSimplexIn(d, &a.ept.cells)
 	st.NodesCreated++
-	if opt.Workers > 1 {
-		pool := newEPTPool(ctx, t, a.workerSlabs(opt.Workers), q.Q)
-		err := pool.run(check)
-		pool.drain(&st)
-		if err != nil {
-			return nil, st, err
-		}
-	} else {
-		e := &eptCtx{t: t, stats: &st, check: check, slab: &a.ept}
-		for i := range planes {
-			e.insert(t.root, int32(i))
-			if check.Failed() {
-				return nil, st, check.Err()
-			}
+	for i := range planes {
+		t.insert(t.root, int32(i))
+		if check.Failed() {
+			return nil, st, check.Err()
 		}
 	}
 	insertPhase()
@@ -308,29 +292,17 @@ func planeOrderLess(w []int, a, b int) bool {
 	return a < b
 }
 
-// eptTree is the shared partition tree: structure and parameters only. All
-// mutable per-run bookkeeping (counters, cancellation, storage) lives in
-// eptCtx so several execution contexts can refine disjoint subtrees
-// concurrently.
+// eptTree is the partition tree of one solve, with the bookkeeping its
+// refinement updates: the solve's Stats, its cancellation checker and the
+// slab its nodes, cells and lazy lists are built in.
 type eptTree struct {
 	root   *eptNode
 	planes []geom.Hyperplane // in insertion order; lazy lists index it
 	k      int
 	eager  bool // ablation: split on every crossing plane immediately
-}
-
-// eptCtx is one execution context over the tree: the serial solver uses a
-// single context, the worker pool gives each worker its own (per-worker
-// Stats, CtxChecker and slab — none is concurrency-safe — with the Stats
-// merged when the pool drains). A context only ever touches nodes of the
-// subtree it was handed, so contexts never contend; the nodes, cells and
-// lazy lists it creates come from its own slab.
-type eptCtx struct {
-	t     *eptTree
-	stats *Stats
-	check *CtxChecker
-	slab  *eptSlab
-	pool  *eptPool // nil when serial
+	stats  *Stats
+	check  *CtxChecker
+	slab   *eptSlab
 }
 
 // needSplit is the lazy-split trigger; in eager mode any pending plane
@@ -342,35 +314,26 @@ func (t *eptTree) needSplit(n *eptNode) bool {
 	return n.q+len(n.lazy) >= t.k
 }
 
-// insert performs the top-down insertion of Algorithm 2. In pool mode an
-// internal crossing node hands one child subtree to the worker pool and
-// descends into the other itself; every other step is identical to the
-// serial path, which is what keeps the answer independent of the worker
-// count.
-func (e *eptCtx) insert(n *eptNode, h int32) {
-	if n.invalid || e.check.Stop() {
+// insert performs the top-down insertion of Algorithm 2.
+func (t *eptTree) insert(n *eptNode, h int32) {
+	if n.invalid || t.check.Stop() {
 		return
 	}
-	switch n.cell.Relation(e.t.planes[h]) {
+	switch n.cell.Relation(t.planes[h]) {
 	case geom.RelNeg:
-		e.coverNeg(n)
+		t.coverNeg(n)
 	case geom.RelPos:
 		// Case 2: nothing in this subtree is affected.
 	case geom.RelCross:
 		if !n.leaf() {
-			if e.pool != nil {
-				e.pool.spawn(n.children[0], h, e)
-				e.insert(n.children[1], h)
-				return
-			}
 			for _, c := range n.children {
-				e.insert(c, h)
+				t.insert(c, h)
 			}
 			return
 		}
-		n.lazy = e.slab.push(n.lazy, h)
-		if e.t.needSplit(n) {
-			e.lazySplit(n)
+		n.lazy = t.slab.push(n.lazy, h)
+		if t.needSplit(n) {
+			t.lazySplit(n)
 		}
 	}
 }
@@ -378,23 +341,23 @@ func (e *eptCtx) insert(n *eptNode, h int32) {
 // coverNeg applies a covering negative half-space to n's whole subtree
 // (Case 1, with the Lemma 5.3 shortcut: descendants inherit the coverage
 // without re-running geometric checks).
-func (e *eptCtx) coverNeg(n *eptNode) {
-	if n.invalid || e.check.Stop() {
+func (t *eptTree) coverNeg(n *eptNode) {
+	if n.invalid || t.check.Stop() {
 		return
 	}
 	n.q++
-	if n.q >= e.t.k {
+	if n.q >= t.k {
 		n.invalid = true
 		return
 	}
 	if !n.leaf() {
 		for _, c := range n.children {
-			e.coverNeg(c)
+			t.coverNeg(c)
 		}
 		return
 	}
-	if n.q+len(n.lazy) >= e.t.k {
-		e.lazySplit(n)
+	if n.q+len(n.lazy) >= t.k {
+		t.lazySplit(n)
 	}
 }
 
@@ -402,23 +365,23 @@ func (e *eptCtx) coverNeg(n *eptNode) {
 // qualification budget is respected again (paper §5.1.2, Lazy_Split +
 // Refine). The loop also absorbs numerically degenerate splits where one
 // side vanishes.
-func (e *eptCtx) lazySplit(n *eptNode) {
-	for !n.invalid && n.leaf() && e.t.needSplit(n) && !e.check.Stop() {
+func (t *eptTree) lazySplit(n *eptNode) {
+	for !n.invalid && n.leaf() && t.needSplit(n) && !t.check.Stop() {
 		if len(n.lazy) == 0 {
 			// q ≥ k without pending planes: disqualified outright.
 			n.invalid = true
 			return
 		}
-		if err := e.check.Fault(faultinject.EPTSplit); err != nil {
+		if err := t.check.Fault(faultinject.EPTSplit); err != nil {
 			// An error fault at a site with no error return: poison the
 			// checker so the solve aborts with it (panic faults unwind from
 			// Fault itself and are recovered at the serving layer).
-			e.check.fail(err)
+			t.check.fail(err)
 			return
 		}
-		h := e.t.planes[n.lazy[0]]
+		h := t.planes[n.lazy[0]]
 		n.lazy = n.lazy[1:]
-		neg, pos := n.cell.SplitInto(h, &e.slab.cells)
+		neg, pos := n.cell.SplitInto(h, &t.slab.cells)
 		switch {
 		case neg == nil && pos == nil:
 			// Degenerate sliver; drop the plane.
@@ -429,20 +392,20 @@ func (e *eptCtx) lazySplit(n *eptNode) {
 			// The cell is effectively on the negative side.
 			n.cell = neg
 			n.q++
-			if n.q >= e.t.k {
+			if n.q >= t.k {
 				n.invalid = true
 				return
 			}
 		default:
-			e.stats.Splits++
-			left, right := e.slab.node(), e.slab.node()
-			left.cell, left.q, left.lazy = neg, n.q+1, e.slab.clone(n.lazy)
+			t.stats.Splits++
+			left, right := t.slab.node(), t.slab.node()
+			left.cell, left.q, left.lazy = neg, n.q+1, t.slab.clone(n.lazy)
 			right.cell, right.q, right.lazy = pos, n.q, n.lazy
-			e.stats.NodesCreated += 2
+			t.stats.NodesCreated += 2
 			n.children = [2]*eptNode{left, right}
 			n.lazy = nil
-			e.refine(left)
-			e.refine(right)
+			t.refine(left)
+			t.refine(right)
 			return
 		}
 	}
@@ -451,17 +414,17 @@ func (e *eptCtx) lazySplit(n *eptNode) {
 // refine re-checks a fresh child's inherited H(N) against its smaller cell,
 // dropping planes that no longer cross it and folding covering negative
 // half-spaces into the counter, then re-applies the lazy-split trigger.
-func (e *eptCtx) refine(n *eptNode) {
-	if n.q >= e.t.k {
+func (t *eptTree) refine(n *eptNode) {
+	if n.q >= t.k {
 		n.invalid = true
 		return
 	}
 	kept := n.lazy[:0] // each child owns its list: lazySplit cloned one
 	for _, h := range n.lazy {
-		switch n.cell.Relation(e.t.planes[h]) {
+		switch n.cell.Relation(t.planes[h]) {
 		case geom.RelNeg:
 			n.q++
-			if n.q >= e.t.k {
+			if n.q >= t.k {
 				n.invalid = true
 				return
 			}
@@ -472,8 +435,8 @@ func (e *eptCtx) refine(n *eptNode) {
 		}
 	}
 	n.lazy = kept
-	if e.t.needSplit(n) {
-		e.lazySplit(n)
+	if t.needSplit(n) {
+		t.lazySplit(n)
 	}
 }
 

@@ -54,24 +54,3 @@ func BenchmarkEPTSerial(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkEPTParallel sweeps the intra-query worker count on the higher
-// dimensions, where insertions cross enough subtrees to feed the pool.
-// Workers=1 takes the serial path and doubles as the in-sweep baseline.
-func BenchmarkEPTParallel(b *testing.B) {
-	for _, d := range []int{4, 5} {
-		prep, q, st := eptBenchInstance(b, 2000, d)
-		for _, workers := range []int{1, 2, 4, 8} {
-			s := EPTSolver{Opt: EPTOptions{Workers: workers}}
-			b.Run(fmt.Sprintf("d=%d/workers=%d", d, workers), func(b *testing.B) {
-				b.ReportMetric(float64(st.Splits), "splits/op")
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := s.Solve(context.Background(), prep, q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}

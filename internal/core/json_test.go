@@ -144,9 +144,8 @@ func refMarshalJSON(r *Region) ([]byte, error) {
 
 // encodingCorpus solves corpus problems (the diffcheck enumeration:
 // families cycling fastest, then dimensions 2–6) with every solver whose
-// regions reach the wire: E-PT serial and with three workers, Sweeping in
-// 2-d, merged A-PC (overlapping cells) and the anytime tier (a sample-cut
-// A-PC run).
+// regions reach the wire: E-PT, Sweeping in 2-d, merged A-PC (overlapping
+// cells) and the anytime tier (a sample-cut A-PC run).
 func encodingCorpus(t *testing.T, problems int) map[string]*Region {
 	t.Helper()
 	out := map[string]*Region{}
@@ -166,8 +165,6 @@ func encodingCorpus(t *testing.T, problems int) map[string]*Region {
 		}
 		reg, _, err := solveOn(context.Background(), EPTSolver{}, pts, q)
 		add("ept", reg, err)
-		reg, _, err = solveOn(context.Background(), EPTSolver{Opt: EPTOptions{Workers: 3}}, pts, q)
-		add("ept-intra3", reg, err)
 		if dim == 2 {
 			reg, _, err = solveOn(context.Background(), SweepingSolver{}, pts, q)
 			add("sweeping", reg, err)

@@ -144,12 +144,23 @@ func TestWorkBudgetExceeded(t *testing.T) {
 		t.Fatalf("BudgetError{Limit:%d Spent:%d}", be.Limit, be.Spent)
 	}
 
-	// The budget is shared across intra-query workers: the parallel solver
-	// must trip it just the same.
-	pol.Solver = EPTSolver{Opt: EPTOptions{Workers: 4}}
-	_, _, err = pol.Solve(context.Background(), prep, q, -1)
+	// The budget is shared across intra-query workers: A-PC's sample
+	// classification pool charges every worker's units to the solve's one
+	// meter. The limit is half the pool, which no single worker of four
+	// reaches alone, so only the summed account trips it — during
+	// classification, before the construct phase opens.
+	const samples = 4000
+	reg := obs.NewRegistry()
+	pol = SolvePolicy{Solver: APCSolver{Opt: APCOptions{Samples: samples, Seed: 1, Workers: 4}}, WorkBudget: samples / 2}
+	_, _, err = pol.Solve(obs.ContextWithRegistry(context.Background(), reg), prep, q, -1)
 	if !errors.As(err, &be) {
-		t.Fatalf("parallel err = %v, want *BudgetError", err)
+		t.Fatalf("parallel A-PC err = %v, want *BudgetError", err)
+	}
+	if be.Limit != samples/2 || be.Spent < be.Limit {
+		t.Fatalf("parallel A-PC BudgetError{Limit:%d Spent:%d}", be.Limit, be.Spent)
+	}
+	if _, ok := reg.Timers()["phase.apc.construct"]; ok {
+		t.Fatal("budget tripped after classification: the sample workers did not charge it")
 	}
 }
 
@@ -194,45 +205,6 @@ func TestQueryTimeoutDegradation(t *testing.T) {
 		if u := vec.RandSimplex(rng, 3); r.Contains(u) && !exact.Contains(u) {
 			t.Fatalf("anytime region holds %v outside the exact region", u)
 		}
-	}
-}
-
-// A panic on a parallel E-PT worker must be contained: the solve returns a
-// typed *SolveError (no deadlock on the plane barrier, no crashed process),
-// and the pool's sibling workers exit cleanly.
-func TestParallelEPTPanicContained(t *testing.T) {
-	pts := dataset.Generate(dataset.Anticorrelated, 400, 3, 9)
-	prep, err := Prepare(pts, 3, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Query{Q: dataset.RandQuery(rand.New(rand.NewSource(6)), pts), K: 5, Eps: 0.05}
-	if _, st, err := solveOn(context.Background(), EPTSolver{}, pts, q); err != nil || st.Splits == 0 {
-		t.Fatalf("precondition: query must split (splits=%d, err=%v)", st.Splits, err)
-	}
-	inj := faultinject.New(&faultinject.Fault{Point: faultinject.EPTSplit, Panics: "worker boom"})
-	ctx := faultinject.ContextWith(context.Background(), inj)
-	pol := SolvePolicy{Solver: EPTSolver{Opt: EPTOptions{Workers: 4}}}
-
-	done := make(chan struct{})
-	var se *SolveError
-	go func() {
-		defer close(done)
-		_, _, err := pol.Solve(ctx, prep, q, 3)
-		if !errors.As(err, &se) {
-			t.Errorf("err = %v, want *SolveError", err)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("parallel E-PT deadlocked after a worker panic")
-	}
-	if se == nil {
-		return
-	}
-	if se.Solver != "E-PT" || se.QueryIndex != 3 || se.Panic != "worker boom" || len(se.Stack) == 0 {
-		t.Fatalf("SolveError{Solver:%q QueryIndex:%d Panic:%v stack:%dB}", se.Solver, se.QueryIndex, se.Panic, len(se.Stack))
 	}
 }
 
@@ -340,10 +312,6 @@ func TestCancelMidPhaseAllSolvers(t *testing.T) {
 		}},
 		{name: "EPT-serial", phases: true, solve: func(ctx context.Context) error {
 			_, _, err := solveOn(ctx, EPTSolver{}, pts4, q4)
-			return err
-		}},
-		{name: "EPT-parallel", phases: true, solve: func(ctx context.Context) error {
-			_, _, err := solveOn(ctx, EPTSolver{Opt: EPTOptions{Workers: 4}}, pts4, q4)
 			return err
 		}},
 		{name: "APC-serial", phases: true, solve: func(ctx context.Context) error {

@@ -153,13 +153,12 @@ func readCSV(path string) (*rrq.Dataset, error) {
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("no data rows in %s", path)
 	}
+	// Raw CSV columns may hold zeros or negatives, which NewDataset
+	// rejects: rescale into (0,1] first.
+	dataset.Normalize(pts)
 	raw := make([][]float64, len(pts))
 	for i, p := range pts {
 		raw[i] = p
 	}
-	ds, err := rrq.NewDataset(raw)
-	if err != nil {
-		return nil, err
-	}
-	return ds.Normalize(), nil
+	return rrq.NewDataset(raw)
 }

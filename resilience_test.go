@@ -84,36 +84,39 @@ func TestWithQueryTimeoutPerQuery(t *testing.T) {
 	}
 }
 
-// The typed data errors of the hardened construction path.
+// The typed data errors of the hardened construction path. NewDataset
+// applies the solvers' data rule where the dataset is built: every
+// rejected input is a *DataError from construction, with the Point and
+// Attr that Prepare reports.
 func TestNewDatasetTypedErrors(t *testing.T) {
-	_, err := NewDataset([][]float64{{0.5, 0.5}, {0.5, math.NaN()}})
-	var de *DataError
-	if !errors.As(err, &de) {
-		t.Fatalf("err = %v, want *DataError", err)
+	cases := []struct {
+		name        string
+		points      [][]float64
+		point, attr int
+	}{
+		{"NaN", [][]float64{{0.5, 0.5}, {0.5, math.NaN()}}, 1, 1},
+		{"dimension mismatch", [][]float64{{0.5, 0.5}, {0.5}}, 1, -1},
+		{"zero attribute", [][]float64{{0.5, 0.5}, {0.3, 0.2}, {0.4, 0}}, 2, 1},
+		{"negative attribute", [][]float64{{0.5, 0.5}, {-0.1, 0.2}}, 1, 0},
+		{"dimension 1", [][]float64{{0.5}, {0.6}}, -1, -1},
 	}
-	if de.Point != 1 || de.Attr != 1 {
-		t.Fatalf("DataError{Point:%d Attr:%d}", de.Point, de.Attr)
-	}
-	_, err = NewDataset([][]float64{{0.5, 0.5}, {0.5}})
-	if !errors.As(err, &de) {
-		t.Fatalf("dimension mismatch err = %v, want *DataError", err)
-	}
-	if de.Point != 1 || de.Attr != -1 {
-		t.Fatalf("DataError{Point:%d Attr:%d}, want {1, -1}", de.Point, de.Attr)
+	for _, tc := range cases {
+		_, err := NewDataset(tc.points)
+		var de *DataError
+		if !errors.As(err, &de) {
+			t.Fatalf("%s: err = %v, want *DataError", tc.name, err)
+		}
+		if de.Point != tc.point || de.Attr != tc.attr {
+			t.Fatalf("%s: DataError{Point:%d Attr:%d}, want {%d, %d}", tc.name, de.Point, de.Attr, tc.point, tc.attr)
+		}
 	}
 
-	// Raw (non-normalized) data stays accepted at construction — the
-	// construct→Normalize flow must keep working — but a non-positive value
-	// reaching a solver is a typed *DataError.
-	ds, err := NewDataset([][]float64{{5, -2}, {3, 4}})
+	// Positive raw data outside (0,1] is accepted at construction, and
+	// Normalize brings it into the solver domain.
+	ds, err := NewDataset([][]float64{{5, 2}, {3, 4}})
 	if err != nil {
-		t.Fatalf("raw data rejected at construction: %v", err)
+		t.Fatalf("positive raw data rejected at construction: %v", err)
 	}
-	_, err = SolveResult(ds, Query{Q: Point{0.5, 0.5}, K: 1, Epsilon: 0.1})
-	if !errors.As(err, &de) {
-		t.Fatalf("solve on non-positive data: err = %v, want *DataError", err)
-	}
-	// After Normalize the same data lands in the solver domain and solves.
 	if _, err := SolveResult(ds.Normalize(), Query{Q: Point{0.5, 0.5}, K: 1, Epsilon: 0.1}); err != nil {
 		t.Fatalf("normalized dataset rejected: %v", err)
 	}

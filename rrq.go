@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"time"
@@ -49,24 +48,23 @@ type Dataset struct {
 }
 
 // NewDataset copies points into a dataset. All points must share the same
-// dimension d ≥ 2.
+// dimension d ≥ 2, and every attribute must be finite and strictly
+// positive — the solver domain, checked here by the same rule as every
+// later entry point. A failure is a *DataError; a dimension below 2 reports
+// Point −1. Raw data with zero or negative attributes must be rescaled into
+// (0,1] before it is passed in.
 func NewDataset(points [][]float64) (*Dataset, error) {
 	if len(points) == 0 {
 		return nil, errors.New("rrq: empty dataset")
 	}
 	d := len(points[0])
 	if d < 2 {
-		return nil, fmt.Errorf("rrq: dimension %d < 2", d)
+		return nil, &DataError{Point: -1, Attr: -1, Msg: fmt.Sprintf("dimension %d < 2", d)}
 	}
 	pts := make([]vec.Vec, len(points))
 	for i, p := range points {
-		if len(p) != d {
-			return nil, &DataError{Point: i, Attr: -1, Msg: fmt.Sprintf("dimension %d, want %d", len(p), d)}
-		}
-		for j, x := range p {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, &DataError{Point: i, Attr: j, Msg: fmt.Sprintf("value is %v, want finite", x)}
-			}
+		if err := core.CheckPoint(i, p, d); err != nil {
+			return nil, err
 		}
 		pts[i] = vec.Vec(p).Clone()
 	}
@@ -373,21 +371,22 @@ func WithSeed(s int64) Option { return func(c *config) { c.seed = s } }
 
 // WithWorkers bounds the worker pool of SolveBatch (and Prepared.SolveBatch).
 // n ≤ 0 (the default) uses GOMAXPROCS. This is inter-query parallelism —
-// queries of a batch run concurrently, each solve staying serial inside;
-// see WithIntraQueryWorkers for the orthogonal knob.
+// queries of a batch run concurrently; see WithIntraQueryWorkers for the
+// orthogonal knob inside one A-PC solve.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
-// WithIntraQueryWorkers parallelizes the inside of a single solve: E-PT
-// refines the partition tree's independent subtrees with n workers per
-// plane insertion, and A-PC classifies its utility samples with n workers.
-// n ≤ 1 (the default) keeps every solve serial. The answer is byte-for-byte
-// identical for every n — both solvers decompose into disjoint work whose
-// merge order is fixed — so the knob trades cores for latency only.
+// WithIntraQueryWorkers parallelizes A-PC's sample classification inside a
+// single solve: a run that cannot be cut classifies its utility samples
+// with n workers. Every other solver, and the anytime tier's streamed A-PC
+// runs, stay serial. n ≤ 1 (the default) keeps every solve serial. The
+// answer is byte-for-byte identical for every n — samples are drawn up
+// front and merged in sample order — so the knob trades cores for latency
+// only.
 //
 // Use WithWorkers to increase batch throughput when there are many queries,
-// WithIntraQueryWorkers to cut the latency of few large queries; combining
-// both multiplies goroutines (workers × intra), so keep the product near
-// GOMAXPROCS.
+// WithIntraQueryWorkers to cut the latency of few large A-PC queries;
+// combining both multiplies goroutines (workers × intra), so keep the
+// product near GOMAXPROCS.
 func WithIntraQueryWorkers(n int) Option { return func(c *config) { c.intra = n } }
 
 // WithSkybandPrefilter enables the k-skyband prefilter: solvers run on the
@@ -415,9 +414,9 @@ func WithQueryTimeout(d time.Duration) Option {
 // dominance tests): the same units the amortized cancellation checks count.
 // Unlike a timeout, the bound is deterministic: a query either fits its
 // budget or fails with a *BudgetError on every run, regardless of machine
-// load. The budget is shared across a solve's intra-query workers and
-// checked on the amortized cadence, so small overruns (one check interval)
-// are possible. As with WithQueryTimeout, WithAnytime is the approximate
+// load. The budget is shared across a solve's intra-query workers (A-PC's
+// sample classification) and checked on the amortized cadence, so small
+// overruns (one check interval) are possible. As with WithQueryTimeout, WithAnytime is the approximate
 // retry for a query that does not fit. n ≤ 0 (the default) disables the
 // budget.
 func WithWorkBudget(n int64) Option {
@@ -505,7 +504,7 @@ func solverFor(cfg config, dim int) (core.Solver, error) {
 		}
 		return core.SweepingSolver{}, nil
 	case EPTAlgo:
-		return core.EPTSolver{Opt: core.EPTOptions{Workers: cfg.intra}}, nil
+		return core.EPTSolver{}, nil
 	case APCAlgo:
 		return core.APCSolver{Opt: core.APCOptions{Samples: cfg.samples, Seed: cfg.seed, Workers: cfg.intra}}, nil
 	case LPCTAAlgo:
