@@ -2,7 +2,7 @@ package rrq
 
 // Batch serving layer: one dataset's preprocessing shared across many
 // queries, fanned out over a bounded worker pool. The per-dataset work
-// (validation, optional k-skyband prefilter) is done once in Prepare;
+// (the optional k-skyband prefilter) is done once in Prepare;
 // each query then runs independently, with per-query error isolation and
 // deterministic, input-ordered results. Metrics (WithMetrics) fixed at
 // Prepare time flow into every solve.
@@ -28,8 +28,9 @@ type Prepared struct {
 	dim  int
 }
 
-// Prepare validates the dataset once and fixes the solver configuration for
-// subsequent Solve/SolveBatch calls. The same Options as SolveResult apply;
+// Prepare fixes the solver configuration for subsequent Solve/SolveBatch
+// calls. The dataset's points were checked when it was built, so Prepare
+// does not scan them again. The same Options as SolveResult apply;
 // WithSkybandPrefilter additionally makes every query run on the cached
 // k-skyband of its rank parameter, and the resilience options
 // (WithQueryTimeout, WithWorkBudget) fix the per-query serving policy every

@@ -72,20 +72,10 @@ func main() {
 	if dataNeeded {
 		f, err := os.Open(*dataPath)
 		fatal(err)
-		pts, err := dataset.ReadCSV(f)
+		rows, err := dataset.ReadCSV(f)
 		f.Close()
 		fatal(err)
-		if len(pts) == 0 {
-			fatal(fmt.Errorf("no data rows in %s", *dataPath))
-		}
-		// Raw CSV columns may hold zeros or negatives, which NewDataset
-		// rejects: rescale into (0,1] first.
-		dataset.Normalize(pts)
-		raw := make([][]float64, len(pts))
-		for i, p := range pts {
-			raw[i] = p
-		}
-		ds, err = rrq.NewDataset(raw)
+		ds, err = rrq.NewNormalizedDataset(rows)
 		fatal(err)
 		// The index maintains its own k-skyband prefilter incrementally, so
 		// the per-build skyband cut only applies to the per-query path.

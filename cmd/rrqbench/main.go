@@ -68,7 +68,6 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		csvDir     = flag.String("csv", "", "also write each table as <dir>/<table-id>.csv")
 		budget     = flag.Duration("budget", 0, "per-cell wall-clock budget (0 = default)")
-		workers    = flag.Int("workers", 0, "worker count for the batch experiment (0 = sweep defaults)")
 		benchJSON  = flag.String("benchjson", "", "run the solve benchmark suite and write machine-readable JSON to this path")
 		cpus       = flag.String("cpus", "", "comma-separated GOMAXPROCS values (e.g. 1,2,4,8): with -benchjson, also run the shared-vs-independent batch matrix at each value")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this path (go tool pprof)")
@@ -127,7 +126,7 @@ func main() {
 		return
 	}
 
-	sc := expt.Scale{Full: *full, Seed: *seed, Repeats: *repeats, CellBudget: *budget, Workers: *workers}
+	sc := expt.Scale{Full: *full, Seed: *seed, Repeats: *repeats, CellBudget: *budget}
 	ids := expt.IDs()
 	if *exps != "all" {
 		ids = strings.Split(*exps, ",")

@@ -1,7 +1,7 @@
 package rrq
 
-// Persistent index serving layer: the per-query preprocessing (validation,
-// k-skyband prefilter, plane classification) promoted into a first-class,
+// Persistent index serving layer: the per-query preprocessing (k-skyband
+// prefilter, plane classification) promoted into a first-class,
 // snapshot-versioned artifact. An Index is built once and then serves any
 // number of queries from immutable snapshots; Insert and Delete publish new
 // epochs copy-on-write, so concurrent readers keep answering on the epoch
@@ -22,10 +22,10 @@ import (
 )
 
 // Index answers reverse regret queries from a persistent, version-stamped
-// snapshot of the dataset. Compared with SolveResult — which revalidates
-// the dataset, recomputes the k-skyband and reclassifies every hyper-plane
-// per call — an index snapshot holds all three, maintained incrementally across
-// Insert/Delete, and shares the classified plane sets of repeated queries.
+// snapshot of the dataset. Compared with SolveResult — which recomputes
+// the k-skyband and reclassifies every hyper-plane per call — an index
+// snapshot holds both, maintained incrementally across Insert/Delete, and
+// shares the classified plane sets of repeated queries.
 // All methods are safe for concurrent use.
 type Index struct {
 	inner *index.Index
@@ -35,8 +35,9 @@ type Index struct {
 	dur   *index.Durable // nil unless opened with OpenDurableIndex
 }
 
-// BuildIndex validates the dataset once and constructs the first snapshot
-// (epoch 1). The options fix the default solving configuration —
+// BuildIndex constructs the first snapshot (epoch 1) from the dataset,
+// whose points were checked when it was built; a dimension below 2 is a
+// *DataError. The options fix the default solving configuration —
 // algorithm, resilience policy, result cache and observability — that
 // Solve/SolveBatch inherit; per-call options override the defaults. With WithMetrics, the build maintains "index.builds" and
 // the "index.epoch" gauge, times "phase.index.build", and every served
@@ -363,7 +364,9 @@ func (ix *Index) Save(w io.Writer) error { return ix.inner.Save(w) }
 // LoadIndex restores an index written by Save and resumes it at the saved
 // epoch. The options configure solving defaults exactly as in BuildIndex.
 // Files are validated (magic, format version, checksum) and rejected with a
-// typed error on mismatch.
+// typed error on mismatch; the decoded points pass the same data rule as
+// NewDataset, and a point that fails it is a *DataError wrapped in the
+// rejection.
 func LoadIndex(r io.Reader, opts ...Option) (*Index, error) {
 	inner, err := index.Load(r)
 	if err != nil {

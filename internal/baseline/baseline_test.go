@@ -107,12 +107,6 @@ func TestLPCTAInvalidQuery(t *testing.T) {
 	if _, _, err := solveOn(context.Background(), LPCTASolver{}, []vec.Vec{vec.Of(0.5, 0.5, 0.5)}, core.Query{Q: vec.Of(0.5, 0.5), K: 1, Eps: 0.1}); !errors.As(err, &qe) || qe.Field != "dim" {
 		t.Fatalf("dim mismatch: error %v, want a *core.QueryError on field dim", err)
 	}
-	// A NaN point fails validation instead of silently dropping its plane.
-	var de *core.DataError
-	nan := []vec.Vec{vec.Of(0.9, 0.2), vec.Of(0.5, math.NaN())}
-	if _, _, err := solveOn(context.Background(), LPCTASolver{}, nan, core.Query{Q: vec.Of(0.5, 0.5), K: 1, Eps: 0.1}); !errors.As(err, &de) {
-		t.Fatalf("NaN point: error %v, want a *core.DataError", err)
-	}
 }
 
 func TestPBAMatchesEPT(t *testing.T) {

@@ -55,7 +55,9 @@ const maxPBAVerts = 5000
 // BuildPBA preprocesses pts into a rank-level index supporting queries with
 // k ≤ kmax. Points outside the kmax-skyband can never appear in any top-kmax
 // result and are pruned first (the same preprocessing the original applies).
-// maxNodes caps index materialization; 0 means a default of 200000.
+// maxNodes caps index materialization; 0 means a default of 200000. The
+// points are trusted to pass core.CheckPoints; a dimension below 2 is the
+// *core.DataError of core.CheckDim.
 func BuildPBA(pts []vec.Vec, kmax, maxNodes int) (*PBAIndex, error) {
 	return BuildPBAContext(context.Background(), pts, kmax, maxNodes)
 }
@@ -69,8 +71,8 @@ func BuildPBAContext(ctx context.Context, pts []vec.Vec, kmax, maxNodes int) (*P
 		return nil, fmt.Errorf("baseline: empty dataset")
 	}
 	d := pts[0].Dim()
-	if d < 2 {
-		return nil, fmt.Errorf("baseline: dimension %d < 2", d)
+	if err := core.CheckDim(d); err != nil {
+		return nil, err
 	}
 	if kmax < 1 {
 		return nil, fmt.Errorf("baseline: kmax %d < 1", kmax)

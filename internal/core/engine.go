@@ -186,7 +186,7 @@ func (st *Stats) Add(other Stats) {
 }
 
 // Prepared captures the per-dataset work that every solver used to repeat
-// on each call: dimension validation and, when enabled, the k-skyband
+// on each call: the dimension check and, when enabled, the k-skyband
 // prefilter, whose bands are memoized from one dominator-count vector so
 // queries of any rank share it. A Prepared is safe for concurrent use.
 //
@@ -200,36 +200,25 @@ type Prepared struct {
 	store *planeStore
 }
 
-// Prepare validates pts against dim once — dimension, finiteness and the
-// (0,1] positivity domain, so NaN/Inf and non-positive values are rejected
-// with a typed *DataError instead of flowing silently into the geometry
-// kernels — and returns the reusable preprocessing handle. When
-// skybandPrefilter is set, PointsFor(k) serves the cached k-skyband instead
-// of the full point set — sound for reverse regret queries because a point
-// dominated by ≥ k others can only count against q on preferences where
-// its dominators already do.
+// Prepare returns the reusable preprocessing handle for pts. The points
+// are trusted: they must already pass CheckPoints (every rrq.Dataset does),
+// and only the O(1) CheckDim runs here. When skybandPrefilter is set,
+// PointsFor(k) serves the cached k-skyband instead of the full point set —
+// sound for reverse regret queries because a point dominated by ≥ k others
+// can only count against q on preferences where its dominators already do.
 func Prepare(pts []vec.Vec, dim int, skybandPrefilter bool) (*Prepared, error) {
-	if dim < 2 {
-		return nil, dataErrf(-1, -1, "dimension %d < 2", dim)
-	}
-	for i, p := range pts {
-		if p.Dim() != dim {
-			return nil, dataErrf(i, -1, "dimension %d, want %d", p.Dim(), dim)
-		}
-		if de := validatePoint(i, p); de != nil {
-			return nil, de
-		}
+	if err := CheckDim(dim); err != nil {
+		return nil, err
 	}
 	return &Prepared{dim: dim, bands: newBandSet(pts, skybandPrefilter)}, nil
 }
 
 // PrepareCounted wraps an index snapshot's points as a prefiltered Prepared
-// without re-validating (the snapshot validated every point when it was
-// built or mutated). dom holds each point's exact dominator count, so every
-// k-band is one comparison per point and never recomputed, and every k
-// above the largest count maps to one band. The Prepared owns a plane store
-// for its lifetime whose traffic is tallied in tally and reported to the
-// context's registry as index.planes.hit / .miss.
+// and, like Prepare, trusts them. dom holds each point's exact dominator
+// count, so every k-band is one comparison per point and never recomputed,
+// and every k above the largest count maps to one band. The Prepared owns a
+// plane store for its lifetime whose traffic is tallied in tally and
+// reported to the context's registry as index.planes.hit / .miss.
 func PrepareCounted(pts []vec.Vec, dim int, dom []int, tally *PlaneCounters) *Prepared {
 	bands := newBandSet(pts, true)
 	bands.counts, bands.countsK = dom, math.MaxInt
@@ -285,9 +274,9 @@ func (p *Prepared) PlaneGroups() int {
 // cancellation as context.Canceled), fed from the Prepared's shared
 // per-dataset preprocessing — its k-bands and, when it owns one, its plane
 // store — and reporting common work counters. Every Solve checks q with
-// Prepared.Validate and trusts the points, which Prepare (or the index
-// build) validated once. Implementations must be stateless or internally
-// synchronized: SolveBatch calls Solve concurrently.
+// Prepared.Validate and trusts the points, which were checked once where
+// they entered the process (CheckPoints). Implementations must be stateless
+// or internally synchronized: SolveBatch calls Solve concurrently.
 type Solver interface {
 	Name() string
 	Solve(ctx context.Context, prep *Prepared, q Query) (*Region, Stats, error)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -123,16 +124,44 @@ func TestContextSolversMatchPlainCalls(t *testing.T) {
 	}
 }
 
-// Every fault the Prepare gate rejects is a typed *DataError: a dataset
-// dimension below 2 (no single point at fault, Point −1) and a ragged point.
+// Prepare trusts its points and checks only the dimension: below 2 is a
+// typed *DataError with no single point at fault (Point and Attr −1).
 func TestPreparedValidation(t *testing.T) {
 	var de *DataError
-	if _, err := Prepare(nil, 1, false); !errors.As(err, &de) || de.Point != -1 {
-		t.Errorf("dimension 1: err = %v, want a *DataError with Point −1", err)
+	if _, err := Prepare(nil, 1, false); !errors.As(err, &de) || de.Point != -1 || de.Attr != -1 {
+		t.Errorf("dimension 1: err = %v, want a *DataError with Point and Attr −1", err)
 	}
-	pts := []vec.Vec{vec.Of(0.5, 0.5), vec.Of(0.1, 0.2, 0.3)}
-	if _, err := Prepare(pts, 2, false); !errors.As(err, &de) || de.Point != 1 {
-		t.Errorf("ragged points: err = %v, want a *DataError for point 1", err)
+}
+
+// CheckPoints is the one data rule: dimension, then per point shape,
+// finiteness and strict positivity, each fault a *DataError naming the
+// first offending point and attribute. CheckRow is its shape-and-finiteness
+// half and accepts zero and negative values.
+func TestCheckPoints(t *testing.T) {
+	cases := []struct {
+		name        string
+		dim         int
+		pts         []vec.Vec
+		point, attr int
+	}{
+		{"dimension 1", 1, []vec.Vec{vec.Of(0.5)}, -1, -1},
+		{"ragged point", 2, []vec.Vec{vec.Of(0.5, 0.5), vec.Of(0.1, 0.2, 0.3)}, 1, -1},
+		{"NaN", 2, []vec.Vec{vec.Of(0.5, 0.5), vec.Of(0.5, math.NaN())}, 1, 1},
+		{"+Inf", 2, []vec.Vec{vec.Of(math.Inf(1), 0.5)}, 0, 0},
+		{"zero", 3, []vec.Vec{vec.Of(0.5, 0.5, 0.5), vec.Of(0.3, 0.2, 0.1), vec.Of(0.4, 0, 0.2)}, 2, 1},
+		{"negative", 2, []vec.Vec{vec.Of(0.5, 0.5), vec.Of(-0.1, 0.2)}, 1, 0},
+	}
+	for _, tc := range cases {
+		var de *DataError
+		if err := CheckPoints(tc.pts, tc.dim); !errors.As(err, &de) || de.Point != tc.point || de.Attr != tc.attr {
+			t.Errorf("%s: err = %v, want *DataError{Point:%d Attr:%d}", tc.name, err, tc.point, tc.attr)
+		}
+	}
+	if err := CheckPoints([]vec.Vec{vec.Of(0.5, 1), vec.Of(2, 0.1)}, 2); err != nil {
+		t.Errorf("positive finite points rejected: %v", err)
+	}
+	if err := CheckRow(0, vec.Of(-3, 0), 2); err != nil {
+		t.Errorf("CheckRow rejected a finite raw row: %v", err)
 	}
 }
 

@@ -99,10 +99,10 @@ func queryErrf(field, format string, args ...any) *QueryError {
 
 // DataError is the typed validation error for a malformed dataset point:
 // NaN/Inf or non-positive attribute values (the paper assumes the domain
-// (0,1]; run Normalize first for raw data), or a dimension mismatch.
-// Point is the offending point's index, Attr the offending attribute
-// (−1 for a dimension mismatch). A dataset dimension below 2 faults no
-// single point and reports Point −1.
+// (0,1]; build raw data with rrq.NewNormalizedDataset), or a dimension
+// mismatch. Point is the offending point's index, Attr the offending
+// attribute (−1 for a dimension mismatch). A dataset dimension below 2
+// faults no single point and reports Point −1.
 type DataError struct {
 	Point int
 	Attr  int
@@ -123,33 +123,58 @@ func dataErrf(point, attr int, format string, args ...any) *DataError {
 	return &DataError{Point: point, Attr: attr, Msg: fmt.Sprintf(format, args...)}
 }
 
-// validatePoint checks one dataset point against the solver domain: finite
-// and strictly positive attributes. Non-finite values silently corrupt the
-// geometry kernels (every half-space test on them is poisoned), and
-// non-positive values fall outside the paper's (0,1] attribute domain.
-func validatePoint(i int, p vec.Vec) *DataError {
+// CheckDim checks a dataset dimension: every solver needs d ≥ 2. A failure
+// is a *DataError with Point and Attr −1.
+func CheckDim(dim int) error {
+	if dim < 2 {
+		return dataErrf(-1, -1, "dimension %d < 2", dim)
+	}
+	return nil
+}
+
+// CheckRow checks the shape of raw row i — dimension dim, finite
+// attributes — the part of the point domain that holds before rescaling.
+// Non-finite values silently corrupt the geometry kernels: every half-space
+// test on them is poisoned. A failure is a *DataError reporting index i.
+func CheckRow(i int, p vec.Vec, dim int) error {
+	if p.Dim() != dim {
+		return dataErrf(i, -1, "dimension %d, want %d", p.Dim(), dim)
+	}
 	for j, x := range p {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return dataErrf(i, j, "value is %v", x)
-		}
-		if x <= 0 {
-			return dataErrf(i, j, "value %v is not positive (attributes live in (0,1]; normalize raw data first)", x)
 		}
 	}
 	return nil
 }
 
-// CheckPoint validates one prospective dataset point against the solver
-// domain: dimension dim, finite and strictly positive attributes. A failure
-// is always a *DataError reporting index i — the same error the batch
-// Prepare path returns, so index mutations and dataset construction speak
-// one vocabulary.
+// CheckPoint is the one data rule: point i must pass CheckRow and have
+// strictly positive attributes, the paper's (0,1] domain. It runs where
+// points enter the process — dataset construction, checkpoint load, index
+// insertion — and everything built from checked points trusts them. A
+// failure is a *DataError reporting index i.
 func CheckPoint(i int, p vec.Vec, dim int) error {
-	if p.Dim() != dim {
-		return dataErrf(i, -1, "dimension %d, want %d", p.Dim(), dim)
+	if err := CheckRow(i, p, dim); err != nil {
+		return err
 	}
-	if de := validatePoint(i, p); de != nil {
-		return de
+	for j, x := range p {
+		if x <= 0 {
+			return dataErrf(i, j, "value %v is not positive (attributes live in (0,1]; build raw data with NewNormalizedDataset)", x)
+		}
+	}
+	return nil
+}
+
+// CheckPoints checks a whole point set: CheckDim, then CheckPoint on each
+// point. The first failure is returned.
+func CheckPoints(pts []vec.Vec, dim int) error {
+	if err := CheckDim(dim); err != nil {
+		return err
+	}
+	for i, p := range pts {
+		if err := CheckPoint(i, p, dim); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -64,8 +64,9 @@ func WriteCSV(w io.Writer, pts []vec.Vec) error {
 	return cw.Error()
 }
 
-// ReadCSV reads points written by WriteCSV (or any numeric CSV with a
-// one-line header). The loader is strict so malformed files fail loudly at
+// ReadCSV reads the raw rows of a file written by WriteCSV (or any numeric
+// CSV with a one-line header); rrq.NewNormalizedDataset takes them as they
+// are. The loader is strict so malformed files fail loudly at
 // the boundary instead of poisoning the geometry kernels downstream: every
 // data row must match the header's width (ragged rows are rejected with
 // their physical row number), every field must parse to a finite float
@@ -78,14 +79,14 @@ func WriteCSV(w io.Writer, pts []vec.Vec) error {
 // The format is plain numeric CSV, so rows are scanned line by line rather
 // than through encoding/csv — which silently swallows blank lines and
 // would mis-number every row after one.
-func ReadCSV(r io.Reader) ([]vec.Vec, error) {
+func ReadCSV(r io.Reader) ([][]float64, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 
 	row := 0 // physical 1-based row of the line just read
 	d := 0   // header width
 	blanks := 0
-	var pts []vec.Vec
+	var pts [][]float64
 	for sc.Scan() {
 		row++
 		line := strings.TrimSuffix(sc.Text(), "\r")
@@ -109,7 +110,7 @@ func ReadCSV(r io.Reader) ([]vec.Vec, error) {
 		if len(fields) != d {
 			return nil, csvErrf(row, 0, "ragged row: %d fields, want %d (header width)", len(fields), d)
 		}
-		p := vec.New(d)
+		p := make([]float64, d)
 		for j, s := range fields {
 			x, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 			if err != nil {

@@ -34,9 +34,6 @@ type Scale struct {
 	// and real-dataset cap — used by the smoke tests to run every figure
 	// in miniature.
 	SizeOverride int
-	// Workers bounds the worker pool of the batch experiment; ≤ 0 lets the
-	// experiment sweep its default worker counts.
-	Workers int
 }
 
 func (s Scale) withDefaults() Scale {

@@ -21,7 +21,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig7", "fig8a", "fig8b", "fig9a", "fig9b", "fig10a", "fig10b",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-		"ext-ablation", "ext-dynamic", "ext-study", "batch",
+		"ext-ablation", "ext-dynamic", "ext-study",
 	}
 	for _, id := range want {
 		if _, ok := Registry[id]; !ok {
@@ -77,7 +77,7 @@ func TestFiguresSmoke(t *testing.T) {
 	sc := tiny()
 	for _, id := range []string{
 		"fig7", "fig8a", "fig8b", "fig9a", "fig11", "fig13", "fig16",
-		"ext-ablation", "ext-dynamic", "ext-study", "batch",
+		"ext-ablation", "ext-dynamic", "ext-study",
 	} {
 		tables := Registry[id](sc)
 		if len(tables) == 0 {

@@ -104,17 +104,16 @@ type Snapshot struct {
 	prep *core.Prepared
 }
 
-// Build validates pts and constructs the first epoch. The points are
-// copied; the caller keeps ownership of its slice.
+// Build constructs the first epoch from points that already pass
+// core.CheckPoints (every rrq.Dataset does; Load checks what it decodes).
+// Only the dimension is checked here. The points are copied; the caller
+// keeps ownership of its slice.
 func Build(pts []vec.Vec, dim int) (*Index, error) {
-	if dim < 2 {
-		return nil, fmt.Errorf("index: dimension %d < 2", dim)
+	if err := core.CheckDim(dim); err != nil {
+		return nil, err
 	}
 	cl := make([]vec.Vec, len(pts))
 	for i, p := range pts {
-		if err := core.CheckPoint(i, p, dim); err != nil {
-			return nil, err
-		}
 		cl[i] = p.Clone()
 	}
 	ix := &Index{}

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -236,11 +237,9 @@ func TestIndexEqualSumDominator(t *testing.T) {
 
 func TestIndexErrors(t *testing.T) {
 	pts := []vec.Vec{vec.Of(0.5, 0.5)}
-	if _, err := Build(pts, 1); err == nil {
-		t.Error("dim=1 accepted")
-	}
-	if _, err := Build([]vec.Vec{vec.Of(0.5, -0.5)}, 2); err == nil {
-		t.Error("non-positive attribute accepted")
+	var de *core.DataError
+	if _, err := Build(pts, 1); !errors.As(err, &de) || de.Point != -1 || de.Attr != -1 {
+		t.Errorf("dim=1: err = %v, want *core.DataError{Point: -1, Attr: -1}", err)
 	}
 	ix, err := Build(pts, 2)
 	if err != nil {

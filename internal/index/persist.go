@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"rrq/internal/core"
 	"rrq/internal/faultinject"
 	"rrq/internal/vec"
 )
@@ -56,11 +57,14 @@ const (
 type PersistError struct {
 	Reason PersistReason
 	Detail string
+	Err    error // the underlying failure, when there is one (e.g. a *core.DataError)
 }
 
 func (e *PersistError) Error() string {
 	return fmt.Sprintf("index: persist: %s: %s", e.Reason, e.Detail)
 }
+
+func (e *PersistError) Unwrap() error { return e.Err }
 
 // indexFile is the gob-encoded payload of a persisted index. Only the
 // durable inputs are stored — points and the epoch counter; dominator
@@ -168,7 +172,8 @@ func syncDir(dir string) {
 }
 
 // Load reads an index previously written by Save, verifying magic, format
-// and checksum before any decoding, then revalidates every point and
+// and checksum before any decoding, then checks every decoded point with
+// core.CheckPoints — a checkpoint is bytes from outside the process — and
 // recomputes the dominator counts. Rejections are typed *PersistError
 // values. The restored index resumes at the saved epoch number, so
 // versions stay monotone across a save/load cycle.
@@ -226,9 +231,12 @@ func Load(r io.Reader) (*Index, error) {
 	for i, p := range f.Pts {
 		pts[i] = vec.Vec(p)
 	}
+	if err := core.CheckPoints(pts, f.Dim); err != nil {
+		return nil, &PersistError{Reason: PersistDecode, Detail: err.Error(), Err: err}
+	}
 	ix, err := Build(pts, f.Dim)
 	if err != nil {
-		return nil, &PersistError{Reason: PersistDecode, Detail: err.Error()}
+		return nil, &PersistError{Reason: PersistDecode, Detail: err.Error(), Err: err}
 	}
 	s := ix.snap.Load()
 	s.version = f.Version

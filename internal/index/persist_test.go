@@ -6,11 +6,13 @@ import (
 	"encoding/gob"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
+	"rrq/internal/core"
 	"rrq/internal/faultinject"
 	"rrq/internal/vec"
 )
@@ -120,6 +122,39 @@ func withHeader(payload []byte) []byte {
 	binary.LittleEndian.PutUint32(hdr[12:], crc32.Checksum(payload, persistCRC))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(payload)))
 	return append(hdr, payload...)
+}
+
+// TestLoadChecksPoints: a checkpoint is bytes from outside the process, so
+// Load runs the data rule on every decoded point before it builds. Each
+// payload below is well-formed gob under a valid CRC; each must fail with
+// PersistDecode wrapping the *core.DataError that names the fault.
+func TestLoadChecksPoints(t *testing.T) {
+	cases := []struct {
+		name        string
+		dim         int
+		pts         [][]float64
+		point, attr int
+	}{
+		{"zero attribute", 2, [][]float64{{0.5, 0.5}, {0.3, 0}}, 1, 1},
+		{"NaN", 2, [][]float64{{0.5, 0.5}, {math.NaN(), 0.2}}, 1, 0},
+		{"ragged point", 2, [][]float64{{0.5, 0.5}, {0.3, 0.2, 0.1}}, 1, -1},
+		{"dimension 1", 1, [][]float64{{0.5}}, -1, -1},
+	}
+	for _, tc := range cases {
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(&indexFile{Format: persistFormat, Version: 3, Dim: tc.dim, Pts: tc.pts}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(bytes.NewReader(withHeader(payload.Bytes())))
+		wantPersistError(t, err, PersistDecode)
+		var de *core.DataError
+		if !errors.As(err, &de) {
+			t.Fatalf("%s: err = %v, want a wrapped *core.DataError", tc.name, err)
+		}
+		if de.Point != tc.point || de.Attr != tc.attr {
+			t.Errorf("%s: DataError{Point:%d Attr:%d}, want {%d, %d}", tc.name, de.Point, de.Attr, tc.point, tc.attr)
+		}
+	}
 }
 
 // TestLoadReadsCheckpointWithRankTreeFields: checkpoints written while the

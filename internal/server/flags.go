@@ -139,26 +139,17 @@ func (f *Flags) Dataset() (*rrq.Dataset, error) {
 	}
 }
 
-// readCSV loads and normalizes a header + numeric-rows CSV dataset.
+// readCSV loads a header + numeric-rows CSV dataset and rescales it into
+// (0,1].
 func readCSV(path string) (*rrq.Dataset, error) {
 	fh, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer fh.Close()
-	pts, err := dataset.ReadCSV(fh)
+	rows, err := dataset.ReadCSV(fh)
 	if err != nil {
 		return nil, err
 	}
-	if len(pts) == 0 {
-		return nil, fmt.Errorf("no data rows in %s", path)
-	}
-	// Raw CSV columns may hold zeros or negatives, which NewDataset
-	// rejects: rescale into (0,1] first.
-	dataset.Normalize(pts)
-	raw := make([][]float64, len(pts))
-	for i, p := range pts {
-		raw[i] = p
-	}
-	return rrq.NewDataset(raw)
+	return rrq.NewNormalizedDataset(rows)
 }

@@ -111,14 +111,37 @@ func TestNewDatasetTypedErrors(t *testing.T) {
 		}
 	}
 
-	// Positive raw data outside (0,1] is accepted at construction, and
-	// Normalize brings it into the solver domain.
-	ds, err := NewDataset([][]float64{{5, 2}, {3, 4}})
+	// Raw data with zero and negative values is the normalizing
+	// constructor's job, and its result is in the solver domain.
+	ds, err := NewNormalizedDataset([][]float64{{5, -2}, {0, 4}})
 	if err != nil {
-		t.Fatalf("positive raw data rejected at construction: %v", err)
+		t.Fatalf("raw data rejected by NewNormalizedDataset: %v", err)
 	}
-	if _, err := SolveResult(ds.Normalize(), Query{Q: Point{0.5, 0.5}, K: 1, Epsilon: 0.1}); err != nil {
+	if _, err := SolveResult(ds, Query{Q: Point{0.5, 0.5}, K: 1, Epsilon: 0.1}); err != nil {
 		t.Fatalf("normalized dataset rejected: %v", err)
+	}
+}
+
+// A dataset dimension below 2 is the same typed *DataError{Point: -1,
+// Attr: -1} from every constructor and every builder that takes a Dataset.
+func TestTypedDimensionErrors(t *testing.T) {
+	oneD := SyntheticDataset(Independent, 50, 1, 1)
+	rows := [][]float64{{0.5}, {0.6}}
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"BuildIndex", func() error { _, err := BuildIndex(oneD); return err }},
+		{"BuildPBAIndex", func() error { _, err := BuildPBAIndex(oneD, 2, 0); return err }},
+		{"Prepare", func() error { _, err := Prepare(oneD); return err }},
+		{"NewDataset", func() error { _, err := NewDataset(rows); return err }},
+		{"NewNormalizedDataset", func() error { _, err := NewNormalizedDataset(rows); return err }},
+	}
+	for _, tc := range cases {
+		var de *DataError
+		if err := tc.run(); !errors.As(err, &de) || de.Point != -1 || de.Attr != -1 {
+			t.Errorf("%s: err = %v, want *DataError{Point: -1, Attr: -1}", tc.name, err)
+		}
 	}
 }
 

@@ -49,24 +49,46 @@ type Dataset struct {
 
 // NewDataset copies points into a dataset. All points must share the same
 // dimension d ≥ 2, and every attribute must be finite and strictly
-// positive — the solver domain, checked here by the same rule as every
-// later entry point. A failure is a *DataError; a dimension below 2 reports
-// Point −1. Raw data with zero or negative attributes must be rescaled into
-// (0,1] before it is passed in.
+// positive — the solver domain, checked here once by core.CheckPoints, so
+// every later entry point trusts the dataset. A failure is a *DataError; a
+// dimension below 2 reports Point −1. Raw data with zero or negative
+// attributes goes through NewNormalizedDataset instead.
 func NewDataset(points [][]float64) (*Dataset, error) {
 	if len(points) == 0 {
 		return nil, errors.New("rrq: empty dataset")
 	}
 	d := len(points[0])
-	if d < 2 {
-		return nil, &DataError{Point: -1, Attr: -1, Msg: fmt.Sprintf("dimension %d < 2", d)}
-	}
 	pts := make([]vec.Vec, len(points))
 	for i, p := range points {
-		if err := core.CheckPoint(i, p, d); err != nil {
+		pts[i] = vec.Vec(p).Clone()
+	}
+	if err := core.CheckPoints(pts, d); err != nil {
+		return nil, err
+	}
+	return &Dataset{pts: pts, dim: d}, nil
+}
+
+// NewNormalizedDataset builds a dataset from raw rows: every attribute is
+// rescaled onto (0,1], the domain the paper assumes, with the per-column
+// minimum mapped to a small positive value and the maximum to 1. Rows must
+// share one dimension d ≥ 2 and hold finite values, checked before any
+// rescaling; the rescaled points then pass the same check as NewDataset's.
+// A failure is a *DataError. The rows are copied, never rescaled in place.
+func NewNormalizedDataset(rows [][]float64) (*Dataset, error) {
+	if len(rows) == 0 {
+		return nil, errors.New("rrq: empty dataset")
+	}
+	d := len(rows[0])
+	pts := make([]vec.Vec, len(rows))
+	for i, r := range rows {
+		if err := core.CheckRow(i, r, d); err != nil {
 			return nil, err
 		}
-		pts[i] = vec.Vec(p).Clone()
+		pts[i] = vec.Vec(r).Clone()
+	}
+	dataset.Normalize(pts)
+	if err := core.CheckPoints(pts, d); err != nil {
+		return nil, err
 	}
 	return &Dataset{pts: pts, dim: d}, nil
 }
@@ -79,17 +101,6 @@ func (d *Dataset) Dim() int { return d.dim }
 
 // PointAt returns a copy of the i-th product.
 func (d *Dataset) PointAt(i int) Point { return Point(d.pts[i].Clone()) }
-
-// Normalize returns a copy of the dataset with every attribute rescaled to
-// (0,1], the domain the paper assumes.
-func (d *Dataset) Normalize() *Dataset {
-	pts := make([]vec.Vec, len(d.pts))
-	for i, p := range d.pts {
-		pts[i] = p.Clone()
-	}
-	dataset.Normalize(pts)
-	return &Dataset{pts: pts, dim: d.dim}
-}
 
 // KSkyband returns the sub-dataset of points dominated by fewer than k
 // others — the standard preprocessing applied before reverse queries, since
@@ -562,10 +573,11 @@ func SolveContext(ctx context.Context, d *Dataset, q Query, opts ...Option) (Res
 var ErrDeadline = core.ErrDeadline
 
 // DataError is the typed validation error for a malformed dataset point —
-// NaN/Inf attributes, non-positive values reaching a solver, or a
-// dimension mismatch; match it with errors.As. Point is the offending
-// point's index, Attr the offending attribute (−1 for a dimension
-// mismatch).
+// NaN/Inf or non-positive attributes, or a dimension mismatch; match it
+// with errors.As. Point is the offending point's index, Attr the offending
+// attribute (−1 for a dimension mismatch). A dataset dimension below 2
+// reports Point and Attr −1, from the dataset constructors and from
+// Prepare, BuildIndex and BuildPBAIndex alike.
 type DataError = core.DataError
 
 // SolveError is the typed error for a panic recovered inside a solver or

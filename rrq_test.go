@@ -3,9 +3,13 @@ package rrq
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"rrq/internal/core"
+	"rrq/internal/vec"
 )
 
 // regionOf keeps the region of a SolveResult, for tests that check only the
@@ -289,11 +293,14 @@ func TestRealDatasetAccess(t *testing.T) {
 }
 
 func TestNormalize(t *testing.T) {
-	ds, err := NewDataset([][]float64{{10, 100}, {20, 300}})
+	rows := [][]float64{{5, -2}, {1, 3}}
+	n, err := NewNormalizedDataset(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := ds.Normalize()
+	if n.Len() != 2 || n.Dim() != 2 {
+		t.Fatalf("Len/Dim = %d/%d, want 2/2", n.Len(), n.Dim())
+	}
 	for i := 0; i < n.Len(); i++ {
 		for _, x := range n.PointAt(i) {
 			if x <= 0 || x > 1 {
@@ -301,10 +308,81 @@ func TestNormalize(t *testing.T) {
 			}
 		}
 	}
-	// Original untouched.
-	if ds.PointAt(0)[0] != 10 {
-		t.Fatal("Normalize mutated the receiver")
+	// The caller's rows are copied, never rescaled in place.
+	if rows[0][0] != 5 || rows[0][1] != -2 || rows[1][0] != 1 || rows[1][1] != 3 {
+		t.Fatalf("NewNormalizedDataset mutated its input: %v", rows)
 	}
+	// Shape and finiteness are checked before rescaling: a ragged row or a
+	// NaN is a *DataError, not a panic inside the rescale.
+	for _, bad := range []struct {
+		name        string
+		rows        [][]float64
+		point, attr int
+	}{
+		{"ragged short", [][]float64{{5, -2}, {1}}, 1, -1},
+		{"ragged long", [][]float64{{5, -2}, {1, 3, 4}}, 1, -1},
+		{"NaN", [][]float64{{5, -2}, {1, math.NaN()}}, 1, 1},
+		{"-Inf", [][]float64{{math.Inf(-1), -2}, {1, 3}}, 0, 0},
+	} {
+		var de *DataError
+		if _, err := NewNormalizedDataset(bad.rows); !errors.As(err, &de) || de.Point != bad.point || de.Attr != bad.attr {
+			t.Errorf("%s: err = %v, want *DataError{Point:%d Attr:%d}", bad.name, err, bad.point, bad.attr)
+		}
+	}
+	if _, err := NewNormalizedDataset(nil); err == nil {
+		t.Error("empty dataset accepted")
+	}
+}
+
+// Every Dataset constructor yields points that pass the data rule — the
+// invariant that lets Prepare, BuildIndex and BuildPBAIndex trust them.
+func TestDatasetConstructorsPassDataRule(t *testing.T) {
+	check := func(name string, pts []vec.Vec, dim int) {
+		t.Helper()
+		if err := core.CheckPoints(pts, dim); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for _, dist := range []DistType{Independent, Correlated, Anticorrelated} {
+		for d := 2; d <= 6; d++ {
+			ds := SyntheticDataset(dist, 500, d, int64(d))
+			name := fmt.Sprintf("Synthetic(%v, d=%d)", dist, d)
+			check(name, ds.points(), ds.Dim())
+			sky := ds.KSkyband(3)
+			check(name+".KSkyband(3)", sky.points(), sky.Dim())
+		}
+	}
+	for _, name := range []string{"Island", "Weather", "Car", "NBA"} {
+		ds, err := RealDataset(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, ds.points(), ds.Dim())
+	}
+	ds, err := NewDataset([][]float64{{0.2, 0.9}, {3, 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("NewDataset", ds.points(), ds.Dim())
+	nd, err := NewNormalizedDataset([][]float64{{-4, 0}, {1e6, -1e-9}, {0, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("NewNormalizedDataset", nd.points(), nd.Dim())
+
+	ix, err := BuildIndex(SyntheticDataset(Anticorrelated, 200, 3, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadIndex(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("LoadIndex", loaded.inner.Snapshot().Points(), loaded.Dim())
 }
 
 func TestAlgorithmString(t *testing.T) {
