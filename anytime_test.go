@@ -249,9 +249,29 @@ func TestIndexAnytimeWarmStartsFromExactNeighbor(t *testing.T) {
 	}
 }
 
+// planeSteps is the plane-store traffic of one (point, ε) solved four times
+// on one snapshot: a key gets a group only when it comes back, so the first
+// solve misses and keeps nothing, the second misses and builds the group,
+// and the third and fourth hit.
+var planeSteps = []IndexStats{
+	{PlaneMisses: 1},
+	{PlaneMisses: 2, PlaneSets: 1},
+	{PlaneMisses: 2, PlaneHits: 1, PlaneSets: 1},
+	{PlaneMisses: 2, PlaneHits: 2, PlaneSets: 1},
+}
+
+func checkPlaneStep(t *testing.T, ix *Index, i int, tier string) {
+	t.Helper()
+	st, w := ix.Stats(), planeSteps[i]
+	if st.PlaneHits != w.PlaneHits || st.PlaneMisses != w.PlaneMisses || st.PlaneSets != w.PlaneSets {
+		t.Fatalf("solve %d (%s): plane hits/misses/sets = %d/%d/%d, want %d/%d/%d", i, tier,
+			st.PlaneHits, st.PlaneMisses, st.PlaneSets, w.PlaneHits, w.PlaneMisses, w.PlaneSets)
+	}
+}
+
 // An anytime solve takes its hyper-planes from the snapshot's plane store,
-// as exact solves do: repeating an anytime query is a plane hit, and so is
-// an exact solve of the same query afterwards.
+// as exact solves do: the group two anytime solves built serves a third
+// anytime solve and then an exact solve of the same query.
 func TestIndexAnytimeSharesPlanes(t *testing.T) {
 	ds, q := indexTestInstance(t, 4, 9007)
 	ix, err := BuildIndex(ds)
@@ -259,25 +279,21 @@ func TestIndexAnytimeSharesPlanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	want := []IndexStats{{PlaneMisses: 1}, {PlaneMisses: 1, PlaneHits: 1}, {PlaneMisses: 1, PlaneHits: 2}}
-	for i, w := range want {
-		var opts []Option
-		if i < 2 {
-			opts = []Option{WithAnytimeSamples(8), WithSeed(3)}
+	for i := range planeSteps {
+		tier, opts := "anytime", []Option{WithAnytimeSamples(8), WithSeed(3)}
+		if i == len(planeSteps)-1 {
+			tier, opts = "exact", nil
 		}
 		if _, err := ix.SolveContext(ctx, q, opts...); err != nil {
 			t.Fatal(err)
 		}
-		st := ix.Stats()
-		if st.PlaneHits != w.PlaneHits || st.PlaneMisses != w.PlaneMisses {
-			t.Fatalf("solve %d: plane hits/misses = %d/%d, want %d/%d", i, st.PlaneHits, st.PlaneMisses, w.PlaneHits, w.PlaneMisses)
-		}
+		checkPlaneStep(t, ix, i, tier)
 	}
 }
 
 // LP-CTA takes its hyper-planes from the snapshot's plane store like every
-// core solver: a repeated LP-CTA query is a plane hit, and so is an E-PT
-// solve of the same query afterwards.
+// core solver: the group two LP-CTA solves built serves a third LP-CTA
+// solve and then an E-PT solve of the same query.
 func TestIndexLPCTASharesPlanes(t *testing.T) {
 	ds, q := indexTestInstance(t, 3, 9007)
 	ix, err := BuildIndex(ds)
@@ -285,10 +301,9 @@ func TestIndexLPCTASharesPlanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	want := []IndexStats{{PlaneMisses: 1}, {PlaneMisses: 1, PlaneHits: 1}, {PlaneMisses: 1, PlaneHits: 2}}
-	for i, w := range want {
+	for i := range planeSteps {
 		algo := LPCTAAlgo
-		if i == 2 {
+		if i == len(planeSteps)-1 {
 			algo = EPTAlgo
 		}
 		res, err := ix.SolveContext(ctx, q, WithAlgorithm(algo))
@@ -298,10 +313,7 @@ func TestIndexLPCTASharesPlanes(t *testing.T) {
 		if res.Stats.PlanesBuilt == 0 {
 			t.Fatalf("solve %d: no crossing planes; test is vacuous", i)
 		}
-		st := ix.Stats()
-		if st.PlaneHits != w.PlaneHits || st.PlaneMisses != w.PlaneMisses {
-			t.Fatalf("solve %d (%v): plane hits/misses = %d/%d, want %d/%d", i, algo, st.PlaneHits, st.PlaneMisses, w.PlaneHits, w.PlaneMisses)
-		}
+		checkPlaneStep(t, ix, i, algo.String())
 	}
 }
 

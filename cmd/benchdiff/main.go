@@ -9,6 +9,9 @@
 //     exactly: the solvers are deterministic, so a differing counter means
 //     the code now does different work, on any machine and at any
 //     GOMAXPROCS;
+//   - each index row's plane-store hits and misses per query against the
+//     baseline, exactly: the row replays a fixed query stream serially, so
+//     a differing count means the store admits or serves differently;
 //   - the cross-query-sharing contract within the current report: for every
 //     (scenario, cpus) pair in the cpu matrix, the shared row must beat the
 //     independent row on ns/query and on planes classified per query (the
@@ -74,6 +77,13 @@ type anytimeRow struct {
 	VolErrMax  float64 `json:"volume_error_max"`
 }
 
+// indexRow mirrors the indexBenchResult fields benchdiff gates on.
+type indexRow struct {
+	Name            string  `json:"name"`
+	PlaneHitsPerQ   float64 `json:"plane_hits_per_query"`
+	PlaneMissesPerQ float64 `json:"plane_misses_per_query"`
+}
+
 // matrixRow mirrors the cpuMatrixRow fields benchdiff gates on.
 type matrixRow struct {
 	Name       string  `json:"name"`
@@ -90,6 +100,7 @@ type report struct {
 	GOMAXPROCS int          `json:"gomaxprocs"`
 	Results    []row        `json:"results"`
 	CPUMatrix  []matrixRow  `json:"cpu_matrix"`
+	Index      []indexRow   `json:"index_results"`
 	Anytime    []anytimeRow `json:"anytime_results"`
 }
 
@@ -165,6 +176,12 @@ func main() {
 		for _, f := range statsDiff(b.Stats, c.Stats) {
 			failf("result %-18s stats %s", b.Name, f)
 		}
+	}
+
+	// Index rows: presence and exact plane-store traffic.
+	checked += len(base.Index)
+	for _, f := range indexDiff(base.Index, cur.Index) {
+		failf("index  %s", f)
 	}
 
 	// CPU matrix rows: presence + allocs regression.
@@ -302,6 +319,27 @@ func statsDiff(base, cur map[string]int64) []string {
 			out = append(out, fmt.Sprintf("%s missing from current report (baseline %d)", name, base[name]))
 		case c != base[name]:
 			out = append(out, fmt.Sprintf("%s %d differs from baseline %d", name, c, base[name]))
+		}
+	}
+	return out
+}
+
+// indexDiff describes, in baseline order, each baseline index row that is
+// missing from cur or whose plane hits or misses per query differ.
+func indexDiff(base, cur []indexRow) []string {
+	byName := make(map[string]indexRow, len(cur))
+	for _, r := range cur {
+		byName[r.Name] = r
+	}
+	var out []string
+	for _, b := range base {
+		c, ok := byName[b.Name]
+		switch {
+		case !ok:
+			out = append(out, fmt.Sprintf("%-18s missing from current report", b.Name))
+		case c.PlaneHitsPerQ != b.PlaneHitsPerQ || c.PlaneMissesPerQ != b.PlaneMissesPerQ:
+			out = append(out, fmt.Sprintf("%-18s plane hits/misses per query %g/%g differ from baseline %g/%g",
+				b.Name, c.PlaneHitsPerQ, c.PlaneMissesPerQ, b.PlaneHitsPerQ, b.PlaneMissesPerQ))
 		}
 	}
 	return out

@@ -284,6 +284,9 @@ type indexScenario struct {
 // build cost, then warm (snapshot-served) vs cold (per-query validation +
 // skyband + plane classification) cost over the identical query stream, plus
 // the incremental-maintenance cost of an interleaved Insert/Delete stream.
+// PlaneHitsPerQ and PlaneMissesPerQ are the snapshot's plane-store traffic
+// over the warm stream: deterministic for a given stream and admission rule,
+// so benchdiff requires them to equal the baseline's.
 type indexBenchResult struct {
 	Name            string  `json:"name"`
 	N               int     `json:"n"`
@@ -298,6 +301,8 @@ type indexBenchResult struct {
 	WarmQPS         float64 `json:"warm_queries_per_sec"`
 	ColdQPS         float64 `json:"cold_queries_per_sec"`
 	Speedup         float64 `json:"speedup"`
+	PlaneHitsPerQ   float64 `json:"plane_hits_per_query"`
+	PlaneMissesPerQ float64 `json:"plane_misses_per_query"`
 	MaintainOps     int     `json:"maintain_ops"`
 	MaintainNsPerOp int64   `json:"maintain_ns_per_op"`
 }
@@ -621,6 +626,9 @@ func runIndexScenario(sc indexScenario, seed int64) (indexBenchResult, error) {
 		}
 	}
 	warm := time.Since(start)
+	st := ix.Stats()
+	res.PlaneHitsPerQ = float64(st.PlaneHits) / float64(total)
+	res.PlaneMissesPerQ = float64(st.PlaneMisses) / float64(total)
 
 	start = time.Now()
 	for r := 0; r < sc.Rounds; r++ {

@@ -98,7 +98,9 @@ type IndexStats struct {
 	// PlaneHits/PlaneMisses count plane-store traffic over the index's
 	// lifetime (a hit is a plane set served without classification);
 	// PlaneSets and SkybandViews are the current snapshot's (point, ε)
-	// plane groups and memoized k-band views.
+	// plane groups and memoized k-band views. A (point, ε) gets a plane
+	// group only when the snapshot sees it a second time (or a batch asks
+	// for it twice), so a stream of one-off queries keeps PlaneSets at 0.
 	PlaneHits    int64
 	PlaneMisses  int64
 	PlaneSets    int

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"rrq/internal/skyband"
 	"rrq/internal/vec"
 )
 
@@ -145,7 +146,14 @@ func TestDeriveIntoArenaZeroAlloc(t *testing.T) {
 		store := newPlaneStore(prep.bands, nil)
 		wide := q
 		wide.K = 8
-		store.planes(prep.PointsFor(wide.K), wide, &Arena{}, nil) // build the group at rank 8
+		// The key's first lookup only records it; the second builds its
+		// group at rank 8.
+		for range 2 {
+			store.planes(prep.PointsFor(wide.K), wide, &Arena{}, nil)
+		}
+		if g := store.groups[string(groupKey(nil, q))]; g == nil || g.kmax != 8 {
+			t.Fatalf("d=%d: no plane group at rank 8 after two lookups", d)
+		}
 		q.K = 3
 		band := prep.PointsFor(q.K)
 		a := &Arena{}
@@ -154,20 +162,52 @@ func TestDeriveIntoArenaZeroAlloc(t *testing.T) {
 		if len(want.Crossing) == 0 {
 			t.Fatalf("d=%d: instance produced no crossing planes; test is vacuous", d)
 		}
-		if got.Base != want.Base || len(got.Crossing) != len(want.Crossing) {
-			t.Fatalf("d=%d: derived base=%d planes=%d, want base=%d planes=%d",
-				d, got.Base, len(got.Crossing), want.Base, len(want.Crossing))
-		}
-		for i, h := range want.Crossing {
-			if g := got.Crossing[i]; g.ID != h.ID || !g.Normal.Equal(h.Normal, 0) {
-				t.Fatalf("d=%d: derived plane %d = (%d, %v), want (%d, %v)", d, i, g.ID, g.Normal, h.ID, h.Normal)
-			}
+		if diff := planeSetDiff(got, want); diff != "" {
+			t.Fatalf("d=%d: derived %s", d, diff)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
 			store.planes(band, q, a, nil)
 		})
 		if allocs != 0 {
 			t.Errorf("d=%d: narrowing into a warm arena allocates %.1f per run, want 0", d, allocs)
+		}
+	}
+}
+
+// TestFirstSightingZeroAlloc pins the plane store's admission path: the
+// lookup of a key the store has not seen records it in the seen table and
+// classifies into the solve's warm arena without allocating, and keeps no
+// group.
+func TestFirstSightingZeroAlloc(t *testing.T) {
+	for d := 2; d <= 4; d++ {
+		rng := rand.New(rand.NewSource(int64(d) * 53))
+		pts, q := randomInstance(rng, 200, d)
+		tally := &PlaneCounters{}
+		prep := PrepareCounted(pts, d, skyband.DominatorCounts(pts), tally)
+		band := prep.PointsFor(q.K)
+		a := &Arena{}
+		queries := make([]Query, 120) // distinct keys: one ε each
+		for i := range queries {
+			queries[i] = q
+			queries[i].Eps = 0.25 * float64(i) / float64(len(queries))
+			buildPlanes(band, queries[i], a) // grow a to the largest set
+		}
+		if ps := prep.planes(queries[0], a, nil); len(ps.Crossing) == 0 {
+			t.Fatalf("d=%d: instance produced no crossing planes; test is vacuous", d)
+		}
+		i := 1
+		allocs := testing.AllocsPerRun(100, func() {
+			prep.planes(queries[i], a, nil)
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("d=%d: a first sighting allocates %.1f per run on a warm arena, want 0", d, allocs)
+		}
+		if got := prep.PlaneGroups(); got != 0 {
+			t.Errorf("d=%d: %d plane groups after first sightings only, want 0", d, got)
+		}
+		if h, m := tally.Hits.Load(), tally.Misses.Load(); h != 0 || m != int64(i) {
+			t.Errorf("d=%d: hits/misses = %d/%d, want 0/%d", d, h, m, i)
 		}
 	}
 }

@@ -339,13 +339,13 @@ type BatchOutcome struct {
 //
 // The batch shares work across its queries: exact duplicates (equal
 // Query.Key()) solve once and fan out to every slot, marked with
-// BatchOutcome.Dedup; every (point, ε) group draws its planes from one
-// plane store — the Prepared's own, or an ephemeral one for the batch —
-// classified once at the group's largest k; the dispatch order clusters
-// queries on shared state. Like every solve, each one draws its scratch
-// from the arena pool. Results are returned in input order regardless of
-// worker count, clustering or deduplication, and are byte-identical to
-// independent per-query solves.
+// BatchOutcome.Dedup; every (point, ε) group that several distinct queries
+// share draws its planes from one plane store — the Prepared's own, or an
+// ephemeral one for the batch — classified once at the group's largest k;
+// the dispatch order clusters queries on shared state. Like every solve,
+// each one draws its scratch from the arena pool. Results are returned in
+// input order regardless of worker count, clustering or deduplication, and
+// are byte-identical to independent per-query solves.
 func SolveBatchPolicy(ctx context.Context, pol SolvePolicy, prep *Prepared, queries []Query, workers int) []BatchOutcome {
 	out := make([]BatchOutcome, len(queries))
 	if len(queries) == 0 {
@@ -385,7 +385,7 @@ func SolveBatchPolicy(ctx context.Context, pol SolvePolicy, prep *Prepared, quer
 				order = append(order, i)
 			}
 		}
-		prep = prep.forBatch(queries, keys)
+		prep = prep.forBatch(queries, keys, order)
 		clusterOrder(order, queries, keys)
 	}
 	if workers > len(order) {
@@ -440,9 +440,11 @@ func SolveBatchPolicy(ctx context.Context, pol SolvePolicy, prep *Prepared, quer
 
 // forBatch returns the Prepared a batch solves on — p itself when it owns a
 // plane store, else a view sharing p's bands with an ephemeral store — after
-// reserving every (point, ε) group of the batch at its largest band rank,
-// so each group is classified once however its queries are ordered.
-func (p *Prepared) forBatch(queries []Query, keys []string) *Prepared {
+// reserving, at its largest band rank, every (point, ε) group that at least
+// two of the distinct queries in order share, so each such group is
+// classified once however its queries are ordered. A key only one query
+// asks for gets no group here; its solve looks it up like a served one.
+func (p *Prepared) forBatch(queries []Query, keys []string, order []int) *Prepared {
 	bp := p
 	if p.store == nil {
 		bp = &Prepared{dim: p.dim, bands: p.bands, store: newPlaneStore(p.bands, nil)}
@@ -451,20 +453,23 @@ func (p *Prepared) forBatch(queries []Query, keys []string) *Prepared {
 		point string
 		eps   uint64
 	}
-	kmax := make(map[groupID]int)
-	for i, q := range queries {
-		id := groupID{point: keys[i], eps: math.Float64bits(q.Eps)}
-		kmax[id] = max(kmax[id], q.K)
+	type span struct{ kmax, n int }
+	spans := make(map[groupID]span)
+	for _, i := range order {
+		id := groupID{point: keys[i], eps: math.Float64bits(queries[i].Eps)}
+		sp := spans[id]
+		sp.kmax, sp.n = max(sp.kmax, queries[i].K), sp.n+1
+		spans[id] = sp
 	}
 	// Reserve in query order (each group at its first query), so which
 	// groups fit under the store's cap is deterministic.
-	for i, q := range queries {
-		id := groupID{point: keys[i], eps: math.Float64bits(q.Eps)}
-		if k, ok := kmax[id]; ok {
-			if k >= 1 {
-				bp.store.group(q, bp.bands.rank(k))
+	for _, i := range order {
+		id := groupID{point: keys[i], eps: math.Float64bits(queries[i].Eps)}
+		if sp, ok := spans[id]; ok {
+			if sp.n >= 2 && sp.kmax >= 1 {
+				bp.store.group(queries[i], bp.bands.rank(sp.kmax), true)
 			}
-			delete(kmax, id)
+			delete(spans, id)
 		}
 	}
 	return bp

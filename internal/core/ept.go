@@ -191,7 +191,7 @@ func reduceAndOrderPlanesOpt(planes []geom.Hyperplane, k int, noReduce, noOrder 
 	cnt := &a.dom
 	units := grow(&a.units, m)
 	for i, h := range planes {
-		units[i] = h.Unit()
+		units[i] = h.Normal
 	}
 	if !cnt.Reset(units, check) {
 		return nil

@@ -377,7 +377,7 @@ func TestReductionMatchesQuadraticDominance(t *testing.T) {
 		for _, h := range ps.Crossing {
 			domCount := 0
 			for _, g := range ps.Crossing {
-				if g.ID != h.ID && skyband.Dominates(h.Unit(), g.Unit()) {
+				if g.ID != h.ID && skyband.Dominates(h.Normal, g.Normal) {
 					domCount++
 				}
 			}

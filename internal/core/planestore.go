@@ -122,13 +122,19 @@ func (s *bandSet) claim() bool {
 	return len(s.memo) < maxBandViews
 }
 
-// maxPlaneGroups bounds a plane store; queries whose group would exceed it
-// build their planes directly (the region is unaffected).
+// maxPlaneGroups bounds a plane store's groups, which are never evicted: a
+// key that would exceed it builds its planes per solve (the region is
+// unaffected). The seen table spends the slots on keys that repeat.
 const maxPlaneGroups = 1024
+
+// seenBits sizes a plane store's seen table: 1<<seenBits hashes of keys
+// looked up without a group.
+const seenBits = 12
 
 // PlaneCounters tallies a plane store's traffic. A hit is a plane set served
 // without classification; a miss classified planes — building or rebuilding
-// a group, or a direct build past the store's cap.
+// a group, or a direct build for a key's first sighting or past the store's
+// cap.
 type PlaneCounters struct {
 	Hits, Misses atomic.Int64
 }
@@ -136,15 +142,19 @@ type PlaneCounters struct {
 // planeStore holds classified plane sets keyed by (query point bytes, ε
 // bits): classifying h_{q,p} depends only on q, ε and p, and k only selects
 // which band points take part, so one group classified over its widest band
-// answers every smaller k by filtering. An index snapshot keeps one store
-// for its lifetime; a plain-dataset batch gets an ephemeral one. Safe for
-// concurrent use; the served plane sets are read-only.
+// answers every smaller k by filtering. A group pays only when its key comes
+// back, so a key's first lookup only records it in the seen table (TinyLFU's
+// doorkeeper) and classifies into the solve's arena; the key's next lookup
+// installs its group. An index snapshot keeps one store for its lifetime; a
+// plain-dataset batch gets an ephemeral one. Safe for concurrent use; the
+// served plane sets are read-only.
 type planeStore struct {
 	bands *bandSet
 	tally *PlaneCounters // nil: uncounted (batch-scoped)
 
 	mu     sync.Mutex
 	groups map[string]*planeGroup
+	seen   *[1 << seenBits]uint64 // FNV-1a hashes of keys, slot by top bits; nil until the first lookup
 }
 
 func newPlaneStore(bands *bandSet, tally *PlaneCounters) *planeStore {
@@ -152,8 +162,9 @@ func newPlaneStore(bands *bandSet, tally *PlaneCounters) *planeStore {
 }
 
 // planeGroup is the classification of one (point, ε) over the band of rank
-// kmax. It is built once, by the first query that needs it, and immutable
-// afterwards; the band itself is the Prepared's memoized one, not a copy.
+// kmax. It is built once, by the first lookup that finds it unbuilt, and
+// immutable afterwards; the band itself is the Prepared's memoized one, not
+// a copy.
 type planeGroup struct {
 	kmax int
 
@@ -175,14 +186,15 @@ func groupKey(dst []byte, q Query) []byte {
 }
 
 // planes returns q's classified plane set over pts, the band its rank
-// selects. A nil store builds the set directly into a. A store serves it
-// from q's group: at the group's rank the group's own slice, uncopied;
-// below it a count-filtered, renumbered set (headers in a); above it the
-// group is rebuilt at q's rank. Counted stores report each lookup to their
-// PlaneCounters and, when reg is non-nil, to its index.planes.hit /
-// index.planes.miss counters. Every classification pass, stored or not,
-// adds the points it classified to reg's core.planes.classified counter:
-// the work a store exists to share.
+// selects. A nil store builds the set directly into a, and so does a store
+// for a key it has no group for and is not admitting (see group). A store
+// serves the rest from q's group: at the group's rank the group's own
+// slice, uncopied; below it a count-filtered, renumbered set (headers in
+// a); above it the group is rebuilt at q's rank. Counted stores report each
+// lookup to their PlaneCounters and, when reg is non-nil, to its
+// index.planes.hit / index.planes.miss counters. Every classification pass,
+// stored or not, adds the points it classified to reg's
+// core.planes.classified counter: the work a store exists to share.
 func (s *planeStore) planes(pts []vec.Vec, q Query, a *Arena, reg *obs.Registry) PlaneSet {
 	if s == nil {
 		reg.Counter("core.planes.classified").Add(int64(len(pts)))
@@ -190,7 +202,7 @@ func (s *planeStore) planes(pts []vec.Vec, q Query, a *Arena, reg *obs.Registry)
 		return ps
 	}
 	r := s.bands.rank(q.K)
-	g := s.group(q, r)
+	g := s.group(q, r, false)
 	if g == nil {
 		s.count(false, reg)
 		reg.Counter("core.planes.classified").Add(int64(len(pts)))
@@ -217,9 +229,11 @@ func (s *planeStore) planes(pts []vec.Vec, q Query, a *Arena, reg *obs.Registry)
 }
 
 // group returns q's group if it covers rank r, else installs a fresh
-// (unbuilt) one at r; nil when the store is full and q has no group, or
-// when r's band is past the memo cap.
-func (s *planeStore) group(q Query, r int) *planeGroup {
+// (unbuilt) one at r — for a key without a group only when shared is set (a
+// batch reserving a key several of its queries share) or the seen table
+// holds the key. nil when the key has no group and is not admitted or the
+// store is full, or when r's band is past the memo cap.
+func (s *planeStore) group(q Query, r int, shared bool) *planeGroup {
 	var buf [128]byte
 	key := groupKey(buf[:0], q)
 	s.mu.Lock()
@@ -228,12 +242,35 @@ func (s *planeStore) group(q Query, r int) *planeGroup {
 	if g != nil && g.kmax >= r {
 		return g
 	}
-	if g == nil && len(s.groups) >= maxPlaneGroups || !s.bands.reserve(r) {
+	if g == nil && (len(s.groups) >= maxPlaneGroups || !shared && !s.seenBefore(key)) || !s.bands.reserve(r) {
 		return nil
 	}
 	g = &planeGroup{kmax: r}
 	s.groups[string(key)] = g
 	return g
+}
+
+// seenBefore reports whether the seen table holds key, recording it
+// otherwise. The table is direct-mapped: the top bits of the key's FNV-1a
+// hash pick its slot, which keeps the whole hash and forgets the key it
+// replaces, so a repeat is missed only after another key took its slot.
+// Callers hold s.mu.
+func (s *planeStore) seenBefore(key []byte) bool {
+	if s.seen == nil {
+		s.seen = new([1 << seenBits]uint64)
+	}
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= 1099511628211 // FNV-1a prime
+	}
+	slot := &s.seen[h>>(64-seenBits)]
+	h |= 1 // an empty slot holds 0
+	if *slot == h {
+		return true
+	}
+	*slot = h
+	return false
 }
 
 func (s *planeStore) count(hit bool, reg *obs.Registry) {

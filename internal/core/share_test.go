@@ -9,8 +9,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"rrq/internal/dataset"
@@ -271,7 +273,9 @@ func TestCappedCountsCache(t *testing.T) {
 // plain Prepare runs on an ephemeral store and leaves the Prepared
 // store-less (plain solves build planes per call) while sharing its bands;
 // a batch over a counted Prepared fills that Prepared's own store, one
-// group per (point, ε).
+// group per (point, ε) that two distinct queries of the batch share. A key
+// only one query asks for is looked up like a served solve: it gets a group
+// when it comes back.
 func TestBatchPlaneStoreLifetimes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts, q := randomInstance(rng, 30, 3)
@@ -304,8 +308,89 @@ func TestBatchPlaneStoreLifetimes(t *testing.T) {
 			t.Fatal(o.Err)
 		}
 	}
+	if got := counted.PlaneGroups(); got != 1 {
+		t.Errorf("counted Prepared holds %d plane groups after the batch, want 1", got)
+	}
+	if _, _, err := pol.Solver.Solve(context.Background(), counted, q3); err != nil {
+		t.Fatal(err)
+	}
 	if got := counted.PlaneGroups(); got != 2 {
-		t.Errorf("counted Prepared holds %d plane groups after the batch, want 2", got)
+		t.Errorf("counted Prepared holds %d plane groups after the batch's singleton came back, want 2", got)
+	}
+}
+
+// planeSetDiff describes how got differs from want — base count, crossing
+// count, or a crossing plane's ID or normal — or returns "" when they are
+// equal.
+func planeSetDiff(got, want PlaneSet) string {
+	if got.Base != want.Base || len(got.Crossing) != len(want.Crossing) {
+		return fmt.Sprintf("base=%d planes=%d, want base=%d planes=%d", got.Base, len(got.Crossing), want.Base, len(want.Crossing))
+	}
+	for i, h := range want.Crossing {
+		if g := got.Crossing[i]; g.ID != h.ID || !g.Normal.Equal(h.Normal, 0) {
+			return fmt.Sprintf("plane %d = (%d, %v), want (%d, %v)", i, g.ID, g.Normal, h.ID, h.Normal)
+		}
+	}
+	return ""
+}
+
+// A snapshot that never sees a (point, ε) twice keeps no plane group:
+// 2 × maxPlaneGroups distinct keys each miss once and leave the store
+// empty, where installing on first sight would have filled it.
+func TestPlaneStoreOneOffKeysKeepNoGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	pts, q := randomInstance(rng, 40, 3)
+	tally := &PlaneCounters{}
+	prep := PrepareCounted(pts, 3, skyband.DominatorCounts(pts), tally)
+	a := &Arena{}
+	const n = 2 * maxPlaneGroups
+	for i := 0; i < n; i++ {
+		qi := q
+		qi.Q = q.Q.Clone()
+		qi.Q[0] = 0.01 + 0.98*float64(i)/n
+		prep.planes(qi, a, nil)
+	}
+	if got := prep.PlaneGroups(); got != 0 {
+		t.Errorf("%d plane groups after %d one-off keys, want 0", got, n)
+	}
+	if h, m := tally.Hits.Load(), tally.Misses.Load(); h != 0 || m != n {
+		t.Errorf("hits/misses = %d/%d, want 0/%d", h, m, n)
+	}
+}
+
+// Concurrent first sightings of one key race on the seen table and the
+// group install: every lookup returns the set buildPlanes builds, the key
+// ends with at most one group, and every lookup is tallied once. Run under
+// -race, this is the store's data-race check.
+func TestPlaneStoreConcurrentFirstSightings(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	pts, q := randomInstance(rng, 200, 3)
+	dom := skyband.DominatorCounts(pts)
+	for trial := 0; trial < 20; trial++ {
+		tally := &PlaneCounters{}
+		prep := PrepareCounted(pts, 3, dom, tally)
+		want, _ := buildPlanes(prep.PointsFor(q.K), q, &Arena{})
+		if len(want.Crossing) == 0 {
+			t.Fatal("instance produced no crossing planes; test is vacuous")
+		}
+		const workers = 8
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if diff := planeSetDiff(prep.planes(q, &Arena{}, nil), want); diff != "" {
+					t.Errorf("trial %d: concurrent lookup %s", trial, diff)
+				}
+			}()
+		}
+		wg.Wait()
+		if got := prep.PlaneGroups(); got > 1 {
+			t.Fatalf("trial %d: %d plane groups for one key, want at most 1", trial, got)
+		}
+		if n := tally.Hits.Load() + tally.Misses.Load(); n != workers {
+			t.Fatalf("trial %d: %d lookups tallied, want %d", trial, n, workers)
+		}
 	}
 }
 

@@ -123,7 +123,8 @@ func clamp01(x float64) float64 {
 
 // Normalize rescales every dimension of pts in place onto (0,1], mapping
 // the per-dimension minimum to a small positive value and the maximum to 1.
-// Dimensions with a single value collapse to 1.
+// Dimensions with a single value collapse to 1. Every finite column lands in
+// (0,1], even one whose span exceeds MaxFloat64.
 func Normalize(pts []vec.Vec) {
 	if len(pts) == 0 {
 		return
@@ -140,6 +141,15 @@ func Normalize(pts []vec.Vec) {
 				p[j] = 1
 			}
 			continue
+		}
+		// The quotients below do not change when the column is scaled, so a
+		// finite column whose span overflows is quartered first (two
+		// halvings; one is not enough for ±MaxFloat64 plus the shift).
+		if math.IsInf(hi-lo+(hi-lo)*1e-3, 1) {
+			for _, p := range pts {
+				p[j] *= 0.25
+			}
+			lo, hi = lo*0.25, hi*0.25
 		}
 		// Shift the minimum slightly above zero so the range is (0,1].
 		delta := (hi - lo) * 1e-3

@@ -106,6 +106,34 @@ func TestNormalizeEdgeCases(t *testing.T) {
 	}
 }
 
+// A finite column whose span overflows float64 still lands in (0,1], with
+// the values of the same column scaled by a quarter: rescaling does not
+// depend on the column's scale.
+func TestNormalizeHugeSpan(t *testing.T) {
+	for _, col := range [][]float64{
+		{1e308, -1e308},
+		{math.MaxFloat64, -math.MaxFloat64, 0},
+		{math.MaxFloat64, 1},
+	} {
+		pts := make([]vec.Vec, len(col))
+		ref := make([]vec.Vec, len(col))
+		for i, x := range col {
+			pts[i] = vec.Of(x, 0.5)
+			ref[i] = vec.Of(x/4, 0.5)
+		}
+		Normalize(pts)
+		Normalize(ref)
+		for i, p := range pts {
+			if !(p[0] > 0 && p[0] <= 1) {
+				t.Fatalf("column %v: value %d rescaled to %v, want (0,1]", col, i, p[0])
+			}
+			if p[0] != ref[i][0] {
+				t.Fatalf("column %v: value %d rescaled to %v, the quartered column to %v", col, i, p[0], ref[i][0])
+			}
+		}
+	}
+}
+
 func TestRandQueryInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pts := Generate(Independent, 50, 4, 3)

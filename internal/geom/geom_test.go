@@ -4,9 +4,26 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"rrq/internal/vec"
 )
+
+// Plane groups and cached regions hold one Hyperplane header per plane and
+// one consList record per constraint, so their sizes are pinned: the
+// normal's slice header, the ID and two float64s, and a Constraint plus two
+// pointers (64-bit words).
+func TestHyperplaneSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit words")
+	}
+	if got := unsafe.Sizeof(Hyperplane{}); got != 48 {
+		t.Errorf("Hyperplane is %d bytes, want 48", got)
+	}
+	if got := unsafe.Sizeof(consList{}); got != 72 {
+		t.Errorf("consList is %d bytes, want 72", got)
+	}
+}
 
 func TestNewHyperplaneUnit(t *testing.T) {
 	h := NewHyperplane(vec.Of(3, 4), 0)

@@ -36,7 +36,7 @@ const (
 )
 
 // Hyperplane is a hyper-plane through the origin, {u : u·Normal = 0}.
-// The positive half-space is {u : u·Normal > 0}.
+// The positive half-space is {u : u·Normal > 0}. Normal is unit-length.
 //
 // ID must be unique among all hyper-planes inserted into the same cell
 // lineage (arrangement); it feeds the tight-constraint bookkeeping that
@@ -47,7 +47,6 @@ type Hyperplane struct {
 
 	tangentNorm float64 // ‖Normal − mean(Normal)·1‖, lazily via New
 	offsetMean  float64 // mean(Normal): value of u·Normal when tangent part is 0
-	unit        vec.Vec // Normal / ‖Normal‖
 }
 
 // NewHyperplane builds a hyper-plane from a (non-zero) normal. The normal
@@ -81,7 +80,6 @@ func NewHyperplaneInto(dst, normal vec.Vec, id int) Hyperplane {
 		ID:          id,
 		tangentNorm: math.Sqrt(tn),
 		offsetMean:  m,
-		unit:        dst,
 	}
 }
 
@@ -101,12 +99,8 @@ func PackNormals(planes []Hyperplane) {
 		dst := vec.Vec(flat[i*d : (i+1)*d : (i+1)*d])
 		copy(dst, planes[i].Normal)
 		planes[i].Normal = dst
-		planes[i].unit = dst
 	}
 }
-
-// Unit returns the unit normal of h.
-func (h Hyperplane) Unit() vec.Vec { return h.unit }
 
 // Eval returns u·Normal, the signed (scaled) offset of u from the plane.
 func (h Hyperplane) Eval(u vec.Vec) float64 { return u.Dot(h.Normal) }

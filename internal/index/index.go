@@ -62,7 +62,8 @@ type Stats struct {
 	// classification.
 	PlaneHits, PlaneMisses int64
 	// PlaneSets is the number of (point, ε) plane groups in the current
-	// snapshot's store, SkybandViews its memoized k-band views.
+	// snapshot's store — keys it has seen at least twice, or that a batch
+	// asked for twice — and SkybandViews its memoized k-band views.
 	PlaneSets    int
 	SkybandViews int
 }

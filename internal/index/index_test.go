@@ -438,7 +438,9 @@ func solveJSONCtx(t *testing.T, ctx context.Context, prep *core.Prepared, q core
 }
 
 // The shared plane storage must dedupe repeated queries on one snapshot and
-// must not leak across epochs.
+// must not leak across epochs. A (point, ε) gets a group only when it comes
+// back: the first solve misses and keeps nothing, the second misses and
+// builds the group, the third and later hit.
 func TestIndexPlaneCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(4444))
 	pts, q := randomInstance(rng, 12, 3)
@@ -448,31 +450,46 @@ func TestIndexPlaneCache(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	ctx := obs.ContextWithRegistry(context.Background(), reg)
+	var hits, misses int64
+	solve := func(step string, prep *core.Prepared, hit bool, groups int) []byte {
+		t.Helper()
+		b := solveJSONCtx(t, ctx, prep, q)
+		if hit {
+			hits++
+		} else {
+			misses++
+		}
+		c := reg.Counters()
+		if c["index.planes.hit"] != hits || c["index.planes.miss"] != misses {
+			t.Fatalf("%s: hits/misses = %d/%d, want %d/%d", step, c["index.planes.hit"], c["index.planes.miss"], hits, misses)
+		}
+		if got := prep.PlaneGroups(); got != groups {
+			t.Fatalf("%s: %d plane groups, want %d", step, got, groups)
+		}
+		return b
+	}
 	prep := ix.Snapshot().Prepared()
-	a := solveJSONCtx(t, ctx, prep, q)
-	b := solveJSONCtx(t, ctx, prep, q)
-	if !bytes.Equal(a, b) {
+	a := solve("first sighting", prep, false, 0)
+	b := solve("second sighting", prep, false, 1)
+	c := solve("third solve", prep, true, 1)
+	if !bytes.Equal(a, b) || !bytes.Equal(a, c) {
 		t.Fatal("repeated solve on one snapshot differs")
 	}
-	if reg.Counters()["index.planes.miss"] != 1 {
-		t.Fatalf("misses = %d, want 1", reg.Counters()["index.planes.miss"])
-	}
-	if reg.Counters()["index.planes.hit"] != 1 {
-		t.Fatalf("hits = %d, want 1", reg.Counters()["index.planes.hit"])
-	}
-	// A new epoch starts cold: plane stores never leak across snapshots.
+	// A new epoch starts cold: neither plane groups nor sightings leak
+	// across snapshots.
 	if _, err := ix.Insert(vec.Of(0.5, 0.5, 0.5)); err != nil {
 		t.Fatal(err)
 	}
-	solveJSONCtx(t, ctx, ix.Snapshot().Prepared(), q)
-	if reg.Counters()["index.planes.miss"] != 2 {
-		t.Fatalf("misses after epoch change = %d, want 2", reg.Counters()["index.planes.miss"])
-	}
+	next := ix.Snapshot().Prepared()
+	solve("new epoch, first sighting", next, false, 0)
+	solve("new epoch, second sighting", next, false, 1)
+	solve("new epoch, third solve", next, true, 1)
 }
 
 // One (point, ε) asked at k = 3, 7, 3, 5 on one snapshot is one plane
-// group: built at 3, rebuilt wider at 7, then narrowed for 3 and 5 without
-// classifying again — and every answer is byte-identical to an E-PT solve
+// group: first sighted at 3 (classified for that solve alone), built at 7
+// when the key comes back, then narrowed for 3 and 5 without classifying
+// again — and every answer is byte-identical to an E-PT solve
 // on an unfiltered Prepare of the k-skyband.
 func TestSnapshotPlaneStoreAcrossK(t *testing.T) {
 	rng := rand.New(rand.NewSource(5151))

@@ -308,6 +308,14 @@ func TestNormalize(t *testing.T) {
 			}
 		}
 	}
+	// A finite column whose span overflows float64 is rescaled, not NaN.
+	huge, err := NewNormalizedDataset([][]float64{{1e308, 0.5}, {-1e308, 0.7}})
+	if err != nil {
+		t.Fatalf("finite column spanning past MaxFloat64 rejected: %v", err)
+	}
+	if p, q := huge.PointAt(0), huge.PointAt(1); p[0] != 1 || !(q[0] > 0 && q[0] < 1e-3) {
+		t.Fatalf("huge column rescaled to %v, %v; want 1 and a small positive value", p[0], q[0])
+	}
 	// The caller's rows are copied, never rescaled in place.
 	if rows[0][0] != 5 || rows[0][1] != -2 || rows[1][0] != 1 || rows[1][1] != 3 {
 		t.Fatalf("NewNormalizedDataset mutated its input: %v", rows)
