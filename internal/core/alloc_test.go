@@ -10,9 +10,11 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
+	"rrq/internal/dataset"
 	"rrq/internal/skyband"
 	"rrq/internal/vec"
 )
@@ -22,7 +24,7 @@ func TestBuildPlanesArenaZeroAlloc(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(d) * 71))
 		pts, q := randomInstance(rng, 200, d)
 		a := &Arena{}
-		warm, _ := buildPlanes(pts, q, a)
+		warm := buildPlanes(pts, q, a)
 		if len(warm.Crossing) == 0 {
 			t.Fatalf("d=%d: instance produced no crossing planes; test is vacuous", d)
 		}
@@ -42,7 +44,7 @@ func TestBuildPlanesFixedAlloc(t *testing.T) {
 	for d := 2; d <= 5; d++ {
 		rng := rand.New(rand.NewSource(int64(d) * 977))
 		pts, q := randomInstance(rng, 400, d)
-		if ps, _ := buildPlanes(pts, q, &Arena{}); len(ps.Crossing) < 10 {
+		if ps := buildPlanes(pts, q, &Arena{}); len(ps.Crossing) < 10 {
 			t.Fatalf("d=%d: only %d crossing planes; test is vacuous", d, len(ps.Crossing))
 		}
 		allocs := testing.AllocsPerRun(20, func() {
@@ -58,7 +60,7 @@ func TestReduceAndOrderPlanesZeroAlloc(t *testing.T) {
 	for d := 2; d <= 4; d++ {
 		rng := rand.New(rand.NewSource(int64(d) * 131))
 		pts, q := randomInstance(rng, 200, d)
-		ps, _ := buildPlanes(pts, q, &Arena{})
+		ps := buildPlanes(pts, q, &Arena{})
 		if len(ps.Crossing) < 4 {
 			t.Fatalf("d=%d: only %d crossing planes; test is vacuous", d, len(ps.Crossing))
 		}
@@ -84,7 +86,7 @@ func TestReduceAndOrderPlanesCounterZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
 	pts, q := randomInstance(rng, 2000, 4)
 	q.K = 40
-	ps, _ := buildPlanes(pts, q, &Arena{})
+	ps := buildPlanes(pts, q, &Arena{})
 	many := ps.Crossing
 	few := many[:40]
 	if len(many) < 500 {
@@ -109,7 +111,7 @@ func TestSweepIntervalsZeroAlloc(t *testing.T) {
 	// can dominate it under the (1−ε) scale), so the effective rank stays
 	// positive and the sweep actually runs.
 	q := Query{Q: vec.Of(0.9, 0.85), K: 3, Eps: 0.1}
-	ps, _ := buildPlanes(pts, q, &Arena{})
+	ps := buildPlanes(pts, q, &Arena{})
 	k := ps.KEff(q.K)
 	if k <= 0 || len(ps.Crossing) == 0 {
 		t.Fatalf("degenerate instance (keff=%d, planes=%d); test is vacuous", k, len(ps.Crossing))
@@ -158,7 +160,7 @@ func TestDeriveIntoArenaZeroAlloc(t *testing.T) {
 		band := prep.PointsFor(q.K)
 		a := &Arena{}
 		got := store.planes(band, q, a, nil)
-		want, _ := buildPlanes(band, q, &Arena{})
+		want := buildPlanes(band, q, &Arena{})
 		if len(want.Crossing) == 0 {
 			t.Fatalf("d=%d: instance produced no crossing planes; test is vacuous", d)
 		}
@@ -171,6 +173,104 @@ func TestDeriveIntoArenaZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("d=%d: narrowing into a warm arena allocates %.1f per run, want 0", d, allocs)
 		}
+	}
+}
+
+// TestPlaneGroupHitZeroAlloc pins what a plane group costs. A hit at the
+// group's own rank builds its headers into a warm arena without
+// allocating, and a built group keeps nothing but its per-point kinds and
+// its crossing planes' unit normals: cap(kinds) bytes plus 8·d bytes per
+// crossing plane, summed over every slice the group holds.
+func TestPlaneGroupHitZeroAlloc(t *testing.T) {
+	for d := 2; d <= 4; d++ {
+		rng := rand.New(rand.NewSource(int64(d) * 53))
+		pts, q := randomInstance(rng, 200, d)
+		prep := PrepareCounted(pts, d, skyband.DominatorCounts(pts), &PlaneCounters{})
+		for range 2 {
+			prep.planes(q, &Arena{}, nil)
+		}
+		g := prep.store.groups[string(groupKey(nil, q))]
+		if g == nil || !g.ready.Load() || g.kmax != prep.bands.rank(q.K) {
+			t.Fatalf("d=%d: no built plane group at the query's rank after two lookups", d)
+		}
+		a := &Arena{}
+		if ps := prep.planes(q, a, nil); len(ps.Crossing) == 0 {
+			t.Fatalf("d=%d: instance produced no crossing planes; test is vacuous", d)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			prep.planes(q, a, nil)
+		})
+		if allocs != 0 {
+			t.Errorf("d=%d: a hit at the group's rank allocates %.1f per run on a warm arena, want 0", d, allocs)
+		}
+
+		crossings := 0
+		for _, k := range g.kinds {
+			if k == planeCross {
+				crossings++
+			}
+		}
+		held := 0
+		v := reflect.ValueOf(g).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Slice {
+				held += f.Cap() * int(f.Type().Elem().Size())
+			}
+		}
+		if want := cap(g.kinds) + 8*d*crossings; held != want || cap(g.kinds) != len(g.band.pts) {
+			t.Errorf("d=%d: group over %d points (cap(kinds) %d) with %d crossings holds %d bytes, want %d", d, len(g.band.pts), cap(g.kinds), crossings, held, want)
+		}
+	}
+}
+
+// The E-PT slab goes back to the pool when the solve built at most
+// maxPooledSlabBytes into it. The decision must not depend on the arena's
+// history: a small solve keeps its slab on a fresh arena and on an arena a
+// 5-d solve grew past the bound first, though the two slabs' capacities
+// lie on opposite sides of the bound.
+func TestPooledSlabDecisionIgnoresHistory(t *testing.T) {
+	solve := func(a *Arena, d int, pts []vec.Vec, q Query) {
+		t.Helper()
+		prep, err := Prepare(pts, d, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := eptSolve(context.Background(), prep, q, EPTOptions{}, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	capacity := func(s *eptSlab) int { return s.cells.Bytes() + s.nodes.Bytes() + s.lazy.Bytes() }
+	instance := func(d, n int, pick func(*Arena) bool) ([]vec.Vec, Query) {
+		t.Helper()
+		pts := dataset.Generate(dataset.Independent, n, d, 42)
+		band := skyband.Select(pts, skyband.KSkyband(pts, 5))
+		rng := rand.New(rand.NewSource(7))
+		for try := 0; try < 64; try++ {
+			q := Query{Q: dataset.RandQuery(rng, band), K: 5, Eps: 0.1}
+			a := &Arena{}
+			solve(a, d, band, q)
+			if pick(a) {
+				return band, q
+			}
+		}
+		t.Fatalf("d=%d: no query in 64 fits; test is vacuous", d)
+		return nil, Query{}
+	}
+	small, sq := instance(3, 500, func(a *Arena) bool { return a.ept.nodes.Used() > 0 })
+	big, bq := instance(5, 2000, func(a *Arena) bool { return capacity(&a.ept) > maxPooledSlabBytes })
+
+	fresh := &Arena{}
+	solve(fresh, 3, small, sq)
+	grown := &Arena{}
+	solve(grown, 5, big, bq)
+	grown.ept.reset()
+	solve(grown, 3, small, sq)
+	if capacity(&fresh.ept) > maxPooledSlabBytes || capacity(&grown.ept) <= maxPooledSlabBytes {
+		t.Fatalf("slab capacities %d (fresh) and %d (grown) do not straddle the bound %d; test is vacuous",
+			capacity(&fresh.ept), capacity(&grown.ept), maxPooledSlabBytes)
+	}
+	if f, g := fresh.ept.keep(), grown.ept.keep(); f != g || !f {
+		t.Errorf("the same solve keeps its slab on a fresh arena: %v, on a grown one: %v; want true both times", f, g)
 	}
 }
 

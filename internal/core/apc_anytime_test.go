@@ -225,7 +225,7 @@ func TestAPCKeepsQualifiedSamples(t *testing.T) {
 		}
 		// Replay A-PC's own sample stream against its plane set.
 		rng := rand.New(rand.NewSource(c.opt.Seed))
-		ps, _ := buildPlanes(c.pts, c.q, &Arena{})
+		ps := buildPlanes(c.pts, c.q, &Arena{})
 		for s := 0; s < c.opt.Samples; s++ {
 			u := vec.RandSimplex(rng, c.q.Q.Dim())
 			if _, ok := apcClassify(ps.Crossing, ps.KEff(c.q.K), u); !ok {

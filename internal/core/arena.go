@@ -9,10 +9,12 @@ import (
 )
 
 // Arena is the scratch memory of one solve: every buffer the serial
-// pre-phase needs — the flat unit-normal block of plane construction, the
-// reduction's dominance counter, negated-normal and ordering buffers, the
-// sweep's crossing-parameter and event buffers — and the slabs E-PT builds
-// its partition tree in (cells, nodes and lazy plane lists) live here.
+// pre-phase needs — the per-point classes, flat unit-normal block and
+// plane headers of plane construction (the headers also for a set a plane
+// group serves), the reduction's dominance counter, negated-normal and
+// ordering buffers, the sweep's crossing-parameter and event buffers — and
+// the slabs E-PT builds its partition tree in (cells, nodes and lazy plane
+// lists) live here.
 // Every solve takes one from arenaPool for its whole duration and returns
 // it when the solve returns, so a warmed-up arena runs the plane phase and
 // E-PT's tree refinement without allocating.
@@ -26,13 +28,15 @@ import (
 // LP-CTA) — pass a fresh zero Arena instead, whose buffers they then own.
 // An arena is not synchronized and is only touched by the serial portion
 // of a solve. Buffers keep their capacity between solves; putArena resets
-// the slab and drops it when it grew beyond maxPooledSlabBytes.
+// the slab, or drops it when the solve built more than maxPooledSlabBytes
+// into it.
 type Arena struct {
-	// Plane construction (buildPlanes) and plane-store narrowing
-	// (planeGroup.narrow).
+	// Plane construction (classifyPlanes, then narrow). A set served from
+	// a plane group takes only its headers from here: its normals are the
+	// group's.
 	kinds   []planeKind       // per-point plane classes
 	normals []float64         // flat unit-normal backing, stride d
-	planes  []geom.Hyperplane // crossing-plane headers
+	planes  []geom.Hyperplane // crossing-plane headers, every served set's
 
 	// E-PT plane reduction and ordering (reduceAndOrderPlanesOpt).
 	units   []vec.Vec
@@ -73,20 +77,25 @@ func grow[T any](buf *[]T, n int) []T {
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
 
 // maxPooledSlabBytes bounds the E-PT slab an arena takes back to the
-// pool: a solve whose tree grew beyond it leaves its slab to the
-// collector instead of pinning it in a pooled arena. Served traffic stays
-// well inside it — the largest slabs measured were 0.7 MB on 3-d queries
-// and 2.0 MB on d = 4, n = 5000 queries — while 5-d trees reach 8–32 MB
-// and are dropped rather than held by every pooled arena.
+// pool: a solve that built more than it into its tree leaves its slab to
+// the collector instead of pinning it in a pooled arena. The decision reads
+// the bytes the solve itself built (eptSlab.keep), so one solve gets the
+// same decision on a fresh arena as on one an earlier solve grew. A kept
+// slab still pins its capacity — each pile keeps the chunks the most
+// demanding kept solve grew it to, and a pile grows by doubling — so it
+// can hold up to about twice the bound. Served traffic stays well inside
+// it — the largest slabs measured were 0.7 MB on 3-d queries and 2.0 MB on
+// d = 4, n = 5000 queries — while 5-d trees reach 8–32 MB and are dropped
+// rather than held by every pooled arena.
 const maxPooledSlabBytes = 4 << 20
 
 func getArena() *Arena { return arenaPool.Get().(*Arena) }
 
 func putArena(a *Arena) {
-	if a.ept.bytes() > maxPooledSlabBytes {
-		a.ept = eptSlab{}
-	} else {
+	if a.ept.keep() {
 		a.ept.reset()
+	} else {
+		a.ept = eptSlab{}
 	}
 	arenaPool.Put(a)
 }

@@ -73,7 +73,7 @@ func TestClassifyPlaneBoundary(t *testing.T) {
 			t.Errorf("%s: classifyPlane(%v) = %d, want %d", tc.name, tc.normal, got, tc.want)
 		}
 		q := Query{Q: tc.normal, K: 1}
-		ps, _ := buildPlanes([]vec.Vec{zero}, q, &Arena{})
+		ps := buildPlanes([]vec.Vec{zero}, q, &Arena{})
 		if ps.Base != b2i(tc.want == planeBase) || len(ps.Crossing) != b2i(tc.want == planeCross) {
 			t.Errorf("%s: buildPlanes base %d, crossing %d; want kind %d", tc.name, ps.Base, len(ps.Crossing), tc.want)
 		}
@@ -99,7 +99,7 @@ func TestCountBetterSkipsDegeneratePlane(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		d := 2 + trial%4
 		pts, q := degenerateInstance(rng, 4+rng.Intn(8), d, []float64{0, 0.1, 0.3}[trial%3])
-		ps, _ := buildPlanes(pts, q, &Arena{})
+		ps := buildPlanes(pts, q, &Arena{})
 		for i := 0; i < 20; i++ {
 			u := vec.RandSimplex(rng, d)
 			count, margin := CountBetter(pts, q, u)

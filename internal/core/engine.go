@@ -305,9 +305,9 @@ func (p *Prepared) planes(q Query, a *Arena, reg *obs.Registry) PlaneSet {
 // normals (A-PC, brute force, LP-CTA): q's classified plane set, served
 // from the Prepared's plane store like every solver's, with any storage
 // the serving needs in a fresh Arena the caller owns — never the pooled
-// scratch of a solve. The set is read-only: its normals may be the store's
-// own. check carries the solve's metrics registry, which a counted store
-// reports the lookup to.
+// scratch of a solve. The headers are the caller's; the normals may be a
+// plane group's and are read-only. check carries the solve's metrics
+// registry, which a counted store reports the lookup to.
 func (p *Prepared) Planes(q Query, check *CtxChecker) PlaneSet {
 	return p.planes(q, &Arena{}, check.reg)
 }

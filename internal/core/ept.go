@@ -37,7 +37,12 @@ func (s *eptSlab) reset() {
 	s.lazy.Reset()
 }
 
-func (s *eptSlab) bytes() int { return s.cells.Bytes() + s.nodes.Bytes() + s.lazy.Bytes() }
+// keep reports whether the slab goes back to the pool with its arena:
+// whether the solve since the last reset built at most maxPooledSlabBytes
+// into it (see pile.Pile.Used).
+func (s *eptSlab) keep() bool {
+	return s.cells.Used()+s.nodes.Used()+s.lazy.Used() <= maxPooledSlabBytes
+}
 
 func (s *eptSlab) node() *eptNode { return &s.nodes.Take(1)[0] }
 
@@ -89,13 +94,16 @@ func (s EPTSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*Region,
 	if err := prep.Validate(q); err != nil {
 		return nil, Stats{}, err
 	}
-	return eptSolve(ctx, prep, q, s.Opt)
+	a := getArena()
+	defer putArena(a)
+	return eptSolve(ctx, prep, q, s.Opt, a)
 }
 
-// eptSolve is the E-PT body. When prep owns a plane store the classified
-// plane set is shared storage and treated as read-only — any path that
-// would reorder or repack it copies the slice first.
-func eptSolve(ctx context.Context, prep *Prepared, q Query, opt EPTOptions) (*Region, Stats, error) {
+// eptSolve is the E-PT body, run in the scratch arena a. The plane set's
+// headers are a's own, so the reduction and PackNormals may reorder and
+// rebind them in place; its normals may be a plane group's, and are only
+// read.
+func eptSolve(ctx context.Context, prep *Prepared, q Query, opt EPTOptions, a *Arena) (*Region, Stats, error) {
 	var st Stats
 	d := q.Q.Dim()
 	check := NewCtxChecker(ctx, 0xfff)
@@ -103,8 +111,6 @@ func eptSolve(ctx context.Context, prep *Prepared, q Query, opt EPTOptions) (*Re
 	if check.Failed() {
 		return nil, st, check.Err()
 	}
-	a := getArena()
-	defer putArena(a)
 	planePhase := check.Phase("phase.ept.planes")
 	defer planePhase()
 	ps := prep.planes(q, a, check.reg)
@@ -121,12 +127,6 @@ func eptSolve(ctx context.Context, prep *Prepared, q Query, opt EPTOptions) (*Re
 		if check.Failed() {
 			return nil, st, check.Err()
 		}
-	} else if prep.store != nil {
-		// Both ablations off the reduction path would pack the cached slice
-		// itself; shared plane storage is read-only, so copy the headers
-		// (PackNormals rebinds each entry's backing array, it does not write
-		// through the old one).
-		planes = append([]geom.Hyperplane(nil), ps.Crossing...)
 	}
 	// Repack the surviving normals into one flat block: every relation test
 	// of the insert phase streams over these, and after the reduction the

@@ -45,7 +45,7 @@ func TestLemma41InclusiveCutoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 40; trial++ {
 		pts, q := randomInstance(rng, 25, 2)
-		ps, _ := buildPlanes(pts, q, &Arena{})
+		ps := buildPlanes(pts, q, &Arena{})
 		k := ps.KEff(q.K)
 		if k <= 0 {
 			continue
@@ -86,7 +86,7 @@ func TestLemma42WindowPlaneCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
 		pts, q := randomInstance(rng, 120, 2)
-		ps, _ := buildPlanes(pts, q, &Arena{})
+		ps := buildPlanes(pts, q, &Arena{})
 		k := ps.KEff(q.K)
 		if k <= 0 {
 			continue
@@ -362,7 +362,7 @@ func TestReductionMatchesQuadraticDominance(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		d := 2 + rng.Intn(3)
 		pts, q := randomInstance(rng, 60, d)
-		ps, _ := buildPlanes(pts, q, &Arena{})
+		ps := buildPlanes(pts, q, &Arena{})
 		k := ps.KEff(q.K)
 		if k <= 0 || len(ps.Crossing) == 0 {
 			continue

@@ -62,7 +62,7 @@ func TestExample36PartitionCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Compute the three crossing parameters to locate the partitions.
-	ps, _ := buildPlanes(pts, q, &Arena{})
+	ps := buildPlanes(pts, q, &Arena{})
 	if len(ps.Crossing) != 3 || ps.Base != 0 {
 		t.Fatalf("planes: crossing=%d base=%d, want 3,0", len(ps.Crossing), ps.Base)
 	}

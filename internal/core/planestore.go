@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"rrq/internal/geom"
 	"rrq/internal/obs"
 	"rrq/internal/skyband"
 	"rrq/internal/vec"
@@ -146,8 +145,9 @@ type PlaneCounters struct {
 // back, so a key's first lookup only records it in the seen table (TinyLFU's
 // doorkeeper) and classifies into the solve's arena; the key's next lookup
 // installs its group. An index snapshot keeps one store for its lifetime; a
-// plain-dataset batch gets an ephemeral one. Safe for concurrent use; the
-// served plane sets are read-only.
+// plain-dataset batch gets an ephemeral one. Safe for concurrent use; a
+// served set's normals are the group's and read-only, its headers the
+// caller's.
 type planeStore struct {
 	bands *bandSet
 	tally *PlaneCounters // nil: uncounted (batch-scoped)
@@ -162,18 +162,20 @@ func newPlaneStore(bands *bandSet, tally *PlaneCounters) *planeStore {
 }
 
 // planeGroup is the classification of one (point, ε) over the band of rank
-// kmax. It is built once, by the first lookup that finds it unbuilt, and
-// immutable afterwards; the band itself is the Prepared's memoized one, not
-// a copy.
+// kmax: one planeKind per band point and the unit normals of the crossing
+// planes — a band of n points with c crossings keeps n + 8·d·c bytes. It
+// keeps no headers: narrow rebuilds them from the normals into each
+// lookup's arena, which costs a fraction of classifying the band again. It
+// is built once, by the first lookup that finds it unbuilt, and immutable
+// afterwards; the band itself is the Prepared's memoized one, not a copy.
 type planeGroup struct {
 	kmax int
 
-	mu     sync.Mutex
-	ready  atomic.Bool
-	band   *band
-	kinds  []planeKind       // per band point
-	base   int               // planeBase points in the band
-	planes []geom.Hyperplane // one per planeCross point, ID = band position
+	mu      sync.Mutex
+	ready   atomic.Bool
+	band    *band
+	kinds   []planeKind // per band point
+	normals []float64   // unit normals of the planeCross points, stride d, in band order
 }
 
 // groupKey appends the store key of q — the bytes of its point, then of ε —
@@ -188,26 +190,24 @@ func groupKey(dst []byte, q Query) []byte {
 // planes returns q's classified plane set over pts, the band its rank
 // selects. A nil store builds the set directly into a, and so does a store
 // for a key it has no group for and is not admitting (see group). A store
-// serves the rest from q's group: at the group's rank the group's own
-// slice, uncopied; below it a count-filtered, renumbered set (headers in
-// a); above it the group is rebuilt at q's rank. Counted stores report each
-// lookup to their PlaneCounters and, when reg is non-nil, to its
-// index.planes.hit / index.planes.miss counters. Every classification pass,
-// stored or not, adds the points it classified to reg's
-// core.planes.classified counter: the work a store exists to share.
+// serves the rest from q's group, rebuilt at q's rank first when it was
+// classified below it, through narrow — at the group's own rank as below
+// it: the headers are built into a, the normals are the group's. Counted
+// stores report each lookup to their PlaneCounters and, when reg is
+// non-nil, to its index.planes.hit / index.planes.miss counters. Every
+// classification pass, stored or not, adds the points it classified to
+// reg's core.planes.classified counter: the work a store exists to share.
 func (s *planeStore) planes(pts []vec.Vec, q Query, a *Arena, reg *obs.Registry) PlaneSet {
 	if s == nil {
 		reg.Counter("core.planes.classified").Add(int64(len(pts)))
-		ps, _ := buildPlanes(pts, q, a)
-		return ps
+		return buildPlanes(pts, q, a)
 	}
 	r := s.bands.rank(q.K)
 	g := s.group(q, r, false)
 	if g == nil {
 		s.count(false, reg)
 		reg.Counter("core.planes.classified").Add(int64(len(pts)))
-		ps, _ := buildPlanes(pts, q, a)
-		return ps
+		return buildPlanes(pts, q, a)
 	}
 	hit := true
 	if !g.ready.Load() {
@@ -222,10 +222,7 @@ func (s *planeStore) planes(pts []vec.Vec, q Query, a *Arena, reg *obs.Registry)
 		g.mu.Unlock()
 	}
 	s.count(hit, reg)
-	if r == g.kmax {
-		return PlaneSet{Crossing: g.planes, Base: g.base}
-	}
-	return g.narrow(r, a)
+	return narrow(g.kinds, g.normals, g.band.cnt, r, q.Q.Dim(), a)
 }
 
 // group returns q's group if it covers rank r, else installs a fresh
@@ -287,46 +284,12 @@ func (s *planeStore) count(hit bool, reg *obs.Registry) {
 	reg.Counter(name).Inc()
 }
 
-// build classifies every point of b with buildPlanes, keeping the
-// per-point kinds and the crossing planes in heap storage the group owns
-// (IDs are band positions).
+// build classifies every point of b with classifyPlanes, keeping the
+// per-point kinds and the crossing planes' unit normals in exact-size heap
+// storage the group owns.
 func (g *planeGroup) build(b *band, q Query) {
-	var ps PlaneSet
-	ps, g.kinds = buildPlanes(b.pts, q, &Arena{})
-	g.band, g.base, g.planes = b, ps.Base, ps.Crossing
-}
-
-// narrow derives the plane set of rank k < kmax: walk the band in order,
-// keep the members of the k-band (count < k), and renumber crossing-plane
-// IDs to their position in that narrower band — exactly the IDs buildPlanes
-// assigns over the k-band itself. The headers go into a (on a solve's
-// pooled arena, valid until the solve returns, like buildPlanes' output);
-// the normals alias the group's block, which every solver treats as
-// read-only.
-func (g *planeGroup) narrow(k int, a *Arena) PlaneSet {
-	crossing := a.planes[:0]
-	var ps PlaneSet
-	m := 0  // position within the narrowed band
-	ci := 0 // crossing-plane cursor over the group's band
-	for j, c := range g.band.cnt {
-		if c < k {
-			switch g.kinds[j] {
-			case planeBase:
-				ps.Base++
-			case planeCross:
-				h := g.planes[ci]
-				h.ID = m
-				crossing = append(crossing, h)
-			}
-			m++
-		}
-		if g.kinds[j] == planeCross {
-			ci++
-		}
-	}
-	a.planes = crossing
-	ps.Crossing = crossing
-	return ps
+	g.kinds, g.normals = classifyPlanes(b.pts, q, &Arena{})
+	g.band = b
 }
 
 // clusterOrder sorts the batch's solve order so queries drawing on the same

@@ -305,9 +305,10 @@ func QualifiedAt(pts []vec.Vec, q Query, u vec.Vec) bool {
 }
 
 // PlaneSet is the preprocessed hyper-plane arrangement input shared by the
-// solvers. It is immutable once built: solvers that need to reorder or
-// repack the crossing planes copy the slice first, so one PlaneSet can be
-// held by a plane store and served to any number of concurrent queries.
+// solvers. The normals may be shared — a plane group serves the same unit
+// normals to any number of concurrent queries — and are read-only; the
+// headers are the caller's, built into its Arena for each lookup, so a
+// solver may reorder the slice and rebind its entries (PackNormals).
 type PlaneSet struct {
 	Crossing []geom.Hyperplane // planes whose negative half-space cuts U properly
 	Base     int               // planes whose negative half-space covers all of U
@@ -365,44 +366,82 @@ func classifyPlane(q, p vec.Vec, scale float64) planeKind {
 // classifyPlane, folds the planeBase planes into Base and keeps the crossing
 // planes; planeDrop planes are dropped. Plane IDs are the indices of the
 // source points, which keeps them unique within the arrangement as the
-// geometry package requires. It returns each point's class too.
+// geometry package requires.
 //
-// A first pass classifies every point; a second writes the crossing unit
-// normals into one flat block sized by the first, so the backing never
-// moves under the plane headers. The kinds, the block and the headers live
-// in a's buffers, which grow to exact size when too small. On a solve's
-// pooled arena the result is valid only until the solve returns (E-PT
-// repacks surviving normals into fresh heap storage with PackNormals before
-// any tree node can retain them, and Sweeping only reads the normals during
-// its window scan); on a fresh zero arena it is three exact-size
-// allocations the caller owns, whatever the number of crossings.
-func buildPlanes(pts []vec.Vec, q Query, a *Arena) (PlaneSet, []planeKind) {
+// It is classifyPlanes followed by narrow over every point: the kinds, the
+// unit-normal block and the headers live in a's buffers, which grow to
+// exact size when too small. On a solve's pooled arena the result is valid
+// only until the solve returns (E-PT repacks surviving normals into fresh
+// heap storage with PackNormals before any tree node can retain them, and
+// Sweeping only reads the normals during its window scan); on a fresh zero
+// arena it is three exact-size allocations the caller owns, whatever the
+// number of crossings.
+func buildPlanes(pts []vec.Vec, q Query, a *Arena) PlaneSet {
+	kinds, normals := classifyPlanes(pts, q, a)
+	return narrow(kinds, normals, nil, 0, q.Q.Dim(), a)
+}
+
+// classifyPlanes classifies h_{q,p} for every p ∈ pts with classifyPlane
+// and writes the unit normals of the crossing planes, in point order, into
+// one flat block of stride d sized by the classification, so the block
+// never moves under headers built on it. Both live in a's kinds and
+// normals buffers.
+func classifyPlanes(pts []vec.Vec, q Query, a *Arena) ([]planeKind, []float64) {
 	scale := 1 - q.Eps
 	kinds := grow(&a.kinds, len(pts))
-	var ps PlaneSet
 	crossings := 0
 	for i, p := range pts {
 		kinds[i] = classifyPlane(q.Q, p, scale)
-		switch kinds[i] {
-		case planeBase:
-			ps.Base++
-		case planeCross:
+		if kinds[i] == planeCross {
 			crossings++
 		}
 	}
 	d := q.Q.Dim()
-	flat := grow(&a.normals, crossings*d)
-	ps.Crossing = grow(&a.planes, crossings)[:0]
+	normals := grow(&a.normals, crossings*d)
+	c := 0
 	for i, p := range pts {
 		if kinds[i] != planeCross {
 			continue
 		}
-		c := len(ps.Crossing)
-		slot := vec.Vec(flat[c*d : c*d+d : c*d+d])
+		slot := vec.Vec(normals[c : c+d : c+d])
 		for j := range slot {
 			slot[j] = q.Q[j] - scale*p[j]
 		}
-		ps.Crossing = append(ps.Crossing, geom.NewHyperplaneInto(slot, slot, i))
+		geom.NormalizeInto(slot, slot)
+		c += d
 	}
-	return ps, kinds
+	return kinds, normals
+}
+
+// narrow is the one walk that turns a classified band — its per-point
+// kinds and the unit normals of its crossing planes, stride d — into the
+// plane set of the k-band inside it: the points whose dominator count in
+// cnt is below k, or every point when cnt is nil. It counts the kept
+// planeBase points into Base and builds a header for each kept crossing
+// plane with geom.NewUnitHyperplane, ID = its position in the k-band —
+// exactly the set buildPlanes builds over the k-band itself. The headers
+// go into a's planes buffer, grown to the band's crossing count when too
+// small; the normals alias the block, which every solver treats as
+// read-only.
+func narrow(kinds []planeKind, normals []float64, cnt []int, k, d int, a *Arena) PlaneSet {
+	var ps PlaneSet
+	crossing := grow(&a.planes, len(normals)/d)[:0]
+	m := 0 // position within the k-band
+	c := 0 // offset of the next crossing plane's normal in the block
+	for j, kind := range kinds {
+		if cnt == nil || cnt[j] < k {
+			switch kind {
+			case planeBase:
+				ps.Base++
+			case planeCross:
+				crossing = append(crossing, geom.NewUnitHyperplane(normals[c:c+d:c+d], m))
+			}
+			m++
+		}
+		if kind == planeCross {
+			c += d
+		}
+	}
+	ps.Crossing = crossing
+	return ps
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -320,18 +321,77 @@ func TestBatchPlaneStoreLifetimes(t *testing.T) {
 }
 
 // planeSetDiff describes how got differs from want — base count, crossing
-// count, or a crossing plane's ID or normal — or returns "" when they are
-// equal.
+// count, or a crossing plane's whole header (ID, normal, tangent norm and
+// mean offset, bit for bit) — or returns "" when they are equal.
 func planeSetDiff(got, want PlaneSet) string {
 	if got.Base != want.Base || len(got.Crossing) != len(want.Crossing) {
 		return fmt.Sprintf("base=%d planes=%d, want base=%d planes=%d", got.Base, len(got.Crossing), want.Base, len(want.Crossing))
 	}
 	for i, h := range want.Crossing {
-		if g := got.Crossing[i]; g.ID != h.ID || !g.Normal.Equal(h.Normal, 0) {
-			return fmt.Sprintf("plane %d = (%d, %v), want (%d, %v)", i, g.ID, g.Normal, h.ID, h.Normal)
+		if g := got.Crossing[i]; !reflect.DeepEqual(g, h) {
+			return fmt.Sprintf("plane %d = %#v, want %#v", i, g, h)
 		}
 	}
 	return ""
+}
+
+// Every lookup a plane group answers goes through the one narrowing walk,
+// which rebuilds the headers from the group's unit normals. Once a group is
+// built at kmax = 8, the set served for every k from 1 to 8 equals
+// buildPlanes over that k-band, header for header and bit for bit — at
+// k = kmax, where the walk keeps the whole band, as below it. A
+// prefilter-off Prepared runs every k at rank 0, over a band without
+// counts, so its one group serves every k the whole dataset.
+func TestPlaneGroupServesEveryRank(t *testing.T) {
+	const kmax = 8
+	rng := rand.New(rand.NewSource(12))
+	pts, q := randomInstance(rng, 300, 3)
+	plain, err := Prepare(pts, 3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tally := &PlaneCounters{}
+	preps := []struct {
+		name string
+		prep *Prepared
+		rank int // the group's rank
+	}{
+		{"counted", PrepareCounted(pts, 3, skyband.DominatorCounts(pts), tally), kmax},
+		{"prefilter-off", &Prepared{dim: 3, bands: plain.bands, store: newPlaneStore(plain.bands, tally)}, 0},
+	}
+	for _, tc := range preps {
+		tally.Hits.Store(0)
+		tally.Misses.Store(0)
+		wide := q
+		wide.K = kmax
+		// The key's first lookup only records it; the second builds its
+		// group.
+		for range 2 {
+			tc.prep.planes(wide, &Arena{}, nil)
+		}
+		if g := tc.prep.store.groups[string(groupKey(nil, q))]; g == nil || g.kmax != tc.rank {
+			t.Fatalf("%s: no plane group at rank %d after two lookups", tc.name, tc.rank)
+		}
+		sizes := map[int]bool{}
+		for k := 1; k <= kmax; k++ {
+			qk := q
+			qk.K = k
+			want := buildPlanes(tc.prep.PointsFor(k), qk, &Arena{})
+			if len(want.Crossing) == 0 {
+				t.Fatalf("%s: k=%d has no crossing planes; test is vacuous", tc.name, k)
+			}
+			sizes[len(want.Crossing)] = true
+			if diff := planeSetDiff(tc.prep.planes(qk, &Arena{}, nil), want); diff != "" {
+				t.Fatalf("%s: k=%d: served %s", tc.name, k, diff)
+			}
+		}
+		if tc.rank > 0 && len(sizes) < 3 {
+			t.Fatalf("%s: only %d distinct band sizes over k = 1..%d; the narrowing is untested", tc.name, len(sizes), kmax)
+		}
+		if h, m := tally.Hits.Load(), tally.Misses.Load(); h != kmax || m != 2 {
+			t.Errorf("%s: hits/misses = %d/%d, want %d/2", tc.name, h, m, kmax)
+		}
+	}
 }
 
 // A snapshot that never sees a (point, ε) twice keeps no plane group:
@@ -369,7 +429,7 @@ func TestPlaneStoreConcurrentFirstSightings(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		tally := &PlaneCounters{}
 		prep := PrepareCounted(pts, 3, dom, tally)
-		want, _ := buildPlanes(prep.PointsFor(q.K), q, &Arena{})
+		want := buildPlanes(prep.PointsFor(q.K), q, &Arena{})
 		if len(want.Crossing) == 0 {
 			t.Fatal("instance produced no crossing planes; test is vacuous")
 		}

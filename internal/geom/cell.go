@@ -139,6 +139,13 @@ func (s *Slab) Bytes() int {
 		8*(cap(s.vals)+cap(s.fresh.pts)+cap(s.fresh.spans)) + 4*cap(s.fresh.ids)
 }
 
+// Used returns the bytes of cell storage built into the slab since its last
+// Reset: what the cells built since then take, whatever capacity earlier
+// use left it. The split scratch is not counted.
+func (s *Slab) Used() int {
+	return s.floats.Used() + s.ints.Used() + s.facets.Used() + s.cons.Used() + s.cells.Used()
+}
+
 // reserve makes room for cells cells with verts extreme points, members
 // tight-set members, facets facet slots and records constraint records in
 // total, so they are carved from one chunk per pile.

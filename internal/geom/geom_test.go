@@ -3,16 +3,17 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 
 	"rrq/internal/vec"
 )
 
-// Plane groups and cached regions hold one Hyperplane header per plane and
-// one consList record per constraint, so their sizes are pinned: the
-// normal's slice header, the ID and two float64s, and a Constraint plus two
-// pointers (64-bit words).
+// Every served plane set holds one Hyperplane header per plane and cached
+// regions one consList record per constraint, so their sizes are pinned:
+// the normal's slice header, the ID and two float64s, and a Constraint plus
+// two pointers (64-bit words).
 func TestHyperplaneSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit words")
@@ -38,6 +39,29 @@ func TestNewHyperplaneUnit(t *testing.T) {
 	}
 	if h.Side(vec.Of(4, -3)) != SideOn {
 		t.Error("(4,-3) should be on the plane")
+	}
+}
+
+// A header rebuilt from a stored unit normal is bit-identical to the one
+// NewHyperplane built from the raw normal, tangent norm and mean offset
+// included, and wraps the stored normal without copying it.
+func TestNewUnitHyperplaneMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 200; trial++ {
+		w := vec.New(2 + trial%4)
+		for i := range w {
+			w[i] = rng.Float64() - 0.3
+		}
+		want := NewHyperplane(w, trial)
+		unit := vec.New(w.Dim())
+		NormalizeInto(unit, w)
+		got := NewUnitHyperplane(unit, trial)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: rebuilt %#v, want %#v", trial, got, want)
+		}
+		if &got.Normal[0] != &unit[0] {
+			t.Fatalf("trial %d: the header copied its unit normal", trial)
+		}
 	}
 }
 

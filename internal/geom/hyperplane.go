@@ -54,13 +54,15 @@ type Hyperplane struct {
 // on a zero normal; callers must filter degenerate planes (q = (1−ε)p)
 // before construction.
 func NewHyperplane(normal vec.Vec, id int) Hyperplane {
-	return NewHyperplaneInto(vec.New(normal.Dim()), normal, id)
+	unit := vec.New(normal.Dim())
+	NormalizeInto(unit, normal)
+	return NewUnitHyperplane(unit, id)
 }
 
-// NewHyperplaneInto is NewHyperplane with caller-provided storage for the
-// unit normal: dst must have length normal.Dim() and may come from a reused
-// arena block, or alias normal itself to normalize it in place.
-func NewHyperplaneInto(dst, normal vec.Vec, id int) Hyperplane {
+// NormalizeInto writes normal/‖normal‖ into dst, which must have length
+// normal.Dim() and may alias normal to normalize it in place. It panics on
+// a zero normal, like NewHyperplane.
+func NormalizeInto(dst, normal vec.Vec) {
 	n := normal.Norm()
 	if n < vec.Eps {
 		panic("geom: hyperplane with zero normal")
@@ -69,14 +71,21 @@ func NewHyperplaneInto(dst, normal vec.Vec, id int) Hyperplane {
 	for i, x := range normal {
 		dst[i] = x * s
 	}
-	m := dst.Mean()
+}
+
+// NewUnitHyperplane wraps a normal that is already unit-length (as
+// NormalizeInto leaves it) without copying it, so the header aliases the
+// caller's storage. NewHyperplane ends in it too, so a header rebuilt here
+// from a stored unit normal is bit-identical to the one NewHyperplane built.
+func NewUnitHyperplane(unit vec.Vec, id int) Hyperplane {
+	m := unit.Mean()
 	var tn float64
-	for _, x := range dst {
+	for _, x := range unit {
 		d := x - m
 		tn += d * d
 	}
 	return Hyperplane{
-		Normal:      dst,
+		Normal:      unit,
 		ID:          id,
 		tangentNorm: math.Sqrt(tn),
 		offsetMean:  m,

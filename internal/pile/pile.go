@@ -82,12 +82,24 @@ func (p *Pile[T]) Reset() {
 	p.cur = 0
 }
 
-// Bytes returns the capacity of every chunk, in bytes.
+// Bytes returns the capacity of every chunk, in bytes: what the Pile pins,
+// which depends on every Take since it was made.
 func (p *Pile[T]) Bytes() int {
 	var zero T
 	n := 0
 	for i := 0; i <= len(p.more); i++ {
 		n += cap(*p.chunk(i))
+	}
+	return n * int(unsafe.Sizeof(zero))
+}
+
+// Used returns the bytes handed out by Take since the last Reset, which
+// depends on those Takes alone, not on the chunks earlier use left behind.
+func (p *Pile[T]) Used() int {
+	var zero T
+	n := 0
+	for i := 0; i <= len(p.more); i++ {
+		n += len(*p.chunk(i))
 	}
 	return n * int(unsafe.Sizeof(zero))
 }

@@ -68,3 +68,28 @@ func TestRunsStayPut(t *testing.T) {
 		t.Fatal("the first run moved when the Pile grew")
 	}
 }
+
+// Used counts what Take handed out since the last Reset, whatever capacity
+// the Pile kept from earlier use; Bytes counts that capacity.
+func TestUsedIgnoresHistory(t *testing.T) {
+	take := func(p *Pile[int64]) {
+		for i := 0; i < 50; i++ {
+			p.Take(1 + i%3)
+		}
+	}
+	var fresh, grown Pile[int64]
+	take(&fresh)
+	grown.Take(10000)
+	grown.Reset()
+	take(&grown)
+	if fresh.Used() != 8*99 || grown.Used() != fresh.Used() {
+		t.Fatalf("Used = %d fresh, %d grown, want %d both", fresh.Used(), grown.Used(), 8*99)
+	}
+	if grown.Bytes() <= fresh.Bytes() {
+		t.Fatalf("grown Pile holds %d bytes, fresh %d: want more", grown.Bytes(), fresh.Bytes())
+	}
+	grown.Reset()
+	if grown.Used() != 0 {
+		t.Fatalf("Used = %d after Reset, want 0", grown.Used())
+	}
+}
