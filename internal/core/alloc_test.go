@@ -9,12 +9,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
 	"rrq/internal/dataset"
+	"rrq/internal/geom"
 	"rrq/internal/skyband"
 	"rrq/internal/vec"
 )
@@ -358,3 +360,110 @@ func benchBatch(b *testing.B, share bool) {
 
 func BenchmarkBatchShared(b *testing.B)      { benchBatch(b, true) }
 func BenchmarkBatchIndependent(b *testing.B) { benchBatch(b, false) }
+
+// An E-PT answer holds exactly its cells, their vertex and center floats,
+// one record per distinct constraint prefix and one header and unit normal
+// per distinct plane: no tight sets, facets or packed-normal blocks. Every
+// byte reachable from the answer's cells is counted by reflection and must
+// equal cells·sizeof(Cell) + floats·8 + records·sizeof(record) +
+// planes·(sizeof(Hyperplane) + 8d). A warm solve allocates no more than
+// compacting its answer and wrapping it in a region do.
+func TestEPTAnswerFootprint(t *testing.T) {
+	cellT := reflect.TypeOf(geom.Cell{})
+	recField, _ := cellT.FieldByName("cons")
+	recSize := int(recField.Type.Elem().Size())
+	hdrSize := int(reflect.TypeOf(geom.Hyperplane{}).Size())
+	for _, d := range []int{3, 4} {
+		pts := dataset.Generate(dataset.Independent, 400, d, int64(d)+11)
+		prep, err := Prepare(pts, d, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		a := &Arena{}
+		solve := func(q Query) *Region {
+			r, _, err := eptSolve(ctx, prep, q, EPTOptions{}, a)
+			a.ept.reset()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		var q Query
+		most := 0
+		for _, c := range competitiveQueries(rand.New(rand.NewSource(int64(d))), pts, 32) {
+			if n := solve(c).NumPieces(); n > most {
+				q, most = c, n
+			}
+		}
+		if most < 8 {
+			t.Fatalf("d=%d: the largest answer has %d cells; test is vacuous", d, most)
+		}
+		r := solve(q)
+
+		floats := 0
+		prefixes := map[string]bool{}
+		planes := map[int]bool{}
+		for _, c := range r.Cells() {
+			floats += (c.NumVertices() + 1) * d
+			key := ""
+			c.EachConstraint(func(con geom.Constraint) {
+				key += fmt.Sprintf("%d%+d,", con.H.ID, con.Sign)
+				prefixes[key] = true
+				planes[con.H.ID] = true
+			})
+		}
+		want := len(r.Cells())*int(cellT.Size()) + 8*floats + len(prefixes)*recSize + len(planes)*(hdrSize+8*d)
+		held := 0
+		seen := map[heldKey]bool{}
+		for _, c := range r.Cells() {
+			held += heldBytes(reflect.ValueOf(c), seen)
+		}
+		if held != want {
+			t.Errorf("d=%d: an answer of %d cells, %d floats, %d records and %d planes holds %d bytes, want %d",
+				d, len(r.Cells()), floats, len(prefixes), len(planes), held, want)
+		}
+
+		got := testing.AllocsPerRun(20, func() { solve(q) })
+		cells := r.Cells()
+		base := testing.AllocsPerRun(20, func() { r = NewDisjointCellRegion(d, geom.Compact(cells)) })
+		if got != base {
+			t.Errorf("d=%d: a warm solve allocates %.1f, compacting its answer into a region %.1f", d, got, base)
+		}
+	}
+}
+
+type heldKey struct {
+	addr uintptr
+	typ  reflect.Type
+}
+
+// heldBytes sums the sizes of the objects and slice backings reachable
+// from v that seen does not hold yet, adding them to seen.
+func heldBytes(v reflect.Value, seen map[heldKey]bool) int {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[heldKey{v.Pointer(), v.Type()}] {
+			return 0
+		}
+		seen[heldKey{v.Pointer(), v.Type()}] = true
+		return int(v.Type().Elem().Size()) + heldBytes(v.Elem(), seen)
+	case reflect.Slice:
+		if v.IsNil() || seen[heldKey{v.Pointer(), v.Type()}] {
+			return 0
+		}
+		seen[heldKey{v.Pointer(), v.Type()}] = true
+		n := v.Cap() * int(v.Type().Elem().Size())
+		for i := 0; i < v.Len(); i++ {
+			n += heldBytes(v.Index(i), seen)
+		}
+		return n
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			n += heldBytes(v.Field(i), seen)
+		}
+		return n
+	}
+	return 0
+}

@@ -12,17 +12,18 @@ import (
 // pre-phase needs — the per-point classes, flat unit-normal block and
 // plane headers of plane construction (the headers also for a set a plane
 // group serves), the reduction's dominance counter, negated-normal and
-// ordering buffers, the sweep's crossing-parameter and event buffers — and
-// the slabs E-PT builds its partition tree in (cells, nodes and lazy plane
-// lists) live here.
+// ordering buffers, the block E-PT packs its surviving normals into, the
+// sweep's crossing-parameter and event buffers — and the slabs E-PT builds
+// its partition tree in (cells, nodes and lazy plane lists) live here.
 // Every solve takes one from arenaPool for its whole duration and returns
 // it when the solve returns, so a warmed-up arena runs the plane phase and
 // E-PT's tree refinement without allocating.
 //
-// The contract: nothing a solve returns may alias its arena. E-PT repacks
-// the surviving normals into heap storage (PackNormals) before any tree
-// node can retain them and compacts its answer's cells out of its slabs
-// (geom.Compact); Sweeping copies its merged intervals out. Callers that
+// The contract: nothing a solve returns may alias its arena. E-PT's tree
+// records point at plane headers in the arena, whose normals it packs into
+// the arena too (PackNormals); at collect time geom.Compact copies the
+// answer's cells out of the slabs with one header and normal per plane
+// they keep. Sweeping copies its merged intervals out. Callers that
 // keep what they build — a plane group's build, and every solver whose
 // answer keeps the plane normals (Prepared.Planes: A-PC, brute force,
 // LP-CTA) — pass a fresh zero Arena instead, whose buffers they then own.
@@ -38,7 +39,8 @@ type Arena struct {
 	normals []float64         // flat unit-normal backing, stride d
 	planes  []geom.Hyperplane // crossing-plane headers, every served set's
 
-	// E-PT plane reduction and ordering (reduceAndOrderPlanesOpt).
+	// E-PT plane reduction and ordering (reduceAndOrderPlanesOpt), and the
+	// inserted planes' packed normals (PackNormals).
 	units   []vec.Vec
 	dom     skyband.Counter
 	keep    []int
@@ -46,9 +48,11 @@ type Arena struct {
 	w       []int
 	order   []int
 	ordered []geom.Hyperplane
+	packed  []float64
 
-	// E-PT partition tree (eptSolve): the tree's slab and the qualified
-	// leaves before compaction.
+	// E-PT partition tree (eptSolve): the solve's checker, the tree's slab
+	// and the qualified leaves before compaction.
+	check  CtxChecker
 	ept    eptSlab
 	leaves []*geom.Cell
 
@@ -85,8 +89,8 @@ var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
 // demanding kept solve grew it to, and a pile grows by doubling — so it
 // can hold up to about twice the bound. Served traffic stays well inside
 // it — the largest slabs measured were 0.7 MB on 3-d queries and 2.0 MB on
-// d = 4, n = 5000 queries — while 5-d trees reach 8–32 MB and are dropped
-// rather than held by every pooled arena.
+// d = 4, n = 5000 queries — while the largest 5-d trees build 8–32 MB and
+// are dropped rather than held by every pooled arena.
 const maxPooledSlabBytes = 4 << 20
 
 func getArena() *Arena { return arenaPool.Get().(*Arena) }

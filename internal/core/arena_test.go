@@ -22,7 +22,13 @@ import (
 // plane normals (brute force, A-PC, LP-CTA) take them from
 // Prepared.Planes, never the pool. E-PT builds its whole tree in the
 // arena's slab, so its slab row requires real splits and catches a leaf
-// that escaped compaction.
+// that escaped compaction. Its tree's records point at plane headers in
+// the arena, whose normals are packed into an arena block, so the E-PT
+// rows run their first round on one arena of their own, grown beforehand
+// by the same queries: each later solve then rewrites the headers and the
+// packed block in place, as does a last serial round on that arena after
+// the concurrent one, before the kept regions are re-encoded. An answer
+// that kept a header or normal of the arena's changes bytes.
 func TestPooledArenaNotRetained(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -63,11 +69,24 @@ func TestPooledArenaNotRetained(t *testing.T) {
 				queries := core.CompetitiveQueries(rng, pts, 64)
 				pol := core.SolvePolicy{Solver: tc.solver}
 				ctx := context.Background()
+				solve := func(q core.Query, i int) (*core.Region, core.Stats, error) { return pol.Solve(ctx, prep, q, i) }
+				_, ept := tc.solver.(core.EPTSolver)
+				if ept {
+					a := new(core.Arena)
+					solve = func(q core.Query, _ int) (*core.Region, core.Stats, error) {
+						return core.SolveEPTIn(ctx, prep, q, a)
+					}
+					for i, q := range queries {
+						if _, _, err := solve(q, i); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
 				regions := make([]*core.Region, len(queries))
 				kept := make([][]byte, len(queries))
 				nonEmpty, splits := 0, 0
 				for i, q := range queries {
-					r, st, err := pol.Solve(ctx, prep, q, i)
+					r, st, err := solve(q, i)
 					if err != nil {
 						t.Fatalf("query %d: %v", i, err)
 					}
@@ -107,6 +126,13 @@ func TestPooledArenaNotRetained(t *testing.T) {
 				close(errs)
 				for err := range errs {
 					t.Fatal(err)
+				}
+				if ept {
+					for j, q := range more {
+						if _, _, err := solve(q, j); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
 
 				// A pooled arena's slabs are zeroed when its solve returns,

@@ -56,7 +56,15 @@ type CtxChecker struct {
 // budget (ContextWithWorkBudget) or fault injector carried by ctx is
 // captured once here, so the hot path pays one nil-check per facility.
 func NewCtxChecker(ctx context.Context, mask uint32) *CtxChecker {
-	c := &CtxChecker{
+	c := new(CtxChecker)
+	c.reset(ctx, mask)
+	return c
+}
+
+// reset makes c the checker NewCtxChecker(ctx, mask) returns, so a solve
+// can keep its checker in its Arena.
+func (c *CtxChecker) reset(ctx context.Context, mask uint32) {
+	*c = CtxChecker{
 		reg:    obs.RegistryFrom(ctx),
 		meter:  meterFrom(ctx),
 		faults: faultinject.From(ctx),
@@ -66,7 +74,6 @@ func NewCtxChecker(ctx context.Context, mask uint32) *CtxChecker {
 		c.ctx = ctx
 		c.err = ctx.Err()
 	}
-	return c
 }
 
 // SetFaultKey binds the query point used to match scoped faults fired

@@ -102,11 +102,14 @@ func (s EPTSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*Region,
 // eptSolve is the E-PT body, run in the scratch arena a. The plane set's
 // headers are a's own, so the reduction and PackNormals may reorder and
 // rebind them in place; its normals may be a plane group's, and are only
-// read.
+// read. The tree's constraint records point at these headers, which stay
+// in a for the whole solve; the answer's cells are compacted out of a with
+// their own copy of each plane they keep.
 func eptSolve(ctx context.Context, prep *Prepared, q Query, opt EPTOptions, a *Arena) (*Region, Stats, error) {
 	var st Stats
 	d := q.Q.Dim()
-	check := NewCtxChecker(ctx, 0xfff)
+	check := &a.check
+	check.reset(ctx, 0xfff)
 	check.SetFaultKey(q.Q)
 	if check.Failed() {
 		return nil, st, check.Err()
@@ -128,25 +131,26 @@ func eptSolve(ctx context.Context, prep *Prepared, q Query, opt EPTOptions, a *A
 			return nil, st, check.Err()
 		}
 	}
-	// Repack the surviving normals into one flat block: every relation test
-	// of the insert phase streams over these, and after the reduction the
-	// per-plane normals are scattered across the heap.
-	geom.PackNormals(planes)
+	// Repack the surviving normals into one flat block of the arena: every
+	// relation test of the insert phase streams over these, and after the
+	// reduction the per-plane normals are scattered.
+	geom.PackNormals(planes, grow(&a.packed, len(planes)*d))
 	st.PlanesInserted = len(planes)
 	planePhase()
 
 	insertPhase := check.Phase("phase.ept.insert")
 	defer insertPhase()
-	t := &eptTree{planes: planes, k: k, eager: opt.NoLazySplit, stats: &st, check: check, slab: &a.ept}
+	st.NodesCreated++
+	t := &eptTree{planes: planes, k: k, eager: opt.NoLazySplit, stats: st, check: check, slab: &a.ept}
 	t.root = a.ept.node()
 	t.root.cell = geom.NewSimplexIn(d, &a.ept.cells)
-	st.NodesCreated++
 	for i := range planes {
 		t.insert(t.root, int32(i))
 		if check.Failed() {
-			return nil, st, check.Err()
+			return nil, t.stats, check.Err()
 		}
 	}
+	st = t.stats
 	insertPhase()
 
 	collectPhase := check.Phase("phase.ept.collect")
@@ -157,8 +161,9 @@ func eptSolve(ctx context.Context, prep *Prepared, q Query, opt EPTOptions, a *A
 	if len(leaves) == 0 {
 		return EmptyRegion(d), st, nil
 	}
-	// The leaves live in the arena's slabs, which the next solve reuses:
-	// the answer takes copies of its own.
+	// The leaves, their planes and the planes' packed normals live in the
+	// arena, which the next solve reuses: the answer takes copies of its
+	// own.
 	cells := geom.Compact(leaves)
 	clear(leaves)
 	return NewDisjointCellRegion(d, cells), st, nil
@@ -174,8 +179,8 @@ func eptSolve(ctx context.Context, prep *Prepared, q Query, opt EPTOptions, a *A
 // is redundant: the reduction is the k-skyband of the negated unit normals.
 //
 // Every working buffer is drawn from the solve's arena; the returned slice
-// aliases arena memory and is consumed (repacked by PackNormals, copied
-// into tree nodes) before the solve returns.
+// aliases arena memory, and the tree's records point into it until the
+// answer is compacted.
 //
 // Both counts — the normals each normal dominates, for the reduction, and
 // the normals dominating it, W(h), for the order — come from the arena's
@@ -299,8 +304,8 @@ type eptTree struct {
 	root   *eptNode
 	planes []geom.Hyperplane // in insertion order; lazy lists index it
 	k      int
-	eager  bool // ablation: split on every crossing plane immediately
-	stats  *Stats
+	eager  bool  // ablation: split on every crossing plane immediately
+	stats  Stats // a value, so the solve's Stats stay off the heap
 	check  *CtxChecker
 	slab   *eptSlab
 }
@@ -379,7 +384,7 @@ func (t *eptTree) lazySplit(n *eptNode) {
 			t.check.fail(err)
 			return
 		}
-		h := t.planes[n.lazy[0]]
+		h := &t.planes[n.lazy[0]]
 		n.lazy = n.lazy[1:]
 		neg, pos := n.cell.SplitInto(h, &t.slab.cells)
 		switch {

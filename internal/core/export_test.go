@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 
 	"rrq/internal/dataset"
@@ -26,3 +27,11 @@ func competitiveQueries(rng *rand.Rand, pts []vec.Vec, n int) []Query {
 // tests, which run the baseline solvers too and so cannot live in package
 // core.
 var CompetitiveQueries = competitiveQueries
+
+// SolveEPTIn runs an E-PT solve in the arena a, which the caller keeps
+// instead of drawing one from the pool, and resets a's slab as returning
+// it to the pool does.
+func SolveEPTIn(ctx context.Context, prep *Prepared, q Query, a *Arena) (*Region, Stats, error) {
+	defer a.ept.reset()
+	return eptSolve(ctx, prep, q, EPTOptions{}, a)
+}

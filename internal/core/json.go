@@ -46,12 +46,17 @@ func (r *Region) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil) }
 
 // AppendJSON appends the region's JSON encoding to b and returns the
 // extended buffer. The bytes are those encoding/json writes for the wire
-// form, float formatting included, and it allocates only when b runs out
-// of room. A NaN or infinite coordinate fails with the
+// form, float formatting included. A b without room for the encoding's
+// upper bound (jsonBound) is grown to it once, up front; a b with room
+// costs no allocation. A NaN or infinite coordinate fails with the
 // *json.UnsupportedValueError encoding/json reports, and b is returned
 // unextended.
 func (r *Region) AppendJSON(b []byte) ([]byte, error) {
 	a := jsonAppender{b: b}
+	if n := r.jsonBound(); cap(b)-len(b) < n {
+		a.b = make([]byte, len(b), len(b)+n)
+		copy(a.b, b)
+	}
 	a.b = append(a.b, `{"dim":`...)
 	a.b = strconv.AppendInt(a.b, int64(r.dim), 10)
 	if len(r.intervals) > 0 {
@@ -79,6 +84,29 @@ func (r *Region) AppendJSON(b []byte) ([]byte, error) {
 		return b, a.err
 	}
 	return a.b, nil
+}
+
+// maxFloatJSON bounds the bytes float writes for one finite float64: a
+// sign, "0.00000" and 17 significant digits for |x| just above 1e-6, the
+// longest 'f' form, against at most 24 for any 'e' form.
+const maxFloatJSON = 25
+
+// jsonBound returns an upper bound on the length of r's encoding, from its
+// counts of intervals, cells, constraints and vertices.
+func (r *Region) jsonBound() int {
+	const (
+		head       = len(`{"dim":,"intervals":[],"cells":[]}`) + 20 // and the dim's digits
+		interval   = len(`[,],`) + 2*maxFloatJSON
+		cell       = len(`{"constraints":[],"vertices":[]},`)
+		constraint = len(`{"normal":[],"sign":-1},`)
+		vertex     = len(`[],`)
+	)
+	perFloat := maxFloatJSON + len(",")
+	n := head + len(r.intervals)*interval
+	for _, c := range r.cells {
+		n += cell + c.NumConstraints()*(constraint+r.dim*perFloat) + c.NumVertices()*(vertex+r.dim*perFloat)
+	}
+	return n
 }
 
 // jsonAppender accumulates one encoding and its first error.

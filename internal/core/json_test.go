@@ -268,6 +268,33 @@ func wideRegion(t *testing.T, d int) *Region {
 	return reg
 }
 
+// Into a buffer short of room, encoding a region grows it once, to the
+// bound jsonBound computes, which the encoding never exceeds: also for
+// floats of the longest forms.
+func TestRegionAppendJSONGrowsOnce(t *testing.T) {
+	long := []float64{-1.2345678901234567e-6, -1.2345678901234567e-300, -9.876543210987654e20, math.SmallestNonzeroFloat64}
+	for _, d := range []int{2, 3, 4} {
+		regs := []*Region{NewIntervalRegion([][2]float64{{long[0], long[1]}, {long[2], long[3]}})}
+		if d > 2 {
+			regs = []*Region{wideRegion(t, d)}
+		}
+		for _, reg := range regs {
+			for _, prefix := range [][]byte{nil, []byte(`{"version":1,"region":`)} {
+				var out []byte
+				allocs := testing.AllocsPerRun(20, func() {
+					out, _ = reg.AppendJSON(prefix[:len(prefix):len(prefix)])
+				})
+				if allocs != 1 {
+					t.Errorf("d=%d: AppendJSON into a full buffer allocates %.1f, want 1", d, allocs)
+				}
+				if n := len(out) - len(prefix); n > reg.jsonBound() {
+					t.Errorf("d=%d: encoding of %d bytes exceeds its bound %d", d, n, reg.jsonBound())
+				}
+			}
+		}
+	}
+}
+
 // Into a buffer with room, encoding a region allocates nothing: no
 // constraint or vertex list is copied and no reflection runs.
 func TestRegionAppendJSONZeroAlloc(t *testing.T) {

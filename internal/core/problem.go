@@ -308,7 +308,8 @@ func QualifiedAt(pts []vec.Vec, q Query, u vec.Vec) bool {
 // solvers. The normals may be shared — a plane group serves the same unit
 // normals to any number of concurrent queries — and are read-only; the
 // headers are the caller's, built into its Arena for each lookup, so a
-// solver may reorder the slice and rebind its entries (PackNormals).
+// solver may reorder the slice and rebind its entries to normals of its
+// own (PackNormals, which packs E-PT's into the Arena).
 type PlaneSet struct {
 	Crossing []geom.Hyperplane // planes whose negative half-space cuts U properly
 	Base     int               // planes whose negative half-space covers all of U
@@ -371,9 +372,9 @@ func classifyPlane(q, p vec.Vec, scale float64) planeKind {
 // It is classifyPlanes followed by narrow over every point: the kinds, the
 // unit-normal block and the headers live in a's buffers, which grow to
 // exact size when too small. On a solve's pooled arena the result is valid
-// only until the solve returns (E-PT repacks surviving normals into fresh
-// heap storage with PackNormals before any tree node can retain them, and
-// Sweeping only reads the normals during its window scan); on a fresh zero
+// only until the solve returns (E-PT's answer keeps copies of the planes
+// it needs, made by geom.Compact, and Sweeping only reads the normals
+// during its window scan); on a fresh zero
 // arena it is three exact-size allocations the caller owns, whatever the
 // number of crossings.
 func buildPlanes(pts []vec.Vec, q Query, a *Arena) PlaneSet {

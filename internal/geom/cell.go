@@ -48,13 +48,18 @@ func (c Constraint) Satisfied(u vec.Vec) bool {
 
 // consList is one record of a persistent constraint chain: children built
 // by a split point at their parent's chain, so adding a constraint is O(1)
-// regardless of depth. Records live in slabs and are immutable once
-// written, which makes the sharing safe.
+// regardless of depth. A record names its plane by pointer, so every
+// record of one plane shares one header. Records live in slabs and are
+// immutable once written, which makes the sharing safe.
 type consList struct {
-	con  Constraint
+	h    *Hyperplane
+	sign int
 	prev *consList
 	fwd  *consList // Compact's forwarding address; nil outside Compact
 }
+
+// con returns the record's constraint.
+func (r *consList) con() Constraint { return Constraint{H: *r.h, Sign: r.sign} }
 
 // Cell is a convex partition of the utility simplex: the intersection of U
 // with its constraint half-spaces. Extreme points are maintained
@@ -69,7 +74,10 @@ type consList struct {
 // pointers to records of its own constraint chain. NewSimplex, Split and
 // Clip build into a fresh slab of exactly the size they need, owned by the
 // returned cells alone; NewSimplexIn and SplitInto build into a slab the
-// caller owns and may reuse, and Compact copies cells out of one.
+// caller owns and may reuse, and Compact copies cells out of one. The
+// tight sets and facets are split state: only a split reads them, so a
+// compacted cell has none and cannot be split, while every read —
+// Contains, Relation, vertices, constraints, spheres, String — works on it.
 type Cell struct {
 	dim int
 	nv  int // maintained extreme points
@@ -77,7 +85,8 @@ type Cell struct {
 	// slots for the sphere center.
 	pts []float64
 	// tight holds nv+1 offsets into itself, then the vertices' tight sets:
-	// vertex i's set is tight[tight[i]:tight[i+1]].
+	// vertex i's set is tight[tight[i]:tight[i+1]]. It is nil exactly in a
+	// compacted cell.
 	tight []int32
 	cons  *consList
 	nCons int
@@ -98,13 +107,17 @@ type Cell struct {
 }
 
 // Slab is flat storage for cells: every vertex coordinate, tight set,
-// facet list, constraint record and Cell value of the cells built into it
-// is carved from one pile per kind, and the split kernel's scratch buffers
-// live beside them. A slab grows in chunks that never move, so cells built
-// into it stay valid while it grows, and Reset recycles all of it at once.
-// A solver that refines many short-lived cells builds them in one reused
-// slab and Compacts the cells it answers with; a cell whose lifetime the
-// caller does not control must never live in a slab that is Reset.
+// facet list, constraint record, plane header and Cell value of the cells
+// built into it is carved from one pile per kind, and the split kernel's
+// scratch buffers live beside them. A slab holds the headers its own
+// records point at — the copies Split and Clip take of their plane, and
+// Compact's one header and unit normal per distinct plane — but not those
+// of SplitInto, which stay the caller's. A slab grows in chunks that never
+// move, so cells built into it stay valid while it grows, and Reset
+// recycles all of it at once. A solver that refines many short-lived cells
+// builds them in one reused slab and Compacts the cells it answers with; a
+// cell whose lifetime the caller does not control must never live in a
+// slab that is Reset.
 //
 // A Slab is not safe for concurrent use: each goroutine that splits needs
 // a slab of its own. Cells built into a slab may be read, and split into
@@ -115,6 +128,7 @@ type Slab struct {
 	ints   pile.Pile[int32]
 	facets pile.Pile[*consList]
 	cons   pile.Pile[consList]
+	planes pile.Pile[Hyperplane]
 	cells  pile.Pile[Cell]
 
 	// Split scratch: the parent's per-vertex plane offsets, and the new
@@ -130,12 +144,13 @@ func (s *Slab) Reset() {
 	s.ints.Reset()
 	s.facets.Reset()
 	s.cons.Reset()
+	s.planes.Reset()
 	s.cells.Reset()
 }
 
 // Bytes returns the slab's storage capacity in bytes.
 func (s *Slab) Bytes() int {
-	return s.floats.Bytes() + s.ints.Bytes() + s.facets.Bytes() + s.cons.Bytes() + s.cells.Bytes() +
+	return s.floats.Bytes() + s.ints.Bytes() + s.facets.Bytes() + s.cons.Bytes() + s.planes.Bytes() + s.cells.Bytes() +
 		8*(cap(s.vals)+cap(s.fresh.pts)+cap(s.fresh.spans)) + 4*cap(s.fresh.ids)
 }
 
@@ -143,7 +158,14 @@ func (s *Slab) Bytes() int {
 // Reset: what the cells built since then take, whatever capacity earlier
 // use left it. The split scratch is not counted.
 func (s *Slab) Used() int {
-	return s.floats.Used() + s.ints.Used() + s.facets.Used() + s.cons.Used() + s.cells.Used()
+	return s.floats.Used() + s.ints.Used() + s.facets.Used() + s.cons.Used() + s.planes.Used() + s.cells.Used()
+}
+
+// plane copies h into the slab, for the records of a split by value.
+func (s *Slab) plane(h Hyperplane) *Hyperplane {
+	p := &s.planes.Take(1)[0]
+	*p = h
+	return p
 }
 
 // reserve makes room for cells cells with verts extreme points, members
@@ -196,6 +218,9 @@ func NewSimplexIn(d int, s *Slab) *Cell {
 // Dim returns the ambient dimension d.
 func (c *Cell) Dim() int { return c.dim }
 
+// NumConstraints returns the number of cut constraints.
+func (c *Cell) NumConstraints() int { return c.nCons }
+
 // Constraints returns the cut constraints defining the cell (excluding the
 // simplex bounds), in insertion order.
 func (c *Cell) Constraints() []Constraint {
@@ -203,7 +228,7 @@ func (c *Cell) Constraints() []Constraint {
 	i := c.nCons
 	for n := c.cons; n != nil; n = n.prev {
 		i--
-		out[i] = n.con
+		out[i] = n.con()
 	}
 	return out
 }
@@ -220,7 +245,7 @@ func (l *consList) each(fn func(Constraint)) {
 		return
 	}
 	l.prev.each(fn)
-	fn(l.con)
+	fn(l.con())
 }
 
 // NumVertices returns the number of maintained extreme points (possibly a
@@ -260,7 +285,7 @@ func (c *Cell) anyTight(id int32) bool {
 // constraint of the cell, boundary inclusive.
 func (c *Cell) Contains(u vec.Vec) bool {
 	for n := c.cons; n != nil; n = n.prev {
-		if !n.con.Satisfied(u) {
+		if !(float64(n.sign)*n.h.Eval(u) >= -Tol) { // Constraint.Satisfied, so NaN fails
 			return false
 		}
 	}
@@ -323,7 +348,7 @@ func (c *Cell) computeSpheres() {
 		}
 	}
 	for _, f := range c.facets {
-		d := math.Abs(f.con.H.AffineDist(ctr))
+		d := math.Abs(f.h.AffineDist(ctr))
 		if d < inner {
 			inner = d
 		}
@@ -380,13 +405,19 @@ func (c *Cell) vertexRelation(h Hyperplane) Relation {
 // Split cuts the cell by h into its negative and positive parts. Either
 // side may be nil when it is empty or lower-dimensional (a sliver with no
 // strictly-sided vertex). The caller should normally only invoke Split when
-// Relation(h) == RelCross. The parts live in a fresh slab of their own.
+// Relation(h) == RelCross. The parts live in a fresh slab of their own,
+// which holds a copy of h's header; h's normal is shared, not copied. Split
+// panics on a compacted cell.
 func (c *Cell) Split(h Hyperplane) (neg, pos *Cell) {
-	return c.split(h, true, true, new(Slab))
+	s := new(Slab)
+	return c.split(s.plane(h), true, true, s)
 }
 
-// SplitInto is Split building the parts into the slab s.
-func (c *Cell) SplitInto(h Hyperplane, s *Slab) (neg, pos *Cell) {
+// SplitInto is Split building the parts into the slab s. The parts' new
+// constraint records point at *h itself, so the caller keeps *h alive and
+// unchanged while the parts or cells split from them are in use; Compact
+// copies it out.
+func (c *Cell) SplitInto(h *Hyperplane, s *Slab) (neg, pos *Cell) {
 	return c.split(h, true, true, s)
 }
 
@@ -394,7 +425,8 @@ func (c *Cell) SplitInto(h Hyperplane, s *Slab) (neg, pos *Cell) {
 // the positive side, sign=−1 the negative side. It returns nil when the
 // kept side is empty, and returns the cell itself (no constraint added)
 // when the cell is already entirely on the kept side. A new cell lives in
-// a fresh slab of its own.
+// a fresh slab of its own, with a copy of h's header, like Split's parts;
+// a crossing Clip of a compacted cell panics.
 func (c *Cell) Clip(h Hyperplane, sign int) *Cell {
 	switch c.Relation(h) {
 	case RelPos:
@@ -408,7 +440,8 @@ func (c *Cell) Clip(h Hyperplane, sign int) *Cell {
 		}
 		return nil
 	}
-	neg, pos := c.split(h, sign < 0, sign > 0, new(Slab))
+	s := new(Slab)
+	neg, pos := c.split(s.plane(h), sign < 0, sign > 0, s)
 	if sign > 0 {
 		return pos
 	}
@@ -466,15 +499,27 @@ func (f *freshVerts) commit(lo int) {
 	f.spans = append(f.spans, [2]int32{int32(lo), int32(len(f.ids))})
 }
 
+// scratch returns the split scratch's plane-offset buffer, empty with room
+// for nv values. A slab short of room gets it in one buffer with the new
+// points' coordinates — nv points of d each, which a cut rarely exceeds —
+// so a split into a fresh slab allocates the two at once.
+func (s *Slab) scratch(d, nv int) []float64 {
+	if cap(s.vals) < nv {
+		buf := make([]float64, nv*(d+1))
+		s.vals, s.fresh.pts = buf[:0:nv], buf[nv:nv]
+	}
+	return s.vals[:0]
+}
+
 // split is the one split kernel: it classifies the vertices against h,
 // computes the new extreme points where cell edges cross it, and builds
-// the wanted non-empty sides into s.
-func (c *Cell) split(h Hyperplane, wantNeg, wantPos bool, s *Slab) (neg, pos *Cell) {
-	d, nv := c.dim, c.nv
-	vals := s.vals[:0]
-	if cap(vals) < nv {
-		vals = make([]float64, 0, nv)
+// the wanted non-empty sides into s, their new records pointing at h.
+func (c *Cell) split(h *Hyperplane, wantNeg, wantPos bool, s *Slab) (neg, pos *Cell) {
+	if c.tight == nil {
+		panic("geom: split of a compacted cell: Compact keeps no tight sets or facets")
 	}
+	d, nv := c.dim, c.nv
+	vals := s.scratch(d, nv)
 	var nNeg, nPos, memNeg, memPos, memOn int
 	hid := int32(d + h.ID)
 	for i := 0; i < nv; i++ {
@@ -557,7 +602,7 @@ func (c *Cell) split(h Hyperplane, wantNeg, wantPos bool, s *Slab) (neg, pos *Ce
 	build := func(keep, nKeep, mem, conSign int) *Cell {
 		out := s.newCell(d, nKeep+common, mem+memOn+memFresh)
 		rec := &s.cons.Take(1)[0]
-		rec.con, rec.prev = Constraint{H: h, Sign: conSign}, c.cons
+		rec.h, rec.sign, rec.prev = h, conSign, c.cons
 		out.cons, out.nCons = rec, c.nCons+1
 		members := out.tight[:out.nv+1] // the offsets; the sets follow
 		v := 0
@@ -587,7 +632,7 @@ func (c *Cell) split(h Hyperplane, wantNeg, wantPos bool, s *Slab) (neg, pos *Ce
 
 		facets := s.facets.Take(len(c.facets) + 1)[:0]
 		for _, fc := range c.facets {
-			if out.anyTight(int32(d + fc.con.H.ID)) {
+			if out.anyTight(int32(d + fc.h.ID)) {
 				facets = append(facets, fc)
 			}
 		}
@@ -608,28 +653,48 @@ func (c *Cell) split(h Hyperplane, wantNeg, wantPos bool, s *Slab) (neg, pos *Ce
 }
 
 // Compact copies cells into one fresh slab of exactly their size and
-// returns the copies in order. Constraint records that several of the
-// cells share stay shared among the copies, and no copy aliases the
-// source's storage, so a solver that built its cells in a reused slab
-// answers with the copies. Compact marks the source cells' records while
-// it runs and unmarks them before it returns: no other goroutine may use
-// the source cells during the call.
+// returns the copies in order. A copy keeps what reading a cell needs: its
+// vertices, sphere data and constraint records, which copies share where
+// their sources did, and one header and unit normal per distinct plane,
+// which every record of that plane points at. It drops the tight sets and
+// facets only a split reads, so a copy cannot be split: Split, SplitInto
+// and a crossing Clip of it panic. No copy aliases the source's storage,
+// its planes' headers and normals included, so a solver that built its
+// cells in a reused slab answers with the copies. Compact marks the source
+// cells' records while it runs and unmarks them before it returns: no
+// other goroutine may use the source cells during the call.
 func Compact(cells []*Cell) []*Cell {
-	var floats, ints, facets, records int
+	var buf [128]planeSlot
+	seen := planeTable{slots: buf[:]}
+	var floats, records int
 	for _, c := range cells {
 		floats += len(c.pts)
-		ints += len(c.tight)
-		facets += len(c.facets)
 		for r := c.cons; r != nil && r.fwd == nil; r = r.prev {
 			r.fwd = r // counted, not yet copied
 			records++
+			if slot := seen.slot(r.h); slot.src == nil {
+				slot.src = r.h
+				seen.n++
+				floats += len(r.h.Normal)
+				seen.grow()
+			}
 		}
 	}
 	s := new(Slab)
 	s.floats.Reserve(floats)
-	s.ints.Reserve(ints)
-	s.facets.Reserve(facets)
 	s.cons.Reserve(records)
+	planes := s.planes.Take(seen.n)[:0]
+	for i := range seen.slots {
+		slot := &seen.slots[i]
+		if slot.src == nil {
+			continue
+		}
+		planes = append(planes, *slot.src)
+		cp := &planes[len(planes)-1]
+		cp.Normal = s.floats.Take(len(cp.Normal))
+		copy(cp.Normal, slot.src.Normal)
+		slot.dst = cp
+	}
 	copies := s.cells.Take(len(cells))
 	out := make([]*Cell, len(cells))
 	for i, c := range cells {
@@ -637,13 +702,8 @@ func Compact(cells []*Cell) []*Cell {
 		*cp = *c
 		cp.pts = s.floats.Take(len(c.pts))
 		copy(cp.pts, c.pts)
-		cp.tight = s.ints.Take(len(c.tight))
-		copy(cp.tight, c.tight)
-		cp.cons = s.copyChain(c.cons)
-		cp.facets = s.facets.Take(len(c.facets))
-		for j, f := range c.facets {
-			cp.facets[j] = f.fwd
-		}
+		cp.tight, cp.facets = nil, nil
+		cp.cons = s.copyChain(c.cons, &seen)
 		out[i] = cp
 	}
 	for _, c := range cells {
@@ -655,8 +715,9 @@ func Compact(cells []*Cell) []*Cell {
 }
 
 // copyChain returns the copy of the chain ending at r, copying into s the
-// records not copied yet. Recursion depth is the chain's length.
-func (s *Slab) copyChain(r *consList) *consList {
+// records not copied yet and pointing them at the header copies seen
+// holds. Recursion depth is the chain's length.
+func (s *Slab) copyChain(r *consList, seen *planeTable) *consList {
 	if r == nil {
 		return nil
 	}
@@ -664,10 +725,45 @@ func (s *Slab) copyChain(r *consList) *consList {
 		return r.fwd
 	}
 	cp := &s.cons.Take(1)[0]
-	cp.con = r.con
+	cp.h, cp.sign = seen.slot(r.h).dst, r.sign
 	r.fwd = cp
-	cp.prev = s.copyChain(r.prev)
+	cp.prev = s.copyChain(r.prev, seen)
 	return cp
+}
+
+// planeTable is Compact's map from a source header to its copy: open
+// addressing keyed by the header's address and hashed by its plane ID, at
+// most half full, so a lookup costs O(1) expected and the whole dedupe
+// O(records). It starts in a caller's buffer and grows fourfold past it.
+type planeTable struct {
+	slots []planeSlot // length a power of two
+	n     int         // occupied slots
+}
+
+type planeSlot struct{ src, dst *Hyperplane }
+
+// slot returns h's slot: the one holding h, or the empty one where h goes.
+func (t *planeTable) slot(h *Hyperplane) *planeSlot {
+	mask := uint64(len(t.slots) - 1)
+	for i := uint64(h.ID) * 0x9e3779b97f4a7c15 >> 32 & mask; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.src == h || s.src == nil {
+			return s
+		}
+	}
+}
+
+// grow rehashes into a table four times larger once it is half full.
+func (t *planeTable) grow() {
+	if 2*t.n < len(t.slots) {
+		return
+	}
+	old := t.slots
+	t.slots = make([]planeSlot, 4*len(old))
+	for _, s := range old {
+		if s.src != nil {
+			*t.slot(s.src) = s
+		}
+	}
 }
 
 // coincident reports whether two vertex coordinates are equal under a

@@ -12,8 +12,8 @@ import (
 
 // Every served plane set holds one Hyperplane header per plane and cached
 // regions one consList record per constraint, so their sizes are pinned:
-// the normal's slice header, the ID and two float64s, and a Constraint plus
-// two pointers (64-bit words).
+// the normal's slice header, the ID and two float64s, and a header pointer,
+// a sign and two record pointers (64-bit words).
 func TestHyperplaneSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit words")
@@ -21,8 +21,8 @@ func TestHyperplaneSize(t *testing.T) {
 	if got := unsafe.Sizeof(Hyperplane{}); got != 48 {
 		t.Errorf("Hyperplane is %d bytes, want 48", got)
 	}
-	if got := unsafe.Sizeof(consList{}); got != 72 {
-		t.Errorf("consList is %d bytes, want 72", got)
+	if got := unsafe.Sizeof(consList{}); got > 32 {
+		t.Errorf("consList is %d bytes, want at most 32", got)
 	}
 }
 

@@ -5,11 +5,14 @@
 // (paper Lemmas 5.1, 5.4, 5.5), and Monte-Carlo region measure.
 //
 // Cells live in slabs (Slab): flat piles of vertex coordinates, tight sets,
-// facet pointers, constraint records and Cell values. Split, Clip and
-// NewSimplex build into a fresh slab sized to their result; a solver that
-// refines many short-lived cells builds them into one reused slab with
-// SplitInto and NewSimplexIn, and copies the cells it keeps out with
-// Compact before the slab is reset.
+// facet pointers, constraint records, plane headers and Cell values. A
+// constraint record points at its plane's header, so the records of one
+// plane share it. Split, Clip and NewSimplex build into a fresh slab sized
+// to their result; a solver that refines many short-lived cells builds them
+// into one reused slab with SplitInto and NewSimplexIn, and copies the
+// cells it keeps out with Compact before the slab is reset. Compact keeps
+// one header and unit normal per distinct plane and drops the split state
+// (tight sets and facets): a compacted cell is read-only.
 //
 // The utility space U is the standard (d−1)-simplex
 // {u ∈ R^d : u[i] ≥ 0, Σu[i] = 1}. All cells live inside U. Distances
@@ -92,18 +95,20 @@ func NewUnitHyperplane(unit vec.Vec, id int) Hyperplane {
 	}
 }
 
-// PackNormals repacks the unit normals of planes into one contiguous flat
-// backing array, stride Dim, in slice order. The planes' geometry is
+// PackNormals copies the unit normals of planes into flat, stride Dim, in
+// slice order, and rebinds each header to its copy. The planes' geometry is
 // unchanged (values are copied verbatim); only the storage moves, so the
 // relation tests that scan many planes against the same cell walk a single
-// cache-friendly block instead of chasing per-plane allocations. Callers
-// must own the slice: the Hyperplane values are rewritten in place.
-func PackNormals(planes []Hyperplane) {
+// cache-friendly block instead of chasing scattered normals. flat must
+// hold len(planes)·Dim floats and not overlap the current normals; the
+// caller owns the headers, which are rewritten in place, and keeps flat
+// unchanged while they are in use — a solver passes a buffer of its
+// scratch arena, and Compact copies the normals its answer keeps.
+func PackNormals(planes []Hyperplane, flat []float64) {
 	if len(planes) == 0 {
 		return
 	}
 	d := planes[0].Normal.Dim()
-	flat := make([]float64, len(planes)*d)
 	for i := range planes {
 		dst := vec.Vec(flat[i*d : (i+1)*d : (i+1)*d])
 		copy(dst, planes[i].Normal)
