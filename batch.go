@@ -30,7 +30,7 @@ type Prepared struct {
 
 // Prepare fixes the solver configuration for subsequent Solve/SolveBatch
 // calls. The dataset's points were checked when it was built, so Prepare
-// does not scan them again. The same Options as SolveResult apply;
+// does not scan them again. The same Options as SolveContext apply;
 // WithSkybandPrefilter additionally makes every query run on the cached
 // k-skyband of its rank parameter, and the resilience options
 // (WithQueryTimeout, WithWorkBudget) fix the per-query serving policy every

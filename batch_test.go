@@ -46,7 +46,7 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 		queries := batchQueries(tc.ds, 6)
 		want := make([][]byte, len(queries))
 		for i, q := range queries {
-			r, err := regionOf(SolveResult(tc.ds, q, tc.opts...))
+			r, err := regionOf(SolveContext(context.Background(), tc.ds, q, tc.opts...))
 			if err != nil {
 				t.Fatalf("%s: sequential Solve(%d): %v", tc.name, i, err)
 			}

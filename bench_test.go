@@ -46,7 +46,7 @@ func BenchmarkPBAPreprocessAndQuery(b *testing.B) {
 	}
 	b.Run("query", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ix.Query(q); err != nil {
+			if _, err := ix.QueryContext(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -7,6 +7,7 @@ package rrq
 // k > n clamps to "everything qualifies", and out-of-domain parameters are
 // rejected as *QueryError, never silently clamped.
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -15,7 +16,7 @@ import (
 func TestBoundaryEpsilonZeroEqualsReverseTopK(t *testing.T) {
 	ds := table3Dataset(t)
 	for k := 1; k <= 3; k++ {
-		reg, err := regionOf(SolveResult(ds, Query{Q: Point{0.4, 0.7}, K: k, Epsilon: 0}, WithAlgorithm(EPTAlgo)))
+		reg, err := regionOf(SolveContext(context.Background(), ds, Query{Q: Point{0.4, 0.7}, K: k, Epsilon: 0}, WithAlgorithm(EPTAlgo)))
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -37,7 +38,7 @@ func TestBoundaryEpsilonNearOne(t *testing.T) {
 	ds := table3Dataset(t)
 	// ε → 1: (1−ε)·f_u(p) ≈ 0 < f_u(q) for every u, so no point beats q and
 	// the whole simplex qualifies even at k = 1.
-	reg, err := regionOf(SolveResult(ds, Query{Q: Point{0.4, 0.7}, K: 1, Epsilon: 1 - 1e-12}))
+	reg, err := regionOf(SolveContext(context.Background(), ds, Query{Q: Point{0.4, 0.7}, K: 1, Epsilon: 1 - 1e-12}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestBoundaryKLargerThanN(t *testing.T) {
 	ds := table3Dataset(t)
 	// k > n: fewer than k points exist, so fewer than k can beat q and every
 	// preference qualifies regardless of ε.
-	reg, err := regionOf(SolveResult(ds, Query{Q: Point{0.05, 0.05}, K: ds.Len() + 1, Epsilon: 0}))
+	reg, err := regionOf(SolveContext(context.Background(), ds, Query{Q: Point{0.05, 0.05}, K: ds.Len() + 1, Epsilon: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestBoundaryParameterValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := SolveResult(ds, tc.q)
+			_, err := SolveContext(context.Background(), ds, tc.q)
 			var qe *QueryError
 			if !errors.As(err, &qe) {
 				t.Fatalf("Solve accepted %+v (err=%v), want *QueryError", tc.q, err)
@@ -98,7 +99,7 @@ func TestMeasureWithSeedReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := regionOf(SolveResult(ds, Query{Q: Point{0.5, 0.6, 0.4}, K: 2, Epsilon: 0.1}))
+	reg, err := regionOf(SolveContext(context.Background(), ds, Query{Q: Point{0.5, 0.6, 0.4}, K: 2, Epsilon: 0.1}))
 	if err != nil {
 		t.Fatal(err)
 	}

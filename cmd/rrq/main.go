@@ -38,7 +38,7 @@ func main() {
 		algoStr   = flag.String("algo", "auto", "auto|sweeping|ept|apc|lpcta|brute")
 		samples   = flag.Int("samples", 0, "A-PC sample count (0 = paper default)")
 		skyband   = flag.Bool("skyband", true, "preprocess to the k-skyband")
-		measureN  = flag.Int("measure", 50000, "Monte-Carlo samples for the share estimate")
+		measureN  = flag.Int("measure", 50000, "Monte-Carlo samples for the share estimate; ignored where the share is exact (every 2-d answer, and 3-d E-PT, LP-CTA and brute-force answers)")
 		asJSON    = flag.Bool("json", false, "emit the region as JSON instead of text")
 		profile   = flag.Bool("profile", false, "print the market-share curve over ε instead of solving one query")
 		timeout   = flag.Duration("timeout", 0, "abort the solve after this duration (0 = none)")

@@ -96,10 +96,6 @@ func OpenDurableIndex(dc DurableConfig, seed func() (*Dataset, error), opts ...O
 	return ix, rec, nil
 }
 
-// Durable reports whether the index carries a durability layer (it was
-// opened with OpenDurableIndex).
-func (ix *Index) Durable() bool { return ix.dur != nil }
-
 // Checkpoint folds the current snapshot into a checkpoint immediately —
 // the clean-shutdown path: after it returns, reopening the directory
 // replays no WAL records. No-op on a non-durable index or when the last

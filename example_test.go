@@ -1,6 +1,7 @@
 package rrq_test
 
 import (
+	"context"
 	"fmt"
 
 	"rrq"
@@ -9,13 +10,13 @@ import (
 // The running example of the paper (Table 3 / Example 3.3): find every
 // customer preference under which q = (0.4, 0.7) is a (2, 0.1)-regret
 // point.
-func ExampleSolveResult() {
+func ExampleSolveContext() {
 	ds, _ := rrq.NewDataset([][]float64{
 		{0.20, 0.92},
 		{0.70, 0.54},
 		{0.60, 0.30},
 	})
-	res, _ := rrq.SolveResult(ds, rrq.Query{Q: rrq.Point{0.4, 0.7}, K: 2, Epsilon: 0.1})
+	res, _ := rrq.SolveContext(context.Background(), ds, rrq.Query{Q: rrq.Point{0.4, 0.7}, K: 2, Epsilon: 0.1})
 	fmt.Println(res.Region.Contains(rrq.Vector{0.5, 0.5}))
 	fmt.Printf("%.3f\n", rrq.RegretRatio(ds, rrq.Point{0.4, 0.7}, 2, rrq.Vector{0.5, 0.5}))
 	// Output:
@@ -34,7 +35,7 @@ func ExampleRegion_AppendJSON() {
 	})
 	var buf []byte
 	for _, k := range []int{1, 2} {
-		res, _ := rrq.SolveResult(ds, rrq.Query{Q: rrq.Point{0.4, 0.7}, K: k, Epsilon: 0.1})
+		res, _ := rrq.SolveContext(context.Background(), ds, rrq.Query{Q: rrq.Point{0.4, 0.7}, K: k, Epsilon: 0.1})
 		buf, _ = res.Region.AppendJSON(buf[:0])
 		fmt.Println(string(buf))
 	}
@@ -55,7 +56,7 @@ func ExampleReverseTopK() {
 	u1 := rrq.Vector{0.9, 0.1} // a horsepower-focused customer
 
 	rankBased, _ := rrq.ReverseTopK(cars, q, 3)
-	scoreBased, _ := rrq.SolveResult(cars, rrq.Query{Q: q, K: 1, Epsilon: 0.1})
+	scoreBased, _ := rrq.SolveContext(context.Background(), cars, rrq.Query{Q: q, K: 1, Epsilon: 0.1})
 	fmt.Println(rankBased.Contains(u1), scoreBased.Region.Contains(u1))
 	// Output:
 	// false true
@@ -81,11 +82,11 @@ func ExampleIndex() {
 	})
 	ix, _ := rrq.BuildIndex(ds, rrq.WithAlgorithm(rrq.EPTAlgo), rrq.WithResultCache(1))
 	q := rrq.Query{Q: rrq.Point{0.6, 0.6}, K: 1, Epsilon: 0.1}
-	r, _ := ix.Solve(q)
-	before := r.Measure(0) // exact for 2-d regions
+	res, _ := ix.SolveContext(context.Background(), q)
+	before := res.Region.Measure(0) // exact for 2-d regions
 	_, _ = ix.Insert(rrq.Point{0.9, 0.9})
-	r, _ = ix.Solve(q)
-	after := r.Measure(0)
+	res, _ = ix.SolveContext(context.Background(), q)
+	after := res.Region.Measure(0)
 	fmt.Println(before > 0, after < before)
 	// Output:
 	// true true

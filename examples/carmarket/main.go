@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Table 1: horsepower (×100 hp) and safety rating.
 	cars := [][]float64{
 		{4.3, 5.0}, // p1: balanced
@@ -43,7 +45,7 @@ func main() {
 		100*rtk.Measure(50000), rtk.Contains(u1))
 
 	// Score-based view: who scores q within 10%% of the best? (RRQ)
-	res, err := rrq.SolveResult(ds, rrq.Query{Q: q, K: 1, Epsilon: 0.1})
+	res, err := rrq.SolveContext(ctx, ds, rrq.Query{Q: q, K: 1, Epsilon: 0.1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func main() {
 	// Production-plan sweep: market share as the tolerance grows.
 	fmt.Println("\nmarket share vs tolerance ε:")
 	for _, eps := range []float64{0.0, 0.05, 0.1, 0.15, 0.2} {
-		r, err := rrq.SolveResult(ds, rrq.Query{Q: q, K: 1, Epsilon: eps})
+		r, err := rrq.SolveContext(ctx, ds, rrq.Query{Q: q, K: 1, Epsilon: eps})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -12,14 +13,15 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fmt.Println("--- 2-dimensional market (Island stand-in) ---")
-	run2D()
+	run2D(ctx)
 	fmt.Println()
 	fmt.Println("--- 4-dimensional market (Indep synthetic) ---")
-	run4D()
+	run4D(ctx)
 }
 
-func run2D() {
+func run2D(ctx context.Context) {
 	ds, err := rrq.RealDataset("Island", 20000)
 	if err != nil {
 		log.Fatal(err)
@@ -29,7 +31,7 @@ func run2D() {
 	fmt.Printf("market %d points (skyband of %d), q=%v\n", market.Len(), ds.Len(), q.Q)
 
 	for _, algo := range []rrq.Algorithm{rrq.SweepingAlgo, rrq.EPTAlgo, rrq.APCAlgo, rrq.LPCTAAlgo} {
-		res, err := rrq.SolveResult(market, q, rrq.WithAlgorithm(algo), rrq.WithSamples(50))
+		res, err := rrq.SolveContext(ctx, market, q, rrq.WithAlgorithm(algo), rrq.WithSamples(50))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -39,14 +41,14 @@ func run2D() {
 	}
 }
 
-func run4D() {
+func run4D(ctx context.Context) {
 	ds := rrq.SyntheticDataset(rrq.Independent, 50000, 4, 11)
 	q := rrq.Query{Q: ds.RandomQuery(3), K: 5, Epsilon: 0.1}
 	market := ds.KSkyband(q.K)
 	fmt.Printf("market %d points (skyband of %d)\n", market.Len(), ds.Len())
 
 	for _, algo := range []rrq.Algorithm{rrq.EPTAlgo, rrq.APCAlgo, rrq.LPCTAAlgo} {
-		res, err := rrq.SolveResult(market, q, rrq.WithAlgorithm(algo), rrq.WithSamples(100))
+		res, err := rrq.SolveContext(ctx, market, q, rrq.WithAlgorithm(algo), rrq.WithSamples(100))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -64,7 +66,7 @@ func run4D() {
 	}
 	prep := time.Since(start)
 	start = time.Now()
-	region, err := ix.Query(q)
+	region, err := ix.QueryContext(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A small 3-attribute market and our product q.
 	ds, err := rrq.NewDataset([][]float64{
 		{0.80, 0.30, 0.40},
@@ -30,10 +32,11 @@ func main() {
 		log.Fatal(err)
 	}
 	show := func(event string) {
-		r, err := ix.Solve(q)
+		res, err := ix.SolveContext(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}
+		r := res.Region
 		fmt.Printf("%-38s market=%d  share=%5.1f%%  partitions=%d\n",
 			event, ix.Len(), 100*r.Measure(30000), r.NumPartitions())
 	}

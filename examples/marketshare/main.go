@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	ds, err := rrq.RealDataset("NBA", 3000)
 	if err != nil {
 		log.Fatal(err)
@@ -32,7 +34,7 @@ func main() {
 
 	fmt.Printf("%-12s  %10s  %12s  %s\n", "candidate", "share", "partitions", "example preference")
 	for name, q := range candidates {
-		res, err := rrq.SolveResult(market, rrq.Query{Q: q, K: k, Epsilon: eps})
+		res, err := rrq.SolveContext(ctx, market, rrq.Query{Q: q, K: k, Epsilon: eps})
 		if err != nil {
 			log.Fatal(err)
 		}

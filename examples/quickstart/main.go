@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -10,6 +11,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// The market: three products with two attributes each, already
 	// normalized to (0,1].
 	ds, err := rrq.NewDataset([][]float64{
@@ -25,7 +27,7 @@ func main() {
 	// any preference under which q scores within 10% of the 2nd-best
 	// product (k = 2, ε = 0.1).
 	query := rrq.Query{Q: rrq.Point{0.4, 0.7}, K: 2, Epsilon: 0.1}
-	res, err := rrq.SolveResult(ds, query)
+	res, err := rrq.SolveContext(ctx, ds, query)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 )
 
 // Index answers reverse regret queries from a persistent, version-stamped
-// snapshot of the dataset. Compared with SolveResult — which recomputes
+// snapshot of the dataset. Compared with SolveContext — which recomputes
 // the k-skyband and reclassifies every hyper-plane per call — an index
 // snapshot holds both, maintained incrementally across Insert/Delete, and
 // shares the classified plane sets of repeated queries.
@@ -39,7 +39,7 @@ type Index struct {
 // whose points were checked when it was built; a dimension below 2 is a
 // *DataError. The options fix the default solving configuration —
 // algorithm, resilience policy, result cache and observability — that
-// Solve/SolveBatch inherit; per-call options override the defaults. With WithMetrics, the build maintains "index.builds" and
+// SolveContext/SolveBatch inherit; per-call options override the defaults. With WithMetrics, the build maintains "index.builds" and
 // the "index.epoch" gauge, times "phase.index.build", and every served
 // query's plane-cache traffic shows as "index.planes.hit"/"index.planes.miss".
 func BuildIndex(d *Dataset, opts ...Option) (*Index, error) {
@@ -170,23 +170,13 @@ func (ix *Index) maintain(counter string, op func() (uint64, error)) (uint64, er
 	return v, nil
 }
 
-// Prepared binds the current snapshot to a solver configuration, reusing
-// the batch serving layer: the result answers Solve and SolveBatch with
-// panic isolation and per-query timeouts/budgets exactly like a Prepare-d
-// dataset, but with the snapshot's maintained prefilter
-// and shared plane storage doing the preprocessing. The Prepared is pinned
-// to the snapshot it was created from: later mutations do not affect it.
-func (ix *Index) Prepared(opts ...Option) (*Prepared, error) {
-	cfg := ix.cfg
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return ix.preparedOn(ix.inner.Snapshot(), cfg)
-}
-
-// preparedOn binds one specific snapshot to a fully merged configuration —
-// the primitive behind Prepared and the cache-aware solving path, which
-// must pin the snapshot whose version keyed its lookup.
+// preparedOn binds one snapshot to a fully merged configuration, reusing
+// the batch serving layer: the result answers with panic isolation and
+// per-query timeouts/budgets exactly like a Prepare-d dataset, but with the
+// snapshot's maintained prefilter and shared plane storage doing the
+// preprocessing. Every solving path pins the snapshot it binds here, so
+// later mutations do not affect it and a cached lookup's version is the
+// version a miss is solved on.
 func (ix *Index) preparedOn(snap *index.Snapshot, cfg config) (*Prepared, error) {
 	pol, err := policyFor(cfg, ix.dim)
 	if err != nil {
@@ -195,26 +185,13 @@ func (ix *Index) preparedOn(snap *index.Snapshot, cfg config) (*Prepared, error)
 	return &Prepared{prep: snap.Prepared(), pol: pol, cfg: cfg, dim: ix.dim}, nil
 }
 
-// Solve answers one query on the current snapshot — the plain form of
-// SolveContext.
-func (ix *Index) Solve(q Query, opts ...Option) (*Region, error) {
-	res, err := ix.SolveContext(context.Background(), q, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return res.Region, nil
-}
-
 // SolveContext answers one query on the current snapshot under a context,
 // with the index's default options merged with the per-call ones. The
 // answer is byte-identical to SolveContext over the same points with
 // WithSkybandPrefilter(true) — the snapshot serves the identical k-skyband
 // in the identical order.
 func (ix *Index) SolveContext(ctx context.Context, q Query, opts ...Option) (Result, error) {
-	cfg := ix.cfg
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := ix.cfg.with(opts)
 	snap := ix.inner.Snapshot()
 	if cfg.anytimeActive() {
 		return ix.anytimeSolve(ctx, cfg, snap, q)
@@ -350,7 +327,8 @@ func (ix *Index) cacheHit(cfg config, res Result) Result {
 // Batch semantics (worker pool, per-query isolation, report aggregation)
 // are those of Prepared.SolveBatch.
 func (ix *Index) SolveBatch(ctx context.Context, queries []Query, opts ...Option) (*BatchReport, error) {
-	p, err := ix.Prepared(opts...)
+	cfg := ix.cfg.with(opts)
+	p, err := ix.preparedOn(ix.inner.Snapshot(), cfg)
 	if err != nil {
 		return nil, err
 	}

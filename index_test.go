@@ -30,7 +30,7 @@ func TestIndexMatchesSolve(t *testing.T) {
 
 		check := func(cur *Dataset) *Region {
 			t.Helper()
-			got, err := ix.Solve(q)
+			got, err := regionOf(ix.SolveContext(context.Background(), q))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,11 +112,11 @@ func TestIndexSaveLoadPublic(t *testing.T) {
 	if back.Version() != ix.Version() || back.Len() != ix.Len() || back.Dim() != ix.Dim() {
 		t.Fatalf("round-trip mismatch: got v=%d len=%d dim=%d", back.Version(), back.Len(), back.Dim())
 	}
-	a, err := ix.Solve(q)
+	a, err := regionOf(ix.SolveContext(context.Background(), q))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := back.Solve(q)
+	b, err := regionOf(back.SolveContext(context.Background(), q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,5 +181,41 @@ func TestIndexDeleteOutOfRangeTypedError(t *testing.T) {
 		if v != 1 || ix.Version() != 1 {
 			t.Fatalf("Delete(%d): version %d (index at %d), want 1", i, v, ix.Version())
 		}
+	}
+}
+
+// SyncWAL is the explicit durability flush: under Fsync "never" a logged
+// mutation is not synced, SyncWAL syncs it, and an in-memory index has
+// nothing to flush.
+func TestSyncWAL(t *testing.T) {
+	ds, _ := indexTestInstance(t, 3, 41)
+	reg := NewRegistry()
+	ix, _, err := OpenDurableIndex(DurableConfig{Dir: t.TempDir(), Fsync: "never"},
+		func() (*Dataset, error) { return ds, nil }, WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	syncNS := reg.Counter("wal.sync_ns")
+	before := syncNS.Value()
+	if _, err := ix.Insert(Point{0.5, 0.5, 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if got := syncNS.Value(); got != before {
+		t.Fatalf("Insert under Fsync never synced the WAL: wal.sync_ns %d → %d", before, got)
+	}
+	if err := ix.SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if got := syncNS.Value(); got <= before {
+		t.Fatalf("SyncWAL did not sync the WAL: wal.sync_ns %d → %d", before, got)
+	}
+
+	mem, err := BuildIndex(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.SyncWAL(); err != nil {
+		t.Fatalf("SyncWAL on an in-memory index: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ package rrq
 // real-dataset stand-ins, cross-checked through the public API only.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,13 +26,13 @@ func TestIntegrationRealDatasets(t *testing.T) {
 			market := ds.KSkyband(k)
 			q := Query{Q: ds.RandomQuery(11), K: k, Epsilon: eps}
 
-			exact, err := regionOf(SolveResult(market, q, WithAlgorithm(EPTAlgo)))
+			exact, err := regionOf(SolveContext(context.Background(), market, q, WithAlgorithm(EPTAlgo)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			// The answer over the full dataset must match the answer over
 			// the skyband.
-			full, err := regionOf(SolveResult(ds, q, WithAlgorithm(EPTAlgo)))
+			full, err := regionOf(SolveContext(context.Background(), ds, q, WithAlgorithm(EPTAlgo)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,7 +40,7 @@ func TestIntegrationRealDatasets(t *testing.T) {
 				t.Error("skyband preprocessing changed the answer")
 			}
 			// LP-CTA agrees with E-PT.
-			lpcta, err := regionOf(SolveResult(market, q, WithAlgorithm(LPCTAAlgo)))
+			lpcta, err := regionOf(SolveContext(context.Background(), market, q, WithAlgorithm(LPCTAAlgo)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +48,7 @@ func TestIntegrationRealDatasets(t *testing.T) {
 				t.Error("LP-CTA disagrees with E-PT")
 			}
 			// A-PC is sound: never larger than exact.
-			apc, err := regionOf(SolveResult(market, q, WithAlgorithm(APCAlgo), WithSamples(150), WithSeed(1)))
+			apc, err := regionOf(SolveContext(context.Background(), market, q, WithAlgorithm(APCAlgo), WithSamples(150), WithSeed(1)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +57,7 @@ func TestIntegrationRealDatasets(t *testing.T) {
 			}
 			// 2-d datasets also go through Sweeping.
 			if ds.Dim() == 2 {
-				sw, err := regionOf(SolveResult(market, q, WithAlgorithm(SweepingAlgo)))
+				sw, err := regionOf(SolveContext(context.Background(), market, q, WithAlgorithm(SweepingAlgo)))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"rrq/internal/core"
+	"rrq/internal/dataset"
+	"rrq/internal/obs"
 	"rrq/internal/vec"
 )
 
@@ -118,7 +120,7 @@ func TestPBAMatchesEPT(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ix.Query(q)
+			got, err := ix.QueryContext(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +147,7 @@ func TestPBAReusableAcrossQueries(t *testing.T) {
 			K:   1 + rng.Intn(3),
 			Eps: rng.Float64() * 0.15,
 		}
-		got, err := ix.Query(q)
+		got, err := ix.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +165,7 @@ func TestPBAKExceedsIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.Query(core.Query{Q: vec.Of(0.5, 0.5), K: 2, Eps: 0.1}); err == nil {
+	if _, err := ix.QueryContext(context.Background(), core.Query{Q: vec.Of(0.5, 0.5), K: 2, Eps: 0.1}); err == nil {
 		t.Fatal("k > kmax should error")
 	}
 }
@@ -174,7 +176,7 @@ func TestPBAKExceedsN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := ix.Query(core.Query{Q: vec.Of(0.1, 0.1), K: 5, Eps: 0.0})
+	reg, err := ix.QueryContext(context.Background(), core.Query{Q: vec.Of(0.1, 0.1), K: 5, Eps: 0.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,6 +185,86 @@ func TestPBAKExceedsN(t *testing.T) {
 		if !reg.Contains(vec.RandSimplex(rng, 2)) {
 			t.Fatal("k > n: everything should qualify")
 		}
+	}
+}
+
+// expiringCtx is a context whose deadline passes right after a query
+// starts: its first Err (the checker's probe at construction) reports nil
+// and every later one context.DeadlineExceeded, so "the deadline passes in
+// the middle of the search" happens at the same node on every run.
+type expiringCtx struct {
+	context.Context
+	done  chan struct{}
+	calls int
+}
+
+func newExpiringCtx() *expiringCtx {
+	return &expiringCtx{Context: context.Background(), done: make(chan struct{})}
+}
+
+func (c *expiringCtx) Done() <-chan struct{} { return c.done }
+
+func (c *expiringCtx) Err() error {
+	if c.calls++; c.calls == 1 {
+		return nil
+	}
+	if c.calls == 2 {
+		close(c.done)
+	}
+	return context.DeadlineExceeded
+}
+
+// largePBA is an index big enough that a weak query's search visits more
+// nodes than the checker's polling interval (1024).
+func largePBA(t *testing.T) (*PBAIndex, core.Query) {
+	t.Helper()
+	pts := dataset.Generate(dataset.Independent, 1000, 2, 5)
+	ix, err := BuildPBA(pts, 15, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A dominated query is beaten somewhere on every cell, so the search
+	// descends through every level down to k.
+	q := core.Query{Q: pts[0].Scale(0.3), K: 15, Eps: 0}
+	return ix, q
+}
+
+// A PBA+ query honors its context: an already-canceled context and a
+// deadline that passes mid-search both fail the query instead of returning
+// a region, and the search stops at the first poll after the deadline.
+func TestPBAQueryContext(t *testing.T) {
+	ix, q := largePBA(t)
+	if ix.Nodes <= 2048 {
+		t.Fatalf("index has %d nodes; the test needs more than two polling intervals", ix.Nodes)
+	}
+	if _, err := ix.QueryContext(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if r, err := ix.QueryContext(canceled, q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled context: region %v, error %v; want context.Canceled", r, err)
+	}
+
+	reg := obs.NewRegistry()
+	ctx := newExpiringCtx()
+	r, err := ix.QueryContext(obs.ContextWithRegistry(ctx, reg), q)
+	if !errors.Is(err, core.ErrDeadline) {
+		t.Fatalf("deadline passed mid-search: region %v, error %v; want core.ErrDeadline", r, err)
+	}
+	if v := reg.Counter("pba.nodes_visited").Value(); v >= int64(ix.Nodes) {
+		t.Fatalf("search visited %d of %d nodes after its deadline passed", v, ix.Nodes)
+	}
+}
+
+// A work budget riding the context bounds a PBA+ search like any solver's.
+func TestPBAQueryWorkBudget(t *testing.T) {
+	ix, q := largePBA(t)
+	_, err := ix.QueryContext(core.ContextWithWorkBudget(context.Background(), 1), q)
+	var be *core.BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("error %v, want a *core.BudgetError", err)
 	}
 }
 
@@ -218,7 +300,7 @@ func TestPBADuplicatePoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.Query(q)
+	got, err := ix.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

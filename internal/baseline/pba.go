@@ -198,19 +198,17 @@ func without(xs []int, x int) []int {
 	return out
 }
 
-// Query answers an RRQ with the prebuilt index. It is QueryContext with a
-// background context.
-func (ix *PBAIndex) Query(q core.Query) (*core.Region, error) {
-	return ix.QueryContext(context.Background(), q)
-}
-
 // QueryContext answers an RRQ with the prebuilt index: a top-down search
 // that compares the query point against each partition's ranked point. A
 // partition already dominated by q at some level is returned whole without
 // refinement (which is why PBA+ gets faster as ε grows); at depth k the
-// partition is clipped by h_{q,p_k}. A metrics registry attached to ctx
-// (see internal/obs) times the "phase.pba.search" phase and maintains
-// pba.queries / pba.nodes_visited / pba.planes_built counters.
+// partition is clipped by h_{q,p_k}. The search polls ctx once per visited
+// node on an amortized cadence: a canceled or expired context aborts it
+// with context.Canceled or core.ErrDeadline, and a work budget riding on
+// ctx (core.ContextWithWorkBudget) with a *core.BudgetError. A metrics
+// registry attached to ctx (see internal/obs) times the "phase.pba.search"
+// phase and maintains pba.queries / pba.nodes_visited / pba.planes_built
+// counters.
 func (ix *PBAIndex) QueryContext(ctx context.Context, q core.Query) (*core.Region, error) {
 	if err := q.Validate(ix.dim); err != nil {
 		return nil, err
@@ -226,20 +224,38 @@ func (ix *PBAIndex) QueryContext(ctx context.Context, q core.Query) (*core.Regio
 		return core.NewCellRegion(ix.dim, []*geom.Cell{geom.NewSimplex(ix.dim)}), nil
 	}
 	searchPhase := check.Phase("phase.pba.search")
-	var cells []*geom.Cell
-	visited, planesBuilt := 0, 0
-	ix.search(ix.root, q, &cells, &visited, &planesBuilt)
+	s := pbaSearch{q: q, check: check}
+	ix.search(ix.root, &s)
 	searchPhase()
-	reg.Counter("pba.nodes_visited").Add(int64(visited))
-	reg.Counter("pba.planes_built").Add(int64(planesBuilt))
-	if len(cells) == 0 {
+	reg.Counter("pba.nodes_visited").Add(int64(s.visited))
+	reg.Counter("pba.planes_built").Add(int64(s.planesBuilt))
+	if err := check.Err(); err != nil {
+		return nil, err
+	}
+	if len(s.out) == 0 {
 		return core.EmptyRegion(ix.dim), nil
 	}
-	return core.NewDisjointCellRegion(ix.dim, cells), nil
+	return core.NewDisjointCellRegion(ix.dim, s.out), nil
 }
 
-func (ix *PBAIndex) search(n *pbaNode, q core.Query, out *[]*geom.Cell, visited, planesBuilt *int) {
-	*visited++
+// pbaSearch is the state of one query's top-down search: the query, its
+// cancellation checker, the qualified cells collected so far and the work
+// counters.
+type pbaSearch struct {
+	q                    core.Query
+	check                *core.CtxChecker
+	out                  []*geom.Cell
+	visited, planesBuilt int
+}
+
+// search collects n's qualified cells into s.out. It stops descending once
+// s.check trips; the caller reports check.Err().
+func (ix *PBAIndex) search(n *pbaNode, s *pbaSearch) {
+	if s.check.Stop() {
+		return
+	}
+	s.visited++
+	q := s.q
 	if n.point >= 0 {
 		// Deliberately not core's classifyPlane: the search needs the
 		// plane's relation to this node's cell, not to all of U, and only
@@ -250,23 +266,23 @@ func (ix *PBAIndex) search(n *pbaNode, q core.Query, out *[]*geom.Cell, visited,
 			// q sits exactly on the scaled point: boundary, treat as
 			// qualified at this level and keep descending to level k.
 			if n.depth == q.K {
-				*out = append(*out, n.cell)
+				s.out = append(s.out, n.cell)
 				return
 			}
 		} else {
-			*planesBuilt++
+			s.planesBuilt++
 			h := geom.NewHyperplane(w, 1<<30+n.point)
 			rel := n.cell.Relation(h)
 			if rel == geom.RelPos {
 				// q beats this level's point everywhere on the cell, so it
 				// beats every deeper level too: accept without refinement.
-				*out = append(*out, n.cell)
+				s.out = append(s.out, n.cell)
 				return
 			}
 			if n.depth == q.K {
 				if rel != geom.RelNeg {
 					if c := n.cell.Clip(h, +1); c != nil {
-						*out = append(*out, c)
+						s.out = append(s.out, c)
 					}
 				}
 				return
@@ -274,6 +290,6 @@ func (ix *PBAIndex) search(n *pbaNode, q core.Query, out *[]*geom.Cell, visited,
 		}
 	}
 	for _, c := range n.children {
-		ix.search(c, q, out, visited, planesBuilt)
+		ix.search(c, s)
 	}
 }

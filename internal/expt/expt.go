@@ -316,7 +316,7 @@ func runPBA(in instance, sc Scale) Cell {
 		return cellOrSkip("PBA+", 0, err)
 	}
 	secs, err := timeIt(in, sc.CellBudget, func(q core.Query) error {
-		_, e := ix.Query(q)
+		_, e := ix.QueryContext(ctx, q)
 		return e
 	})
 	return cellOrSkip("PBA+", secs, err)

@@ -219,7 +219,7 @@ func hardLPCTAQuery(t *testing.T) (*rrq.Dataset, rrq.Point) {
 	ds := rrq.SyntheticDataset(rrq.Independent, 300, 2, 13)
 	for seed := int64(1); seed < 30; seed++ {
 		cand := ds.RandomQuery(seed)
-		res, err := rrq.SolveResult(ds, rrq.Query{Q: cand, K: 10, Epsilon: 0.2},
+		res, err := rrq.SolveContext(context.Background(), ds, rrq.Query{Q: cand, K: 10, Epsilon: 0.2},
 			rrq.WithAlgorithm(rrq.LPCTAAlgo))
 		if err != nil {
 			t.Fatal(err)

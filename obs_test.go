@@ -238,14 +238,14 @@ func TestQueryValidateRejections(t *testing.T) {
 			check(t, tc.name+"/Validate", tc.q.Validate(), tc.field)
 		}
 		for _, algo := range []Algorithm{EPTAlgo, APCAlgo, LPCTAAlgo, BruteForceAlgo} {
-			_, err := SolveResult(ds, tc.q, WithAlgorithm(algo))
+			_, err := SolveContext(context.Background(), ds, tc.q, WithAlgorithm(algo))
 			check(t, tc.name+"/Solve/"+algo.String(), err, tc.field)
 		}
 	}
 
 	// The Prepared-path solvers name the query as the mismatched side.
 	for _, algo := range []Algorithm{EPTAlgo, BruteForceAlgo} {
-		_, err := SolveResult(ds, Query{Q: Point{0.5, 0.5}, K: 2, Epsilon: 0.1}, WithAlgorithm(algo))
+		_, err := SolveContext(context.Background(), ds, Query{Q: Point{0.5, 0.5}, K: 2, Epsilon: 0.1}, WithAlgorithm(algo))
 		const want = "query dimension 2 does not match dataset dimension 3"
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("dim-mismatch/%v: error %v, want it to say %q", algo, err, want)
@@ -257,16 +257,16 @@ func TestQueryValidateRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ix.Query(Query{Q: Point{0.5, 0.5}, K: 0, Epsilon: 0.1})
+	_, err = ix.QueryContext(context.Background(), Query{Q: Point{0.5, 0.5}, K: 0, Epsilon: 0.1})
 	check(t, "pba-k-zero", err, "k")
-	_, err = ix.Query(Query{Q: Point{0.5, 0.5, 0.5}, K: 1, Epsilon: 0.1})
+	_, err = ix.QueryContext(context.Background(), Query{Q: Point{0.5, 0.5, 0.5}, K: 1, Epsilon: 0.1})
 	check(t, "pba-dim-mismatch", err, "dim")
 
 	// And the good query really is good.
 	if err := good.Validate(); err != nil {
 		t.Errorf("good query rejected: %v", err)
 	}
-	if _, err := SolveResult(ds, good); err != nil {
+	if _, err := SolveContext(context.Background(), ds, good); err != nil {
 		t.Errorf("good query failed to solve: %v", err)
 	}
 }

@@ -51,7 +51,7 @@ func TestWithWorkBudgetFallback(t *testing.T) {
 	if res.Tier != TierAnytime || res.Accuracy == nil {
 		t.Fatalf("retry tier %v accuracy %+v, want anytime with a receipt", res.Tier, res.Accuracy)
 	}
-	exact, err := regionOf(SolveResult(ds, q, WithAlgorithm(SweepingAlgo)))
+	exact, err := regionOf(SolveContext(context.Background(), ds, q, WithAlgorithm(SweepingAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestNewDatasetTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("raw data rejected by NewNormalizedDataset: %v", err)
 	}
-	if _, err := SolveResult(ds, Query{Q: Point{0.5, 0.5}, K: 1, Epsilon: 0.1}); err != nil {
+	if _, err := SolveContext(context.Background(), ds, Query{Q: Point{0.5, 0.5}, K: 1, Epsilon: 0.1}); err != nil {
 		t.Fatalf("normalized dataset rejected: %v", err)
 	}
 }
@@ -149,7 +149,7 @@ func TestTypedDimensionErrors(t *testing.T) {
 func TestQueryPositivityValidation(t *testing.T) {
 	ds := SyntheticDataset(Independent, 20, 2, 1)
 	for _, bad := range []Point{{0, 0.5}, {-0.1, 0.5}} {
-		_, err := SolveResult(ds, Query{Q: bad, K: 1, Epsilon: 0.1})
+		_, err := SolveContext(context.Background(), ds, Query{Q: bad, K: 1, Epsilon: 0.1})
 		var qe *QueryError
 		if !errors.As(err, &qe) {
 			t.Fatalf("q=%v: err = %v, want *QueryError", bad, err)

@@ -8,7 +8,8 @@
 // # Quick start
 //
 //	ds, _ := rrq.NewDataset([][]float64{{0.2, 0.92}, {0.7, 0.54}, {0.6, 0.3}})
-//	res, _ := rrq.SolveResult(ds, rrq.Query{Q: rrq.Point{0.4, 0.7}, K: 2, Epsilon: 0.1})
+//	q := rrq.Query{Q: rrq.Point{0.4, 0.7}, K: 2, Epsilon: 0.1}
+//	res, _ := rrq.SolveContext(context.Background(), ds, q)
 //	share := res.Region.Measure(20000) // fraction of preference space won
 //
 // Three solvers from the paper are available: Sweeping (d = 2, linear
@@ -29,7 +30,6 @@ import (
 	"rrq/internal/core"
 	"rrq/internal/dataset"
 	"rrq/internal/obs"
-	"rrq/internal/rms"
 	"rrq/internal/skyband"
 	"rrq/internal/vec"
 )
@@ -153,13 +153,14 @@ type QueryError = core.QueryError
 // Validate checks the query's intrinsic parameters — Q finite with
 // dimension ≥ 2, K ≥ 1 and Epsilon ∈ [0,1) — without a dataset. The same
 // validation (plus the query/dataset dimension match) runs inside every
-// entry point: SolveResult and its variants, Index solving and PBAIndex
-// queries. A failure is always a *QueryError.
+// entry point: SolveContext, Prepare and SolveBatch, Index solving and
+// PBAIndex queries. A failure is always a *QueryError.
 func (q Query) Validate() error {
 	return q.toCore().Validate(len(q.Q))
 }
 
-// Algorithm selects the solver used by SolveResult and its variants.
+// Algorithm selects the solver used by SolveContext, Prepare, SolveBatch
+// and Index solving.
 type Algorithm int
 
 const (
@@ -273,20 +274,6 @@ func (t SolverTier) String() string {
 	}
 }
 
-// ParseSolverTier maps a tier's String form back to the value.
-func ParseSolverTier(s string) (SolverTier, error) {
-	switch s {
-	case "exact":
-		return TierExact, nil
-	case "approx":
-		return TierApprox, nil
-	case "anytime":
-		return TierAnytime, nil
-	default:
-		return 0, fmt.Errorf("rrq: unknown solver tier %q", s)
-	}
-}
-
 // Accuracy is the enforced accuracy contract attached to a TierAnytime
 // Result: the samples the construction actually consumed, the Lemma 5.10
 // volume-ratio bound ρ they support at confidence 1−Delta, whether a budget
@@ -332,7 +319,7 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 // TimerSnapshot is a point-in-time copy of one phase timer's histogram.
 type TimerSnapshot = obs.TimerSnapshot
 
-// Option configures SolveResult, SolveContext, SolveBatch and Prepare.
+// Option configures SolveContext, SolveBatch, Prepare and Index solving.
 type Option func(*config)
 
 type config struct {
@@ -352,8 +339,11 @@ type config struct {
 }
 
 // newConfig applies opts to the zero configuration.
-func newConfig(opts []Option) config {
-	var c config
+func newConfig(opts []Option) config { return config{}.with(opts) }
+
+// with returns c with opts applied on top — an Index's defaults merged
+// with per-call options.
+func (c config) with(opts []Option) config {
 	for _, o := range opts {
 		o(&c)
 	}
@@ -444,7 +434,7 @@ func WithWorkBudget(n int64) Option {
 // Approximate (A-PC) answers are never cached. With WithMetrics, traffic
 // shows as "cache.hit" / "cache.miss", plus "cache.warm_start" for anytime
 // solves seeded from a cached neighbor. The option only affects Index
-// solving; SolveResult and Prepare over a plain Dataset ignore it.
+// solving; SolveContext and Prepare over a plain Dataset ignore it.
 func WithResultCache(n int) Option { return func(c *config) { c.cacheSize = n } }
 
 // WithCacheBounds does nothing; a cache miss is always solved exactly.
@@ -547,19 +537,13 @@ func policyFor(cfg config, dim int) (core.SolvePolicy, error) {
 	}, nil
 }
 
-// SolveResult answers the reverse regret query over the dataset — the
-// plain (background-context) form of SolveContext, returning the full
-// Result: region, work counters, elapsed time and serving tier.
-func SolveResult(d *Dataset, q Query, opts ...Option) (Result, error) {
-	return SolveContext(context.Background(), d, q, opts...)
-}
-
-// SolveContext answers the reverse regret query under a context and returns
-// the full Result: region, work counters and elapsed time. A context
-// deadline aborts the solve with ErrDeadline, cancellation with ctx.Err();
-// both are observed with an amortized check inside the solver hot loops, so
-// aborts take effect within a bounded amount of work. WithMetrics attaches
-// phase timers and counters; per-solve work is reported in Result.Stats.
+// SolveContext answers the reverse regret query over the dataset under a
+// context and returns the full Result: region, work counters, elapsed time
+// and serving tier. A context deadline aborts the solve with ErrDeadline,
+// cancellation with ctx.Err(); both are observed with an amortized check
+// inside the solver hot loops, so aborts take effect within a bounded
+// amount of work. WithMetrics attaches phase timers and counters; per-solve
+// work is reported in Result.Stats.
 func SolveContext(ctx context.Context, d *Dataset, q Query, opts ...Option) (Result, error) {
 	p, err := Prepare(d, opts...)
 	if err != nil {
@@ -599,7 +583,7 @@ type NumericalError = core.NumericalError
 // preference space on which q ranks within the top k. It equals the
 // reverse regret query at ε = 0.
 func ReverseTopK(d *Dataset, q Point, k int) (*Region, error) {
-	res, err := SolveResult(d, Query{Q: q, K: k, Epsilon: 0}, WithAlgorithm(EPTAlgo))
+	res, err := SolveContext(context.Background(), d, Query{Q: q, K: k, Epsilon: 0}, WithAlgorithm(EPTAlgo))
 	if err != nil {
 		return nil, err
 	}
@@ -628,18 +612,20 @@ func (r *Region) NumPartitions() int { return r.inner.NumPieces() }
 // d-dimensional non-negative vector summing to 1.
 func (r *Region) Contains(u Vector) bool { return r.inner.Contains(vec.Vec(u)) }
 
-// Measure estimates the fraction of the preference space that qualifies —
-// the "market share" of the query product at regret level ε. For 2-d
-// interval regions the result is exact; otherwise samples Monte-Carlo
-// points (deterministically).
+// Measure returns the fraction of the preference space that qualifies —
+// the "market share" of the query product at regret level ε. The result is
+// exact, and samples is ignored, for every 2-d region and for 3-d regions
+// of disjoint pieces: the answers of E-PT, LP-CTA, PBA+ and brute force.
+// Otherwise (A-PC and anytime answers at d ≥ 3, every region at d ≥ 4) it
+// is a deterministic Monte-Carlo estimate over samples points.
 func (r *Region) Measure(samples int) float64 {
 	return r.MeasureWithSeed(1, samples)
 }
 
 // MeasureWithSeed is Measure with a caller-supplied seed for the
-// Monte-Carlo sampler. Equal seeds and sample counts return the identical
-// estimate, making differential and replayed runs comparable; Measure is
-// MeasureWithSeed(1, samples).
+// Monte-Carlo sampler (unused where Measure is exact). Equal seeds and
+// sample counts return the identical estimate, making differential and
+// replayed runs comparable; Measure is MeasureWithSeed(1, samples).
 func (r *Region) MeasureWithSeed(seed int64, samples int) float64 {
 	return r.inner.MeasureWithSeed(seed, samples)
 }
@@ -688,15 +674,11 @@ func BuildPBAIndex(d *Dataset, kmax, maxNodes int) (*PBAIndex, error) {
 // ErrPBABudget signals that PBA+ preprocessing exceeded its node budget.
 var ErrPBABudget = baseline.ErrPBABudget
 
-// Query answers a reverse regret query with the prebuilt index. It is
-// QueryContext with a background context and no options.
-func (ix *PBAIndex) Query(q Query) (*Region, error) {
-	return ix.QueryContext(context.Background(), q)
-}
-
 // QueryContext answers a reverse regret query with the prebuilt index under
-// a context. WithMetrics attaches per-query phase timers and the pba.*
-// counters; other options are ignored (the index fixes the algorithm).
+// a context: a deadline aborts the search with ErrDeadline, cancellation
+// with ctx.Err(), both observed with an amortized check per visited node.
+// WithMetrics attaches per-query phase timers and the pba.* counters;
+// other options are ignored (the index fixes the algorithm).
 func (ix *PBAIndex) QueryContext(ctx context.Context, q Query, opts ...Option) (*Region, error) {
 	cfg := newConfig(opts)
 	r, err := ix.inner.QueryContext(cfg.obsContext(ctx), q.toCore())
@@ -776,13 +758,3 @@ func (sp *ShareProfile) Share(eps float64) float64 { return sp.inner.Share(eps) 
 
 // EpsForShare returns the smallest threshold reaching the target share.
 func (sp *ShareProfile) EpsForShare(target float64) float64 { return sp.inner.EpsForShare(target) }
-
-// RegretMinimizingSet selects r representative products with the classical
-// greedy regret-minimizing-set algorithm (Nanongkai et al. 2010) — the
-// forward counterpart of the reverse regret query: every customer finds,
-// among the selected products, one scoring within the returned maximum
-// regret ratio of their favourite in the whole market. It returns the
-// selected product indices and that ratio.
-func RegretMinimizingSet(d *Dataset, r int) (indices []int, maxRegret float64, err error) {
-	return rms.Greedy(d.points(), r)
-}

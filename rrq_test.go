@@ -2,6 +2,7 @@ package rrq
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -12,7 +13,7 @@ import (
 	"rrq/internal/vec"
 )
 
-// regionOf keeps the region of a SolveResult, for tests that check only the
+// regionOf keeps the region of a SolveContext result, for tests that check only the
 // answer.
 func regionOf(res Result, err error) (*Region, error) { return res.Region, err }
 
@@ -51,7 +52,7 @@ func TestNewDatasetValidation(t *testing.T) {
 func TestSolvePaperExample(t *testing.T) {
 	ds := table3Dataset(t)
 	q := Query{Q: Point{0.4, 0.7}, K: 2, Epsilon: 0.1}
-	region, err := regionOf(SolveResult(ds, q))
+	region, err := regionOf(SolveContext(context.Background(), ds, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +67,11 @@ func TestSolvePaperExample(t *testing.T) {
 func TestSolveAlgorithmsAgree(t *testing.T) {
 	ds := SyntheticDataset(Independent, 80, 3, 5)
 	q := Query{Q: ds.RandomQuery(1), K: 4, Epsilon: 0.1}
-	exact, err := regionOf(SolveResult(ds, q, WithAlgorithm(EPTAlgo)))
+	exact, err := regionOf(SolveContext(context.Background(), ds, q, WithAlgorithm(EPTAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lpcta, err := regionOf(SolveResult(ds, q, WithAlgorithm(LPCTAAlgo)))
+	lpcta, err := regionOf(SolveContext(context.Background(), ds, q, WithAlgorithm(LPCTAAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestSolveAlgorithmsAgree(t *testing.T) {
 	if math.Abs(me-ml) > 0.01 {
 		t.Fatalf("measures differ: E-PT %v vs LP-CTA %v", me, ml)
 	}
-	apc, err := regionOf(SolveResult(ds, q, WithAlgorithm(APCAlgo), WithSamples(200), WithSeed(3)))
+	apc, err := regionOf(SolveContext(context.Background(), ds, q, WithAlgorithm(APCAlgo), WithSamples(200), WithSeed(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,9 +89,23 @@ func TestSolveAlgorithmsAgree(t *testing.T) {
 	}
 }
 
+// A 3-d E-PT answer is a set of disjoint pieces, so its measure is exact
+// and ignores the sample count.
+func TestMeasureExact3D(t *testing.T) {
+	ds := SyntheticDataset(Independent, 80, 3, 5)
+	q := Query{Q: ds.RandomQuery(7), K: 4, Epsilon: 0.1}
+	region, err := regionOf(SolveContext(context.Background(), ds, q, WithAlgorithm(EPTAlgo)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m1, mBig := region.Measure(1), region.Measure(100000); m1 != mBig || m1 <= 0 || m1 >= 1 {
+		t.Fatalf("Measure(1) = %v, Measure(100000) = %v; want one exact share in (0,1)", m1, mBig)
+	}
+}
+
 func TestSolveAutoDispatch(t *testing.T) {
 	ds2 := table3Dataset(t)
-	r2, err := regionOf(SolveResult(ds2, Query{Q: Point{0.4, 0.7}, K: 1, Epsilon: 0.1}))
+	r2, err := regionOf(SolveContext(context.Background(), ds2, Query{Q: Point{0.4, 0.7}, K: 1, Epsilon: 0.1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,20 +113,20 @@ func TestSolveAutoDispatch(t *testing.T) {
 		t.Fatalf("auto 2-d should sweep to one interval, got %v", got)
 	}
 	ds3 := SyntheticDataset(Independent, 30, 3, 2)
-	if _, err := SolveResult(ds3, Query{Q: ds3.RandomQuery(1), K: 2, Epsilon: 0.1}); err != nil {
+	if _, err := SolveContext(context.Background(), ds3, Query{Q: ds3.RandomQuery(1), K: 2, Epsilon: 0.1}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSolveErrors(t *testing.T) {
 	ds := table3Dataset(t)
-	if _, err := SolveResult(ds, Query{Q: Point{0.4, 0.7}, K: 0, Epsilon: 0.1}); err == nil {
+	if _, err := SolveContext(context.Background(), ds, Query{Q: Point{0.4, 0.7}, K: 0, Epsilon: 0.1}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := SolveResult(ds, Query{Q: Point{0.4, 0.7, 0.1}, K: 1, Epsilon: 0.1}); err == nil {
+	if _, err := SolveContext(context.Background(), ds, Query{Q: Point{0.4, 0.7, 0.1}, K: 1, Epsilon: 0.1}); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
-	if _, err := SolveResult(ds, Query{Q: Point{0.4, 0.7}, K: 1, Epsilon: 0.1}, WithAlgorithm(Algorithm(99))); err == nil {
+	if _, err := SolveContext(context.Background(), ds, Query{Q: Point{0.4, 0.7}, K: 1, Epsilon: 0.1}, WithAlgorithm(Algorithm(99))); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -181,7 +196,7 @@ func TestReverseTopKVersusRRQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rrq0, err := regionOf(SolveResult(ds, Query{Q: q, K: 3, Epsilon: 0}, WithAlgorithm(EPTAlgo)))
+	rrq0, err := regionOf(SolveContext(context.Background(), ds, Query{Q: q, K: 3, Epsilon: 0}, WithAlgorithm(EPTAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +204,7 @@ func TestReverseTopKVersusRRQ(t *testing.T) {
 		t.Fatal("reverse top-k must equal RRQ at ε=0")
 	}
 	// Relaxing ε grows the region.
-	rrq10, err := regionOf(SolveResult(ds, Query{Q: q, K: 3, Epsilon: 0.1}, WithAlgorithm(EPTAlgo)))
+	rrq10, err := regionOf(SolveContext(context.Background(), ds, Query{Q: q, K: 3, Epsilon: 0.1}, WithAlgorithm(EPTAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +225,7 @@ func TestRegretRatio(t *testing.T) {
 func TestRegionSampleAndMeasure(t *testing.T) {
 	ds := SyntheticDataset(Independent, 60, 3, 9)
 	q := Query{Q: ds.RandomQuery(3), K: 5, Epsilon: 0.15}
-	region, err := regionOf(SolveResult(ds, q))
+	region, err := regionOf(SolveContext(context.Background(), ds, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +244,7 @@ func TestRegionSampleAndMeasure(t *testing.T) {
 func TestKSkybandPreprocessingPreservesAnswers(t *testing.T) {
 	ds := SyntheticDataset(Independent, 300, 3, 11)
 	q := Query{Q: ds.RandomQuery(5), K: 3, Epsilon: 0.1}
-	full, err := regionOf(SolveResult(ds, q, WithAlgorithm(EPTAlgo)))
+	full, err := regionOf(SolveContext(context.Background(), ds, q, WithAlgorithm(EPTAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +252,7 @@ func TestKSkybandPreprocessingPreservesAnswers(t *testing.T) {
 	if pruned.Len() >= ds.Len() {
 		t.Fatalf("skyband did not prune: %d of %d", pruned.Len(), ds.Len())
 	}
-	reduced, err := regionOf(SolveResult(pruned, q, WithAlgorithm(EPTAlgo)))
+	reduced, err := regionOf(SolveContext(context.Background(), pruned, q, WithAlgorithm(EPTAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +271,11 @@ func TestPBAIndexRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Query{Q: ds.RandomQuery(7), K: 2, Epsilon: 0.1}
-	got, err := ix.Query(q)
+	got, err := ix.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := regionOf(SolveResult(ds, q, WithAlgorithm(EPTAlgo)))
+	want, err := regionOf(SolveContext(context.Background(), ds, q, WithAlgorithm(EPTAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +437,7 @@ func TestShareProfilePublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The curve must agree with a direct solve at ε = 0.1.
-	reg, err := regionOf(SolveResult(ds, Query{Q: q, K: 5, Epsilon: 0.1}, WithAlgorithm(EPTAlgo)))
+	reg, err := regionOf(SolveContext(context.Background(), ds, Query{Q: q, K: 5, Epsilon: 0.1}, WithAlgorithm(EPTAlgo)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +453,7 @@ func TestShareProfilePublicAPI(t *testing.T) {
 // state; regions are immutable). Run with -race.
 func TestConcurrentSolves(t *testing.T) {
 	ds := SyntheticDataset(Independent, 150, 3, 41)
-	region, err := regionOf(SolveResult(ds, Query{Q: ds.RandomQuery(1), K: 3, Epsilon: 0.1}))
+	region, err := regionOf(SolveContext(context.Background(), ds, Query{Q: ds.RandomQuery(1), K: 3, Epsilon: 0.1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +462,7 @@ func TestConcurrentSolves(t *testing.T) {
 		w := w
 		go func() {
 			q := Query{Q: ds.RandomQuery(int64(w)), K: 2 + w%3, Epsilon: 0.05 * float64(1+w%3)}
-			r, err := regionOf(SolveResult(ds, q))
+			r, err := regionOf(SolveContext(context.Background(), ds, q))
 			if err != nil {
 				done <- err
 				return
@@ -464,30 +479,5 @@ func TestConcurrentSolves(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestRegretMinimizingSet(t *testing.T) {
-	ds := SyntheticDataset(Anticorrelated, 300, 3, 21)
-	sel, mrr, err := RegretMinimizingSet(ds, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel) == 0 || len(sel) > 8 {
-		t.Fatalf("selected %d products", len(sel))
-	}
-	if mrr < 0 || mrr > 1 {
-		t.Fatalf("max regret %v out of range", mrr)
-	}
-	// Duality spot check: each selected product should command a
-	// non-trivial reverse-regret region of its own.
-	market := ds.KSkyband(1)
-	_ = market
-	region, err := regionOf(SolveResult(ds, Query{Q: ds.PointAt(sel[0]), K: 1, Epsilon: math.Min(0.9, mrr+0.05)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if region.IsEmpty() {
-		t.Fatal("a greedy representative should qualify somewhere at ε > mrr")
 	}
 }
