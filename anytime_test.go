@@ -242,72 +242,85 @@ func TestIndexAnytimeWarmStartsFromExactNeighbor(t *testing.T) {
 	}
 }
 
-// planeSteps is the plane-store traffic of one (point, ε) solved four times
-// on one snapshot: a key gets a group only when it comes back, so the first
-// solve misses and keeps nothing, the second misses and builds the group,
-// and the third and fourth hit.
-var planeSteps = []IndexStats{
-	{PlaneMisses: 1},
-	{PlaneMisses: 2, PlaneSets: 1},
-	{PlaneMisses: 2, PlaneHits: 1, PlaneSets: 1},
-	{PlaneMisses: 2, PlaneHits: 2, PlaneSets: 1},
+// sharedPlaneBatch answers q at its own k and the next two as one batch on
+// ix under opts and checks the plane traffic it adds to the index: the
+// batch's store classifies the (point, ε) the three share once — one miss —
+// and narrows it for the other two ranks — two hits. Each answer must equal
+// the served solve of its query, and each served solve must miss: the group
+// died with the batch. It returns the batch's report.
+func sharedPlaneBatch(t *testing.T, ix *Index, q Query, what string, opts ...Option) *BatchReport {
+	t.Helper()
+	ctx := context.Background()
+	queries := []Query{q, q, q}
+	for i := range queries {
+		queries[i].K += i
+	}
+	before := ix.Stats()
+	rep, err := ix.SolveBatch(ctx, queries, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rep.Results {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	st := ix.Stats()
+	if h, m := st.PlaneHits-before.PlaneHits, st.PlaneMisses-before.PlaneMisses; h != 2 || m != 1 {
+		t.Fatalf("%s batch: plane hits/misses = %d/%d, want 2/1", what, h, m)
+	}
+	for i, r := range rep.Results {
+		res, err := ix.SolveContext(ctx, queries[i], opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := r.Region.MarshalJSON()
+		want, _ := res.Region.MarshalJSON()
+		if string(got) != string(want) {
+			t.Fatalf("%s: k=%d: batch region differs from the served solve", what, queries[i].K)
+		}
+	}
+	after := ix.Stats()
+	if h, m := after.PlaneHits-st.PlaneHits, after.PlaneMisses-st.PlaneMisses; h != 0 || m != 3 {
+		t.Fatalf("%s: three served solves after the batch: plane hits/misses = %d/%d, want 0/3", what, h, m)
+	}
+	return rep
 }
 
-func checkPlaneStep(t *testing.T, ix *Index, i int, tier string) {
+// requirePlanes fails t when a result of rep crossed no plane, which would
+// leave nothing for its batch to share.
+func requirePlanes(t *testing.T, rep *BatchReport, what string) {
 	t.Helper()
-	st, w := ix.Stats(), planeSteps[i]
-	if st.PlaneHits != w.PlaneHits || st.PlaneMisses != w.PlaneMisses || st.PlaneSets != w.PlaneSets {
-		t.Fatalf("solve %d (%s): plane hits/misses/sets = %d/%d/%d, want %d/%d/%d", i, tier,
-			st.PlaneHits, st.PlaneMisses, st.PlaneSets, w.PlaneHits, w.PlaneMisses, w.PlaneSets)
+	for i, r := range rep.Results {
+		if r.Stats.PlanesBuilt == 0 {
+			t.Fatalf("%s: query %d: no crossing planes; test is vacuous", what, i)
+		}
 	}
 }
 
-// An anytime solve takes its hyper-planes from the snapshot's plane store,
-// as exact solves do: the group two anytime solves built serves a third
-// anytime solve and then an exact solve of the same query.
+// An anytime batch takes its hyper-planes from the batch's plane store, as
+// an exact batch of the same queries does. A-PC reports no plane count, so
+// the exact batch shows that the queries cross planes.
 func TestIndexAnytimeSharesPlanes(t *testing.T) {
 	ds, q := indexTestInstance(t, 4, 9007)
 	ix, err := BuildIndex(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	for i := range planeSteps {
-		tier, opts := "anytime", []Option{WithAnytimeSamples(8), WithSeed(3)}
-		if i == len(planeSteps)-1 {
-			tier, opts = "exact", nil
-		}
-		if _, err := ix.SolveContext(ctx, q, opts...); err != nil {
-			t.Fatal(err)
-		}
-		checkPlaneStep(t, ix, i, tier)
-	}
+	sharedPlaneBatch(t, ix, q, "anytime", WithAnytimeSamples(8), WithSeed(3))
+	requirePlanes(t, sharedPlaneBatch(t, ix, q, "exact"), "exact")
 }
 
-// LP-CTA takes its hyper-planes from the snapshot's plane store like every
-// core solver: the group two LP-CTA solves built serves a third LP-CTA
-// solve and then an E-PT solve of the same query.
+// An LP-CTA batch takes its hyper-planes from the batch's plane store like
+// every core solver's.
 func TestIndexLPCTASharesPlanes(t *testing.T) {
 	ds, q := indexTestInstance(t, 3, 9007)
 	ix, err := BuildIndex(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	for i := range planeSteps {
-		algo := LPCTAAlgo
-		if i == len(planeSteps)-1 {
-			algo = EPTAlgo
-		}
-		res, err := ix.SolveContext(ctx, q, WithAlgorithm(algo))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.PlanesBuilt == 0 {
-			t.Fatalf("solve %d: no crossing planes; test is vacuous", i)
-		}
-		checkPlaneStep(t, ix, i, algo.String())
-	}
+	requirePlanes(t, sharedPlaneBatch(t, ix, q, "LP-CTA", WithAlgorithm(LPCTAAlgo)), "LP-CTA")
+	sharedPlaneBatch(t, ix, q, "E-PT", WithAlgorithm(EPTAlgo))
 }
 
 // A panic in an anytime solve is isolated like any other solver panic: the

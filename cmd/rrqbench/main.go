@@ -277,16 +277,16 @@ type indexScenario struct {
 	K       int
 	Eps     float64
 	Queries int
-	Rounds  int // times each query repeats (warm rounds hit the plane cache)
+	Rounds  int // times each query repeats
 }
 
 // indexBenchResult is the JSON record of one index scenario: the one-time
 // build cost, then warm (snapshot-served) vs cold (per-query validation +
 // skyband + plane classification) cost over the identical query stream, plus
 // the incremental-maintenance cost of an interleaved Insert/Delete stream.
-// PlaneHitsPerQ and PlaneMissesPerQ are the snapshot's plane-store traffic
-// over the warm stream: deterministic for a given stream and admission rule,
-// so benchdiff requires them to equal the baseline's.
+// PlaneHitsPerQ and PlaneMissesPerQ are the index's plane traffic over the
+// warm stream: a served solve keeps no plane group, so every query reads 0
+// hits and 1 miss, and benchdiff requires them to equal the baseline's.
 type indexBenchResult struct {
 	Name            string  `json:"name"`
 	N               int     `json:"n"`
@@ -597,9 +597,9 @@ func runBenchJSON(path string, full bool, seed int64, cpus []int) error {
 }
 
 // runIndexScenario times one index scenario: the one-time build, the query
-// stream served warm from the snapshot (repeated rounds exercise the shared
-// plane storage) and cold through full per-query preprocessing, and an
-// interleaved Insert/Delete maintenance stream.
+// stream served warm from the snapshot (its maintained k-bands; each solve
+// still classifies its own planes) and cold through full per-query
+// preprocessing, and an interleaved Insert/Delete maintenance stream.
 func runIndexScenario(sc indexScenario, seed int64) (indexBenchResult, error) {
 	ctx := context.Background()
 	ds := rrq.SyntheticDataset(sc.Dist, sc.N, sc.D, seed)

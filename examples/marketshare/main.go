@@ -24,17 +24,21 @@ func main() {
 	fmt.Printf("market: %d player profiles (k-skyband of %d), %d attributes\n\n",
 		market.Len(), ds.Len(), ds.Dim())
 
-	// Candidate "player designs" to evaluate: a balanced all-rounder, a
-	// specialist, and a budget profile.
-	candidates := map[string]rrq.Point{
-		"all-rounder": {0.90, 0.90, 0.90, 0.90, 0.90},
-		"specialist":  {0.99, 0.97, 0.55, 0.55, 0.55},
-		"bench":       {0.70, 0.70, 0.70, 0.70, 0.70},
+	// Candidate "player designs" to evaluate, printed in this order: a
+	// balanced all-rounder, a specialist, and a budget profile.
+	specialist := rrq.Point{0.99, 0.97, 0.55, 0.55, 0.55}
+	candidates := []struct {
+		name string
+		q    rrq.Point
+	}{
+		{"all-rounder", rrq.Point{0.90, 0.90, 0.90, 0.90, 0.90}},
+		{"specialist", specialist},
+		{"bench", rrq.Point{0.70, 0.70, 0.70, 0.70, 0.70}},
 	}
 
 	fmt.Printf("%-12s  %10s  %12s  %s\n", "candidate", "share", "partitions", "example preference")
-	for name, q := range candidates {
-		res, err := rrq.SolveContext(ctx, market, rrq.Query{Q: q, K: k, Epsilon: eps})
+	for _, c := range candidates {
+		res, err := rrq.SolveContext(ctx, market, rrq.Query{Q: c.q, K: k, Epsilon: eps})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -44,7 +48,7 @@ func main() {
 			example = fmt.Sprintf("%.2f", []float64(u))
 		}
 		fmt.Printf("%-12s  %9.2f%%  %12d  %s\n",
-			name, 100*region.Measure(30000), region.NumPartitions(), example)
+			c.name, 100*region.Measure(30000), region.NumPartitions(), example)
 	}
 
 	fmt.Println("\nA large share means many preference profiles would shortlist the")
@@ -52,7 +56,7 @@ func main() {
 
 	// The share profile answers design questions in one pass: how tolerant
 	// must customers be before the specialist reaches a third of the market?
-	sp, err := rrq.NewShareProfile(market, candidates["specialist"], k, 20000, 1)
+	sp, err := rrq.NewShareProfile(market, specialist, k, 20000, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

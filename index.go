@@ -23,9 +23,10 @@ import (
 
 // Index answers reverse regret queries from a persistent, version-stamped
 // snapshot of the dataset. Compared with SolveContext — which recomputes
-// the k-skyband and reclassifies every hyper-plane per call — an index
-// snapshot holds both, maintained incrementally across Insert/Delete, and
-// shares the classified plane sets of repeated queries.
+// the k-skyband per call — an index snapshot holds it, maintained
+// incrementally across Insert/Delete. Repeated queries are answered by the
+// result cache (WithResultCache); a batch shares the classified plane sets
+// of the queries it holds.
 // All methods are safe for concurrent use.
 type Index struct {
 	inner *index.Index
@@ -41,7 +42,7 @@ type Index struct {
 // algorithm, resilience policy, result cache and observability — that
 // SolveContext/SolveBatch inherit; per-call options override the defaults. With WithMetrics, the build maintains "index.builds" and
 // the "index.epoch" gauge, times "phase.index.build", and every served
-// query's plane-cache traffic shows as "index.planes.hit"/"index.planes.miss".
+// query's plane traffic shows as "index.planes.hit"/"index.planes.miss".
 func BuildIndex(d *Dataset, opts ...Option) (*Index, error) {
 	cfg := newConfig(opts)
 	start := time.Now()
@@ -95,22 +96,20 @@ type IndexStats struct {
 	Version uint64
 	Points  int
 	Dim     int
-	// PlaneHits/PlaneMisses count plane-store traffic over the index's
-	// lifetime (a hit is a plane set served without classification);
-	// PlaneSets and SkybandViews are the current snapshot's (point, ε)
-	// plane groups and memoized k-band views. A (point, ε) gets a plane
-	// group only when the snapshot sees it a second time (or a batch asks
-	// for it twice), so a stream of one-off queries keeps PlaneSets at 0.
+	// PlaneHits/PlaneMisses count plane traffic over the index's lifetime.
+	// A hit is a plane set served without classification, which only a
+	// batch does, for a (point, ε) several of its queries share; a served
+	// solve counts one miss. SkybandViews is the current snapshot's
+	// memoized k-band views.
 	PlaneHits    int64
 	PlaneMisses  int64
-	PlaneSets    int
 	SkybandViews int
 	// Cache is the result cache's statistics, nil without WithResultCache.
 	Cache *CacheStats
 }
 
 // Stats returns a consistent point-in-time view of the index: epoch, point
-// count, plane-cache traffic and (when configured) result-cache statistics.
+// count, plane traffic and (when configured) result-cache statistics.
 func (ix *Index) Stats() IndexStats {
 	s := ix.inner.Stats()
 	st := IndexStats{
@@ -119,7 +118,6 @@ func (ix *Index) Stats() IndexStats {
 		Dim:          s.Dim,
 		PlaneHits:    s.PlaneHits,
 		PlaneMisses:  s.PlaneMisses,
-		PlaneSets:    s.PlaneSets,
 		SkybandViews: s.SkybandViews,
 	}
 	if ix.cache != nil {
@@ -336,9 +334,9 @@ func (ix *Index) SolveBatch(ctx context.Context, queries []Query, opts ...Option
 }
 
 // Save writes the current snapshot to w in a self-contained binary format:
-// the points and the epoch counter. Derived state (skyband views, plane
-// sets) is recomputed on load rather than serialized, so saved indexes stay
-// valid across cache-layout changes.
+// the points and the epoch counter. Derived state (skyband views) is
+// recomputed on load rather than serialized, so saved indexes stay valid
+// across cache-layout changes.
 func (ix *Index) Save(w io.Writer) error { return ix.inner.Save(w) }
 
 // LoadIndex restores an index written by Save and resumes it at the saved

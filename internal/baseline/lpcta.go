@@ -27,7 +27,7 @@ import (
 // LPCTASolver solves RRQ exactly with the adapted LP-CTA algorithm. It
 // takes its planes from core.Prepared.Planes, the plane source of every core
 // solver (planes that never or always count are folded away, and a
-// Prepared's plane store serves them), but applies none of E-PT's
+// batch's plane store serves them), but applies none of E-PT's
 // accelerations: no hyper-plane reduction, no insertion ordering, no sphere
 // tests and no lazy splitting; every relationship check costs two LP
 // solves. Cancellation and deadlines are observed with one amortized check

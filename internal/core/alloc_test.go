@@ -135,7 +135,7 @@ func TestSweepIntervalsZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDeriveIntoArenaZeroAlloc pins the plane store's narrowing path: a
+// TestDeriveIntoArenaZeroAlloc pins the batch store's narrowing path: a
 // query below its group's rank derives its set — store lookup, count filter
 // and ID renumbering — into a warm arena without allocating, and the
 // derived set equals a fresh buildPlanes over the query's own band.
@@ -147,21 +147,17 @@ func TestDeriveIntoArenaZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := newPlaneStore(prep.bands, nil)
 		wide := q
 		wide.K = 8
-		// The key's first lookup only records it; the second builds its
-		// group at rank 8.
-		for range 2 {
-			store.planes(prep.PointsFor(wide.K), wide, &Arena{}, nil)
-		}
-		if g := store.groups[string(groupKey(nil, q))]; g == nil || g.kmax != 8 {
-			t.Fatalf("d=%d: no plane group at rank 8 after two lookups", d)
-		}
 		q.K = 3
+		bp := batchView(prep, wide, q)
+		if g := bp.store.groups[string(groupKey(nil, q))]; g == nil || g.kmax != 8 {
+			t.Fatalf("d=%d: the batch reserved no plane group at rank 8", d)
+		}
+		bp.planes(wide, &Arena{}, nil) // builds the group
 		band := prep.PointsFor(q.K)
 		a := &Arena{}
-		got := store.planes(band, q, a, nil)
+		got := bp.planes(q, a, nil)
 		want := buildPlanes(band, q, &Arena{})
 		if len(want.Crossing) == 0 {
 			t.Fatalf("d=%d: instance produced no crossing planes; test is vacuous", d)
@@ -170,7 +166,7 @@ func TestDeriveIntoArenaZeroAlloc(t *testing.T) {
 			t.Fatalf("d=%d: derived %s", d, diff)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			store.planes(band, q, a, nil)
+			bp.planes(q, a, nil)
 		})
 		if allocs != 0 {
 			t.Errorf("d=%d: narrowing into a warm arena allocates %.1f per run, want 0", d, allocs)
@@ -178,22 +174,22 @@ func TestDeriveIntoArenaZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPlaneGroupHitZeroAlloc pins what a plane group costs. A hit at the
-// group's own rank builds its headers into a warm arena without
+// TestPlaneGroupHitZeroAlloc pins what a batch's plane group costs. A hit
+// at the group's own rank builds its headers into a warm arena without
 // allocating, and a built group keeps nothing but its per-point kinds and
 // its crossing planes' unit normals: cap(kinds) bytes plus 8·d bytes per
 // crossing plane, summed over every slice the group holds.
 func TestPlaneGroupHitZeroAlloc(t *testing.T) {
 	for d := 2; d <= 4; d++ {
 		rng := rand.New(rand.NewSource(int64(d) * 53))
-		pts, q := randomInstance(rng, 200, d)
-		prep := PrepareCounted(pts, d, skyband.DominatorCounts(pts), &PlaneCounters{})
-		for range 2 {
-			prep.planes(q, &Arena{}, nil)
-		}
+		pts, low := randomInstance(rng, 200, d)
+		q := low
+		q.K++
+		prep := batchView(PrepareCounted(pts, d, skyband.DominatorCounts(pts), &PlaneCounters{}), low, q)
+		prep.planes(q, &Arena{}, nil) // builds the group
 		g := prep.store.groups[string(groupKey(nil, q))]
 		if g == nil || !g.ready.Load() || g.kmax != prep.bands.rank(q.K) {
-			t.Fatalf("d=%d: no built plane group at the query's rank after two lookups", d)
+			t.Fatalf("d=%d: no built plane group at the query's rank after its first lookup", d)
 		}
 		a := &Arena{}
 		if ps := prep.planes(q, a, nil); len(ps.Crossing) == 0 {
@@ -276,40 +272,33 @@ func TestPooledSlabDecisionIgnoresHistory(t *testing.T) {
 	}
 }
 
-// TestFirstSightingZeroAlloc pins the plane store's admission path: the
-// lookup of a key the store has not seen records it in the seen table and
-// classifies into the solve's warm arena without allocating, and keeps no
-// group.
-func TestFirstSightingZeroAlloc(t *testing.T) {
+// TestServedSolveKeepsNothingZeroAlloc pins the served path on an index
+// snapshot's Prepared: 2 × maxPlaneGroups lookups of one repeated (point,
+// ε) each classify into the solve's warm arena without allocating, each
+// counts exactly one miss, and the Prepared is left holding no plane store.
+func TestServedSolveKeepsNothingZeroAlloc(t *testing.T) {
 	for d := 2; d <= 4; d++ {
 		rng := rand.New(rand.NewSource(int64(d) * 53))
 		pts, q := randomInstance(rng, 200, d)
 		tally := &PlaneCounters{}
 		prep := PrepareCounted(pts, d, skyband.DominatorCounts(pts), tally)
-		band := prep.PointsFor(q.K)
 		a := &Arena{}
-		queries := make([]Query, 120) // distinct keys: one ε each
-		for i := range queries {
-			queries[i] = q
-			queries[i].Eps = 0.25 * float64(i) / float64(len(queries))
-			buildPlanes(band, queries[i], a) // grow a to the largest set
-		}
-		if ps := prep.planes(queries[0], a, nil); len(ps.Crossing) == 0 {
+		if ps := prep.planes(q, a, nil); len(ps.Crossing) == 0 {
 			t.Fatalf("d=%d: instance produced no crossing planes; test is vacuous", d)
 		}
-		i := 1
-		allocs := testing.AllocsPerRun(100, func() {
-			prep.planes(queries[i], a, nil)
-			i++
+		lookups := 1
+		allocs := testing.AllocsPerRun(2*maxPlaneGroups, func() {
+			prep.planes(q, a, nil)
+			lookups++
 		})
 		if allocs != 0 {
-			t.Errorf("d=%d: a first sighting allocates %.1f per run on a warm arena, want 0", d, allocs)
+			t.Errorf("d=%d: a served lookup allocates %.1f per run on a warm arena, want 0", d, allocs)
 		}
-		if got := prep.PlaneGroups(); got != 0 {
-			t.Errorf("d=%d: %d plane groups after first sightings only, want 0", d, got)
+		if prep.store != nil {
+			t.Errorf("d=%d: served lookups left a plane store on the Prepared", d)
 		}
-		if h, m := tally.Hits.Load(), tally.Misses.Load(); h != 0 || m != int64(i) {
-			t.Errorf("d=%d: hits/misses = %d/%d, want 0/%d", d, h, m, i)
+		if h, m := tally.Hits.Load(), tally.Misses.Load(); h != 0 || m != int64(lookups) {
+			t.Errorf("d=%d: hits/misses = %d/%d, want 0/%d", d, h, m, lookups)
 		}
 	}
 }

@@ -95,8 +95,8 @@ func (s APCSolver) Solve(ctx context.Context, prep *Prepared, q Query) (*Region,
 }
 
 // apcSolve is the A-PC body. Its planes come from prep.Planes: the same
-// arrangement the exact solvers of the Prepared draw on, served from its
-// plane store when it has one.
+// arrangement the exact solvers of the Prepared draw on, served from a
+// batch's plane store when it has one.
 func apcSolve(ctx context.Context, prep *Prepared, q Query, opt APCOptions) (*Region, Stats, error) {
 	var st Stats
 	d := q.Q.Dim()

@@ -197,14 +197,16 @@ func (st *Stats) Add(other Stats) {
 // prefilter, whose bands are memoized from one dominator-count vector so
 // queries of any rank share it. A Prepared is safe for concurrent use.
 //
-// A Prepared may also own a plane store that serves classified plane sets
-// across queries: an index snapshot's Prepared (PrepareCounted) keeps one
-// for the snapshot's lifetime, and SolveBatch gives a store-less Prepared an
-// ephemeral one for the batch. Prepare alone builds planes per solve.
+// A solve outside a batch builds its planes into its own arena and keeps
+// none: the result cache is what reuses work across served requests. A
+// batch solves on a view of the Prepared that adds a plane store, which
+// shares the planes of each (point, ε) several of the batch's queries ask
+// for and dies with the batch.
 type Prepared struct {
 	dim   int
 	bands *bandSet
-	store *planeStore
+	tally *PlaneCounters // nil: uncounted
+	store *planeStore    // a batch view's; nil on every other Prepared
 }
 
 // Prepare returns the reusable preprocessing handle for pts. The points
@@ -223,9 +225,10 @@ func Prepare(pts []vec.Vec, dim int, skybandPrefilter bool) (*Prepared, error) {
 // PrepareCounted wraps an index snapshot's points as a prefiltered Prepared
 // and, like Prepare, trusts them. dom holds each point's exact dominator
 // count, so every k-band is one comparison per point and never recomputed,
-// and every k above the largest count maps to one band. The Prepared owns a
-// plane store for its lifetime whose traffic is tallied in tally and
-// reported to the context's registry as index.planes.hit / .miss.
+// and every k above the largest count maps to one band. Every plane set a
+// solve on it draws — one miss per served solve, a batch's hits and misses
+// — is tallied in tally and reported to the context's registry as
+// index.planes.hit / .miss.
 func PrepareCounted(pts []vec.Vec, dim int, dom []int, tally *PlaneCounters) *Prepared {
 	bands := newBandSet(pts, true)
 	bands.counts, bands.countsK = dom, math.MaxInt
@@ -233,7 +236,7 @@ func PrepareCounted(pts []vec.Vec, dim int, dom []int, tally *PlaneCounters) *Pr
 	for _, c := range dom {
 		bands.top = max(bands.top, c+1)
 	}
-	return &Prepared{dim: dim, bands: bands, store: newPlaneStore(bands, tally)}
+	return &Prepared{dim: dim, bands: bands, tally: tally}
 }
 
 // Dim returns the validated dataset dimension.
@@ -265,21 +268,10 @@ func (p *Prepared) BandViews() int {
 	return n
 }
 
-// PlaneGroups returns the number of (point, ε) groups in the Prepared's
-// plane store (0 without one).
-func (p *Prepared) PlaneGroups() int {
-	if p.store == nil {
-		return 0
-	}
-	p.store.mu.Lock()
-	defer p.store.mu.Unlock()
-	return len(p.store.groups)
-}
-
 // Solver is the one way to run an algorithm: Solve answers q over a
 // Prepared, cancellable via ctx (deadlines surface as ErrDeadline,
 // cancellation as context.Canceled), fed from the Prepared's shared
-// per-dataset preprocessing — its k-bands and, when it owns one, its plane
+// per-dataset preprocessing — its k-bands and, in a batch, the batch's plane
 // store — and reporting common work counters. Every Solve checks q with
 // Prepared.Validate and trusts the points, which were checked once where
 // they entered the process (CheckPoints). Implementations must be stateless
@@ -301,20 +293,22 @@ func (p *Prepared) Validate(q Query) error {
 }
 
 // planes returns q's classified plane set over the band its rank selects:
-// served from the Prepared's plane store when it has one, built into a
-// otherwise. Counted stores report the lookup to reg (see
-// planeStore.planes).
+// served from the batch's plane store when q's key has a group there, built
+// into a otherwise. A counted Prepared tallies the lookup and reports it to
+// reg (see PlaneCounters.count).
 func (p *Prepared) planes(q Query, a *Arena, reg *obs.Registry) PlaneSet {
-	return p.store.planes(p.PointsFor(q.K), q, a, reg)
+	ps, hit := p.store.planes(p.PointsFor(q.K), q, a, reg)
+	p.tally.count(hit, reg)
+	return ps
 }
 
 // Planes is the plane source of a solver whose answer keeps the plane
-// normals (A-PC, brute force, LP-CTA): q's classified plane set, served
-// from the Prepared's plane store like every solver's, with any storage
-// the serving needs in a fresh Arena the caller owns — never the pooled
-// scratch of a solve. The headers are the caller's; the normals may be a
-// plane group's and are read-only. check carries the solve's metrics
-// registry, which a counted store reports the lookup to.
+// normals (A-PC, brute force, LP-CTA): q's classified plane set, drawn
+// like every solver's, with any storage the serving needs in a fresh Arena
+// the caller owns — never the pooled scratch of a solve. The headers are
+// the caller's; the normals may be a batch's plane group's and are
+// read-only. check carries the solve's metrics registry, which a counted
+// Prepared reports the lookup to.
 func (p *Prepared) Planes(q Query, check *CtxChecker) PlaneSet {
 	return p.planes(q, &Arena{}, check.reg)
 }
@@ -347,12 +341,12 @@ type BatchOutcome struct {
 // The batch shares work across its queries: exact duplicates (equal
 // Query.Key()) solve once and fan out to every slot, marked with
 // BatchOutcome.Dedup; every (point, ε) group that several distinct queries
-// share draws its planes from one plane store — the Prepared's own, or an
-// ephemeral one for the batch — classified once at the group's largest k;
-// the dispatch order clusters queries on shared state. Like every solve,
-// each one draws its scratch from the arena pool. Results are returned in
-// input order regardless of worker count, clustering or deduplication, and
-// are byte-identical to independent per-query solves.
+// share draws its planes from the batch's plane store, classified once at
+// the group's largest k; the dispatch order clusters queries on shared
+// state. Like every solve, each one draws its scratch from the arena pool.
+// Results are returned in input order regardless of worker count,
+// clustering or deduplication, and are byte-identical to independent
+// per-query solves.
 func SolveBatchPolicy(ctx context.Context, pol SolvePolicy, prep *Prepared, queries []Query, workers int) []BatchOutcome {
 	out := make([]BatchOutcome, len(queries))
 	if len(queries) == 0 {
@@ -445,17 +439,14 @@ func SolveBatchPolicy(ctx context.Context, pol SolvePolicy, prep *Prepared, quer
 	return out
 }
 
-// forBatch returns the Prepared a batch solves on — p itself when it owns a
-// plane store, else a view sharing p's bands with an ephemeral store — after
+// forBatch returns the Prepared a batch solves on — a view sharing p's
+// bands and counters with a plane store of the batch's own — after
 // reserving, at its largest band rank, every (point, ε) group that at least
 // two of the distinct queries in order share, so each such group is
 // classified once however its queries are ordered. A key only one query
-// asks for gets no group here; its solve looks it up like a served one.
+// asks for gets no group; its solve builds its planes like a served one.
 func (p *Prepared) forBatch(queries []Query, keys []string, order []int) *Prepared {
-	bp := p
-	if p.store == nil {
-		bp = &Prepared{dim: p.dim, bands: p.bands, store: newPlaneStore(p.bands, nil)}
-	}
+	bp := &Prepared{dim: p.dim, bands: p.bands, tally: p.tally, store: newPlaneStore(p.bands)}
 	type groupID struct {
 		point string
 		eps   uint64
@@ -474,7 +465,7 @@ func (p *Prepared) forBatch(queries []Query, keys []string, order []int) *Prepar
 		id := groupID{point: keys[i], eps: math.Float64bits(queries[i].Eps)}
 		if sp, ok := spans[id]; ok {
 			if sp.n >= 2 && sp.kmax >= 1 {
-				bp.store.group(queries[i], bp.bands.rank(sp.kmax), true)
+				bp.store.reserve(queries[i], bp.bands.rank(sp.kmax))
 			}
 			delete(spans, id)
 		}

@@ -121,44 +121,49 @@ func (s *bandSet) claim() bool {
 	return len(s.memo) < maxBandViews
 }
 
-// maxPlaneGroups bounds a plane store's groups, which are never evicted: a
-// key that would exceed it builds its planes per solve (the region is
-// unaffected). The seen table spends the slots on keys that repeat.
+// maxPlaneGroups bounds a batch's plane groups: a shared key past it
+// builds its planes per solve (the region is unaffected).
 const maxPlaneGroups = 1024
 
-// seenBits sizes a plane store's seen table: 1<<seenBits hashes of keys
-// looked up without a group.
-const seenBits = 12
-
-// PlaneCounters tallies a plane store's traffic. A hit is a plane set served
-// without classification; a miss classified planes — building or rebuilding
-// a group, or a direct build for a key's first sighting or past the store's
-// cap.
+// PlaneCounters tallies an index's plane traffic. A hit is a plane set
+// served without classification; a miss classified planes — a served
+// solve's direct build, a batch building one of its groups, or a batch
+// query whose key no other query of the batch shares.
 type PlaneCounters struct {
 	Hits, Misses atomic.Int64
 }
 
-// planeStore holds classified plane sets keyed by (query point bytes, ε
-// bits): classifying h_{q,p} depends only on q, ε and p, and k only selects
-// which band points take part, so one group classified over its widest band
-// answers every smaller k by filtering. A group pays only when its key comes
-// back, so a key's first lookup only records it in the seen table (TinyLFU's
-// doorkeeper) and classifies into the solve's arena; the key's next lookup
-// installs its group. An index snapshot keeps one store for its lifetime; a
-// plain-dataset batch gets an ephemeral one. Safe for concurrent use; a
-// served set's normals are the group's and read-only, its headers the
-// caller's.
-type planeStore struct {
-	bands *bandSet
-	tally *PlaneCounters // nil: uncounted (batch-scoped)
-
-	mu     sync.Mutex
-	groups map[string]*planeGroup
-	seen   *[1 << seenBits]uint64 // FNV-1a hashes of keys, slot by top bits; nil until the first lookup
+// count records one lookup in c and, when reg is non-nil, in its
+// index.planes.hit / index.planes.miss counters. A nil c counts nothing.
+func (c *PlaneCounters) count(hit bool, reg *obs.Registry) {
+	if c == nil {
+		return
+	}
+	name := "index.planes.miss"
+	if hit {
+		c.Hits.Add(1)
+		name = "index.planes.hit"
+	} else {
+		c.Misses.Add(1)
+	}
+	reg.Counter(name).Inc()
 }
 
-func newPlaneStore(bands *bandSet, tally *PlaneCounters) *planeStore {
-	return &planeStore{bands: bands, tally: tally, groups: make(map[string]*planeGroup)}
+// planeStore holds one batch's classified plane sets keyed by (query point
+// bytes, ε bits): classifying h_{q,p} depends only on q, ε and p, and k only
+// selects which band points take part, so one group classified over its
+// widest band answers every smaller k by filtering. The batch reserves
+// every group before its first solve and drops the store with its last, so
+// the groups map is read-only while solves run; each group is classified by
+// the first lookup that finds it unbuilt. A served set's normals are the
+// group's and read-only, its headers the caller's.
+type planeStore struct {
+	bands  *bandSet
+	groups map[string]*planeGroup
+}
+
+func newPlaneStore(bands *bandSet) *planeStore {
+	return &planeStore{bands: bands, groups: make(map[string]*planeGroup)}
 }
 
 // planeGroup is the classification of one (point, ε) over the band of rank
@@ -188,26 +193,22 @@ func groupKey(dst []byte, q Query) []byte {
 }
 
 // planes returns q's classified plane set over pts, the band its rank
-// selects. A nil store builds the set directly into a, and so does a store
-// for a key it has no group for and is not admitting (see group). A store
-// serves the rest from q's group, rebuilt at q's rank first when it was
-// classified below it, through narrow — at the group's own rank as below
-// it: the headers are built into a, the normals are the group's. Counted
-// stores report each lookup to their PlaneCounters and, when reg is
-// non-nil, to its index.planes.hit / index.planes.miss counters. Every
-// classification pass, stored or not, adds the points it classified to
-// reg's core.planes.classified counter: the work a store exists to share.
-func (s *planeStore) planes(pts []vec.Vec, q Query, a *Arena, reg *obs.Registry) PlaneSet {
-	if s == nil {
-		reg.Counter("core.planes.classified").Add(int64(len(pts)))
-		return buildPlanes(pts, q, a)
+// selects, and whether it was served without classification. A nil store
+// builds the set directly into a, and so does a store without a group for
+// q's key. A store serves the rest from q's group through narrow — at the
+// group's own rank as below it: the headers are built into a, the normals
+// are the group's. Every classification pass, stored or not, adds the
+// points it classified to reg's core.planes.classified counter: the work a
+// store exists to share.
+func (s *planeStore) planes(pts []vec.Vec, q Query, a *Arena, reg *obs.Registry) (PlaneSet, bool) {
+	var g *planeGroup
+	if s != nil {
+		var buf [128]byte
+		g = s.groups[string(groupKey(buf[:0], q))]
 	}
-	r := s.bands.rank(q.K)
-	g := s.group(q, r, false)
 	if g == nil {
-		s.count(false, reg)
 		reg.Counter("core.planes.classified").Add(int64(len(pts)))
-		return buildPlanes(pts, q, a)
+		return buildPlanes(pts, q, a), false
 	}
 	hit := true
 	if !g.ready.Load() {
@@ -221,67 +222,17 @@ func (s *planeStore) planes(pts []vec.Vec, q Query, a *Arena, reg *obs.Registry)
 		}
 		g.mu.Unlock()
 	}
-	s.count(hit, reg)
-	return narrow(g.kinds, g.normals, g.band.cnt, r, q.Q.Dim(), a)
+	return narrow(g.kinds, g.normals, g.band.cnt, s.bands.rank(q.K), q.Q.Dim(), a), hit
 }
 
-// group returns q's group if it covers rank r, else installs a fresh
-// (unbuilt) one at r — for a key without a group only when shared is set (a
-// batch reserving a key several of its queries share) or the seen table
-// holds the key. nil when the key has no group and is not admitted or the
-// store is full, or when r's band is past the memo cap.
-func (s *planeStore) group(q Query, r int, shared bool) *planeGroup {
-	var buf [128]byte
-	key := groupKey(buf[:0], q)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g := s.groups[string(key)]
-	if g != nil && g.kmax >= r {
-		return g
+// reserve installs an unbuilt group for q's key at rank r, unless the store
+// is full or r's band is past the memo cap. The batch reserves before any
+// of its solves runs, and each key once, at the largest rank its queries
+// ask for.
+func (s *planeStore) reserve(q Query, r int) {
+	if len(s.groups) < maxPlaneGroups && s.bands.reserve(r) {
+		s.groups[string(groupKey(nil, q))] = &planeGroup{kmax: r}
 	}
-	if g == nil && (len(s.groups) >= maxPlaneGroups || !shared && !s.seenBefore(key)) || !s.bands.reserve(r) {
-		return nil
-	}
-	g = &planeGroup{kmax: r}
-	s.groups[string(key)] = g
-	return g
-}
-
-// seenBefore reports whether the seen table holds key, recording it
-// otherwise. The table is direct-mapped: the top bits of the key's FNV-1a
-// hash pick its slot, which keeps the whole hash and forgets the key it
-// replaces, so a repeat is missed only after another key took its slot.
-// Callers hold s.mu.
-func (s *planeStore) seenBefore(key []byte) bool {
-	if s.seen == nil {
-		s.seen = new([1 << seenBits]uint64)
-	}
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211 // FNV-1a prime
-	}
-	slot := &s.seen[h>>(64-seenBits)]
-	h |= 1 // an empty slot holds 0
-	if *slot == h {
-		return true
-	}
-	*slot = h
-	return false
-}
-
-func (s *planeStore) count(hit bool, reg *obs.Registry) {
-	if s.tally == nil {
-		return
-	}
-	name := "index.planes.miss"
-	if hit {
-		s.tally.Hits.Add(1)
-		name = "index.planes.hit"
-	} else {
-		s.tally.Misses.Add(1)
-	}
-	reg.Counter(name).Inc()
 }
 
 // build classifies every point of b with classifyPlanes, keeping the

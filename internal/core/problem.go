@@ -305,8 +305,9 @@ func QualifiedAt(pts []vec.Vec, q Query, u vec.Vec) bool {
 }
 
 // PlaneSet is the preprocessed hyper-plane arrangement input shared by the
-// solvers. The normals may be shared — a plane group serves the same unit
-// normals to any number of concurrent queries — and are read-only; the
+// solvers. The normals may be shared — a batch's plane group serves the
+// same unit normals to all of the batch's concurrent queries of one
+// (point, ε) — and are read-only; the
 // headers are the caller's, built into its Arena for each lookup, so a
 // solver may reorder the slice and rebind its entries to normals of its
 // own (PackNormals, which packs E-PT's into the Arena).

@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"rrq/internal/dataset"
@@ -270,13 +269,11 @@ func TestCappedCountsCache(t *testing.T) {
 	}
 }
 
-// TestBatchPlaneStoreLifetimes pins who owns the plane store: a batch over a
-// plain Prepare runs on an ephemeral store and leaves the Prepared
-// store-less (plain solves build planes per call) while sharing its bands;
-// a batch over a counted Prepared fills that Prepared's own store, one
-// group per (point, ε) that two distinct queries of the batch share. A key
-// only one query asks for is looked up like a served solve: it gets a group
-// when it comes back.
+// TestBatchPlaneStoreLifetimes pins who owns the plane store: the batch. A
+// batch over a plain or a counted Prepared runs on a store of its own, one
+// group per (point, ε) that two distinct queries of the batch share, and
+// leaves the Prepared store-less while sharing its bands. A key only one
+// query asks for is classified for its solve alone.
 func TestBatchPlaneStoreLifetimes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts, q := randomInstance(rng, 30, 3)
@@ -296,28 +293,47 @@ func TestBatchPlaneStoreLifetimes(t *testing.T) {
 			t.Fatal(o.Err)
 		}
 	}
-	if plain.store != nil || plain.PlaneGroups() != 0 {
+	if plain.store != nil {
 		t.Error("a batch left a plane store on a plain Prepared")
 	}
 	if plain.BandViews() == 0 {
 		t.Error("the batch's bands were not memoized on the Prepared")
 	}
 
-	counted := PrepareCounted(pts, 3, skyband.DominatorCounts(pts), nil)
+	// On a counted Prepared the batch's store serves q and q2 from one
+	// group (built once: a miss, then a hit) and builds q3's planes
+	// directly (a miss), and the counts land in the Prepared's tally. The
+	// group dies with the batch: solving q again afterwards misses.
+	tally := &PlaneCounters{}
+	counted := PrepareCounted(pts, 3, skyband.DominatorCounts(pts), tally)
 	for _, o := range SolveBatchPolicy(context.Background(), pol, counted, queries, 2) {
 		if o.Err != nil {
 			t.Fatal(o.Err)
 		}
 	}
-	if got := counted.PlaneGroups(); got != 1 {
-		t.Errorf("counted Prepared holds %d plane groups after the batch, want 1", got)
+	if h, m := tally.Hits.Load(), tally.Misses.Load(); h != 1 || m != 2 {
+		t.Errorf("after the batch: hits/misses = %d/%d, want 1/2", h, m)
 	}
-	if _, _, err := pol.Solver.Solve(context.Background(), counted, q3); err != nil {
+	if _, _, err := pol.Solver.Solve(context.Background(), counted, q); err != nil {
 		t.Fatal(err)
 	}
-	if got := counted.PlaneGroups(); got != 2 {
-		t.Errorf("counted Prepared holds %d plane groups after the batch's singleton came back, want 2", got)
+	if counted.store != nil {
+		t.Error("a batch left a plane store on a counted Prepared")
 	}
+	if h, m := tally.Hits.Load(), tally.Misses.Load(); h != 1 || m != 3 {
+		t.Errorf("after a served solve of the batch's shared key: hits/misses = %d/%d, want 1/3", h, m)
+	}
+}
+
+// batchView returns the Prepared a batch of queries, all distinct, solves
+// on: prep with a plane store whose groups are reserved.
+func batchView(prep *Prepared, queries ...Query) *Prepared {
+	keys := make([]string, len(queries))
+	order := make([]int, len(queries))
+	for i, q := range queries {
+		keys[i], order[i] = q.PointKey(), i
+	}
+	return prep.forBatch(queries, keys, order)
 }
 
 // planeSetDiff describes how got differs from want — base count, crossing
@@ -335,13 +351,14 @@ func planeSetDiff(got, want PlaneSet) string {
 	return ""
 }
 
-// Every lookup a plane group answers goes through the one narrowing walk,
-// which rebuilds the headers from the group's unit normals. Once a group is
-// built at kmax = 8, the set served for every k from 1 to 8 equals
-// buildPlanes over that k-band, header for header and bit for bit — at
-// k = kmax, where the walk keeps the whole band, as below it. A
-// prefilter-off Prepared runs every k at rank 0, over a band without
-// counts, so its one group serves every k the whole dataset.
+// Every lookup a batch's plane group answers goes through the one
+// narrowing walk, which rebuilds the headers from the group's unit normals.
+// A batch asking k = 1..8 of one (point, ε) reserves its group at kmax = 8,
+// and the set served for every k equals buildPlanes over that k-band,
+// header for header and bit for bit — at k = kmax, where the walk keeps the
+// whole band, as below it. A prefilter-off Prepared runs every k at rank 0,
+// over a band without counts, so its one group serves every k the whole
+// dataset.
 func TestPlaneGroupServesEveryRank(t *testing.T) {
 	const kmax = 8
 	rng := rand.New(rand.NewSource(12))
@@ -357,99 +374,36 @@ func TestPlaneGroupServesEveryRank(t *testing.T) {
 		rank int // the group's rank
 	}{
 		{"counted", PrepareCounted(pts, 3, skyband.DominatorCounts(pts), tally), kmax},
-		{"prefilter-off", &Prepared{dim: 3, bands: plain.bands, store: newPlaneStore(plain.bands, tally)}, 0},
+		{"prefilter-off", &Prepared{dim: 3, bands: plain.bands, tally: tally}, 0},
+	}
+	queries := make([]Query, kmax)
+	for k := 1; k <= kmax; k++ {
+		queries[k-1] = q
+		queries[k-1].K = k
 	}
 	for _, tc := range preps {
 		tally.Hits.Store(0)
 		tally.Misses.Store(0)
-		wide := q
-		wide.K = kmax
-		// The key's first lookup only records it; the second builds its
-		// group.
-		for range 2 {
-			tc.prep.planes(wide, &Arena{}, nil)
-		}
-		if g := tc.prep.store.groups[string(groupKey(nil, q))]; g == nil || g.kmax != tc.rank {
-			t.Fatalf("%s: no plane group at rank %d after two lookups", tc.name, tc.rank)
+		bp := batchView(tc.prep, queries...)
+		if g := bp.store.groups[string(groupKey(nil, q))]; g == nil || g.kmax != tc.rank {
+			t.Fatalf("%s: the batch reserved no plane group at rank %d", tc.name, tc.rank)
 		}
 		sizes := map[int]bool{}
-		for k := 1; k <= kmax; k++ {
-			qk := q
-			qk.K = k
-			want := buildPlanes(tc.prep.PointsFor(k), qk, &Arena{})
+		for _, qk := range queries {
+			want := buildPlanes(tc.prep.PointsFor(qk.K), qk, &Arena{})
 			if len(want.Crossing) == 0 {
-				t.Fatalf("%s: k=%d has no crossing planes; test is vacuous", tc.name, k)
+				t.Fatalf("%s: k=%d has no crossing planes; test is vacuous", tc.name, qk.K)
 			}
 			sizes[len(want.Crossing)] = true
-			if diff := planeSetDiff(tc.prep.planes(qk, &Arena{}, nil), want); diff != "" {
-				t.Fatalf("%s: k=%d: served %s", tc.name, k, diff)
+			if diff := planeSetDiff(bp.planes(qk, &Arena{}, nil), want); diff != "" {
+				t.Fatalf("%s: k=%d: served %s", tc.name, qk.K, diff)
 			}
 		}
 		if tc.rank > 0 && len(sizes) < 3 {
 			t.Fatalf("%s: only %d distinct band sizes over k = 1..%d; the narrowing is untested", tc.name, len(sizes), kmax)
 		}
-		if h, m := tally.Hits.Load(), tally.Misses.Load(); h != kmax || m != 2 {
-			t.Errorf("%s: hits/misses = %d/%d, want %d/2", tc.name, h, m, kmax)
-		}
-	}
-}
-
-// A snapshot that never sees a (point, ε) twice keeps no plane group:
-// 2 × maxPlaneGroups distinct keys each miss once and leave the store
-// empty, where installing on first sight would have filled it.
-func TestPlaneStoreOneOffKeysKeepNoGroups(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	pts, q := randomInstance(rng, 40, 3)
-	tally := &PlaneCounters{}
-	prep := PrepareCounted(pts, 3, skyband.DominatorCounts(pts), tally)
-	a := &Arena{}
-	const n = 2 * maxPlaneGroups
-	for i := 0; i < n; i++ {
-		qi := q
-		qi.Q = q.Q.Clone()
-		qi.Q[0] = 0.01 + 0.98*float64(i)/n
-		prep.planes(qi, a, nil)
-	}
-	if got := prep.PlaneGroups(); got != 0 {
-		t.Errorf("%d plane groups after %d one-off keys, want 0", got, n)
-	}
-	if h, m := tally.Hits.Load(), tally.Misses.Load(); h != 0 || m != n {
-		t.Errorf("hits/misses = %d/%d, want 0/%d", h, m, n)
-	}
-}
-
-// Concurrent first sightings of one key race on the seen table and the
-// group install: every lookup returns the set buildPlanes builds, the key
-// ends with at most one group, and every lookup is tallied once. Run under
-// -race, this is the store's data-race check.
-func TestPlaneStoreConcurrentFirstSightings(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pts, q := randomInstance(rng, 200, 3)
-	dom := skyband.DominatorCounts(pts)
-	for trial := 0; trial < 20; trial++ {
-		tally := &PlaneCounters{}
-		prep := PrepareCounted(pts, 3, dom, tally)
-		want := buildPlanes(prep.PointsFor(q.K), q, &Arena{})
-		if len(want.Crossing) == 0 {
-			t.Fatal("instance produced no crossing planes; test is vacuous")
-		}
-		const workers = 8
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if diff := planeSetDiff(prep.planes(q, &Arena{}, nil), want); diff != "" {
-					t.Errorf("trial %d: concurrent lookup %s", trial, diff)
-				}
-			}()
-		}
-		wg.Wait()
-		if got := prep.PlaneGroups(); got > 1 {
-			t.Fatalf("trial %d: %d plane groups for one key, want at most 1", trial, got)
-		}
-		if n := tally.Hits.Load() + tally.Misses.Load(); n != workers {
-			t.Fatalf("trial %d: %d lookups tallied, want %d", trial, n, workers)
+		if h, m := tally.Hits.Load(), tally.Misses.Load(); h != kmax-1 || m != 1 {
+			t.Errorf("%s: hits/misses = %d/%d, want %d/1", tc.name, h, m, kmax-1)
 		}
 	}
 }
@@ -506,8 +460,8 @@ func TestBandMemoBounded(t *testing.T) {
 		t.Fatalf("%d band views after 20 ranks above the largest count, want 1", got)
 	}
 
-	// Ascending ranks deepen the query's plane group one rank at a time
-	// until the memo is full; past it, bands and planes are built per solve.
+	// Ascending ranks fill the memo one band at a time until it is full;
+	// past it, bands are built per solve.
 	capped := PrepareCounted(pts, 3, dom, nil)
 	for k := 1; k < maxBandViews+10; k++ {
 		solve(capped, k)
@@ -516,12 +470,6 @@ func TestBandMemoBounded(t *testing.T) {
 	solve(capped, top+3)
 	if got := capped.BandViews(); got != maxBandViews {
 		t.Fatalf("%d band views, want the cap %d", got, maxBandViews)
-	}
-	if got := capped.PlaneGroups(); got != 1 {
-		t.Fatalf("%d plane groups for one (point, ε), want 1", got)
-	}
-	if g := capped.store.groups[string(groupKey(nil, q))]; g.kmax != maxBandViews {
-		t.Fatalf("plane group at rank %d, want the last memoized rank %d", g.kmax, maxBandViews)
 	}
 
 	// Concurrent workers race for the last memo slots; the cap still holds.

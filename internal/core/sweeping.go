@@ -37,7 +37,7 @@ type sweepEvent struct {
 	incl bool
 }
 
-// sweepSolve is the sweep body; prep's plane store, when it has one,
+// sweepSolve is the sweep body; a batch's plane store, when prep has one,
 // serves the (read-only) classified plane set. The solve's pooled arena
 // supplies every scratch buffer, so a solve on a warm arena allocates only
 // the returned region.

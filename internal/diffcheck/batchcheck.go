@@ -1,9 +1,9 @@
 package diffcheck
 
 // Batch-sharing differential harness: the batch engine's cross-query
-// sharing (shared skyband bands, the per-(point, ε) plane store, duplicate
-// collapse, clustered dispatch) must be invisible in the
-// answers. For every corpus problem, a mixed-(k, ε) batch with exact
+// sharing (shared skyband bands, the batch's per-(point, ε) plane store,
+// duplicate collapse, clustered dispatch) must be invisible in the answers.
+// For every corpus problem, a mixed-(k, ε) batch with exact
 // duplicates solved through SolveBatchPolicy must be byte-identical — same
 // JSON encoding, not merely same membership — to independent per-query
 // solves, with the prefilter both on and off, and with batches served from
@@ -116,9 +116,9 @@ func checkBatchProblem(cfg Config, ins corpus.Instance, ordinal int64, rep *Batc
 		}
 	}
 
-	// Index-served batches with interleaved mutations: the snapshot's own
-	// plane store serves the batch (and persists across batches of one
-	// epoch) under dedup and clustering.
+	// Index-served batches with interleaved mutations: each batch's plane
+	// store serves it over the snapshot's maintained bands under dedup and
+	// clustering.
 	ix, err := index.Build(ins.Pts, d)
 	if err != nil {
 		rep.fail(Mismatch{Kind: "batch-index-build-error", Problem: prob, Detail: err.Error()})

@@ -2,8 +2,8 @@ package diffcheck
 
 // Index differential harness: the snapshot index must be invisible in the
 // answers. For every corpus problem, a solve served from an index snapshot
-// (maintained skyband prefilter, shared plane store) must be byte-identical
-// — same JSON encoding, not merely same membership — to a from-scratch solve
+// (maintained skyband prefilter) must be byte-identical — same JSON
+// encoding, not merely same membership — to a from-scratch solve
 // over the k-skyband, both before and after every step of an interleaved
 // Insert/Delete stream mirrored against plain-slice bookkeeping. The
 // from-scratch side is E-PT on an unfiltered Prepare of the band the

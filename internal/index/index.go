@@ -1,8 +1,9 @@
 // Package index implements the served reverse-regret-query index: an
 // immutable, version-stamped snapshot of a dataset together with the
 // preprocessing every query used to rebuild from scratch — the exact
-// dominator counts that answer any k-skyband prefilter and a deduplicated
-// store of classified plane sets shared across queries.
+// dominator counts that answer any k-skyband prefilter, and the k-band
+// views memoized from them. Classified plane sets are not kept: a served
+// solve builds its own, and a batch shares them for its own lifetime.
 //
 // Mutations follow a copy-on-write epoch discipline: Insert and Delete
 // build the next snapshot beside the current one and publish it with a
@@ -13,12 +14,12 @@
 // the new point against the dataset and a deletion only decrements the
 // counts of the points the removed one dominated — membership in any
 // k-skyband then is one comparison per point. Per-query derived state
-// (skyband views, plane sets) is invalidated lazily: a new epoch simply
+// (skyband views) is invalidated lazily: a new epoch simply
 // starts with empty caches and rebuilds entries on first use.
 //
 // This package absorbs and retires core.Dynamic: where Dynamic re-ran the
 // full arrangement walk after a deletion, an index snapshot re-serves the
-// query through the maintained prefilter and shared plane storage, and any
+// query through the maintained prefilter, and any
 // number of standing queries amortize the same maintenance work.
 package index
 
@@ -37,7 +38,7 @@ import (
 // Readers call Snapshot (or the convenience accessors) and never block;
 // writers are serialized by a mutex and publish each new epoch atomically.
 type Index struct {
-	pstats core.PlaneCounters // plane-store traffic across every epoch
+	pstats core.PlaneCounters // plane traffic across every epoch
 
 	mu   sync.Mutex // serializes Insert/Delete
 	snap atomic.Pointer[Snapshot]
@@ -48,8 +49,8 @@ type Index struct {
 }
 
 // Stats is a read-only introspection snapshot of an index: the current
-// epoch and dataset shape, the lifetime plane-cache traffic, and the
-// current snapshot's materialized derived state. It is what callers get
+// epoch and dataset shape, the lifetime plane traffic, and the current
+// snapshot's materialized derived state. It is what callers get
 // without wiring a metrics registry.
 type Stats struct {
 	// Version is the current epoch number.
@@ -57,14 +58,12 @@ type Stats struct {
 	// Points is the current dataset size, Dim its dimension.
 	Points int
 	Dim    int
-	// PlaneHits / PlaneMisses count plane-store traffic over the index's
-	// lifetime (across every epoch): a hit is a plane set served without
-	// classification.
+	// PlaneHits / PlaneMisses count plane traffic over the index's lifetime
+	// (across every epoch): a hit is a plane set served without
+	// classification, which only a batch's plane store does; a served solve
+	// counts one miss.
 	PlaneHits, PlaneMisses int64
-	// PlaneSets is the number of (point, ε) plane groups in the current
-	// snapshot's store — keys it has seen at least twice, or that a batch
-	// asked for twice — and SkybandViews its memoized k-band views.
-	PlaneSets    int
+	// SkybandViews is the current snapshot's memoized k-band views.
 	SkybandViews int
 }
 
@@ -82,7 +81,6 @@ func (ix *Index) Stats() Stats {
 	}
 	s.mu.Lock()
 	if s.prep != nil {
-		st.PlaneSets = s.prep.PlaneGroups()
 		st.SkybandViews = s.prep.BandViews()
 	}
 	s.mu.Unlock()
@@ -91,7 +89,7 @@ func (ix *Index) Stats() Stats {
 
 // Snapshot is one immutable epoch: the validated points, their exact
 // dominator counts, and a lazily built core.Prepared over them that holds
-// the derived state (memoized k-bands, the plane store) for the snapshot's
+// the derived state (memoized k-bands) for the snapshot's
 // lifetime. That state is internally synchronized, so one snapshot serves
 // any number of concurrent queries.
 type Snapshot struct {
@@ -99,7 +97,7 @@ type Snapshot struct {
 	dim     int
 	pts     []vec.Vec           // immutable
 	dom     []int               // exact dominator count per point; immutable
-	pstats  *core.PlaneCounters // owning index's lifetime plane-store counters
+	pstats  *core.PlaneCounters // owning index's lifetime plane counters
 
 	mu   sync.Mutex
 	prep *core.Prepared
@@ -235,10 +233,12 @@ func (s *Snapshot) DominatorCounts() []int { return s.dom }
 
 // Prepared returns the snapshot as a core.Prepared, built on first use and
 // kept for the snapshot's lifetime: solvers draw their k-bands from the
-// maintained counts and their classified plane sets from one store shared
-// by every query on the snapshot. Plane-store traffic is tallied in the
-// index's lifetime counters (Stats) and reported as index.planes.hit /
-// index.planes.miss to a registry riding on the solve's context.
+// maintained counts. It keeps no plane sets: a served solve classifies its
+// own, and a batch shares them in a store that dies with the batch. Plane
+// traffic — one miss per served solve, a batch's hits and misses — is
+// tallied in the index's lifetime counters (Stats) and reported as
+// index.planes.hit / index.planes.miss to a registry riding on the solve's
+// context.
 func (s *Snapshot) Prepared() *core.Prepared {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -437,10 +437,9 @@ func solveJSONCtx(t *testing.T, ctx context.Context, prep *core.Prepared, q core
 	return b
 }
 
-// The shared plane storage must dedupe repeated queries on one snapshot and
-// must not leak across epochs. A (point, ε) gets a group only when it comes
-// back: the first solve misses and keeps nothing, the second misses and
-// builds the group, the third and later hit.
+// A served stream keeps no plane group on the snapshot: asking one
+// (point, ε) three times classifies its planes three times — three misses,
+// no hit — and answers identically each time. A new epoch counts the same.
 func TestIndexPlaneCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(4444))
 	pts, q := randomInstance(rng, 12, 3)
@@ -450,46 +449,58 @@ func TestIndexPlaneCache(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	ctx := obs.ContextWithRegistry(context.Background(), reg)
-	var hits, misses int64
-	solve := func(step string, prep *core.Prepared, hit bool, groups int) []byte {
+	var misses int64
+	solve := func(step string, prep *core.Prepared) []byte {
 		t.Helper()
 		b := solveJSONCtx(t, ctx, prep, q)
-		if hit {
-			hits++
-		} else {
-			misses++
-		}
+		misses++
 		c := reg.Counters()
-		if c["index.planes.hit"] != hits || c["index.planes.miss"] != misses {
-			t.Fatalf("%s: hits/misses = %d/%d, want %d/%d", step, c["index.planes.hit"], c["index.planes.miss"], hits, misses)
+		if c["index.planes.hit"] != 0 || c["index.planes.miss"] != misses {
+			t.Fatalf("%s: hits/misses = %d/%d, want 0/%d", step, c["index.planes.hit"], c["index.planes.miss"], misses)
 		}
-		if got := prep.PlaneGroups(); got != groups {
-			t.Fatalf("%s: %d plane groups, want %d", step, got, groups)
+		if st := ix.Stats(); st.PlaneHits != 0 || st.PlaneMisses != misses {
+			t.Fatalf("%s: stats hits/misses = %d/%d, want 0/%d", step, st.PlaneHits, st.PlaneMisses, misses)
 		}
 		return b
 	}
 	prep := ix.Snapshot().Prepared()
-	a := solve("first sighting", prep, false, 0)
-	b := solve("second sighting", prep, false, 1)
-	c := solve("third solve", prep, true, 1)
+	a := solve("first solve", prep)
+	b := solve("second solve", prep)
+	c := solve("third solve", prep)
 	if !bytes.Equal(a, b) || !bytes.Equal(a, c) {
 		t.Fatal("repeated solve on one snapshot differs")
 	}
-	// A new epoch starts cold: neither plane groups nor sightings leak
-	// across snapshots.
 	if _, err := ix.Insert(vec.Of(0.5, 0.5, 0.5)); err != nil {
 		t.Fatal(err)
 	}
 	next := ix.Snapshot().Prepared()
-	solve("new epoch, first sighting", next, false, 0)
-	solve("new epoch, second sighting", next, false, 1)
-	solve("new epoch, third solve", next, true, 1)
+	for _, step := range []string{"new epoch, first solve", "new epoch, second solve", "new epoch, third solve"} {
+		solve(step, next)
+	}
 }
 
-// One (point, ε) asked at k = 3, 7, 3, 5 on one snapshot is one plane
-// group: first sighted at 3 (classified for that solve alone), built at 7
-// when the key comes back, then narrowed for 3 and 5 without classifying
-// again — and every answer is byte-identical to an E-PT solve
+// solveBatchJSON answers queries as one E-PT batch on prep and returns
+// each region's JSON.
+func solveBatchJSON(t *testing.T, ctx context.Context, prep *core.Prepared, queries []core.Query, workers int) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(queries))
+	for i, o := range core.SolveBatchPolicy(ctx, core.SolvePolicy{Solver: core.EPTSolver{}}, prep, queries, workers) {
+		if o.Err != nil {
+			t.Fatal(o.Err)
+		}
+		b, err := o.Region.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out
+}
+
+// One (point, ε) asked at k = 3, 7, 3, 5 in one batch on a snapshot is one
+// plane group: the duplicate k = 3 is deduplicated, the group is classified
+// once at 7 and narrowed for 3 and 5 — one miss, two hits, added to the
+// index's counters — and every answer is byte-identical to an E-PT solve
 // on an unfiltered Prepare of the k-skyband.
 func TestSnapshotPlaneStoreAcrossK(t *testing.T) {
 	rng := rand.New(rand.NewSource(5151))
@@ -500,40 +511,34 @@ func TestSnapshotPlaneStoreAcrossK(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	ctx := obs.ContextWithRegistry(context.Background(), reg)
-	prep := ix.Snapshot().Prepared()
-	wantHit := []bool{false, false, true, true}
-	var hits, misses int64
-	for i, k := range []int{3, 7, 3, 5} {
+	var queries []core.Query
+	for _, k := range []int{3, 7, 3, 5} {
 		q.K = k
-		got := solveJSONCtx(t, ctx, prep, q)
+		queries = append(queries, q)
+	}
+	for i, got := range solveBatchJSON(t, ctx, ix.Snapshot().Prepared(), queries, 1) {
+		k := queries[i].K
 		band := skyband.Select(pts, skyband.KSkyband(pts, k))
 		bandPrep, err := core.Prepare(band, 3, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref := solveJSONCtx(t, context.Background(), bandPrep, q); !bytes.Equal(got, ref) {
+		if ref := solveJSONCtx(t, context.Background(), bandPrep, queries[i]); !bytes.Equal(got, ref) {
 			t.Fatalf("k=%d: snapshot region differs from the unfiltered reference\n got %s\nwant %s", k, got, ref)
 		}
-		if wantHit[i] {
-			hits++
-		} else {
-			misses++
-		}
-		c := reg.Counters()
-		if c["index.planes.hit"] != hits || c["index.planes.miss"] != misses {
-			t.Fatalf("after k=%d: hits/misses = %d/%d, want %d/%d", k,
-				c["index.planes.hit"], c["index.planes.miss"], hits, misses)
-		}
 	}
-	st := ix.Stats()
-	if st.PlaneSets != 1 || st.PlaneHits != 2 || st.PlaneMisses != 2 {
-		t.Fatalf("stats PlaneSets=%d hits=%d misses=%d, want 1/2/2", st.PlaneSets, st.PlaneHits, st.PlaneMisses)
+	if c := reg.Counters(); c["index.planes.hit"] != 2 || c["index.planes.miss"] != 1 {
+		t.Fatalf("registry hits/misses = %d/%d, want 2/1", c["index.planes.hit"], c["index.planes.miss"])
+	}
+	if st := ix.Stats(); st.PlaneHits != 2 || st.PlaneMisses != 1 {
+		t.Fatalf("stats hits/misses = %d/%d, want 2/1", st.PlaneHits, st.PlaneMisses)
 	}
 }
 
-// Concurrent queries of one (point, ε) at mixed ranks build, rebuild and
-// narrow the same plane group at once; every answer must still equal the
-// fresh solve at its rank.
+// Concurrent workers of one batch build and narrow the same plane group at
+// once; every answer must still equal the fresh solve at its rank, the
+// group is classified once, and it dies with the batch: a served solve of
+// the same (point, ε) afterwards misses.
 func TestSnapshotPlaneStoreConcurrentK(t *testing.T) {
 	rng := rand.New(rand.NewSource(6161))
 	pts, q := randomInstance(rng, 60, 3)
@@ -542,34 +547,23 @@ func TestSnapshotPlaneStoreConcurrentK(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := freshPrep(t, pts, 3)
-	want := make(map[int][]byte)
+	var queries []core.Query
 	for k := 1; k <= 6; k++ {
 		q.K = k
-		want[k] = solveJSON(t, fresh, q)
+		queries = append(queries, q)
 	}
 	prep := ix.Snapshot().Prepared()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 6; i++ {
-				qk := q
-				qk.K = 1 + (i+g*5)%6
-				r, _, err := core.EPTSolver{}.Solve(context.Background(), prep, qk)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if got, err := r.MarshalJSON(); err != nil || !bytes.Equal(got, want[qk.K]) {
-					t.Errorf("k=%d: concurrent snapshot solve differs from fresh solve (err %v)", qk.K, err)
-				}
-			}
-		}(g)
+	for i, got := range solveBatchJSON(t, context.Background(), prep, queries, 4) {
+		if want := solveJSON(t, fresh, queries[i]); !bytes.Equal(got, want) {
+			t.Errorf("k=%d: concurrent batch solve differs from fresh solve", queries[i].K)
+		}
 	}
-	wg.Wait()
-	if st := ix.Stats(); st.PlaneSets != 1 {
-		t.Fatalf("PlaneSets = %d, want 1", st.PlaneSets)
+	if st := ix.Stats(); st.PlaneHits != 5 || st.PlaneMisses != 1 {
+		t.Fatalf("after the batch: hits/misses = %d/%d, want 5/1", st.PlaneHits, st.PlaneMisses)
+	}
+	solveJSON(t, prep, queries[0])
+	if st := ix.Stats(); st.PlaneHits != 5 || st.PlaneMisses != 2 {
+		t.Fatalf("after a served solve: hits/misses = %d/%d, want 5/2", st.PlaneHits, st.PlaneMisses)
 	}
 }
 

@@ -68,7 +68,7 @@ func (e *PersistError) Unwrap() error { return e.Err }
 
 // indexFile is the gob-encoded payload of a persisted index. Only the
 // durable inputs are stored — points and the epoch counter; dominator
-// counts and all per-snapshot derived state (skyband views, plane sets)
+// counts and all per-snapshot derived state (skyband views)
 // are recomputed on load, which keeps the file format independent of cache
 // internals. Files written before the rank tree was retired also carry
 // Kmax and Nodes fields; gob skips fields the struct no longer declares, so
